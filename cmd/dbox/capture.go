@@ -55,6 +55,18 @@ func captureCmd(cli *ctl.Client, rest []string) error {
 		return fmt.Errorf("usage: dbox capture [flags] (see dbox capture -h)")
 	}
 
+	// The swarm source a capture drives and taps: the closed preset.
+	source := ctl.SwarmRequest{
+		Profile:     string(swarm.ProfileClosed),
+		Devices:     *devices,
+		PeriodSec:   period.Seconds(),
+		DurationSec: duration.Seconds(),
+		Workers:     *workers,
+		Seed:        *seed,
+		QoS:         1,
+		Subscribers: 1,
+		Shards:      *shards,
+	}
 	var (
 		prof     *profile.Profile
 		messages int64
@@ -70,17 +82,7 @@ func captureCmd(cli *ctl.Client, rest []string) error {
 			Commit:      *commit,
 		}
 		if *devices > 0 {
-			req.Swarm = &ctl.SwarmRequest{
-				Profile:     string(swarm.ProfileClosed),
-				Devices:     *devices,
-				PeriodSec:   period.Seconds(),
-				DurationSec: duration.Seconds(),
-				Workers:     *workers,
-				Seed:        *seed,
-				QoS:         1,
-				Subscribers: 1,
-				Shards:      *shards,
-			}
+			req.Swarm = &source
 		}
 		run := *cli
 		run.HTTP = &http.Client{Timeout: *duration + 120*time.Second}
@@ -114,23 +116,11 @@ func captureCmd(cli *ctl.Client, rest []string) error {
 			return err
 		}
 		defer tb.Stop()
-		res, err := tb.Capture(context.Background(), core.CaptureSpec{
-			Name: *name,
-			Seed: *seed,
-			Swarm: &core.SwarmSpec{
-				Shards: *shards,
-				Load: swarm.LoadSpec{
-					Profile:  swarm.ProfileClosed,
-					Devices:  *devices,
-					Period:   *period,
-					Duration: *duration,
-					Workers:  *workers,
-					Seed:     *seed,
-					QoS:      1,
-					Subs:     1,
-				},
-			},
-		})
+		sw, err := source.Spec()
+		if err != nil {
+			return err
+		}
+		res, err := tb.Capture(context.Background(), core.CaptureSpec{Name: *name, Seed: *seed, Swarm: &sw})
 		if err != nil {
 			return err
 		}

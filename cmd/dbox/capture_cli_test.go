@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/profile"
 )
@@ -35,6 +36,13 @@ func TestCaptureCLIRoundTrip(t *testing.T) {
 	}
 	if p.Name != "clitest" || len(p.Populations) == 0 {
 		t.Fatalf("fitted profile = %+v", p)
+	}
+	// The capture is stamped with the generator's own offsets, so even
+	// unpaced it recovers the fleet exactly: 8 devices, one per 500ms.
+	pop := p.Populations[0]
+	if len(p.Populations) != 1 || pop.Kind != "dev" || pop.Count != 8 ||
+		pop.Cadence.Dist != profile.DistFixed || pop.Cadence.Mean != 500*time.Millisecond || pop.Burst != nil {
+		t.Fatalf("fitted populations = %+v, want 8 dev devices on a fixed 500ms cadence", p.Populations)
 	}
 
 	// dbox vet routes the file through the profile analyzer.

@@ -93,9 +93,10 @@ commands (Table 1):
   replay [-verify] [-remote] ARCHIVE.zip
   trace save FILE | trace push NAME
   chaos run PLAN.yaml
-  swarm [-devices N] [-rate R] [-shards S] [-profile closed|open|FILE]
-        [-mock] [-kill-shard N@T] [-max-recovery-p99 MS]
+  swarm [-devices N] [-rate R] [-period P] [-shards S] [-qos 0|1]
+        [-profile closed|open|FILE] [-kill-shard N@T] [-max-recovery-p99 MS]
         [-max-p99 MS] [-o BENCH_swarm.json] [-remote]
+        (closed and open are presets of a device profile: swarm -h)
   capture [-name N] [-seed S] [-duration D] [-o PROFILE.yaml]
           [-devices N] [-period P] [-speed N|max] [-commit] [-remote]
   top [-n iters] [-i secs] [-watch secs] | metrics

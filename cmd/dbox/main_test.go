@@ -175,7 +175,11 @@ func TestDispatchErrors(t *testing.T) {
 		{"vet", "--all", "extra"},    // both --all and a target
 		{"vet", "-bogus", "x"},       // unknown flag
 		{"vet", "no-such-setup"},     // not a file, not committed
+		{"swarm", "-qos", "2"},       // QoS outside {0,1}
+		{"swarm", "-qos", "256"},     // would wrap to QoS 0
 		{"definitely-not-a-command"}, // unknown
+		// The open preset over 100 msg/s/device.
+		{"swarm", "-profile", "open", "-devices", "10", "-rate", "5000"},
 	}
 	for _, args := range bad {
 		if err := dispatch(cli, args); err == nil {

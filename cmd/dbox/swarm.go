@@ -24,9 +24,9 @@ import (
 
 // swarmCmd implements:
 //
-//	dbox swarm [-devices N] [-rate R] [-shards S] [-profile closed|open]
+//	dbox swarm [-devices N] [-rate R] [-shards S] [-profile closed|open|FILE]
 //	           [-duration D] [-period P] [-workers N] [-subs N]
-//	           [-seed N] [-qos 0|1] [-payload B] [-nodes N] [-mock]
+//	           [-seed N] [-qos 0|1] [-nodes N]
 //	           [-kill-shard N@T] [-max-recovery-p99 MS]
 //	           [-max-p99 MS] [-o BENCH_swarm.json] [-remote]
 //
@@ -38,28 +38,26 @@ import (
 // gains failover/recovery columns gated by -max-recovery-p99.
 func swarmCmd(cli *ctl.Client, rest []string) error {
 	fs := flag.NewFlagSet("swarm", flag.ContinueOnError)
-	var kills []core.ShardKill
+	var kills []ctl.SwarmKill
 	fs.Func("kill-shard", "crash shard N at offset T into the run, as N@T (e.g. 1@2s); N@T@FOR revives it FOR later; repeatable", func(v string) error {
 		k, err := parseShardKill(v)
 		if err != nil {
 			return err
 		}
-		kills = append(kills, k)
+		kills = append(kills, ctl.SwarmKill{Shard: k.Shard, AtSec: k.At.Seconds(), ForSec: k.For.Seconds()})
 		return nil
 	})
 	devices := fs.Int("devices", 0, "simulated device count")
-	rate := fs.Float64("rate", 0, "open-loop target msgs/s")
+	rate := fs.Float64("rate", 0, "open preset target msgs/s")
 	shards := fs.Int("shards", 0, "broker shards (0 = derive from device count)")
-	profFlag := fs.String("profile", "", "load profile: closed, open, or a device-profile YAML file")
+	profFlag := fs.String("profile", "", "device profile: the closed or open preset, or a profile YAML file")
 	duration := fs.Duration("duration", 0, "run length")
-	period := fs.Duration("period", 0, "closed-loop per-device publish period")
+	period := fs.Duration("period", 0, "closed preset per-device publish period (at least 1ms)")
 	workers := fs.Int("workers", 0, "generator workers (one kube pod each)")
 	subs := fs.Int("subs", 0, "wildcard consumer subscriptions")
 	seed := fs.Int64("seed", 0, "load-generator seed")
 	qos := fs.Int("qos", 1, "publish QoS (0 or 1)")
-	payload := fs.Int("payload", 0, "synthetic payload size in bytes")
 	nodes := fs.Int("nodes", 3, "local-mode kube nodes to spread workers over")
-	mock := fs.Bool("mock", false, "drive digi swarm-mock fleets instead of synthetic payloads")
 	maxP99 := fs.Float64("max-p99", 0, "fail when p99 publish→deliver latency exceeds this many ms")
 	maxRecP99 := fs.Float64("max-recovery-p99", 0, "fail when p99 shard-failover recovery exceeds this many ms (with -kill-shard)")
 	out := fs.String("o", "", "write the JSON report (BENCH_swarm.json) to this file")
@@ -71,10 +69,9 @@ func swarmCmd(cli *ctl.Client, rest []string) error {
 		return fmt.Errorf("usage: dbox swarm [flags] (see dbox swarm -h)")
 	}
 
-	// -profile takes a discipline name or a device-profile file: any
-	// value that is not a known discipline is read as trace-fitted
-	// profile YAML (the output of dbox capture) and drives the
-	// heterogeneous profiled load.
+	// -profile takes a preset name or a device-profile file: any value
+	// that is not a preset is read as profile YAML (hand-written, or
+	// the output of dbox capture).
 	discipline := *profFlag
 	var deviceProf *profile.Profile
 	switch discipline {
@@ -92,31 +89,28 @@ func swarmCmd(cli *ctl.Client, rest []string) error {
 		discipline = ""
 	}
 
+	req := ctl.SwarmRequest{
+		Profile:     discipline,
+		Devices:     *devices,
+		Rate:        *rate,
+		PeriodSec:   period.Seconds(),
+		DurationSec: duration.Seconds(),
+		Workers:     *workers,
+		Seed:        *seed,
+		QoS:         *qos,
+		Subscribers: *subs,
+		Shards:      *shards,
+		Kills:       kills,
+	}
+	if deviceProf != nil {
+		req.DeviceProfile = deviceProf.Value()
+	}
+	spec, err := req.Spec()
+	if err != nil {
+		return err
+	}
 	var rep *swarm.Report
-	var err error
 	if *remote {
-		req := ctl.SwarmRequest{
-			Profile:     discipline,
-			Devices:     *devices,
-			Rate:        *rate,
-			PeriodSec:   period.Seconds(),
-			DurationSec: duration.Seconds(),
-			Workers:     *workers,
-			Seed:        *seed,
-			QoS:         *qos,
-			Payload:     *payload,
-			Subscribers: *subs,
-			Shards:      *shards,
-			Mock:        *mock,
-		}
-		if deviceProf != nil {
-			req.DeviceProfile = deviceProf.Value()
-		}
-		for _, k := range kills {
-			req.Kills = append(req.Kills, ctl.SwarmKill{
-				Shard: k.Shard, AtSec: k.At.Seconds(), ForSec: k.For.Seconds(),
-			})
-		}
 		run := *cli
 		wait := *duration
 		if wait <= 0 {
@@ -125,10 +119,6 @@ func swarmCmd(cli *ctl.Client, rest []string) error {
 		run.HTTP = &http.Client{Timeout: wait + 120*time.Second}
 		rep, err = run.Swarm(req)
 	} else {
-		spec := swarmLocalSpec(discipline, *devices, *rate, *period,
-			*duration, *workers, *subs, *seed, *qos, *payload, *shards, *mock)
-		spec.Load.DeviceProfile = deviceProf
-		spec.Kills = kills
 		rep, err = swarmLocal(spec, *nodes)
 	}
 	if err != nil {
@@ -172,26 +162,6 @@ func parseShardKill(v string) (core.ShardKill, error) {
 		}
 	}
 	return k, nil
-}
-
-func swarmLocalSpec(profile string, devices int, rate float64, period, duration time.Duration,
-	workers, subs int, seed int64, qos, payload, shards int, mock bool) core.SwarmSpec {
-	return core.SwarmSpec{
-		Load: swarm.LoadSpec{
-			Profile:  swarm.Profile(profile),
-			Devices:  devices,
-			Rate:     rate,
-			Period:   period,
-			Duration: duration,
-			Workers:  workers,
-			Subs:     subs,
-			Seed:     seed,
-			QoS:      byte(qos),
-			Payload:  payload,
-		},
-		Shards: shards,
-		Mock:   mock,
-	}
 }
 
 // swarmLocal builds a listener-less multi-node testbed and runs the

@@ -3,11 +3,12 @@
 //
 // The run shards the MQTT message plane across two brokers, spreads
 // four load-generator pods over four kube nodes, and pushes an
-// open-loop 5k msg/s Poisson stream from 2 000 swarm-mock devices
-// through the pool for three seconds. The settled report carries exact
-// message accounting (published, delivered, lost) and the sampled
-// publish→deliver latency quantiles; at QoS 1 the in-process plane
-// must lose nothing.
+// open-loop 5k msg/s Poisson stream from 2 000 random-walk devices
+// (the open preset) through the pool for three seconds. The settled
+// report carries exact message accounting (published, delivered, lost)
+// and the sampled publish→deliver latency quantiles; at QoS 1 the
+// in-process plane must lose nothing, and "published" must equal the
+// count the preset's clock-free schedule predicts.
 //
 //	go run ./examples/swarmbench
 package main
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	digibox "repro"
+	"repro/internal/profile"
 	"repro/internal/swarm"
 )
 
@@ -43,20 +45,21 @@ func main() {
 	}
 	defer tb.Stop()
 
-	rep, err := tb.RunSwarm(context.Background(), digibox.SwarmSpec{
-		Shards: 2,
-		Mock:   true, // deterministic random-walk payloads from the digi fleet
-		Load: swarm.LoadSpec{
-			Profile:  swarm.ProfileOpen,
-			Devices:  2000,
-			Rate:     5000,
-			Duration: 3 * time.Second,
-			Workers:  4,
-			QoS:      1,
-			Subs:     2,
-			Seed:     7,
-		},
-	})
+	load := swarm.LoadSpec{
+		Profile:  swarm.ProfileOpen,
+		Devices:  2000,
+		Rate:     5000,
+		Duration: 3 * time.Second,
+		Workers:  4,
+		QoS:      1,
+		Subs:     2,
+		Seed:     7,
+	}.WithDefaults()
+	rep, err := tb.RunSwarm(context.Background(), digibox.SwarmSpec{Shards: 2, Load: load})
+	if err != nil {
+		log.Fatal(err)
+	}
+	_, scheduled, err := profile.Digest(load.EffectiveProfile(), load.Devices, load.Seed, load.Duration, "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,5 +79,8 @@ func main() {
 	if err := rep.Gate(0); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("gate passed: zero QoS 1 loss")
+	if rep.Published != scheduled {
+		log.Fatalf("published %d, the schedule has %d", rep.Published, scheduled)
+	}
+	fmt.Println("gate passed: zero QoS 1 loss, published == scheduled")
 }

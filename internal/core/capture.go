@@ -31,7 +31,7 @@ type CaptureSpec struct {
 	// Seed seeds the fitted profile so its replays are deterministic.
 	Seed int64
 	// Swarm, when set, drives a swarm load session and captures the
-	// traffic its consumers see instead of tapping the live broker.
+	// traffic it publishes instead of tapping the live broker.
 	Swarm *SwarmSpec
 }
 
@@ -50,7 +50,8 @@ type CaptureResult struct {
 }
 
 // Capture records traffic into a fitted profile. With spec.Swarm set
-// it runs that swarm session with the capture tap attached; otherwise
+// it runs that swarm session with the capture attached on the publish
+// side, where every message carries its scheduled offset; otherwise
 // it subscribes to the testbed's broker for spec.Duration of scenario
 // time (compressed by TimeScale like everything else) and fits what
 // the scene's own digis publish. The testbed must be started.
@@ -62,7 +63,7 @@ func (tb *Testbed) Capture(ctx context.Context, spec CaptureSpec) (*CaptureResul
 	var rep *swarm.Report
 	if spec.Swarm != nil {
 		sw := *spec.Swarm
-		sw.Tap = cap.Observe
+		sw.PublishTap = cap.ObserveAt
 		var err error
 		rep, err = tb.RunSwarm(ctx, sw)
 		if err != nil {

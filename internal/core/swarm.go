@@ -14,9 +14,7 @@ import (
 	"repro/internal/broker"
 	"repro/internal/chaos"
 	"repro/internal/clock"
-	"repro/internal/digi"
 	"repro/internal/kube"
-	"repro/internal/profile"
 	"repro/internal/swarm"
 )
 
@@ -28,18 +26,19 @@ type SwarmSpec struct {
 	// Shards is the broker shard count; 0 derives it from the device
 	// count (swarm.RequiredShards).
 	Shards int
-	// Mock publishes stateful digi swarm-mock payloads (deterministic
-	// per-device random walks) instead of the generator's synthetic
-	// padded JSON.
-	Mock bool
 	// Kills schedules shard-kill faults during the run — the failover
 	// drill. Each kill is compiled into a chaos plan (seeded from the
 	// load seed) and applied by the pool's self-healing plane.
 	Kills []ShardKill
-	// Tap, when set, receives every message the run's consumers see —
-	// the capture path's feed. It must be fast and non-blocking; it
-	// runs on the delivery path.
+	// Tap, when set, receives every message the run's consumers see.
+	// It must be fast and non-blocking; it runs on the delivery path.
 	Tap func(topic string, payload []byte) `json:"-"`
+	// PublishTap, when set, receives every message as its worker
+	// publishes it, with the scenario offset the generator scheduled it
+	// at — the capture path's feed, because that offset is exact at any
+	// speed where a clock read on the delivery side is not. It runs on
+	// the generator workers and must be safe for concurrent use.
+	PublishTap func(at time.Duration, topic string, payload []byte) `json:"-"`
 }
 
 // ShardKill is one scheduled shard crash: shard Shard dies At into the
@@ -106,40 +105,14 @@ func (tb *Testbed) RunSwarm(ctx context.Context, spec SwarmSpec) (*swarm.Report,
 	tb.setActiveSwarm(pool)
 	defer tb.setActiveSwarm(nil)
 
-	// Mock mode publishes through the digi swarm fleet so payloads are
-	// the runtime's deterministic random walks; either way the pool is
-	// the message plane. A profiled load hands the fleet its own
-	// compiled sampler so sampled payloads route onto per-kind device
-	// topics (the sampler compile is pure, so the fleet's copy maps
-	// devices to kinds identically to the generator's).
-	var fire swarm.Fire
-	if spec.Mock {
-		opts := digi.SwarmFleetOptions{
-			Devices: load.Devices,
-			Seed:    load.Seed,
-			Prefix:  load.Prefix,
-			QoS:     load.QoS,
-			Publish: pool.Publish,
-		}
-		if load.DeviceProfile != nil {
-			smp, err := profile.Compile(load.DeviceProfile, load.Devices, load.Seed)
-			if err != nil {
-				return nil, err
-			}
-			opts.Sampler = smp
-			opts.Devices = smp.Devices()
-		}
-		fleet, err := tb.Runtime.NewSwarmFleet(opts)
-		if err != nil {
-			return nil, err
-		}
-		fire = fleet.Fire
-	}
-	sess, err := swarm.NewSession(pool, load, tb.Obs, fire)
+	sess, err := swarm.NewSession(pool, load, tb.Obs)
 	if err != nil {
 		return nil, err
 	}
-	// The capture tap rides a dedicated consumer on the pool so it
+	if spec.PublishTap != nil {
+		sess.SetTap(spec.PublishTap)
+	}
+	// The delivery tap rides a dedicated consumer on the pool so it
 	// sees exactly what the run's subscribers see (one copy per
 	// message, not per subscriber).
 	if spec.Tap != nil {
@@ -241,9 +214,6 @@ func (tb *Testbed) setActiveSwarm(p *swarm.Pool) {
 	tb.mu.Unlock()
 }
 
-// SwarmHealth reports the in-flight swarm pool's shard health for the
-// readiness probe: total shards and how many are down. A testbed with
-// no swarm run in flight is trivially ready (0, nil).
 // SwarmStats snapshots the active swarm pool's per-shard and
 // aggregate counters; nil when no swarm run is in flight. /ctl/status
 // serves it so the dashboard can draw per-shard throughput without
@@ -259,6 +229,9 @@ func (tb *Testbed) SwarmStats() *swarm.Stats {
 	return &st
 }
 
+// SwarmHealth reports the in-flight swarm pool's shard health for the
+// readiness probe: total shards and how many are down. A testbed with
+// no swarm run in flight is trivially ready (0, nil).
 func (tb *Testbed) SwarmHealth() (shards int, down []int) {
 	tb.mu.Lock()
 	p := tb.activeSwarm

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -85,12 +87,16 @@ func TestRunSwarmSpreadsWorkersAndLosesNothing(t *testing.T) {
 	}
 }
 
-// TestRunSwarmMockFleet drives the digi swarm-mock fleet through the
-// pool: closed-loop, every device publishes at least once, zero loss.
+// TestRunSwarmMockFleet runs the closed preset — the random-walk fleet
+// that used to need a mock mode — and taps it: every device publishes
+// {"seq","kind":"dev","v"} with v walking inside [0,1] on
+// swarm/dev-N/status, exactly Devices × Duration/Period times, zero
+// loss.
 func TestRunSwarmMockFleet(t *testing.T) {
 	tb := swarmTestbed(t, NodeSpec{Name: "laptop", Capacity: 16, Zone: "local"})
+	var mu sync.Mutex
+	seqs := map[string]uint64{}
 	rep, err := tb.RunSwarm(context.Background(), SwarmSpec{
-		Mock: true,
 		Load: swarm.LoadSpec{
 			Profile:  swarm.ProfileClosed,
 			Devices:  40,
@@ -100,15 +106,37 @@ func TestRunSwarmMockFleet(t *testing.T) {
 			QoS:      1,
 			Subs:     1,
 		},
+		Tap: func(topic string, payload []byte) {
+			var msg struct {
+				Seq  uint64
+				Kind string
+				V    *float64
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if err := json.Unmarshal(payload, &msg); err != nil || msg.Kind != "dev" ||
+				msg.V == nil || *msg.V < 0 || *msg.V > 1 || msg.Seq != seqs[topic]+1 {
+				t.Errorf("%s: payload %s (err %v) after seq %d is not the next step of a [0,1] walk",
+					topic, payload, err, seqs[topic])
+			}
+			seqs[topic] = msg.Seq
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Published < 40 {
-		t.Fatalf("published %d, want at least one full fleet cycle (40)", rep.Published)
+	if rep.Published != 40*4 {
+		t.Fatalf("published %d, want 40 devices × 4 periods", rep.Published)
 	}
 	if err := rep.Gate(0); err != nil {
 		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for d := 0; d < 40; d++ {
+		if got := seqs[swarm.DeviceTopic("swarm", d)]; got != 4 {
+			t.Fatalf("device %d published %d messages, want 4", d, got)
+		}
 	}
 	// Shards defaulted from the device count: 40 devices fit one shard.
 	if rep.Shards != 1 {

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -118,11 +119,9 @@ type SwarmRequest struct {
 	Workers     int     `json:"workers,omitempty"`
 	Seed        int64   `json:"seed,omitempty"`
 	QoS         int     `json:"qos,omitempty"`
-	Payload     int     `json:"payload,omitempty"`
 	Subscribers int     `json:"subscribers,omitempty"`
 	Prefix      string  `json:"prefix,omitempty"`
 	Shards      int     `json:"shards,omitempty"`
-	Mock        bool    `json:"mock,omitempty"`
 	// Kills is the failover-drill schedule (`dbox swarm -kill-shard`).
 	Kills []SwarmKill `json:"kills,omitempty"`
 	// DeviceProfile is an optional device-population profile in its
@@ -139,15 +138,23 @@ type SwarmKill struct {
 	ForSec float64 `json:"for_sec,omitempty"`
 }
 
-// spec converts the wire request into the core spec.
-func (r SwarmRequest) spec() (core.SwarmSpec, error) {
+// seconds converts a wire duration to the nearest nanosecond:
+// truncating 0.29 s would give a period 1 ns short, and a closed run
+// one message more than its schedule.
+func seconds(s float64) time.Duration {
+	return time.Duration(math.Round(s * float64(time.Second)))
+}
+
+// Spec converts the wire request into the core spec — the one place
+// the request's fields map onto swarm.LoadSpec, for the daemon and for
+// dbox's local mode alike.
+func (r SwarmRequest) Spec() (core.SwarmSpec, error) {
+	if r.QoS != 0 && r.QoS != 1 {
+		return core.SwarmSpec{}, fmt.Errorf("ctl: swarm qos must be 0 or 1, got %d", r.QoS)
+	}
 	var kills []core.ShardKill
 	for _, k := range r.Kills {
-		kills = append(kills, core.ShardKill{
-			Shard: k.Shard,
-			At:    time.Duration(k.AtSec * float64(time.Second)),
-			For:   time.Duration(k.ForSec * float64(time.Second)),
-		})
+		kills = append(kills, core.ShardKill{Shard: k.Shard, At: seconds(k.AtSec), For: seconds(k.ForSec)})
 	}
 	var prof *profile.Profile
 	if r.DeviceProfile != nil {
@@ -162,18 +169,16 @@ func (r SwarmRequest) spec() (core.SwarmSpec, error) {
 			Profile:       swarm.Profile(r.Profile),
 			Devices:       r.Devices,
 			Rate:          r.Rate,
-			Period:        time.Duration(r.PeriodSec * float64(time.Second)),
-			Duration:      time.Duration(r.DurationSec * float64(time.Second)),
+			Period:        seconds(r.PeriodSec),
+			Duration:      seconds(r.DurationSec),
 			Workers:       r.Workers,
 			Seed:          r.Seed,
 			QoS:           byte(r.QoS),
-			Payload:       r.Payload,
 			Subs:          r.Subscribers,
 			Prefix:        r.Prefix,
 			DeviceProfile: prof,
 		},
 		Shards: r.Shards,
-		Mock:   r.Mock,
 		Kills:  kills,
 	}, nil
 }
@@ -636,7 +641,7 @@ func (s *Server) handleSwarm(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	spec, err := req.spec()
+	spec, err := req.Spec()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -664,7 +669,7 @@ func (s *Server) handleCapture(w http.ResponseWriter, r *http.Request) {
 		Seed:     req.Seed,
 	}
 	if req.Swarm != nil {
-		sw, err := req.Swarm.spec()
+		sw, err := req.Swarm.Spec()
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return

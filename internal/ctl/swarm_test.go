@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,8 +27,8 @@ func TestSwarmOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Published < 30 {
-		t.Fatalf("published %d, want at least one fleet cycle (30)", rep.Published)
+	if rep.Published != 30*4 {
+		t.Fatalf("published %d, want 30 devices × 4 periods", rep.Published)
 	}
 	if rep.Lost != 0 {
 		t.Fatalf("lost %d of %d expected deliveries", rep.Lost, rep.Expected)
@@ -148,10 +149,31 @@ func TestHealthzReadyzOverHTTP(t *testing.T) {
 	}
 }
 
-// TestSwarmRejectsBadSpec pins error propagation over HTTP.
+// TestSwarmRejectsBadSpec pins error propagation over HTTP: a spec the
+// generator cannot honour is a 400 naming the field.
 func TestSwarmRejectsBadSpec(t *testing.T) {
 	_, cli := startServer(t, "")
-	if _, err := cli.Swarm(SwarmRequest{Profile: "sideways"}); err == nil {
-		t.Fatal("bogus profile accepted")
+	for name, tc := range map[string]struct {
+		req  SwarmRequest
+		want string
+	}{
+		"bogus profile": {SwarmRequest{Profile: "sideways"}, "profile"},
+		"qos 2":         {SwarmRequest{QoS: 2}, "qos"},
+		"qos wraps":     {SwarmRequest{QoS: 256}, "qos"},
+		"open too hot":  {SwarmRequest{Profile: "open", Devices: 10, Rate: 5000}, "raise -devices to at least 50"},
+	} {
+		data, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := cli.http().Post(cli.Base+"/ctl/swarm", "application/json", bytesReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body) // a short body fails the check below
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: got %d %s, want a 400 naming %q", name, resp.StatusCode, body, tc.want)
+		}
 	}
 }

@@ -61,10 +61,12 @@ type classAgg struct {
 	malformedPayloads int64
 }
 
-// Capture records traffic into per-class aggregates. Observe is safe
-// for concurrent use; arrival offsets come from the injected clock, so
-// a capture on a time-compressed testbed measures scenario time, not
-// wall time.
+// Capture records traffic into per-class aggregates. Observe and
+// ObserveAt are safe for concurrent use. A feed that knows when each
+// message was scheduled (the swarm generator) hands that offset to
+// ObserveAt; Observe is for feeds that do not (a live broker tap) and
+// reads the injected clock instead, so a capture on a time-compressed
+// testbed measures scenario time, not wall time.
 type Capture struct {
 	clk   clock.Clock
 	mu    sync.Mutex
@@ -112,9 +114,18 @@ func isDigits(s string) bool {
 	return true
 }
 
-// Observe records one message arrival.
+// Observe records one message arrival, stamped with the capture
+// clock at the moment of the call. On an unpaced clock that moment can
+// be scenario seconds after the message was due, so prefer ObserveAt
+// wherever the sender's schedule is known.
 func (c *Capture) Observe(topic string, payload []byte) {
-	at := c.clk.Since(c.start)
+	c.ObserveAt(c.clk.Since(c.start), topic, payload)
+}
+
+// ObserveAt records one message published at scenario offset at. The
+// offsets of one topic must not decrease; topics may interleave in any
+// order.
+func (c *Capture) ObserveAt(at time.Duration, topic string, payload []byte) {
 	cls := ClassOf(topic)
 
 	c.mu.Lock()
@@ -128,11 +139,13 @@ func (c *Capture) Observe(topic string, payload []byte) {
 			firmware: map[string]int64{},
 			fields:   map[string]*fieldAgg{},
 			firstAt:  at,
+			lastAt:   at,
 		}
 		c.byCls[cls] = agg
 	}
 	agg.count++
-	agg.lastAt = at
+	agg.firstAt = min(agg.firstAt, at)
+	agg.lastAt = max(agg.lastAt, at)
 	agg.windows[int64(at/burstWindow)]++
 
 	ta := agg.topics[topic]

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -162,6 +163,51 @@ func TestCaptureFitsPoisson(t *testing.T) {
 	}
 	if dists["tick"] != DistFixed {
 		t.Errorf("constant gaps fitted as %q, want fixed", dists["tick"])
+	}
+}
+
+// TestCaptureObserveAtNeedsNoClock feeds one schedule twice: in global
+// time order through Observe on a virtual clock stepped to each
+// arrival, and device by device through ObserveAt on a clock that
+// never moves. Both fit the same profile — an offset handed to
+// ObserveAt is all the capture needs, whatever the delivery order and
+// whatever the clock read when the message got there.
+func TestCaptureObserveAtNeedsNoClock(t *testing.T) {
+	src := &Profile{
+		Name: "p",
+		Seed: 9,
+		Populations: []Population{
+			{Kind: "rnd", Count: 6, Cadence: Cadence{Dist: DistPoisson, Mean: 100 * time.Millisecond},
+				Firmware: map[string]float64{"1.0": 0.5, "2.0": 0.5}},
+			{Kind: "tick", Count: 6, Cadence: Cadence{Dist: DistFixed, Mean: 100 * time.Millisecond, Spread: true},
+				Fields: []Field{{Name: "v", Gen: GenRandomWalk, Min: 0, Max: 1}}},
+		},
+	}
+	const duration = 30 * time.Second
+	clk := clock.NewVirtual()
+	clocked := NewCapture(clk)
+	feed(t, clocked, clk, src, 0, duration)
+
+	stamped := NewCapture(clock.NewVirtual())
+	s, err := Compile(src, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := s.Devices() - 1; d >= 0; d-- {
+		for at, payload := s.NextFire(d); at < duration; at, payload = s.NextFire(d) {
+			stamped.ObserveAt(at, s.DeviceTopic("swarm", d), payload)
+		}
+	}
+	want, err := Marshal(clocked.Fit(FitOptions{Name: "f", Seed: 9}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Marshal(stamped.Fit(FitOptions{Name: "f", Seed: 9}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("ObserveAt fit diverges from the clocked fit:\n%s\nwant:\n%s", got, want)
 	}
 }
 

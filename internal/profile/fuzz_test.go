@@ -18,6 +18,7 @@ func FuzzParse(f *testing.F) {
 		"profile: ''\npopulations: []\n",
 		"profile: deep\npopulations:\n  - kind: [nested, list]\n",
 		"not a profile at all",
+		"profile: s\npopulations:\n  - kind: lamp\n    count: 3\n    cadence: {mean_ms: 200, spread: true}\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -86,6 +86,13 @@ type Cadence struct {
 	Mean time.Duration
 	// Sigma is the lognormal log-stddev (ignored by other dists).
 	Sigma float64
+	// Spread staggers a fixed cadence across the population instead of
+	// firing every device on the same instants: device k of n first
+	// fires at Mean·k/n, then every Mean. The offsets are fixed at
+	// Compile, so the schedule does not depend on how a generator
+	// shares devices among workers. Only a fixed cadence with no
+	// diurnal or burst modulation can be spread.
+	Spread bool
 	// Diurnal optionally gates and shapes the rate over the scenario
 	// day.
 	Diurnal *Diurnal
@@ -184,6 +191,10 @@ func (p *Profile) Validate() error {
 		}
 		if pop.Cadence.Sigma < 0 {
 			return fmt.Errorf("profile: %s: negative cadence sigma", where)
+		}
+		fixed := pop.Cadence.Dist == "" || pop.Cadence.Dist == DistFixed
+		if pop.Cadence.Spread && (!fixed || pop.Cadence.Diurnal != nil || pop.Burst != nil) {
+			return fmt.Errorf("profile: %s: spread needs a %s cadence with no diurnal or burst modulation", where, DistFixed)
 		}
 		if d := pop.Cadence.Diurnal; d != nil {
 			if d.Start < 0 || d.End > 24 || d.Trough < 0 || d.Trough > 1 {
@@ -325,6 +336,9 @@ func (p *Profile) Value() any {
 		if pop.Cadence.Sigma != 0 {
 			cad["sigma"] = pop.Cadence.Sigma
 		}
+		if pop.Cadence.Spread {
+			cad["spread"] = true
+		}
 		if d := pop.Cadence.Diurnal; d != nil {
 			dm := map[string]any{"start_hour": d.Start, "end_hour": d.End}
 			if d.Trough != 0 {
@@ -441,6 +455,7 @@ func FromValue(v any) (*Profile, error) {
 				Mean:  time.Duration(asInt64(cad["mean_ms"])) * time.Millisecond,
 				Sigma: asFloat(cad["sigma"]),
 			}
+			pop.Cadence.Spread, _ = cad["spread"].(bool)
 			if dm, ok := cad["diurnal"].(map[string]any); ok {
 				pop.Cadence.Diurnal = &Diurnal{
 					Start:  asFloat(dm["start_hour"]),

@@ -26,7 +26,7 @@ func testProfile() *Profile {
 			{
 				Kind:    "meter",
 				Count:   4,
-				Cadence: Cadence{Dist: DistFixed, Mean: 100 * time.Millisecond},
+				Cadence: Cadence{Dist: DistFixed, Mean: 100 * time.Millisecond, Spread: true},
 				Fields: []Field{
 					{Name: "kwh", Gen: GenRandomWalk, Min: 0, Max: 10, Step: 0.1},
 				},
@@ -84,6 +84,10 @@ func TestValidateRejects(t *testing.T) {
 		{"slash kind", func(p *Profile) { p.Populations[0].Kind = "a/b" }, "single MQTT topic level"},
 		{"dup kind", func(p *Profile) { p.Populations[1].Kind = "thermostat" }, "duplicate population kind"},
 		{"bad dist", func(p *Profile) { p.Populations[0].Cadence.Dist = "zipf" }, "unknown cadence dist"},
+		{"spread poisson", func(p *Profile) { p.Populations[0].Cadence.Spread = true }, "spread needs a fixed cadence"},
+		{"spread burst", func(p *Profile) {
+			p.Populations[1].Burst = &Burst{Every: time.Second, Length: 100 * time.Millisecond, Factor: 2}
+		}, "spread needs a fixed cadence"},
 		{"bad gen", func(p *Profile) { p.Populations[1].Fields[0].Gen = "brownian" }, "unknown generator"},
 		{"enum no states", func(p *Profile) { p.Populations[0].Fields[1].States = nil }, "at least one state"},
 		{"max < min", func(p *Profile) { p.Populations[1].Fields[0].Max = -1 }, "max < min"},

@@ -153,6 +153,14 @@ func Compile(p *Profile, devices int, seed int64) (*Sampler, error) {
 			if b := pop.Burst; b != nil {
 				d.burst = time.Duration(d.rng.float64() * float64(b.Every))
 			}
+			if c := pop.Cadence; c.Spread {
+				// NextFire adds one fixed gap of Mean, landing the first
+				// message on Mean·k/n — computed from Mean's quotient and
+				// remainder by n, because Mean·k overflows at a day-long
+				// period over 107k devices.
+				n := time.Duration(counts[pi])
+				d.at = c.Mean/n*time.Duration(k) + c.Mean%n*time.Duration(k)/n - c.Mean
+			}
 			for fi, f := range pop.Fields {
 				st := &d.fields[fi]
 				switch f.Gen {

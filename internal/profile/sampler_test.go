@@ -2,6 +2,8 @@ package profile
 
 import (
 	"bytes"
+	"math/big"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -126,6 +128,103 @@ func TestExpectedCountsMatchMeanRate(t *testing.T) {
 	// device depending on the boundary.
 	if got := counts["meter"]; got < 5*99 || got > 5*100 {
 		t.Fatalf("expected ~500 meter messages, got %d", got)
+	}
+}
+
+// TestSpreadStaggersFixedCadence pins the spread schedule: device k of
+// n first fires at Mean·k/n and then every Mean, so a window of m
+// periods holds exactly m messages per device — where the unspread
+// twin, firing every device at Mean, 2·Mean, …, holds m-1.
+func TestSpreadStaggersFixedCadence(t *testing.T) {
+	// The second row is a day-long fleet whose Mean·k overflows int64
+	// nanoseconds from device 106,752 on.
+	for _, tc := range []struct {
+		n       int
+		mean    time.Duration
+		periods int
+	}{
+		{8, 100 * time.Millisecond, 5},
+		{200_000, 24 * time.Hour, 1},
+	} {
+		p := &Profile{
+			Name: "lamps", Seed: 3,
+			Populations: []Population{{
+				Kind: "lamp", Count: tc.n,
+				Cadence: Cadence{Dist: DistFixed, Mean: tc.mean, Spread: true},
+			}},
+		}
+		fired := make([]int, tc.n)
+		err := Walk(p, 0, 0, time.Duration(tc.periods)*tc.mean, func(d int, at time.Duration, _ []byte) {
+			first := new(big.Int).Mul(big.NewInt(int64(tc.mean)), big.NewInt(int64(d)))
+			first.Div(first, big.NewInt(int64(tc.n)))
+			if want := time.Duration(first.Int64()) + time.Duration(fired[d])*tc.mean; at != want {
+				t.Fatalf("n=%d: device %d message %d at %v, want %v", tc.n, d, fired[d], at, want)
+			}
+			fired[d]++
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d, got := range fired {
+			if got != tc.periods {
+				t.Fatalf("n=%d: device %d fired %d times in %d periods", tc.n, d, got, tc.periods)
+			}
+		}
+	}
+
+	const n, mean, periods = 8, 100 * time.Millisecond, 5
+	p := &Profile{
+		Name: "lamps", Seed: 3,
+		Populations: []Population{{
+			Kind: "lamp", Count: n,
+			Cadence: Cadence{Dist: DistFixed, Mean: mean},
+		}},
+	}
+	counts, err := ExpectedCounts(p, 0, 0, periods*mean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts["lamp"] != n*(periods-1) {
+		t.Fatalf("unspread population fired %d, want %d", counts["lamp"], n*(periods-1))
+	}
+}
+
+// TestSamplerFootprint pins the design point of swarm mode: 10k
+// devices cost 10k small structs. A compiled 10k-device fleet spawns
+// no goroutines and stays inside a small per-device memory budget —
+// a goroutine, watcher and ticker per device would fail both, and so
+// would a math/rand source per device (~4.8 KiB each).
+func TestSamplerFootprint(t *testing.T) {
+	p := &Profile{
+		Name: "fleet", Seed: 1,
+		Populations: []Population{{
+			Kind: "dev", Count: 10_000,
+			Cadence: Cadence{Dist: DistFixed, Mean: time.Second, Spread: true},
+			Fields:  []Field{{Name: "v", Gen: GenRandomWalk, Min: 0, Max: 1}},
+		}},
+	}
+	before := runtime.NumGoroutine()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	heapBefore := ms.HeapAlloc
+
+	s, err := Compile(p, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("compile spawned goroutines: %d -> %d", before, got)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	// A device is ~100 B of state plus 16 B per field; 512 B leaves
+	// room for the slice's growth slack.
+	if per := float64(ms.HeapAlloc-heapBefore) / float64(s.Devices()); per > 512 {
+		t.Fatalf("sampler footprint %.0f B/device exceeds budget", per)
+	}
+	if at, payload := s.NextFire(9_999); at <= 0 || len(payload) == 0 {
+		t.Fatalf("last device fired (%v, %q)", at, payload)
 	}
 }
 

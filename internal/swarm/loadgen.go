@@ -4,7 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"math/rand"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -12,45 +12,49 @@ import (
 	"repro/internal/profile"
 )
 
-// Profile selects the load-generation discipline.
+// Profile names what a run publishes. Every run is paced by the same
+// loop over a compiled device profile; closed and open are presets of
+// one (LoadSpec.EffectiveProfile), not disciplines of their own.
 type Profile string
 
 const (
-	// ProfileClosed is closed-loop load: N devices each publishing once
-	// per period, the classic "device fleet" shape. Offered load is
-	// Devices/Period msgs/s; a slow system stretches the cycle instead
-	// of queueing unboundedly.
+	// ProfileClosed is the classic device fleet: Devices devices each
+	// publishing once per Period, staggered evenly across the period so
+	// the fleet never fires in one burst. A run publishes exactly
+	// Devices × Duration/Period messages.
 	ProfileClosed Profile = "closed"
-	// ProfileOpen is open-loop load: a target message rate with Poisson
-	// arrivals, seeded for determinism. Offered load is independent of
-	// the system's speed — the profile that exposes saturation.
+	// ProfileOpen is a target message rate: every device is an
+	// independent seeded Poisson stream with mean gap Devices/Rate, so
+	// the fleet offers Rate msgs/s whatever the system's speed — the
+	// preset that exposes saturation.
 	ProfileOpen Profile = "open"
 	// ProfileProfiled drives a heterogeneous device-profile schedule
 	// (LoadSpec.DeviceProfile): per-population cadences, payload
-	// schemas, diurnal/burst modulation. The schedule is pure
-	// arithmetic on (profile, seed, device), so the fire stream is
-	// identical at every -speed factor.
+	// schemas, diurnal/burst modulation.
 	ProfileProfiled Profile = "profiled"
 )
 
-// openQuantum batches open-loop arrivals: each worker draws all
-// arrivals falling inside a 5 ms window, fires them as a burst, and
-// sleeps to the window boundary. 5 ms keeps timer pressure at 200
-// wakeups/s/worker while staying far below the latency floors being
-// measured.
-const openQuantum = 5 * time.Millisecond
+// maxOpenRatePerDevice bounds the open preset. The sampler floors every
+// gap at 1 ms, which starts to bias a Poisson stream once the mean gap
+// nears it; at 100 msg/s/device (mean gap 10 ms) the floor clips under
+// 10 % of draws and moves the realized rate by well under 1 %.
+const maxOpenRatePerDevice = 100
+
+// minPeriod bounds the closed preset at the same 1 ms floor: a shorter
+// period would be paced at 1 ms and publish fewer messages than
+// Devices × Duration/Period.
+const minPeriod = time.Millisecond
 
 // LoadSpec describes one swarm load run.
 type LoadSpec struct {
 	Profile  Profile       `json:"profile"`
 	Devices  int           `json:"devices"`
-	Rate     float64       `json:"rate"`     // open-loop target msgs/s
-	Period   time.Duration `json:"period"`   // closed-loop per-device period
+	Rate     float64       `json:"rate"`     // open preset target msgs/s
+	Period   time.Duration `json:"period"`   // closed preset per-device period
 	Duration time.Duration `json:"duration"` // total run length
 	Workers  int           `json:"workers"`  // generator workers (one pod each)
 	Seed     int64         `json:"seed"`
 	QoS      byte          `json:"qos"`
-	Payload  int           `json:"payload"`     // payload size in bytes
 	Subs     int           `json:"subscribers"` // wildcard consumers
 	Prefix   string        `json:"prefix"`      // topic prefix, default "swarm"
 
@@ -93,12 +97,6 @@ func (s LoadSpec) WithDefaults() LoadSpec {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	if s.QoS > 1 {
-		s.QoS = 1
-	}
-	if s.Payload <= 0 {
-		s.Payload = 64
-	}
 	if s.Subs <= 0 {
 		s.Subs = 2
 	}
@@ -111,7 +109,20 @@ func (s LoadSpec) WithDefaults() LoadSpec {
 // Validate rejects specs the generator cannot honour.
 func (s LoadSpec) Validate() error {
 	switch s.Profile {
-	case ProfileClosed, ProfileOpen:
+	case ProfileClosed:
+		if s.Period < minPeriod {
+			return fmt.Errorf("swarm: closed profile period %v is under the %v the sampler can pace; for more messages raise -devices",
+				s.Period, minPeriod)
+		}
+	case ProfileOpen:
+		if s.Rate <= 0 {
+			return fmt.Errorf("swarm: open profile needs a positive rate")
+		}
+		if s.Devices > 0 && s.Rate/float64(s.Devices) > maxOpenRatePerDevice {
+			return fmt.Errorf("swarm: open profile at rate %g over %d devices is %.0f msg/s/device, over the %d the sampler can pace; raise -devices to at least %d",
+				s.Rate, s.Devices, s.Rate/float64(s.Devices), maxOpenRatePerDevice,
+				int(math.Ceil(s.Rate/maxOpenRatePerDevice)))
+		}
 	case ProfileProfiled:
 		if s.DeviceProfile == nil {
 			return fmt.Errorf("swarm: profiled load needs a DeviceProfile")
@@ -126,13 +137,37 @@ func (s LoadSpec) Validate() error {
 	if s.Devices <= 0 {
 		return fmt.Errorf("swarm: devices must be positive")
 	}
-	if s.Profile == ProfileOpen && s.Rate <= 0 {
-		return fmt.Errorf("swarm: open profile needs a positive rate")
-	}
-	if s.Profile == ProfileClosed && s.Period <= 0 {
-		return fmt.Errorf("swarm: closed profile needs a positive period")
+	if s.QoS > 1 {
+		return fmt.Errorf("swarm: qos must be 0 or 1, got %d", s.QoS)
 	}
 	return nil
+}
+
+// EffectiveProfile returns the device profile a defaulted, valid spec
+// runs: DeviceProfile itself, or the closed/open preset written as the
+// one-population profile it is — kind "dev" (so topics stay
+// prefix/dev-N/status), one random-walk field v in [0,1]. Feed it to
+// profile.Digest or profile.ExpectedCounts for the exact message set
+// the run must publish.
+func (s LoadSpec) EffectiveProfile() *profile.Profile {
+	if s.DeviceProfile != nil {
+		return s.DeviceProfile
+	}
+	cadence := profile.Cadence{Dist: profile.DistFixed, Mean: s.Period, Spread: true}
+	if s.Profile == ProfileOpen {
+		mean := time.Duration(float64(s.Devices) / s.Rate * float64(time.Second))
+		cadence = profile.Cadence{Dist: profile.DistPoisson, Mean: mean}
+	}
+	return &profile.Profile{
+		Name: string(s.Profile),
+		Seed: s.Seed,
+		Populations: []profile.Population{{
+			Kind:    "dev",
+			Count:   s.Devices,
+			Cadence: cadence,
+			Fields:  []profile.Field{{Name: "v", Gen: profile.GenRandomWalk, Min: 0, Max: 1, Step: 0.05}},
+		}},
+	}
 }
 
 // DeviceTopic returns the status topic for device i under prefix —
@@ -143,10 +178,9 @@ func DeviceTopic(prefix string, i int) string {
 }
 
 // Fire is the generator's emit callback: device index, a per-worker
-// sequence number, and — for profiled runs — the sampled payload.
-// Closed/open runs pass a nil payload and the publisher synthesizes
-// one. Fire must be safe for concurrent use across devices; a single
-// device is only ever fired by its owning worker.
+// sequence number, and the sampled payload. Fire must be safe for
+// concurrent use across devices; a single device is only ever fired by
+// its owning worker.
 type Fire func(device int, seq uint64, payload []byte)
 
 // Generator paces fire callbacks according to a LoadSpec. Create with
@@ -158,33 +192,32 @@ type Generator struct {
 	clk     clock.Clock
 	sampler *profile.Sampler
 	count   int64
+	// tap, when set, sees every message just before fire, with the
+	// scenario offset the sampler scheduled it at (Session.SetTap).
+	tap func(at time.Duration, device int, payload []byte)
 }
 
 // NewGenerator builds a generator over a defaulted, validated spec.
 // fire is called for every generated message; it must be safe for
-// concurrent use. A profiled spec compiles its device profile here,
-// so an unsatisfiable profile fails fast rather than producing a
-// silent zero-message run.
+// concurrent use. The device profile compiles here, so an
+// unsatisfiable one fails fast rather than producing a silent
+// zero-message run.
 func NewGenerator(spec LoadSpec, fire Fire) (*Generator, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{spec: spec, fire: fire, clk: clock.System}
-	if spec.Profile == ProfileProfiled {
-		s, err := profile.Compile(spec.DeviceProfile, spec.Devices, spec.Seed)
-		if err != nil {
-			return nil, err
-		}
-		g.sampler = s
-		g.spec.Devices = s.Devices()
+	s, err := profile.Compile(spec.EffectiveProfile(), spec.Devices, spec.Seed)
+	if err != nil {
+		return nil, err
 	}
-	return g, nil
+	// Explicit population counts can exceed the Devices budget.
+	spec.Devices = s.Devices()
+	return &Generator{spec: spec, fire: fire, clk: clock.System, sampler: s}, nil
 }
 
-// Sampler returns the compiled device-profile sampler (nil unless the
-// spec is profiled). Publishers use it to route sampled payloads onto
-// per-kind device topics.
+// Sampler returns the compiled device-profile sampler. Publishers use
+// it to route sampled payloads onto per-kind device topics.
 func (g *Generator) Sampler() *profile.Sampler { return g.sampler }
 
 // SetClock replaces the generator's pacing clock (default: the wall
@@ -201,121 +234,7 @@ func (g *Generator) Workers() int { return g.spec.Workers }
 // Published returns the number of fire calls made so far.
 func (g *Generator) Published() int64 { return atomic.LoadInt64(&g.count) }
 
-// RunWorker drives worker w until the spec's duration elapses or ctx
-// is cancelled. Deterministic per (seed, worker): the sequence of
-// devices and inter-arrival draws depends only on those, never on
-// scheduling.
-func (g *Generator) RunWorker(ctx context.Context, w int) error {
-	if w < 0 || w >= g.spec.Workers {
-		return fmt.Errorf("swarm: worker %d out of range [0,%d)", w, g.spec.Workers)
-	}
-	// A profiled worker terminates intrinsically: the schedule runs
-	// dry when every owned device's next arrival falls past Duration.
-	// No clocked cancel is armed, because a cancel firing at exactly
-	// the Duration boundary would race the final arrivals and make the
-	// emitted message set depend on timer ordering — the one thing a
-	// profiled run must never do.
-	if g.spec.Profile == ProfileProfiled {
-		return g.runProfiled(ctx, w)
-	}
-	// The run window is g.spec.Duration of *generator-clock* time:
-	// context deadlines cannot ride an injected clock, so a clocked
-	// AfterFunc cancels the context instead. On the wall clock this is
-	// the old wall deadline; on a compressed clock the window tracks
-	// scenario time, so a 2s burst at 1000x lasts 2ms of wall time
-	// rather than publishing flat-out for 2 wall seconds.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stopT := g.clk.AfterFunc(g.spec.Duration, cancel)
-	defer stopT.Stop()
-	if g.spec.Profile == ProfileOpen {
-		return g.runOpen(ctx, w)
-	}
-	return g.runClosed(ctx, w)
-}
-
-// runClosed cycles this worker's device slice once per period. Workers
-// own devices round-robin (device d belongs to worker d mod W), and
-// each worker staggers its start across the first period so the fleet
-// doesn't publish in one synchronized burst.
-func (g *Generator) runClosed(ctx context.Context, w int) error {
-	var owned []int
-	for d := w; d < g.spec.Devices; d += g.spec.Workers {
-		owned = append(owned, d)
-	}
-	if len(owned) == 0 {
-		return nil
-	}
-	stagger := g.spec.Period * time.Duration(w) / time.Duration(g.spec.Workers)
-	select {
-	case <-g.clk.After(stagger):
-	case <-ctx.Done():
-		return nil
-	}
-	ticker := g.clk.NewTicker(g.spec.Period)
-	defer ticker.Stop()
-	var seq uint64
-	cycle := func() {
-		for _, d := range owned {
-			g.fire(d, seq, nil)
-			atomic.AddInt64(&g.count, 1)
-			seq++
-		}
-	}
-	cycle()
-	for {
-		select {
-		case <-ticker.C():
-			cycle()
-		case <-ctx.Done():
-			return nil
-		}
-	}
-}
-
-// runOpen generates a Poisson arrival process at Rate/Workers msgs/s:
-// exponential inter-arrival draws from a per-worker seeded source,
-// batched per quantum. The draw sequence (devices and gaps) is fully
-// deterministic for a (seed, worker) pair; wall-clock jitter shifts
-// when a burst fires, never what it contains.
-func (g *Generator) runOpen(ctx context.Context, w int) error {
-	rng := rand.New(rand.NewSource(g.spec.Seed + int64(w)*0x9E3779B9))
-	rate := g.spec.Rate / float64(g.spec.Workers)
-	start := g.clk.Now()
-	next := rng.ExpFloat64() / rate // seconds from start of the next arrival
-	var seq uint64
-	for {
-		elapsed := g.clk.Since(start).Seconds()
-		qEnd := elapsed + openQuantum.Seconds()
-		for next <= qEnd {
-			select {
-			case <-ctx.Done():
-				return nil
-			default:
-			}
-			g.fire(rng.Intn(g.spec.Devices), seq, nil)
-			atomic.AddInt64(&g.count, 1)
-			seq++
-			next += rng.ExpFloat64() / rate
-		}
-		sleep := time.Duration((qEnd - g.clk.Since(start).Seconds()) * float64(time.Second))
-		if sleep > 0 {
-			select {
-			case <-g.clk.After(sleep):
-			case <-ctx.Done():
-				return nil
-			}
-		} else {
-			select {
-			case <-ctx.Done():
-				return nil
-			default:
-			}
-		}
-	}
-}
-
-// pendArrival is one scheduled profiled message waiting to fire.
+// pendArrival is one scheduled message waiting to fire.
 type pendArrival struct {
 	at      time.Duration
 	device  int
@@ -344,13 +263,22 @@ func (h *pendHeap) Pop() any {
 	return x
 }
 
-// runProfiled drives this worker's device slice through the compiled
-// sampler schedule: a min-heap of pending arrivals, each fired at its
-// sampled offset on the generator clock, each immediately replaced by
-// the device's next draw. The message set — contents, per-device
-// order, count — is a pure function of (profile, seed, duration);
-// the clock only stretches or compresses the waits between firings.
-func (g *Generator) runProfiled(ctx context.Context, w int) error {
+// RunWorker drives worker w's device slice (device d belongs to worker
+// d mod Workers) through the compiled sampler schedule: a min-heap of
+// pending arrivals, each fired at its sampled offset on the generator
+// clock, each immediately replaced by the device's next draw. The
+// message set — contents, per-device order, count — is a pure function
+// of (profile, seed, duration); the clock only stretches or compresses
+// the waits between firings.
+//
+// The worker ends when every owned device's next arrival falls at or
+// past Duration, or when ctx is cancelled. No timer cancels it at
+// Duration: one firing at exactly that boundary would race the last
+// arrivals and make the message set depend on timer ordering.
+func (g *Generator) RunWorker(ctx context.Context, w int) error {
+	if w < 0 || w >= g.spec.Workers {
+		return fmt.Errorf("swarm: worker %d out of range [0,%d)", w, g.spec.Workers)
+	}
 	var h pendHeap
 	for d := w; d < g.spec.Devices; d += g.spec.Workers {
 		at, payload := g.sampler.NextFire(d)
@@ -372,6 +300,9 @@ func (g *Generator) runProfiled(ctx context.Context, w int) error {
 			return nil
 		}
 		heap.Pop(&h)
+		if g.tap != nil {
+			g.tap(next.at, next.device, next.payload)
+		}
 		g.fire(next.device, seq, next.payload)
 		seq++
 		atomic.AddInt64(&g.count, 1)

@@ -35,20 +35,36 @@ func profiledSpec() LoadSpec {
 	}
 }
 
+// closedSpec and openSpec are the presets at test size: short enough
+// to run at -speed 1.
+func closedSpec() LoadSpec {
+	return LoadSpec{
+		Profile: ProfileClosed, Devices: 23, Period: 40 * time.Millisecond,
+		Duration: 160 * time.Millisecond, Workers: 4, Seed: 1,
+	}
+}
+
+func openSpec() LoadSpec {
+	return LoadSpec{
+		Profile: ProfileOpen, Devices: 50, Rate: 4000,
+		Duration: 150 * time.Millisecond, Workers: 3, Seed: 42,
+	}
+}
+
 type firedMsg struct {
 	at      time.Duration
 	payload []byte
 }
 
-// runProfiledOn drives every worker of a profiled generator on the
-// given clock and returns the per-device fire streams. start anchors
-// offsets; drive starts the clock's pump after the workers are up.
-func runProfiledOn(t *testing.T, clk clock.Clock, drive func(), done func()) map[int][]firedMsg {
+// runOn drives every worker of spec's generator on the given clock and
+// returns the per-device fire streams; done runs once the workers have
+// drained (a driven clock's stop).
+func runOn(t *testing.T, spec LoadSpec, clk clock.Clock, done func()) map[int][]firedMsg {
 	t.Helper()
 	var mu sync.Mutex
 	streams := map[int][]firedMsg{}
 	start := clk.Now()
-	g, err := NewGenerator(profiledSpec(), func(device int, _ uint64, payload []byte) {
+	g, err := NewGenerator(spec, func(device int, _ uint64, payload []byte) {
 		mu.Lock()
 		streams[device] = append(streams[device], firedMsg{clk.Since(start), append([]byte(nil), payload...)})
 		mu.Unlock()
@@ -67,9 +83,6 @@ func runProfiledOn(t *testing.T, clk clock.Clock, drive func(), done func()) map
 			}
 		}(w)
 	}
-	if drive != nil {
-		drive()
-	}
 	wg.Wait()
 	if done != nil {
 		done()
@@ -77,83 +90,112 @@ func runProfiledOn(t *testing.T, clk clock.Clock, drive func(), done func()) map
 	return streams
 }
 
-// TestProfiledCrossSpeedDeterminism is the profile determinism table:
-// the same (profile, seed) produces byte-identical per-device message
-// streams — payloads and scenario-time offsets — on a hand-stepped
-// clock.Virtual, a paced clock.Scaled at a finite factor, and an
-// unpaced clock.Scaled at SpeedMax; and all of them match the pure
-// arithmetic profile.Walk oracle.
-func TestProfiledCrossSpeedDeterminism(t *testing.T) {
-	// Oracle: the clockless walk.
-	spec := profiledSpec()
+// runAtMax runs spec unpaced and returns the streams — the cheapest
+// way to get a run's exact message set.
+func runAtMax(t *testing.T, spec LoadSpec) map[int][]firedMsg {
+	t.Helper()
+	s := clock.NewScaled(clock.SpeedMax, nil)
+	go s.Drive()
+	return runOn(t, spec, s, s.Stop)
+}
+
+// walkOracle is the clockless twin of a run of spec: profile.Walk over
+// the profile the spec compiles.
+func walkOracle(t *testing.T, spec LoadSpec) map[int][]firedMsg {
+	t.Helper()
+	spec = spec.WithDefaults()
 	oracle := map[int][]firedMsg{}
-	err := profile.Walk(spec.DeviceProfile, 0, spec.Seed, spec.Duration,
+	err := profile.Walk(spec.EffectiveProfile(), spec.Devices, spec.Seed, spec.Duration,
 		func(device int, at time.Duration, payload []byte) {
 			oracle[device] = append(oracle[device], firedMsg{at, append([]byte(nil), payload...)})
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, s := range oracle {
-		total += len(s)
-	}
-	if total == 0 {
-		t.Fatal("oracle walk produced no messages")
-	}
+	return oracle
+}
 
-	runs := map[string]map[int][]firedMsg{}
+func countMsgs(streams map[int][]firedMsg) int {
+	n := 0
+	for _, s := range streams {
+		n += len(s)
+	}
+	return n
+}
 
-	// clock.Virtual, stepped by hand until the workers drain.
-	{
-		v := clock.NewVirtual()
-		var drained sync.WaitGroup
-		drained.Add(1)
-		finished := make(chan struct{})
-		go func() {
-			defer drained.Done()
-			for {
-				select {
-				case <-finished:
-					return
-				default:
-				}
-				if !v.Step(clock.Epoch.Add(time.Hour)) {
-					// No timer armed yet: let the workers arm one.
-					runtime.Gosched()
-				}
+// sameStreams fails unless got holds want's devices, message counts and
+// payloads exactly.
+func sameStreams(t *testing.T, name string, got, want map[int][]firedMsg) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d devices fired, want %d", name, len(got), len(want))
+	}
+	for d, w := range want {
+		g := got[d]
+		if len(g) != len(w) {
+			t.Fatalf("%s: device %d fired %d messages, want %d", name, d, len(g), len(w))
+		}
+		for i := range w {
+			if !bytes.Equal(g[i].payload, w[i].payload) {
+				t.Fatalf("%s: device %d message %d payload diverges:\n  got  %s\n  want %s",
+					name, d, i, g[i].payload, w[i].payload)
 			}
-		}()
-		runs["virtual"] = runProfiledOn(t, v, nil, func() { close(finished) })
-		drained.Wait()
+		}
 	}
+}
 
-	// clock.Scaled at a finite factor and unpaced.
-	for name, factor := range map[string]float64{
-		"scaled-10000x": 10000,
-		"scaled-max":    clock.SpeedMax,
+// TestProfiledCrossSpeedDeterminism is the profile determinism table:
+// the same spec — a heterogeneous profile or either preset — produces
+// byte-identical per-device message streams on a hand-stepped
+// clock.Virtual, a clock.Scaled at -speed 1, at a finite factor and
+// unpaced at SpeedMax; and all of them match the pure arithmetic
+// profile.Walk oracle.
+func TestProfiledCrossSpeedDeterminism(t *testing.T) {
+	for name, spec := range map[string]LoadSpec{
+		"profiled": profiledSpec(),
+		"closed":   closedSpec(),
+		"open":     openSpec(),
 	} {
-		s := clock.NewScaled(factor, nil)
-		go s.Drive()
-		runs[name] = runProfiledOn(t, s, nil, s.Stop)
-	}
+		spec := spec
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			oracle := walkOracle(t, spec)
+			if countMsgs(oracle) == 0 {
+				t.Fatal("oracle walk produced no messages")
+			}
 
-	for name, got := range runs {
-		if len(got) != len(oracle) {
-			t.Fatalf("%s: %d devices fired, oracle has %d", name, len(got), len(oracle))
-		}
-		for d, want := range oracle {
-			g := got[d]
-			if len(g) != len(want) {
-				t.Fatalf("%s: device %d fired %d messages, oracle %d", name, d, len(g), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(g[i].payload, want[i].payload) {
-					t.Fatalf("%s: device %d message %d payload diverges:\n  got  %s\n  want %s",
-						name, d, i, g[i].payload, want[i].payload)
+			// clock.Virtual, stepped by hand until the workers drain.
+			v := clock.NewVirtual()
+			var drained sync.WaitGroup
+			drained.Add(1)
+			finished := make(chan struct{})
+			go func() {
+				defer drained.Done()
+				for {
+					select {
+					case <-finished:
+						return
+					default:
+					}
+					if !v.Step(clock.Epoch.Add(time.Hour)) {
+						// No timer armed yet: let the workers arm one.
+						runtime.Gosched()
+					}
 				}
+			}()
+			sameStreams(t, "virtual", runOn(t, spec, v, func() { close(finished) }), oracle)
+			drained.Wait()
+
+			for name, factor := range map[string]float64{
+				"scaled-1x":     1,
+				"scaled-10000x": 10000,
+				"scaled-max":    clock.SpeedMax,
+			} {
+				s := clock.NewScaled(factor, nil)
+				go s.Drive()
+				sameStreams(t, name, runOn(t, spec, s, s.Stop), oracle)
 			}
-		}
+		})
 	}
 }
 

@@ -22,11 +22,10 @@ type Report struct {
 	Subscribers int     `json:"subscribers"`
 	QoS         int     `json:"qos"`
 	Seed        int64   `json:"seed"`
-	RateTarget  float64 `json:"rate_target,omitempty"`  // open-loop target msgs/s
-	PeriodSec   float64 `json:"period_sec,omitempty"`   // closed-loop per-device period
+	RateTarget  float64 `json:"rate_target,omitempty"`  // open preset target msgs/s
+	PeriodSec   float64 `json:"period_sec,omitempty"`   // closed preset per-device period
 	ProfileName string  `json:"profile_name,omitempty"` // device profile driving a profiled run
 	DurationSec float64 `json:"duration_sec"`           // measured wall-clock run length
-	PayloadSize int     `json:"payload_size"`
 
 	// Exact message accounting. Expected = Published × Subscribers
 	// (every consumer holds a wildcard matching every device topic);

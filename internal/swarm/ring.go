@@ -1,8 +1,8 @@
 // Package swarm scales the digibox message plane out across a pool of
 // MQTT broker shards, keeps cross-shard semantics identical to a
 // single broker via an inter-broker bridge, and drives the result with
-// closed- and open-loop load profiles that report machine-readable
-// benchmarks. It is the substrate behind `dbox swarm` and
+// a load generator pacing a compiled device profile that reports
+// machine-readable benchmarks. It is the substrate behind `dbox swarm` and
 // `Testbed.RunSwarm` — the repo's answer to the paper's "a few devices
 // on a laptop to thousands in a cluster" scaling story.
 package swarm

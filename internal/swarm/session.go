@@ -30,45 +30,28 @@ type Session struct {
 
 	delivered int64
 	started   time.Time
-	payload   []byte
 }
 
 // NewSession defaults and validates spec, subscribes the consumers,
-// and prepares the generator. fire overrides how a generated message
-// is published; nil means the built-in synthetic publisher (seq+device
-// JSON padded to the payload size, QoS from the spec, via the pool).
-// The digi swarm-mock fleet passes its own fire to publish stateful
-// mock payloads instead.
-func NewSession(pool *Pool, spec LoadSpec, reg *obs.Registry, fire Fire) (*Session, error) {
-	spec = spec.WithDefaults()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	s := &Session{pool: pool, spec: spec, reg: reg, clk: clock.System}
-	s.payload = make([]byte, spec.Payload)
-	for i := range s.payload {
-		s.payload[i] = 'x'
-	}
-	if fire == nil {
-		fire = s.firePool
-	}
-	gen, err := NewGenerator(spec, fire)
+// and prepares the generator, whose messages publish through the pool
+// at the spec's QoS.
+func NewSession(pool *Pool, spec LoadSpec, reg *obs.Registry) (*Session, error) {
+	s := &Session{pool: pool, reg: reg, clk: clock.System}
+	gen, err := NewGenerator(spec, s.firePool)
 	if err != nil {
 		return nil, err
 	}
-	s.gen = gen
-	// A profiled spec's device count can grow when explicit population
-	// counts exceed the budget; keep the report's view in sync with
-	// what the sampler actually compiled.
-	s.spec.Devices = gen.Spec().Devices
+	// The generator's spec is defaulted, and its device count is what
+	// the sampler actually compiled.
+	s.gen, s.spec = gen, gen.Spec()
 	// Consumers: each holds one wildcard filter matching every device
 	// topic, anchored on the shard its client id hashes to — so with
 	// multiple subscribers the bridge's cross-shard path is exercised
 	// by construction.
-	filter := spec.Prefix + "/+/status"
-	for k := 0; k < spec.Subs; k++ {
+	filter := s.spec.Prefix + "/+/status"
+	for k := 0; k < s.spec.Subs; k++ {
 		id := fmt.Sprintf("swarm-sub-%d", k)
-		if err := pool.Subscribe(id, filter, spec.QoS, func(broker.Message) {
+		if err := pool.Subscribe(id, filter, s.spec.QoS, func(broker.Message) {
 			atomic.AddInt64(&s.delivered, 1)
 		}); err != nil {
 			return nil, err
@@ -86,31 +69,25 @@ func (s *Session) SetClock(c clock.Clock) {
 	s.started = s.clk.Now()
 }
 
-// firePool is the built-in publisher. Closed/open runs (nil payload)
-// synthesize JSON carrying the sequence number and device index,
-// padded to the configured payload size. Profiled runs arrive with
-// the sampled payload and publish it on the sampler's per-kind device
-// topic.
-func (s *Session) firePool(device int, seq uint64, payload []byte) {
-	topic := DeviceTopic(s.spec.Prefix, device)
-	if payload == nil {
-		head := fmt.Sprintf(`{"seq":%d,"dev":%d,"pad":"`, seq, device)
-		buf := make([]byte, 0, s.spec.Payload+2)
-		buf = append(buf, head...)
-		if pad := s.spec.Payload - len(head) - 2; pad > 0 {
-			buf = append(buf, s.payload[:pad]...)
-		}
-		payload = append(buf, '"', '}')
-	} else if sm := s.gen.Sampler(); sm != nil {
-		topic = sm.DeviceTopic(s.spec.Prefix, device)
+// SetTap registers a publish-side observer: tap sees every message
+// just before it is published, with its topic and the scenario offset
+// the sampler scheduled it at. The offset is schedule arithmetic, not a
+// clock read, so it is the same at any speed and under any scheduling.
+// tap runs on the generator workers and must be safe for concurrent
+// use. Call before RunWorker.
+func (s *Session) SetTap(tap func(at time.Duration, topic string, payload []byte)) {
+	s.gen.tap = func(at time.Duration, device int, payload []byte) {
+		tap(at, s.gen.Sampler().DeviceTopic(s.spec.Prefix, device), payload)
 	}
-	// Non-retained: load traffic must not trigger the bridge's
-	// retained full-replication path.
-	s.pool.Publish(loadFrom, topic, payload, s.spec.QoS, false)
 }
 
-// Spec returns the defaulted spec this session runs.
-func (s *Session) Spec() LoadSpec { return s.spec }
+// firePool publishes a sampled payload on the sampler's per-kind
+// device topic.
+func (s *Session) firePool(device int, _ uint64, payload []byte) {
+	// Non-retained: load traffic must not trigger the bridge's
+	// retained full-replication path.
+	s.pool.Publish(loadFrom, s.gen.Sampler().DeviceTopic(s.spec.Prefix, device), payload, s.spec.QoS, false)
+}
 
 // Workers returns the worker count; RunWorker accepts 0..Workers-1.
 func (s *Session) Workers() int { return s.gen.Workers() }
@@ -119,9 +96,6 @@ func (s *Session) Workers() int { return s.gen.Workers() }
 func (s *Session) RunWorker(ctx context.Context, w int) error {
 	return s.gen.RunWorker(ctx, w)
 }
-
-// Delivered returns consumer-side deliveries so far.
-func (s *Session) Delivered() int64 { return atomic.LoadInt64(&s.delivered) }
 
 // Finish waits (bounded by quiesce) for in-flight deliveries to
 // settle, detaches the consumers, and assembles the report. Expected
@@ -152,7 +126,6 @@ func (s *Session) Finish(quiesce time.Duration) *Report {
 		QoS:            int(s.spec.QoS),
 		Seed:           s.spec.Seed,
 		DurationSec:    elapsed,
-		PayloadSize:    s.spec.Payload,
 		Published:      published,
 		Expected:       expected,
 		Delivered:      delivered,

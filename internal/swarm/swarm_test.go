@@ -1,13 +1,18 @@
 package swarm
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/broker"
 	"repro/internal/obs"
+	"repro/internal/profile"
 )
 
 func TestRingPlacement(t *testing.T) {
@@ -35,138 +40,130 @@ func TestRingPlacement(t *testing.T) {
 }
 
 func TestLoadSpecValidate(t *testing.T) {
-	bogus := LoadSpec{Profile: "bogus"}.WithDefaults()
-	if err := bogus.Validate(); err == nil {
-		t.Fatal("bogus profile accepted")
-	}
 	defaulted := LoadSpec{}.WithDefaults()
 	if err := defaulted.Validate(); err != nil {
 		t.Fatalf("defaulted spec rejected: %v", err)
 	}
+	for name, tc := range map[string]struct {
+		spec LoadSpec
+		want string
+	}{
+		"bogus profile": {LoadSpec{Profile: "bogus"}, "unknown profile"},
+		"qos 2":         {LoadSpec{QoS: 2}, "qos must be 0 or 1"},
+		// 101 msg/s/device: the sampler's 1 ms gap floor would bias the
+		// Poisson stream, and the message says how to fix the spec.
+		"open too hot": {LoadSpec{Profile: ProfileOpen, Devices: 100, Rate: 10100}, "raise -devices to at least 101"},
+		// Same floor, closed preset: the run would be paced at 1 ms and
+		// publish fewer than Devices × Duration/Period.
+		"closed too fast": {LoadSpec{Period: 999 * time.Microsecond}, "under the 1ms the sampler can pace"},
+	} {
+		err := tc.spec.WithDefaults().Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", name, err, tc.want)
+		}
+	}
+	atLimit := LoadSpec{Profile: ProfileOpen, Devices: 100, Rate: 10000}.WithDefaults()
+	if err := atLimit.Validate(); err != nil {
+		t.Fatalf("100 msg/s/device rejected: %v", err)
+	}
+	if err := (LoadSpec{Period: time.Millisecond}).WithDefaults().Validate(); err != nil {
+		t.Fatalf("1 ms period rejected: %v", err)
+	}
 }
 
-// TestOpenLoopDeterminism runs the same seeded open-loop worker twice
-// and asserts the generated (device, seq) stream is identical up to
-// the shorter run — wall-clock timing may cut the runs at different
-// points, but the draw sequence is pinned by the seed.
+// scheduled is the message count profile.Digest gives for spec — what
+// a run must publish, exactly.
+func scheduled(t *testing.T, spec LoadSpec) int64 {
+	t.Helper()
+	spec = spec.WithDefaults()
+	_, n, err := profile.Digest(spec.EffectiveProfile(), spec.Devices, spec.Seed, spec.Duration, spec.Prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestOpenLoopDeterminism runs the open preset at acceptance size
+// twice: the two runs are byte-identical, publish exactly the count
+// the clock-free schedule has, and that count is the offered load —
+// Rate × Duration within the ±3 % a seeded 10k-device Poisson fleet
+// is allowed.
 func TestOpenLoopDeterminism(t *testing.T) {
-	run := func() [][]int {
-		spec := LoadSpec{
-			Profile: ProfileOpen, Devices: 50, Rate: 4000,
-			Duration: 150 * time.Millisecond, Workers: 3, Seed: 42,
-		}
-		perWorker := make([][]int, 3)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for w := 0; w < 3; w++ {
-			w := w
-			g, err := NewGenerator(spec, func(device int, seq uint64, _ []byte) {
-				mu.Lock()
-				perWorker[w] = append(perWorker[w], device)
-				mu.Unlock()
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := g.RunWorker(context.Background(), w); err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-		return perWorker
-	}
-	a, b := run(), run()
-	for w := 0; w < 3; w++ {
-		n := len(a[w])
-		if len(b[w]) < n {
-			n = len(b[w])
-		}
-		if n == 0 {
-			t.Fatalf("worker %d generated nothing", w)
-		}
-		for i := 0; i < n; i++ {
-			if a[w][i] != b[w][i] {
-				t.Fatalf("worker %d diverged at %d: %d vs %d", w, i, a[w][i], b[w][i])
-			}
-		}
-	}
-}
-
-// TestClosedLoopCoverage checks the closed profile owns every device
-// exactly once across workers and cycles each at the period.
-func TestClosedLoopCoverage(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[int]int{}
 	spec := LoadSpec{
-		Profile: ProfileClosed, Devices: 23, Period: 40 * time.Millisecond,
-		Duration: 140 * time.Millisecond, Workers: 4, Seed: 1,
+		Profile: ProfileOpen, Devices: 10000, Rate: 20000,
+		Duration: time.Second, Workers: 3, Seed: 42,
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < spec.Workers; w++ {
-		g, err := NewGenerator(spec, func(device int, _ uint64, _ []byte) {
-			mu.Lock()
-			seen[device]++
-			mu.Unlock()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.RunWorker(context.Background(), w)
-		}()
+	a, b := runAtMax(t, spec), runAtMax(t, spec)
+	sameStreams(t, "second run", b, a)
+	n := int64(countMsgs(a))
+	if want := scheduled(t, spec); n != want {
+		t.Fatalf("published %d, the schedule has %d", n, want)
 	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != spec.Devices {
-		t.Fatalf("covered %d of %d devices", len(seen), spec.Devices)
+	if offered := spec.Rate * spec.Duration.Seconds(); math.Abs(float64(n)-offered) > 0.03*offered {
+		t.Fatalf("published %d, want %.0f ±3%%", n, offered)
 	}
-	for d, n := range seen {
-		// ~3 full cycles fit in the duration; require at least 2 to
-		// tolerate scheduling slop, and cap at 5 to catch runaway
-		// pacing.
-		if n < 2 || n > 5 {
-			t.Fatalf("device %d fired %d times in %v at period %v", d, n, spec.Duration, spec.Period)
+}
+
+// TestClosedLoopCoverage checks the closed preset at every worker
+// count: each device fires exactly Duration/Period times, so the run
+// publishes Devices × Duration/Period, and the message set is the same
+// however the devices are shared out.
+func TestClosedLoopCoverage(t *testing.T) {
+	spec := closedSpec()
+	cycles := int(spec.Duration / spec.Period)
+	if want := int64(spec.Devices * cycles); scheduled(t, spec) != want {
+		t.Fatalf("the schedule has %d messages, want %d", scheduled(t, spec), want)
+	}
+	oracle := walkOracle(t, spec)
+	for _, workers := range []int{1, 3, 4, 7} {
+		spec.Workers = workers
+		got := runAtMax(t, spec)
+		sameStreams(t, fmt.Sprintf("%d workers", workers), got, oracle)
+		for d := 0; d < spec.Devices; d++ {
+			if len(got[d]) != cycles {
+				t.Fatalf("%d workers: device %d fired %d times, want %d", workers, d, len(got[d]), cycles)
+			}
 		}
 	}
 }
 
-// TestSessionClosedLoop runs a small end-to-end closed-loop session
-// over a 3-shard pool and requires exact QoS 1 accounting: zero loss,
-// delivered == published × subscribers.
+// TestSessionClosedLoop runs a small end-to-end closed-preset session
+// over a 3-shard pool and requires exact QoS 1 accounting: published
+// == the schedule, zero loss, delivered == published × subscribers.
 func TestSessionClosedLoop(t *testing.T) {
 	testSessionProfile(t, LoadSpec{
 		Profile: ProfileClosed, Devices: 40, Period: 30 * time.Millisecond,
-		Duration: 200 * time.Millisecond, Workers: 4, QoS: 1, Subs: 3, Seed: 7,
-	})
+		Duration: 210 * time.Millisecond, Workers: 4, QoS: 1, Subs: 3, Seed: 7,
+	}, 40*7)
 }
 
-// TestSessionOpenLoop does the same for the open-loop Poisson profile.
+// TestSessionOpenLoop does the same for the open (Poisson) preset.
 func TestSessionOpenLoop(t *testing.T) {
-	testSessionProfile(t, LoadSpec{
+	spec := LoadSpec{
 		Profile: ProfileOpen, Devices: 40, Rate: 3000,
 		Duration: 200 * time.Millisecond, Workers: 4, QoS: 1, Subs: 3, Seed: 7,
-	})
+	}
+	testSessionProfile(t, spec, scheduled(t, spec))
 }
 
-func testSessionProfile(t *testing.T, spec LoadSpec) {
+func testSessionProfile(t *testing.T, spec LoadSpec, want int64) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg)
 	tracer.SetSampleInterval(1) // every message, so quantiles have samples
 	pool := NewPool(PoolOptions{Shards: 3, Obs: reg, Tracer: tracer})
 	defer pool.Close()
-	sess, err := NewSession(pool, spec, reg, nil)
+	sess, err := NewSession(pool, spec, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var tapMu sync.Mutex
+	tapped := map[string][]firedMsg{}
+	sess.SetTap(func(at time.Duration, topic string, payload []byte) {
+		tapMu.Lock()
+		tapped[topic] = append(tapped[topic], firedMsg{at, append([]byte(nil), payload...)})
+		tapMu.Unlock()
+	})
 	var wg sync.WaitGroup
 	for w := 0; w < sess.Workers(); w++ {
 		w := w
@@ -180,8 +177,22 @@ func testSessionProfile(t *testing.T, spec LoadSpec) {
 	}
 	wg.Wait()
 	rep := sess.Finish(5 * time.Second)
-	if rep.Published == 0 {
-		t.Fatal("nothing published")
+	if rep.Published != want || want != scheduled(t, spec) {
+		t.Fatalf("published %d, want %d, the schedule has %d", rep.Published, want, scheduled(t, spec))
+	}
+	// The publish-side tap carries the schedule's own offsets, to the
+	// nanosecond, although this run is paced on the wall clock.
+	for d, want := range walkOracle(t, spec) {
+		got := tapped[DeviceTopic("swarm", d)]
+		if len(got) != len(want) {
+			t.Fatalf("tap saw %d messages of device %d, want %d", len(got), d, len(want))
+		}
+		for i := range want {
+			if got[i].at != want[i].at || !bytes.Equal(got[i].payload, want[i].payload) {
+				t.Fatalf("tap: device %d message %d is (%v, %s), the schedule has (%v, %s)",
+					d, i, got[i].at, got[i].payload, want[i].at, want[i].payload)
+			}
+		}
 	}
 	if rep.Lost != 0 {
 		t.Fatalf("lost %d of %d expected deliveries: %+v", rep.Lost, rep.Expected, rep)
