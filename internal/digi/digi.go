@@ -15,9 +15,12 @@
 //     intent and publish messages; scenes use it to coordinate the
 //     models of attached mocks and sub-scenes (ensemble support).
 //
-// Sim handlers must be convergent: writes they make re-trigger Sim,
-// and the fixpoint is reached when a run produces no further changes
-// (the model store suppresses no-op commits, which guarantees
+// Sim handlers must be convergent: a burst of writes (their own
+// included) re-triggers Sim at least once after the last of them, not
+// once per write — reconcilers are level-triggered, so a handler must
+// derive everything from the models it is handed, never from how often
+// it ran. The fixpoint is reached when a run produces no further
+// changes (the model store suppresses no-op commits, which guarantees
 // termination for idempotent handlers).
 package digi
 
@@ -168,6 +171,7 @@ type runtimeMetrics struct {
 	events    *obs.CounterVec // event-generator firings by digi
 	publishes *obs.CounterVec // status publishes by digi
 	commits   *obs.Histogram  // model-commit latency
+	coalesced *obs.Counter    // updates an earlier Simulate already covered
 	gaps      *obs.Counter    // broker-session outages
 	recovered *obs.Counter    // shared faults-recovered family, via=reconnect
 	gapDur    *obs.Histogram  // outage duration
@@ -189,6 +193,8 @@ func (rt *Runtime) BindObs(r *obs.Registry) {
 			"status messages published", "digi"),
 		commits: r.Histogram("digibox_digi_commit_seconds",
 			"model-commit latency (diff apply through the store)", nil),
+		coalesced: r.Counter("digibox_digi_updates_coalesced_total",
+			"watch updates whose Simulate was skipped because an earlier run had already read them"),
 		gaps: r.Counter("digibox_runtime_gaps_total",
 			"broker-session outages observed by the digi runtime"),
 		recovered: r.CounterVec(obs.FaultsRecoveredName,
@@ -359,9 +365,10 @@ type Ctx struct {
 // Context returns the digi's lifecycle context (cancelled on stop).
 func (c *Ctx) Context() context.Context { return c.ctx }
 
-// Config reads a meta config value from the digi's current model.
+// Config reads a meta config value from the digi's current model. A
+// composite value is part of the committed document: read-only.
 func (c *Ctx) Config(key string) (any, bool) {
-	doc, _, ok := c.rt.Store.Get(c.Name)
+	doc, _, ok := c.rt.Store.View(c.Name)
 	if !ok {
 		return nil, false
 	}

@@ -1,0 +1,318 @@
+package digi
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/trace"
+)
+
+// hub is a counting scene kind: its Sim copies level into its own
+// applied field and into every attached Leaf's value, counts its runs,
+// and records the level each run saw. When hold is non-nil the first
+// run announces itself on entered (buffered, one slot) and every run
+// waits for close(hold), so a test can queue updates behind the boot
+// run while it is in progress.
+type hub struct {
+	runs    atomic.Int64
+	hold    chan struct{}
+	entered chan struct{}
+
+	mu   sync.Mutex
+	seen []int64
+}
+
+func (h *hub) kind() *Kind {
+	return &Kind{
+		Schema: &model.Schema{
+			Type: "Hub", Version: "v1", Scene: true,
+			Fields: map[string]model.FieldSpec{
+				"level":   {Kind: model.KindInt, Default: int64(0)},
+				"applied": {Kind: model.KindInt, Default: int64(0)},
+			},
+		},
+		Sim: func(c *Ctx, work model.Doc, atts Atts) error {
+			h.runs.Add(1)
+			if h.hold != nil {
+				select {
+				case h.entered <- struct{}{}:
+				default:
+				}
+				select {
+				case <-h.hold:
+				case <-c.Context().Done():
+					return nil
+				}
+			}
+			level, _ := work.GetInt("level")
+			h.mu.Lock()
+			h.seen = append(h.seen, level)
+			h.mu.Unlock()
+			work.Set("applied", level)
+			for _, leaf := range atts.Get("Leaf") {
+				leaf.Set("value", level)
+			}
+			return nil
+		},
+	}
+}
+
+func (h *hub) levels() []int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]int64(nil), h.seen...)
+}
+
+// leafKind has no handlers: a Leaf only holds the value its Hub writes.
+func leafKind() *Kind {
+	return &Kind{Schema: &model.Schema{
+		Type: "Leaf", Version: "v1",
+		Fields: map[string]model.FieldSpec{"value": {Kind: model.KindInt, Default: int64(0)}},
+	}}
+}
+
+// hubHarness creates n Leaf models (no reconcilers: they commit
+// nothing themselves) and a Hub attached to all of them, and binds a
+// metrics registry so the test can read the coalesced counter.
+func hubHarness(t *testing.T, hb *hub, n int) (*harness, *obs.Registry, []string) {
+	t.Helper()
+	h := newHarness(t, hb.kind(), leafKind())
+	reg := obs.NewRegistry()
+	h.rt.BindObs(reg)
+	leaves := make([]string, n)
+	for i := range leaves {
+		leaves[i] = fmt.Sprintf("L%02d", i)
+		if err := h.rt.Store.Create(leafKind().Schema.New(leaves[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc := hb.kind().Schema.New("H")
+	doc.SetMeta(model.Meta{Type: "Hub", Version: "v1", Name: "H", Attach: leaves})
+	if err := h.rt.Store.Create(doc); err != nil {
+		t.Fatal(err)
+	}
+	return h, reg, leaves
+}
+
+const coalescedMetric = "digibox_digi_updates_coalesced_total"
+
+// drained waits until the Hub's reconciler has taken `updates` watch
+// updates off its queue: each one either ran Sim (after the one boot
+// run) or was coalesced.
+func drained(t *testing.T, hb *hub, reg *obs.Registry, updates int64) {
+	t.Helper()
+	waitFor(t, func() bool {
+		return hb.runs.Load()-1+int64(reg.Value(coalescedMetric)) == updates
+	}, fmt.Sprintf("the reconciler to drain %d updates", updates))
+}
+
+func actionRecords(l *trace.Log, name string) []trace.Record {
+	var out []trace.Record
+	for _, r := range l.RecordsFor(name) {
+		if r.Kind == trace.KindAction {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// One edit of a 50-child scene: 50 child commits, and the parent's
+// Sim runs for the edit and once more for the echo of its own writes
+// — not once per echoed child commit.
+func TestFanoutSimulatesOncePerBurstNotPerChild(t *testing.T) {
+	const children = 50
+	hb := &hub{}
+	h, reg, leaves := hubHarness(t, hb, children)
+	h.start(t, "H")
+	waitFor(t, func() bool { return hb.runs.Load() == 1 }, "the boot simulate")
+	gen0 := h.rt.Store.Gen()
+	actions0 := len(actionRecords(h.rt.Log, "H"))
+
+	if _, err := h.rt.Store.Patch("H", map[string]any{"level": int64(7)}); err != nil {
+		t.Fatal(err)
+	}
+	// The edit, the Hub's own applied=7, and one commit per child.
+	const updates = 2 + children
+	drained(t, hb, reg, updates)
+
+	if got := h.rt.Store.Gen() - gen0; got != updates {
+		t.Errorf("%d commits followed the edit, want %d (edit + applied + %d children)", got, updates, children)
+	}
+	if runs := hb.runs.Load() - 1; runs < 2 || runs > 3 {
+		t.Errorf("the edit cost %d Sim runs, want 2 (edit + echo; 3 with slack) for %d children", runs, children)
+	}
+	if got := int64(reg.Value(coalescedMetric)); got < updates-3 {
+		t.Errorf("%s = %d, want at least %d", coalescedMetric, got, updates-3)
+	}
+	// The fixpoint: every model agrees and one more run changes nothing.
+	hubDoc, _, _ := h.rt.Store.Get("H")
+	if v, _ := hubDoc.GetInt("applied"); v != 7 {
+		t.Errorf("H.applied = %d, want 7", v)
+	}
+	for _, name := range leaves {
+		leaf, _, _ := h.rt.Store.Get(name)
+		if v, _ := leaf.GetInt("value"); v != 7 {
+			t.Errorf("%s.value = %d, want 7", name, v)
+		}
+	}
+	if lv := hb.levels(); lv[len(lv)-1] != 7 {
+		t.Errorf("the last Sim run saw level %d, want 7", lv[len(lv)-1])
+	}
+	// Both own-model updates are logged, simulated or not.
+	acts := actionRecords(h.rt.Log, "H")[actions0:]
+	if len(acts) != 2 || acts[0].Sets["level"] != int64(7) || acts[1].Sets["applied"] != int64(7) {
+		t.Errorf("own-model action records after the edit = %+v, want level=7 then applied=7", acts)
+	}
+}
+
+// Two updates queued behind a run in progress: the next run reads the
+// store, so it sees (and a mock would publish) the latest state, and
+// the second update is logged but not simulated again.
+func TestQueuedUpdatesSimulateTheLatestState(t *testing.T) {
+	hb := &hub{hold: make(chan struct{}), entered: make(chan struct{}, 1)}
+	h, reg, _ := hubHarness(t, hb, 0)
+	h.start(t, "H")
+	<-hb.entered // the boot run has read level=0 and is parked
+	for _, level := range []int64{1, 2} {
+		if _, err := h.rt.Store.Patch("H", map[string]any{"level": level}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(hb.hold)
+	// level=1, level=2, and the Hub's own applied=2.
+	drained(t, hb, reg, 3)
+
+	lv := hb.levels()
+	if lv[0] != 0 || lv[len(lv)-1] != 2 {
+		t.Errorf("Sim saw levels %v, want 0 at boot and 2 last", lv)
+	}
+	for _, l := range lv[1:] {
+		if l != 2 {
+			t.Errorf("Sim saw levels %v: a run after the boot one read a stale level", lv)
+		}
+	}
+	if got := reg.Value(coalescedMetric); got != 1 {
+		t.Errorf("%s = %v, want 1 (the level=2 update)", coalescedMetric, got)
+	}
+	acts := actionRecords(h.rt.Log, "H")
+	if len(acts) != 4 { // boot snapshot, level=1, level=2, applied=2
+		t.Fatalf("H has %d action records, want 4: %+v", len(acts), acts)
+	}
+	if acts[1].Sets["level"] != int64(1) || acts[2].Sets["level"] != int64(2) {
+		t.Errorf("coalesced update lost its action record: %+v", acts[1:3])
+	}
+}
+
+// A child delete re-simulates even though a run that started after it
+// was committed has already happened (deletes stay edge-triggered).
+func TestChildDeleteAlwaysSimulates(t *testing.T) {
+	hb := &hub{hold: make(chan struct{}), entered: make(chan struct{}, 1)}
+	h, reg, leaves := hubHarness(t, hb, 2)
+	h.start(t, "H")
+	<-hb.entered
+	// Queued behind the boot run: an edit Sim answers with no commit of
+	// its own, then the delete. The run the edit triggers starts after
+	// the delete was committed, so it is the delete alone that decides
+	// whether a second run follows.
+	if _, err := h.rt.Store.Patch("H", map[string]any{"meta": map[string]any{"note": "x"}}); err != nil {
+		t.Fatal(err)
+	}
+	if !h.rt.Store.Delete(leaves[1]) {
+		t.Fatal("delete failed")
+	}
+	close(hb.hold)
+	drained(t, hb, reg, 2)
+	if runs, skipped := hb.runs.Load()-1, reg.Value(coalescedMetric); runs != 2 || skipped != 0 {
+		t.Errorf("%d Sim runs and %v coalesced updates, want 2 and 0 (the edit and the delete both simulate)", runs, skipped)
+	}
+}
+
+// Sim handlers may do anything to the documents they are handed; the
+// store's committed documents — the diff bases Simulate reads without
+// copying, and the Doc every watcher shares — must not change under a
+// concurrent reader. Run with -race.
+func TestHandlersCannotReachCommittedDocuments(t *testing.T) {
+	const rounds = 20
+	vandal := &Kind{
+		Schema: &model.Schema{
+			Type: "Vandal", Version: "v1", Scene: true,
+			Fields: map[string]model.FieldSpec{"round": {Kind: model.KindInt, Default: int64(0)}},
+		},
+		Sim: func(c *Ctx, work model.Doc, atts Atts) error {
+			n, _ := work.GetInt("round")
+			if n >= rounds {
+				return nil
+			}
+			scribble := func(d model.Doc) {
+				d.Set("round", n+1)
+				d.Set("nest.deep.n", n+1)
+				nest, _ := d["nest"].(map[string]any)
+				nest[fmt.Sprintf("k%d", n)] = []any{n}
+				delete(nest, fmt.Sprintf("k%d", n-1))
+				d["meta"].(map[string]any)["scratch"] = n
+			}
+			scribble(work)
+			for _, group := range atts {
+				for _, child := range group {
+					scribble(child)
+				}
+			}
+			return nil
+		},
+	}
+	h := newHarness(t, vandal, leafKind())
+	names := []string{"V", "L0", "L1"}
+	for _, leaf := range names[1:] {
+		if err := h.rt.Store.Create(leafKind().Schema.New(leaf)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc := vandal.Schema.New("V")
+	doc.SetMeta(model.Meta{Type: "Vandal", Version: "v1", Name: "V", Attach: names[1:]})
+	if err := h.rt.Store.Create(doc); err != nil {
+		t.Fatal(err)
+	}
+
+	// The reader keeps every committed document it ever saw, through
+	// View and through a watcher, next to a copy taken at that moment.
+	type held struct{ shared, copied model.Doc }
+	var kept []held
+	w := h.rt.Store.Watch(nil)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for u := range w.C {
+			kept = append(kept, held{u.Doc, u.Doc.DeepCopy()})
+			for _, name := range names {
+				if d, _, ok := h.rt.Store.View(name); ok {
+					kept = append(kept, held{d, d.DeepCopy()})
+				}
+			}
+		}
+	}()
+	h.start(t, "V")
+	waitFor(t, func() bool {
+		for _, name := range names {
+			d, _, _ := h.rt.Store.View(name)
+			if n, _ := d.GetInt("round"); n != rounds {
+				return false
+			}
+		}
+		return true
+	}, "the vandal to finish")
+	h.stop()
+	w.Close()
+	<-done
+	if len(kept) < 3*rounds {
+		t.Fatalf("the reader saw only %d documents", len(kept))
+	}
+	for i, k := range kept {
+		if !model.Equal(k.shared, k.copied) {
+			t.Fatalf("committed document %d changed after it was read:\nthen %v\nnow  %v", i, k.copied, k.shared)
+		}
+	}
+}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"repro/internal/kube"
 	"repro/internal/model"
-	"sync"
+	"sync/atomic"
 )
 
 // Workload builds the kube workload that runs one digi instance. The
@@ -33,14 +33,21 @@ func (rt *Runtime) ImageFactory() kube.ImageFactory {
 // it owns the store watcher and ticker, and delegates the actual
 // tick/simulate/update logic to the Stepper it shares with the
 // deterministic replay engine.
+//
+// It is level-triggered: a Simulate reads the store's current state,
+// so it answers every update committed before it started, however many
+// are still queued. seen is the store generation read before the last
+// update-driven Simulate took its inputs; a queued update no newer
+// than that is only logged, not simulated again.
 type reconciler struct {
-	s *Stepper
+	s    *Stepper
+	seen uint64
 
-	// attach is the current child set (scene kinds only), updated when
-	// the digi's own model changes. Guarded by mu because the store
-	// watcher filter reads it from the broadcast path.
-	mu     sync.Mutex
-	attach map[string]bool
+	// attach is the current child set (scene kinds only), replaced
+	// whole when the digi's own model changes. The store watcher filter
+	// reads it on the broadcast path, under the store's write lock, so
+	// it is an immutable map behind an atomic pointer: no lock there.
+	attach atomic.Pointer[map[string]bool]
 }
 
 func (rt *Runtime) run(ctx context.Context, name string) error {
@@ -48,8 +55,12 @@ func (rt *Runtime) run(ctx context.Context, name string) error {
 	if err != nil {
 		return err
 	}
-	r := &reconciler{s: s, attach: map[string]bool{}}
-	doc, _, _ := rt.Store.Get(name)
+	// Read before the watcher registers, and not advanced by the boot
+	// Simulate below: every update the watcher queues is newer, so the
+	// first one always simulates (a mock publishes at boot and again
+	// when attach parks its generator, however the two interleave).
+	r := &reconciler{s: s, seen: rt.Store.Gen()}
+	doc, _, _ := rt.Store.View(name)
 	r.setAttach(doc.Attach())
 
 	// One watcher covers the digi's own model plus (for scenes) all
@@ -57,13 +68,7 @@ func (rt *Runtime) run(ctx context.Context, name string) error {
 	// set so dynamic re-attach (device mobility, §5) works without
 	// re-subscribing.
 	w := rt.Store.Watch(func(u model.Update) bool {
-		if u.Name == name {
-			return true
-		}
-		r.mu.Lock()
-		ok := r.attach[u.Name]
-		r.mu.Unlock()
-		return ok
+		return u.Name == name || (*r.attach.Load())[u.Name]
 	})
 	defer w.Close()
 
@@ -95,9 +100,26 @@ func (rt *Runtime) run(ctx context.Context, name string) error {
 			if u.Name == name && !u.Deleted {
 				r.setAttach(u.Doc.Attach())
 			}
-			s.HandleUpdate(u)
+			r.handle(u)
 		}
 	}
+}
+
+// handle is Stepper.HandleUpdate minus the Simulate runs an earlier
+// one already covered. Deletes are rare and stay edge-triggered, so
+// "a deleted child falls out of atts" never rests on the generation
+// argument.
+func (r *reconciler) handle(u model.Update) {
+	rt := r.s.rt
+	if !u.Deleted && u.Gen <= r.seen {
+		r.s.LogUpdate(u)
+		if m := rt.metrics.Load(); m != nil {
+			m.coalesced.Inc()
+		}
+		return
+	}
+	r.seen = rt.Store.Gen()
+	r.s.HandleUpdate(u)
 }
 
 func (r *reconciler) setAttach(children []string) {
@@ -105,7 +127,5 @@ func (r *reconciler) setAttach(children []string) {
 	for _, c := range children {
 		next[c] = true
 	}
-	r.mu.Lock()
-	r.attach = next
-	r.mu.Unlock()
+	r.attach.Store(&next)
 }

@@ -31,7 +31,7 @@ type Stepper struct {
 // already in the runtime's store. ctx bounds Ctx.Sleep and is exposed
 // to handlers via Ctx.Context.
 func (rt *Runtime) NewStepper(ctx context.Context, name string) (*Stepper, error) {
-	doc, _, ok := rt.Store.Get(name)
+	doc, _, ok := rt.Store.View(name)
 	if !ok {
 		return nil, fmt.Errorf("digi: model %q not found", name)
 	}
@@ -80,7 +80,7 @@ func (s *Stepper) Interval() time.Duration {
 // so traces are self-contained (replay and offline property checking
 // reconstruct state without the original testbed).
 func (s *Stepper) LogSnapshot() {
-	if snap, _, ok := s.rt.Store.Get(s.name); ok {
+	if snap, _, ok := s.rt.Store.View(s.name); ok {
 		s.rt.Log.Action(s.name, snap.Type(), model.Flatten(snap), nil)
 	}
 }
@@ -92,7 +92,7 @@ func (s *Stepper) Tick() []model.Update {
 	if s.kind.Loop == nil {
 		return nil
 	}
-	doc, _, ok := s.rt.Store.Get(s.name)
+	doc, _, ok := s.rt.Store.View(s.name)
 	if !ok {
 		return nil
 	}
@@ -136,39 +136,44 @@ func (s *Stepper) Tick() []model.Update {
 // of an attached child's model, returning the updates it committed in
 // response.
 func (s *Stepper) HandleUpdate(u model.Update) []model.Update {
-	if u.Deleted {
-		if u.Name == s.name {
-			return nil
-		}
-		// A deleted child falls out of atts on the next simulate.
-		return s.Simulate()
+	s.LogUpdate(u)
+	if u.Deleted && u.Name == s.name {
+		return nil
 	}
-	if u.Name == s.name {
-		// Log the digi-side action record (§3.5: changes are logged at
-		// the mock as well as at the scene that caused them).
-		sets := map[string]any{}
-		var deletes []string
-		for _, ch := range u.Changes {
-			if ch.Op == model.OpDelete {
-				deletes = append(deletes, ch.Path)
-			} else {
-				sets[ch.Path] = ch.New
-			}
-		}
-		s.rt.Log.Action(s.name, u.Type, sets, deletes)
-	}
+	// A deleted child falls out of atts on the next simulate.
 	return s.Simulate()
+}
+
+// LogUpdate writes the digi-side action record for a change of the
+// digi's own model (§3.5: changes are logged at the mock as well as at
+// the scene that caused them). Other updates log nothing.
+func (s *Stepper) LogUpdate(u model.Update) {
+	if u.Deleted || u.Name != s.name {
+		return
+	}
+	sets := map[string]any{}
+	var deletes []string
+	for _, ch := range u.Changes {
+		if ch.Op == model.OpDelete {
+			deletes = append(deletes, ch.Path)
+		} else {
+			sets[ch.Path] = ch.New
+		}
+	}
+	s.rt.Log.Action(s.name, u.Type, sets, deletes)
 }
 
 // Simulate runs the Sim handler against a mutable snapshot of the own
 // model and attached children, then commits whatever the handler
 // changed. Child commits happen in sorted (type, name) order so the
 // resulting update sequence — and hence the trace — is deterministic.
+// The diff bases are the store's committed documents themselves
+// (read-only views); only the handler's working copies are copied.
 func (s *Stepper) Simulate() []model.Update {
 	if s.kind.Sim == nil {
 		return nil
 	}
-	doc, _, ok := s.rt.Store.Get(s.name)
+	doc, _, ok := s.rt.Store.View(s.name)
 	if !ok {
 		return nil
 	}
@@ -180,7 +185,7 @@ func (s *Stepper) Simulate() []model.Update {
 	atts := Atts{}
 	childBase := map[string]model.Doc{}
 	for _, childName := range doc.Attach() {
-		child, _, ok := s.rt.Store.Get(childName)
+		child, _, ok := s.rt.Store.View(childName)
 		if !ok {
 			continue
 		}

@@ -429,3 +429,30 @@ func TestWaitAllRunningReportsFailure(t *testing.T) {
 		t.Fatal("want failure")
 	}
 }
+
+// The pump must not leave a delivered event (and its pod copy)
+// reachable from the queue's backing array.
+func TestPodWatcherPumpReleasesDeliveredEvents(t *testing.T) {
+	a := testCluster(t, "n1").api
+	w := a.watchPods(func(ev PodEvent) bool { return ev.Type == Added })
+	defer w.Close()
+	w.qmu.Lock()
+	w.queue = make([]PodEvent, 0, 8)
+	backing := w.queue[:8]
+	w.qmu.Unlock()
+	for i := 0; i < 3; i++ {
+		if err := a.createPod(&Pod{Name: fmt.Sprintf("p%d", i), Spec: PodSpec{Image: "missing"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		<-w.C
+	}
+	w.qmu.Lock()
+	defer w.qmu.Unlock()
+	for i, ev := range backing[:3] {
+		if ev.Pod != nil {
+			t.Errorf("slot %d still holds pod %s after delivery", i, ev.Pod.Name)
+		}
+	}
+}

@@ -250,6 +250,9 @@ func (w *podWatcher) pump(ch chan PodEvent) {
 			return
 		}
 		ev := w.queue[0]
+		// Zero the slot: the backing array outlives the reslice, and
+		// would keep the event's pod reachable until it regrows.
+		w.queue[0] = PodEvent{}
 		w.queue = w.queue[1:]
 		w.qmu.Unlock()
 		select {

@@ -34,46 +34,46 @@ func (c Change) String() string {
 }
 
 // Diff computes the leaf-level changes that transform old into new.
-// Paths are reported in sorted order for deterministic logs.
+// Paths are reported in sorted order for deterministic logs. Equal
+// documents (and equal subtrees of unequal ones) cost no allocation.
 func Diff(old, new Doc) []Change {
 	var out []Change
 	diffValue("", map[string]any(old), map[string]any(new), &out)
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	if len(out) > 1 {
+		sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	}
 	return out
 }
 
 func diffValue(prefix string, old, new any, out *[]Change) {
 	om, ook := asMap(old)
 	nm, nok := asMap(new)
-	if ook && nok {
-		keys := map[string]struct{}{}
-		for k := range om {
-			keys[k] = struct{}{}
-		}
-		for k := range nm {
-			keys[k] = struct{}{}
-		}
-		for k := range keys {
-			p := k
-			if prefix != "" {
-				p = prefix + "." + k
-			}
-			ov, oHas := om[k]
-			nv, nHas := nm[k]
-			switch {
-			case !oHas:
-				addLeaves(p, nv, out)
-			case !nHas:
-				*out = append(*out, Change{Op: OpDelete, Path: p, Old: copyValue(ov)})
-			default:
-				diffValue(p, ov, nv, out)
-			}
+	if !ook || !nok {
+		if !equalValue(old, new) {
+			*out = append(*out, Change{Op: OpSet, Path: prefix, Old: copyValue(old), New: copyValue(new)})
 		}
 		return
 	}
-	if !equalValue(old, new) {
-		*out = append(*out, Change{Op: OpSet, Path: prefix, Old: copyValue(old), New: copyValue(new)})
+	// A key's path is built only once the key is known to differ.
+	for k, ov := range om {
+		if nv, has := nm[k]; !has {
+			*out = append(*out, Change{Op: OpDelete, Path: joinPath(prefix, k), Old: copyValue(ov)})
+		} else if !equalValue(ov, nv) {
+			diffValue(joinPath(prefix, k), ov, nv, out)
+		}
 	}
+	for k, nv := range nm {
+		if _, has := om[k]; !has {
+			addLeaves(joinPath(prefix, k), nv, out)
+		}
+	}
+}
+
+func joinPath(prefix, key string) string {
+	if prefix == "" {
+		return key
+	}
+	return prefix + "." + key
 }
 
 // addLeaves records additions; composite additions are flattened into

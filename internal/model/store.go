@@ -11,14 +11,16 @@ type Update struct {
 	Name    string
 	Type    string
 	Gen     uint64 // store-wide monotonic generation
-	Doc     Doc    // snapshot after the change (deep copy, caller-owned)
+	Doc     Doc    // snapshot after the change: one instance shared by every watcher, read-only
 	Changes []Change
 	Deleted bool // true when the model was removed
 }
 
 // Store holds the live models of a testbed. All methods are safe for
-// concurrent use. Readers get deep-copied snapshots; writers mutate
-// under an exclusive section so a mutation and its diff are atomic.
+// concurrent use. Readers get deep-copied snapshots (or, from View, the
+// immutable committed document itself); writers mutate a copy under an
+// exclusive section and swap it in, so a mutation and its diff are
+// atomic and a committed document never changes.
 //
 // Watchers receive every committed update in order. Each watcher has an
 // unbounded in-memory queue pumped by its own goroutine, so a slow
@@ -73,13 +75,25 @@ func addLeavesForCreate(d Doc, out *[]Change) {
 
 // Get returns a deep-copied snapshot and its generation.
 func (s *Store) Get(name string) (Doc, uint64, bool) {
+	d, gen, ok := s.View(name)
+	if !ok {
+		return nil, 0, false
+	}
+	return d.DeepCopy(), gen, true
+}
+
+// View returns the committed document itself, not a copy, and its
+// generation. Committed documents are immutable (Apply replaces the
+// entry's document, never mutates it), so the result is shared and
+// read-only: DeepCopy it before changing anything.
+func (s *Store) View(name string) (Doc, uint64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	e, ok := s.docs[name]
 	if !ok {
 		return nil, 0, false
 	}
-	return e.doc.DeepCopy(), e.gen, true
+	return e.doc, e.gen, true
 }
 
 // Has reports whether a model exists.
@@ -237,6 +251,9 @@ func (w *Watcher) pump(ch chan Update) {
 			return
 		}
 		u := w.queue[0]
+		// Zero the slot: the backing array outlives the reslice, and
+		// would keep the update's document reachable until it regrows.
+		w.queue[0] = Update{}
 		w.queue = w.queue[1:]
 		w.qmu.Unlock()
 		select {

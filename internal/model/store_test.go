@@ -322,3 +322,52 @@ func TestQuickWatchStreamReconstructsState(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The pump must not leave a delivered update (and its document)
+// reachable from the queue's backing array.
+func TestWatcherPumpReleasesDeliveredUpdates(t *testing.T) {
+	s := storeWithLamp(t)
+	w := s.WatchName("L1")
+	defer w.Close()
+	w.qmu.Lock()
+	w.queue = make([]Update, 0, 8)
+	backing := w.queue[:8]
+	w.qmu.Unlock()
+	for i := 0; i < 3; i++ {
+		if _, err := s.Patch("L1", map[string]any{"n": int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		<-w.C
+	}
+	w.qmu.Lock()
+	defer w.qmu.Unlock()
+	for i, u := range backing[:3] {
+		if u.Doc != nil || u.Changes != nil {
+			t.Errorf("slot %d still holds gen %d after delivery", i, u.Gen)
+		}
+	}
+}
+
+func TestViewSharesTheCommittedDocument(t *testing.T) {
+	s := storeWithLamp(t)
+	v1, gen1, ok := s.View("L1")
+	if !ok || gen1 == 0 {
+		t.Fatalf("View: ok=%v gen=%d", ok, gen1)
+	}
+	frozen := v1.DeepCopy()
+	if _, err := s.Patch("L1", map[string]any{"power": map[string]any{"status": "off"}}); err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(v1, frozen) {
+		t.Error("a commit changed a document an earlier View returned")
+	}
+	v2, gen2, _ := s.View("L1")
+	if gen2 <= gen1 || v2.GetString("power.status") != "off" {
+		t.Errorf("View after the commit: gen %d → %d, status %q", gen1, gen2, v2.GetString("power.status"))
+	}
+	if _, _, ok := s.View("nope"); ok {
+		t.Error("View of a missing model reports ok")
+	}
+}
