@@ -45,11 +45,15 @@ func BenchmarkTrieMatch(b *testing.B) {
 	}
 	trie.subscribe(&subscription{clientID: "app", filter: "digibox/+/status"})
 	trie.subscribe(&subscription{clientID: "logger", filter: "digibox/#"})
+	topics := make([]string, 1000)
+	for i := range topics {
+		topics[i] = fmt.Sprintf("digibox/dev%04d/status", i)
+	}
+	sc := new(matchScratch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		subs := trie.match(fmt.Sprintf("digibox/dev%04d/status", i%1000))
-		if len(subs) != 3 {
+		if subs := trie.deliverySet(topics[i%1000], sc); len(subs) != 3 {
 			b.Fatalf("matched %d", len(subs))
 		}
 	}

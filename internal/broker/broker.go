@@ -287,6 +287,7 @@ type session struct {
 	clientID string
 
 	outbound  chan *Packet
+	packetID  atomic.Uint32 // last packet id drawn for an outbound QoS 1 PUBLISH
 	closeOnce sync.Once
 	closedCh  chan struct{}
 
@@ -401,7 +402,7 @@ func (s *session) writeLoop() {
 	bw := bufio.NewWriterSize(s.conn, writeBufSize)
 	spans := make([]obs.SpanID, 0, 16)
 	write := func(pkt *Packet) bool {
-		data, err := pkt.Encode()
+		data, err := pkt.AppendEncode(bw.AvailableBuffer())
 		if err != nil {
 			s.broker.logf("mqtt: encode to %s: %v", s.clientID, err)
 			return true
@@ -463,14 +464,35 @@ func (s *session) send(pkt *Packet) {
 	}
 }
 
+// deliver queues one PUBLISH for the session. A QoS 1 packet takes the
+// next non-zero id of the session's own counter: MQTT packet ids are
+// scoped to the connection.
+func (s *session) deliver(m Message, span obs.SpanID) {
+	pkt := &Packet{Type: PUBLISH, Topic: m.Topic, Payload: m.Payload, QoS: m.QoS, Retain: m.Retained, Dup: m.Dup, span: span}
+	for pkt.QoS > 0 && pkt.PacketID == 0 {
+		pkt.PacketID = uint16(s.packetID.Add(1))
+	}
+	s.send(pkt)
+}
+
+// readBufSize sizes the buffered reader of a session's (and a client's)
+// read loop: a typical status PUBLISH arrives in one read(2) instead of
+// three (type byte, length, body), and 10k sessions still cost only
+// 5 MB next to their 4 KB write buffers. A body larger than the buffer
+// is read straight into its own slice.
+const readBufSize = 512
+
 func (s *session) readLoop() {
+	// Buffered only from here on: the CONNECT was read unbuffered, so
+	// nothing a client pipelined behind it has been consumed.
+	br := bufio.NewReaderSize(s.conn, readBufSize)
 	for {
 		if s.keepAlive > 0 {
 			s.conn.SetReadDeadline(time.Now().Add(s.keepAlive)) //dbox:allow wallclock -- net.Conn deadlines compare against the kernel's wall clock
 		} else {
 			s.conn.SetReadDeadline(time.Time{})
 		}
-		pkt, err := ReadPacket(s.conn)
+		pkt, err := ReadPacket(br)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
 				s.broker.logf("mqtt: read from %s: %v", s.clientID, err)
@@ -483,7 +505,7 @@ func (s *session) readLoop() {
 			if pkt.Dup {
 				atomic.AddInt64(&s.broker.retransIn, 1)
 			}
-			s.broker.route(s.clientID, pkt)
+			s.broker.route(s.clientID, Message{Topic: pkt.Topic, Payload: pkt.Payload, QoS: pkt.QoS, Retained: pkt.Retain})
 			if pkt.QoS == 1 {
 				s.send(&Packet{Type: PUBACK, PacketID: pkt.PacketID})
 			}
@@ -499,7 +521,7 @@ func (s *session) readLoop() {
 					clientID: s.clientID,
 					filter:   f,
 					qos:      q,
-					deliver:  s.send,
+					deliver:  s.deliver,
 				})
 				if hook := s.broker.opts.SubscribeHook; hook != nil {
 					hook(s.clientID, f, true)
@@ -539,30 +561,33 @@ func isTimeout(err error) bool {
 // route fans a PUBLISH out to matching subscribers and updates the
 // retained store. from identifies the publisher (wire client ID or
 // PublishFrom name; "" for anonymous in-process publishes) and scopes
-// injected fault rules and partition checks.
-func (b *Broker) route(from string, pkt *Packet) {
+// injected fault rules and partition checks. m.Retained is the
+// publish's retain flag.
+func (b *Broker) route(from string, m Message) {
 	if hook := b.opts.RouteHook; hook != nil {
 		// Before the retained-store update and match short-circuit, so
 		// the bridge sees every publish — including ones this shard has
 		// no local subscriber for.
-		hook(from, pkt.Topic, pkt.Payload, pkt.QoS, pkt.Retain)
+		hook(from, m.Topic, m.Payload, m.QoS, m.Retained)
 	}
-	if pkt.Retain {
-		key := pkt.Topic
-		if len(pkt.Payload) == 0 {
-			if _, loaded := b.retained.LoadAndDelete(key); loaded {
+	if m.Retained {
+		if len(m.Payload) == 0 {
+			if _, loaded := b.retained.LoadAndDelete(m.Topic); loaded {
 				atomic.AddInt64(&b.retainCount, -1)
 			}
 		} else {
-			stored := *pkt
-			stored.Dup = false
-			if _, loaded := b.retained.Swap(key, &stored); !loaded {
+			stored := &Packet{Type: PUBLISH, Topic: m.Topic, Payload: m.Payload, QoS: m.QoS, Retain: true}
+			if _, loaded := b.retained.Swap(m.Topic, stored); !loaded {
 				atomic.AddInt64(&b.retainCount, 1)
 			}
 		}
 	}
-	matches := b.subs.match(pkt.Topic)
-	if len(matches) == 0 {
+	sc := scratchPool.Get().(*matchScratch)
+	defer sc.release()
+	// One subscription per client (overlapping filters collapse to the
+	// highest QoS), in client-id order.
+	subs := b.subs.deliverySet(m.Topic, sc)
+	if len(subs) == 0 {
 		return
 	}
 	// The span is stamped here — publish time, after the match check
@@ -570,7 +595,7 @@ func (b *Broker) route(from string, pkt *Packet) {
 	// subscriber's writeLoop after the socket write: true end-to-end
 	// delivery latency. A nil tracer returns 0 and the stamps below
 	// are no-ops.
-	sid := b.tracer.Start(from, pkt.Topic)
+	sid := b.tracer.Start(from, m.Topic)
 	// Fan-out timing rides the tracer's sampling interval (every
 	// message when no tracer is bound) so unsampled messages skip both
 	// clock reads.
@@ -579,69 +604,40 @@ func (b *Broker) route(from string, pkt *Packet) {
 	if measureFan {
 		fanStart = b.opts.Clock.Now()
 	}
-	// Overlapping filters: deliver once per client at the max QoS.
-	perClient := make(map[string]*subscription, len(matches))
-	for _, sub := range matches {
-		if cur, ok := perClient[sub.clientID]; !ok || sub.qos > cur.qos {
-			perClient[sub.clientID] = sub
-		}
-	}
-	for _, sub := range perClient {
-		out := &Packet{
-			Type:    PUBLISH,
-			Topic:   pkt.Topic,
-			Payload: pkt.Payload,
-			QoS:     min(pkt.QoS, sub.qos),
-			span:    sid,
-			// Retain flag is false on live routing per spec §3.3.1.3.
-		}
-		if out.QoS > 0 {
-			out.PacketID = nextBrokerPacketID()
-		}
-		if b.faultsActive() {
-			act := b.decideFault(from, sub.clientID, pkt.Topic)
+	faults, qos := b.faultsActive(), m.QoS
+	m.Retained = false // live routing clears the retain flag, spec §3.3.1.3
+	for _, sub := range subs {
+		m.QoS = min(qos, sub.qos)
+		if faults {
+			act := b.decideFault(from, sub.clientID, m.Topic)
 			if act.drop {
 				atomic.AddInt64(&b.faultDrops, 1)
 				continue
 			}
+			dup := m
+			dup.Dup = m.QoS > 0
 			if act.delay > 0 {
-				deliver, pkt := sub.deliver, out
-				dup := act.dup
+				deliver, m := sub.deliver, m
 				b.opts.Clock.AfterFunc(act.delay, func() {
 					atomic.AddInt64(&b.messagesOut, 1)
-					deliver(pkt)
-					if dup {
-						d := *pkt
-						d.Dup = d.QoS > 0
+					deliver(m, sid)
+					if act.dup {
 						atomic.AddInt64(&b.messagesOut, 1)
-						deliver(&d)
+						deliver(dup, sid)
 					}
 				})
 				continue
 			}
 			if act.dup {
-				d := *out
-				d.Dup = d.QoS > 0
 				atomic.AddInt64(&b.messagesOut, 1)
-				sub.deliver(&d)
+				sub.deliver(dup, sid)
 			}
 		}
 		atomic.AddInt64(&b.messagesOut, 1)
-		sub.deliver(out)
+		sub.deliver(m, sid)
 	}
 	if measureFan {
 		b.fanout.Observe(b.opts.Clock.Since(fanStart).Seconds())
-	}
-}
-
-var brokerPacketID uint32
-
-func nextBrokerPacketID() uint16 {
-	for {
-		id := uint16(atomic.AddUint32(&brokerPacketID, 1))
-		if id != 0 {
-			return id
-		}
 	}
 }
 
@@ -653,13 +649,8 @@ func (b *Broker) deliverRetained(filters []string, s *session) {
 		stored := value.(*Packet)
 		for _, f := range filters {
 			if MatchTopic(f, topic) {
-				out := *stored
-				out.Retain = true
-				if out.QoS > 0 {
-					out.PacketID = nextBrokerPacketID()
-				}
 				atomic.AddInt64(&b.messagesOut, 1)
-				s.send(&out)
+				s.deliver(Message{Topic: topic, Payload: stored.Payload, QoS: stored.QoS, Retained: true}, 0)
 				break
 			}
 		}
@@ -732,7 +723,7 @@ func (b *Broker) PublishQoS(from, topic string, payload []byte, qos byte, retain
 		qos = 1 // QoS 2 not supported; downgrade like SUBSCRIBE does
 	}
 	atomic.AddInt64(&b.publishesIn, 1)
-	b.route(from, &Packet{Type: PUBLISH, Topic: topic, Payload: payload, QoS: qos, Retain: retain})
+	b.route(from, Message{Topic: topic, Payload: payload, QoS: qos, Retained: retain})
 	return nil
 }
 
@@ -745,31 +736,8 @@ func (b *Broker) PublishQoS(from, topic string, payload []byte, qos byte, retain
 // SubscribeInProcess returns, mirroring wire SUBACK semantics.
 // Subsequent calls with the same clientID and filter replace fn.
 func (b *Broker) SubscribeInProcess(clientID, filter string, qos byte, fn func(Message)) error {
-	if err := ValidateTopicFilter(filter); err != nil {
+	if err := b.subscribeInProcess(clientID, filter, qos, fn); err != nil {
 		return err
-	}
-	if qos > 1 {
-		qos = 1
-	}
-	b.subs.subscribe(&subscription{
-		clientID: clientID,
-		filter:   filter,
-		qos:      qos,
-		deliver: func(pkt *Packet) {
-			fn(Message{
-				Topic:    pkt.Topic,
-				Payload:  pkt.Payload,
-				QoS:      pkt.QoS,
-				Retained: pkt.Retain,
-				Dup:      pkt.Dup,
-			})
-			if pkt.span != 0 {
-				b.tracer.End(pkt.span)
-			}
-		},
-	})
-	if hook := b.opts.SubscribeHook; hook != nil {
-		hook(clientID, filter, true)
 	}
 	for _, m := range b.RetainedMatching(filter) {
 		fn(m)
@@ -829,26 +797,21 @@ func (b *Broker) ExportSubscriptions() []SubscriptionExport {
 // never unsubscribed, so takeover must not replay retained state the
 // subscriber already holds — that would break exactly-once accounting.
 func (b *Broker) ResubscribeInProcess(clientID, filter string, qos byte, fn func(Message)) error {
+	return b.subscribeInProcess(clientID, filter, qos, fn)
+}
+
+func (b *Broker) subscribeInProcess(clientID, filter string, qos byte, fn func(Message)) error {
 	if err := ValidateTopicFilter(filter); err != nil {
 		return err
-	}
-	if qos > 1 {
-		qos = 1
 	}
 	b.subs.subscribe(&subscription{
 		clientID: clientID,
 		filter:   filter,
-		qos:      qos,
-		deliver: func(pkt *Packet) {
-			fn(Message{
-				Topic:    pkt.Topic,
-				Payload:  pkt.Payload,
-				QoS:      pkt.QoS,
-				Retained: pkt.Retain,
-				Dup:      pkt.Dup,
-			})
-			if pkt.span != 0 {
-				b.tracer.End(pkt.span)
+		qos:      min(qos, 1),
+		deliver: func(m Message, span obs.SpanID) {
+			fn(m)
+			if span != 0 {
+				b.tracer.End(span)
 			}
 		},
 	})

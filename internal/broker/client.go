@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -284,8 +285,10 @@ func (c *Client) write(p *Packet) error {
 }
 
 func (c *Client) readLoop(conn net.Conn) {
+	// Buffered only from here on: the CONNACK was read unbuffered.
+	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
-		pkt, err := ReadPacket(conn)
+		pkt, err := ReadPacket(br)
 		if err != nil {
 			c.connLost(conn, err)
 			return
@@ -544,6 +547,14 @@ func (c *Client) bareID() uint16 {
 // discarded. A closed channel or client yields the real
 // connection-loss cause.
 func (c *Client) await(id uint16, ch chan *Packet, want PacketType, keep bool) (*Packet, error) {
+	// Deliberately the wall clock, like the net.Conn deadlines: the ack
+	// guards a real network round-trip, whose latency does not compress
+	// with the scenario clock. On a time-compressed testbed a clocked
+	// wait would expire in microseconds of wall time — long before any
+	// real broker could answer. Stopped on return, so an acked exchange
+	// leaves no timer behind for the rest of AckTimeout.
+	timeout := time.NewTimer(c.opts.AckTimeout) //dbox:allow wallclock -- guards a real network round-trip, which the scenario clock does not compress
+	defer timeout.Stop()
 	select {
 	case pkt, ok := <-ch:
 		if !ok {
@@ -553,12 +564,7 @@ func (c *Client) await(id uint16, ch chan *Packet, want PacketType, keep bool) (
 			return nil, fmt.Errorf("mqtt: expected %v, got %v", want, pkt.Type)
 		}
 		return pkt, nil
-	case <-clock.System.After(c.opts.AckTimeout):
-		// Deliberately the wall clock, like the net.Conn deadlines:
-		// the ack guards a real network round-trip, whose latency does
-		// not compress with the scenario clock. On a time-compressed
-		// testbed a clocked wait would expire in microseconds of wall
-		// time — long before any real broker could answer.
+	case <-timeout.C:
 		if !keep {
 			c.discardPending(id)
 		}

@@ -101,8 +101,9 @@ func (b *Broker) ClearPartitions() {
 }
 
 // SetFaultSeed seeds per-message fault sampling so a fault run's
-// drop/duplicate decisions are reproducible given the same delivery
-// order.
+// drop/duplicate decisions are reproducible given the same publish
+// order: each publish consults the rules for its subscribers in
+// client-id order.
 func (b *Broker) SetFaultSeed(seed int64) {
 	f := &b.faults
 	f.mu.Lock()

@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -188,6 +189,41 @@ func TestFaultSamplingIsSeeded(t *testing.T) {
 	}
 	if fmt.Sprint(first) != fmt.Sprint(second) {
 		t.Errorf("seeded sampling diverged:\n%v\n%v", first, second)
+	}
+}
+
+// With 16 subscribers the seeded fault sequence lands on the same
+// (client, payload) pairs every run, because fan-out order is client-id
+// order and no longer Go's map order.
+func TestFaultSamplingIsSeededAcrossSubscribers(t *testing.T) {
+	run := func() []string {
+		b := NewBroker(nil)
+		defer b.Close()
+		var got []string
+		for k := 0; k < 16; k++ {
+			id := fmt.Sprintf("sub-%02d", k)
+			if err := b.SubscribeInProcess(id, "t/#", 0, func(m Message) {
+				got = append(got, id+"="+string(m.Payload))
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.SetFaultSeed(99)
+		defer b.AddFault(FaultRule{Topic: "t/#", DropRate: 0.5})()
+		for i := 0; i < 20; i++ {
+			if err := b.Publish("t/a", []byte(fmt.Sprint(i)), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return got
+	}
+	first, second := run(), run()
+	if len(first) < 16*20/4 || len(first) > 16*20*3/4 {
+		t.Fatalf("drop rate 0.5 delivered %d/%d messages", len(first), 16*20)
+	}
+	if !slices.Equal(first, second) {
+		t.Errorf("seeded sampling diverged across runs: %d deliveries starting %v, then %d starting %v",
+			len(first), first[:8], len(second), second[:min(8, len(second))])
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -205,32 +206,23 @@ func (r *reader) byte() (byte, error) {
 }
 
 // Encode serialises the packet into wire format.
-func (p *Packet) Encode() ([]byte, error) {
-	var flags byte
-	var body []byte
+func (p *Packet) Encode() ([]byte, error) { return p.AppendEncode(nil) }
+
+// frame validates the packet and returns what AppendEncode needs
+// before it writes a byte: the fixed header's flags and the remaining
+// length, i.e. the size of everything after the fixed header.
+func (p *Packet) frame() (flags byte, n int, err error) {
+	n = 2 // packet id, or CONNACK's two bytes
 	switch p.Type {
+	case CONNACK, PUBACK, UNSUBACK:
 	case CONNECT:
-		body = appendString(body, "MQTT")
-		body = append(body, 4) // protocol level 3.1.1
-		var connectFlags byte
-		if p.CleanSession {
-			connectFlags |= 0x02
-		}
-		body = append(body, connectFlags)
-		body = appendUint16(body, p.KeepAliveSec)
-		body = appendString(body, p.ClientID)
-	case CONNACK:
-		var ack byte
-		if p.SessionPresent {
-			ack = 1
-		}
-		body = append(body, ack, p.ReturnCode)
+		n = 12 + len(p.ClientID) // "MQTT", level, flags, keepalive, id length
 	case PUBLISH:
 		if p.QoS > 1 {
-			return nil, fmt.Errorf("mqtt: QoS %d not supported", p.QoS)
+			return 0, 0, fmt.Errorf("mqtt: QoS %d not supported", p.QoS)
 		}
 		if err := ValidateTopicName(p.Topic); err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 		flags = p.QoS << 1
 		if p.Retain {
@@ -239,45 +231,87 @@ func (p *Packet) Encode() ([]byte, error) {
 		if p.Dup {
 			flags |= 0x08
 		}
-		body = appendString(body, p.Topic)
+		n = 2 + len(p.Topic) + len(p.Payload)
 		if p.QoS > 0 {
-			body = appendUint16(body, p.PacketID)
+			n += 2
 		}
-		body = append(body, p.Payload...)
-	case PUBACK, UNSUBACK:
-		body = appendUint16(body, p.PacketID)
-	case SUBSCRIBE:
+	case SUBSCRIBE, UNSUBSCRIBE:
 		flags = 0x02 // reserved bits per spec
-		body = appendUint16(body, p.PacketID)
+		for _, f := range p.Filters {
+			n += 2 + len(f)
+		}
+		if p.Type == SUBSCRIBE {
+			n += len(p.Filters) // one requested-QoS byte per filter
+		}
+	case SUBACK:
+		n += len(p.QoSs)
+	case PINGREQ, PINGRESP, DISCONNECT:
+		n = 0
+	default:
+		return 0, 0, fmt.Errorf("mqtt: cannot encode packet type %v", p.Type)
+	}
+	if n > maxRemainingLength {
+		return 0, 0, fmt.Errorf("mqtt: packet too large (%d bytes)", n)
+	}
+	return flags, n, nil
+}
+
+// AppendEncode appends the packet's wire format to dst and returns the
+// extended slice, growing dst at most once: the remaining length is
+// computed first, so header and body are written in place.
+func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
+	flags, n, err := p.frame()
+	if err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, 5+n)
+	dst = append(dst, byte(p.Type)<<4|flags)
+	dst = encodeRemainingLength(dst, n)
+	switch p.Type {
+	case CONNECT:
+		dst = appendString(dst, "MQTT")
+		dst = append(dst, 4) // protocol level 3.1.1
+		var connectFlags byte
+		if p.CleanSession {
+			connectFlags |= 0x02
+		}
+		dst = append(dst, connectFlags)
+		dst = appendUint16(dst, p.KeepAliveSec)
+		dst = appendString(dst, p.ClientID)
+	case CONNACK:
+		var ack byte
+		if p.SessionPresent {
+			ack = 1
+		}
+		dst = append(dst, ack, p.ReturnCode)
+	case PUBLISH:
+		dst = appendString(dst, p.Topic)
+		if p.QoS > 0 {
+			dst = appendUint16(dst, p.PacketID)
+		}
+		dst = append(dst, p.Payload...)
+	case PUBACK, UNSUBACK:
+		dst = appendUint16(dst, p.PacketID)
+	case SUBSCRIBE:
+		dst = appendUint16(dst, p.PacketID)
 		for i, f := range p.Filters {
-			body = appendString(body, f)
+			dst = appendString(dst, f)
 			var q byte
 			if i < len(p.QoSs) {
 				q = p.QoSs[i]
 			}
-			body = append(body, q)
+			dst = append(dst, q)
 		}
 	case SUBACK:
-		body = appendUint16(body, p.PacketID)
-		body = append(body, p.QoSs...)
+		dst = appendUint16(dst, p.PacketID)
+		dst = append(dst, p.QoSs...)
 	case UNSUBSCRIBE:
-		flags = 0x02
-		body = appendUint16(body, p.PacketID)
+		dst = appendUint16(dst, p.PacketID)
 		for _, f := range p.Filters {
-			body = appendString(body, f)
+			dst = appendString(dst, f)
 		}
-	case PINGREQ, PINGRESP, DISCONNECT:
-		// no body
-	default:
-		return nil, fmt.Errorf("mqtt: cannot encode packet type %v", p.Type)
 	}
-	if len(body) > maxRemainingLength {
-		return nil, fmt.Errorf("mqtt: packet too large (%d bytes)", len(body))
-	}
-	out := make([]byte, 0, 2+len(body))
-	out = append(out, byte(p.Type)<<4|flags)
-	out = encodeRemainingLength(out, len(body))
-	return append(out, body...), nil
+	return dst, nil
 }
 
 // ReadPacket reads and decodes one packet from r.

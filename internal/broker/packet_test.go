@@ -201,6 +201,13 @@ func TestQuickPublishRoundTrip(t *testing.T) {
 			t.Logf("mismatch %+v vs %+v", p, back)
 			return false
 		}
+		// The encoding is canonical — Encode(Decode(b)) == b — and
+		// appending it to a buffer in use leaves the prefix alone.
+		again, err := back.AppendEncode([]byte("prefix"))
+		if err != nil || !bytes.Equal(again, append([]byte("prefix"), data...)) {
+			t.Logf("re-encoding %+v: %v\n got %x\nwant prefix+%x", back, err, again, data)
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -2,8 +2,11 @@ package broker
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // ValidateTopicName checks a concrete topic used in PUBLISH: non-empty,
@@ -126,14 +129,17 @@ type subTrie struct {
 
 type trieNode struct {
 	children map[string]*trieNode
-	subs     map[string]*subscription // keyed by client id
+	subs     []*subscription // one per client, ascending by client id
 }
 
 type subscription struct {
 	clientID string
 	filter   string
 	qos      byte
-	deliver  func(*Packet) // enqueue on the session's outbound path
+	// deliver hands one message to the subscriber: a wire session
+	// queues a packet, an in-process subscriber runs its callback.
+	// span is the publish→deliver span to close, 0 when untraced.
+	deliver func(m Message, span obs.SpanID)
 }
 
 func newSubTrie() *subTrie {
@@ -144,13 +150,22 @@ func newTrieNode() *trieNode {
 	return &trieNode{children: map[string]*trieNode{}}
 }
 
+// find returns clientID's position in the node's sorted subscriber
+// list and whether it is there.
+func (n *trieNode) find(clientID string) (int, bool) {
+	return slices.BinarySearchFunc(n.subs, clientID, func(s *subscription, id string) int {
+		return strings.Compare(s.clientID, id)
+	})
+}
+
 // subscribe inserts or replaces a client's subscription to filter.
 func (t *subTrie) subscribe(sub *subscription) {
-	levels := strings.Split(sub.filter, "/")
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	node := t.root
-	for _, lv := range levels {
+	for rest, more := sub.filter, true; more; {
+		var lv string
+		lv, rest, more = strings.Cut(rest, "/")
 		next, ok := node.children[lv]
 		if !ok {
 			next = newTrieNode()
@@ -158,39 +173,38 @@ func (t *subTrie) subscribe(sub *subscription) {
 		}
 		node = next
 	}
-	if node.subs == nil {
-		node.subs = map[string]*subscription{}
+	if i, ok := node.find(sub.clientID); ok {
+		node.subs[i] = sub
+	} else {
+		node.subs = slices.Insert(node.subs, i, sub)
 	}
-	node.subs[sub.clientID] = sub
 }
 
 // unsubscribe removes a client's subscription to filter, pruning empty
 // branches. It reports whether the subscription existed.
 func (t *subTrie) unsubscribe(clientID, filter string) bool {
-	levels := strings.Split(filter, "/")
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return unsubscribeAt(t.root, levels, clientID)
+	return unsubscribeAt(t.root, filter, clientID)
 }
 
-func unsubscribeAt(node *trieNode, levels []string, clientID string) bool {
-	if len(levels) == 0 {
-		if node.subs == nil {
-			return false
-		}
-		if _, ok := node.subs[clientID]; !ok {
-			return false
-		}
-		delete(node.subs, clientID)
-		return true
-	}
-	child, ok := node.children[levels[0]]
+// unsubscribeAt removes clientID from the node that filter, a path
+// relative to node, leads to.
+func unsubscribeAt(node *trieNode, filter, clientID string) bool {
+	lv, rest, more := strings.Cut(filter, "/")
+	child, ok := node.children[lv]
 	if !ok {
 		return false
 	}
-	removed := unsubscribeAt(child, levels[1:], clientID)
+	var removed bool
+	if more {
+		removed = unsubscribeAt(child, rest, clientID)
+	} else if i, ok := child.find(clientID); ok {
+		child.subs = slices.Delete(child.subs, i, i+1)
+		removed = true
+	}
 	if removed && len(child.children) == 0 && len(child.subs) == 0 {
-		delete(node.children, levels[0])
+		delete(node.children, lv)
 	}
 	return removed
 }
@@ -207,9 +221,9 @@ func (t *subTrie) removeClient(clientID string) []string {
 }
 
 func pruneClient(node *trieNode, clientID string, removed *[]string) {
-	if sub, ok := node.subs[clientID]; ok {
-		*removed = append(*removed, sub.filter)
-		delete(node.subs, clientID)
+	if i, ok := node.find(clientID); ok {
+		*removed = append(*removed, node.subs[i].filter)
+		node.subs = slices.Delete(node.subs, i, i+1)
 	}
 	for lv, child := range node.children {
 		pruneClient(child, clientID, removed)
@@ -219,48 +233,86 @@ func pruneClient(node *trieNode, clientID string, removed *[]string) {
 	}
 }
 
-// match collects all subscriptions whose filter matches topic. The
-// returned slice is freshly allocated; duplicate client subscriptions
-// via overlapping filters are all included (the broker de-duplicates
-// per-client at delivery time, matching MQTT overlapping-subscription
-// semantics of delivering at the highest QoS).
-func (t *subTrie) match(topic string) []*subscription {
-	levels := strings.Split(topic, "/")
+// matchScratch is one publish's working memory, pooled so matching
+// allocates nothing: lists holds the subscriber lists of the matched
+// nodes, out the delivery set merged from them.
+type matchScratch struct {
+	lists [][]*subscription
+	out   []*subscription
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(matchScratch) }}
+
+// release returns sc to the pool holding no subscription, so an idle
+// scratch cannot keep a departed session alive.
+func (sc *matchScratch) release() {
+	clear(sc.lists)
+	clear(sc.out)
+	scratchPool.Put(sc)
+}
+
+// deliverySet returns who receives a publish to topic: one subscription
+// per client — the highest-QoS one where overlapping filters match, the
+// MQTT overlapping-subscription rule — ascending by client id. The
+// result lives in sc and is valid until sc.release.
+func (t *subTrie) deliverySet(topic string, sc *matchScratch) []*subscription {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var out []*subscription
-	skipWild := strings.HasPrefix(topic, "$")
-	matchAt(t.root, levels, skipWild, &out)
+	lists := gather(t.root, topic, !strings.HasPrefix(topic, "$"), sc.lists[:0])
+	out := sc.out[:0]
+	// k-way merge of the sorted lists; k is the handful of matched nodes.
+	for {
+		var best *subscription
+		for _, l := range lists {
+			if len(l) == 0 {
+				continue
+			}
+			if best == nil {
+				best = l[0]
+			} else if c := strings.Compare(l[0].clientID, best.clientID); c < 0 || c == 0 && l[0].qos > best.qos {
+				best = l[0]
+			}
+		}
+		if best == nil {
+			break
+		}
+		out = append(out, best)
+		for i, l := range lists {
+			if len(l) > 0 && l[0].clientID == best.clientID {
+				lists[i] = l[1:]
+			}
+		}
+	}
+	sc.lists, sc.out = lists, out
 	return out
 }
 
-func matchAt(node *trieNode, levels []string, firstLevelNoWild bool, out *[]*subscription) {
-	if len(levels) == 0 {
-		for _, s := range node.subs {
-			*out = append(*out, s)
+// gather appends the subscriber list of every node whose filter matches
+// the topic levels in rest. wild is false only at the first level of a
+// "$" topic, which wildcards do not match (spec §4.7.2).
+func gather(node *trieNode, rest string, wild bool, lists [][]*subscription) [][]*subscription {
+	lv, rest, more := strings.Cut(rest, "/")
+	kids := [2]*trieNode{node.children[lv]}
+	if wild {
+		kids[1] = node.children["+"]
+		if hash := node.children["#"]; hash != nil {
+			lists = append(lists, hash.subs)
 		}
-		// "a/#" matches "a": a child "#" at the exact end also fires.
-		if hash, ok := node.children["#"]; ok {
-			for _, s := range hash.subs {
-				*out = append(*out, s)
+	}
+	for _, child := range kids {
+		switch {
+		case child == nil:
+		case more:
+			lists = gather(child, rest, true, lists)
+		default:
+			lists = append(lists, child.subs)
+			// "a/#" matches "a": a child "#" at the exact end also fires.
+			if hash := child.children["#"]; hash != nil {
+				lists = append(lists, hash.subs)
 			}
 		}
-		return
 	}
-	lv := levels[0]
-	if child, ok := node.children[lv]; ok {
-		matchAt(child, levels[1:], false, out)
-	}
-	if !firstLevelNoWild {
-		if child, ok := node.children["+"]; ok {
-			matchAt(child, levels[1:], false, out)
-		}
-		if child, ok := node.children["#"]; ok {
-			for _, s := range child.subs {
-				*out = append(*out, s)
-			}
-		}
-	}
+	return lists
 }
 
 // exportAll walks the trie and returns every stored subscription, in

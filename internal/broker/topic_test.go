@@ -3,7 +3,7 @@ package broker
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -173,17 +173,67 @@ func TestQuickFiltersOverlapSoundness(t *testing.T) {
 	}
 }
 
+// deliverySetOf copies topic's delivery set out of its pooled scratch.
+func deliverySetOf(t *subTrie, topic string) []*subscription {
+	sc := scratchPool.Get().(*matchScratch)
+	defer sc.release()
+	return slices.Clone(t.deliverySet(topic, sc))
+}
+
 func collectClients(subs []*subscription) []string {
 	var out []string
-	seen := map[string]bool{}
 	for _, s := range subs {
-		if !seen[s.clientID] {
-			seen[s.clientID] = true
-			out = append(out, s.clientID)
+		out = append(out, s.clientID)
+	}
+	return out
+}
+
+// matchAll is the matcher route() used before deliverySet, kept as the
+// oracle: every subscription whose filter matches topic, a client with
+// overlapping filters appearing once per filter, in no particular order.
+func (t *subTrie) matchAll(topic string) []*subscription {
+	levels := strings.Split(topic, "/")
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var out []*subscription
+	skipWild := strings.HasPrefix(topic, "$")
+	matchAt(t.root, levels, skipWild, &out)
+	return out
+}
+
+func matchAt(node *trieNode, levels []string, firstLevelNoWild bool, out *[]*subscription) {
+	if len(levels) == 0 {
+		*out = append(*out, node.subs...)
+		// "a/#" matches "a": a child "#" at the exact end also fires.
+		if hash, ok := node.children["#"]; ok {
+			*out = append(*out, hash.subs...)
+		}
+		return
+	}
+	lv := levels[0]
+	if child, ok := node.children[lv]; ok {
+		matchAt(child, levels[1:], false, out)
+	}
+	if !firstLevelNoWild {
+		if child, ok := node.children["+"]; ok {
+			matchAt(child, levels[1:], false, out)
+		}
+		if child, ok := node.children["#"]; ok {
+			*out = append(*out, child.subs...)
 		}
 	}
-	sort.Strings(out)
-	return out
+}
+
+// dedupMaxQoS is the other half of the old route(): collapse a client's
+// overlapping matches to its highest QoS.
+func dedupMaxQoS(matches []*subscription) map[string]byte {
+	perClient := map[string]byte{}
+	for _, sub := range matches {
+		if cur, ok := perClient[sub.clientID]; !ok || sub.qos > cur {
+			perClient[sub.clientID] = sub.qos
+		}
+	}
+	return perClient
 }
 
 func TestTrieSubscribeMatch(t *testing.T) {
@@ -196,15 +246,15 @@ func TestTrieSubscribeMatch(t *testing.T) {
 	add("c3", "home/kitchen/lamp")
 	add("c4", "other/topic")
 
-	got := collectClients(trie.match("home/kitchen/lamp"))
+	got := collectClients(deliverySetOf(trie, "home/kitchen/lamp"))
 	want := []string{"c1", "c2", "c3"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("match = %v, want %v", got, want)
 	}
-	if got := collectClients(trie.match("home")); fmt.Sprint(got) != "[c2]" {
+	if got := collectClients(deliverySetOf(trie, "home")); fmt.Sprint(got) != "[c2]" {
 		t.Errorf("parent-level # match = %v", got)
 	}
-	if got := trie.match("nomatch"); len(got) != 0 {
+	if got := deliverySetOf(trie, "nomatch"); len(got) != 0 {
 		t.Errorf("unexpected matches %v", got)
 	}
 }
@@ -223,7 +273,7 @@ func TestTrieUnsubscribePrunes(t *testing.T) {
 		t.Errorf("count = %d", n)
 	}
 	// The a/b/c branch must be pruned but a/b intact.
-	if got := collectClients(trie.match("a/b")); fmt.Sprint(got) != "[c2]" {
+	if got := collectClients(deliverySetOf(trie, "a/b")); fmt.Sprint(got) != "[c2]" {
 		t.Errorf("match after prune = %v", got)
 	}
 }
@@ -237,7 +287,7 @@ func TestTrieRemoveClient(t *testing.T) {
 	if n := trie.countSubscriptions(); n != 1 {
 		t.Errorf("count = %d after removeClient", n)
 	}
-	if got := collectClients(trie.match("a/x")); fmt.Sprint(got) != "[c2]" {
+	if got := collectClients(deliverySetOf(trie, "a/x")); fmt.Sprint(got) != "[c2]" {
 		t.Errorf("match = %v", got)
 	}
 }
@@ -246,7 +296,7 @@ func TestTrieResubscribeReplaces(t *testing.T) {
 	trie := newSubTrie()
 	trie.subscribe(&subscription{clientID: "c1", filter: "a", qos: 0})
 	trie.subscribe(&subscription{clientID: "c1", filter: "a", qos: 1})
-	subs := trie.match("a")
+	subs := deliverySetOf(trie, "a")
 	if len(subs) != 1 || subs[0].qos != 1 {
 		t.Errorf("resubscribe did not replace: %+v", subs)
 	}
@@ -269,7 +319,7 @@ func TestQuickTrieAgreesWithMatchTopic(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			topic := genTopic(r, false)
 			got := map[string]bool{}
-			for _, s := range trie.match(topic) {
+			for _, s := range deliverySetOf(trie, topic) {
 				got[s.filter] = true
 			}
 			for _, fl := range filters {
