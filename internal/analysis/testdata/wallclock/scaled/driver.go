@@ -21,23 +21,19 @@ type driver struct {
 
 // waitScheduled is the clean shape: the scenario deadline rides the
 // injected clock, and once it expires the wall-domain work in flight
-// gets a grace period measured on the explicit wall clock.
+// gets a grace period on the explicit wall clock (clock.Deadline).
 func (d *driver) waitScheduled(timeout time.Duration, done func() bool) bool {
-	deadline := d.clk.Now().Add(timeout)
+	dl := clock.NewDeadline(d.clk, timeout, time.Second)
 	for !done() {
-		if d.clk.Now().After(deadline) {
-			graceStart := clock.System.Now()
-			for !done() {
-				if clock.System.Since(graceStart) > time.Second {
-					return false
-				}
-				clock.System.Sleep(time.Millisecond)
-			}
+		if !dl.Poll() {
+			return false
 		}
-		d.clk.Sleep(5 * time.Millisecond)
 	}
 	return true
 }
+
+// wallStamp is an explicit clock.System read: a named decision.
+func wallStamp() time.Time { return clock.System.Now() }
 
 // waitLeaky is the regression this fixture pins: mixing direct
 // time-package reads into a scaled driver silently anchors the

@@ -244,21 +244,16 @@ func (tb *Testbed) SwarmHealth() (shards int, down []int) {
 
 // waitSwarmPods polls until every pod succeeded, returning pod→node
 // placements. Workers only return errors on programming mistakes, so a
-// Failed pod is surfaced verbatim.
+// Failed pod is surfaced verbatim. The workers do real work, so past
+// the scenario timeout they get ReadyTimeout of wall time.
 func (tb *Testbed) waitSwarmPods(ctx context.Context, podNames []string, timeout time.Duration) (map[string]string, error) {
 	placements := map[string]string{}
-	deadline := tb.clk.Now().Add(timeout)
-	// On a time-compressed testbed the clocked deadline can expire in
-	// wall microseconds while the workers are still doing real work —
-	// scenario time bounds the schedule, not the host CPU. Once the
-	// scenario deadline passes, the workers get a wall-clock grace
-	// before the wait gives up.
-	var graceStart time.Time
+	d := clock.NewDeadline(tb.clk, timeout, tb.opts.ReadyTimeout)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		done := 0
+		var waiting []string
 		for _, name := range podNames {
 			p, err := tb.Cluster.GetPod(name)
 			if err != nil {
@@ -267,29 +262,18 @@ func (tb *Testbed) waitSwarmPods(ctx context.Context, podNames []string, timeout
 			switch p.Status.Phase {
 			case kube.PodSucceeded:
 				placements[name] = p.Status.NodeName
-				done++
 			case kube.PodFailed:
 				return nil, fmt.Errorf("core: swarm pod %s failed: %s", name, p.Status.Message)
+			default:
+				waiting = append(waiting, name)
 			}
 		}
-		if done == len(podNames) {
+		if len(waiting) == 0 {
 			return placements, nil
 		}
-		if tb.clk.Now().After(deadline) {
-			if graceStart.IsZero() {
-				graceStart = clock.System.Now()
-			}
-			if clock.System.Since(graceStart) > tb.opts.ReadyTimeout {
-				var waiting []string
-				for _, name := range podNames {
-					if _, ok := placements[name]; !ok {
-						waiting = append(waiting, name)
-					}
-				}
-				return nil, fmt.Errorf("core: swarm timed out waiting for pods %s", strings.Join(waiting, ", "))
-			}
+		if !d.Poll() {
+			return nil, fmt.Errorf("core: swarm timed out waiting for pods %s", strings.Join(waiting, ", "))
 		}
-		tb.clk.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/model"
 	"repro/internal/property"
 )
@@ -62,17 +63,14 @@ func (tb *Testbed) RunTestCase(tc TestCase) error {
 		}
 	}
 	state := property.StoreState(tb.Store)
-	deadline := tb.clk.Now().Add(within)
-	for {
-		if tc.Expect.Eval(state) {
-			return nil
-		}
-		if tb.clk.Now().After(deadline) {
+	d := clock.NewDeadline(tb.clk, within, tb.opts.ReadyTimeout)
+	for !tc.Expect.Eval(state) {
+		if !d.Poll() {
 			return fmt.Errorf("core: test case %q failed: %s",
 				tc.Name, describeFailure(tc.Expect, state))
 		}
-		tb.clk.Sleep(5 * time.Millisecond)
 	}
+	return nil
 }
 
 // RunTestCases executes cases in order, stopping at the first failure.

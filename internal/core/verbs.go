@@ -31,21 +31,7 @@ func (tb *Testbed) Run(typ, name string, config map[string]any) error {
 	if diags := vet.Errors(vet.CheckDoc(doc)); len(diags) > 0 {
 		return fmt.Errorf("core: %s fails vet: %s", name, vet.Summary(diags))
 	}
-	if err := tb.Store.Create(doc); err != nil {
-		return err
-	}
-	if err := tb.Cluster.CreatePod(&kube.Pod{
-		Name:   podName(name),
-		Spec:   kube.PodSpec{Image: "digi", Env: map[string]any{"name": name}, RestartPolicy: kube.RestartAlways},
-		Labels: map[string]string{"digi": name, "type": typ},
-	}); err != nil {
-		tb.Store.Delete(name)
-		return err
-	}
-	if err := tb.Cluster.WaitPodPhase(podName(name), kube.PodRunning, tb.opts.ReadyTimeout); err != nil {
-		return err
-	}
-	return tb.Runtime.WaitReady(name, tb.opts.ReadyTimeout)
+	return tb.deploy(typ, name, doc)
 }
 
 // RunDoc deploys a digi from a complete model document (used by
@@ -62,21 +48,27 @@ func (tb *Testbed) RunDoc(doc model.Doc) error {
 	if err := kind.Schema.Validate(doc); err != nil {
 		return err
 	}
+	return tb.deploy(meta.Type, meta.Name, doc)
+}
+
+// deploy stores a validated model and runs its digi as a pod, blocking
+// until the reconciler is live.
+func (tb *Testbed) deploy(typ, name string, doc model.Doc) error {
 	if err := tb.Store.Create(doc); err != nil {
 		return err
 	}
 	if err := tb.Cluster.CreatePod(&kube.Pod{
-		Name:   podName(meta.Name),
-		Spec:   kube.PodSpec{Image: "digi", Env: map[string]any{"name": meta.Name}, RestartPolicy: kube.RestartAlways},
-		Labels: map[string]string{"digi": meta.Name, "type": meta.Type},
+		Name:   podName(name),
+		Spec:   kube.PodSpec{Image: "digi", Env: map[string]any{"name": name}, RestartPolicy: kube.RestartAlways},
+		Labels: map[string]string{"digi": name, "type": typ},
 	}); err != nil {
-		tb.Store.Delete(meta.Name)
+		tb.Store.Delete(name)
 		return err
 	}
-	if err := tb.Cluster.WaitPodPhase(podName(meta.Name), kube.PodRunning, tb.opts.ReadyTimeout); err != nil {
+	if err := tb.Cluster.WaitPodPhase(podName(name), kube.PodRunning, tb.opts.ReadyTimeout); err != nil {
 		return err
 	}
-	return tb.Runtime.WaitReady(meta.Name, tb.opts.ReadyTimeout)
+	return tb.Runtime.WaitReady(name, tb.opts.ReadyTimeout)
 }
 
 // StopDigi implements "dbox stop NAME": delete the pod and the model,
@@ -363,27 +355,15 @@ func setAttach(d model.Doc, att []string) {
 
 // WaitConverged polls until cond holds or the timeout elapses — a
 // helper for tests and examples synchronising on ensemble effects.
-// The timeout is scenario time, but convergence often rides
-// wall-domain work (a client redialling a real TCP broker, goroutine
-// handoffs), so after the scenario deadline expires the condition
-// gets a wall-clock grace (ReadyTimeout, polled on the wall clock)
-// before the wait gives up — on a heavily compressed testbed the
-// scenario deadline can pass in wall microseconds, long before the
-// host had any chance to do the work being awaited.
+// Convergence often rides wall-domain work (a client redialling a real
+// TCP broker, goroutine handoffs), so past the scenario timeout the
+// condition gets ReadyTimeout of wall time.
 func (tb *Testbed) WaitConverged(timeout time.Duration, cond func() bool) error {
-	deadline := tb.clk.Now().Add(timeout)
+	d := clock.NewDeadline(tb.clk, timeout, tb.opts.ReadyTimeout)
 	for !cond() {
-		if tb.clk.Now().After(deadline) {
-			graceStart := clock.System.Now()
-			for !cond() {
-				if clock.System.Since(graceStart) > tb.opts.ReadyTimeout {
-					return fmt.Errorf("core: condition not reached within %v", timeout)
-				}
-				clock.System.Sleep(time.Millisecond)
-			}
-			return nil
+		if !d.Poll() {
+			return fmt.Errorf("core: condition not reached within %v", timeout)
 		}
-		tb.clk.Sleep(5 * time.Millisecond)
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/property"
 	"repro/internal/scene"
+	"repro/internal/trace"
 	"repro/internal/vet"
 )
 
@@ -361,9 +362,16 @@ func TestCheckTraceOverHTTP(t *testing.T) {
 	if err := cli.Edit("L1", map[string]any{"power": map[string]any{"intent": "on"}}); err != nil {
 		t.Fatal(err)
 	}
+	// Wait on the trace, not the store: L1's reconciler logs the action
+	// only after it has observed the commit, and the pushed trace has to
+	// hold it.
 	if err := tb.WaitConverged(5*time.Second, func() bool {
-		d, _ := tb.Check("L1")
-		return d != nil && d.GetString("power.status") == "on"
+		for _, r := range tb.Log.RecordsFor("L1") {
+			if r.Kind == trace.KindAction && r.Sets["power.status"] == "on" {
+				return true
+			}
+		}
+		return false
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -326,14 +326,20 @@ func (rt *Runtime) markReady(name string) {
 	}
 }
 
+// readyGrace is WaitReady's wall-clock grace (see clock.Deadline): the
+// pod is Running, the reconciler goroutine only has to be scheduled.
+const readyGrace = 2 * time.Second
+
 // WaitReady blocks until the named digi's reconciler is watching its
 // model (so no subsequent update can be missed), or the timeout
 // elapses. Testbeds use this between starting a digi and driving it.
 func (rt *Runtime) WaitReady(name string, timeout time.Duration) error {
+	d := clock.NewDeadline(rt.clk(), timeout, readyGrace)
+	defer d.Stop()
 	select {
 	case <-rt.readyCh(name):
 		return nil
-	case <-rt.clk().After(timeout):
+	case <-d.Done():
 		return fmt.Errorf("digi: %s not ready after %v", name, timeout)
 	}
 }

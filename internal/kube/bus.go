@@ -18,12 +18,12 @@ func (c *Cluster) BindBus(bus *obs.Bus) {
 		c.mu.Unlock()
 		return
 	}
-	w := &PodWatch{w: c.api.watchPods(nil)}
+	w := c.api.watchPods(nil)
 	c.busWatch = w
 	c.mu.Unlock()
 	go func() {
 		last := map[string]PodPhase{}
-		for ev := range w.C() {
+		for ev := range w.C {
 			name := ev.Pod.Name
 			if ev.Type == Deleted {
 				delete(last, name)

@@ -27,7 +27,7 @@ type Cluster struct {
 	zones    map[zonePair]time.Duration
 	sched    *scheduler
 	metrics  *clusterMetrics // nil until BindMetrics
-	busWatch *PodWatch       // nil until BindBus; closed by Stop
+	busWatch *podWatcher     // nil until BindBus; closed by Stop
 	started  bool
 	stopped  bool
 }
@@ -314,72 +314,32 @@ func (c *Cluster) ListPods() []*Pod {
 	return c.api.listPods()
 }
 
-// ListNodes returns deep copies of all nodes, sorted by name.
-func (c *Cluster) ListNodes() []*Node {
-	return c.api.listNodes()
-}
-
-// WatchPods registers a pod watcher. A nil filter receives everything.
-// The initial state is replayed as ADDED events.
-func (c *Cluster) WatchPods(filter func(PodEvent) bool) *PodWatch {
-	return &PodWatch{w: c.api.watchPods(filter)}
-}
-
-// PodWatch is an active pod watch stream.
-type PodWatch struct{ w *podWatcher }
-
-// C delivers events until Close.
-func (pw *PodWatch) C() <-chan PodEvent { return pw.w.C }
-
-// Close terminates the stream.
-func (pw *PodWatch) Close() { pw.w.Close() }
+// waitGrace is the pod waits' wall-clock grace (see clock.Deadline):
+// what the host may take to run the scheduler → agent → watch
+// goroutine chain after the scenario timeout has expired.
+const waitGrace = 2 * time.Second
 
 // WaitPodPhase blocks until the pod reaches the phase or the timeout
 // elapses.
 func (c *Cluster) WaitPodPhase(name string, phase PodPhase, timeout time.Duration) error {
-	deadline := c.clock.Now().Add(timeout)
+	d := clock.NewDeadline(c.clock, timeout, waitGrace)
+	defer d.Stop()
 	w := c.api.watchPods(func(ev PodEvent) bool { return ev.Pod.Name == name })
 	defer w.Close()
 	for {
-		remain := deadline.Sub(c.clock.Now())
-		if remain <= 0 {
-			return fmt.Errorf("kube: timeout waiting for pod %q to reach %s", name, phase)
-		}
 		select {
 		case ev, ok := <-w.C:
 			if !ok {
 				return fmt.Errorf("kube: watch closed waiting for pod %q", name)
 			}
-			if ev.Type != Deleted && ev.Pod.Status.Phase == phase {
-				return nil
-			}
 			if ev.Type == Deleted {
 				return fmt.Errorf("kube: pod %q deleted while waiting for %s", name, phase)
 			}
-		case <-c.clock.After(remain):
-			// On a time-compressed clock the scenario deadline can
-			// expire in the same wall instant as the goroutine chain
-			// still propagating the transition (scheduler → agent →
-			// watch). The clocked timeout bounds the *schedule*, not
-			// the host's goroutine latency, so grant a short
-			// wall-clock grace before declaring failure.
-			grace := clock.System.After(2 * time.Second)
-			for {
-				select {
-				case ev, ok := <-w.C:
-					if !ok {
-						return fmt.Errorf("kube: watch closed waiting for pod %q", name)
-					}
-					if ev.Type == Deleted {
-						return fmt.Errorf("kube: pod %q deleted while waiting for %s", name, phase)
-					}
-					if ev.Pod.Status.Phase == phase {
-						return nil
-					}
-				case <-grace:
-					return fmt.Errorf("kube: timeout waiting for pod %q to reach %s", name, phase)
-				}
+			if ev.Pod.Status.Phase == phase {
+				return nil
 			}
+		case <-d.Done():
+			return fmt.Errorf("kube: timeout waiting for pod %q to reach %s", name, phase)
 		}
 	}
 }
@@ -387,31 +347,24 @@ func (c *Cluster) WaitPodPhase(name string, phase PodPhase, timeout time.Duratio
 // WaitAllRunning blocks until every pod currently in the store is
 // Running (or terminal-failure, which is reported as an error).
 func (c *Cluster) WaitAllRunning(timeout time.Duration) error {
-	deadline := c.clock.Now().Add(timeout)
+	d := clock.NewDeadline(c.clock, timeout, waitGrace)
 	for {
-		allRunning := true
+		pending := 0
 		for _, p := range c.api.listPods() {
 			switch p.Status.Phase {
 			case PodFailed:
 				return fmt.Errorf("kube: pod %q failed: %s", p.Name, p.Status.Message)
 			case PodRunning:
 			default:
-				allRunning = false
+				pending++
 			}
 		}
-		if allRunning {
+		if pending == 0 {
 			return nil
 		}
-		if c.clock.Now().After(deadline) {
-			pending := 0
-			for _, p := range c.api.listPods() {
-				if p.Status.Phase != PodRunning {
-					pending++
-				}
-			}
+		if !d.Poll() {
 			return fmt.Errorf("kube: timeout with %d pods not running", pending)
 		}
-		c.clock.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -325,10 +326,10 @@ func TestWatchReplaysExistingPods(t *testing.T) {
 	c.CreatePod(&Pod{Name: "pre", Spec: PodSpec{Image: "digi/block"}})
 	c.WaitPodPhase("pre", PodRunning, 5*time.Second)
 
-	w := c.WatchPods(nil)
+	w := c.api.watchPods(nil)
 	defer w.Close()
 	select {
-	case ev := <-w.C():
+	case ev := <-w.C:
 		if ev.Type != Added || ev.Pod.Name != "pre" {
 			t.Errorf("first event = %+v", ev)
 		}
@@ -340,10 +341,10 @@ func TestWatchReplaysExistingPods(t *testing.T) {
 func TestWatchEventsAreCopies(t *testing.T) {
 	c := testCluster(t, "n1")
 	c.RegisterImage("digi/block", blockingImage(nil, nil))
-	w := c.WatchPods(nil)
+	w := c.api.watchPods(nil)
 	defer w.Close()
 	c.CreatePod(&Pod{Name: "p", Spec: PodSpec{Image: "digi/block", Env: map[string]any{"k": "v"}}})
-	ev := <-w.C()
+	ev := <-w.C
 	ev.Pod.Spec.Env["k"] = "mutated"
 	p, _ := c.GetPod("p")
 	if p.Spec.Env["k"] != "v" {
@@ -430,29 +431,25 @@ func TestWaitAllRunningReportsFailure(t *testing.T) {
 	}
 }
 
-// The pump must not leave a delivered event (and its pod copy)
-// reachable from the queue's backing array.
+// A delivered event (and its pod copy) must not stay reachable from the
+// watcher's queue: once the consumer drops it, the collector frees it
+// while the watch is still open.
 func TestPodWatcherPumpReleasesDeliveredEvents(t *testing.T) {
 	a := testCluster(t, "n1").api
 	w := a.watchPods(func(ev PodEvent) bool { return ev.Type == Added })
 	defer w.Close()
-	w.qmu.Lock()
-	w.queue = make([]PodEvent, 0, 8)
-	backing := w.queue[:8]
-	w.qmu.Unlock()
 	for i := 0; i < 3; i++ {
 		if err := a.createPod(&Pod{Name: fmt.Sprintf("p%d", i), Spec: PodSpec{Image: "missing"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	var freed atomic.Int32
 	for i := 0; i < 3; i++ {
-		<-w.C
+		ev := <-w.C
+		runtime.SetFinalizer(ev.Pod, func(*Pod) { freed.Add(1) })
 	}
-	w.qmu.Lock()
-	defer w.qmu.Unlock()
-	for i, ev := range backing[:3] {
-		if ev.Pod != nil {
-			t.Errorf("slot %d still holds pod %s after delivery", i, ev.Pod.Name)
-		}
-	}
+	waitFor(t, func() bool {
+		runtime.GC()
+		return freed.Load() == 3
+	}, "delivered pods collected")
 }

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/queue"
 )
 
 // apiServer is the cluster's object store: versioned pods and nodes
@@ -22,15 +24,14 @@ type apiServer struct {
 	nodes   map[string]*Node
 
 	watchMu  sync.Mutex
-	watchers map[int]*podWatcher
-	nextID   int
+	watchers map[*podWatcher]struct{}
 }
 
 func newAPIServer() *apiServer {
 	return &apiServer{
 		pods:     map[string]*Pod{},
 		nodes:    map[string]*Node{},
-		watchers: map[int]*podWatcher{},
+		watchers: map[*podWatcher]struct{}{},
 	}
 }
 
@@ -55,7 +56,7 @@ func (a *apiServer) createPod(p *Pod) error {
 		stored.Spec.RestartPolicy = RestartAlways
 	}
 	a.pods[stored.Name] = stored
-	a.broadcast(PodEvent{Type: Added, Pod: stored.DeepCopy()})
+	a.broadcast(PodEvent{Type: Added, Pod: stored})
 	a.mu.Unlock()
 	return nil
 }
@@ -87,7 +88,7 @@ func (a *apiServer) updatePod(name string, fn func(*Pod) bool) (*Pod, error) {
 	a.version++
 	p.ResourceVersion = a.version
 	out := p.DeepCopy()
-	a.broadcast(PodEvent{Type: Modified, Pod: p.DeepCopy()})
+	a.broadcast(PodEvent{Type: Modified, Pod: p})
 	a.mu.Unlock()
 	return out, nil
 }
@@ -101,7 +102,7 @@ func (a *apiServer) deletePod(name string) error {
 	}
 	delete(a.pods, name)
 	a.version++
-	a.broadcast(PodEvent{Type: Deleted, Pod: p.DeepCopy()})
+	a.broadcast(PodEvent{Type: Deleted, Pod: p})
 	a.mu.Unlock()
 	return nil
 }
@@ -169,110 +170,61 @@ func (a *apiServer) listNodes() []*Node {
 // --- watch ---
 
 // podWatcher delivers pod events in commit order on C, decoupled from
-// writers by an unbounded queue (see model.Watcher for rationale).
+// writers by an unbounded queue.
 type podWatcher struct {
-	C <-chan PodEvent
+	*queue.Queue[PodEvent]
 
 	api    *apiServer
-	id     int
 	filter func(PodEvent) bool
-
-	qmu    sync.Mutex
-	qcond  *sync.Cond
-	queue  []PodEvent
-	closed bool
-	done   chan struct{}
 }
 
 // watchPods registers a watcher; existing pods are replayed first as
 // ADDED events (a "list+watch" in one call, like a k8s informer).
+// filter (nil for everything) sees the stored pod, read-only; only an
+// event it accepts is copied, so a one-pod watch on a large cluster
+// costs one copy, not one per pod.
 func (a *apiServer) watchPods(filter func(PodEvent) bool) *podWatcher {
-	ch := make(chan PodEvent)
-	w := &podWatcher{C: ch, api: a, filter: filter, done: make(chan struct{})}
-	w.qcond = sync.NewCond(&w.qmu)
+	w := &podWatcher{Queue: queue.New[PodEvent](), api: a, filter: filter}
 
 	// Snapshot + register atomically with respect to writers so no
 	// event is missed or duplicated.
 	a.mu.Lock()
-	var initial []PodEvent
+	var initial []*Pod
 	for _, p := range a.pods {
-		initial = append(initial, PodEvent{Type: Added, Pod: p.DeepCopy()})
-	}
-	sort.Slice(initial, func(i, j int) bool { return initial[i].Pod.Name < initial[j].Pod.Name })
-	for _, ev := range initial {
-		if filter == nil || filter(ev) {
-			w.enqueue(ev)
+		if filter == nil || filter(PodEvent{Type: Added, Pod: p}) {
+			initial = append(initial, p)
 		}
 	}
+	sort.Slice(initial, func(i, j int) bool { return initial[i].Name < initial[j].Name })
+	for _, p := range initial {
+		w.Push(PodEvent{Type: Added, Pod: p.DeepCopy()})
+	}
 	a.watchMu.Lock()
-	w.id = a.nextID
-	a.nextID++
-	a.watchers[w.id] = w
+	a.watchers[w] = struct{}{}
 	a.watchMu.Unlock()
 	a.mu.Unlock()
-
-	go w.pump(ch)
 	return w
 }
 
 // broadcast is called with a.mu held so that watcher registration
 // (which snapshots under a.mu) can never observe an event twice or
-// miss one. Enqueueing never blocks on consumers.
+// miss one. ev carries the stored pod; each accepting watcher gets its
+// own copy. Pushing never blocks on consumers.
 func (a *apiServer) broadcast(ev PodEvent) {
 	a.watchMu.Lock()
 	defer a.watchMu.Unlock()
-	for _, w := range a.watchers {
+	for w := range a.watchers {
 		if w.filter != nil && !w.filter(ev) {
 			continue
 		}
-		w.enqueue(PodEvent{Type: ev.Type, Pod: ev.Pod.DeepCopy()})
+		w.Push(PodEvent{Type: ev.Type, Pod: ev.Pod.DeepCopy()})
 	}
 }
 
-func (w *podWatcher) enqueue(ev PodEvent) {
-	w.qmu.Lock()
-	if !w.closed {
-		w.queue = append(w.queue, ev)
-		w.qcond.Signal()
-	}
-	w.qmu.Unlock()
-}
-
-func (w *podWatcher) pump(ch chan PodEvent) {
-	defer close(ch)
-	for {
-		w.qmu.Lock()
-		for len(w.queue) == 0 && !w.closed {
-			w.qcond.Wait()
-		}
-		if w.closed && len(w.queue) == 0 {
-			w.qmu.Unlock()
-			return
-		}
-		ev := w.queue[0]
-		// Zero the slot: the backing array outlives the reslice, and
-		// would keep the event's pod reachable until it regrows.
-		w.queue[0] = PodEvent{}
-		w.queue = w.queue[1:]
-		w.qmu.Unlock()
-		select {
-		case ch <- ev:
-		case <-w.done:
-			return
-		}
-	}
-}
-
-// Close unregisters the watcher.
+// Close unregisters the watcher and ends its queue.
 func (w *podWatcher) Close() {
 	w.api.watchMu.Lock()
-	delete(w.api.watchers, w.id)
+	delete(w.api.watchers, w)
 	w.api.watchMu.Unlock()
-	w.qmu.Lock()
-	if !w.closed {
-		w.closed = true
-		close(w.done)
-		w.qcond.Signal()
-	}
-	w.qmu.Unlock()
+	w.Queue.Close()
 }

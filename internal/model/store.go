@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/queue"
 )
 
 // Update describes one committed change to a stored model.
@@ -22,15 +24,12 @@ type Update struct {
 // exclusive section and swap it in, so a mutation and its diff are
 // atomic and a committed document never changes.
 //
-// Watchers receive every committed update in order. Each watcher has an
-// unbounded in-memory queue pumped by its own goroutine, so a slow
-// consumer never blocks writers (the same decoupling the k8s watch
-// cache provides, minus the resync path since queues are unbounded).
+// Watchers receive every committed update in order, each through its
+// own queue.Queue, so a slow consumer never blocks writers.
 type Store struct {
 	mu       sync.RWMutex
 	docs     map[string]*entry
-	watchers map[int]*Watcher
-	nextID   int
+	watchers map[*Watcher]struct{}
 	gen      uint64
 }
 
@@ -43,7 +42,7 @@ type entry struct {
 func NewStore() *Store {
 	return &Store{
 		docs:     map[string]*entry{},
-		watchers: map[int]*Watcher{},
+		watchers: map[*Watcher]struct{}{},
 	}
 }
 
@@ -188,29 +187,19 @@ func (s *Store) Gen() uint64 {
 type Watcher struct {
 	C <-chan Update
 
-	id     int
+	q      *queue.Queue[Update]
 	store  *Store
 	filter func(Update) bool
-
-	qmu    sync.Mutex
-	qcond  *sync.Cond
-	queue  []Update
-	closed bool
-	done   chan struct{}
 }
 
 // Watch registers a watcher. filter may be nil to receive everything;
 // otherwise only updates for which filter returns true are queued.
 func (s *Store) Watch(filter func(Update) bool) *Watcher {
-	ch := make(chan Update)
-	w := &Watcher{C: ch, store: s, filter: filter, done: make(chan struct{})}
-	w.qcond = sync.NewCond(&w.qmu)
+	q := queue.New[Update]()
+	w := &Watcher{C: q.C, q: q, store: s, filter: filter}
 	s.mu.Lock()
-	w.id = s.nextID
-	s.nextID++
-	s.watchers[w.id] = w
+	s.watchers[w] = struct{}{}
 	s.mu.Unlock()
-	go w.pump(ch)
 	return w
 }
 
@@ -220,47 +209,13 @@ func (s *Store) WatchName(name string) *Watcher {
 }
 
 func (s *Store) broadcast(u Update) {
-	// Called with s.mu held; enqueueing only takes the watcher queue
-	// locks, never blocks on consumers.
-	for _, w := range s.watchers {
+	// Called with s.mu held; Push only takes the watcher's queue lock,
+	// never blocks on consumers.
+	for w := range s.watchers {
 		if w.filter != nil && !w.filter(u) {
 			continue
 		}
-		w.enqueue(u)
-	}
-}
-
-func (w *Watcher) enqueue(u Update) {
-	w.qmu.Lock()
-	if !w.closed {
-		w.queue = append(w.queue, u)
-		w.qcond.Signal()
-	}
-	w.qmu.Unlock()
-}
-
-func (w *Watcher) pump(ch chan Update) {
-	defer close(ch)
-	for {
-		w.qmu.Lock()
-		for len(w.queue) == 0 && !w.closed {
-			w.qcond.Wait()
-		}
-		if w.closed && len(w.queue) == 0 {
-			w.qmu.Unlock()
-			return
-		}
-		u := w.queue[0]
-		// Zero the slot: the backing array outlives the reslice, and
-		// would keep the update's document reachable until it regrows.
-		w.queue[0] = Update{}
-		w.queue = w.queue[1:]
-		w.qmu.Unlock()
-		select {
-		case ch <- u:
-		case <-w.done:
-			return
-		}
+		w.q.Push(u)
 	}
 }
 
@@ -268,13 +223,7 @@ func (w *Watcher) pump(ch chan Update) {
 // immediately; the pump goroutine exits and C is eventually closed.
 func (w *Watcher) Close() {
 	w.store.mu.Lock()
-	delete(w.store.watchers, w.id)
+	delete(w.store.watchers, w)
 	w.store.mu.Unlock()
-	w.qmu.Lock()
-	if !w.closed {
-		w.closed = true
-		close(w.done)
-		w.qcond.Signal()
-	}
-	w.qmu.Unlock()
+	w.q.Close()
 }

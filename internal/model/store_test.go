@@ -3,7 +3,9 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -323,30 +325,29 @@ func TestQuickWatchStreamReconstructsState(t *testing.T) {
 	}
 }
 
-// The pump must not leave a delivered update (and its document)
-// reachable from the queue's backing array.
+// A delivered update (and its diff) must not stay reachable from the
+// watcher's queue: once the consumer drops it, the collector frees it
+// while the watch is still open.
 func TestWatcherPumpReleasesDeliveredUpdates(t *testing.T) {
 	s := storeWithLamp(t)
 	w := s.WatchName("L1")
 	defer w.Close()
-	w.qmu.Lock()
-	w.queue = make([]Update, 0, 8)
-	backing := w.queue[:8]
-	w.qmu.Unlock()
 	for i := 0; i < 3; i++ {
 		if _, err := s.Patch("L1", map[string]any{"n": int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	var freed atomic.Int32
 	for i := 0; i < 3; i++ {
-		<-w.C
+		u := <-w.C
+		runtime.SetFinalizer(&u.Changes[0], func(*Change) { freed.Add(1) })
 	}
-	w.qmu.Lock()
-	defer w.qmu.Unlock()
-	for i, u := range backing[:3] {
-		if u.Doc != nil || u.Changes != nil {
-			t.Errorf("slot %d still holds gen %d after delivery", i, u.Gen)
+	deadline := time.Now().Add(5 * time.Second)
+	for freed.Load() != 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 3 delivered updates collected", freed.Load())
 		}
+		runtime.GC()
 	}
 }
 

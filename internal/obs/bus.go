@@ -40,7 +40,6 @@ type Event struct {
 // unconditionally and a nil *Bus collapses the layer to no-ops.
 type Bus struct {
 	clk       clock.Clock
-	wall      clock.Clock
 	published *Counter
 	dropped   *Counter
 
@@ -66,21 +65,11 @@ type Sub struct {
 func NewBus(reg *Registry, clk clock.Clock) *Bus {
 	return &Bus{
 		clk:       clock.Or(clk),
-		wall:      clock.System,
 		published: reg.Counter("digibox_events_published_total", "Events published onto the fan-out bus."),
 		dropped:   reg.Counter("digibox_events_dropped_total", "Events shed because a subscriber's bounded buffer was full."),
 		subs:      map[*Sub]struct{}{},
 		stop:      make(chan struct{}),
 	}
-}
-
-// SetWallClock overrides the secondary wall-time stamp source
-// (tests). The primary AtMs clock stays as constructed.
-func (b *Bus) SetWallClock(wall clock.Clock) {
-	if b == nil || wall == nil {
-		return
-	}
-	b.wall = wall
 }
 
 // Publish stamps and fans an event out to every subscriber,
@@ -91,7 +80,7 @@ func (b *Bus) Publish(kind string, data map[string]any) {
 		return
 	}
 	now := b.clk.Now().UnixMilli()
-	wall := b.wall.Now().UnixMilli()
+	wall := clock.System.Now().UnixMilli()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {

@@ -97,12 +97,6 @@ type digiState struct {
 	epoch   int // bumped on every stop/restart; stale timers no-op
 }
 
-// NewEngine prepares an unpaced deterministic run of sc against the
-// kinds in registry.
-func NewEngine(registry *digi.Registry, sc *Scenario) (*Engine, error) {
-	return NewEngineExec(registry, sc, ExecOptions{})
-}
-
 // NewEngineExec prepares a deterministic run in the given execution
 // mode. The scenario is validated here. Every run — paced or not —
 // drives the same clock.Scaled loop, so there is exactly one

@@ -105,6 +105,9 @@ func (s *Session) RunWorker(ctx context.Context, w int) error {
 func (s *Session) Finish(quiesce time.Duration) *Report {
 	published := s.gen.Published()
 	expected := published * int64(s.spec.Subs)
+	// A settle bound, not a failure deadline, so not a clock.Deadline:
+	// running out of quiesce is no error — the shortfall is reported as
+	// Lost — and a wall grace would only delay every lossy run's report.
 	deadline := s.clk.Now().Add(quiesce)
 	for s.clk.Now().Before(deadline) && atomic.LoadInt64(&s.delivered) < expected {
 		s.clk.Sleep(5 * time.Millisecond)

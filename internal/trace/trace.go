@@ -75,24 +75,26 @@ type Record struct {
 	Fault string `json:"fault,omitempty"`
 }
 
+// chunkSize is the number of records per storage chunk. Every digi
+// blocks in Append while a chunk is allocated and an idle log holds
+// one, so chunks are small: 256 records are 50 KB and ≈ 0.1 ms.
+const chunkSize = 256
+
 // Log is an append-only, concurrency-safe trace log for one testbed
-// run.
+// run. Records live in fixed-size chunks, so Append never copies the
+// log to grow it.
 type Log struct {
-	mu    sync.Mutex
-	start time.Time
-	seq   uint64
-	recs  []Record
-	subs  []func(Record)
+	mu     sync.Mutex
+	start  time.Time
+	seq    uint64
+	chunks [][]Record // all full but the last
+	subs   []func(Record)
 	// now is injectable for deterministic tests.
 	now func() time.Time
 }
 
 // NewLog starts an empty log whose timestamps are relative to now.
-func NewLog() *Log {
-	l := &Log{now: clock.System.Now}
-	l.start = l.now()
-	return l
-}
+func NewLog() *Log { return NewLogAt(clock.System.Now) }
 
 // NewLogAt starts a log with an injected clock (tests, replay).
 func NewLogAt(now func() time.Time) *Log {
@@ -107,7 +109,12 @@ func (l *Log) Append(r Record) Record {
 	l.seq++
 	r.Seq = l.seq
 	r.TS = l.now().Sub(l.start)
-	l.recs = append(l.recs, r)
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == chunkSize {
+		l.chunks = append(l.chunks, make([]Record, 0, chunkSize))
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], r)
 	subs := l.subs
 	l.mu.Unlock()
 	for _, fn := range subs {
@@ -156,17 +163,31 @@ func (l *Log) Span(name, topic string, elapsed time.Duration) {
 		Fields: map[string]any{"elapsed_ns": int64(elapsed)}})
 }
 
-// Faults returns all fault/recovery records.
-func (l *Log) Faults() []Record {
+// snapshot returns the chunks as they are now. Stored records are never
+// rewritten, so the result is safe to read without the lock while
+// Append fills the last chunk's spare capacity.
+func (l *Log) snapshot() [][]Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return append([][]Record(nil), l.chunks...)
+}
+
+// filter returns the records keep accepts, in sequence order.
+func (l *Log) filter(keep func(*Record) bool) []Record {
 	var out []Record
-	for _, r := range l.recs {
-		if r.Kind == KindFault {
-			out = append(out, r)
+	for _, c := range l.snapshot() {
+		for i := range c {
+			if keep(&c[i]) {
+				out = append(out, c[i])
+			}
 		}
 	}
 	return out
+}
+
+// Faults returns all fault/recovery records.
+func (l *Log) Faults() []Record {
+	return l.filter(func(r *Record) bool { return r.Kind == KindFault })
 }
 
 // Subscribe registers fn to receive every subsequently appended
@@ -182,10 +203,15 @@ func (l *Log) Subscribe(fn func(Record)) {
 
 // Records returns a copy of all records in sequence order.
 func (l *Log) Records() []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Record, len(l.recs))
-	copy(out, l.recs)
+	chunks := l.snapshot()
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	out := make([]Record, 0, n)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 
@@ -193,7 +219,10 @@ func (l *Log) Records() []Record {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.recs)
+	if len(l.chunks) == 0 {
+		return 0
+	}
+	return (len(l.chunks)-1)*chunkSize + len(l.chunks[len(l.chunks)-1])
 }
 
 // Bounds returns the wall-clock start of the log and the timestamp of
@@ -201,52 +230,36 @@ func (l *Log) Len() int {
 // per-kind record counts — the self-describing header data for
 // shared archives.
 func (l *Log) Bounds() (start, end time.Time, kinds map[Kind]int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	start, end = l.start, l.start
-	if n := len(l.recs); n > 0 {
-		end = l.start.Add(l.recs[n-1].TS)
-	}
 	kinds = map[Kind]int{}
-	for _, r := range l.recs {
-		kinds[r.Kind]++
+	for _, c := range l.snapshot() {
+		for i := range c {
+			kinds[c[i].Kind]++
+		}
+		end = l.start.Add(c[len(c)-1].TS)
 	}
 	return start, end, kinds
 }
 
 // RecordsFor returns records for one mock/scene name.
 func (l *Log) RecordsFor(name string) []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Record
-	for _, r := range l.recs {
-		if r.Name == name {
-			out = append(out, r)
-		}
-	}
-	return out
+	return l.filter(func(r *Record) bool { return r.Name == name })
 }
 
 // Violations returns all property-violation records.
 func (l *Log) Violations() []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Record
-	for _, r := range l.recs {
-		if r.Kind == KindViolation {
-			out = append(out, r)
-		}
-	}
-	return out
+	return l.filter(func(r *Record) bool { return r.Kind == KindViolation })
 }
 
 // WriteJSONL streams the log as one JSON object per line.
 func (l *Log) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, r := range l.Records() {
-		if err := enc.Encode(r); err != nil {
-			return err
+	for _, c := range l.snapshot() {
+		for i := range c {
+			if err := enc.Encode(&c[i]); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()

@@ -6,10 +6,12 @@ import (
 	"io"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fakeClock yields deterministic, strictly increasing timestamps.
@@ -484,5 +486,32 @@ func TestArchiveMeta(t *testing.T) {
 	}
 	if counts["action"] != "5" || counts["event"] != "1" {
 		t.Fatalf("kind counts: %v\n%s", counts, meta)
+	}
+}
+
+// Append must never copy the log to grow it: filling a log allocates
+// little more than the records themselves, and the accessors see every
+// record across chunk boundaries.
+func TestAppendDoesNotCopyTheLog(t *testing.T) {
+	const n = 1 << 20
+	l := NewLog()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		l.Append(Record{Kind: KindEvent})
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(1.5 * n * float64(unsafe.Sizeof(Record{}))); got > limit {
+		t.Errorf("appending %d records allocated %d MB, want under %d MB", n, got>>20, limit>>20)
+	}
+	if l.Len() != n {
+		t.Fatalf("Len = %d, want %d", l.Len(), n)
+	}
+	recs := l.Records()
+	for _, i := range []int{0, chunkSize - 1, chunkSize, n - 1} {
+		if recs[i].Seq != uint64(i+1) {
+			t.Errorf("Records()[%d].Seq = %d, want %d", i, recs[i].Seq, i+1)
+		}
 	}
 }
