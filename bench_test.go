@@ -11,6 +11,10 @@ package digibox
 //	                          (< 60 ms)
 //	BenchmarkE3ScalingSweep   latency vs #mocks series implied by the
 //	                          two §4 points
+//	BenchmarkScaleSetup       deploying the §4 cloud point: the 1,105
+//	                          run/attach verbs bench/'s rest_status
+//	                          times as setup_s (profile it with
+//	                          -cpuprofile; bench/ takes none)
 //	BenchmarkTable1APIs       latency of each dbox verb (Table 1)
 //	BenchmarkFig7Fidelity     device-centric vs scene-centric
 //	                          correlation-violation rate (Fig. 7)
@@ -60,6 +64,14 @@ func getScaleBed(b *testing.B, cfg scaleConfig) *Testbed {
 	if tb, ok := scaleBeds[cfg.name]; ok {
 		return tb
 	}
+	tb := buildScaleBed(b, cfg)
+	scaleBeds[cfg.name] = tb
+	return tb
+}
+
+// buildScaleBed deploys the configured hierarchy on a new testbed.
+func buildScaleBed(b *testing.B, cfg scaleConfig) *Testbed {
+	b.Helper()
 	tb, err := New(Options{
 		Nodes:       cfg.nodes,
 		ZoneDelays:  cfg.zoneDelay,
@@ -106,7 +118,6 @@ func getScaleBed(b *testing.B, cfg scaleConfig) *Testbed {
 			b.Fatal(err)
 		}
 	}
-	scaleBeds[cfg.name] = tb
 	return tb
 }
 
@@ -166,6 +177,26 @@ func BenchmarkE2CloudScale(b *testing.B) {
 		sensors:   1000,
 	})
 	benchStatusGets(b, tb, 1000)
+}
+
+// BenchmarkScaleSetup deploys the cloud point's hierarchy from nothing
+// each iteration: what a dbox user waits for before the first request,
+// and where the model store's write path is most of the work.
+func BenchmarkScaleSetup(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		tb := buildScaleBed(b, scaleConfig{
+			nodes: []NodeSpec{
+				{Name: "ec2-a", Capacity: 4096, Zone: "us-east"},
+				{Name: "ec2-b", Capacity: 4096, Zone: "us-east"},
+			},
+			buildings: 5,
+			rooms:     100,
+			sensors:   1000,
+		})
+		b.StopTimer()
+		tb.Stop()
+		b.StartTimer()
+	}
 }
 
 // BenchmarkE3ScalingSweep regenerates the latency-vs-scale series

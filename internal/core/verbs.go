@@ -84,7 +84,7 @@ func (tb *Testbed) StopDigi(name string) error {
 		if parent == name {
 			continue
 		}
-		doc, _, ok := tb.Store.Get(parent)
+		doc, _, ok := tb.Store.View(parent)
 		if !ok {
 			continue
 		}
@@ -122,7 +122,7 @@ func (tb *Testbed) Attach(child, parent string) error {
 	if !tb.Store.Has(child) {
 		return fmt.Errorf("core: %q not found", child)
 	}
-	parentDoc, _, ok := tb.Store.Get(parent)
+	parentDoc, _, ok := tb.Store.View(parent)
 	if !ok {
 		return fmt.Errorf("core: %q not found", parent)
 	}
@@ -152,7 +152,7 @@ func (tb *Testbed) Attach(child, parent string) error {
 // Detach implements "dbox attach -d CHILD PARENT": remove the child
 // from the parent and resume its own event generation.
 func (tb *Testbed) Detach(child, parent string) error {
-	doc, _, ok := tb.Store.Get(parent)
+	doc, _, ok := tb.Store.View(parent)
 	if !ok {
 		return fmt.Errorf("core: %q not found", parent)
 	}
@@ -197,7 +197,7 @@ func (tb *Testbed) wouldCycle(child, parent string) bool {
 			return false
 		}
 		seen[n] = true
-		doc, _, ok := tb.Store.Get(n)
+		doc, _, ok := tb.Store.View(n)
 		if !ok {
 			return false
 		}
@@ -215,7 +215,7 @@ func (tb *Testbed) wouldCycle(child, parent string) bool {
 // emulating user interaction with a mock (e.g. setting a lamp's power
 // intent, §3.3).
 func (tb *Testbed) Edit(name string, patch map[string]any) error {
-	doc, _, ok := tb.Store.Get(name)
+	doc, _, ok := tb.Store.View(name)
 	if !ok {
 		return fmt.Errorf("core: %q not found", name)
 	}
@@ -261,7 +261,7 @@ func (tb *Testbed) Subtree(root string) ([]string, error) {
 			return
 		}
 		seen[n] = true
-		doc, _, ok := tb.Store.Get(n)
+		doc, _, ok := tb.Store.View(n)
 		if ok {
 			for _, c := range doc.Attach() {
 				visit(c)

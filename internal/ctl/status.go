@@ -41,7 +41,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	var nodes []topoNode
 	var edges []topoEdge
 	for _, name := range tb.Names() {
-		doc, _, ok := tb.Store.Get(name)
+		doc, _, ok := tb.Store.View(name)
 		if !ok {
 			continue
 		}

@@ -314,6 +314,79 @@ func TestDynamicReattach(t *testing.T) {
 	}, "mobile sensor follows RoomB")
 }
 
+// The reconciler's watch follows meta.attach (§5 mobility): after the
+// child moves from scene A to scene B its commits wake B's reconciler
+// and no longer A's, and they keep waking B across a delete and
+// re-create under the same name.
+func TestReattachMovesTheWatch(t *testing.T) {
+	var mu sync.Mutex
+	runs := map[string]int{}
+	ran := func(name string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return runs[name]
+	}
+	// A scene that only counts: it writes nothing, so every run is the
+	// answer to one delivered update.
+	counter := &Kind{
+		Schema: &model.Schema{Type: "Counter", Version: "v1", Scene: true,
+			Fields: map[string]model.FieldSpec{"note": {Kind: model.KindInt, Default: int64(0)}}},
+		Sim: func(c *Ctx, work model.Doc, atts Atts) error {
+			mu.Lock()
+			runs[c.Name]++
+			mu.Unlock()
+			return nil
+		},
+	}
+	h := newHarness(t, counter, leafKind())
+	newLeaf := func() {
+		if err := h.rt.Store.Create(leafKind().Schema.New("M")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newLeaf()
+	for name, attach := range map[string][]string{"A": {"M"}, "B": nil} {
+		doc := counter.Schema.New(name)
+		doc.SetMeta(model.Meta{Type: "Counter", Version: "v1", Name: name, Attach: attach})
+		if err := h.rt.Store.Create(doc); err != nil {
+			t.Fatal(err)
+		}
+		h.start(t, name)
+	}
+	patch := func(name string, p map[string]any) {
+		t.Helper()
+		if _, err := h.rt.Store.Patch(name, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// step commits the child and checks who simulated: wakes' count goes
+	// to want, sleeps' stays where it was for a while longer.
+	step := func(value int64, wakes string, want int, sleeps string) {
+		t.Helper()
+		idle := ran(sleeps)
+		patch("M", map[string]any{"value": value})
+		waitFor(t, func() bool { return ran(wakes) == want }, fmt.Sprintf("%s to simulate on M's commit", wakes))
+		holds(t, 50*time.Millisecond, func() bool { return ran(sleeps) == idle && ran(wakes) == want },
+			fmt.Sprintf("M's commit reaching only %s", wakes))
+	}
+	waitFor(t, func() bool { return ran("A") == 1 && ran("B") == 1 }, "the boot simulates")
+	step(1, "A", 2, "B")
+
+	// Reattach M from A to B; each scene's own update re-indexes its
+	// watch before the Simulate that answers it.
+	patch("A", map[string]any{"meta": map[string]any{"attach": []any{}}})
+	patch("B", map[string]any{"meta": map[string]any{"attach": []any{"M"}}})
+	waitFor(t, func() bool { return ran("A") == 3 && ran("B") == 2 }, "both scenes to see their attach edit")
+	step(2, "B", 3, "A")
+
+	// The index is by name: the child's delete and its successor are seen.
+	h.rt.Store.Delete("M")
+	waitFor(t, func() bool { return ran("B") == 4 }, "B to simulate on M's delete")
+	newLeaf()
+	waitFor(t, func() bool { return ran("B") == 5 }, "B to simulate on M's re-creation")
+	step(3, "B", 6, "A")
+}
+
 func TestOfflineFaultInjection(t *testing.T) {
 	h := newHarness(t, lampKind())
 	h.spawn(t, lampKind(), "L1", true)

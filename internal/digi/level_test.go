@@ -231,12 +231,15 @@ func TestChildDeleteAlwaysSimulates(t *testing.T) {
 	}
 }
 
-// Sim handlers may do anything to the documents they are handed; the
-// store's committed documents — the diff bases Simulate reads without
-// copying, and the Doc every watcher shares — must not change under a
-// concurrent reader. Run with -race.
+// Sim handlers may do anything to the documents they are handed, and
+// to the values they put in them, for as long as they like; the store's
+// committed documents — the diff bases Simulate reads without copying,
+// the Doc every watcher shares, the versions that share their untouched
+// subtrees — and the composite values in an update's Changes must not
+// change under a concurrent reader. Run with -race.
 func TestHandlersCannotReachCommittedDocuments(t *testing.T) {
 	const rounds = 20
+	var stash []any // every composite value the handler ever wrote
 	vandal := &Kind{
 		Schema: &model.Schema{
 			Type: "Vandal", Version: "v1", Scene: true,
@@ -247,11 +250,22 @@ func TestHandlersCannotReachCommittedDocuments(t *testing.T) {
 			if n >= rounds {
 				return nil
 			}
+			for _, v := range stash {
+				switch old := v.(type) {
+				case []any:
+					old[0] = "late"
+				case map[string]any:
+					old["late"] = n
+				}
+			}
 			scribble := func(d model.Doc) {
 				d.Set("round", n+1)
 				d.Set("nest.deep.n", n+1)
 				nest, _ := d["nest"].(map[string]any)
-				nest[fmt.Sprintf("k%d", n)] = []any{n}
+				seq, bag := []any{n}, map[string]any{"n": n}
+				nest[fmt.Sprintf("k%d", n)] = seq
+				d.Set("bag", bag)
+				stash = append(stash, seq, bag, nest)
 				delete(nest, fmt.Sprintf("k%d", n-1))
 				d["meta"].(map[string]any)["scratch"] = n
 			}
@@ -278,18 +292,23 @@ func TestHandlersCannotReachCommittedDocuments(t *testing.T) {
 	}
 
 	// The reader keeps every committed document it ever saw, through
-	// View and through a watcher, next to a copy taken at that moment.
+	// View and through a watcher, and every composite value a change
+	// carried, next to a copy taken at that moment.
 	type held struct{ shared, copied model.Doc }
 	var kept []held
+	keep := func(d model.Doc) { kept = append(kept, held{d, d.DeepCopy()}) }
 	w := h.rt.Store.Watch(nil)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for u := range w.C {
-			kept = append(kept, held{u.Doc, u.Doc.DeepCopy()})
+			keep(u.Doc)
+			for _, ch := range u.Changes {
+				keep(model.Doc{"old": ch.Old, "new": ch.New})
+			}
 			for _, name := range names {
 				if d, _, ok := h.rt.Store.View(name); ok {
-					kept = append(kept, held{d, d.DeepCopy()})
+					keep(d)
 				}
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"repro/internal/kube"
 	"repro/internal/model"
-	"sync/atomic"
 )
 
 // Workload builds the kube workload that runs one digi instance. The
@@ -42,12 +41,6 @@ func (rt *Runtime) ImageFactory() kube.ImageFactory {
 type reconciler struct {
 	s    *Stepper
 	seen uint64
-
-	// attach is the current child set (scene kinds only), replaced
-	// whole when the digi's own model changes. The store watcher filter
-	// reads it on the broadcast path, under the store's write lock, so
-	// it is an immutable map behind an atomic pointer: no lock there.
-	attach atomic.Pointer[map[string]bool]
 }
 
 func (rt *Runtime) run(ctx context.Context, name string) error {
@@ -60,17 +53,17 @@ func (rt *Runtime) run(ctx context.Context, name string) error {
 	// first one always simulates (a mock publishes at boot and again
 	// when attach parks its generator, however the two interleave).
 	r := &reconciler{s: s, seen: rt.Store.Gen()}
-	doc, _, _ := rt.Store.View(name)
-	r.setAttach(doc.Attach())
 
-	// One watcher covers the digi's own model plus (for scenes) all
-	// currently attached children; the filter reads the live attach
-	// set so dynamic re-attach (device mobility, §5) works without
-	// re-subscribing.
-	w := rt.Store.Watch(func(u model.Update) bool {
-		return u.Name == name || (*r.attach.Load())[u.Name]
-	})
+	// One watcher covers the digi's own model plus (for scenes) the
+	// attached children. It is indexed under the own name before the
+	// attach list is read, so no attach edit is missed, and re-indexed
+	// on each one: dynamic re-attach (device mobility, §5).
+	w := rt.Store.WatchNames(name)
 	defer w.Close()
+	doc, _, _ := rt.Store.View(name)
+	if att := doc.Attach(); len(att) > 0 {
+		w.SetNames(append(att, name)...)
+	}
 
 	ticker := rt.clk().NewTicker(s.Interval())
 	defer ticker.Stop()
@@ -97,8 +90,8 @@ func (rt *Runtime) run(ctx context.Context, name string) error {
 			if !ok {
 				return nil
 			}
-			if u.Name == name && !u.Deleted {
-				r.setAttach(u.Doc.Attach())
+			if u.Name == name && !u.Deleted && len(model.PathsUnder(u.Changes, "meta.attach")) > 0 {
+				w.SetNames(append(u.Doc.Attach(), name)...)
 			}
 			r.handle(u)
 		}
@@ -120,12 +113,4 @@ func (r *reconciler) handle(u model.Update) {
 	}
 	r.seen = rt.Store.Gen()
 	r.s.HandleUpdate(u)
-}
-
-func (r *reconciler) setAttach(children []string) {
-	next := make(map[string]bool, len(children))
-	for _, c := range children {
-		next[c] = true
-	}
-	r.attach.Store(&next)
 }

@@ -266,10 +266,7 @@ func (s *Stepper) commit(name string, changes []model.Change) (model.Update, boo
 	if m != nil {
 		t0 = s.rt.clk().Now()
 	}
-	u, err := s.rt.Store.Apply(name, func(d model.Doc) error {
-		d.ApplyChanges(changes)
-		return nil
-	})
+	u, err := s.rt.Store.Commit(name, changes)
 	if m != nil {
 		m.commits.Observe(s.rt.clk().Since(t0).Seconds())
 	}

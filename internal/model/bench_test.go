@@ -72,9 +72,7 @@ func BenchmarkStoreApplyWithWatchers(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < watchers; i++ {
-				name := fmt.Sprintf("other-%d", i)
-				w := s.Watch(func(u Update) bool { return u.Name == name })
-				defer w.Close()
+				defer s.WatchName(fmt.Sprintf("other-%d", i)).Close()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -96,6 +94,22 @@ func BenchmarkSchemaValidate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := s.Validate(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkStoreCommit(b *testing.B) {
+	s := NewStore()
+	if err := s.Create(benchDoc()); err != nil {
+		b.Fatal(err)
+	}
+	changes := []Change{{Op: OpSet, Path: "power.status"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		changes[0].New = i%2 == 0
+		if _, err := s.Commit("L1", changes); err != nil {
 			b.Fatal(err)
 		}
 	}

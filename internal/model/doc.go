@@ -189,7 +189,9 @@ func (d Doc) Get(path string) (any, bool) {
 		return map[string]any(d), true
 	}
 	var cur any = map[string]any(d)
-	for _, part := range strings.Split(path, ".") {
+	for more := true; more; {
+		var part string
+		part, path, more = strings.Cut(path, ".")
 		m, ok := cur.(map[string]any)
 		if !ok {
 			return nil, false
@@ -254,37 +256,39 @@ func (d Doc) GetFloat(path string) (float64, bool) {
 // Set writes a value at a dotted path, creating intermediate maps as
 // needed. Setting through a non-map value replaces it.
 func (d Doc) Set(path string, v any) {
-	parts := strings.Split(path, ".")
 	cur := map[string]any(d)
-	for _, part := range parts[:len(parts)-1] {
+	for {
+		part, rest, more := strings.Cut(path, ".")
+		if !more {
+			cur[part] = normalize(v)
+			return
+		}
 		next, ok := cur[part].(map[string]any)
 		if !ok {
 			next = map[string]any{}
 			cur[part] = next
 		}
-		cur = next
+		cur, path = next, rest
 	}
-	cur[parts[len(parts)-1]] = normalize(v)
 }
 
 // Delete removes the value at a dotted path. It reports whether the
 // path existed.
 func (d Doc) Delete(path string) bool {
-	parts := strings.Split(path, ".")
 	cur := map[string]any(d)
-	for _, part := range parts[:len(parts)-1] {
+	for {
+		part, rest, more := strings.Cut(path, ".")
+		if !more {
+			_, ok := cur[part]
+			delete(cur, part)
+			return ok
+		}
 		next, ok := cur[part].(map[string]any)
 		if !ok {
 			return false
 		}
-		cur = next
+		cur, path = next, rest
 	}
-	last := parts[len(parts)-1]
-	if _, ok := cur[last]; !ok {
-		return false
-	}
-	delete(cur, last)
-	return true
 }
 
 // Intent returns the "<field>.intent" value.

@@ -303,3 +303,104 @@ func TestAttachAccessor(t *testing.T) {
 		t.Error("Attach must return a copy")
 	}
 }
+
+// The path walk's corner cases: an empty segment is the key "", a
+// trailing dot ends in that key, and Set through a non-map value
+// replaces it. Each step starts from the same document.
+func TestPathWalkEdgeCases(t *testing.T) {
+	base := func() Doc {
+		return Doc{
+			"a":  map[string]any{"b": map[string]any{"c": int64(1)}, "": "blank-in-a", "s": "scalar"},
+			"":   map[string]any{"x": "under-blank"},
+			"s":  "top-scalar",
+			"l":  []any{int64(1)},
+			"nm": map[string]any{},
+		}
+	}
+	gets := []struct {
+		path string
+		want any
+		ok   bool
+	}{
+		{"a.b.c", int64(1), true},
+		{"a.b", map[string]any{"c": int64(1)}, true},
+		{"a.", "blank-in-a", true},
+		{".x", "under-blank", true},
+		{".", nil, false},
+		{"a..b", nil, false},
+		{"a.b.", nil, false},
+		{"a.b.c.", nil, false},
+		{"a.b.c.d", nil, false},
+		{"s.x", nil, false},
+		{"l.0", nil, false},
+		{"nm", map[string]any{}, true},
+		{"nm.", nil, false},
+		{"missing", nil, false},
+		{"missing.deeper", nil, false},
+	}
+	for _, tc := range gets {
+		got, ok := base().Get(tc.path)
+		if ok != tc.ok || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Get(%q) = %v, %v; want %v, %v", tc.path, got, ok, tc.want, tc.ok)
+		}
+	}
+	if got, ok := base().Get(""); !ok || !reflect.DeepEqual(got, map[string]any(base())) {
+		t.Errorf(`Get("") = %v, %v; want the document itself`, got, ok)
+	}
+	d := base()
+	if n := testing.AllocsPerRun(100, func() { d.Get("a.b.c") }); n != 0 {
+		t.Errorf("Get of an existing three-level path allocates %v times", n)
+	}
+
+	sets := []struct {
+		path string
+		want func(Doc) // the same edit, written out on the raw maps
+	}{
+		{"a.b.c", func(d Doc) { d["a"].(map[string]any)["b"].(map[string]any)["c"] = "v" }},
+		{"a.b", func(d Doc) { d["a"].(map[string]any)["b"] = "v" }},
+		{"a.", func(d Doc) { d["a"].(map[string]any)[""] = "v" }},
+		{"", func(d Doc) { d[""] = "v" }},
+		{".", func(d Doc) { d[""].(map[string]any)[""] = "v" }},
+		{".y", func(d Doc) { d[""].(map[string]any)["y"] = "v" }},
+		{"a..z", func(d Doc) { d["a"].(map[string]any)[""] = map[string]any{"z": "v"} }},
+		{"s.x", func(d Doc) { d["s"] = map[string]any{"x": "v"} }},
+		{"a.s.x.y", func(d Doc) { d["a"].(map[string]any)["s"] = map[string]any{"x": map[string]any{"y": "v"}} }},
+		{"l.0", func(d Doc) { d["l"] = map[string]any{"0": "v"} }},
+		{"new.", func(d Doc) { d["new"] = map[string]any{"": "v"} }},
+		{"nm.k", func(d Doc) { d["nm"].(map[string]any)["k"] = "v" }},
+	}
+	for _, tc := range sets {
+		got, want := base(), base()
+		got.Set(tc.path, "v")
+		tc.want(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Set(%q):\n got %v\nwant %v", tc.path, got, want)
+		}
+	}
+
+	deletes := []struct {
+		path string
+		ok   bool
+		want func(Doc)
+	}{
+		{"a.b.c", true, func(d Doc) { delete(d["a"].(map[string]any)["b"].(map[string]any), "c") }},
+		{"a.b", true, func(d Doc) { delete(d["a"].(map[string]any), "b") }},
+		{"a.", true, func(d Doc) { delete(d["a"].(map[string]any), "") }},
+		{"", true, func(d Doc) { delete(d, "") }},
+		{".x", true, func(d Doc) { delete(d[""].(map[string]any), "x") }},
+		{".", false, func(Doc) {}},
+		{"a.b.", false, func(Doc) {}},
+		{"a.b.c.", false, func(Doc) {}},
+		{"s.x", false, func(Doc) {}},
+		{"l.0", false, func(Doc) {}},
+		{"missing.deeper", false, func(Doc) {}},
+	}
+	for _, tc := range deletes {
+		got, want := base(), base()
+		ok := got.Delete(tc.path)
+		tc.want(want)
+		if ok != tc.ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("Delete(%q) = %v:\n got %v\nwant %v", tc.path, ok, got, want)
+		}
+	}
+}

@@ -367,7 +367,7 @@ func (e *Engine) scheduleTick(name string, epoch int) {
 // attach mirrors core.Attach: add the child to the parent scene's
 // attach list and pause the child's own event generation.
 func (e *Engine) attach(child, parent string) error {
-	parentDoc, _, ok := e.store.Get(parent)
+	parentDoc, _, ok := e.store.View(parent)
 	if !ok {
 		return fmt.Errorf("replay: %q not found", parent)
 	}
@@ -415,7 +415,7 @@ func (e *Engine) attach(child, parent string) error {
 // patch (schema-validated, like core.Edit), then propagation.
 func (e *Engine) applyEdit(ed Edit) {
 	e.log.Mark(ed.Name, "script-edit", ed.Patch)
-	doc, _, ok := e.store.Get(ed.Name)
+	doc, _, ok := e.store.View(ed.Name)
 	if !ok {
 		e.fail(fmt.Errorf("replay: edit target %q not found", ed.Name))
 		return
@@ -478,7 +478,7 @@ func (e *Engine) watches(name, target string) bool {
 	if name == target {
 		return true
 	}
-	doc, _, ok := e.store.Get(name)
+	doc, _, ok := e.store.View(name)
 	if !ok {
 		return false
 	}

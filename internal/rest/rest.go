@@ -116,7 +116,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	g.injectDelay(name)
-	doc, gen, ok := g.Store.Get(name)
+	doc, gen, ok := g.Store.View(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "model %q not found", name)
 		return
@@ -131,7 +131,7 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	g.injectDelay(name)
-	doc, gen, ok := g.Store.Get(name)
+	doc, gen, ok := g.Store.View(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "model %q not found", name)
 		return
@@ -194,7 +194,7 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if ms, err := strconv.Atoi(r.URL.Query().Get("timeout_ms")); err == nil && ms > 0 {
 		timeout = time.Duration(ms) * time.Millisecond
 	}
-	doc, gen, ok := g.Store.Get(name)
+	doc, gen, ok := g.Store.View(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "model %q not found", name)
 		return
@@ -208,7 +208,7 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
 	watcher := g.Store.WatchName(name)
 	defer watcher.Close()
 	// Re-check after registration to close the race with writers.
-	if doc, gen, ok = g.Store.Get(name); ok && gen > sinceGen {
+	if doc, gen, ok = g.Store.View(name); ok && gen > sinceGen {
 		g.injectDelay(name)
 		w.Header().Set("X-Digibox-Generation", strconv.FormatUint(gen, 10))
 		writeJSON(w, http.StatusOK, map[string]any(doc))
