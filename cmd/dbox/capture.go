@@ -1,17 +1,15 @@
 package main
 
-// dbox capture: record live traffic into a fitted device profile.
-// Local mode builds a listener-less, time-compressed testbed and
-// drives a closed-loop swarm source while tapping it — 60 scenario
-// seconds settle in wall milliseconds — while -remote captures on a
-// daemon, either tapping its live broker or driving a swarm run
-// through POST /ctl/capture.
+// dbox capture: record live traffic into a fitted device profile
+// through POST /ctl/capture. Local mode serves that request in process
+// on a listener-less, time-compressed testbed and drives a closed-loop
+// swarm source while tapping it — 60 scenario seconds settle in wall
+// milliseconds — while -remote sends it to a daemon, which either taps
+// its live broker or drives the swarm source the same way.
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
 	"time"
@@ -55,43 +53,11 @@ func captureCmd(cli *ctl.Client, rest []string) error {
 		return fmt.Errorf("usage: dbox capture [flags] (see dbox capture -h)")
 	}
 
-	// The swarm source a capture drives and taps: the closed preset.
-	source := ctl.SwarmRequest{
-		Profile:     string(swarm.ProfileClosed),
-		Devices:     *devices,
-		PeriodSec:   period.Seconds(),
-		DurationSec: duration.Seconds(),
-		Workers:     *workers,
-		Seed:        *seed,
-		QoS:         1,
-		Subscribers: 1,
-		Shards:      *shards,
+	opts := core.Options{
+		Nodes:        []core.NodeSpec{{Name: "capture-node", Capacity: 64, Zone: "local"}},
+		LocalRepoDir: *repoDir,
 	}
-	var (
-		prof     *profile.Profile
-		messages int64
-		classes  map[string]int64
-		version  string
-	)
-	if *remote {
-		req := ctl.CaptureRequest{
-			DurationSec: duration.Seconds(),
-			Filter:      *filter,
-			Name:        *name,
-			Seed:        *seed,
-			Commit:      *commit,
-		}
-		if *devices > 0 {
-			req.Swarm = &source
-		}
-		run := *cli
-		run.HTTP = &http.Client{Timeout: *duration + 120*time.Second}
-		p, resp, err := run.Capture(req)
-		if err != nil {
-			return err
-		}
-		prof, messages, classes, version = p, resp.Messages, resp.Classes, resp.Version
-	} else {
+	if !*remote {
 		if *devices <= 0 {
 			return fmt.Errorf("capture: local mode needs a swarm source; set -devices (or tap a daemon with -remote)")
 		}
@@ -102,39 +68,42 @@ func captureCmd(cli *ctl.Client, rest []string) error {
 		if *commit && *repoDir == "" {
 			return fmt.Errorf("capture: -commit locally needs -repo DIR (or use -remote against a daemon)")
 		}
-		tb, err := core.New(core.Options{
-			Nodes:        []core.NodeSpec{{Name: "capture-node", Capacity: 64, Zone: "local"}},
-			BrokerAddr:   "none",
-			RESTAddr:     "none",
-			TimeScale:    factor,
-			LocalRepoDir: *repoDir,
-		})
-		if err != nil {
-			return err
-		}
-		if err := tb.Start(); err != nil {
-			return err
-		}
-		defer tb.Stop()
-		sw, err := source.Spec()
-		if err != nil {
-			return err
-		}
-		res, err := tb.Capture(context.Background(), core.CaptureSpec{Name: *name, Seed: *seed, Swarm: &sw})
-		if err != nil {
-			return err
-		}
-		prof, messages, classes = res.Profile, res.Messages, res.Classes
-		if *commit {
-			if version, err = tb.CommitProfile(*name, prof); err != nil {
-				return err
-			}
+		opts.TimeScale = factor
+	}
+	req := ctl.CaptureRequest{
+		DurationSec: duration.Seconds(),
+		Filter:      *filter,
+		Name:        *name,
+		Seed:        *seed,
+		Commit:      *commit,
+	}
+	if *devices > 0 {
+		// The swarm source a capture drives and taps: the closed preset.
+		req.Swarm = &ctl.SwarmRequest{
+			Profile:     string(swarm.ProfileClosed),
+			Devices:     *devices,
+			PeriodSec:   period.Seconds(),
+			DurationSec: duration.Seconds(),
+			Workers:     *workers,
+			Seed:        *seed,
+			QoS:         1,
+			Subscribers: 1,
+			Shards:      *shards,
 		}
 	}
+	cli, done, err := verbClient(cli, *remote, opts)
+	if err != nil {
+		return err
+	}
+	defer done()
+	prof, resp, err := cli.WithTimeout(*duration + 120*time.Second).Capture(req)
+	if err != nil {
+		return err
+	}
 
-	printCapture(prof, messages, classes)
-	if version != "" {
-		fmt.Printf("committed profiles/%s@%s\n", prof.Name, version)
+	printCapture(prof, resp.Messages, resp.Classes)
+	if resp.Version != "" {
+		fmt.Printf("committed profiles/%s@%s\n", prof.Name, resp.Version)
 	}
 	if *out != "" {
 		data, err := profile.Marshal(prof)

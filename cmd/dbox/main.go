@@ -1,5 +1,7 @@
 // Command dbox is the Digibox command-line tool (Table 1 of the
-// paper). It drives a running dboxd daemon over its control API.
+// paper). It drives a running dboxd daemon over its control API; the
+// scenario, record, replay-archive, swarm and capture verbs serve that
+// API in process instead unless given -remote.
 //
 // Usage:
 //
@@ -41,7 +43,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
@@ -108,7 +109,7 @@ func dispatch(cli *ctl.Client, args []string) error {
 	cmd, rest := args[0], args[1:]
 	switch cmd {
 	case "run":
-		if isRunScenarioForm(rest) {
+		if isFileForm(rest) {
 			return runScenarioCmd(cli, rest)
 		}
 		if len(rest) < 2 {
@@ -256,7 +257,7 @@ func dispatch(cli *ctl.Client, args []string) error {
 	case "replay":
 		// Archive form: any flag, or a target naming an existing file,
 		// selects the deterministic record/replay path.
-		if isReplayArchiveForm(rest) {
+		if isFileForm(rest) {
 			return replayArchiveCmd(cli, rest)
 		}
 		if len(rest) < 1 || len(rest) > 2 {
@@ -357,6 +358,23 @@ func dispatch(cli *ctl.Client, args []string) error {
 	}
 }
 
+// verbClient picks the transport for a verb that runs on a testbed:
+// with -remote the daemon behind cli, otherwise the same control API
+// served in process on a fresh listener-less testbed built from opts.
+// Either way the verb makes the same ctl.Client call; done stops the
+// in-process testbed.
+func verbClient(cli *ctl.Client, remote bool, opts core.Options) (*ctl.Client, func(), error) {
+	if remote {
+		return cli, func() {}, nil
+	}
+	opts.BrokerAddr, opts.RESTAddr = "none", "none"
+	tb, err := ctl.NewTestbed(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ctl.InProcess((&ctl.Server{TB: tb}).Handler()), tb.Stop, nil
+}
+
 // chaosRunCmd implements "dbox chaos run PLAN.yaml": parse and
 // validate the plan locally, apply it through the daemon, and print
 // the engine's report. The request timeout is sized to the plan.
@@ -372,9 +390,7 @@ func chaosRunCmd(cli *ctl.Client, path string) error {
 	if err := plan.Validate(); err != nil {
 		return err
 	}
-	run := *cli
-	run.HTTP = &http.Client{Timeout: plan.End() + 60*time.Second}
-	rep, err := run.ChaosRun(plan)
+	rep, err := cli.WithTimeout(plan.End() + 60*time.Second).ChaosRun(plan)
 	if err != nil {
 		return err
 	}

@@ -9,8 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ctl"
-	"repro/internal/device"
-	"repro/internal/scene"
 )
 
 func TestParseScalar(t *testing.T) {
@@ -66,16 +64,11 @@ func TestSetNested(t *testing.T) {
 // tests.
 func startDaemon(t *testing.T) *ctl.Client {
 	t.Helper()
-	tb, err := core.New(core.Options{
+	tb, err := ctl.NewTestbed(core.Options{
 		LocalRepoDir:  filepath.Join(t.TempDir(), "local"),
 		RemoteRepoDir: filepath.Join(t.TempDir(), "remote"),
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	device.RegisterAll(tb.Registry)
-	scene.RegisterAll(tb.Registry)
-	if err := tb.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(tb.Stop)

@@ -1,50 +1,19 @@
 package main
 
 // dbox record / dbox replay (archive form): the CLI surface of the
-// deterministic record/replay harness. Like "dbox vet FILE", both run
-// locally by default — the engine needs no daemon — while -remote
-// sends the scenario through the control API instead.
+// deterministic record/replay harness. Both serve the control API in
+// process on a private testbed by default — no daemon needed — and
+// -remote only sends the same request to a running daemon instead.
 
 import (
 	"fmt"
 	"os"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/ctl"
-	"repro/internal/device"
-	"repro/internal/digi"
 	"repro/internal/replay"
-	"repro/internal/scene"
 )
-
-// isReplayArchiveForm reports whether a "dbox replay" invocation is
-// the archive form (deterministic re-execution) rather than the
-// shared-trace form: any flag argument, or a target naming a file.
-func isReplayArchiveForm(rest []string) bool {
-	for _, a := range rest {
-		if strings.HasPrefix(a, "-") {
-			return true
-		}
-		if st, err := os.Stat(a); err == nil && !st.IsDir() {
-			return true
-		}
-	}
-	return false
-}
-
-// localRegistry builds the kind registry the local deterministic
-// engine resolves scenario digis against: every built-in device mock
-// plus the example scene kinds.
-func localRegistry() (*digi.Registry, error) {
-	reg := digi.NewRegistry()
-	if err := device.RegisterAll(reg); err != nil {
-		return nil, err
-	}
-	if err := scene.RegisterAll(reg); err != nil {
-		return nil, err
-	}
-	return reg, nil
-}
 
 // recordCmd implements "dbox record [-o OUT.zip] [-remote] SCENARIO.yaml":
 // execute the scenario on the deterministic engine and print the
@@ -81,34 +50,24 @@ func recordCmd(cli *ctl.Client, rest []string) error {
 		return err
 	}
 
-	if remote {
-		resp, err := cli.Record(sc, out != "")
-		if err != nil {
-			return err
-		}
-		if out != "" {
-			if err := os.WriteFile(out, resp.Archive, 0o644); err != nil {
-				return err
-			}
-		}
-		printRecorded(resp.Scenario, resp.Records, resp.Digest, out)
-		return nil
-	}
-
-	reg, err := localRegistry()
+	cli, done, err := verbClient(cli, remote, core.Options{})
 	if err != nil {
 		return err
 	}
-	res, err := replay.Record(reg, sc)
+	defer done()
+	resp, err := cli.Record(sc, out != "")
 	if err != nil {
 		return err
 	}
 	if out != "" {
-		if err := replay.SaveArchive(out, res); err != nil {
+		if err := os.WriteFile(out, resp.Archive, 0o644); err != nil {
 			return err
 		}
 	}
-	printRecorded(sc.Name, len(res.Records), res.Digest, out)
+	fmt.Printf("recorded %s: %d records, %s\n", resp.Scenario, resp.Records, resp.Digest)
+	if out != "" {
+		fmt.Printf("archive saved to %s\n", out)
+	}
 	return nil
 }
 
@@ -139,43 +98,19 @@ func replayArchiveCmd(cli *ctl.Client, rest []string) error {
 		return err
 	}
 
-	if remote {
-		resp, err := cli.ReplayScenario(ar.Scenario, ar.Digest, verify)
-		if err != nil {
-			return err
-		}
-		printReplayed(resp.Scenario, resp.Records, resp.Digest, verify)
-		return nil
-	}
-
-	reg, err := localRegistry()
+	cli, done, err := verbClient(cli, remote, core.Options{})
 	if err != nil {
 		return err
 	}
-	var res *replay.Result
-	if verify {
-		res, err = replay.Verify(reg, ar.Scenario, ar.Digest)
-	} else {
-		res, err = replay.Record(reg, ar.Scenario)
-	}
+	defer done()
+	resp, err := cli.ReplayScenario(ar.Scenario, ar.Digest, verify)
 	if err != nil {
 		return err
 	}
-	printReplayed(ar.Scenario.Name, len(res.Records), res.Digest, verify)
-	return nil
-}
-
-func printRecorded(name string, records int, digest, out string) {
-	fmt.Printf("recorded %s: %d records, %s\n", name, records, digest)
-	if out != "" {
-		fmt.Printf("archive saved to %s\n", out)
-	}
-}
-
-func printReplayed(name string, records int, digest string, verified bool) {
 	status := "replayed"
-	if verified {
+	if verify {
 		status = "replayed and verified"
 	}
-	fmt.Printf("%s %s: %d records, %s\n", status, name, records, digest)
+	fmt.Printf("%s %s: %d records, %s\n", status, resp.Scenario, resp.Records, resp.Digest)
+	return nil
 }

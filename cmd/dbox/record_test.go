@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ctl"
 	"repro/internal/replay"
 )
 
@@ -78,11 +80,12 @@ func TestReplayVerifyDetectsTamperedArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := localRegistry()
+	tb, err := ctl.NewTestbed(core.Options{BrokerAddr: "none", RESTAddr: "none"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := replay.Record(reg, sc)
+	t.Cleanup(tb.Stop)
+	res, err := tb.Record(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,21 +8,21 @@ package main
 
 import (
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/ctl"
 	"repro/internal/replay"
 )
 
-// isRunScenarioForm reports whether a "dbox run" invocation is the
-// scenario form (time-compressed execution of a scenario file) rather
-// than the digi form "dbox run TYPE NAME [k=v ...]": any flag
-// argument, or a target naming a file.
-func isRunScenarioForm(rest []string) bool {
+// isFileForm reports whether a "dbox run" or "dbox replay" invocation
+// is the file form — a scenario run or an archive replay — rather than
+// the daemon form ("dbox run TYPE NAME [k=v ...]", "dbox replay NAME
+// [SPEED]"): any flag argument, or a target naming a file.
+func isFileForm(rest []string) bool {
 	for _, a := range rest {
 		if strings.HasPrefix(a, "-") {
 			return true
@@ -71,31 +71,27 @@ func runScenarioCmd(cli *ctl.Client, rest []string) error {
 		return err
 	}
 
-	if remote {
-		// A paced run holds the request open for duration/speed of
-		// wall time; size the client timeout to that plus slack.
-		cli = &ctl.Client{Base: cli.Base, HTTP: &http.Client{Timeout: pacedTimeout(sc.Duration, speed)}}
-		resp, err := cli.RunScenario(sc, clock.FormatSpeed(speed))
-		if err != nil {
-			return err
-		}
-		printRun(resp.Scenario, resp.Records, resp.Digest, resp.Speed, time.Duration(resp.WallMs)*time.Millisecond, sc.Duration)
-		return nil
-	}
-
-	reg, err := localRegistry()
+	cli, done, err := verbClient(cli, remote, core.Options{})
 	if err != nil {
 		return err
 	}
-	res, err := replay.RecordExec(reg, sc, replay.ExecOptions{Speed: speed})
+	defer done()
+	// A paced run holds the request open for duration/speed of wall
+	// time; size the client timeout to that plus slack.
+	resp, err := cli.WithTimeout(pacedTimeout(sc.Duration, speed)).RunScenario(sc, clock.FormatSpeed(speed))
 	if err != nil {
 		return err
 	}
-	printRun(sc.Name, len(res.Records), res.Digest, clock.FormatSpeed(speed), res.Wall, sc.Duration)
+	fmt.Printf("ran %s at speed %s: %d records, %s\n", resp.Scenario, resp.Speed, resp.Records, resp.Digest)
+	if wall := time.Duration(resp.WallMs) * time.Millisecond; wall > 0 {
+		fmt.Printf("scenario %v in %v wall (%.0fx compression)\n", sc.Duration, wall, float64(sc.Duration)/float64(wall))
+	} else {
+		fmt.Printf("scenario %v in <1ms wall\n", sc.Duration)
+	}
 	return nil
 }
 
-// pacedTimeout is the HTTP client timeout for a remote paced run:
+// pacedTimeout is the HTTP client timeout for a paced run:
 // the expected wall time of the run plus generous slack.
 func pacedTimeout(d time.Duration, speed float64) time.Duration {
 	timeout := 60 * time.Second
@@ -105,14 +101,4 @@ func pacedTimeout(d time.Duration, speed float64) time.Duration {
 		}
 	}
 	return timeout
-}
-
-func printRun(name string, records int, digest, speed string, wall, scenario time.Duration) {
-	fmt.Printf("ran %s at speed %s: %d records, %s\n", name, speed, records, digest)
-	if wall > 0 {
-		fmt.Printf("scenario %v in %v wall (%.0fx compression)\n",
-			scenario, wall.Round(time.Millisecond), float64(scenario)/float64(wall))
-	} else {
-		fmt.Printf("scenario %v in <1ms wall\n", scenario)
-	}
 }

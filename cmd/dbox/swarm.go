@@ -1,15 +1,13 @@
 package main
 
 // dbox swarm: the CLI surface of the swarm scale-out layer. Like
-// "dbox record", it runs locally by default — building its own
-// listener-less testbed with -nodes kube nodes — while -remote sends
-// the run through a daemon's control API instead.
+// "dbox record", it serves the control API in process by default — on
+// its own listener-less testbed with -nodes kube nodes — and -remote
+// only sends the same request to a daemon instead.
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
@@ -105,22 +103,25 @@ func swarmCmd(cli *ctl.Client, rest []string) error {
 	if deviceProf != nil {
 		req.DeviceProfile = deviceProf.Value()
 	}
-	spec, err := req.Spec()
+	// -nodes kube nodes to spread the in-process run's workers over.
+	opts := core.Options{}
+	for i := 0; i < max(*nodes, 1); i++ {
+		opts.Nodes = append(opts.Nodes, core.NodeSpec{
+			Name:     fmt.Sprintf("swarm-node-%d", i),
+			Capacity: 64,
+			Zone:     "local",
+		})
+	}
+	cli, done, err := verbClient(cli, *remote, opts)
 	if err != nil {
 		return err
 	}
-	var rep *swarm.Report
-	if *remote {
-		run := *cli
-		wait := *duration
-		if wait <= 0 {
-			wait = 10 * time.Second // the spec default
-		}
-		run.HTTP = &http.Client{Timeout: wait + 120*time.Second}
-		rep, err = run.Swarm(req)
-	} else {
-		rep, err = swarmLocal(spec, *nodes)
+	defer done()
+	wait := *duration
+	if wait <= 0 {
+		wait = 10 * time.Second // the spec default
 	}
+	rep, err := cli.WithTimeout(wait + 120*time.Second).Swarm(req)
 	if err != nil {
 		return err
 	}
@@ -162,35 +163,6 @@ func parseShardKill(v string) (core.ShardKill, error) {
 		}
 	}
 	return k, nil
-}
-
-// swarmLocal builds a listener-less multi-node testbed and runs the
-// session in-process — no daemon required.
-func swarmLocal(spec core.SwarmSpec, nodes int) (*swarm.Report, error) {
-	if nodes <= 0 {
-		nodes = 1
-	}
-	var nodeSpecs []core.NodeSpec
-	for i := 0; i < nodes; i++ {
-		nodeSpecs = append(nodeSpecs, core.NodeSpec{
-			Name:     fmt.Sprintf("swarm-node-%d", i),
-			Capacity: 64,
-			Zone:     "local",
-		})
-	}
-	tb, err := core.New(core.Options{
-		Nodes:      nodeSpecs,
-		BrokerAddr: "none",
-		RESTAddr:   "none",
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := tb.Start(); err != nil {
-		return nil, err
-	}
-	defer tb.Stop()
-	return tb.RunSwarm(context.Background(), spec)
 }
 
 func printSwarmReport(rep *swarm.Report) {

@@ -33,8 +33,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/ctl"
-	"repro/internal/device"
-	"repro/internal/scene"
 )
 
 func main() {
@@ -97,18 +95,9 @@ func main() {
 		}
 	}
 
-	tb, err := core.New(opts)
+	tb, err := ctl.NewTestbed(opts)
 	if err != nil {
 		log.Fatalf("dboxd: %v", err)
-	}
-	if err := device.RegisterAll(tb.Registry); err != nil {
-		log.Fatalf("dboxd: register devices: %v", err)
-	}
-	if err := scene.RegisterAll(tb.Registry); err != nil {
-		log.Fatalf("dboxd: register scenes: %v", err)
-	}
-	if err := tb.Start(); err != nil {
-		log.Fatalf("dboxd: start: %v", err)
 	}
 	defer tb.Stop()
 

@@ -18,20 +18,6 @@ func (tb *Testbed) Record(sc *replay.Scenario) (*replay.Result, error) {
 	return replay.Record(tb.Registry, sc)
 }
 
-// RecordArchive records a scenario and packages the run as a replay
-// archive (scenario + trace + digest) ready to share or check in.
-func (tb *Testbed) RecordArchive(sc *replay.Scenario) (*replay.Result, []byte, error) {
-	res, err := tb.Record(sc)
-	if err != nil {
-		return nil, nil, err
-	}
-	data, err := replay.ArchiveBytes(res)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, data, nil
-}
-
 // ReplayScenario re-executes a recorded scenario. With verify set the
 // run's digest must match want byte-for-byte, otherwise the replay
 // fails — the conformance check behind `dbox replay -verify`.
@@ -43,12 +29,6 @@ func (tb *Testbed) ReplayScenario(sc *replay.Scenario, want string, verify bool)
 		return replay.Verify(tb.Registry, sc, want)
 	}
 	return tb.Record(sc)
-}
-
-// ReplayArchive re-executes the scenario captured in a replay archive,
-// verifying against the archived digest when verify is set.
-func (tb *Testbed) ReplayArchive(ar *replay.Archive, verify bool) (*replay.Result, error) {
-	return tb.ReplayScenario(ar.Scenario, ar.Digest, verify)
 }
 
 // scenarioRun tracks the scenario execution currently (or most

@@ -2,15 +2,14 @@ package ctl
 
 import (
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/model"
 	"repro/internal/property"
-	"repro/internal/scene"
 	"repro/internal/trace"
 	"repro/internal/vet"
 )
@@ -25,17 +24,8 @@ func startServer(t *testing.T, remoteDir string) (*core.Testbed, *Client) {
 	if remoteDir != "" {
 		opts.RemoteRepoDir = remoteDir
 	}
-	tb, err := core.New(opts)
+	tb, err := NewTestbed(opts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := device.RegisterAll(tb.Registry); err != nil {
-		t.Fatal(err)
-	}
-	if err := scene.RegisterAll(tb.Registry); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(tb.Stop)
@@ -326,10 +316,31 @@ func TestControlAPIErrorPaths(t *testing.T) {
 	}
 }
 
+// TestInProcessClient: the in-process transport serves the handler
+// and survives a timeout override.
+func TestInProcessClient(t *testing.T) {
+	tb, _ := startServer(t, "")
+	cli := InProcess((&Server{TB: tb}).Handler())
+	if err := cli.Run("Lamp", "L1", nil); err != nil {
+		t.Fatal(err)
+	}
+	sized := cli.WithTimeout(time.Minute)
+	if sized.HTTP.Transport != cli.HTTP.Transport || sized.HTTP.Timeout != 0 {
+		t.Errorf("WithTimeout on an in-process client: transport kept %v, timeout %v; want kept, none",
+			sized.HTTP.Transport == cli.HTTP.Transport, sized.HTTP.Timeout)
+	}
+	if names, err := sized.List(); err != nil || len(names) != 1 {
+		t.Errorf("list through the sized client = %v, %v", names, err)
+	}
+	if d := (&Client{Base: "http://daemon"}).WithTimeout(time.Minute).HTTP.Timeout; d != time.Minute {
+		t.Errorf("WithTimeout on a daemon client: timeout %v, want 1m", d)
+	}
+}
+
 func TestControlAPIRejectsBadJSON(t *testing.T) {
 	_, cli := startServer(t, "")
 	resp, err := cli.http().Post(cli.Base+"/ctl/run", "application/json",
-		bytesReader([]byte("this is not json")))
+		strings.NewReader("this is not json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/obs"
-	"repro/internal/scene"
 )
 
 // startMetricsServer is startServer with the full observability stack:
@@ -17,23 +15,14 @@ import (
 // observer closes delivery spans, so e2e latency histograms fill.
 func startMetricsServer(t *testing.T) (*core.Testbed, *Client) {
 	t.Helper()
-	tb, err := core.New(core.Options{RuntimeMQTT: true, Observer: true})
+	tb, err := NewTestbed(core.Options{RuntimeMQTT: true, Observer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(tb.Stop)
 	// The ensembles here publish a handful of messages; trace every one
 	// instead of the production 1-in-8 sample so spans close promptly.
 	tb.Tracer.SetSampleInterval(1)
-	if err := device.RegisterAll(tb.Registry); err != nil {
-		t.Fatal(err)
-	}
-	if err := scene.RegisterAll(tb.Registry); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tb.Stop)
 	srv := &Server{TB: tb}
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -190,11 +179,8 @@ func TestMetricsJSON(t *testing.T) {
 
 // TestMetricsDisabled: with DisableMetrics the endpoints 404.
 func TestMetricsDisabled(t *testing.T) {
-	tb, err := core.New(core.Options{DisableMetrics: true})
+	tb, err := NewTestbed(core.Options{DisableMetrics: true})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(tb.Stop)

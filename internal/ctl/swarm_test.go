@@ -1,6 +1,7 @@
 package ctl
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -166,7 +167,7 @@ func TestSwarmRejectsBadSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := cli.http().Post(cli.Base+"/ctl/swarm", "application/json", bytesReader(data))
+		resp, err := cli.http().Post(cli.Base+"/ctl/swarm", "application/json", bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
