@@ -19,6 +19,8 @@ import (
 	"sort"
 	"strconv"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // minGap floors every sampled inter-message gap. A pathological
@@ -26,55 +28,6 @@ import (
 // otherwise sample denormal gaps and melt a run into a spin; 1ms is
 // three orders below any cadence a fleet profile plausibly declares.
 const minGap = time.Millisecond
-
-// rng64 is the compact splitmix64 PRNG (8 bytes of state per stream;
-// math/rand's default source would cost ~4.8 KiB per device).
-type rng64 uint64
-
-func (s *rng64) next() uint64 {
-	*s += 0x9E3779B97F4A7C15
-	z := uint64(*s)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// seedStream derives device idx's starting state from (seed, idx)
-// through the splitmix64 finalizer. A plain seed+idx·GOLDEN offset
-// would make device i+1's stream a one-draw shift of device i's —
-// next() advances the state by the same GOLDEN increment — collapsing
-// the whole fleet onto one shared draw sequence (and biasing every
-// population's realized rate by that single sequence's luck).
-func seedStream(seed, idx uint64) rng64 {
-	z := seed + idx*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return rng64(z ^ (z >> 31))
-}
-
-// float64 returns a uniform draw in [0, 1).
-func (s *rng64) float64() float64 {
-	return float64(s.next()>>11) / (1 << 53)
-}
-
-// norm returns a standard normal draw (Box-Muller on two uniforms).
-func (s *rng64) norm() float64 {
-	u1 := s.float64()
-	for u1 == 0 {
-		u1 = s.float64()
-	}
-	u2 := s.float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// exp returns a unit-mean exponential draw.
-func (s *rng64) exp() float64 {
-	u := s.float64()
-	for u == 0 {
-		u = s.float64()
-	}
-	return -math.Log(u)
-}
 
 // fieldState is one field generator's mutable state.
 type fieldState struct {
@@ -89,7 +42,7 @@ type devState struct {
 	pop    int
 	kind   string
 	fw     string
-	rng    rng64
+	rng    rng.Stream
 	at     time.Duration
 	seq    uint64
 	burst  time.Duration // per-device burst phase offset
@@ -137,11 +90,11 @@ func Compile(p *Profile, devices int, seed int64) (*Sampler, error) {
 				kind: pop.Kind,
 				// Device streams derive from (seed, global index), so two
 				// samplers compiled from equal inputs are byte-identical.
-				rng:    seedStream(uint64(seed), uint64(idx)),
+				rng:    rng.New(uint64(seed), uint64(idx)),
 				fields: make([]fieldState, len(pop.Fields)),
 			}
 			if len(versions) > 0 {
-				u := d.rng.float64()
+				u := d.rng.Float64()
 				d.fw = versions[len(versions)-1]
 				for i, c := range cum {
 					if u < c {
@@ -151,7 +104,7 @@ func Compile(p *Profile, devices int, seed int64) (*Sampler, error) {
 				}
 			}
 			if b := pop.Burst; b != nil {
-				d.burst = time.Duration(d.rng.float64() * float64(b.Every))
+				d.burst = time.Duration(d.rng.Float64() * float64(b.Every))
 			}
 			if c := pop.Cadence; c.Spread {
 				// NextFire adds one fixed gap of Mean, landing the first
@@ -167,9 +120,9 @@ func Compile(p *Profile, devices int, seed int64) (*Sampler, error) {
 				case GenEnum:
 					st.value = 0
 				case GenSine:
-					st.phase = d.rng.float64()
+					st.phase = d.rng.Float64()
 				default: // randomwalk, spike, ""
-					st.value = f.Min + d.rng.float64()*(f.Max-f.Min)
+					st.value = f.Min + d.rng.Float64()*(f.Max-f.Min)
 				}
 			}
 			s.devs = append(s.devs, d)
@@ -261,7 +214,7 @@ func (s *Sampler) gap(st *devState, pop *Population) time.Duration {
 	base := float64(cad.Mean)
 	switch cad.Dist {
 	case DistPoisson:
-		base *= st.rng.exp()
+		base *= st.rng.ExpFloat64()
 	case DistLognormal:
 		sigma := cad.Sigma
 		if sigma <= 0 {
@@ -269,7 +222,7 @@ func (s *Sampler) gap(st *devState, pop *Population) time.Duration {
 		}
 		// Median-anchored: exp(sigma·z) has median 1, so Mean stays the
 		// typical gap instead of being dragged by the heavy tail.
-		base *= math.Exp(sigma * st.rng.norm())
+		base *= math.Exp(sigma * st.rng.NormFloat64())
 	}
 	at := st.at
 	if d := cad.Diurnal; d != nil {
@@ -359,9 +312,9 @@ func (s *Sampler) payload(st *devState, pop *Population) []byte {
 			if p <= 0 {
 				p = 0.1
 			}
-			if st.rng.float64() < p && len(f.States) > 1 {
+			if st.rng.Float64() < p && len(f.States) > 1 {
 				// Uniform jump to one of the other states.
-				jump := 1 + int(st.rng.float64()*float64(len(f.States)-1))
+				jump := 1 + int(st.rng.Float64()*float64(len(f.States)-1))
 				fst.value = math.Mod(fst.value+float64(jump), float64(len(f.States)))
 			}
 			buf = append(buf, '"')
@@ -382,8 +335,8 @@ func (s *Sampler) payload(st *devState, pop *Population) []byte {
 				p = 0.01
 			}
 			v := f.Min
-			if st.rng.float64() < p {
-				v = f.Min + st.rng.float64()*(f.Max-f.Min)
+			if st.rng.Float64() < p {
+				v = f.Min + st.rng.Float64()*(f.Max-f.Min)
 			}
 			buf = strconv.AppendFloat(buf, v, 'f', 4, 64)
 		default: // randomwalk and unnamed
@@ -391,7 +344,7 @@ func (s *Sampler) payload(st *devState, pop *Population) []byte {
 			if step <= 0 {
 				step = 0.05
 			}
-			fst.value += (st.rng.float64() - 0.5) * 2 * step * (f.Max - f.Min)
+			fst.value += (st.rng.Float64() - 0.5) * 2 * step * (f.Max - f.Min)
 			if fst.value < f.Min {
 				fst.value = f.Min
 			}
