@@ -45,6 +45,14 @@ func TestSleepytest(t *testing.T) {
 	analyzertest.Run(t, analysis.Sleepytest, fixture("sleepytest"), "repro/internal/broker")
 }
 
+func TestMathrandRuntimePackage(t *testing.T) {
+	analyzertest.Run(t, analysis.Mathrand, fixture("mathrand", "runtime"), "repro/internal/digi")
+}
+
+func TestMathrandBenchExempt(t *testing.T) {
+	analyzertest.Run(t, analysis.Mathrand, fixture("mathrand", "bench"), "repro/bench")
+}
+
 func TestAllowDirectiveHygiene(t *testing.T) {
 	analyzertest.Run(t, analysis.Sleepytest, fixture("allow"), "repro/internal/broker")
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/rng"
 )
 
 // Message is a received application message.
@@ -155,7 +156,7 @@ type Client struct {
 	lastErr   error // most recent connection-loss cause
 
 	clk    clock.Clock
-	jitter *clock.Jitter
+	jitter rng.Stream // reconnect backoff draws; guarded by mu
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -173,9 +174,9 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 	if o.ClientID == "" {
 		o.ClientID = fmt.Sprintf("dbox-%d", clientSeq.Add(1))
 	}
-	seed := o.JitterSeed
+	seed := uint64(o.JitterSeed)
 	if seed == 0 {
-		seed = clock.SeedString(o.ClientID)
+		seed = rng.Key(o.ClientID)
 	}
 	c := &Client{
 		opts:    o,
@@ -183,7 +184,7 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 		subs:    map[string]clientSub{},
 		pending: map[uint16]chan *Packet{},
 		clk:     o.Clock,
-		jitter:  clock.NewJitter(seed),
+		jitter:  rng.New(seed, 0),
 		done:    make(chan struct{}),
 	}
 	if o.OnConnectionState != nil {
@@ -409,7 +410,9 @@ func (c *Client) reconnectLoop() {
 		// whole window instead of stacking up at the cap. The jitter
 		// source is seeded (per client, or from the session seed), so
 		// replays walk the same backoff sequence.
+		c.mu.Lock()
 		wait := time.Duration(1 + c.jitter.Int63n(int64(backoff)))
+		c.mu.Unlock()
 		select {
 		case <-c.done:
 			return

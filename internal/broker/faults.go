@@ -1,11 +1,12 @@
 package broker
 
 import (
-	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // FaultRule is a delivery-time message fault installed by the chaos
@@ -31,13 +32,21 @@ type FaultRule struct {
 // groups. The hot routing path checks a single atomic flag before
 // touching any of it, so a fault-free broker pays nothing.
 type faultState struct {
-	mu     sync.Mutex
-	rng    *rand.Rand
-	rules  map[int]FaultRule
+	mu  sync.Mutex
+	rng rng.Stream
+	// rules are kept in installation order, which is the order the
+	// seeded sampling consults them.
+	rules  []installedRule
 	nextID int
 	// groups maps a client/publisher identity to its partition group;
 	// identities in different groups cannot reach each other.
 	groups map[string]int
+}
+
+// installedRule is a FaultRule tagged with the id its remover deletes.
+type installedRule struct {
+	id int
+	FaultRule
 }
 
 // faultsActive reports whether any rule or partition is installed.
@@ -59,17 +68,14 @@ func (b *Broker) AddFault(r FaultRule) (remove func()) {
 	f := &b.faults
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.rules == nil {
-		f.rules = map[int]FaultRule{}
-	}
 	id := f.nextID
 	f.nextID++
-	f.rules[id] = r
+	f.rules = append(f.rules, installedRule{id, r})
 	b.refreshFaultFlag()
 	return func() {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		delete(f.rules, id)
+		f.rules = slices.DeleteFunc(f.rules, func(ir installedRule) bool { return ir.id == id })
 		b.refreshFaultFlag()
 	}
 }
@@ -108,7 +114,7 @@ func (b *Broker) SetFaultSeed(seed int64) {
 	f := &b.faults
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.rng = rand.New(rand.NewSource(seed))
+	f.rng = rng.New(uint64(seed), 0)
 }
 
 // faultAction is the routing decision for one delivery.
@@ -133,18 +139,8 @@ func (b *Broker) decideFault(from, to, topic string) faultAction {
 			return act
 		}
 	}
-	if f.rng == nil {
-		f.rng = rand.New(rand.NewSource(1))
-	}
-	// Evaluate rules in installation order so the seeded sampling
-	// sequence does not depend on map iteration.
-	ids := make([]int, 0, len(f.rules))
-	for id := range f.rules {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		r := f.rules[id]
+	for i := range f.rules {
+		r := &f.rules[i]
 		if r.Client != "" && r.Client != to {
 			continue
 		}

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/rng"
 )
 
 func subscribeChan(t *testing.T, c *Client, filter string) chan Message {
@@ -224,6 +226,75 @@ func TestFaultSamplingIsSeededAcrossSubscribers(t *testing.T) {
 	if !slices.Equal(first, second) {
 		t.Errorf("seeded sampling diverged across runs: %d deliveries starting %v, then %d starting %v",
 			len(first), first[:8], len(second), second[:min(8, len(second))])
+	}
+}
+
+// Rules are consulted in installation order, and removing one leaves
+// the survivors in that order. Each row's oracle replays the seeded
+// stream over the surviving rules; a drop ends a delivery's draws, so
+// any reordering shifts which rule consumes which draw.
+func TestFaultRulesFireInInstallationOrder(t *testing.T) {
+	rules := []FaultRule{
+		{Topic: "t/#", DropRate: 0.3},
+		{Topic: "t/#", DupRate: 0.5, Delay: 5 * time.Millisecond},
+		{Topic: "t/#", DropRate: 0.6, Delay: 10 * time.Millisecond},
+		{Topic: "t/#", DupRate: 0.4},
+	}
+	oracle := func(live []FaultRule) []faultAction {
+		s := rng.New(99, 0)
+		out := make([]faultAction, 200)
+		for i := range out {
+			for _, r := range live {
+				if r.DropRate > 0 && s.Float64() < r.DropRate {
+					out[i].drop = true
+					break
+				}
+				if r.DupRate > 0 && s.Float64() < r.DupRate {
+					out[i].dup = true
+				}
+				out[i].delay = max(out[i].delay, r.Delay)
+			}
+		}
+		return out
+	}
+	for _, row := range []struct {
+		name   string
+		remove []int
+	}{
+		{"all installed", nil},
+		{"middle rule removed", []int{1}},
+		{"first rule removed", []int{0}},
+		{"first and last removed", []int{0, 3}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			b := NewBroker(nil)
+			defer b.Close()
+			b.SetFaultSeed(99)
+			var removers []func()
+			for _, r := range rules {
+				removers = append(removers, b.AddFault(r))
+			}
+			var live []FaultRule
+			for i, r := range rules {
+				if slices.Contains(row.remove, i) {
+					removers[i]()
+				} else {
+					live = append(live, r)
+				}
+			}
+			got := make([]faultAction, 200)
+			for i := range got {
+				got[i] = b.decideFault("pub", "sub", "t/a")
+			}
+			if want := oracle(live); !slices.Equal(got, want) {
+				t.Errorf("decisions diverge from the installation-order oracle")
+			}
+			reversed := slices.Clone(live)
+			slices.Reverse(reversed)
+			if slices.Equal(got, oracle(reversed)) {
+				t.Errorf("the oracle cannot tell installation order from its reverse")
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/rng"
 )
 
 // The reconnect backoff is full jitter over a capped exponential
@@ -15,7 +16,7 @@ import (
 // ReconnectMax)], drawn from the client's seeded jitter stream. On a
 // clock.Virtual the retry timeline is therefore a pure function of
 // (JitterSeed, ReconnectMin, ReconnectMax): this test replays the same
-// stream with clock.NewJitter and demands the virtual dial times match
+// stream with rng.New and demands the virtual dial times match
 // it exactly — pinning determinism, the (0, backoff] bounds, and the
 // cap in one pass.
 func TestReconnectFullJitterScheduleOnVirtualClock(t *testing.T) {
@@ -93,7 +94,7 @@ func TestReconnectFullJitterScheduleOnVirtualClock(t *testing.T) {
 	if got[0] != 0 {
 		t.Errorf("initial dial at virtual %v, want 0", got[0])
 	}
-	jit := clock.NewJitter(seed)
+	jit := rng.New(uint64(seed), 0)
 	backoff := floor
 	at := time.Duration(0)
 	for k := 1; k < len(got); k++ {

@@ -3,13 +3,13 @@ package chaos
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -151,12 +151,12 @@ func Compile(p *Plan) ([]Step, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	jitter := rng.New(uint64(p.Seed), 0)
 	var steps []Step
 	for i, ev := range p.Events {
 		at := ev.At
 		if ev.Jitter > 0 {
-			at += time.Duration(rng.Int63n(int64(ev.Jitter)))
+			at += time.Duration(jitter.Int63n(int64(ev.Jitter)))
 		}
 		resolved := ev
 		resolved.At = at

@@ -157,34 +157,3 @@ func TestVirtualAfterCrossGoroutine(t *testing.T) {
 		}
 	}
 }
-
-func TestJitterDeterministic(t *testing.T) {
-	a, b := NewJitter(42), NewJitter(42)
-	for i := 0; i < 100; i++ {
-		if a.Int63n(1000) != b.Int63n(1000) {
-			t.Fatal("same-seed jitter sources diverged")
-		}
-	}
-	c := NewJitter(43)
-	same := true
-	for i := 0; i < 20; i++ {
-		if a.Int63n(1<<40) != c.Int63n(1<<40) {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical draws")
-	}
-}
-
-func TestSeedString(t *testing.T) {
-	if SeedString("digi-runtime") != SeedString("digi-runtime") {
-		t.Fatal("SeedString is not stable")
-	}
-	if SeedString("a") == SeedString("b") {
-		t.Fatal("SeedString collided on trivial inputs")
-	}
-	if SeedString("swarm-sub-1") < 0 {
-		t.Fatal("SeedString produced a negative seed")
-	}
-}

@@ -2,12 +2,12 @@ package device
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/digi"
 	"repro/internal/model"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -72,7 +72,7 @@ func newSimHarness(t *testing.T, k *digi.Kind, name string) (*simHarness, model.
 	if err := rt.Store.Create(doc); err != nil {
 		t.Fatal(err)
 	}
-	ctx := digi.NewTestCtx(name, k.Type(), rt, rand.New(rand.NewSource(1)), context.Background())
+	ctx := digi.NewTestCtx(name, k.Type(), rt, rng.New(1, 0), context.Background())
 	return &simHarness{rt: rt, ctx: ctx}, doc
 }
 
@@ -182,7 +182,7 @@ func TestDoorLockActuationDelay(t *testing.T) {
 	doc := k.Schema.New("D1")
 	doc.Set("meta.actuation_delay_ms", 50)
 	rt.Store.Create(doc)
-	ctx := digi.NewTestCtx("D1", "DoorLock", rt, rand.New(rand.NewSource(1)), context.Background())
+	ctx := digi.NewTestCtx("D1", "DoorLock", rt, rng.New(1, 0), context.Background())
 
 	work := doc.DeepCopy()
 	work.SetIntent("locked", false)
@@ -321,7 +321,7 @@ func TestLeakSensorLatches(t *testing.T) {
 	doc := k.Schema.New("W1")
 	doc.Set("meta.leak_prob", 1.0) // force a leak on the first tick
 	rt.Store.Create(doc)
-	ctx := digi.NewTestCtx("W1", "LeakSensor", rt, rand.New(rand.NewSource(1)), context.Background())
+	ctx := digi.NewTestCtx("W1", "LeakSensor", rt, rng.New(1, 0), context.Background())
 	work := doc.DeepCopy()
 	k.Loop(ctx, work)
 	if !work.GetBool("leak") {
@@ -385,7 +385,7 @@ func TestCargoSensorShockLatches(t *testing.T) {
 	doc := k.Schema.New("C1")
 	doc.Set("meta.shock_prob", 1.0)
 	rt.Store.Create(doc)
-	ctx := digi.NewTestCtx("C1", "CargoSensor", rt, rand.New(rand.NewSource(1)), context.Background())
+	ctx := digi.NewTestCtx("C1", "CargoSensor", rt, rng.New(1, 0), context.Background())
 	work := doc.DeepCopy()
 	k.Loop(ctx, work)
 	if !work.GetBool("shock") {
@@ -407,7 +407,7 @@ func TestOccupancyConfigurableProbability(t *testing.T) {
 	doc := k.Schema.New("O1")
 	doc.Set("meta.trigger_prob", 0.0)
 	rt.Store.Create(doc)
-	ctx := digi.NewTestCtx("O1", "Occupancy", rt, rand.New(rand.NewSource(1)), context.Background())
+	ctx := digi.NewTestCtx("O1", "Occupancy", rt, rng.New(1, 0), context.Background())
 	work := doc.DeepCopy()
 	for i := 0; i < 50; i++ {
 		k.Loop(ctx, work)

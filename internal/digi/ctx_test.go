@@ -3,18 +3,18 @@ package digi
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
 func TestPublishWithoutBrokerStillLogs(t *testing.T) {
 	reg := NewRegistry()
 	rt := &Runtime{Store: model.NewStore(), Log: trace.NewLog(), Registry: reg}
-	c := NewTestCtx("X1", "Thing", rt, rand.New(rand.NewSource(1)), context.Background())
+	c := NewTestCtx("X1", "Thing", rt, rng.New(1, 0), context.Background())
 	if err := c.Publish(map[string]any{"a": 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestTopicPrefixOverride(t *testing.T) {
 		Store: model.NewStore(), Log: trace.NewLog(),
 		Registry: NewRegistry(), TopicPrefix: "acme",
 	}
-	c := NewTestCtx("X1", "Thing", rt, rand.New(rand.NewSource(1)), context.Background())
+	c := NewTestCtx("X1", "Thing", rt, rng.New(1, 0), context.Background())
 	c.Publish(map[string]any{"a": 1})
 	if got := rt.Log.Records()[0].Topic; got != "acme/X1/status" {
 		t.Errorf("topic = %q", got)
@@ -45,7 +45,7 @@ func TestTopicPrefixOverride(t *testing.T) {
 
 func TestPublishRejectsUnmarshalable(t *testing.T) {
 	rt := &Runtime{Store: model.NewStore(), Log: trace.NewLog(), Registry: NewRegistry()}
-	c := NewTestCtx("X1", "Thing", rt, rand.New(rand.NewSource(1)), context.Background())
+	c := NewTestCtx("X1", "Thing", rt, rng.New(1, 0), context.Background())
 	if err := c.Publish(map[string]any{"bad": make(chan int)}); err == nil {
 		t.Error("unmarshalable payload accepted")
 	}
@@ -54,7 +54,7 @@ func TestPublishRejectsUnmarshalable(t *testing.T) {
 func TestCtxSleepCancellation(t *testing.T) {
 	rt := &Runtime{Store: model.NewStore(), Log: trace.NewLog(), Registry: NewRegistry()}
 	ctx, cancel := context.WithCancel(context.Background())
-	c := NewTestCtx("X1", "Thing", rt, rand.New(rand.NewSource(1)), ctx)
+	c := NewTestCtx("X1", "Thing", rt, rng.New(1, 0), ctx)
 	if !c.Sleep(0) {
 		t.Error("zero sleep should complete")
 	}

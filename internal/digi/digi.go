@@ -28,8 +28,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,6 +37,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -361,7 +360,7 @@ type Ctx struct {
 	Type string
 	// Rand is seeded from meta config "seed" (or the instance name) so
 	// runs are reproducible.
-	Rand *rand.Rand
+	Rand rng.Stream
 
 	rt   *Runtime
 	kind *Kind
@@ -486,16 +485,6 @@ func (c *Ctx) FaultMode() string {
 // NewTestCtx builds a handler context directly, without a running
 // reconciler. It exists so kind libraries (device, scene) can unit-test
 // their Loop/Sim handlers in isolation.
-func NewTestCtx(name, typ string, rt *Runtime, rnd *rand.Rand, ctx context.Context) *Ctx {
+func NewTestCtx(name, typ string, rt *Runtime, rnd rng.Stream, ctx context.Context) *Ctx {
 	return &Ctx{Name: name, Type: typ, Rand: rnd, rt: rt, ctx: ctx}
-}
-
-// seedFor derives a deterministic per-instance seed.
-func seedFor(name string, doc model.Doc) int64 {
-	if v, ok := doc.GetInt("meta.seed"); ok {
-		return v
-	}
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return int64(h.Sum64())
 }

@@ -3,11 +3,11 @@ package digi
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/rng"
 )
 
 // Stepper is the synchronous reconciliation core of one digi: the
@@ -39,11 +39,15 @@ func (rt *Runtime) NewStepper(ctx context.Context, name string) (*Stepper, error
 	if !ok {
 		return nil, fmt.Errorf("digi: kind %q not registered", doc.Type())
 	}
+	seed := rng.Key(name)
+	if v, ok := doc.GetInt("meta.seed"); ok {
+		seed = uint64(v)
+	}
 	s := &Stepper{rt: rt, name: name, kind: kind}
 	s.c = &Ctx{
 		Name: name,
 		Type: doc.Type(),
-		Rand: rand.New(rand.NewSource(seedFor(name, doc))),
+		Rand: rng.New(seed, 0),
 		rt:   rt,
 		kind: kind,
 		ctx:  ctx,

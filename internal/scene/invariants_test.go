@@ -2,12 +2,12 @@ package scene
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/digi"
 	"repro/internal/model"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -30,7 +30,7 @@ func TestEveryKindLoopSimPreservesSchema(t *testing.T) {
 			if err := rt.Store.Create(doc); err != nil {
 				t.Fatal(err)
 			}
-			c := digi.NewTestCtx("inst", k.Type(), rt, rand.New(rand.NewSource(99)), context.Background())
+			c := digi.NewTestCtx("inst", k.Type(), rt, rng.New(99, 0), context.Background())
 			work := doc.DeepCopy()
 			for i := 0; i < 200; i++ {
 				if k.Loop != nil {
@@ -102,7 +102,7 @@ func TestEverySceneSimIsIdempotent(t *testing.T) {
 			rt := &digi.Runtime{Store: model.NewStore(), Log: trace.NewLog(), Registry: reg}
 			doc := k.Schema.New("s")
 			rt.Store.Create(doc)
-			c := digi.NewTestCtx("s", k.Type(), rt, rand.New(rand.NewSource(5)), context.Background())
+			c := digi.NewTestCtx("s", k.Type(), rt, rng.New(5, 0), context.Background())
 
 			work := doc.DeepCopy()
 			atts := mkAtts()

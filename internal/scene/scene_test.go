@@ -2,12 +2,12 @@ package scene
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/digi"
 	"repro/internal/model"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -63,7 +63,7 @@ func ctxFor(t *testing.T, k *digi.Kind, name string) (*digi.Ctx, model.Doc) {
 	if err := rt.Store.Create(doc); err != nil {
 		t.Fatal(err)
 	}
-	return digi.NewTestCtx(name, k.Type(), rt, rand.New(rand.NewSource(7)), context.Background()), doc
+	return digi.NewTestCtx(name, k.Type(), rt, rng.New(7, 0), context.Background()), doc
 }
 
 // mkAtts builds an Atts from (type, name) pairs using device schemas.

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/broker"
-	"repro/internal/clock"
+	"repro/internal/rng"
 )
 
 // This file is the pool's self-healing plane. A health monitor probes
@@ -172,7 +172,7 @@ func (m *healthMonitor) run() {
 	defer close(m.done)
 	p := m.p
 	h := p.opts.Health
-	jit := clock.NewJitter(h.Seed)
+	jit := rng.New(uint64(h.Seed), 0)
 	n := p.NumShards()
 	fails := make([]int, n) // consecutive failed probes, alive shards
 	firstFail := make([]time.Time, n)
