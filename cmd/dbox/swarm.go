@@ -32,7 +32,7 @@ import (
 // publish→deliver latency above -max-p99 when one is set — the same
 // gate CI's swarm-gate job applies. -kill-shard (repeatable) crashes
 // shard N at offset T into the run — the failover drill: the pool's
-// health monitor must take over with zero QoS 1 loss, and the report
+// failover must take over with zero QoS 1 loss, and the report
 // gains failover/recovery columns gated by -max-recovery-p99.
 func swarmCmd(cli *ctl.Client, rest []string) error {
 	fs := flag.NewFlagSet("swarm", flag.ContinueOnError)

@@ -4,8 +4,8 @@
 // The run shards the MQTT message plane across four brokers, pushes an
 // open-loop 20k msg/s Poisson stream from 2 000 devices through the
 // pool at QoS 1 with two wildcard consumers, and crashes shard 1 a
-// third of the way in. The pool's health monitor must detect the
-// death, re-anchor the dead shard's keys and subscriptions onto the
+// third of the way in. The pool must detect the death (50 ms after
+// it), re-anchor the dead shard's keys and subscriptions onto the
 // survivors, and redeliver every journaled message — the gate demands
 // exact accounting (delivered = published × subscribers, zero loss,
 // nothing shed) plus a bounded recovery p99.
@@ -85,10 +85,9 @@ func main() {
 	if err := rep.Gate(0); err != nil {
 		log.Fatal(err)
 	}
-	// One failover, nothing shed, and a detection→takeover p99 under
-	// half a second — generous against the ~75ms detection window
-	// (3 probes × 25ms) plus journal flush, tight enough to catch a
-	// stalled monitor.
+	// One failover, nothing shed, and a death→takeover p99 under half a
+	// second — generous against the 50 ms detection delay plus journal
+	// flush, tight enough to catch a detection that never fires.
 	if err := rep.GateRecovery(1, 500); err != nil {
 		log.Fatal(err)
 	}

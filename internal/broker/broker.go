@@ -758,7 +758,7 @@ func (b *Broker) UnsubscribeInProcess(clientID, filter string) bool {
 }
 
 // Alive reports whether the broker is still accepting publishes — the
-// liveness probe the swarm pool's health monitor polls. It flips false
+// liveness check the swarm pool and its bridge make. It flips false
 // on Close (including a chaos shard-kill) and never recovers; revival
 // swaps in a fresh broker.
 func (b *Broker) Alive() bool {

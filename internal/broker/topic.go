@@ -59,27 +59,29 @@ func ValidateTopicFilter(filter string) error {
 // following MQTT semantics: "#" also matches the parent level
 // ("a/#" matches "a"), and "+" matches exactly one level including the
 // empty level. Topics starting with "$" are not matched by wildcards
-// at the first level (spec §4.7.2).
+// at the first level (spec §4.7.2). It walks both strings level by
+// level, the way deliverySet does, and allocates nothing.
 func MatchTopic(filter, topic string) bool {
 	if strings.HasPrefix(topic, "$") && (strings.HasPrefix(filter, "+") || strings.HasPrefix(filter, "#")) {
 		return false
 	}
-	return matchLevels(strings.Split(filter, "/"), strings.Split(topic, "/"))
-}
-
-func matchLevels(filter, topic []string) bool {
-	for i, f := range filter {
+	for {
+		f, frest, fmore := strings.Cut(filter, "/")
 		if f == "#" {
 			return true
 		}
-		if i >= len(topic) {
+		t, trest, tmore := strings.Cut(topic, "/")
+		switch {
+		case f != "+" && f != t:
 			return false
+		case !fmore:
+			return !tmore
+		case !tmore:
+			// "a/#" matches "a": only a final "#" may outlast the topic.
+			return frest == "#"
 		}
-		if f != "+" && f != topic[i] {
-			return false
-		}
+		filter, topic = frest, trest
 	}
-	return len(topic) == len(filter)
 }
 
 // FiltersOverlap reports whether two subscription filters can match a

@@ -114,6 +114,86 @@ func TestMatchTopicWildcardEdgeCases(t *testing.T) {
 	}
 }
 
+// matchTopicSplit is the Split-based MatchTopic, kept as the reference
+// the level walk is checked against.
+func matchTopicSplit(filter, topic string) bool {
+	if strings.HasPrefix(topic, "$") && (strings.HasPrefix(filter, "+") || strings.HasPrefix(filter, "#")) {
+		return false
+	}
+	fl, tl := strings.Split(filter, "/"), strings.Split(topic, "/")
+	for i, f := range fl {
+		if f == "#" {
+			return true
+		}
+		if i >= len(tl) {
+			return false
+		}
+		if f != "+" && f != tl[i] {
+			return false
+		}
+	}
+	return len(tl) == len(fl)
+}
+
+// genMatchPair draws a filter and a topic over a small alphabet that
+// hits MatchTopic's edges: "+" and "#" levels, "$" first levels, empty
+// levels, and a filter "x/#" against its parent topic "x".
+func genMatchPair(r *rand.Rand) (filter, topic string) {
+	words := []string{"a", "b", "$SYS", "$x", ""}
+	levels := func(n int, wild bool) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = words[r.Intn(len(words))]
+			if wild && r.Intn(4) == 0 {
+				out[i] = "+"
+			}
+		}
+		return out
+	}
+	tl := levels(1+r.Intn(4), false)
+	var fl []string
+	if r.Intn(3) == 0 {
+		// Derive the filter from the topic so matches are common.
+		fl = append(fl, tl...)
+		for i := range fl {
+			if r.Intn(3) == 0 {
+				fl[i] = "+"
+			}
+		}
+	} else {
+		fl = levels(1+r.Intn(4), true)
+	}
+	if r.Intn(3) == 0 {
+		fl = append(fl, "#")
+	}
+	return strings.Join(fl, "/"), strings.Join(tl, "/")
+}
+
+// Property: the allocation-free level walk agrees with the Split-based
+// reference on random filter/topic pairs.
+func TestQuickMatchTopicAgreesWithSplit(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 50; trial++ {
+			filter, topic := genMatchPair(r)
+			if got, want := MatchTopic(filter, topic), matchTopicSplit(filter, topic); got != want {
+				t.Logf("MatchTopic(%q, %q) = %v, reference %v", filter, topic, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestMatchTopicAllocations(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { MatchTopic("swarm/+/status", "swarm/dev-7/status") }); n != 0 {
+		t.Errorf("MatchTopic: %v allocations, want 0", n)
+	}
+}
+
 func TestFiltersOverlap(t *testing.T) {
 	cases := []struct {
 		a, b string

@@ -60,7 +60,7 @@ type DeviceInjector interface {
 
 // SwarmInjector is the swarm-layer fault surface. *swarm.Pool
 // satisfies it directly: KillShard crashes a shard's broker (the
-// pool's health monitor detects the death and fails over),
+// pool detects the death and fails over),
 // ReviveShard brings it back, PartitionShard/HealShard sever and
 // restore its bridge links.
 type SwarmInjector interface {

@@ -8,7 +8,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/broker"
@@ -97,7 +99,6 @@ func (tb *Testbed) RunSwarm(ctx context.Context, spec SwarmSpec) (*swarm.Report,
 		Shards: shards,
 		Obs:    tb.Obs,
 		Tracer: tb.Tracer,
-		Health: swarm.HealthOptions{Seed: load.Seed},
 		Bus:    tb.Bus,
 		Clock:  tb.clk,
 	})
@@ -159,31 +160,30 @@ func (tb *Testbed) RunSwarm(ctx context.Context, spec SwarmSpec) (*swarm.Report,
 	}
 	defer tb.deleteSwarmPods(podNames)
 
-	// The kill schedule runs as a chaos plan concurrently with the
-	// load: each kill fires through the pool's SwarmInjector surface
-	// and the health monitor's failover takes it from there. The plan
-	// walk is cancelled (not abandoned) if the run errors out first.
-	var chaosDone chan error
-	chaosCtx, cancelChaos := context.WithCancel(ctx)
-	defer cancelChaos()
+	// The kill schedule is a chaos plan walked on the testbed clock (see
+	// walkOnClock) through the pool's SwarmInjector surface; the pool's
+	// failure detection takes each kill from there.
+	var killsDone <-chan struct{}
 	if len(spec.Kills) > 0 {
-		plan := killPlan(load.Seed, spec.Kills)
 		eng := tb.ChaosEngine()
 		eng.Swarm = pool
-		chaosDone = make(chan error, 1)
-		go func() {
-			_, err := eng.Run(chaosCtx, plan)
-			chaosDone <- err
-		}()
+		done, stop, err := walkOnClock(tb.clk, eng, killPlan(load.Seed, spec.Kills))
+		if err != nil {
+			return nil, fmt.Errorf("core: swarm kill schedule: %w", err)
+		}
+		defer stop()
+		killsDone = done
 	}
 
 	placements, err := tb.waitSwarmPods(ctx, podNames, load.Duration+tb.opts.ReadyTimeout)
 	if err != nil {
 		return nil, err
 	}
-	if chaosDone != nil {
-		if err := <-chaosDone; err != nil {
-			return nil, fmt.Errorf("core: swarm kill schedule: %w", err)
+	if killsDone != nil {
+		select {
+		case <-killsDone:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
 
@@ -204,6 +204,45 @@ func killPlan(seed int64, kills []ShardKill) *chaos.Plan {
 		})
 	}
 	return p
+}
+
+// walkOnClock applies a compiled plan on clk as the replay engine does:
+// each step in its own timer's callback, on the goroutine driving the
+// clock, so a kill arms its detection ahead of its revert whatever the
+// host does. (Walked on a goroutine of its own, the plan let an unpaced
+// clock jump past both before the goroutine ran.) done closes once
+// every step applied; stop disarms the rest.
+func walkOnClock(clk clock.Clock, eng *chaos.Engine, plan *chaos.Plan) (done <-chan struct{}, stop func(), err error) {
+	steps, err := chaos.Compile(plan)
+	if err != nil {
+		return nil, nil, err
+	}
+	w := eng.NewWalker(plan)
+	finished := make(chan struct{})
+	var mu sync.Mutex // serialises the steps against stop
+	stopped, left := false, len(steps)
+	timers := make([]clock.Timer, len(steps))
+	for k, st := range steps {
+		timers[k] = clk.AfterFunc(st.At, func() {
+			mu.Lock()
+			defer mu.Unlock()
+			if stopped {
+				return
+			}
+			w.Apply(st)
+			if left--; left == 0 {
+				close(finished)
+			}
+		})
+	}
+	return finished, func() {
+		mu.Lock()
+		defer mu.Unlock()
+		stopped = true
+		for _, t := range timers {
+			t.Stop()
+		}
+	}, nil
 }
 
 // setActiveSwarm publishes (or clears) the in-flight swarm pool for
@@ -242,39 +281,39 @@ func (tb *Testbed) SwarmHealth() (shards int, down []int) {
 	return p.NumShards(), p.DownShards()
 }
 
-// waitSwarmPods polls until every pod succeeded, returning pod→node
-// placements. Workers only return errors on programming mistakes, so a
-// Failed pod is surfaced verbatim. The workers do real work, so past
-// the scenario timeout they get ReadyTimeout of wall time.
+// waitSwarmPods watches the run's pods until every one succeeded,
+// returning pod→node placements. Workers only return errors on
+// programming mistakes, so a Failed pod is surfaced verbatim. The
+// workers do real work, so past the scenario timeout they get
+// ReadyTimeout of wall time.
 func (tb *Testbed) waitSwarmPods(ctx context.Context, podNames []string, timeout time.Duration) (map[string]string, error) {
-	placements := map[string]string{}
+	events, stop := tb.Cluster.WatchPods(podNames...)
+	defer stop()
 	d := clock.NewDeadline(tb.clk, timeout, tb.opts.ReadyTimeout)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var waiting []string
-		for _, name := range podNames {
-			p, err := tb.Cluster.GetPod(name)
-			if err != nil {
-				return nil, err
+	defer d.Stop()
+	placements := map[string]string{}
+	for len(placements) < len(podNames) {
+		select {
+		case ev := <-events:
+			switch {
+			case ev.Type == kube.Deleted:
+				return nil, kube.ErrNotFound{Kind: "pod", Name: ev.Pod.Name}
+			case ev.Pod.Status.Phase == kube.PodSucceeded:
+				placements[ev.Pod.Name] = ev.Pod.Status.NodeName
+			case ev.Pod.Status.Phase == kube.PodFailed:
+				return nil, fmt.Errorf("core: swarm pod %s failed: %s", ev.Pod.Name, ev.Pod.Status.Message)
 			}
-			switch p.Status.Phase {
-			case kube.PodSucceeded:
-				placements[name] = p.Status.NodeName
-			case kube.PodFailed:
-				return nil, fmt.Errorf("core: swarm pod %s failed: %s", name, p.Status.Message)
-			default:
-				waiting = append(waiting, name)
-			}
-		}
-		if len(waiting) == 0 {
-			return placements, nil
-		}
-		if !d.Poll() {
+		case <-d.Done():
+			waiting := slices.DeleteFunc(slices.Clone(podNames), func(name string) bool {
+				_, placed := placements[name]
+				return placed
+			})
 			return nil, fmt.Errorf("core: swarm timed out waiting for pods %s", strings.Join(waiting, ", "))
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
+	return placements, nil
 }
 
 func (tb *Testbed) deleteSwarmPods(podNames []string) {

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/kube"
 	"repro/internal/swarm"
 )
 
@@ -200,6 +202,41 @@ func TestRunSwarmFailoverDeterminism(t *testing.T) {
 	}
 	if fmt.Sprint(sigA) != fmt.Sprint(sigB) {
 		t.Fatalf("fault signatures differ across identical runs\nA: %v\nB: %v", sigA, sigB)
+	}
+}
+
+// TestWaitSwarmPodsErrors pins the pod wait's results: placements from
+// the Succeeded events, a Failed pod reported verbatim, and a timeout
+// naming the pods still out.
+func TestWaitSwarmPodsErrors(t *testing.T) {
+	tb := swarmTestbed(t, NodeSpec{Name: "n0", Capacity: 8, Zone: "local"})
+	images := map[string]func(ctx context.Context) error{
+		"done": func(context.Context) error { return nil },
+		"boom": func(context.Context) error { return errors.New("boom") },
+		"hang": func(ctx context.Context) error { <-ctx.Done(); return nil },
+	}
+	for image, run := range images {
+		tb.Cluster.RegisterImage(image, func(map[string]any) (kube.Workload, error) {
+			return kube.WorkloadFunc(run), nil
+		})
+		name := "w-" + image
+		if err := tb.Cluster.CreatePod(&kube.Pod{Name: name, Spec: kube.PodSpec{Image: image, RestartPolicy: kube.RestartNever}}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tb.Cluster.DeletePod(name) })
+	}
+	ctx := context.Background()
+	placements, err := tb.waitSwarmPods(ctx, []string{"w-done"}, 5*time.Second)
+	if err != nil || placements["w-done"] != "n0" {
+		t.Fatalf("placements = %v, err = %v; want w-done on n0", placements, err)
+	}
+	_, err = tb.waitSwarmPods(ctx, []string{"w-done", "w-boom"}, 5*time.Second)
+	if want := "core: swarm pod w-boom failed: boom"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	_, err = tb.waitSwarmPods(ctx, []string{"w-done", "w-hang"}, 50*time.Millisecond)
+	if want := "core: swarm timed out waiting for pods w-hang"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

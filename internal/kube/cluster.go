@@ -2,6 +2,7 @@ package kube
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -314,6 +315,14 @@ func (c *Cluster) ListPods() []*Pod {
 	return c.api.listPods()
 }
 
+// WatchPods streams the named pods' events in commit order: each one
+// that exists first, as Added, then every change, until stop is
+// called. Only the named pods are copied, however large the cluster.
+func (c *Cluster) WatchPods(names ...string) (events <-chan PodEvent, stop func()) {
+	w := c.api.watchPods(func(ev PodEvent) bool { return slices.Contains(names, ev.Pod.Name) })
+	return w.C, w.Close
+}
+
 // waitGrace is the pod waits' wall-clock grace (see clock.Deadline):
 // what the host may take to run the scheduler → agent → watch
 // goroutine chain after the scenario timeout has expired.
@@ -324,11 +333,11 @@ const waitGrace = 2 * time.Second
 func (c *Cluster) WaitPodPhase(name string, phase PodPhase, timeout time.Duration) error {
 	d := clock.NewDeadline(c.clock, timeout, waitGrace)
 	defer d.Stop()
-	w := c.api.watchPods(func(ev PodEvent) bool { return ev.Pod.Name == name })
-	defer w.Close()
+	events, stop := c.WatchPods(name)
+	defer stop()
 	for {
 		select {
-		case ev, ok := <-w.C:
+		case ev, ok := <-events:
 			if !ok {
 				return fmt.Errorf("kube: watch closed waiting for pod %q", name)
 			}

@@ -27,7 +27,7 @@ type Event struct {
 }
 
 // Bus is a bounded fan-out event bus. Publishers (broker, chaos
-// engine, swarm health monitor, kube node agents) call Publish;
+// engine, swarm pool failover, kube node agents) call Publish;
 // consumers call Subscribe and read from the returned Sub's channel.
 //
 // Backpressure contract, mirroring the swarm pend journal: every

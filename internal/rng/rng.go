@@ -1,7 +1,7 @@
 // Package rng is the runtime's one pseudo-random source: keyed
 // splitmix64 streams with 8 bytes of state each. Every seeded decision
 // in the testbed — a digi's Loop and Sim draws, chaos event jitter,
-// reconnect and reprobe backoff, broker fault sampling, profile device
+// reconnect backoff, broker fault sampling, profile device
 // streams — draws from a Stream built by New, so a run's randomness is
 // a pure function of its seeds and replays exactly.
 //

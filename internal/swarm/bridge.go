@@ -1,6 +1,7 @@
 package swarm
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,18 +45,39 @@ type bridge struct {
 	spill func(gate int, kind pendKind, target int, from, topic string, payload []byte, qos byte, retain bool)
 
 	mu       sync.RWMutex
-	concrete map[string]map[int]int // exact filter -> shard -> refcount
-	wild     map[string]map[int]int // wildcard filter -> shard -> refcount
-	severed  map[int]bool           // shard-partition: links cut both ways
+	concrete map[string][]int32 // exact filter -> per-shard refcount
+	wild     map[string][]int32 // wildcard filter -> per-shard refcount
+	// wildList is wild as a slice sharing its refcounts, rebuilt only
+	// when a wildcard filter comes or goes: the per-publish scan.
+	wildList []wildFilter
+	severed  []bool // shard-partition: links cut both ways
+
+	// lastFrom interns the forwarded identity bridgePrefix+from. A
+	// swarm run publishes under one identity, so one entry suffices.
+	lastFrom atomic.Pointer[forwardedFrom]
 
 	forwards int64 // publishes forwarded shard-to-shard
 }
 
-func newBridge() *bridge {
+type wildFilter struct {
+	filter string
+	shards []int32
+}
+
+type forwardedFrom struct{ from, as string }
+
+// forward is one sibling shard a publish is headed to; gate is the
+// journal key when it is blocked, -1 when it is deliverable.
+type forward struct {
+	dest         *broker.Broker
+	target, gate int
+}
+
+func newBridge(shards int) *bridge {
 	return &bridge{
-		concrete: map[string]map[int]int{},
-		wild:     map[string]map[int]int{},
-		severed:  map[int]bool{},
+		concrete: map[string][]int32{},
+		wild:     map[string][]int32{},
+		severed:  make([]bool, shards),
 	}
 }
 
@@ -63,91 +85,98 @@ func newBridge() *bridge {
 func (br *bridge) subHook(i int) func(clientID, filter string, add bool) {
 	return func(_, filter string, add bool) {
 		idx := br.concrete
-		if strings.ContainsAny(filter, "+#") {
+		isWild := strings.ContainsAny(filter, "+#")
+		if isWild {
 			idx = br.wild
 		}
 		br.mu.Lock()
 		defer br.mu.Unlock()
-		shards := idx[filter]
+		refs := idx[filter]
 		if add {
-			if shards == nil {
-				shards = map[int]int{}
-				idx[filter] = shards
+			if refs == nil {
+				refs = make([]int32, len(br.severed))
+				idx[filter] = refs
+				if isWild {
+					br.rebuildWild()
+				}
 			}
-			shards[i]++
+			refs[i]++
 			return
 		}
-		if shards == nil {
+		if refs == nil || refs[i] == 0 {
 			return
 		}
-		if shards[i]--; shards[i] <= 0 {
-			delete(shards, i)
-		}
-		if len(shards) == 0 {
+		if refs[i]--; unused(refs) {
 			delete(idx, filter)
+			if isWild {
+				br.rebuildWild()
+			}
 		}
+	}
+}
+
+// rebuildWild regenerates wildList from wild. Caller holds mu.
+func (br *bridge) rebuildWild() {
+	br.wildList = br.wildList[:0]
+	for filter, refs := range br.wild {
+		br.wildList = append(br.wildList, wildFilter{filter, refs})
 	}
 }
 
 // routeHook returns the RouteHook for shard i: decide which sibling
 // shards need this publish and forward it with the bridge-prefixed
-// publisher identity. Targets that are dead or behind a severed link
-// are spilled to the journal instead of silently dropped.
+// publisher identity, in ascending shard order. Targets that are dead
+// or behind a severed link are spilled to the journal instead of
+// silently dropped. In pools of up to 8 shards the whole decision
+// lives on the stack, so a forward allocates nothing.
 func (br *bridge) routeHook(i int) func(from, topic string, payload []byte, qos byte, retain bool) {
 	return func(from, topic string, payload []byte, qos byte, retain bool) {
 		if strings.HasPrefix(from, bridgePrefix) {
 			return // already forwarded once; single hop only
 		}
-		var targets []int
+		var wantBuf [8]bool
+		var fwdBuf [8]forward
+		want, fwds := wantBuf[:0], fwdBuf[:0]
 		br.mu.RLock()
-		sourceCut := br.severed[i]
+		want = append(want, make([]bool, len(br.shards))...)
 		if retain {
 			// Replicate retained state everywhere.
-			for t := range br.shards {
-				if t != i {
-					targets = append(targets, t)
-				}
+			for t := range want {
+				want[t] = true
 			}
 		} else {
-			seen := map[int]bool{i: true}
-			for t := range br.concrete[topic] {
-				if !seen[t] {
-					seen[t] = true
-					targets = append(targets, t)
-				}
+			for t, n := range br.concrete[topic] {
+				want[t] = n > 0
 			}
-			for filter, shards := range br.wild {
-				if !broker.MatchTopic(filter, topic) {
+			for _, w := range br.wildList {
+				if !broker.MatchTopic(w.filter, topic) {
 					continue
 				}
-				for t := range shards {
-					if !seen[t] {
-						seen[t] = true
-						targets = append(targets, t)
-					}
+				for t, n := range w.shards {
+					want[t] = want[t] || n > 0
 				}
 			}
 		}
 		// Capture destination brokers and the blocked decision while the
 		// lock is held: ReviveShard swaps slice elements under the write
 		// lock, so element reads outside it would race the swap.
-		blocked := make([]int, 0, len(targets)) // journal gate per target; -1 = deliverable
-		dests := make([]*broker.Broker, 0, len(targets))
-		for _, t := range targets {
-			dests = append(dests, br.shards[t])
-			switch {
-			case !br.shards[t].Alive() || br.severed[t]:
-				blocked = append(blocked, t) // target-side outage gates it
-			case sourceCut:
-				blocked = append(blocked, i) // our own link is cut
-			default:
-				blocked = append(blocked, -1)
+		for t, dest := range br.shards {
+			if t == i || !want[t] {
+				continue
 			}
+			gate := -1
+			switch {
+			case !dest.Alive() || br.severed[t]:
+				gate = t // target-side outage gates it
+			case br.severed[i]:
+				gate = i // our own link is cut
+			}
+			fwds = append(fwds, forward{dest, t, gate})
 		}
 		br.mu.RUnlock()
-		for k, t := range targets {
-			if gate := blocked[k]; gate >= 0 {
-				br.spill(gate, pendForward, t, from, topic, payload, qos, retain)
+		for _, f := range fwds {
+			if f.gate >= 0 {
+				br.spill(f.gate, pendForward, f.target, from, topic, payload, qos, retain)
 				continue
 			}
 			atomic.AddInt64(&br.forwards, 1)
@@ -155,11 +184,21 @@ func (br *bridge) routeHook(i int) func(from, topic string, payload []byte, qos 
 			// surviving error is ErrClosed from a shard dying between the
 			// liveness check and the forward — journal it like any other
 			// dead-target forward.
-			if dests[k].PublishQoS(bridgePrefix+from, topic, payload, qos, retain) != nil {
-				br.spill(t, pendForward, t, from, topic, payload, qos, retain)
+			if f.dest.PublishQoS(br.forwardedAs(from), topic, payload, qos, retain) != nil {
+				br.spill(f.target, pendForward, f.target, from, topic, payload, qos, retain)
 			}
 		}
 	}
+}
+
+// forwardedAs returns the bridge-prefixed identity for from.
+func (br *bridge) forwardedAs(from string) string {
+	if c := br.lastFrom.Load(); c != nil && c.from == from {
+		return c.as
+	}
+	c := &forwardedFrom{from, bridgePrefix + from}
+	br.lastFrom.Store(c)
+	return c.as
 }
 
 // setShard swaps the broker serving shard slot i — ReviveShard's
@@ -176,18 +215,7 @@ func (br *bridge) setShard(i int, b *broker.Broker) {
 func (br *bridge) setSevered(i int, cut bool) {
 	br.mu.Lock()
 	defer br.mu.Unlock()
-	if cut {
-		br.severed[i] = true
-	} else {
-		delete(br.severed, i)
-	}
-}
-
-// isSevered reports whether shard i's links are currently cut.
-func (br *bridge) isSevered(i int) bool {
-	br.mu.RLock()
-	defer br.mu.RUnlock()
-	return br.severed[i]
+	br.severed[i] = cut
 }
 
 // dropShard removes every index entry anchored on shard d — the bridge
@@ -196,16 +224,20 @@ func (br *bridge) isSevered(i int) bool {
 func (br *bridge) dropShard(d int) {
 	br.mu.Lock()
 	defer br.mu.Unlock()
-	for _, idx := range []map[string]map[int]int{br.concrete, br.wild} {
-		for filter, shards := range idx {
-			if _, ok := shards[d]; ok {
-				delete(shards, d)
-				if len(shards) == 0 {
-					delete(idx, filter)
-				}
+	for _, idx := range []map[string][]int32{br.concrete, br.wild} {
+		for filter, refs := range idx {
+			refs[d] = 0
+			if unused(refs) {
+				delete(idx, filter)
 			}
 		}
 	}
+	br.rebuildWild()
+}
+
+// unused reports whether no shard holds a filter with refcounts refs.
+func unused(refs []int32) bool {
+	return !slices.ContainsFunc(refs, func(n int32) bool { return n > 0 })
 }
 
 func (br *bridge) forwardCount() int64 {

@@ -262,10 +262,10 @@ func TestBridgeIndexCleanup(t *testing.T) {
 	}
 	br := pool.bridge
 	br.mu.RLock()
-	wild, concrete := len(br.wild), len(br.concrete)
+	wild, wildList, concrete := len(br.wild), len(br.wildList), len(br.concrete)
 	br.mu.RUnlock()
-	if wild != 1 || concrete != 1 {
-		t.Fatalf("index = %d wild, %d concrete; want 1, 1", wild, concrete)
+	if wild != 1 || wildList != 1 || concrete != 1 {
+		t.Fatalf("index = %d wild (%d listed), %d concrete; want 1 (1), 1", wild, wildList, concrete)
 	}
 	pool.Unsubscribe("c1", "a/+/c")
 	if !bridgeHasWild(br, "a/+/c") {
@@ -276,14 +276,14 @@ func TestBridgeIndexCleanup(t *testing.T) {
 	waitCondSwarm(t, time.Second, func() bool {
 		br.mu.RLock()
 		defer br.mu.RUnlock()
-		return len(br.wild) == 0 && len(br.concrete) == 0
+		return len(br.wild) == 0 && len(br.wildList) == 0 && len(br.concrete) == 0
 	}, "bridge index did not drain")
 }
 
 func bridgeHasWild(br *bridge, filter string) bool {
 	br.mu.RLock()
 	defer br.mu.RUnlock()
-	return len(br.wild[filter]) > 0
+	return !unused(br.wild[filter])
 }
 
 // TestBridgeWireClientEquivalence runs wildcard delivery with real

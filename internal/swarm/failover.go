@@ -7,52 +7,38 @@ import (
 	"time"
 
 	"repro/internal/broker"
-	"repro/internal/rng"
 )
 
-// This file is the pool's self-healing plane. A health monitor probes
-// every shard on the pool clock; when one stops answering it runs a
-// failover under the exclusive placement lock: the dead shard's keys
-// re-anchor to ring survivors, its in-process subscriptions migrate
-// (without retained replay — the clients never unsubscribed), retained
-// state the survivors miss is re-replicated, and every message the
-// journal parked against the outage is redelivered so QoS 1
+// This file is the pool's self-healing plane. A shard dies only in
+// KillShard, which arms the failover as one pool-clock timer; a healthy
+// pool arms none, so an unpaced clock is moved only by the load. The
+// failover runs under the exclusive placement lock: the dead shard's
+// keys re-anchor to ring survivors, its in-process subscriptions
+// migrate (without retained replay — the clients never unsubscribed),
+// retained state the survivors miss is re-replicated, and every message
+// the journal parked against the outage is redelivered so QoS 1
 // accounting stays exact. Chaos faults (shard-kill / shard-partition /
 // shard-revive) and `dbox swarm -kill-shard` drive the same paths.
 
 // HealthOptions tunes shard failure detection and the failover
 // journal. The zero value means defaults.
 type HealthOptions struct {
-	// ProbeInterval is the health probe tick; default 25ms.
-	ProbeInterval time.Duration
-	// FailThreshold is the number of consecutive failed probes that
-	// declares a shard dead and triggers failover; default 3.
-	FailThreshold int
-	// ReprobeMax caps the exponential backoff between liveness
-	// reprobes of a down shard; default 1s.
-	ReprobeMax time.Duration
+	// DetectAfter is how long after a shard's death its failover runs;
+	// default 50ms. Messages meanwhile park in the journal.
+	DetectAfter time.Duration
 	// PendingLimit bounds the per-shard journal of messages parked
 	// during an outage; overflow is shed (counted, never blocking).
 	// Default 16384.
 	PendingLimit int
-	// Seed seeds the reprobe backoff jitter so deterministic harnesses
-	// replay identical probe schedules. 0 is a valid (fixed) seed.
-	Seed int64
-	// Disable skips starting the monitor; KillShard/ReviveShard and
-	// the journal still work, detection just never fires on its own.
+	// Disable turns detection off: KillShard/ReviveShard and the
+	// journal still work, but a kill never fails over on its own.
 	// Single-broker tests that close the pool abruptly use this.
 	Disable bool
 }
 
 func (h HealthOptions) withDefaults() HealthOptions {
-	if h.ProbeInterval <= 0 {
-		h.ProbeInterval = 25 * time.Millisecond
-	}
-	if h.FailThreshold <= 0 {
-		h.FailThreshold = 3
-	}
-	if h.ReprobeMax <= 0 {
-		h.ReprobeMax = time.Second
+	if h.DetectAfter <= 0 {
+		h.DetectAfter = 50 * time.Millisecond
 	}
 	if h.PendingLimit <= 0 {
 		h.PendingLimit = 16384
@@ -130,104 +116,10 @@ func (j *pendJournal) drain(gate int) []pendingMsg {
 	return q
 }
 
-// depth returns the total number of parked messages.
-func (j *pendJournal) depth() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	n := 0
-	for _, q := range j.pending {
-		n += len(q)
-	}
-	return n
-}
-
 func (j *pendJournal) shedCount() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.shed
-}
-
-// healthMonitor is the pool's failure detector: one goroutine probing
-// Broker.Alive on every tick of the pool clock.
-type healthMonitor struct {
-	p    *Pool
-	stop chan struct{}
-	done chan struct{}
-}
-
-func (p *Pool) startMonitor() *healthMonitor {
-	m := &healthMonitor{p: p, stop: make(chan struct{}), done: make(chan struct{})}
-	go m.run()
-	return m
-}
-
-// stopWait signals the monitor and blocks until its goroutine exits —
-// the leakcheck contract for Pool.Close.
-func (m *healthMonitor) stopWait() {
-	close(m.stop)
-	<-m.done
-}
-
-func (m *healthMonitor) run() {
-	defer close(m.done)
-	p := m.p
-	h := p.opts.Health
-	jit := rng.New(uint64(h.Seed), 0)
-	n := p.NumShards()
-	fails := make([]int, n) // consecutive failed probes, alive shards
-	firstFail := make([]time.Time, n)
-	backoff := make([]time.Duration, n) // reprobe backoff, down shards
-	nextProbe := make([]time.Time, n)
-	tick := p.clk.NewTicker(h.ProbeInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-tick.C():
-		}
-		now := p.clk.Now()
-		for i := 0; i < n; i++ {
-			if p.ShardDown(i) {
-				// Down shard: reprobe for external revival on a capped
-				// exponential backoff with full seeded jitter, so a big
-				// pool's reprobes never synchronize into a thundering
-				// herd against a recovering shard.
-				if backoff[i] == 0 {
-					backoff[i] = h.ProbeInterval
-					nextProbe[i] = now
-				}
-				if now.Before(nextProbe[i]) {
-					continue
-				}
-				if p.Shard(i).Alive() {
-					// Somebody swapped a live broker in without going
-					// through ReviveShard — finish the recovery.
-					p.ReviveShard(i)
-					backoff[i], fails[i] = 0, 0
-					continue
-				}
-				backoff[i] *= 2
-				if backoff[i] > h.ReprobeMax {
-					backoff[i] = h.ReprobeMax
-				}
-				nextProbe[i] = now.Add(time.Duration(1 + jit.Int63n(int64(backoff[i]))))
-				continue
-			}
-			backoff[i] = 0
-			if p.Shard(i).Alive() {
-				fails[i] = 0
-				continue
-			}
-			if fails[i] == 0 {
-				firstFail[i] = now
-			}
-			if fails[i]++; fails[i] >= h.FailThreshold {
-				p.failover(i, firstFail[i])
-				fails[i] = 0
-			}
-		}
-	}
 }
 
 // failover takes over a dead shard: re-anchor its keys and
@@ -235,14 +127,19 @@ func (m *healthMonitor) run() {
 // survivors miss, and flush the journal so every parked QoS 1 message
 // is delivered exactly once per subscriber. Holding topo exclusively
 // for the whole sequence is what makes the accounting exact: no pool
-// publish can land in a half-migrated topology.
-func (p *Pool) failover(dead int, detected time.Time) {
+// publish can land in a half-migrated topology. killed is the broker
+// KillShard closed at died: a slot revived since holds another one.
+func (p *Pool) failover(dead int, killed *broker.Broker, died time.Time) {
 	p.topo.Lock()
-	if dead < 0 || dead >= len(p.shards) || p.ring.isDown(dead) || p.ring.alive <= 1 {
-		// Already handled, or no survivor exists to take over.
+	if p.closed || p.shards[dead] != killed || p.ring.isDown(dead) || p.ring.alive <= 1 {
+		// Pool closed, shard revived or already handled, or no survivor
+		// exists to take over.
 		p.topo.Unlock()
 		return
 	}
+	p.failing.Add(1)
+	defer p.failing.Done()
+	p.detect[dead] = nil
 	p.ring.markDown(dead)
 	p.bridge.dropShard(dead)
 	// The dead broker's trie still names its subscriptions; the pool
@@ -306,7 +203,7 @@ func (p *Pool) failover(dead int, detected time.Time) {
 	redelivered := p.flushGateLocked(dead, -1)
 	p.topo.Unlock()
 
-	elapsed := p.clk.Since(detected).Seconds()
+	elapsed := p.clk.Since(died).Seconds()
 	p.statMu.Lock()
 	p.failovers++
 	p.recoveries = append(p.recoveries, elapsed)
@@ -399,17 +296,24 @@ func (p *Pool) redeliverLocked(moved map[string]bool, m pendingMsg) int {
 }
 
 // KillShard closes shard i's broker without telling the pool — the
-// chaos shard-kill fault. The health monitor detects the death and
-// runs the failover, exactly as it would for a real crash.
+// chaos shard-kill fault — and arms one pool-clock timer that runs the
+// failover DetectAfter later, ahead of any revive the caller arms next.
+// Killing a dead shard is a no-op.
 func (p *Pool) KillShard(i int) error {
-	p.topo.RLock()
+	p.topo.Lock()
+	defer p.topo.Unlock()
 	if i < 0 || i >= len(p.shards) {
-		p.topo.RUnlock()
 		return fmt.Errorf("swarm: kill-shard %d: pool has %d shards", i, len(p.shards))
 	}
 	sh := p.shards[i]
-	p.topo.RUnlock()
+	if !sh.Alive() {
+		return nil
+	}
 	sh.Close()
+	if !p.opts.Health.Disable && !p.closed {
+		died := p.clk.Now()
+		p.detect[i] = p.clk.AfterFunc(p.opts.Health.DetectAfter, func() { p.failover(i, sh, died) })
+	}
 	p.logf("swarm: chaos killed shard %d", i)
 	return nil
 }
@@ -426,6 +330,11 @@ func (p *Pool) ReviveShard(i int) error {
 	if i < 0 || i >= len(p.shards) {
 		p.topo.Unlock()
 		return fmt.Errorf("swarm: revive-shard %d: pool has %d shards", i, len(p.shards))
+	}
+	if t := p.detect[i]; t != nil {
+		// Revived before detection: the outage never fails over.
+		t.Stop()
+		p.detect[i] = nil
 	}
 	swapped := false
 	if !p.shards[i].Alive() {

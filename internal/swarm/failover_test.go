@@ -5,12 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/broker"
 	"repro/internal/clock"
 )
 
 // stepUntil drives a virtual pool clock until cond holds, firing due
 // timers as fast as they arm. The real-time bound catches a wedged
-// monitor without encoding any scheduling guess.
+// detection without encoding any scheduling guess.
 func stepUntil(t *testing.T, v *clock.Virtual, cond func() bool, msg string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -28,8 +29,8 @@ func stepUntil(t *testing.T, v *clock.Virtual, cond func() bool, msg string) {
 // TestBridgeSemanticsTable: every case runs once against a single
 // broker with no faults and once against a 4-shard pool that loses a
 // shard mid-sequence — kill, a publish window while the death is
-// undetected (guaranteed journal spills), monitor-driven failover on a
-// virtual clock, more publishes, an explicit revive, a final batch,
+// undetected (guaranteed journal spills), the detection-driven failover
+// on a virtual clock, more publishes, an explicit revive, a final batch,
 // and late subscribers. The sorted delivery sets must be identical:
 // shard loss is invisible to MQTT semantics, message by message, QoS
 // bit by QoS bit.
@@ -118,7 +119,7 @@ func TestFailoverEquivalenceKillRevive(t *testing.T) {
 			pool := NewPool(PoolOptions{
 				Shards: 4,
 				Clock:  v,
-				Health: HealthOptions{ProbeInterval: 10 * time.Millisecond, FailThreshold: 2, Seed: 5},
+				Health: HealthOptions{DetectAfter: 20 * time.Millisecond},
 			})
 			defer pool.Close()
 			rec := &recorder{}
@@ -145,7 +146,7 @@ func TestFailoverEquivalenceKillRevive(t *testing.T) {
 			publish(tc.window)
 			stepUntil(t, v, func() bool {
 				return pool.FailoverStats().Failovers == 1
-			}, "monitor never ran the failover")
+			}, "detection never ran the failover")
 			publish(tc.pubs2)
 			if err := pool.ReviveShard(victim); err != nil {
 				t.Fatal(err)
@@ -267,7 +268,7 @@ func TestFailoverRedeliversToMigratedClients(t *testing.T) {
 	pool := NewPool(PoolOptions{
 		Shards: 3,
 		Clock:  v,
-		Health: HealthOptions{ProbeInterval: 5 * time.Millisecond, FailThreshold: 2, Seed: 9},
+		Health: HealthOptions{DetectAfter: 10 * time.Millisecond},
 	})
 	defer pool.Close()
 	rec := &recorder{}
@@ -291,7 +292,7 @@ func TestFailoverRedeliversToMigratedClients(t *testing.T) {
 	}
 	stepUntil(t, v, func() bool {
 		return pool.FailoverStats().Failovers == 1
-	}, "monitor never ran the failover")
+	}, "detection never ran the failover")
 	stats := pool.FailoverStats()
 	if stats.Redelivered != int64(published) {
 		t.Fatalf("redelivered = %d, want %d", stats.Redelivered, published)
@@ -302,4 +303,109 @@ func TestFailoverRedeliversToMigratedClients(t *testing.T) {
 	if len(stats.RecoverySec) != 1 || stats.RecoverySec[0] < 0 {
 		t.Fatalf("recovery samples = %v, want one non-negative duration", stats.RecoverySec)
 	}
+}
+
+// TestFailureDetectionIsEventDriven pins detection to one pool-clock
+// timer per death: a healthy pool keeps nothing armed, so an unpaced
+// clock is moved only by the load, and a kill arms exactly one timer at
+// kill + DetectAfter.
+func TestFailureDetectionIsEventDriven(t *testing.T) {
+	const detect = 40 * time.Millisecond
+	far := clock.Epoch.Add(time.Hour)
+	newPool := func(t *testing.T) (*Pool, *clock.Virtual) {
+		v := clock.NewVirtual()
+		v.AdvanceTo(clock.Epoch.Add(time.Second))
+		pool := NewPool(PoolOptions{Shards: 3, Clock: v, Health: HealthOptions{DetectAfter: detect}})
+		if err := pool.Subscribe("s", "ev/#", 1, func(broker.Message) {}); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.Publish("pub", "ev/dev-1/status", []byte("x"), 1, false); err != nil {
+			t.Fatal(err)
+		}
+		return pool, v
+	}
+	// steps fires every armed timer and counts them.
+	steps := func(v *clock.Virtual) int {
+		n := 0
+		for v.Step(far) {
+			n++
+		}
+		return n
+	}
+
+	t.Run("healthy pool arms nothing", func(t *testing.T) {
+		pool, v := newPool(t)
+		defer pool.Close()
+		if at, ok := v.NextAt(); ok {
+			t.Fatalf("healthy pool armed a timer at %v", at)
+		}
+	})
+
+	t.Run("kill arms one timer at kill plus DetectAfter", func(t *testing.T) {
+		pool, v := newPool(t)
+		defer pool.Close()
+		killed := v.Now()
+		if err := pool.KillShard(1); err != nil {
+			t.Fatal(err)
+		}
+		if at, ok := v.NextAt(); !ok || !at.Equal(killed.Add(detect)) {
+			t.Fatalf("next timer = %v (armed %v), want %v", at, ok, killed.Add(detect))
+		}
+		if n := steps(v); n != 1 {
+			t.Fatalf("kill armed %d timers, want 1", n)
+		}
+		stats := pool.FailoverStats()
+		if stats.Failovers != 1 || len(stats.RecoverySec) != 1 || stats.RecoverySec[0] != detect.Seconds() {
+			t.Fatalf("failovers = %d, recovery = %v; want 1 at %v", stats.Failovers, stats.RecoverySec, detect.Seconds())
+		}
+		if down := pool.DownShards(); len(down) != 1 || down[0] != 1 {
+			t.Fatalf("down shards = %v, want [1]", down)
+		}
+	})
+
+	t.Run("revive before detection never fails over", func(t *testing.T) {
+		pool, v := newPool(t)
+		defer pool.Close()
+		if err := pool.KillShard(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.ReviveShard(1); err != nil {
+			t.Fatal(err)
+		}
+		steps(v)
+		if n := pool.FailoverStats().Failovers; n != 0 {
+			t.Fatalf("failovers = %d after a revive inside the detection window, want 0", n)
+		}
+		if down := pool.DownShards(); len(down) != 0 {
+			t.Fatalf("down shards = %v, want none", down)
+		}
+	})
+
+	t.Run("double kill fails over once", func(t *testing.T) {
+		pool, v := newPool(t)
+		defer pool.Close()
+		for k := 0; k < 2; k++ {
+			if err := pool.KillShard(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		steps(v)
+		if n := pool.FailoverStats().Failovers; n != 1 {
+			t.Fatalf("failovers = %d, want 1", n)
+		}
+	})
+
+	t.Run("close disarms a pending detection", func(t *testing.T) {
+		pool, v := newPool(t)
+		if err := pool.KillShard(1); err != nil {
+			t.Fatal(err)
+		}
+		pool.Close()
+		if n := steps(v); n != 0 {
+			t.Fatalf("%d timers fired after Close", n)
+		}
+		if n := pool.FailoverStats().Failovers; n != 0 {
+			t.Fatalf("failovers = %d after Close, want 0", n)
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package swarm
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -241,26 +240,54 @@ type pendArrival struct {
 	payload []byte
 }
 
-// pendHeap orders pending arrivals by (offset, device) — the device
-// tiebreak keeps the within-worker fire order deterministic when two
-// devices land on the same instant.
+// pendHeap is a min-heap of pending arrivals ordered by (offset,
+// device) — the device tiebreak keeps the within-worker fire order
+// deterministic when two devices land on the same instant. It sifts
+// typed values itself: container/heap's any boxing would cost two
+// allocations per message.
 type pendHeap []pendArrival
 
-func (h pendHeap) Len() int { return len(h) }
-func (h pendHeap) Less(i, j int) bool {
+func (h pendHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].device < h[j].device
 }
-func (h pendHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pendHeap) Push(x any)   { *h = append(*h, x.(pendArrival)) }
-func (h *pendHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *pendHeap) push(a pendArrival) {
+	*h = append(*h, a)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes the earliest arrival; the heap must not be empty.
+func (h *pendHeap) pop() {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], pendArrival{}
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s.less(r, c) {
+			c = r
+		}
+		if !s.less(c, i) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
 }
 
 // RunWorker drives worker w's device slice (device d belongs to worker
@@ -283,12 +310,12 @@ func (g *Generator) RunWorker(ctx context.Context, w int) error {
 	for d := w; d < g.spec.Devices; d += g.spec.Workers {
 		at, payload := g.sampler.NextFire(d)
 		if at < g.spec.Duration {
-			heap.Push(&h, pendArrival{at, d, payload})
+			h.push(pendArrival{at, d, payload})
 		}
 	}
 	start := g.clk.Now()
 	var seq uint64
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		next := h[0]
 		if sleep := next.at - g.clk.Since(start); sleep > 0 {
 			select {
@@ -299,7 +326,7 @@ func (g *Generator) RunWorker(ctx context.Context, w int) error {
 		} else if err := ctx.Err(); err != nil {
 			return nil
 		}
-		heap.Pop(&h)
+		h.pop()
 		if g.tap != nil {
 			g.tap(next.at, next.device, next.payload)
 		}
@@ -307,7 +334,7 @@ func (g *Generator) RunWorker(ctx context.Context, w int) error {
 		seq++
 		atomic.AddInt64(&g.count, 1)
 		if at, payload := g.sampler.NextFire(next.device); at < g.spec.Duration {
-			heap.Push(&h, pendArrival{at, next.device, payload})
+			h.push(pendArrival{at, next.device, payload})
 		}
 	}
 	return nil

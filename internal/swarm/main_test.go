@@ -7,8 +7,8 @@ import (
 	"repro/internal/vet/leakcheck"
 )
 
-// TestMain fails the package if any test leaks a goroutine (a health
-// monitor that outlives its pool, a stuck bridge forward).
+// TestMain fails the package if any test leaks a goroutine (a failover
+// that outlives its pool, a stuck bridge forward).
 func TestMain(m *testing.M) {
 	os.Exit(leakcheck.Main(m))
 }

@@ -32,9 +32,8 @@ type PoolOptions struct {
 	Tracer *obs.Tracer
 	// Logf receives shard debug logs.
 	Logf func(format string, args ...any)
-	// Clock drives the health monitor's probe tick and backoff timing.
-	// Nil means the wall clock; deterministic harnesses inject a
-	// clock.Virtual.
+	// Clock times failure detection and failover recovery. Nil means
+	// the wall clock; deterministic harnesses inject a clock.Virtual.
 	Clock clock.Clock
 	// Health tunes failure detection and the failover journal; zero
 	// fields are defaulted (see HealthOptions).
@@ -65,10 +64,10 @@ type poolClient struct {
 // Pool is a sharded MQTT message plane: publishes and subscriptions
 // are placed on shards by consistent topic/client hashing, and the
 // inter-broker bridge keeps delivery semantics identical to a single
-// broker (see bridge). The pool self-heals: a health monitor probes
-// every shard and, when one dies, re-anchors its keys, subscriptions,
-// and journaled messages onto the survivors (see failover.go). The
-// zero pool is not usable; create with NewPool and release with Close.
+// broker (see bridge). The pool self-heals: when a shard dies it
+// re-anchors the shard's keys, subscriptions, and journaled messages
+// onto the survivors (see failover.go). The zero pool is not usable;
+// create with NewPool and release with Close.
 type Pool struct {
 	opts PoolOptions
 	clk  clock.Clock
@@ -91,7 +90,13 @@ type Pool struct {
 
 	pend *pendJournal
 
-	monitor *healthMonitor
+	// detect holds each killed shard's pending failure detection (see
+	// KillShard); closed is set once Close disarmed them for good. Both
+	// are guarded by topo. failing counts failovers past their checks,
+	// which Close waits out.
+	detect  []clock.Timer
+	closed  bool
+	failing sync.WaitGroup
 
 	statMu     sync.Mutex
 	failovers  int64
@@ -103,8 +108,7 @@ type Pool struct {
 	shardUp       *obs.GaugeVec
 }
 
-// NewPool creates the shard brokers, wires the bridge between them,
-// and starts the health monitor (unless Health.Disable).
+// NewPool creates the shard brokers and wires the bridge between them.
 func NewPool(opts PoolOptions) *Pool {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
@@ -114,7 +118,8 @@ func NewPool(opts PoolOptions) *Pool {
 		opts:     opts,
 		clk:      clock.Or(opts.Clock),
 		ring:     newRing(opts.Shards),
-		bridge:   newBridge(),
+		bridge:   newBridge(opts.Shards),
+		detect:   make([]clock.Timer, opts.Shards),
 		reg:      map[string]*poolClient{},
 		migrated: map[int]map[string]bool{},
 	}
@@ -130,9 +135,6 @@ func NewPool(opts PoolOptions) *Pool {
 	p.bridge.spill = p.pend.spill
 	if opts.Obs != nil {
 		p.bindMetrics(opts.Obs)
-	}
-	if !opts.Health.Disable {
-		p.monitor = p.startMonitor()
 	}
 	return p
 }
@@ -225,14 +227,6 @@ func (p *Pool) ShardFor(key string) int {
 	return p.ring.shardFor(key)
 }
 
-// ShardDown reports whether shard i is currently marked down (its keys
-// re-anchored to survivors).
-func (p *Pool) ShardDown(i int) bool {
-	p.topo.RLock()
-	defer p.topo.RUnlock()
-	return p.ring.isDown(i)
-}
-
 // DownShards lists the shards currently marked down, ascending.
 func (p *Pool) DownShards() []int {
 	p.topo.RLock()
@@ -265,7 +259,7 @@ func (p *Pool) publishLocked(from, topic string, payload []byte, qos byte, retai
 	home := p.ring.shardFor(topic)
 	err := p.shards[home].PublishQoS(from, topic, payload, qos, retain)
 	if err == broker.ErrClosed {
-		// The home shard died and the monitor has not converged yet:
+		// The home shard died and its failover has not run yet:
 		// park the message in the journal; the failover flush replays
 		// it through the re-anchored ring, where it fans out to every
 		// subscriber exactly once (nobody saw it on the dead shard).
@@ -360,11 +354,18 @@ func (p *Pool) Stats() Stats {
 	return out
 }
 
-// Close stops the health monitor and shuts every shard down.
+// Close disarms pending failure detections, waits for a failover
+// already under way, and shuts every shard down.
 func (p *Pool) Close() {
-	if p.monitor != nil {
-		p.monitor.stopWait()
+	p.topo.Lock()
+	p.closed = true
+	for _, t := range p.detect {
+		if t != nil {
+			t.Stop()
+		}
 	}
+	p.topo.Unlock()
+	p.failing.Wait()
 	for _, sh := range p.snapshotShards() {
 		sh.Close()
 	}

@@ -256,3 +256,37 @@ func TestPoolMetricsFamilies(t *testing.T) {
 		t.Fatalf("digibox_swarm_deliveries_total = %v", vals["digibox_swarm_deliveries_total"])
 	}
 }
+
+// TestPoolPublishAllocations gates the per-message pool path: a QoS 1
+// publish into a 4-shard pool, fanned out over the bridge to a swarm
+// run's two consumers and its capture tap, allocates nothing. (The race
+// detector makes sync.Pool drop entries at random, so the count only
+// holds without it.)
+func TestPoolPublishAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards entries under -race")
+	}
+	pool := NewPool(PoolOptions{Shards: 4})
+	defer pool.Close()
+	delivered := 0
+	for _, id := range []string{"swarm-sub-0", "swarm-sub-1", "capture-tap"} {
+		if err := pool.Subscribe(id, "swarm/+/status", 1, func(broker.Message) { delivered++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	topic, payload := DeviceTopic("swarm", 7), []byte(`{"v":0.5}`)
+	n := testing.AllocsPerRun(200, func() {
+		if err := pool.Publish(loadFrom, topic, payload, 1, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("QoS 1 Pool.Publish: %v allocations, want 0", n)
+	}
+	if delivered != 201*3 { // AllocsPerRun runs the function once more to warm up
+		t.Errorf("delivered %d, want %d", delivered, 201*3)
+	}
+	if pool.Stats().BridgeForwards == 0 {
+		t.Error("no publish crossed the bridge: the gate does not cover the forward path")
+	}
+}
