@@ -127,6 +127,9 @@ func TestVirtualTicker(t *testing.T) {
 		t.Fatalf("ticks = %d, want 3 in 35ms at 10ms period", ticks)
 	}
 	tick.Stop()
+	if at, ok := v.NextAt(); ok {
+		t.Fatalf("stopped ticker left a timer armed at %v", at)
+	}
 	for v.Step(Epoch.Add(time.Second)) {
 	}
 	select {

@@ -205,30 +205,47 @@ type virtualTicker struct {
 
 	mu      sync.Mutex
 	stopped bool
+	next    *vtimer // the armed firing; guarded by mu
 }
 
 func (t *virtualTicker) arm() {
-	t.v.Schedule(t.d, func() {
-		t.mu.Lock()
-		stopped := t.stopped
-		t.mu.Unlock()
-		if stopped {
-			return
-		}
-		select {
-		case t.ch <- t.v.Now():
-		default:
-		}
-		t.arm()
-	})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.stopped {
+		return
+	}
+	t.v.mu.Lock()
+	t.next = t.v.push(t.v.now.Add(t.d), t.fire)
+	t.v.mu.Unlock()
+}
+
+func (t *virtualTicker) fire() {
+	t.mu.Lock()
+	stopped := t.stopped
+	t.mu.Unlock()
+	if stopped {
+		return
+	}
+	select {
+	case t.ch <- t.v.Now():
+	default:
+	}
+	t.arm()
 }
 
 func (t *virtualTicker) C() <-chan time.Time { return t.ch }
 
+// Stop disarms the pending firing too, so a stopped ticker leaves no
+// timer on the clock (NextAt no longer sees it).
 func (t *virtualTicker) Stop() {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.stopped = true
-	t.mu.Unlock()
+	if t.next != nil {
+		t.v.mu.Lock()
+		t.next.stopped = true
+		t.v.mu.Unlock()
+	}
 }
 
 // heap invariant: order timers by (at, seq).

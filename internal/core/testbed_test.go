@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -447,5 +450,84 @@ func TestNodeFailureKeepsEnsembleAlive(t *testing.T) {
 		return d != nil && d.GetBool("triggered")
 	}); err != nil {
 		t.Fatal("ensemble dead after node failure:", err)
+	}
+}
+
+// Stopping a digi drops its readiness, and a reconciler left over from
+// the stopped incarnation cannot mark the next one ready.
+func TestStopDigiDropsReadiness(t *testing.T) {
+	tb := newTestbed(t, Options{BrokerAddr: "none", RESTAddr: "none", DisableMetrics: true})
+	if err := tb.Run("Lamp", "L1", nil); err != nil {
+		t.Fatal(err)
+	}
+	pod, err := tb.Cluster.GetPod(podName("L1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := pod.Spec.Env
+	if err := tb.StopDigi("L1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Runtime.WaitReady("L1", time.Millisecond); err == nil {
+		t.Fatal("a stopped digi reports ready")
+	}
+
+	// A new incarnation is expected and its model stored, and the old
+	// incarnation's reconciler starts late, before the new one does.
+	kind, _ := tb.Registry.Get("Lamp")
+	if err := tb.Store.Create(kind.Schema.New("L1")); err != nil {
+		t.Fatal(err)
+	}
+	inc := tb.Runtime.Expect("L1")
+	start := func(env map[string]any) (stop func()) {
+		w, err := tb.Runtime.ImageFactory()(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() { defer close(done); w.Run(ctx) }()
+		return func() { cancel(); <-done }
+	}
+	logged := len(tb.Log.RecordsFor("L1"))
+	stopStale := start(stale)
+	// Its boot snapshot is logged after the point where it would have
+	// marked itself ready.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(tb.Log.RecordsFor("L1")) == logged {
+		if time.Now().After(deadline) {
+			t.Fatal("the stale reconciler never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := tb.Runtime.WaitReady("L1", 20*time.Millisecond); err == nil {
+		t.Fatal("the old incarnation's reconciler marked the new one ready")
+	}
+	stopStale()
+	stopFresh := start(map[string]any{"name": "L1", "incarnation": inc})
+	defer stopFresh()
+	if err := tb.Runtime.WaitReady("L1", 5*time.Second); err != nil {
+		t.Fatalf("the new incarnation's own reconciler: %v", err)
+	}
+}
+
+// A running mock costs one goroutine, its pod's: its watch queue holds
+// none at rest.
+func TestOneGoroutinePerMock(t *testing.T) {
+	const mocks, slack = 40, 5
+	tb := newTestbed(t, Options{BrokerAddr: "none", RESTAddr: "none", DisableMetrics: true})
+	base := runtime.NumGoroutine()
+	for i := 0; i < mocks; i++ {
+		if err := tb.Run("Occupancy", fmt.Sprintf("O%02d", i), map[string]any{"managed": false}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base+mocks+slack {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d running mocks added %d goroutines, want at most %d",
+				mocks, runtime.NumGoroutine()-base, mocks+slack)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

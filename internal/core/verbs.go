@@ -57,11 +57,15 @@ func (tb *Testbed) deploy(typ, name string, doc model.Doc) error {
 	if err := tb.Store.Create(doc); err != nil {
 		return err
 	}
+	// The incarnation keeps a reconciler left over from an earlier digi
+	// of the same name from passing the WaitReady below.
+	env := map[string]any{"name": name, "incarnation": tb.Runtime.Expect(name)}
 	if err := tb.Cluster.CreatePod(&kube.Pod{
 		Name:   podName(name),
-		Spec:   kube.PodSpec{Image: "digi", Env: map[string]any{"name": name}, RestartPolicy: kube.RestartAlways},
+		Spec:   kube.PodSpec{Image: "digi", Env: env, RestartPolicy: kube.RestartAlways},
 		Labels: map[string]string{"digi": name, "type": typ},
 	}); err != nil {
+		tb.Runtime.Forget(name)
 		tb.Store.Delete(name)
 		return err
 	}
@@ -79,6 +83,7 @@ func (tb *Testbed) StopDigi(name string) error {
 	}
 	tb.Cluster.DeletePod(podName(name))
 	tb.podNode.Delete(name)
+	tb.Runtime.Forget(name)
 	// Remove dangling attach references.
 	for _, parent := range tb.Store.List() {
 		if parent == name {

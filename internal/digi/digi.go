@@ -15,13 +15,16 @@
 //     intent and publish messages; scenes use it to coordinate the
 //     models of attached mocks and sub-scenes (ensemble support).
 //
-// Sim handlers must be convergent: a burst of writes (their own
-// included) re-triggers Sim at least once after the last of them, not
-// once per write — reconcilers are level-triggered, so a handler must
-// derive everything from the models it is handed, never from how often
-// it ran. The fixpoint is reached when a run produces no further
-// changes (the model store suppresses no-op commits, which guarantees
-// termination for idempotent handlers).
+// Sim handlers must be convergent: a burst of foreign writes
+// re-triggers Sim at least once after the last of them, not once per
+// write, and the echoes of a scene's own child writes trigger nothing —
+// reconcilers are level-triggered, so a handler must derive everything
+// from the models it is handed, never from how often it ran. A second
+// run over the state a run just wrote must change nothing: the live
+// reconciler relies on that to skip those echoes. The fixpoint is
+// reached when a run produces no further changes (the model store
+// suppresses no-op commits, which guarantees termination for
+// idempotent handlers).
 package digi
 
 import (
@@ -149,7 +152,8 @@ type Runtime struct {
 	Clock clock.Clock
 
 	readyMu sync.Mutex
-	ready   map[string]chan struct{}
+	ready   map[string]*readiness
+	incs    uint64 // the last incarnation Expect handed out
 
 	// Status-publish path state. client, when bound, carries status
 	// publishes over a real MQTT connection instead of the in-process
@@ -170,7 +174,7 @@ type runtimeMetrics struct {
 	events    *obs.CounterVec // event-generator firings by digi
 	publishes *obs.CounterVec // status publishes by digi
 	commits   *obs.Histogram  // model-commit latency
-	coalesced *obs.Counter    // updates an earlier Simulate already covered
+	coalesced *obs.Counter    // updates an earlier Simulate already covered, echoes included
 	gaps      *obs.Counter    // broker-session outages
 	recovered *obs.Counter    // shared faults-recovered family, via=reconnect
 	gapDur    *obs.Histogram  // outage duration
@@ -193,7 +197,7 @@ func (rt *Runtime) BindObs(r *obs.Registry) {
 		commits: r.Histogram("digibox_digi_commit_seconds",
 			"model-commit latency (diff apply through the store)", nil),
 		coalesced: r.Counter("digibox_digi_updates_coalesced_total",
-			"watch updates whose Simulate was skipped because an earlier run had already read them"),
+			"watch updates whose Simulate was skipped: an earlier run had already read them, or they echo a child commit the digi's own run made"),
 		gaps: r.Counter("digibox_runtime_gaps_total",
 			"broker-session outages observed by the digi runtime"),
 		recovered: r.CounterVec(obs.FaultsRecoveredName,
@@ -301,27 +305,72 @@ func (rt *Runtime) publishStatus(from, topic string, payload []byte) error {
 	return nil
 }
 
-func (rt *Runtime) readyCh(name string) chan struct{} {
-	rt.readyMu.Lock()
-	defer rt.readyMu.Unlock()
-	if rt.ready == nil {
-		rt.ready = map[string]chan struct{}{}
-	}
-	ch, ok := rt.ready[name]
-	if !ok {
-		ch = make(chan struct{})
-		rt.ready[name] = ch
-	}
-	return ch
+// readiness latches "the reconciler is watching its model" for one
+// digi. inc is the incarnation allowed to close ch; 0 lets any
+// reconciler of the name close it.
+type readiness struct {
+	inc uint64
+	ch  chan struct{}
 }
 
-func (rt *Runtime) markReady(name string) {
-	ch := rt.readyCh(name)
+// slot returns the named digi's readiness, opening one if there is
+// none. Called with readyMu held.
+func (rt *Runtime) slot(name string) *readiness {
+	if rt.ready == nil {
+		rt.ready = map[string]*readiness{}
+	}
+	r := rt.ready[name]
+	if r == nil {
+		r = &readiness{ch: make(chan struct{})}
+		rt.ready[name] = r
+	}
+	return r
+}
+
+// Expect starts a new incarnation of the named digi and returns its
+// number, which the pod env carries under "incarnation" (see
+// ImageFactory). From then on only that incarnation's reconciler can
+// satisfy WaitReady(name): one left over from an earlier incarnation
+// cannot.
+func (rt *Runtime) Expect(name string) uint64 {
+	rt.readyMu.Lock()
+	defer rt.readyMu.Unlock()
+	rt.incs++
+	r := rt.slot(name)
 	select {
-	case <-ch:
+	case <-r.ch:
+		// Latched by an earlier incarnation: start over.
+		r = &readiness{ch: make(chan struct{})}
+		rt.ready[name] = r
+	default:
+		// Still open: keep it for whoever is already waiting.
+	}
+	r.inc = rt.incs
+	return r.inc
+}
+
+// Forget drops the named digi's readiness once it is stopped:
+// WaitReady(name) waits again, for a later incarnation.
+func (rt *Runtime) Forget(name string) {
+	rt.readyMu.Lock()
+	delete(rt.ready, name)
+	rt.readyMu.Unlock()
+}
+
+// markReady latches readiness for incarnation inc of name. A stale
+// incarnation marks nothing, not even a slot of its own.
+func (rt *Runtime) markReady(name string, inc uint64) {
+	rt.readyMu.Lock()
+	defer rt.readyMu.Unlock()
+	if r := rt.ready[name]; inc != 0 && (r == nil || r.inc != inc) {
+		return
+	}
+	r := rt.slot(name)
+	select {
+	case <-r.ch:
 		// already ready (digi restart)
 	default:
-		close(ch)
+		close(r.ch)
 	}
 }
 
@@ -335,8 +384,11 @@ const readyGrace = 2 * time.Second
 func (rt *Runtime) WaitReady(name string, timeout time.Duration) error {
 	d := clock.NewDeadline(rt.clk(), timeout, readyGrace)
 	defer d.Stop()
+	rt.readyMu.Lock()
+	ready := rt.slot(name).ch
+	rt.readyMu.Unlock()
 	select {
-	case <-rt.readyCh(name):
+	case <-ready:
 		return nil
 	case <-d.Done():
 		return fmt.Errorf("digi: %s not ready after %v", name, timeout)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/clock"
 	"repro/internal/kube"
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -128,7 +129,7 @@ func (h *harness) start(t *testing.T, name string) {
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
-		if err := h.rt.run(ctx, name); err != nil {
+		if err := h.rt.Workload(name).Run(ctx); err != nil {
 			t.Errorf("digi %s: %v", name, err)
 		}
 	}()
@@ -194,6 +195,44 @@ func TestLoopSilentWhenUnmanaged(t *testing.T) {
 		}
 		return true
 	}, "unmanaged digi stays silent")
+}
+
+// A parked digi arms no Loop ticker on the testbed clock, whatever its
+// interval: nothing is armed until it is managed again (Detach), and
+// then its events resume on the clock; parking it again disarms it.
+func TestParkedDigiArmsNoTicker(t *testing.T) {
+	v := clock.NewVirtual()
+	h := newHarness(t, occupancyKind())
+	h.rt.Clock = v
+	h.spawn(t, occupancyKind(), "O1", false)
+	if at, ok := v.NextAt(); ok {
+		t.Fatalf("parked digi left a timer armed at %v", at)
+	}
+	events := func() int {
+		n := 0
+		for _, r := range h.rt.Log.RecordsFor("O1") {
+			if r.Kind == trace.KindEvent {
+				n++
+			}
+		}
+		return n
+	}
+
+	// Detach: the digi is managed again.
+	if _, err := h.rt.Store.Patch("O1", map[string]any{"meta": map[string]any{"managed": true}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { _, ok := v.NextAt(); return ok }, "the ticker to be armed")
+	waitFor(t, func() bool {
+		v.Step(v.Now().Add(20 * time.Millisecond))
+		return events() >= 3
+	}, "Loop events on the virtual clock")
+
+	// Attach again: parked, disarmed.
+	if _, err := h.rt.Store.Patch("O1", map[string]any{"meta": map[string]any{"managed": false}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { _, ok := v.NextAt(); return !ok }, "the ticker to be disarmed")
 }
 
 func TestSimDerivesStatusFromIntent(t *testing.T) {
@@ -485,7 +524,7 @@ func TestSeedDeterminism(t *testing.T) {
 		rt.Store.Create(doc)
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
-		go func() { rt.run(ctx, "O1"); close(done) }()
+		go func() { rt.Workload("O1").Run(ctx); close(done) }()
 		deadline := time.Now().Add(5 * time.Second)
 		for rt.Log.Len() < 12 && time.Now().Before(deadline) {
 			time.Sleep(5 * time.Millisecond)
@@ -519,13 +558,13 @@ func TestSeedDeterminism(t *testing.T) {
 func TestRuntimeErrorsOnMissingModelOrKind(t *testing.T) {
 	reg := NewRegistry()
 	rt := &Runtime{Store: model.NewStore(), Log: trace.NewLog(), Registry: reg}
-	if err := rt.run(context.Background(), "ghost"); err == nil {
+	if err := rt.Workload("ghost").Run(context.Background()); err == nil {
 		t.Error("missing model accepted")
 	}
 	doc := model.Doc{}
 	doc.SetMeta(model.Meta{Type: "Unregistered", Name: "U"})
 	rt.Store.Create(doc)
-	if err := rt.run(context.Background(), "U"); err == nil {
+	if err := rt.Workload("U").Run(context.Background()); err == nil {
 		t.Error("missing kind accepted")
 	}
 }

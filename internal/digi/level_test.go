@@ -121,8 +121,8 @@ func actionRecords(l *trace.Log, name string) []trace.Record {
 }
 
 // One edit of a 50-child scene: 50 child commits, and the parent's
-// Sim runs for the edit and once more for the echo of its own writes
-// — not once per echoed child commit.
+// Sim runs for the edit and once more for its own applied=7, an
+// own-model commit; the echoes of its 50 child commits run nothing.
 func TestFanoutSimulatesOncePerBurstNotPerChild(t *testing.T) {
 	const children = 50
 	hb := &hub{}
@@ -142,11 +142,11 @@ func TestFanoutSimulatesOncePerBurstNotPerChild(t *testing.T) {
 	if got := h.rt.Store.Gen() - gen0; got != updates {
 		t.Errorf("%d commits followed the edit, want %d (edit + applied + %d children)", got, updates, children)
 	}
-	if runs := hb.runs.Load() - 1; runs < 2 || runs > 3 {
-		t.Errorf("the edit cost %d Sim runs, want 2 (edit + echo; 3 with slack) for %d children", runs, children)
+	if runs := hb.runs.Load() - 1; runs != 2 {
+		t.Errorf("the edit cost %d Sim runs, want 2 (edit + applied) for %d children", runs, children)
 	}
-	if got := int64(reg.Value(coalescedMetric)); got < updates-3 {
-		t.Errorf("%s = %d, want at least %d", coalescedMetric, got, updates-3)
+	if got := int64(reg.Value(coalescedMetric)); got != children {
+		t.Errorf("%s = %d, want %d (one per child echo)", coalescedMetric, got, children)
 	}
 	// The fixpoint: every model agrees and one more run changes nothing.
 	hubDoc, _, _ := h.rt.Store.Get("H")
@@ -332,6 +332,149 @@ func TestHandlersCannotReachCommittedDocuments(t *testing.T) {
 	for i, k := range kept {
 		if !model.Equal(k.shared, k.copied) {
 			t.Fatalf("committed document %d changed after it was read:\nthen %v\nnow  %v", i, k.copied, k.shared)
+		}
+	}
+}
+
+// mixer is a scene that writes only its children: each attached Dial's
+// value becomes the mixer's level plus the dial's own bias, which only
+// a foreign writer sets. When gate is set, the next run announces
+// itself on entered after it has taken its inputs and waits for
+// release before committing.
+type mixer struct {
+	runs    atomic.Int64
+	gate    atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (m *mixer) kind() *Kind {
+	return &Kind{
+		Schema: &model.Schema{
+			Type: "Mixer", Version: "v1", Scene: true,
+			Fields: map[string]model.FieldSpec{"level": {Kind: model.KindInt, Default: int64(0)}},
+		},
+		Sim: func(c *Ctx, work model.Doc, atts Atts) error {
+			m.runs.Add(1)
+			if m.gate.CompareAndSwap(true, false) {
+				m.entered <- struct{}{}
+				<-m.release
+			}
+			level, _ := work.GetInt("level")
+			for _, dial := range atts.Get("Dial") {
+				bias, _ := dial.GetInt("bias")
+				dial.Set("value", level+bias)
+			}
+			return nil
+		},
+	}
+}
+
+func dialKind() *Kind {
+	return &Kind{Schema: &model.Schema{
+		Type: "Dial", Version: "v1",
+		Fields: map[string]model.FieldSpec{
+			"value": {Kind: model.KindInt, Default: int64(0)},
+			"bias":  {Kind: model.KindInt, Default: int64(0)},
+		},
+	}}
+}
+
+// mixerHarness runs a Mixer "M" over n Dials (no reconcilers of their
+// own) with metrics bound.
+func mixerHarness(t *testing.T, mx *mixer, n int) (*harness, *obs.Registry, []string) {
+	t.Helper()
+	h := newHarness(t, mx.kind(), dialKind())
+	reg := obs.NewRegistry()
+	h.rt.BindObs(reg)
+	dials := make([]string, n)
+	for i := range dials {
+		dials[i] = fmt.Sprintf("D%02d", i)
+		if err := h.rt.Store.Create(dialKind().Schema.New(dials[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc := mx.kind().Schema.New("M")
+	doc.SetMeta(model.Meta{Type: "Mixer", Version: "v1", Name: "M", Attach: dials})
+	if err := h.rt.Store.Create(doc); err != nil {
+		t.Fatal(err)
+	}
+	h.start(t, "M")
+	waitFor(t, func() bool { return mx.runs.Load() == 1 }, "the boot simulate")
+	return h, reg, dials
+}
+
+func dialValue(h *harness, name string) int64 {
+	d, _, _ := h.rt.Store.View(name)
+	v, _ := d.GetInt("value")
+	return v
+}
+
+// mixed waits until the Mixer's reconciler has taken `updates` watch
+// updates off its queue since boot, each simulated or coalesced.
+func mixed(t *testing.T, mx *mixer, reg *obs.Registry, updates int64) {
+	t.Helper()
+	waitFor(t, func() bool {
+		return mx.runs.Load()-1+int64(reg.Value(coalescedMetric)) == updates
+	}, fmt.Sprintf("the reconciler to drain %d updates", updates))
+}
+
+// A scene that writes only its children runs Sim once per edit of its
+// own model: the echo of every child commit it made is logged as
+// coalesced, never simulated.
+func TestSceneSimulatesOncePerOwnEdit(t *testing.T) {
+	const children, edits = 20, 3
+	mx := &mixer{}
+	h, reg, dials := mixerHarness(t, mx, children)
+	for e := int64(1); e <= edits; e++ {
+		if _, err := h.rt.Store.Patch("M", map[string]any{"level": e}); err != nil {
+			t.Fatal(err)
+		}
+		mixed(t, mx, reg, e*(1+children))
+		if runs := mx.runs.Load() - 1; runs != e {
+			t.Fatalf("after %d edits Sim ran %d times, want %d", e, runs, e)
+		}
+		if got := int64(reg.Value(coalescedMetric)); got != e*children {
+			t.Fatalf("after %d edits %s = %d, want %d", e, coalescedMetric, got, e*children)
+		}
+		for _, name := range dials {
+			if v := dialValue(h, name); v != e {
+				t.Fatalf("%s.value = %d, want %d", name, v, e)
+			}
+		}
+	}
+}
+
+// A foreign write to a child that lands after the scene's Sim took its
+// inputs and before it committed is newer than anything that run read:
+// it is not an echo, so it simulates again and the scene converges on
+// it. Without the second run D00 would keep the value computed from its
+// old bias.
+func TestForeignChildWriteDuringSimResimulates(t *testing.T) {
+	mx := &mixer{entered: make(chan struct{}), release: make(chan struct{})}
+	h, reg, dials := mixerHarness(t, mx, 2)
+	mx.gate.Store(true)
+	if _, err := h.rt.Store.Patch("M", map[string]any{"level": int64(5)}); err != nil {
+		t.Fatal(err)
+	}
+	<-mx.entered // the run has read level=5 and both biases of 0
+	if _, err := h.rt.Store.Patch(dials[0], map[string]any{"bias": int64(100)}); err != nil {
+		t.Fatal(err)
+	}
+	close(mx.release)
+	// The edit, the foreign bias write, the blocked run's two child
+	// commits, and the second run's commit of D00.
+	mixed(t, mx, reg, 5)
+	if runs := mx.runs.Load() - 1; runs != 2 {
+		t.Errorf("Sim ran %d times after the edit, want 2 (the edit and the foreign write)", runs)
+	}
+	if got := reg.Value(coalescedMetric); got != 3 {
+		t.Errorf("%s = %v, want 3 (the three child echoes)", coalescedMetric, got)
+	}
+	want := map[string]int64{dials[0]: 105, dials[1]: 5}
+	for name, v := range want {
+		if got := dialValue(h, name); got != v {
+			t.Errorf("%s.value = %d, want %d", name, got, v)
 		}
 	}
 }

@@ -3,6 +3,9 @@ package digi
 import (
 	"context"
 	"fmt"
+	"time"
+
+	"repro/internal/clock"
 	"repro/internal/kube"
 	"repro/internal/model"
 )
@@ -11,20 +14,26 @@ import (
 // instance's model must already exist in the runtime's store; the
 // workload reconciles until its context is cancelled.
 func (rt *Runtime) Workload(name string) kube.Workload {
+	return rt.workload(name, 0)
+}
+
+func (rt *Runtime) workload(name string, inc uint64) kube.Workload {
 	return kube.WorkloadFunc(func(ctx context.Context) error {
-		return rt.run(ctx, name)
+		return rt.run(ctx, name, inc)
 	})
 }
 
 // ImageFactory adapts the runtime to the cluster image registry: the
-// pod env carries the instance name under "name".
+// pod env carries the instance name under "name" and, for a digi
+// started through Expect, its incarnation under "incarnation".
 func (rt *Runtime) ImageFactory() kube.ImageFactory {
 	return func(env map[string]any) (kube.Workload, error) {
 		name, _ := env["name"].(string)
 		if name == "" {
 			return nil, fmt.Errorf("digi: image env needs a name")
 		}
-		return rt.Workload(name), nil
+		inc, _ := env["incarnation"].(uint64)
+		return rt.workload(name, inc), nil
 	}
 }
 
@@ -37,13 +46,22 @@ func (rt *Runtime) ImageFactory() kube.ImageFactory {
 // so it answers every update committed before it started, however many
 // are still queued. seen is the store generation read before the last
 // update-driven Simulate took its inputs; a queued update no newer
-// than that is only logged, not simulated again.
+// than that is only logged, not simulated again. Nor is the echo of a
+// child commit the reconciler's own Simulate made: that run already
+// answered the state it wrote, and any foreign commit between its read
+// and its write is newer than seen and not an echo, so it still
+// simulates.
 type reconciler struct {
 	s    *Stepper
 	seen uint64
+	// echoes[head:] are the generations, ascending, of the child
+	// commits this reconciler's Simulate runs made whose updates have
+	// not been taken off the watcher yet.
+	echoes []uint64
+	head   int
 }
 
-func (rt *Runtime) run(ctx context.Context, name string) error {
+func (rt *Runtime) run(ctx context.Context, name string, inc uint64) error {
 	s, err := rt.NewStepper(ctx, name)
 	if err != nil {
 		return err
@@ -65,11 +83,29 @@ func (rt *Runtime) run(ctx context.Context, name string) error {
 		w.SetNames(append(att, name)...)
 	}
 
-	ticker := rt.clk().NewTicker(s.Interval())
-	defer ticker.Stop()
+	// The Loop ticker is armed only while the model is managed: a
+	// parked digi's Tick would return at once, and a timer that fires
+	// for nothing keeps the testbed clock busy (DESIGN.md's clock rule).
+	var ticker clock.Ticker
+	var ticks <-chan time.Time
+	arm := func(doc model.Doc) {
+		if want := s.kind.Loop != nil && doc.Managed(); want && ticker == nil {
+			ticker = rt.clk().NewTicker(s.Interval())
+			ticks = ticker.C()
+		} else if !want && ticker != nil {
+			ticker.Stop()
+			ticker, ticks = nil, nil
+		}
+	}
+	arm(doc)
+	defer func() {
+		if ticker != nil {
+			ticker.Stop()
+		}
+	}()
 
 	// The watcher is registered: no subsequent update can be missed.
-	rt.markReady(name)
+	rt.markReady(name, inc)
 
 	// Log the initial model snapshot so traces are self-contained
 	// (replay and offline property checking reconstruct state without
@@ -78,20 +114,25 @@ func (rt *Runtime) run(ctx context.Context, name string) error {
 
 	// Initial simulation pass so derived state is consistent from the
 	// start (e.g. lamp intensity.status derived from power at boot).
-	s.Simulate()
+	r.note(s.Simulate())
 
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-ticker.C():
-			s.Tick()
+		case <-ticks:
+			r.note(s.Tick())
 		case u, ok := <-w.C:
 			if !ok {
 				return nil
 			}
-			if u.Name == name && !u.Deleted && len(model.PathsUnder(u.Changes, "meta.attach")) > 0 {
-				w.SetNames(append(u.Doc.Attach(), name)...)
+			if u.Name == name && !u.Deleted {
+				if len(model.PathsUnder(u.Changes, "meta.attach")) > 0 {
+					w.SetNames(append(u.Doc.Attach(), name)...)
+				}
+				if len(model.PathsUnder(u.Changes, "meta.managed")) > 0 {
+					arm(u.Doc)
+				}
 			}
 			r.handle(u)
 		}
@@ -104,7 +145,7 @@ func (rt *Runtime) run(ctx context.Context, name string) error {
 // argument.
 func (r *reconciler) handle(u model.Update) {
 	rt := r.s.rt
-	if !u.Deleted && u.Gen <= r.seen {
+	if echo := r.echo(u.Gen); !u.Deleted && (echo || u.Gen <= r.seen) {
 		r.s.LogUpdate(u)
 		if m := rt.metrics.Load(); m != nil {
 			m.coalesced.Inc()
@@ -112,5 +153,34 @@ func (r *reconciler) handle(u model.Update) {
 		return
 	}
 	r.seen = rt.Store.Gen()
-	r.s.HandleUpdate(u)
+	r.note(r.s.HandleUpdate(u))
+}
+
+// note records the generations of the child commits among ups, the
+// updates one of the reconciler's Simulate runs committed.
+func (r *reconciler) note(ups []model.Update) {
+	if r.head > 0 {
+		n := copy(r.echoes, r.echoes[r.head:])
+		r.echoes, r.head = r.echoes[:n], 0
+	}
+	for _, u := range ups {
+		if u.Name != r.s.name {
+			r.echoes = append(r.echoes, u.Gen)
+		}
+	}
+}
+
+// echo reports whether gen is one of the recorded child commits, and
+// drops every recorded generation up to it: the watcher delivers in
+// commit order, so an older echo that has not come by now (its child
+// was not watched yet when it was committed) never will.
+func (r *reconciler) echo(gen uint64) bool {
+	for r.head < len(r.echoes) && r.echoes[r.head] < gen {
+		r.head++
+	}
+	if r.head < len(r.echoes) && r.echoes[r.head] == gen {
+		r.head++
+		return true
+	}
+	return false
 }

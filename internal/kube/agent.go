@@ -144,16 +144,21 @@ func (na *nodeAgent) launch(pod *Pod) {
 	})
 	na.adjustRunning(+1)
 
+	// The restart loop lives as long as the pod: it keeps what it
+	// needs, not the event's copy of the whole pod.
+	name, image, policy, label := pod.Name, pod.Spec.Image, pod.Spec.RestartPolicy, digiLabel(pod)
+	env := envForPod(pod)
+
 	na.wg.Add(1)
 	go func() {
 		defer na.wg.Done()
 		defer close(rt.finished)
 		restarts := 0
 		for {
-			workload, err := factory(envForPod(pod))
+			workload, err := factory(copyAnyMap(env))
 			if err != nil {
 				na.adjustRunning(-1)
-				na.fail(pod.Name, fmt.Sprintf("image %s: %v", pod.Spec.Image, err))
+				na.fail(name, fmt.Sprintf("image %s: %v", image, err))
 				return
 			}
 			// Each attempt gets its own derived context so an injected
@@ -186,14 +191,13 @@ func (na *nodeAgent) launch(pod *Pod) {
 			}
 			attemptCancel()
 
-			policy := pod.Spec.RestartPolicy
 			shouldRestart := policy == RestartAlways || (policy == RestartOnFailure && runErr != nil)
 			if !shouldRestart {
 				na.adjustRunning(-1)
 				if runErr != nil {
-					na.fail(pod.Name, runErr.Error())
+					na.fail(name, runErr.Error())
 				} else {
-					na.cluster.api.updatePod(pod.Name, func(p *Pod) bool {
+					na.cluster.api.updatePod(name, func(p *Pod) bool {
 						p.Status.Phase = PodSucceeded
 						p.Status.Message = "completed"
 						return true
@@ -203,9 +207,9 @@ func (na *nodeAgent) launch(pod *Pod) {
 			}
 			restarts++
 			if m := na.cluster.getMetrics(); m != nil {
-				m.restarts.With(digiLabel(pod)).Inc()
+				m.restarts.With(label).Inc()
 			}
-			na.cluster.api.updatePod(pod.Name, func(p *Pod) bool {
+			na.cluster.api.updatePod(name, func(p *Pod) bool {
 				p.Status.Restarts = restarts
 				if runErr != nil {
 					p.Status.Message = fmt.Sprintf("restarting after error: %v", runErr)

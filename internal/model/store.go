@@ -285,7 +285,8 @@ func (s *Store) broadcast(u Update) {
 }
 
 // Close unregisters the watcher. The consumer may stop reading C
-// immediately; the pump goroutine exits and C is eventually closed.
+// immediately; C is closed, with anything still queued dropped, by the
+// time Close returns.
 func (w *Watcher) Close() {
 	w.store.mu.Lock()
 	w.store.unindex(w)

@@ -54,23 +54,27 @@ func TestEveryKindLoopSimPreservesSchema(t *testing.T) {
 // TestEverySceneSimIsIdempotent checks the convergence contract the
 // digi runtime documents: running a scene's Sim twice over the same
 // inputs must not produce further changes the second time, or the
-// reconciler would loop forever.
+// reconciler would loop forever. The live reconciler leans on it to
+// skip the echoes of a scene's own child commits: the run they would
+// trigger is this second pass.
 //
 // Scenes whose Sim uses randomness to distribute state (none shipped
 // do; Fig. 5's building uses random.choices but ours is deterministic
 // per human count) would violate this and be caught here.
 func TestEverySceneSimIsIdempotent(t *testing.T) {
-	devKinds := map[string]*digi.Kind{}
-	for _, k := range device.All() {
-		devKinds[k.Type()] = k
+	kinds := map[string]*digi.Kind{}
+	for _, k := range append(device.All(), All()...) {
+		kinds[k.Type()] = k
 	}
-	// A generous attachment set covering what each scene coordinates.
+	// A generous attachment set covering what each scene coordinates,
+	// sub-scenes included, so the contract holds for the scenes that
+	// coordinate scenes (Building, Campus, City) too.
 	mkAtts := func() digi.Atts {
 		atts := digi.Atts{}
 		add := func(typ string, names ...string) {
 			group := map[string]model.Doc{}
 			for _, n := range names {
-				group[n] = devKinds[typ].Schema.New(n)
+				group[n] = kinds[typ].Schema.New(n)
 			}
 			atts[typ] = group
 		}
@@ -89,6 +93,13 @@ func TestEverySceneSimIsIdempotent(t *testing.T) {
 		add("EnergyMeter", "e1")
 		add("GPSTracker", "g1")
 		add("CargoSensor", "cs1")
+		add("Room", "r1", "r2")
+		add("MeetingRoom", "mr1")
+		add("Kitchen", "ki1")
+		add("Office", "of1")
+		add("Building", "b1")
+		add("Truck", "tr1")
+		add("Street", "st1")
 		return atts
 	}
 	for _, k := range All() {
