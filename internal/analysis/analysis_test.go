@@ -25,6 +25,12 @@ func TestWallclockScaledDriver(t *testing.T) {
 	analyzertest.Run(t, analysis.Wallclock, fixture("wallclock", "scaled"), "repro/internal/core")
 }
 
+// TestWallclockSelectWait pins the one-wait rule: a select case on an
+// injected clock's After is a finding pointing at clock.SleepUntil.
+func TestWallclockSelectWait(t *testing.T) {
+	analyzertest.Run(t, analysis.Wallclock, fixture("wallclock", "selectwait"), "repro/internal/swarm")
+}
+
 func TestWallclockExemptPackage(t *testing.T) {
 	analyzertest.Run(t, analysis.Wallclock, fixture("wallclock", "exempt"), "repro/internal/yamlite")
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 )
 
 // wallclockPackages are the runtime packages whose behaviour must be
@@ -44,6 +45,11 @@ var wallclockFuncs = map[string]bool{
 // injected clock.Clock instead so replay and time-compressed runs
 // observe identical timelines. Test files are exempt (sleepytest
 // handles their failure mode).
+//
+// It also flags a select case receiving from an injected clock's
+// After (`case <-clk.After(d):`): that wait leaves its timer armed when
+// another case wins, and an unpaced clock cannot grant it in place.
+// clock.SleepUntil is the one wait beside a context.
 var Wallclock = &Analyzer{
 	Name: "wallclock",
 	Doc:  "runtime packages must use the injected clock, not the time package, for reading or waiting on time",
@@ -59,22 +65,55 @@ func runWallclock(p *Pass) {
 			continue
 		}
 		timeName := timeImportName(f.AST)
-		if timeName == "" {
-			continue
-		}
 		ast.Inspect(f.AST, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if timeName != "" && isIdent(n.X, timeName) && wallclockFuncs[n.Sel.Name] {
+					p.Reportf(n.Pos(),
+						"direct time.%s in runtime package %s; use the injected clock.Clock so replay stays deterministic",
+						n.Sel.Name, p.Pkg)
+				}
+			case *ast.CommClause:
+				if sel := selectAfter(n.Comm); sel != nil && !isIdent(sel.X, timeName) {
+					p.Reportf(sel.Pos(),
+						"select on a clock's After in runtime package %s; wait with clock.SleepUntil, which disarms on cancel and lets an unpaced clock grant the wait in place",
+						p.Pkg)
+				}
 			}
-			ident, ok := sel.X.(*ast.Ident)
-			if !ok || ident.Name != timeName || !wallclockFuncs[sel.Sel.Name] {
-				return true
-			}
-			p.Reportf(sel.Pos(),
-				"direct time.%s in runtime package %s; use the injected clock.Clock so replay stays deterministic",
-				sel.Sel.Name, p.Pkg)
 			return true
 		})
 	}
+}
+
+// selectAfter returns the X.After selector a select case receives
+// from (`case <-X.After(d):` or `case v := <-X.After(d):`), or nil.
+func selectAfter(comm ast.Stmt) *ast.SelectorExpr {
+	var recv ast.Expr
+	switch c := comm.(type) {
+	case *ast.ExprStmt:
+		recv = c.X
+	case *ast.AssignStmt:
+		if len(c.Rhs) == 1 {
+			recv = c.Rhs[0]
+		}
+	}
+	u, ok := recv.(*ast.UnaryExpr)
+	if !ok || u.Op != token.ARROW {
+		return nil
+	}
+	call, ok := u.X.(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "After" {
+		return nil
+	}
+	return sel
+}
+
+// isIdent reports whether e is the identifier name.
+func isIdent(e ast.Expr, name string) bool {
+	ident, ok := e.(*ast.Ident)
+	return ok && ident.Name == name
 }

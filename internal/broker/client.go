@@ -416,7 +416,7 @@ func (c *Client) reconnectLoop() {
 		select {
 		case <-c.done:
 			return
-		case <-c.clk.After(wait):
+		case <-c.clk.After(wait): //dbox:allow wallclock -- the client has a done channel, not a context, to wait beside
 		}
 		conn, err := c.handshake()
 		if err != nil {

@@ -206,12 +206,8 @@ func (e *Engine) Run(ctx context.Context, p *Plan) (*Report, error) {
 	clk := e.clk()
 	start := clk.Now()
 	for _, st := range steps {
-		if wait := st.At - clk.Since(start); wait > 0 {
-			select {
-			case <-clk.After(wait):
-			case <-ctx.Done():
-				return w.Report(), ctx.Err()
-			}
+		if err := clock.SleepUntil(ctx, clk, start.Add(st.At)); err != nil {
+			return w.Report(), err
 		}
 		w.Apply(st)
 	}

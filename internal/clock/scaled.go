@@ -57,6 +57,7 @@ type Scaled struct {
 	mu         sync.Mutex
 	factor     float64
 	paused     bool
+	driving    bool // Drive is running: SleepUntil may grant in place
 	anchorWall time.Time
 	anchorVirt time.Time
 
@@ -191,6 +192,8 @@ func (s *Scaled) Run(deadline time.Time, cont func() bool) {
 // when no timers are armed instead of racing ahead.
 func (s *Scaled) Drive() {
 	const idleQuantum = 5 * time.Millisecond
+	s.setDriving(true)
+	defer s.setDriving(false)
 	for {
 		if s.Stopped() {
 			return
@@ -229,6 +232,25 @@ func (s *Scaled) Drive() {
 			return
 		}
 	}
+}
+
+func (s *Scaled) setDriving(on bool) {
+	s.mu.Lock()
+	s.driving = on
+	s.mu.Unlock()
+}
+
+// grant is SleepUntil's fast path: while Drive runs unpaced and
+// unpaused, a wait for at that nothing armed precedes is the timer the
+// driver would fire next, so the clock moves to at in place instead of
+// arming it. It reports whether the wait is over.
+func (s *Scaled) grant(at time.Time) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.driving || s.paused || !math.IsInf(s.factor, 1) || s.Stopped() {
+		return false
+	}
+	return s.Virtual.grantIdle(at)
 }
 
 // paceTo blocks until the wall instant corresponding to virtual target

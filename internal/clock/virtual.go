@@ -3,6 +3,7 @@ package clock
 import (
 	"container/heap"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -26,6 +27,11 @@ type Virtual struct {
 	// driver sleeping toward a deadline that a newly armed, earlier
 	// timer has just invalidated.
 	notify func()
+	// firing counts Step callbacks in flight. It rises under mu, so a
+	// grant that reads zero under mu runs before the next pop or after
+	// the last callback returned; a callback never sees Now move past
+	// its own firing time.
+	firing atomic.Int32
 }
 
 // NewVirtual returns a virtual clock at Epoch with no timers armed.
@@ -134,8 +140,10 @@ func (v *Virtual) Step(deadline time.Time) bool {
 		if t.at.After(v.now) {
 			v.now = t.at
 		}
+		v.firing.Add(1)
 		v.mu.Unlock()
 		t.fn()
+		v.firing.Add(-1)
 		return true
 	}
 }
@@ -148,6 +156,41 @@ func (v *Virtual) AdvanceTo(t time.Time) {
 		v.now = t
 	}
 	v.mu.Unlock()
+}
+
+// grantIdle moves now to at when nothing armed fires at or before it
+// and no Step callback is running, reporting whether the clock reads at
+// (or later) on return. It is SleepUntil's in-place grant; only Scaled
+// calls it, while its unpaced driver runs.
+func (v *Virtual) grantIdle(at time.Time) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if !at.After(v.now) {
+		return true
+	}
+	if v.firing.Load() > 0 {
+		return false
+	}
+	for len(v.timers) > 0 && v.timers[0].stopped {
+		heap.Pop(&v.timers)
+	}
+	if len(v.timers) > 0 && !v.timers[0].at.After(at) {
+		return false
+	}
+	v.now = at
+	return true
+}
+
+// afterFuncAt arms fn at the absolute instant at, so a wait does not
+// drift when another goroutine moves the clock between a read and the
+// arm. It arms nothing and returns nil when at is not after now.
+func (v *Virtual) afterFuncAt(at time.Time, fn func()) Timer {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if !at.After(v.now) {
+		return nil
+	}
+	return &virtualTimer{v: v, t: v.push(at, fn)}
 }
 
 // Sleep blocks until d of virtual time has been stepped past by the

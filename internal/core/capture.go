@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/clock"
 	"repro/internal/profile"
 	"repro/internal/repo"
 	"repro/internal/swarm"
@@ -110,12 +111,7 @@ func (tb *Testbed) captureBroker(ctx context.Context, spec CaptureSpec, cap *pro
 		return err
 	}
 	defer tb.Broker.UnsubscribeInProcess(tapID, filter)
-	select {
-	case <-tb.clk.After(spec.Duration):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return clock.SleepUntil(ctx, tb.clk, tb.clk.Now().Add(spec.Duration))
 }
 
 // CommitProfile implements "dbox capture -commit": store the profile

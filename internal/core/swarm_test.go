@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/kube"
+	"repro/internal/profile"
 	"repro/internal/swarm"
 )
 
@@ -248,5 +252,75 @@ func TestRunSwarmNeedsStartedTestbed(t *testing.T) {
 	}
 	if _, err := tb.RunSwarm(context.Background(), SwarmSpec{}); err == nil {
 		t.Fatal("RunSwarm on an unstarted testbed succeeded")
+	}
+}
+
+// TestRunSwarmAtSpeedMaxIsExact: a -speed max run whose workers' waits
+// are granted in place still publishes exactly its schedule, loses
+// nothing, and delivers every device's payloads in schedule order, with
+// one or two Ps.
+func TestRunSwarmAtSpeedMaxIsExact(t *testing.T) {
+	load := swarm.LoadSpec{
+		Profile:  swarm.ProfileOpen,
+		Devices:  60,
+		Rate:     3000,
+		Duration: 500 * time.Millisecond,
+		Workers:  2,
+		QoS:      1,
+		Subs:     2,
+		Seed:     5,
+	}
+	eff := load.WithDefaults()
+	want := map[string][]string{}
+	if err := profile.Walk(eff.EffectiveProfile(), eff.Devices, eff.Seed, eff.Duration,
+		func(d int, _ time.Duration, payload []byte) {
+			topic := swarm.DeviceTopic(eff.Prefix, d)
+			want[topic] = append(want[topic], string(payload))
+		}); err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, p := range want {
+		total += int64(len(p))
+	}
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			tb, err := New(Options{
+				Nodes:      []NodeSpec{{Name: "n0", Capacity: 8, Zone: "local"}, {Name: "n1", Capacity: 8, Zone: "local"}},
+				BrokerAddr: "none",
+				RESTAddr:   "none",
+				TimeScale:  clock.SpeedMax,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer tb.Stop()
+			var mu sync.Mutex
+			got := map[string][]string{}
+			rep, err := tb.RunSwarm(context.Background(), SwarmSpec{
+				Shards: 2,
+				Load:   load,
+				Tap: func(topic string, payload []byte) {
+					mu.Lock()
+					got[topic] = append(got[topic], string(payload))
+					mu.Unlock()
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Published != total || rep.Lost != 0 || rep.Delivered != total*int64(load.Subs) {
+				t.Fatalf("published %d (schedule %d), delivered %d, lost %d", rep.Published, total, rep.Delivered, rep.Lost)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("the tap's per-device payload streams differ from the schedule (%d topics tapped, %d scheduled)", len(got), len(want))
+			}
+		})
 	}
 }

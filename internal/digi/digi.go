@@ -496,12 +496,8 @@ func (c *Ctx) Sleep(d time.Duration) bool {
 	if d <= 0 {
 		return true
 	}
-	select {
-	case <-c.rt.clk().After(d):
-		return true
-	case <-c.ctx.Done():
-		return false
-	}
+	clk := c.rt.clk()
+	return clock.SleepUntil(c.ctx, clk, clk.Now().Add(d)) == nil
 }
 
 // Publish sends a status message to the broker on the digi's topic and

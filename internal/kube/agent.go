@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // nodeAgent is the per-node "kubelet": it watches pods bound to its
@@ -221,9 +223,8 @@ func (na *nodeAgent) launch(pod *Pod) {
 			// Exponential backoff capped at 2s keeps crash loops cheap
 			// in simulation while preserving the k8s behaviour shape.
 			backoff := time.Duration(1<<uint(min(restarts, 5))) * 25 * time.Millisecond
-			select {
-			case <-na.cluster.clock.After(backoff):
-			case <-ctx.Done():
+			clk := na.cluster.clock
+			if clock.SleepUntil(ctx, clk, clk.Now().Add(backoff)) != nil {
 				na.adjustRunning(-1)
 				return
 			}

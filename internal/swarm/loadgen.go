@@ -189,6 +189,7 @@ type Generator struct {
 	spec    LoadSpec
 	fire    Fire
 	clk     clock.Clock
+	origin  time.Time // scenario offset 0 on clk, shared by every worker
 	sampler *profile.Sampler
 	count   int64
 	// tap, when set, sees every message just before fire, with the
@@ -212,7 +213,9 @@ func NewGenerator(spec LoadSpec, fire Fire) (*Generator, error) {
 	}
 	// Explicit population counts can exceed the Devices budget.
 	spec.Devices = s.Devices()
-	return &Generator{spec: spec, fire: fire, clk: clock.System, sampler: s}, nil
+	g := &Generator{spec: spec, fire: fire, sampler: s}
+	g.SetClock(nil)
+	return g, nil
 }
 
 // Sampler returns the compiled device-profile sampler. Publishers use
@@ -220,9 +223,14 @@ func NewGenerator(spec LoadSpec, fire Fire) (*Generator, error) {
 func (g *Generator) Sampler() *profile.Sampler { return g.sampler }
 
 // SetClock replaces the generator's pacing clock (default: the wall
-// clock). Call before RunWorker; a virtual clock lets a load run be
-// driven in compressed time.
-func (g *Generator) SetClock(c clock.Clock) { g.clk = clock.Or(c) }
+// clock) and takes the schedule's origin from it: every worker fires
+// an arrival at origin + its offset, however late its pod starts. Call
+// before RunWorker; a virtual clock lets a load run be driven in
+// compressed time.
+func (g *Generator) SetClock(c clock.Clock) {
+	g.clk = clock.Or(c)
+	g.origin = g.clk.Now()
+}
 
 // Spec returns the defaulted spec the generator runs.
 func (g *Generator) Spec() LoadSpec { return g.spec }
@@ -292,8 +300,9 @@ func (h *pendHeap) pop() {
 
 // RunWorker drives worker w's device slice (device d belongs to worker
 // d mod Workers) through the compiled sampler schedule: a min-heap of
-// pending arrivals, each fired at its sampled offset on the generator
-// clock, each immediately replaced by the device's next draw. The
+// pending arrivals, each fired at the generator's origin plus its
+// sampled offset (an arrival already due fires at once), each
+// immediately replaced by the device's next draw. The
 // message set — contents, per-device order, count — is a pure function
 // of (profile, seed, duration); the clock only stretches or compresses
 // the waits between firings.
@@ -313,17 +322,10 @@ func (g *Generator) RunWorker(ctx context.Context, w int) error {
 			h.push(pendArrival{at, d, payload})
 		}
 	}
-	start := g.clk.Now()
 	var seq uint64
 	for len(h) > 0 {
 		next := h[0]
-		if sleep := next.at - g.clk.Since(start); sleep > 0 {
-			select {
-			case <-g.clk.After(sleep):
-			case <-ctx.Done():
-				return nil
-			}
-		} else if err := ctx.Err(); err != nil {
+		if clock.SleepUntil(ctx, g.clk, g.origin.Add(next.at)) != nil {
 			return nil
 		}
 		h.pop()

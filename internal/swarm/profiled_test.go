@@ -5,6 +5,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -216,5 +217,126 @@ func TestProfiledDefaultsAndValidation(t *testing.T) {
 	bad.DeviceProfile.Populations[0].Cadence.Mean = 0
 	if _, err := NewGenerator(bad, func(int, uint64, []byte) {}); err == nil {
 		t.Fatal("unsatisfiable profile accepted by NewGenerator")
+	}
+}
+
+// armCounter is a Virtual that counts its pending timer waits, so
+// a test's Step loop can tell when every worker has parked.
+type armCounter struct {
+	*clock.Virtual
+	pending atomic.Int64
+}
+
+// AfterFunc counts the wait once it is armed: a Step loop that sees
+// the count cannot fire past it.
+func (c *armCounter) AfterFunc(d time.Duration, fn func()) clock.Timer {
+	t := c.Virtual.AfterFunc(d, func() {
+		c.pending.Add(-1)
+		fn()
+	})
+	c.pending.Add(1)
+	return t
+}
+
+// After counts through AfterFunc, so a worker waiting on After parks
+// visibly too.
+func (c *armCounter) After(d time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	c.AfterFunc(d, func() { ch <- c.Now() })
+	return ch
+}
+
+// TestWorkersShareOneOrigin: every worker plays its device slice
+// against the origin the generator's clock was set at, so a worker pod
+// that starts after the clock moved fires its backlog at once and the
+// rest of its slice on the common schedule, not shifted by its start.
+// The test's Step loop only steps once every running worker is parked,
+// so each fire's Now is exact.
+func TestWorkersShareOneOrigin(t *testing.T) {
+	spec := LoadSpec{
+		Profile: ProfileClosed, Devices: 8, Period: 20 * time.Millisecond,
+		Duration: 200 * time.Millisecond, Workers: 2, Seed: 3,
+	}
+	clk := &armCounter{Virtual: clock.NewVirtual()}
+	type fire struct {
+		w   int
+		at  time.Duration
+		now time.Time
+	}
+	var mu sync.Mutex
+	var fires []fire
+	var fired0 atomic.Int64
+	g, err := NewGenerator(spec, func(int, uint64, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetClock(clk)
+	origin := clock.Epoch
+	g.tap = func(at time.Duration, device int, _ []byte) {
+		w := device % spec.Workers
+		if w == 0 {
+			fired0.Add(1)
+		}
+		mu.Lock()
+		fires = append(fires, fire{w: w, at: at, now: clk.Now()})
+		mu.Unlock()
+	}
+
+	var active atomic.Int64
+	var wg sync.WaitGroup
+	run := func(w int) {
+		active.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer active.Add(-1)
+			if err := g.RunWorker(context.Background(), w); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	run(0)
+	var start1 time.Time
+	for {
+		n := active.Load()
+		if n == 0 {
+			break
+		}
+		if clk.pending.Load() < n {
+			runtime.Gosched() // a worker is still firing
+			continue
+		}
+		clk.Step(clock.Epoch.Add(time.Hour))
+		if start1.IsZero() && fired0.Load() >= 3 {
+			// The clock cannot move again until worker 1 parks too.
+			start1 = clk.Now()
+			run(1)
+		}
+	}
+	wg.Wait()
+
+	if start1.IsZero() || !start1.After(origin) {
+		t.Fatalf("worker 1 started at %v, want after the origin %v", start1, origin)
+	}
+	onTime := map[int]int{}
+	for _, f := range fires {
+		due := origin.Add(f.at)
+		if f.w == 1 && due.Before(start1) {
+			// Late: due before its worker started, so fired at once.
+			if !f.now.Equal(start1) {
+				t.Fatalf("worker 1's late arrival at %v fired at %v, want its start %v", f.at, f.now.Sub(origin), start1.Sub(origin))
+			}
+			continue
+		}
+		if !f.now.Equal(due) {
+			t.Fatalf("worker %d fired its arrival at %v at %v, want origin + at", f.w, f.at, f.now.Sub(origin))
+		}
+		onTime[f.w]++
+	}
+	if onTime[0] == 0 || onTime[1] == 0 {
+		t.Fatalf("on-time fires per worker = %v, want both workers on the schedule", onTime)
+	}
+	if got, want := int64(len(fires)), scheduled(t, spec); got != want {
+		t.Fatalf("fired %d messages, the schedule has %d", got, want)
 	}
 }

@@ -27,9 +27,11 @@ type Session struct {
 	gen  *Generator
 	reg  *obs.Registry
 	clk  clock.Clock
+	// topics is each device's status topic, built once, so a publish
+	// indexes it instead of formatting one.
+	topics []string
 
 	delivered int64
-	started   time.Time
 }
 
 // NewSession defaults and validates spec, subscribes the consumers,
@@ -44,6 +46,10 @@ func NewSession(pool *Pool, spec LoadSpec, reg *obs.Registry) (*Session, error) 
 	// The generator's spec is defaulted, and its device count is what
 	// the sampler actually compiled.
 	s.gen, s.spec = gen, gen.Spec()
+	s.topics = make([]string, s.spec.Devices)
+	for d := range s.topics {
+		s.topics[d] = gen.Sampler().DeviceTopic(s.spec.Prefix, d)
+	}
 	// Consumers: each holds one wildcard filter matching every device
 	// topic, anchored on the shard its client id hashes to — so with
 	// multiple subscribers the bridge's cross-shard path is exercised
@@ -57,7 +63,6 @@ func NewSession(pool *Pool, spec LoadSpec, reg *obs.Registry) (*Session, error) 
 			return nil, err
 		}
 	}
-	s.started = s.clk.Now()
 	return s, nil
 }
 
@@ -66,7 +71,6 @@ func NewSession(pool *Pool, spec LoadSpec, reg *obs.Registry) (*Session, error) 
 func (s *Session) SetClock(c clock.Clock) {
 	s.clk = clock.Or(c)
 	s.gen.SetClock(c)
-	s.started = s.clk.Now()
 }
 
 // SetTap registers a publish-side observer: tap sees every message
@@ -77,7 +81,7 @@ func (s *Session) SetClock(c clock.Clock) {
 // use. Call before RunWorker.
 func (s *Session) SetTap(tap func(at time.Duration, topic string, payload []byte)) {
 	s.gen.tap = func(at time.Duration, device int, payload []byte) {
-		tap(at, s.gen.Sampler().DeviceTopic(s.spec.Prefix, device), payload)
+		tap(at, s.topics[device], payload)
 	}
 }
 
@@ -86,7 +90,7 @@ func (s *Session) SetTap(tap func(at time.Duration, topic string, payload []byte
 func (s *Session) firePool(device int, _ uint64, payload []byte) {
 	// Non-retained: load traffic must not trigger the bridge's
 	// retained full-replication path.
-	s.pool.Publish(loadFrom, s.gen.Sampler().DeviceTopic(s.spec.Prefix, device), payload, s.spec.QoS, false)
+	s.pool.Publish(loadFrom, s.topics[device], payload, s.spec.QoS, false)
 }
 
 // Workers returns the worker count; RunWorker accepts 0..Workers-1.
@@ -112,7 +116,7 @@ func (s *Session) Finish(quiesce time.Duration) *Report {
 	for s.clk.Now().Before(deadline) && atomic.LoadInt64(&s.delivered) < expected {
 		s.clk.Sleep(5 * time.Millisecond)
 	}
-	elapsed := s.clk.Since(s.started).Seconds()
+	elapsed := s.clk.Since(s.gen.origin).Seconds()
 	filter := s.spec.Prefix + "/+/status"
 	for k := 0; k < s.spec.Subs; k++ {
 		s.pool.Unsubscribe(fmt.Sprintf("swarm-sub-%d", k), filter)
