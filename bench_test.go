@@ -27,6 +27,7 @@ package digibox
 // growing b.N); they live until process exit.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -326,7 +327,7 @@ func BenchmarkTable1APIs(b *testing.B) {
 		recs := syntheticTrace(200)
 		// Replay against models that exist: L1 only.
 		for i := 0; i < b.N; i++ {
-			if err := tb.Replay(recs, 0); err != nil {
+			if err := tb.Replay(context.Background(), recs, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -436,7 +437,7 @@ func BenchmarkReplay(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if err := tb.Replay(recs, 0); err != nil {
+		if err := tb.Replay(context.Background(), recs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -91,7 +91,11 @@ func TestReplayVerifyDetectsTamperedArchive(t *testing.T) {
 	}
 	res.Digest = "sha256:" + strings.Repeat("0", 64)
 	tampered := filepath.Join(t.TempDir(), "tampered.zip")
-	if err := replay.SaveArchive(tampered, res); err != nil {
+	data, err = replay.ArchiveBytes(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tampered, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := dispatch(nil, []string{"replay", "-verify", tampered}); err == nil {

@@ -1,11 +1,13 @@
 // Package analysis is Digibox's in-house static-analysis framework: a
-// small go/analysis-style multichecker built on the standard library's
-// go/ast and go/parser only, so the repo stays dependency-free.
+// small go/analysis-style multichecker built on the standard library
+// only (go/ast, go/parser, go/types), so the repo stays dependency-free.
 //
-// Analyzers are purely syntactic (no type checking): each receives a
-// parsed package and reports findings at token positions. The runner
-// handles package discovery, //dbox:allow suppression directives, and
-// ordering, and is exposed to users as `dbox analyze`.
+// Most analyzers are syntactic: each receives a parsed package and
+// reports findings at token positions. The one whole-program analyzer,
+// deadcode, collects every package and type-checks their non-test
+// files in Finish. The runner handles package discovery, //dbox:allow
+// suppression directives, and ordering, and is exposed to users as
+// `dbox analyze`.
 //
 // The framework exists because the properties it checks are invariants
 // the rest of the repo depends on — most importantly that runtime
@@ -48,6 +50,12 @@ type Analyzer struct {
 	// accumulate into the pass State maps and report here.
 	Finish func(state map[string]any, report func(Finding))
 }
+
+// inactive is the State key an analyzer's Finish sets when the loaded
+// packages gave it nothing to judge (a whole-program analyzer run on a
+// pattern with no main package); its directives then do not count as
+// unused.
+const inactive = "inactive"
 
 // A Pass is one analyzer's view of one package.
 type Pass struct {

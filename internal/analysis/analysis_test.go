@@ -59,6 +59,28 @@ func TestMathrandBenchExempt(t *testing.T) {
 	analyzertest.Run(t, analysis.Mathrand, fixture("mathrand", "bench"), "repro/bench")
 }
 
+// TestDeadcode pins the reachability rules on a fixture module: a main
+// package and the root facade are roots, a dead exported func and a
+// dead unexported chain are reported, an error method is kept by
+// interface satisfaction, a package only tests import is skipped, and
+// an allow directive keeps a declaration and what it calls.
+func TestDeadcode(t *testing.T) {
+	analyzertest.RunModule(t, analysis.Deadcode, fixture("deadcode"))
+}
+
+// TestDeadcodePartialPattern: a pattern that loads no main package has
+// no roots, so it reports nothing and its allow directives are not
+// flagged unused.
+func TestDeadcodePartialPattern(t *testing.T) {
+	findings, err := analysis.Run(fixture("deadcode"), []string{"./internal/lib"}, []*analysis.Analyzer{analysis.Deadcode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("%s", f)
+	}
+}
+
 func TestAllowDirectiveHygiene(t *testing.T) {
 	analyzertest.Run(t, analysis.Sleepytest, fixture("allow"), "repro/internal/broker")
 }

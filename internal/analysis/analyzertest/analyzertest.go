@@ -41,6 +41,23 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 	checkWants(t, dir, findings)
 }
 
+// RunModule applies one analyzer to every package of the fixture
+// module rooted at dir (a directory holding its own go.mod), so a
+// whole-program analyzer sees roots and callees together. Import paths
+// come from the fixture's go.mod; want comments are read from every
+// file under dir.
+func RunModule(t *testing.T, a *analysis.Analyzer, dir string) {
+	t.Helper()
+	findings, err := analysis.Run(dir, nil, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range findings {
+		findings[i].File = filepath.Join(dir, findings[i].File)
+	}
+	checkWants(t, dir, findings)
+}
+
 func loadFixture(t *testing.T, fset *token.FileSet, dir, importPath string) *analysis.Package {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -79,15 +96,13 @@ func checkWants(t *testing.T, dir string, findings []analysis.Finding) {
 		matched bool
 	}
 	var wants []*want
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			return err
 		}
-		path := filepath.Join(dir, e.Name())
 		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, m := range wantPattern.FindAllStringSubmatch(line, -1) {
@@ -98,6 +113,10 @@ func checkWants(t *testing.T, dir string, findings []analysis.Finding) {
 				wants = append(wants, &want{file: path, line: i + 1, pattern: re})
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	sort.Slice(wants, func(i, j int) bool {
 		if wants[i].file != wants[j].file {

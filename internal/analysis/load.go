@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -153,13 +152,4 @@ func matchPattern(pattern, rel string) bool {
 		return rel == prefix || strings.HasPrefix(rel, prefix+"/")
 	}
 	return rel == pattern
-}
-
-// inspectFiles walks every file of the pass with fn (a convenience
-// wrapper over ast.Inspect).
-func inspectFiles(files []*File, fn func(f *File, n ast.Node) bool) {
-	for _, f := range files {
-		file := f
-		ast.Inspect(f.AST, func(n ast.Node) bool { return fn(file, n) })
-	}
 }

@@ -61,6 +61,9 @@ func RunPackages(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []
 		if a.Finish != nil {
 			a.Finish(states[a.Name], report)
 		}
+		if states[a.Name][inactive] == true {
+			running[a.Name] = false
+		}
 	}
 
 	var out []Finding

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -35,8 +34,6 @@ type Options struct {
 	// GraceKeepAlive is the multiplier on the negotiated keepalive
 	// after which an idle session is terminated. MQTT mandates 1.5.
 	GraceKeepAlive float64
-	// Logf, when set, receives debug log lines.
-	Logf func(format string, args ...any)
 	// ConnHook, when set, wraps every accepted connection before the
 	// MQTT handshake — an injection point for chaos proxies (latency,
 	// corruption) and tests. Closing the returned conn must close the
@@ -84,7 +81,6 @@ func (o *Options) withDefaults() Options {
 		if o.GraceKeepAlive > 0 {
 			out.GraceKeepAlive = o.GraceKeepAlive
 		}
-		out.Logf = o.Logf
 		out.ConnHook = o.ConnHook
 		out.Obs = o.Obs
 		out.Tracer = o.Tracer
@@ -274,12 +270,6 @@ func (b *Broker) Stats() Stats {
 	}
 }
 
-func (b *Broker) logf(format string, args ...any) {
-	if b.opts.Logf != nil {
-		b.opts.Logf(format, args...)
-	}
-}
-
 // session is one connected client.
 type session struct {
 	broker   *Broker
@@ -372,7 +362,6 @@ func (b *Broker) serveConn(conn net.Conn) {
 	}
 	atomic.AddInt64(&b.connects, 1)
 	b.opts.Bus.Publish("client", map[string]any{"client": s.clientID, "state": "connected"})
-	b.logf("mqtt: session %s connected from %s", s.clientID, conn.RemoteAddr())
 
 	go s.writeLoop()
 	s.readLoop()
@@ -404,7 +393,6 @@ func (s *session) writeLoop() {
 	write := func(pkt *Packet) bool {
 		data, err := pkt.AppendEncode(bw.AvailableBuffer())
 		if err != nil {
-			s.broker.logf("mqtt: encode to %s: %v", s.clientID, err)
 			return true
 		}
 		if _, err := bw.Write(data); err != nil {
@@ -494,9 +482,6 @@ func (s *session) readLoop() {
 		}
 		pkt, err := ReadPacket(br)
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
-				s.broker.logf("mqtt: read from %s: %v", s.clientID, err)
-			}
 			return
 		}
 		switch pkt.Type {
@@ -547,15 +532,9 @@ func (s *session) readLoop() {
 		case DISCONNECT:
 			return
 		default:
-			s.broker.logf("mqtt: unexpected %v from %s", pkt.Type, s.clientID)
 			return
 		}
 	}
-}
-
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // route fans a PUBLISH out to matching subscribers and updates the
@@ -674,29 +653,13 @@ func (b *Broker) Kick(clientID string) bool {
 	return true
 }
 
-// Clients returns the ids of currently connected sessions, sorted.
-func (b *Broker) Clients() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.sessions))
-	for id := range b.sessions {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Publish injects a message into the broker from within the process,
-// without a client connection. Mocks co-located with the broker use
-// this fast path; the wire path behaves identically.
-func (b *Broker) Publish(topic string, payload []byte, retain bool) error {
-	return b.PublishFrom("", topic, payload, retain)
-}
-
-// PublishFrom is Publish with a publisher identity, so in-process
-// publishes participate in partition groups and From-scoped fault
-// rules the same way wire clients do. The digi runtime passes the
-// publishing digi's name.
+// PublishFrom injects a message into the broker from within the
+// process, without a client connection, under a publisher identity,
+// so in-process publishes participate in partition groups and
+// From-scoped fault rules the same way wire clients do. Mocks
+// co-located with the broker use this fast path (the digi runtime
+// passes the publishing digi's name); the wire path behaves
+// identically.
 func (b *Broker) PublishFrom(from, topic string, payload []byte, retain bool) error {
 	return b.PublishQoS(from, topic, payload, 0, retain)
 }
@@ -763,32 +726,6 @@ func (b *Broker) UnsubscribeInProcess(clientID, filter string) bool {
 // swaps in a fresh broker.
 func (b *Broker) Alive() bool {
 	return atomic.LoadInt32(&b.closedFlag) == 0
-}
-
-// SubscriptionExport is one live subscription, exported for takeover.
-type SubscriptionExport struct {
-	ClientID string `json:"client_id"`
-	Filter   string `json:"filter"`
-	QoS      byte   `json:"qos"`
-}
-
-// ExportSubscriptions snapshots every live subscription (wire and
-// in-process), sorted by client then filter. The swarm pool reads a
-// dead shard's table during failover to cross-check its own migration
-// registry; the trie stays readable after Close, so the export works
-// on a killed broker.
-func (b *Broker) ExportSubscriptions() []SubscriptionExport {
-	var out []SubscriptionExport
-	for _, s := range b.subs.exportAll() {
-		out = append(out, SubscriptionExport{ClientID: s.clientID, Filter: s.filter, QoS: s.qos})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ClientID != out[j].ClientID {
-			return out[i].ClientID < out[j].ClientID
-		}
-		return out[i].Filter < out[j].Filter
-	})
-	return out
 }
 
 // ResubscribeInProcess is SubscribeInProcess without the retained

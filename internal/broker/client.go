@@ -714,30 +714,6 @@ func (c *Client) subscribeDeferred() bool {
 	return c.opts.AutoReconnect && !c.closed && !c.connected
 }
 
-// Unsubscribe removes a subscription.
-func (c *Client) Unsubscribe(filter string) error {
-	c.mu.Lock()
-	delete(c.subs, filter)
-	disconnected := !c.connected
-	auto := c.opts.AutoReconnect
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return c.err()
-	}
-	if disconnected && auto {
-		// Nothing on the wire to undo; the filter simply will not be
-		// re-established on reconnect.
-		return nil
-	}
-	id, ch := c.allocID()
-	if err := c.write(&Packet{Type: UNSUBSCRIBE, PacketID: id, Filters: []string{filter}}); err != nil {
-		return err
-	}
-	_, err := c.await(id, ch, UNSUBACK, false)
-	return err
-}
-
 // OnState adds a connection-state listener (see
 // ClientOptions.OnConnectionState). Listeners added after Dial see
 // only subsequent transitions.
@@ -751,6 +727,8 @@ func (c *Client) OnState(fn func(connected bool, cause error)) {
 
 // IsConnected reports whether the client currently has a live
 // connection.
+//
+//dbox:allow deadcode -- core's chaos tests poll the runtime session with it
 func (c *Client) IsConnected() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -769,6 +747,8 @@ func (c *Client) Close() error {
 // Done is closed when the client terminates for good. With
 // AutoReconnect, individual connection losses do not close it — only
 // Close does; use OnState to observe connectivity.
+//
+//dbox:allow deadcode -- the root facade test and this package's tests wait on it
 func (c *Client) Done() <-chan struct{} { return c.done }
 
 // err returns the most specific known cause of the client's current

@@ -8,9 +8,15 @@
 // applications under test.
 //
 // The subset implemented is the portion of MQTT 3.1.1 exercised by IoT
-// prototyping workloads; QoS 2, wills, and persistent (non-clean)
-// sessions are not supported and are rejected at CONNECT/SUBSCRIBE
-// time rather than silently accepted.
+// prototyping workloads. What lies outside it is handled so
+// (TestWireContract pins each case):
+//   - a CONNECT with the will flag set closes the connection without a
+//     CONNACK;
+//   - a QoS-2 PUBLISH closes the connection;
+//   - a QoS-2 SUBSCRIBE is granted QoS 1, as §3.9.3 allows;
+//   - CleanSession=0 with a client ID is accepted as a clean session:
+//     the CONNACK reports no session present, and subscriptions do not
+//     survive a reconnect.
 package broker
 
 import (

@@ -317,26 +317,6 @@ func gather(node *trieNode, rest string, wild bool, lists [][]*subscription) [][
 	return lists
 }
 
-// exportAll walks the trie and returns every stored subscription, in
-// trie order (callers sort). Used by Broker.ExportSubscriptions for
-// shard-takeover snapshots.
-func (t *subTrie) exportAll() []*subscription {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []*subscription
-	exportAt(t.root, &out)
-	return out
-}
-
-func exportAt(node *trieNode, out *[]*subscription) {
-	for _, s := range node.subs {
-		*out = append(*out, s)
-	}
-	for _, c := range node.children {
-		exportAt(c, out)
-	}
-}
-
 // countSubscriptions returns the total number of stored subscriptions
 // (used by tests and broker stats).
 func (t *subTrie) countSubscriptions() int {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/trace"
+	"repro/internal/yamlite"
 )
 
 // fakeInjectors records every injector call in order.
@@ -83,6 +84,11 @@ func runPlan(t *testing.T, p *Plan) (*fakeInjectors, *Report, *trace.Log) {
 		t.Fatal(err)
 	}
 	return inj, rep, log
+}
+
+// Marshal encodes the plan as a standalone YAML document.
+func (p *Plan) Marshal() ([]byte, error) {
+	return yamlite.Encode(p.Value())
 }
 
 // The acceptance contract: two runs of the same seeded plan produce

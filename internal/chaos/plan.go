@@ -321,11 +321,6 @@ func (p *Plan) Value() any {
 	return m
 }
 
-// Marshal encodes the plan as a standalone YAML document.
-func (p *Plan) Marshal() ([]byte, error) {
-	return yamlite.Encode(p.Value())
-}
-
 // Targets returns the distinct digi names and topic filters the plan
 // references, for static validation (vet rule V013).
 func (p *Plan) Targets() (digis, topics []string) {

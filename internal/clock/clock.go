@@ -8,11 +8,11 @@
 //
 // Pacing waits go through SleepUntil, which waits for an absolute
 // instant beside a context. Its one fast path: on a *Scaled that Drive
-// runs at SpeedMax, unpaused, a wait with no timer armed at or before
-// its instant, made while no Step callback runs, moves Now there in
-// place and arms nothing, because the driver would fire that timer
-// next anyway. On System, a bare Virtual, a Scaled under Run, at a
-// finite factor or paused, a wait arms one timer. Waits that can fail
+// runs at SpeedMax, a wait with no timer armed at or before its
+// instant, made while no Step callback runs, moves Now there in place
+// and arms nothing, because the driver would fire that timer next
+// anyway. On System, a bare Virtual, a Scaled under Run or at a finite
+// factor, a wait arms one timer. Waits that can fail
 // for lack of time use Deadline.
 //
 // This package is the one sanctioned boundary to the time package:

@@ -40,8 +40,8 @@ func FormatSpeed(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// Scaled is a Virtual clock paced against a wall clock at a
-// configurable factor: factor 1 is real time, factor 100 compresses
+// Scaled is a Virtual clock paced against a wall clock at a factor
+// fixed at construction: factor 1 is real time, factor 100 compresses
 // 100s of scenario time into 1s of wall time, and SpeedMax degenerates
 // to pure discrete-event firing.
 //
@@ -54,12 +54,13 @@ type Scaled struct {
 	*Virtual
 	wall Clock
 
-	mu         sync.Mutex
+	// factor and the wall↔virtual anchor are fixed at NewScaled.
 	factor     float64
-	paused     bool
-	driving    bool // Drive is running: SleepUntil may grant in place
 	anchorWall time.Time
 	anchorVirt time.Time
+
+	mu      sync.Mutex
+	driving bool // Drive is running: SleepUntil may grant in place
 
 	wake     chan struct{}
 	stop     chan struct{}
@@ -87,47 +88,8 @@ func NewScaled(factor float64, wall Clock) *Scaled {
 	return s
 }
 
-// Factor returns the current pacing factor.
-func (s *Scaled) Factor() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.factor
-}
-
-// SetFactor changes the pacing factor mid-run. The wall↔virtual anchor
-// is re-based at the current instant, so already-elapsed time is never
-// re-paced. Panics on non-positive or NaN factors.
-func (s *Scaled) SetFactor(f float64) {
-	if !(f > 0) {
-		panic("clock: non-positive speed factor")
-	}
-	s.mu.Lock()
-	s.factor = f
-	s.anchorWall = s.wall.Now()
-	s.anchorVirt = s.Virtual.Now()
-	s.mu.Unlock()
-	s.kick()
-}
-
-// Pause suspends pacing: the driver blocks (firing nothing) until
-// Resume. Virtual time freezes with it.
-func (s *Scaled) Pause() {
-	s.mu.Lock()
-	s.paused = true
-	s.mu.Unlock()
-	s.kick()
-}
-
-// Resume re-anchors at the current instant and continues pacing; the
-// wall time spent paused is not "caught up".
-func (s *Scaled) Resume() {
-	s.mu.Lock()
-	s.paused = false
-	s.anchorWall = s.wall.Now()
-	s.anchorVirt = s.Virtual.Now()
-	s.mu.Unlock()
-	s.kick()
-}
+// Factor returns the pacing factor.
+func (s *Scaled) Factor() float64 { return s.factor }
 
 // Stop aborts any in-progress Run or Drive. Idempotent.
 func (s *Scaled) Stop() {
@@ -174,7 +136,7 @@ func (s *Scaled) Run(deadline time.Time, cont func() bool) {
 		}
 		if !s.paceTo(target) {
 			// Woken early: a new (possibly earlier) timer was armed,
-			// the factor changed, or we were paused/stopped. Re-peek.
+			// or we were stopped. Re-peek.
 			continue
 		}
 		if !fire {
@@ -210,10 +172,7 @@ func (s *Scaled) Drive() {
 			}
 			continue
 		}
-		s.mu.Lock()
-		paused, factor := s.paused, s.factor
-		s.mu.Unlock()
-		if paused || math.IsInf(factor, 1) {
+		if math.IsInf(s.factor, 1) {
 			select {
 			case <-s.wake:
 			case <-s.stop:
@@ -223,10 +182,7 @@ func (s *Scaled) Drive() {
 		}
 		select {
 		case <-s.wall.After(idleQuantum):
-			s.mu.Lock()
-			target := s.anchorVirt.Add(time.Duration(float64(s.wall.Now().Sub(s.anchorWall)) * s.factor))
-			s.mu.Unlock()
-			s.AdvanceTo(target)
+			s.AdvanceTo(s.anchorVirt.Add(time.Duration(float64(s.wall.Now().Sub(s.anchorWall)) * s.factor)))
 		case <-s.wake:
 		case <-s.stop:
 			return
@@ -240,14 +196,14 @@ func (s *Scaled) setDriving(on bool) {
 	s.mu.Unlock()
 }
 
-// grant is SleepUntil's fast path: while Drive runs unpaced and
-// unpaused, a wait for at that nothing armed precedes is the timer the
-// driver would fire next, so the clock moves to at in place instead of
-// arming it. It reports whether the wait is over.
+// grant is SleepUntil's fast path: while Drive runs unpaced, a wait
+// for at that nothing armed precedes is the timer the driver would
+// fire next, so the clock moves to at in place instead of arming it.
+// It reports whether the wait is over.
 func (s *Scaled) grant(at time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.driving || s.paused || !math.IsInf(s.factor, 1) || s.Stopped() {
+	if !s.driving || !math.IsInf(s.factor, 1) || s.Stopped() {
 		return false
 	}
 	return s.Virtual.grantIdle(at)
@@ -255,27 +211,15 @@ func (s *Scaled) grant(at time.Time) bool {
 
 // paceTo blocks until the wall instant corresponding to virtual target
 // arrives, reporting true. It returns false when woken early (new
-// timer, factor change, pause toggle, Stop) — callers must re-peek the
-// heap rather than assume the target is due. The mapping is anchored
-// absolutely (anchorWall + (target−anchorVirt)/factor), so interrupted
-// waits resume drift-free.
+// timer, Stop) — callers must re-peek the heap rather than assume the
+// target is due. The mapping is anchored absolutely
+// (anchorWall + (target−anchorVirt)/factor), so interrupted waits
+// resume drift-free.
 func (s *Scaled) paceTo(target time.Time) bool {
-	s.mu.Lock()
-	if s.paused {
-		s.mu.Unlock()
-		select {
-		case <-s.wake:
-		case <-s.stop:
-		}
-		return false
-	}
-	factor := s.factor
-	if math.IsInf(factor, 1) {
-		s.mu.Unlock()
+	if math.IsInf(s.factor, 1) {
 		return true
 	}
-	wallTarget := s.anchorWall.Add(time.Duration(float64(target.Sub(s.anchorVirt)) / factor))
-	s.mu.Unlock()
+	wallTarget := s.anchorWall.Add(time.Duration(float64(target.Sub(s.anchorVirt)) / s.factor))
 	wait := wallTarget.Sub(s.wall.Now())
 	if wait <= 0 {
 		return true

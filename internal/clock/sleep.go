@@ -10,7 +10,7 @@ import (
 // waiting on an absolute instant keeps a schedule from drifting when
 // another goroutine moves the clock between a read and the arm.
 //
-// On a *Scaled that Drive runs unpaced and unpaused, a wait that no
+// On a *Scaled that Drive runs unpaced, a wait that no
 // armed timer precedes, made while no Step callback runs, is granted in
 // place: the clock moves to at and nothing is armed. The driver would
 // have fired that timer next, so the grant is one interleaving it

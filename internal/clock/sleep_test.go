@@ -132,27 +132,12 @@ func TestSleepUntilYieldsToEarlierTimer(t *testing.T) {
 	}
 }
 
-// TestSleepUntilParksOffTheFastPath: paused, at a finite factor, before
+// TestSleepUntilParksOffTheFastPath: at a finite factor, before
 // Drive starts and under Run the wait arms a timer and the clock moves
 // only by the driver; Run stops at its deadline with a sleeper parked
 // past it.
 func TestSleepUntilParksOffTheFastPath(t *testing.T) {
 	at := Epoch.Add(10 * time.Millisecond)
-
-	t.Run("paused", func(t *testing.T) {
-		s := NewScaled(SpeedMax, nil)
-		s.Pause()
-		drive(t, s)
-		done := sleepAsync(context.Background(), s, at)
-		waitArmed(t, s.Virtual, at)
-		if !s.Now().Equal(Epoch) {
-			t.Fatalf("paused clock moved to %v", s.Now())
-		}
-		s.Resume()
-		if err := recvErr(t, done); err != nil || !s.Now().Equal(at) {
-			t.Fatalf("after Resume: %v, Now = %v", err, s.Now())
-		}
-	})
 
 	t.Run("finite factor", func(t *testing.T) {
 		s := NewScaled(1000, nil)
@@ -263,8 +248,8 @@ func TestSleepUntilCancel(t *testing.T) {
 	})
 
 	for name, clk := range map[string]Clock{
-		"scaled paused": func() Clock { s := NewScaled(SpeedMax, nil); s.Pause(); return s }(),
-		"virtual":       NewVirtual(),
+		"scaled undriven": NewScaled(SpeedMax, nil),
+		"virtual":         NewVirtual(),
 	} {
 		t.Run("park path/"+name, func(t *testing.T) {
 			v := clk.(interface{ NextAt() (time.Time, bool) })

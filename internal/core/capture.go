@@ -131,6 +131,8 @@ func (tb *Testbed) CommitProfile(name string, p *profile.Profile) (string, error
 // GetProfile loads a committed profile from the local repository
 // (empty version = latest) — the `dbox swarm -profile name` and
 // recreate paths.
+//
+//dbox:allow deadcode -- ctl's capture tests read committed profiles back with it
 func (tb *Testbed) GetProfile(name, version string) (*profile.Profile, error) {
 	if err := tb.requireRepos(false); err != nil {
 		return nil, err

@@ -35,7 +35,7 @@ func (tb *Testbed) CommitKind(typ string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("core: type %q not registered", typ)
 	}
-	data, err := EncodeSchema(kind.Schema)
+	data, err := model.EncodeSchema(kind.Schema)
 	if err != nil {
 		return "", err
 	}
@@ -172,7 +172,7 @@ func (tb *Testbed) Recreate(setupName, version string) error {
 		if err != nil {
 			return fmt.Errorf("core: setup references %s/%s: %w", typ, ver, err)
 		}
-		local, err := EncodeSchema(kind.Schema)
+		local, err := model.EncodeSchema(kind.Schema)
 		if err != nil {
 			return err
 		}
@@ -229,18 +229,4 @@ func (tb *Testbed) PullTrace(name, version string) ([]trace.Record, error) {
 		return nil, err
 	}
 	return trace.ParseArchiveBytes(data)
-}
-
-// EncodeSchema renders a schema as the canonical repository document.
-// It is a thin alias of model.EncodeSchema, kept here because the
-// repository workflow verbs are this package's surface.
-func EncodeSchema(s *model.Schema) ([]byte, error) {
-	return model.EncodeSchema(s)
-}
-
-// DecodeSchema parses a repository kind document back into a schema,
-// enabling a pulling Digibox to inspect kinds it does not have code
-// for ("dbox pull TYPE" browsing). Alias of model.DecodeSchema.
-func DecodeSchema(data []byte) (*model.Schema, error) {
-	return model.DecodeSchema(data)
 }

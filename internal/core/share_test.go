@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -202,7 +203,7 @@ func TestTraceRecordReplayAcrossTestbeds(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("empty trace")
 	}
-	if err := other.Replay(recs, 0); err != nil {
+	if err := other.Replay(context.Background(), recs, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Replay pauses event generation on every traced digi.

@@ -83,9 +83,6 @@ type Options struct {
 	// in-process fast path — required for chaos plans that disconnect
 	// or partition the runtime, and for observing reconnect behaviour.
 	RuntimeMQTT bool
-	// DisableMetrics turns the observability layer off: no registry,
-	// no spans, and Stats falls back to per-subsystem snapshots.
-	DisableMetrics bool
 	// Observer, when set, connects a wire MQTT client subscribed to
 	// "#" (QoS 1) so every publish has at least one wire delivery.
 	// This closes publish→deliver spans even when no application
@@ -115,18 +112,17 @@ type Testbed struct {
 	Gateway  *rest.Gateway
 	Checker  *property.Checker
 
-	// Obs is the testbed-wide metrics registry (nil when
-	// Options.DisableMetrics); every layer registers its families
-	// here and GET /ctl/metrics exposes it. Tracer stamps
+	// Obs is the testbed-wide metrics registry; every layer registers
+	// its families here and GET /ctl/metrics exposes it. Tracer stamps
 	// publish→deliver spans through the broker.
 	Obs    *obs.Registry
 	Tracer *obs.Tracer
 
-	// Bus is the testbed-wide fan-out event bus (nil when
-	// Options.DisableMetrics): the broker, chaos engine, swarm health
-	// monitor, and kube cluster publish fault/shard/pod/client events
-	// into it, and GET /ctl/events streams it out as SSE. Version is
-	// the build stamp surfaced on /healthz and /ctl/status.
+	// Bus is the testbed-wide fan-out event bus: the broker, chaos
+	// engine, swarm health monitor, and kube cluster publish
+	// fault/shard/pod/client events into it, and GET /ctl/events
+	// streams it out as SSE. Version is the build stamp surfaced on
+	// /healthz and /ctl/status.
 	Bus     *obs.Bus
 	Version string
 
@@ -210,21 +206,19 @@ func New(opts Options) (*Testbed, error) {
 	// The trace log stamps scenario time, so records from a
 	// compressed run carry the same timestamps a real-time run would.
 	tb.Log = trace.NewLogAt(tb.clk.Now)
-	if !opts.DisableMetrics {
-		tb.Obs = obs.NewRegistry()
-		tb.Tracer = obs.NewTracer(tb.Obs)
-		// Spans and bus events stamp scenario time (wall time rides
-		// along as the bus's secondary wall_ms field).
-		tb.Tracer.SetClock(tb.clk)
-		tb.Version = obs.RegisterBuildInfo(tb.Obs)
-		tb.Bus = obs.NewBus(tb.Obs, tb.clk)
-		// Correlate completed spans into the trace log so shared and
-		// replayed traces carry delivery-timing evidence (§3.5).
-		log := tb.Log
-		tb.Tracer.OnSpan(func(from, topic string, elapsed time.Duration) {
-			log.Span(from, topic, elapsed)
-		})
-	}
+	tb.Obs = obs.NewRegistry()
+	tb.Tracer = obs.NewTracer(tb.Obs)
+	// Spans and bus events stamp scenario time (wall time rides
+	// along as the bus's secondary wall_ms field).
+	tb.Tracer.SetClock(tb.clk)
+	tb.Version = obs.RegisterBuildInfo(tb.Obs)
+	tb.Bus = obs.NewBus(tb.Obs, tb.clk)
+	// Correlate completed spans into the trace log so shared and
+	// replayed traces carry delivery-timing evidence (§3.5).
+	log := tb.Log
+	tb.Tracer.OnSpan(func(from, topic string, elapsed time.Duration) {
+		log.Span(from, topic, elapsed)
+	})
 	tb.Runtime = &digi.Runtime{
 		Store:    tb.Store,
 		Log:      tb.Log,
@@ -234,9 +228,7 @@ func New(opts Options) (*Testbed, error) {
 	tb.Runtime.BindObs(tb.Obs)
 	tb.Cluster = kube.NewCluster()
 	tb.Cluster.SetClock(tb.clk)
-	if tb.Obs != nil {
-		tb.Cluster.BindMetrics(tb.Obs)
-	}
+	tb.Cluster.BindMetrics(tb.Obs)
 	tb.Cluster.RegisterImage("digi", tb.Runtime.ImageFactory())
 	for _, n := range opts.Nodes {
 		if err := tb.Cluster.AddNode(n.Name, n.Capacity, n.Zone); err != nil {
@@ -247,17 +239,15 @@ func New(opts Options) (*Testbed, error) {
 		tb.Cluster.SetZoneDelay(zd.A, zd.B, zd.Delay)
 	}
 	tb.Checker = property.NewChecker(tb.Store, tb.Log)
-	if tb.Obs != nil {
-		tb.Obs.GaugeFunc("digibox_models", "models in the store", func() float64 {
-			return float64(len(tb.Store.List()))
-		})
-		tb.Obs.GaugeFunc("digibox_trace_records", "records in the trace log", func() float64 {
-			return float64(tb.Log.Len())
-		})
-		tb.Obs.GaugeFunc("digibox_violations", "property violations recorded", func() float64 {
-			return float64(len(tb.Checker.Violations()))
-		})
-	}
+	tb.Obs.GaugeFunc("digibox_models", "models in the store", func() float64 {
+		return float64(len(tb.Store.List()))
+	})
+	tb.Obs.GaugeFunc("digibox_trace_records", "records in the trace log", func() float64 {
+		return float64(tb.Log.Len())
+	})
+	tb.Obs.GaugeFunc("digibox_violations", "property violations recorded", func() float64 {
+		return float64(len(tb.Checker.Violations()))
+	})
 
 	if opts.LocalRepoDir != "" {
 		r, err := repo.Open(opts.LocalRepoDir)
@@ -461,11 +451,6 @@ func (tb *Testbed) RESTClient() *rest.Client {
 	return &rest.Client{Base: "http://" + tb.RESTAddr()}
 }
 
-// RegisterKind installs a mock/scene kind (a "type" in Table 1 terms).
-func (tb *Testbed) RegisterKind(k *digi.Kind) error {
-	return tb.Registry.Register(k)
-}
-
 // podName is the kube pod name of a digi instance.
 func podName(digiName string) string {
 	return "digi-" + strings.ToLower(digiName)
@@ -481,26 +466,10 @@ type Stats struct {
 	Broker      broker.Stats
 }
 
-// Stats returns a state snapshot. With metrics enabled the snapshot
-// is computed from a single registry sweep — every family is read in
-// one locked pass, so broker and cluster counts are mutually
-// consistent even mid-chaos. Without metrics it falls back to
-// per-subsystem snapshots taken at slightly different instants.
+// Stats returns a state snapshot computed from a single registry
+// sweep: every family is read in one locked pass, so broker and
+// cluster counts are mutually consistent even mid-chaos.
 func (tb *Testbed) Stats() Stats {
-	if tb.Obs == nil {
-		cs := tb.Cluster.Stats()
-		st := Stats{
-			Models:      len(tb.Store.List()),
-			PodsRunning: cs.PodsRunning,
-			PodsPending: cs.PodsPending,
-			Violations:  len(tb.Checker.Violations()),
-			TraceLen:    tb.Log.Len(),
-		}
-		if tb.Broker != nil {
-			st.Broker = tb.Broker.Stats()
-		}
-		return st
-	}
 	v := tb.Obs.Values()
 	return Stats{
 		Models:      int(v["digibox_models"]),

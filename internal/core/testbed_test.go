@@ -359,15 +359,15 @@ func TestSubtree(t *testing.T) {
 
 func TestSchemaCodecRoundTrip(t *testing.T) {
 	for _, k := range device.All() {
-		data, err := EncodeSchema(k.Schema)
+		data, err := model.EncodeSchema(k.Schema)
 		if err != nil {
 			t.Fatalf("%s: %v", k.Type(), err)
 		}
-		back, err := DecodeSchema(data)
+		back, err := model.DecodeSchema(data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v\n%s", k.Type(), err, data)
 		}
-		data2, err := EncodeSchema(back)
+		data2, err := model.EncodeSchema(back)
 		if err != nil {
 			t.Fatalf("%s: re-encode: %v", k.Type(), err)
 		}
@@ -375,7 +375,7 @@ func TestSchemaCodecRoundTrip(t *testing.T) {
 			t.Errorf("%s: schema codec not canonical:\n%s\nvs\n%s", k.Type(), data, data2)
 		}
 	}
-	if _, err := DecodeSchema([]byte("- not a schema")); err == nil {
+	if _, err := model.DecodeSchema([]byte("- not a schema")); err == nil {
 		t.Error("bad schema doc accepted")
 	}
 }
@@ -456,7 +456,7 @@ func TestNodeFailureKeepsEnsembleAlive(t *testing.T) {
 // Stopping a digi drops its readiness, and a reconciler left over from
 // the stopped incarnation cannot mark the next one ready.
 func TestStopDigiDropsReadiness(t *testing.T) {
-	tb := newTestbed(t, Options{BrokerAddr: "none", RESTAddr: "none", DisableMetrics: true})
+	tb := newTestbed(t, Options{BrokerAddr: "none", RESTAddr: "none"})
 	if err := tb.Run("Lamp", "L1", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +515,7 @@ func TestStopDigiDropsReadiness(t *testing.T) {
 // none at rest.
 func TestOneGoroutinePerMock(t *testing.T) {
 	const mocks, slack = 40, 5
-	tb := newTestbed(t, Options{BrokerAddr: "none", RESTAddr: "none", DisableMetrics: true})
+	tb := newTestbed(t, Options{BrokerAddr: "none", RESTAddr: "none"})
 	base := runtime.NumGoroutine()
 	for i := 0; i < mocks; i++ {
 		if err := tb.Run("Occupancy", fmt.Sprintf("O%02d", i), map[string]any{"managed": false}); err != nil {

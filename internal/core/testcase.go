@@ -33,6 +33,8 @@ type TestCase struct {
 // models' event generators, apply the inputs, and wait for the
 // expected condition. On timeout the error describes which terms of
 // the expectation failed.
+//
+//dbox:allow deadcode -- the §3.3 test-case verb; this package's tests drive it
 func (tb *Testbed) RunTestCase(tc TestCase) error {
 	if tc.Name == "" {
 		return fmt.Errorf("core: test case needs a name")
@@ -68,16 +70,6 @@ func (tb *Testbed) RunTestCase(tc TestCase) error {
 		if !d.Poll() {
 			return fmt.Errorf("core: test case %q failed: %s",
 				tc.Name, describeFailure(tc.Expect, state))
-		}
-	}
-	return nil
-}
-
-// RunTestCases executes cases in order, stopping at the first failure.
-func (tb *Testbed) RunTestCases(cases []TestCase) error {
-	for _, tc := range cases {
-		if err := tb.RunTestCase(tc); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -85,16 +85,17 @@ func TestRunTestCasesSequence(t *testing.T) {
 			},
 		},
 	}
-	if err := tb.RunTestCases(cases); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		if err := tb.RunTestCase(tc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A failing case stops the sequence with its name in the error.
-	cases = append(cases, TestCase{
+	// A failing case names itself in the error.
+	err := tb.RunTestCase(TestCase{
 		Name:   "bad",
 		Expect: property.Condition{{Model: "O1", Path: "nope", Op: property.Exists}},
 		Within: 100 * time.Millisecond,
 	})
-	err := tb.RunTestCases(cases)
 	if err == nil || !strings.Contains(err.Error(), "bad") {
 		t.Errorf("err = %v", err)
 	}

@@ -69,7 +69,7 @@ func TestTimeScaleCompressesLiveChaos(t *testing.T) {
 // clock, produces the same digest as unpaced recording, and leaves a
 // completed timewarp status behind.
 func TestRunScenarioPacedAndTracked(t *testing.T) {
-	tb := newTestbed(t, Options{BrokerAddr: "none", RESTAddr: "none", DisableMetrics: true})
+	tb := newTestbed(t, Options{BrokerAddr: "none", RESTAddr: "none"})
 	sc := &replay.Scenario{
 		Name:     "paced",
 		Duration: 200 * time.Millisecond,
@@ -112,7 +112,7 @@ func TestRunScenarioPacedAndTracked(t *testing.T) {
 // the testbed's TimeScale (1 = real time would crawl), so the CLI
 // passes max explicitly; here we check 0 resolves to TimeScale.
 func TestRunScenarioSpeedDefaults(t *testing.T) {
-	tb := newTestbed(t, Options{BrokerAddr: "none", RESTAddr: "none", DisableMetrics: true, TimeScale: clock.SpeedMax})
+	tb := newTestbed(t, Options{BrokerAddr: "none", RESTAddr: "none", TimeScale: clock.SpeedMax})
 	sc := &replay.Scenario{
 		Name:     "defaulted",
 		Duration: 500 * time.Millisecond,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -280,10 +281,14 @@ func (tb *Testbed) Subtree(root string) ([]string, error) {
 
 // Replay implements "dbox replay": pause event generation for every
 // digi named in the trace, then re-apply the recorded action records
-// with the original relative timing scaled by speed (<=0 for as fast
-// as possible). Running scene simulators react to the replayed states
-// exactly as they did during recording.
-func (tb *Testbed) Replay(recs []trace.Record, speed float64) error {
+// in order. Event and action records keep the recorded timing: at
+// speed > 0 each is due at origin + (TS−TS₀)/speed on the testbed's
+// clock, where origin is when the first of them is reached, so replay
+// keeps pace with a -speed testbed and a slow apply does not push the
+// rest back. speed <= 0 applies as fast as possible. Running scene
+// simulators react to the replayed states exactly as they did during
+// recording. ctx ends the replay early.
+func (tb *Testbed) Replay(ctx context.Context, recs []trace.Record, speed float64) error {
 	paused := map[string]bool{}
 	for _, name := range trace.Names(recs) {
 		if tb.Store.Has(name) && !paused[name] {
@@ -294,25 +299,39 @@ func (tb *Testbed) Replay(recs []trace.Record, speed float64) error {
 			})
 		}
 	}
-	rp := &trace.Replayer{
-		Speed: speed,
-		Apply: func(r trace.Record) error {
-			if !tb.Store.Has(r.Name) {
-				return nil // trace may reference digis not deployed here
+	var origin time.Time
+	var ts0 time.Duration
+	for _, r := range recs {
+		if r.Kind != trace.KindAction && r.Kind != trace.KindEvent {
+			continue
+		}
+		if origin.IsZero() {
+			origin, ts0 = tb.clk.Now(), r.TS
+		} else if speed > 0 {
+			if err := clock.SleepUntil(ctx, tb.clk, origin.Add(time.Duration(float64(r.TS-ts0)/speed))); err != nil {
+				return err
 			}
-			_, err := tb.Store.Apply(r.Name, func(d model.Doc) error {
-				for path, v := range r.Sets {
-					d.Set(path, v)
-				}
-				for _, path := range r.Deletes {
-					d.Delete(path)
-				}
-				return nil
-			})
+		}
+		if err := ctx.Err(); err != nil {
 			return err
-		},
+		}
+		if r.Kind != trace.KindAction || !tb.Store.Has(r.Name) {
+			continue // trace may reference digis not deployed here
+		}
+		_, err := tb.Store.Apply(r.Name, func(d model.Doc) error {
+			for path, v := range r.Sets {
+				d.Set(path, v)
+			}
+			for _, path := range r.Deletes {
+				d.Delete(path)
+			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("core: replay record %d: %w", r.Seq, err)
+		}
 	}
-	return rp.Run(recs)
+	return nil
 }
 
 // SaveTrace writes the testbed's trace archive to path ("sharing any

@@ -10,9 +10,9 @@ import (
 
 // handleEvents streams the testbed's fan-out event bus as Server-Sent
 // Events: one SSE message per bus event, `event:` set to the bus kind
-// ("fault", "shard", "pod", "client", "metrics", "latency"), `id:` to
-// the bus sequence number, and `data:` to the event JSON. The stream
-// opens with a "hello" message carrying build/uptime info.
+// ("fault", "shard", "pod", "client"), `id:` to the bus sequence
+// number, and `data:` to the event JSON. The stream opens with a
+// "hello" message carrying build/uptime info.
 //
 // Query parameters:
 //
@@ -25,10 +25,6 @@ import (
 // A slow consumer never blocks a publisher: shedding is per-subscriber
 // and the dropped counter is the only evidence other consumers see.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.TB.Bus == nil {
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("event bus disabled (metrics off)"))
-		return
-	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeErr(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))

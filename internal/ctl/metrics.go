@@ -1,7 +1,6 @@
 package ctl
 
 import (
-	"fmt"
 	"net/http"
 
 	"repro/internal/obs"
@@ -13,20 +12,12 @@ import (
 // structured snapshot that dbox top renders.
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.TB.Obs == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("metrics disabled"))
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	s.TB.Obs.WriteText(w)
 }
 
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	if s.TB.Obs == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("metrics disabled"))
-		return
-	}
 	writeJSON(w, http.StatusOK, s.TB.Obs.Snapshot())
 }
 

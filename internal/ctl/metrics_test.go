@@ -176,24 +176,3 @@ func TestMetricsJSON(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
-
-// TestMetricsDisabled: with DisableMetrics the endpoints 404.
-func TestMetricsDisabled(t *testing.T) {
-	tb, err := NewTestbed(core.Options{DisableMetrics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tb.Stop)
-	srv := &Server{TB: tb}
-	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cli := &Client{Base: "http://" + srv.Addr()}
-	if _, err := cli.MetricsText(); err == nil {
-		t.Error("metrics served with DisableMetrics")
-	}
-	if _, err := cli.Metrics(); err == nil {
-		t.Error("metrics.json served with DisableMetrics")
-	}
-}

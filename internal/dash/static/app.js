@@ -219,13 +219,6 @@ function pushTimeline(ev) {
   while (host.children.length > TIMELINE_CAP) host.removeChild(host.lastChild);
 }
 
-function updateLatencyFromEvent(ev) {
-  try {
-    const data = JSON.parse(ev.data);
-    if (data.data && Array.isArray(data.data.classes)) renderLatency(data.data.classes);
-  } catch (err) { /* keep the last good render */ }
-}
-
 function connect() {
   const es = new EventSource("/ctl/events");
   es.onopen = () => {
@@ -239,7 +232,6 @@ function connect() {
   for (const kind of ["fault", "shard", "pod", "client"]) {
     es.addEventListener(kind, pushTimeline);
   }
-  es.addEventListener("latency", updateLatencyFromEvent);
 }
 
 pollStatus();

@@ -31,18 +31,6 @@ func TestPublishWithoutBrokerStillLogs(t *testing.T) {
 	}
 }
 
-func TestTopicPrefixOverride(t *testing.T) {
-	rt := &Runtime{
-		Store: model.NewStore(), Log: trace.NewLog(),
-		Registry: NewRegistry(), TopicPrefix: "acme",
-	}
-	c := NewTestCtx("X1", "Thing", rt, rng.New(1, 0), context.Background())
-	c.Publish(map[string]any{"a": 1})
-	if got := rt.Log.Records()[0].Topic; got != "acme/X1/status" {
-		t.Errorf("topic = %q", got)
-	}
-}
-
 func TestPublishRejectsUnmarshalable(t *testing.T) {
 	rt := &Runtime{Store: model.NewStore(), Log: trace.NewLog(), Registry: NewRegistry()}
 	c := NewTestCtx("X1", "Thing", rt, rng.New(1, 0), context.Background())

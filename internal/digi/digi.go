@@ -86,6 +86,8 @@ type Kind struct {
 func (k *Kind) Scene() bool { return k.Schema != nil && k.Schema.Scene }
 
 // Type returns the kind's type name.
+//
+//dbox:allow deadcode -- the device, scene and core tests name kinds with it
 func (k *Kind) Type() string {
 	if k.Schema == nil {
 		return ""
@@ -125,6 +127,8 @@ func (r *Registry) Get(typ string) (*Kind, bool) {
 }
 
 // Types returns all registered type names, sorted.
+//
+//dbox:allow deadcode -- the root facade, device and scene tests list kinds with it
 func (r *Registry) Types() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -143,8 +147,6 @@ type Runtime struct {
 	Registry *Registry
 	// Broker, when non-nil, receives mock status publishes in-process.
 	Broker *broker.Broker
-	// TopicPrefix prefixes publish topics; default "digibox".
-	TopicPrefix string
 	// Clock is the time source for reconciler tickers, handler sleeps,
 	// gap timing, and commit latency. Nil means the wall clock; the
 	// deterministic replay engine steps its own virtual clock instead
@@ -399,11 +401,7 @@ func (rt *Runtime) WaitReady(name string, timeout time.Duration) error {
 func (rt *Runtime) clk() clock.Clock { return clock.Or(rt.Clock) }
 
 func (rt *Runtime) topic(name string) string {
-	prefix := rt.TopicPrefix
-	if prefix == "" {
-		prefix = "digibox"
-	}
-	return prefix + "/" + name + "/status"
+	return "digibox/" + name + "/status"
 }
 
 // Ctx is the handler-visible context of one digi instance.
@@ -418,9 +416,6 @@ type Ctx struct {
 	kind *Kind
 	ctx  context.Context
 }
-
-// Context returns the digi's lifecycle context (cancelled on stop).
-func (c *Ctx) Context() context.Context { return c.ctx }
 
 // Config reads a meta config value from the digi's current model. A
 // composite value is part of the committed document: read-only.
@@ -533,6 +528,8 @@ func (c *Ctx) FaultMode() string {
 // NewTestCtx builds a handler context directly, without a running
 // reconciler. It exists so kind libraries (device, scene) can unit-test
 // their Loop/Sim handlers in isolation.
+//
+//dbox:allow deadcode -- the device and scene tests build handler contexts with it
 func NewTestCtx(name, typ string, rt *Runtime, rnd rng.Stream, ctx context.Context) *Ctx {
 	return &Ctx{Name: name, Type: typ, Rand: rnd, rt: rt, ctx: ctx}
 }

@@ -171,6 +171,13 @@ func holds(t *testing.T, window time.Duration, cond func() bool, what string) {
 	}
 }
 
+// Workload builds the kube workload that runs one digi instance. The
+// instance's model must already exist in the runtime's store; the
+// workload reconciles until its context is cancelled.
+func (rt *Runtime) Workload(name string) kube.Workload {
+	return rt.workload(name, 0)
+}
+
 func TestLoopGeneratesEventsWhileManaged(t *testing.T) {
 	h := newHarness(t, occupancyKind())
 	h.spawn(t, occupancyKind(), "O1", true)

@@ -1,6 +1,7 @@
 package digi
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -119,6 +120,9 @@ func actionRecords(l *trace.Log, name string) []trace.Record {
 	}
 	return out
 }
+
+// Context returns the digi's lifecycle context (cancelled on stop).
+func (c *Ctx) Context() context.Context { return c.ctx }
 
 // One edit of a 50-child scene: 50 child commits, and the parent's
 // Sim runs for the edit and once more for its own applied=7, an

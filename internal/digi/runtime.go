@@ -10,13 +10,6 @@ import (
 	"repro/internal/model"
 )
 
-// Workload builds the kube workload that runs one digi instance. The
-// instance's model must already exist in the runtime's store; the
-// workload reconciles until its context is cancelled.
-func (rt *Runtime) Workload(name string) kube.Workload {
-	return rt.workload(name, 0)
-}
-
 func (rt *Runtime) workload(name string, inc uint64) kube.Workload {
 	return kube.WorkloadFunc(func(ctx context.Context) error {
 		return rt.run(ctx, name, inc)

@@ -55,18 +55,6 @@ func (rt *Runtime) NewStepper(ctx context.Context, name string) (*Stepper, error
 	return s, nil
 }
 
-// Name returns the digi's instance name.
-func (s *Stepper) Name() string { return s.name }
-
-// Type returns the digi's kind type.
-func (s *Stepper) Type() string { return s.c.Type }
-
-// Scene reports whether the digi is a scene controller.
-func (s *Stepper) Scene() bool { return s.kind.Scene() }
-
-// Ctx returns the handler context (for tests and the replay engine).
-func (s *Stepper) Ctx() *Ctx { return s.c }
-
 // Interval returns the digi's Loop period: the kind default (500ms if
 // unset), overridden by the meta config interval_ms.
 func (s *Stepper) Interval() time.Duration {

@@ -271,25 +271,6 @@ func checkAcyclic(names map[string]model.Doc) error {
 	return nil
 }
 
-// Roots returns the models not attached to any other model (the tops
-// of the hierarchy), sorted by name.
-func Roots(s *Setup) []string {
-	attached := map[string]bool{}
-	for _, m := range s.Models {
-		for _, c := range m.Attach() {
-			attached[c] = true
-		}
-	}
-	var out []string
-	for _, m := range s.Models {
-		if !attached[m.Name()] {
-			out = append(out, m.Name())
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CreationOrder returns model names children-first (leaves before the
 // scenes that attach them), so a recreating testbed can start each
 // digi after everything it coordinates exists.

@@ -135,13 +135,6 @@ func TestValidateModelWithoutMeta(t *testing.T) {
 	}
 }
 
-func TestRoots(t *testing.T) {
-	s := smartBuildingSetup()
-	if got := Roots(s); !reflect.DeepEqual(got, []string{"ConfCenter"}) {
-		t.Errorf("roots = %v", got)
-	}
-}
-
 func TestCreationOrderChildrenFirst(t *testing.T) {
 	s := smartBuildingSetup()
 	order := CreationOrder(s)

@@ -130,11 +130,6 @@ func (c *Cluster) NodeZone(nodeName string) string {
 	return n.Spec.Zone
 }
 
-// PathDelay returns the simulated one-way delay between two nodes.
-func (c *Cluster) PathDelay(nodeA, nodeB string) time.Duration {
-	return c.ZoneDelay(c.NodeZone(nodeA), c.NodeZone(nodeB))
-}
-
 // Start launches the scheduler and all node agents.
 func (c *Cluster) Start() {
 	c.mu.Lock()
@@ -355,6 +350,8 @@ func (c *Cluster) WaitPodPhase(name string, phase PodPhase, timeout time.Duratio
 
 // WaitAllRunning blocks until every pod currently in the store is
 // Running (or terminal-failure, which is reported as an error).
+//
+//dbox:allow deadcode -- digi's tests wait for placement with it
 func (c *Cluster) WaitAllRunning(timeout time.Duration) error {
 	d := clock.NewDeadline(c.clock, timeout, waitGrace)
 	for {
@@ -375,29 +372,4 @@ func (c *Cluster) WaitAllRunning(timeout time.Duration) error {
 			return fmt.Errorf("kube: timeout with %d pods not running", pending)
 		}
 	}
-}
-
-// Stats summarises cluster state.
-type ClusterStats struct {
-	Nodes       int
-	PodsRunning int
-	PodsPending int
-	PodsFailed  int
-}
-
-// Stats returns a snapshot of cluster state.
-func (c *Cluster) Stats() ClusterStats {
-	var st ClusterStats
-	st.Nodes = len(c.api.listNodes())
-	for _, p := range c.api.listPods() {
-		switch p.Status.Phase {
-		case PodRunning:
-			st.PodsRunning++
-		case PodPending:
-			st.PodsPending++
-		case PodFailed:
-			st.PodsFailed++
-		}
-	}
-	return st
 }

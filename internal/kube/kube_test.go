@@ -40,6 +40,31 @@ func testCluster(t *testing.T, nodes ...string) *Cluster {
 	return c
 }
 
+// ClusterStats summarises cluster state.
+type ClusterStats struct {
+	Nodes       int
+	PodsRunning int
+	PodsPending int
+	PodsFailed  int
+}
+
+// Stats returns a snapshot of cluster state.
+func (c *Cluster) Stats() ClusterStats {
+	var st ClusterStats
+	st.Nodes = len(c.api.listNodes())
+	for _, p := range c.api.listPods() {
+		switch p.Status.Phase {
+		case PodRunning:
+			st.PodsRunning++
+		case PodPending:
+			st.PodsPending++
+		case PodFailed:
+			st.PodsFailed++
+		}
+	}
+	return st
+}
+
 func TestPodLifecycle(t *testing.T) {
 	c := testCluster(t, "n1")
 	var started, stopped int32
@@ -309,13 +334,13 @@ func TestZoneDelays(t *testing.T) {
 	c.AddNode("ec2-a", 10, "us-east")
 	c.AddNode("ec2-b", 10, "us-east")
 	c.SetZoneDelay("local", "us-east", 30*time.Millisecond)
-	if d := c.PathDelay("laptop", "ec2-a"); d != 30*time.Millisecond {
+	if d := c.ZoneDelay(c.NodeZone("laptop"), c.NodeZone("ec2-a")); d != 30*time.Millisecond {
 		t.Errorf("cross-zone delay = %v", d)
 	}
-	if d := c.PathDelay("ec2-a", "ec2-b"); d != 0 {
+	if d := c.ZoneDelay(c.NodeZone("ec2-a"), c.NodeZone("ec2-b")); d != 0 {
 		t.Errorf("same-zone delay = %v", d)
 	}
-	if d := c.PathDelay("laptop", "laptop"); d != 0 {
+	if d := c.ZoneDelay(c.NodeZone("laptop"), c.NodeZone("laptop")); d != 0 {
 		t.Errorf("self delay = %v", d)
 	}
 }

@@ -94,19 +94,6 @@ func addLeaves(prefix string, v any, out *[]Change) {
 	*out = append(*out, Change{Op: OpSet, Path: prefix, New: copyValue(v)})
 }
 
-// ApplyChanges replays a diff onto a document, producing the document
-// the diff was computed against. Used by trace replay.
-func (d Doc) ApplyChanges(changes []Change) {
-	for _, c := range changes {
-		switch c.Op {
-		case OpDelete:
-			d.Delete(c.Path)
-		default:
-			d.Set(c.Path, copyValue(c.New))
-		}
-	}
-}
-
 // withChanges returns the document ApplyChanges makes of a deep copy
 // of d, and its Diff against d, without the deep copy: the maps the
 // changes pass through are copied, each once, and every other subtree

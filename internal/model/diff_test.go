@@ -8,6 +8,20 @@ import (
 	"testing"
 )
 
+// ApplyChanges replays a diff onto a document, producing the document
+// the diff was computed against: the reference Commit is checked
+// against.
+func (d Doc) ApplyChanges(changes []Change) {
+	for _, c := range changes {
+		switch c.Op {
+		case OpDelete:
+			d.Delete(c.Path)
+		default:
+			d.Set(c.Path, copyValue(c.New))
+		}
+	}
+}
+
 // refDiff is the key-union implementation Diff replaced, kept as the
 // oracle: same changes, same order, for any pair of documents.
 func refDiff(old, new Doc) []Change {

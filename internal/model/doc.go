@@ -39,47 +39,13 @@ type Meta struct {
 
 // Well-known meta keys.
 const (
-	metaKey        = "meta"
-	metaType       = "type"
-	metaVersion    = "version"
-	metaName       = "name"
-	metaManaged    = "managed"
-	metaAttach     = "attach"
-	reservedPrefix = "meta."
+	metaKey     = "meta"
+	metaType    = "type"
+	metaVersion = "version"
+	metaName    = "name"
+	metaManaged = "managed"
+	metaAttach  = "attach"
 )
-
-// ParseDoc decodes a single YAML model document.
-func ParseDoc(data []byte) (Doc, error) {
-	v, err := yamlite.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if v == nil {
-		return Doc{}, nil
-	}
-	m, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("model: document is %T, want mapping", v)
-	}
-	return Doc(m), nil
-}
-
-// ParseDocs decodes a multi-document stream of models.
-func ParseDocs(data []byte) ([]Doc, error) {
-	vs, err := yamlite.DecodeAll(data)
-	if err != nil {
-		return nil, err
-	}
-	docs := make([]Doc, 0, len(vs))
-	for i, v := range vs {
-		m, ok := v.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("model: document %d is %T, want mapping", i, v)
-		}
-		docs = append(docs, Doc(m))
-	}
-	return docs, nil
-}
 
 // Encode renders the document as YAML with deterministic key order.
 func (d Doc) Encode() ([]byte, error) {
@@ -404,6 +370,8 @@ func normalize(v any) any {
 }
 
 // Equal reports deep equality of two documents.
+//
+//dbox:allow deadcode -- the digi and scene tests compare documents with it
 func Equal(a, b Doc) bool {
 	return equalValue(map[string]any(a), map[string]any(b))
 }

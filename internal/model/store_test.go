@@ -169,10 +169,6 @@ func TestStoreListAndSnapshot(t *testing.T) {
 			t.Fatalf("List = %v", got)
 		}
 	}
-	snap := s.Snapshot()
-	if len(snap) != 3 || snap["a"].Name() != "a" {
-		t.Errorf("snapshot = %v", snap)
-	}
 }
 
 func TestWatcherOrderingUnderConcurrency(t *testing.T) {

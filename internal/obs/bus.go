@@ -3,15 +3,13 @@ package obs
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/clock"
 )
 
 // Event is one item on the fan-out bus: a monotonically increasing
 // sequence number, a bus-clock timestamp, a kind tag ("fault",
-// "shard", "pod", "client", "metrics", "latency"), and a small
+// "shard", "pod", "client"), and a small
 // JSON-serialisable payload.
 //
 // AtMs is scenario time (the injected bus clock), so events line up
@@ -47,16 +45,12 @@ type Bus struct {
 	seq    uint64
 	subs   map[*Sub]struct{}
 	closed bool
-
-	stop     chan struct{}
-	samplers sync.WaitGroup
 }
 
 // Sub is one bus subscription with a bounded buffer.
 type Sub struct {
-	bus     *Bus
-	c       chan Event
-	dropped atomic.Uint64
+	bus *Bus
+	c   chan Event
 }
 
 // NewBus returns a bus stamping events from clk (nil means the system
@@ -68,13 +62,12 @@ func NewBus(reg *Registry, clk clock.Clock) *Bus {
 		published: reg.Counter("digibox_events_published_total", "Events published onto the fan-out bus."),
 		dropped:   reg.Counter("digibox_events_dropped_total", "Events shed because a subscriber's bounded buffer was full."),
 		subs:      map[*Sub]struct{}{},
-		stop:      make(chan struct{}),
 	}
 }
 
 // Publish stamps and fans an event out to every subscriber,
 // non-blocking: a full subscriber buffer sheds the event for that
-// subscriber and advances its drop counter.
+// subscriber and advances the bus's drop counter.
 func (b *Bus) Publish(kind string, data map[string]any) {
 	if b == nil {
 		return
@@ -93,7 +86,6 @@ func (b *Bus) Publish(kind string, data map[string]any) {
 		select {
 		case s.c <- ev:
 		default:
-			s.dropped.Add(1)
 			b.dropped.Inc()
 		}
 	}
@@ -125,9 +117,6 @@ func (b *Bus) Subscribe(buffer int) *Sub {
 // the bus closes.
 func (s *Sub) C() <-chan Event { return s.c }
 
-// Dropped reports how many events were shed for this subscriber.
-func (s *Sub) Dropped() uint64 { return s.dropped.Load() }
-
 // Close detaches the subscription and closes its channel. Safe to
 // call more than once; publishes after Close are simply not seen.
 func (s *Sub) Close() {
@@ -153,83 +142,22 @@ func (b *Bus) Subscribers() int {
 	return len(b.subs)
 }
 
-// Close stops samplers, detaches every subscriber (closing their
-// channels), and makes further publishes no-ops.
+// Close detaches every subscriber (closing their channels) and makes
+// further publishes no-ops.
 func (b *Bus) Close() {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return
 	}
 	b.closed = true
-	b.mu.Unlock()
-	close(b.stop)
-	b.samplers.Wait()
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	for s := range b.subs {
 		close(s.c)
 	}
 	b.subs = map[*Sub]struct{}{}
-}
-
-// SampleMetrics starts a sampler goroutine that every interval
-// publishes a "metrics" event carrying the registry values that
-// changed since the previous tick (name -> new value), and — when
-// e2e spans have landed — a "latency" event with per-topic-class
-// p50/p99 derived from the span tracer's shared histogram family.
-// The sampler stops when the bus closes.
-func (b *Bus) SampleMetrics(reg *Registry, interval time.Duration) {
-	if b == nil || reg == nil || interval <= 0 {
-		return
-	}
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	b.samplers.Add(1)
-	b.mu.Unlock()
-	go func() {
-		defer b.samplers.Done()
-		t := b.clk.NewTicker(interval)
-		defer t.Stop()
-		// The bus's own counters advance whenever the sampler itself
-		// publishes; including them in the delta would make every tick
-		// dirty and the stream self-perpetuating.
-		selfNames := map[string]bool{
-			"digibox_events_published_total": true,
-			"digibox_events_dropped_total":   true,
-		}
-		prev := map[string]float64{}
-		var prevSpans uint64
-		for {
-			select {
-			case <-b.stop:
-				return
-			case <-t.C():
-			}
-			cur := reg.Values()
-			changed := map[string]any{}
-			for name, v := range cur {
-				if !selfNames[name] && v != prev[name] {
-					changed[name] = v
-				}
-			}
-			prev = cur
-			if len(changed) > 0 {
-				b.Publish("metrics", map[string]any{"values": changed})
-			}
-			classes, total := reg.LatencyClasses()
-			if total != prevSpans && len(classes) > 0 {
-				prevSpans = total
-				b.Publish("latency", map[string]any{"classes": classes})
-			}
-		}
-	}()
 }
 
 // LatencyClass is one topic class's e2e latency summary.

@@ -3,8 +3,6 @@ package obs
 import (
 	"testing"
 	"time"
-
-	"repro/internal/clock"
 )
 
 func TestBusFanOutAndOrder(t *testing.T) {
@@ -36,7 +34,7 @@ func TestBusShedsSlowSubscriberWithoutBlocking(t *testing.T) {
 	r := NewRegistry()
 	b := NewBus(r, nil)
 	defer b.Close()
-	slow := b.Subscribe(2) // never drained
+	b.Subscribe(2) // never drained: every event past its buffer is shed
 	live := b.Subscribe(64)
 	done := make(chan struct{})
 	go func() {
@@ -55,12 +53,6 @@ func TestBusShedsSlowSubscriberWithoutBlocking(t *testing.T) {
 		if ev.Data["i"] != i {
 			t.Fatalf("live consumer saw %+v at position %d", ev, i)
 		}
-	}
-	if got := slow.Dropped(); got != 48 {
-		t.Fatalf("slow.Dropped() = %d, want 48", got)
-	}
-	if live.Dropped() != 0 {
-		t.Fatalf("live consumer dropped %d events", live.Dropped())
 	}
 	if got := r.Value("digibox_events_dropped_total"); got != 48 {
 		t.Fatalf("dropped counter = %v, want 48", got)
@@ -110,52 +102,6 @@ func TestNilBusIsInert(t *testing.T) {
 		t.Fatal("nil bus subscription delivered")
 	}
 	s.Close()
-}
-
-func TestBusSampleMetricsDeltasAndLatency(t *testing.T) {
-	r := NewRegistry()
-	b := NewBus(r, clock.System)
-	sub := b.Subscribe(256)
-	ctr := r.Counter("digibox_sample_probe_total", "test")
-	b.SampleMetrics(r, 2*time.Millisecond)
-
-	ctr.Inc()
-	ev := recvKind(t, sub, "metrics")
-	vals := ev.Data["values"].(map[string]any)
-	if vals["digibox_sample_probe_total"] != 1.0 {
-		t.Fatalf("metrics delta = %v", vals)
-	}
-
-	// Span observations surface as a per-class latency event.
-	r.HistogramVec(E2ETopicLatencyName, "test", nil, "class").
-		With("digibox/+/status").Observe(0.002)
-	lat := recvKind(t, sub, "latency")
-	classes := lat.Data["classes"].([]LatencyClass)
-	if len(classes) != 1 || classes[0].Class != "digibox/+/status" || classes[0].Count != 1 {
-		t.Fatalf("latency classes = %+v", classes)
-	}
-	if classes[0].P99Ms <= 0 {
-		t.Fatalf("p99 = %v, want > 0", classes[0].P99Ms)
-	}
-	b.Close()
-}
-
-// recvKind drains sub until an event of the wanted kind arrives.
-func recvKind(t *testing.T, sub *Sub, kind string) Event {
-	t.Helper()
-	for {
-		select {
-		case ev, ok := <-sub.C():
-			if !ok {
-				t.Fatalf("bus closed before a %q event", kind)
-			}
-			if ev.Kind == kind {
-				return ev
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("no %q event", kind)
-		}
-	}
 }
 
 func TestLatencyClassesEmptyRegistry(t *testing.T) {

@@ -224,6 +224,8 @@ type Sample struct {
 // them with the set of family names seen in # TYPE headers. It
 // understands exactly the subset WriteText emits — enough for tests
 // and dbox top to scrape a live daemon without a client library.
+//
+//dbox:allow deadcode -- ctl's metrics tests parse the exposition with it
 func ParseText(text string) (samples []Sample, families []string, err error) {
 	seen := map[string]bool{}
 	for ln, line := range strings.Split(text, "\n") {

@@ -182,27 +182,10 @@ func (c *Counter) Add(n float64) {
 	addFloat(&c.c.bits, n)
 }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return math.Float64frombits(c.c.bits.Load())
-}
-
 // ---- Gauge ----
 
 // Gauge is a value that can go up and down.
 type Gauge struct{ c *child }
-
-// Gauge registers (or finds) an unlabelled gauge family.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	f := r.register(name, help, KindGauge, nil, nil)
-	return &Gauge{c: f.get(nil)}
-}
 
 // Set replaces the value.
 func (g *Gauge) Set(v float64) {
@@ -210,22 +193,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.c.bits.Store(math.Float64bits(v))
-}
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n float64) {
-	if g == nil {
-		return
-	}
-	addFloat(&g.c.bits, n)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.c.bits.Load())
 }
 
 // addFloat is a lock-free float64 accumulate (CAS loop; contention on

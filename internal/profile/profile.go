@@ -532,15 +532,6 @@ func Parse(data []byte) (*Profile, error) {
 	return p, nil
 }
 
-// Kinds returns the population kinds in declaration order.
-func (p *Profile) Kinds() []string {
-	out := make([]string, len(p.Populations))
-	for i, pop := range p.Populations {
-		out[i] = pop.Kind
-	}
-	return out
-}
-
 // firmwareVersions returns a population's versions in sorted order with
 // their cumulative shares normalized to 1 — the stable lookup table a
 // device's compile-time draw lands in.

@@ -178,9 +178,6 @@ func assign(p *Profile, devices int) []int {
 // Devices returns the compiled device count.
 func (s *Sampler) Devices() int { return len(s.devs) }
 
-// Profile returns the profile this sampler was compiled from.
-func (s *Sampler) Profile() *Profile { return s.prof }
-
 // Kind returns device d's population kind.
 func (s *Sampler) Kind(d int) string { return s.devs[d%len(s.devs)].kind }
 
@@ -363,6 +360,8 @@ func (s *Sampler) payload(st *devState, pop *Population) []byte {
 // order. It is the pure-arithmetic twin of a live profiled run: same
 // profile, seed, device budget and duration produce the identical
 // message set at any -speed, because there is no clock here at all.
+//
+//dbox:allow deadcode -- the swarm and core tests use it as the profile oracle
 func Walk(p *Profile, devices int, seed int64, duration time.Duration, fn func(device int, at time.Duration, payload []byte)) error {
 	s, err := Compile(p, devices, seed)
 	if err != nil {

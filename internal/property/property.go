@@ -379,17 +379,6 @@ func (c *Checker) Violations() []Violation {
 	return out
 }
 
-// Properties returns the registered property names, in order.
-func (c *Checker) Properties() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, len(c.props))
-	for i, p := range c.props {
-		out[i] = p.Name
-	}
-	return out
-}
-
 // PropertyList returns the registered properties themselves, enabling
 // offline re-checking of the same properties against a trace.
 func (c *Checker) PropertyList() []*Property {

@@ -67,19 +67,6 @@ func writeJSONL(w io.Writer, recs []trace.Record) error {
 	return nil
 }
 
-// SaveArchive writes the archive to a file path.
-func SaveArchive(path string, res *Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteArchive(f, res); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
 // ArchiveBytes returns the archive as a byte slice (control API).
 func ArchiveBytes(res *Result) ([]byte, error) {
 	var buf bytes.Buffer
@@ -158,6 +145,8 @@ func LoadArchive(path string) (*Archive, error) {
 }
 
 // ParseArchiveBytes parses a replay archive held in memory.
+//
+//dbox:allow deadcode -- ctl's record tests open archives with it
 func ParseArchiveBytes(data []byte) (*Archive, error) {
 	return ReadArchive(bytes.NewReader(data), int64(len(data)))
 }

@@ -50,8 +50,6 @@ type ExecOptions struct {
 	// changes firing order or virtual timestamps, so the digest is
 	// identical at every speed.
 	Speed float64
-	// Wall is the pacing reference clock; nil means clock.System.
-	Wall clock.Clock
 }
 
 // Engine executes a Scenario as a single-threaded discrete-event
@@ -64,7 +62,6 @@ type Engine struct {
 
 	clk   *clock.Virtual
 	pacer *clock.Scaled
-	wall  clock.Clock
 	speed float64
 	store *model.Store
 	log   *trace.Log
@@ -112,14 +109,12 @@ func NewEngineExec(registry *digi.Registry, sc *Scenario, opts ExecOptions) (*En
 	if math.IsNaN(speed) || speed < 0 {
 		return nil, fmt.Errorf("replay: invalid speed %v", speed)
 	}
-	wall := clock.Or(opts.Wall)
-	pacer := clock.NewScaled(speed, wall)
+	pacer := clock.NewScaled(speed, clock.System)
 	e := &Engine{
 		registry: registry,
 		sc:       sc,
 		clk:      pacer.Virtual,
 		pacer:    pacer,
-		wall:     wall,
 		speed:    speed,
 		store:    model.NewStore(),
 		assigned: map[string]int{},
@@ -162,7 +157,7 @@ func NewEngineExec(registry *digi.Registry, sc *Scenario, opts ExecOptions) (*En
 // Run executes the scenario and returns the canonical result. The
 // engine is single-use.
 func (e *Engine) Run() (*Result, error) {
-	wallStart := e.wall.Now()
+	wallStart := clock.System.Now()
 	e.log.Mark(e.sc.Name, "run-start", map[string]any{
 		"digis":       int64(len(e.sc.Digis)),
 		"duration_ms": int64(e.sc.Duration / time.Millisecond),
@@ -235,17 +230,13 @@ func (e *Engine) Run() (*Result, error) {
 		Records:  recs,
 		Digest:   digest,
 		Speed:    e.speed,
-		Wall:     e.wall.Now().Sub(wallStart),
+		Wall:     clock.System.Now().Sub(wallStart),
 	}
 	if walker != nil {
 		res.Report = walker.Report()
 	}
 	return res, nil
 }
-
-// Pacer exposes the run's scaled clock so callers can pause, resume,
-// or retune the speed of an in-flight run.
-func (e *Engine) Pacer() *clock.Scaled { return e.pacer }
 
 // Speed returns the configured pacing factor.
 func (e *Engine) Speed() float64 { return e.speed }

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -355,7 +356,11 @@ func TestWriteArchiveToFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/run.zip"
-	if err := SaveArchive(path, res); err != nil {
+	data, err := ArchiveBytes(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ar, err := LoadArchive(path)

@@ -84,44 +84,6 @@ func TestCrossSpeedDigestEquivalence(t *testing.T) {
 	}
 }
 
-// TestMidRunSpeedChangeKeepsDigest: pausing, retuning, and resuming
-// the pacer mid-run must not affect the digest — only wall time.
-func TestMidRunSpeedChangeKeepsDigest(t *testing.T) {
-	reg := exampleRegistry(t)
-	sc := loadExampleScenario(t, "quickstart")
-	ref, err := Record(reg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e, err := NewEngineExec(reg, sc, ExecOptions{Speed: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Toggle the pacer from another goroutine while the run is in
-	// flight: pause at ~20% of scenario time, then resume unpaced.
-	pause := make(chan struct{})
-	done := make(chan struct{})
-	e.Pacer().AfterFunc(sc.Duration/5, func() {
-		e.Pacer().Pause()
-		close(pause)
-	})
-	go func() {
-		defer close(done)
-		<-pause
-		e.Pacer().SetFactor(clock.SpeedMax)
-		e.Pacer().Resume()
-	}()
-	res, err := e.Run()
-	<-done
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Digest != ref.Digest {
-		t.Fatalf("mid-run speed change altered the digest:\n  ref %s\n  got %s", ref.Digest, res.Digest)
-	}
-}
-
 // TestEngineCancelAborts: a cross-goroutine Cancel ends a paced run
 // promptly with the cancellation error.
 func TestEngineCancelAborts(t *testing.T) {

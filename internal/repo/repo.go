@@ -74,9 +74,6 @@ func Open(dir string) (*Repo, error) {
 	return &Repo{dir: dir}, nil
 }
 
-// Dir returns the repository root.
-func (r *Repo) Dir() string { return r.dir }
-
 // PutObject stores a blob and returns its hash. Idempotent.
 func (r *Repo) PutObject(data []byte) (string, error) {
 	sum := sha256.Sum256(data)

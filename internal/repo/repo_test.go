@@ -309,7 +309,7 @@ func TestQuickCommitRoundTrip(t *testing.T) {
 func TestObjectPathSharding(t *testing.T) {
 	r := open(t)
 	hash, _ := r.PutObject([]byte("shard me"))
-	want := filepath.Join(r.Dir(), "objects", hash[:2], hash)
+	want := filepath.Join(r.dir, "objects", hash[:2], hash)
 	if r.objectPath(hash) != want {
 		t.Errorf("path = %q", r.objectPath(hash))
 	}

@@ -255,20 +255,6 @@ func (c *Client) Status(name string) (map[string]any, error) {
 	return decodeMap(resp)
 }
 
-// Model fetches a full model document.
-func (c *Client) Model(name string) (model.Doc, error) {
-	resp, err := c.http().Get(c.Base + "/v1/models/" + name)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	m, err := decodeMap(resp)
-	if err != nil {
-		return nil, err
-	}
-	return model.Doc(m), nil
-}
-
 // Patch sends a JSON merge-patch (e.g. {"power":{"intent":"on"}}).
 func (c *Client) Patch(name string, patch map[string]any) error {
 	data, err := json.Marshal(patch)
@@ -292,47 +278,6 @@ func (c *Client) Patch(name string, patch map[string]any) error {
 	}
 	io.Copy(io.Discard, resp.Body)
 	return nil
-}
-
-// List returns all model names.
-func (c *Client) List() ([]string, error) {
-	resp, err := c.http().Get(c.Base + "/v1/models")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	m, err := decodeMap(resp)
-	if err != nil {
-		return nil, err
-	}
-	raw, _ := m["models"].([]any)
-	out := make([]string, 0, len(raw))
-	for _, v := range raw {
-		if s, ok := v.(string); ok {
-			out = append(out, s)
-		}
-	}
-	return out, nil
-}
-
-// Watch long-polls for a change after gen.
-func (c *Client) Watch(name string, gen uint64, timeout time.Duration) (model.Doc, uint64, error) {
-	url := fmt.Sprintf("%s/v1/models/%s/watch?gen=%d&timeout_ms=%d",
-		c.Base, name, gen, timeout.Milliseconds())
-	resp, err := c.http().Get(url)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("rest: watch %s: status %d", name, resp.StatusCode)
-	}
-	newGen, _ := strconv.ParseUint(resp.Header.Get("X-Digibox-Generation"), 10, 64)
-	m, err := decodeMap(resp)
-	if err != nil {
-		return nil, 0, err
-	}
-	return model.Doc(m), newGen, nil
 }
 
 func decodeMap(resp *http.Response) (map[string]any, error) {

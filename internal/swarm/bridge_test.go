@@ -19,6 +19,21 @@ type delivery struct {
 	Retained bool
 }
 
+// Shard returns shard i.
+func (p *Pool) Shard(i int) *broker.Broker {
+	p.topo.RLock()
+	defer p.topo.RUnlock()
+	return p.shards[i]
+}
+
+// ShardFor returns the shard index a key (topic or client id) is
+// placed on — among the currently alive shards.
+func (p *Pool) ShardFor(key string) int {
+	p.topo.RLock()
+	defer p.topo.RUnlock()
+	return p.ring.shardFor(key)
+}
+
 // recorder collects deliveries across clients, race-safe.
 type recorder struct {
 	mu  sync.Mutex

@@ -129,6 +129,8 @@ func (j *pendJournal) shedCount() int64 {
 // for the whole sequence is what makes the accounting exact: no pool
 // publish can land in a half-migrated topology. killed is the broker
 // KillShard closed at died: a slot revived since holds another one.
+// The "down" shard event counts re-anchors and journal replays that
+// failed under "errors".
 func (p *Pool) failover(dead int, killed *broker.Broker, died time.Time) {
 	p.topo.Lock()
 	if p.closed || p.shards[dead] != killed || p.ring.isDown(dead) || p.ring.alive <= 1 {
@@ -142,17 +144,16 @@ func (p *Pool) failover(dead int, killed *broker.Broker, died time.Time) {
 	p.detect[dead] = nil
 	p.ring.markDown(dead)
 	p.bridge.dropShard(dead)
-	// The dead broker's trie still names its subscriptions; the pool
-	// registry holds the delivery functions. Cross-check them so a
-	// registry bug surfaces as a log line, then migrate from the
-	// registry (the authoritative side).
-	exported := len(p.shards[dead].ExportSubscriptions())
+	// Migrate from the pool registry, which holds the delivery
+	// functions. Wire-client subscriptions die with their TCP sessions;
+	// their owners reconnect to a live shard and resubscribe themselves
+	// (broker client reconnect path), so nothing takes them over here.
 	moved := p.migrated[dead]
 	if moved == nil {
 		moved = map[string]bool{}
 		p.migrated[dead] = moved
 	}
-	migratedSubs := 0
+	failed := 0
 	for id, pc := range p.reg {
 		if pc.owner != dead {
 			continue
@@ -161,26 +162,17 @@ func (p *Pool) failover(dead int, killed *broker.Broker, died time.Time) {
 		for filter, sub := range pc.subs {
 			// Resubscribe, not Subscribe: the client never unsubscribed,
 			// so replaying retained messages here would double-deliver.
-			if err := p.shards[newOwner].ResubscribeInProcess(id, filter, sub.qos, sub.fn); err != nil {
-				p.logf("swarm: failover shard=%d: re-anchor %s %q: %v", dead, id, filter, err)
-				continue
+			if p.shards[newOwner].ResubscribeInProcess(id, filter, sub.qos, sub.fn) != nil {
+				failed++
 			}
-			migratedSubs++
 		}
 		pc.owner = newOwner
 		moved[id] = true
-	}
-	if wire := exported - migratedSubs; wire > 0 {
-		// Wire-client subscriptions die with their TCP sessions; their
-		// owners reconnect to a live shard and resubscribe themselves
-		// (broker client reconnect path). Nothing to take over here.
-		p.logf("swarm: failover shard=%d: %d wire subscription(s) left to client reconnect", dead, wire)
 	}
 	// Re-replicate retained messages the survivors miss. The bridge
 	// replicates retained publishes to every shard at route time, so
 	// this is normally empty — it covers retained state that raced the
 	// shard's death.
-	reReplicated := 0
 	if dr := p.shards[dead].ExportRetained(); len(dr) > 0 {
 		for s, sh := range p.shards {
 			if s == dead || !sh.Alive() || p.ring.isDown(s) {
@@ -197,10 +189,9 @@ func (p *Pool) failover(dead int, killed *broker.Broker, died time.Time) {
 				}
 			}
 			sh.ImportRetained(missing)
-			reReplicated += len(missing)
 		}
 	}
-	redelivered := p.flushGateLocked(dead, -1)
+	redelivered, unflushed := p.flushGateLocked(dead, -1)
 	p.topo.Unlock()
 
 	elapsed := p.clk.Since(died).Seconds()
@@ -216,9 +207,8 @@ func (p *Pool) failover(dead int, killed *broker.Broker, died time.Time) {
 		"state":       "down",
 		"recovery_ms": elapsed * 1e3,
 		"redelivered": redelivered,
+		"errors":      failed + unflushed,
 	})
-	p.logf("swarm: failover shard=%d complete in %.1fms: %d client(s) re-anchored, %d sub(s) migrated, %d retained re-replicated, %d redelivered",
-		dead, elapsed*1000, len(moved), migratedSubs, reReplicated, redelivered)
 }
 
 // flushGateLocked drains and replays every message parked against
@@ -226,16 +216,15 @@ func (p *Pool) failover(dead int, killed *broker.Broker, died time.Time) {
 // retained forwards into that shard (it was just seeded from a donor
 // replica, which is at least as fresh); pass -1 to keep them.
 // Returns the number of messages redelivered directly to migrated
-// clients.
-func (p *Pool) flushGateLocked(gate, skipRetainedTo int) int {
-	redelivered := 0
+// clients, and the number of publishes whose replay failed.
+func (p *Pool) flushGateLocked(gate, skipRetainedTo int) (redelivered, failed int) {
 	for _, m := range p.pend.drain(gate) {
 		switch m.kind {
 		case pendPublish:
 			// Nobody saw this message: replay through the current ring
 			// for the full fan-out.
-			if err := p.publishLocked(m.from, m.topic, m.payload, m.qos, m.retain); err != nil {
-				p.logf("swarm: flush shard=%d: replay %q: %v", gate, m.topic, err)
+			if p.publishLocked(m.from, m.topic, m.payload, m.qos, m.retain) != nil {
+				failed++
 			}
 		case pendForward:
 			if m.retain && m.target == skipRetainedTo {
@@ -260,7 +249,7 @@ func (p *Pool) flushGateLocked(gate, skipRetainedTo int) int {
 	p.statMu.Lock()
 	p.redelivers += int64(redelivered)
 	p.statMu.Unlock()
-	return redelivered
+	return redelivered, failed
 }
 
 // redeliverLocked delivers one parked forward directly to the
@@ -314,7 +303,6 @@ func (p *Pool) KillShard(i int) error {
 		died := p.clk.Now()
 		p.detect[i] = p.clk.AfterFunc(p.opts.Health.DetectAfter, func() { p.failover(i, sh, died) })
 	}
-	p.logf("swarm: chaos killed shard %d", i)
 	return nil
 }
 
@@ -356,9 +344,7 @@ func (p *Pool) ReviveShard(i int) error {
 				continue
 			}
 			for filter, sub := range pc.subs {
-				if err := nb.ResubscribeInProcess(id, filter, sub.qos, sub.fn); err != nil {
-					p.logf("swarm: revive shard=%d: re-anchor %s %q: %v", i, id, filter, err)
-				}
+				nb.ResubscribeInProcess(id, filter, sub.qos, sub.fn)
 			}
 		}
 	}
@@ -373,7 +359,6 @@ func (p *Pool) ReviveShard(i int) error {
 	p.topo.Unlock()
 	p.shardUp.With(strconv.Itoa(i)).Set(1)
 	p.opts.Bus.Publish("shard", map[string]any{"shard": i, "state": "up"})
-	p.logf("swarm: shard %d revived", i)
 	return nil
 }
 
@@ -388,7 +373,6 @@ func (p *Pool) PartitionShard(i int) error {
 		return fmt.Errorf("swarm: partition-shard %d: pool has %d shards", i, len(p.shards))
 	}
 	p.bridge.setSevered(i, true)
-	p.logf("swarm: chaos partitioned shard %d (bridge links severed)", i)
 	return nil
 }
 
@@ -403,7 +387,6 @@ func (p *Pool) HealShard(i int) error {
 	}
 	p.bridge.setSevered(i, false)
 	p.flushGateLocked(i, -1)
-	p.logf("swarm: shard %d partition healed", i)
 	return nil
 }
 
@@ -432,11 +415,4 @@ func (p *Pool) FailoverStats() FailoverStats {
 	}
 	out.RecoverySec = append(out.RecoverySec, p.recoveries...)
 	return out
-}
-
-// logf logs through the pool's Logf when set.
-func (p *Pool) logf(format string, args ...any) {
-	if p.opts.Logf != nil {
-		p.opts.Logf(format, args...)
-	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/clock"
+	"repro/internal/obs"
 )
 
 // stepUntil drives a virtual pool clock until cond holds, firing due
@@ -262,12 +263,17 @@ func TestJournalShedBounded(t *testing.T) {
 
 // TestFailoverRedeliversToMigratedClients pins the redelivery counter:
 // forwards parked against a dead subscriber shard surface as
-// Redelivered once its clients migrate.
+// Redelivered once its clients migrate, and the "down" shard event
+// reports them with no failed re-anchor or replay.
 func TestFailoverRedeliversToMigratedClients(t *testing.T) {
 	v := clock.NewVirtual()
+	bus := obs.NewBus(nil, v)
+	defer bus.Close()
+	events := bus.Subscribe(16)
 	pool := NewPool(PoolOptions{
 		Shards: 3,
 		Clock:  v,
+		Bus:    bus,
 		Health: HealthOptions{DetectAfter: 10 * time.Millisecond},
 	})
 	defer pool.Close()
@@ -302,6 +308,10 @@ func TestFailoverRedeliversToMigratedClients(t *testing.T) {
 	}
 	if len(stats.RecoverySec) != 1 || stats.RecoverySec[0] < 0 {
 		t.Fatalf("recovery samples = %v, want one non-negative duration", stats.RecoverySec)
+	}
+	ev := <-events.C()
+	if ev.Kind != "shard" || ev.Data["state"] != "down" || ev.Data["redelivered"] != published || ev.Data["errors"] != 0 {
+		t.Fatalf("failover event = %+v, want down with %d redelivered and 0 errors", ev, published)
 	}
 }
 

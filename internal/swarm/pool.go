@@ -30,8 +30,6 @@ type PoolOptions struct {
 	// e2e latency histograms cover the pool exactly as they would a
 	// single broker.
 	Tracer *obs.Tracer
-	// Logf receives shard debug logs.
-	Logf func(format string, args ...any)
 	// Clock times failure detection and failover recovery. Nil means
 	// the wall clock; deterministic harnesses inject a clock.Virtual.
 	Clock clock.Clock
@@ -53,9 +51,8 @@ type poolSub struct {
 
 // poolClient is the pool's record of one in-process client: its
 // current anchor shard and every filter it holds. This registry — not
-// the shards' tries — is the authoritative takeover state: a dead
-// broker's trie still names the subscriptions (ExportSubscriptions),
-// but only the pool knows the delivery functions to re-anchor.
+// the shards' tries — is the authoritative takeover state: only the
+// pool knows the delivery functions to re-anchor.
 type poolClient struct {
 	owner int
 	subs  map[string]poolSub
@@ -144,7 +141,6 @@ func NewPool(opts PoolOptions) *Pool {
 // replaces a killed shard.
 func (p *Pool) newShardBroker(i int) *broker.Broker {
 	return broker.NewBroker(&broker.Options{
-		Logf:          p.opts.Logf,
 		Tracer:        p.opts.Tracer,
 		Clock:         p.opts.Clock,
 		SubscribeHook: p.bridge.subHook(i),
@@ -201,14 +197,6 @@ func (p *Pool) NumShards() int {
 	return len(p.shards)
 }
 
-// Shard returns shard i (for tests and for serving wire clients via
-// Broker.ListenAndServe).
-func (p *Pool) Shard(i int) *broker.Broker {
-	p.topo.RLock()
-	defer p.topo.RUnlock()
-	return p.shards[i]
-}
-
 // snapshotShards copies the shard slice under the placement lock so
 // gather-time metric funcs never race a ReviveShard swap.
 func (p *Pool) snapshotShards() []*broker.Broker {
@@ -217,14 +205,6 @@ func (p *Pool) snapshotShards() []*broker.Broker {
 	out := make([]*broker.Broker, len(p.shards))
 	copy(out, p.shards)
 	return out
-}
-
-// ShardFor returns the shard index a key (topic or client id) is
-// placed on — among the currently alive shards.
-func (p *Pool) ShardFor(key string) int {
-	p.topo.RLock()
-	defer p.topo.RUnlock()
-	return p.ring.shardFor(key)
 }
 
 // DownShards lists the shards currently marked down, ascending.

@@ -8,8 +8,6 @@ import (
 	"os"
 	"sort"
 	"time"
-
-	"repro/internal/clock"
 )
 
 // Archive file layout inside the shared zip (§3.5: "traces are shared
@@ -84,6 +82,8 @@ func ReadArchive(r io.ReaderAt, size int64) ([]Record, error) {
 }
 
 // LoadArchive reads a trace zip from a file path.
+//
+//dbox:allow deadcode -- core's share tests read saved traces with it
 func LoadArchive(path string) ([]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -110,53 +110,4 @@ func (l *Log) ArchiveBytes() ([]byte, error) {
 // ParseArchiveBytes parses a zip held in memory.
 func ParseArchiveBytes(data []byte) ([]Record, error) {
 	return ReadArchive(bytes.NewReader(data), int64(len(data)))
-}
-
-// Replayer replays a recorded trace's action records against a sink
-// (the live testbed) preserving relative timing, optionally
-// accelerated.
-type Replayer struct {
-	// Apply receives each action record in order. It should apply the
-	// record's Sets/Deletes to the named model.
-	Apply func(Record) error
-	// Speed scales time: 2.0 replays twice as fast. <= 0 means "as
-	// fast as possible".
-	Speed float64
-	// Sleep is injectable for tests; defaults to the system clock's
-	// sleep.
-	Sleep func(time.Duration)
-}
-
-// Run replays the records, honouring inter-record gaps. Only
-// KindEvent and KindAction records drive the testbed; messages and
-// violations are observational.
-func (rp *Replayer) Run(recs []Record) error {
-	if rp.Apply == nil {
-		return fmt.Errorf("trace: replayer needs an Apply func")
-	}
-	sleep := rp.Sleep
-	if sleep == nil {
-		sleep = clock.System.Sleep
-	}
-	var prev time.Duration
-	first := true
-	for _, r := range recs {
-		if r.Kind != KindAction && r.Kind != KindEvent {
-			continue
-		}
-		if !first && rp.Speed > 0 {
-			gap := r.TS - prev
-			if gap > 0 {
-				sleep(time.Duration(float64(gap) / rp.Speed))
-			}
-		}
-		prev = r.TS
-		first = false
-		if r.Kind == KindAction {
-			if err := rp.Apply(r); err != nil {
-				return fmt.Errorf("trace: replay record %d: %w", r.Seq, err)
-			}
-		}
-	}
-	return nil
 }

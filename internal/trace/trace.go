@@ -5,9 +5,9 @@
 // firings like "motion detected"), actions (model changes, as leaf-path
 // diffs), and messages (MQTT/REST traffic). Records are appended to an
 // in-memory log and can be persisted as a JSONL trace file, packaged as
-// a zip for sharing, and replayed against a live testbed so that the
-// mocks and scenes reproduce the recorded behaviour with the original
-// relative timing (or faster).
+// a zip for sharing, and replayed against a live testbed
+// (core.Testbed.Replay) so that the mocks and scenes reproduce the
+// recorded behaviour with the original relative timing (or faster).
 package trace
 
 import (
@@ -88,7 +88,6 @@ type Log struct {
 	start  time.Time
 	seq    uint64
 	chunks [][]Record // all full but the last
-	subs   []func(Record)
 	// now is injectable for deterministic tests.
 	now func() time.Time
 }
@@ -115,11 +114,7 @@ func (l *Log) Append(r Record) Record {
 		last++
 	}
 	l.chunks[last] = append(l.chunks[last], r)
-	subs := l.subs
 	l.mu.Unlock()
-	for _, fn := range subs {
-		fn(r)
-	}
 	return r
 }
 
@@ -186,19 +181,10 @@ func (l *Log) filter(keep func(*Record) bool) []Record {
 }
 
 // Faults returns all fault/recovery records.
+//
+//dbox:allow deadcode -- core's chaos tests read fault records with it
 func (l *Log) Faults() []Record {
 	return l.filter(func(r *Record) bool { return r.Kind == KindFault })
-}
-
-// Subscribe registers fn to receive every subsequently appended
-// record. Used by "dbox watch".
-func (l *Log) Subscribe(fn func(Record)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// Copy-on-write so Append can iterate without holding the lock.
-	subs := make([]func(Record), len(l.subs), len(l.subs)+1)
-	copy(subs, l.subs)
-	l.subs = append(subs, fn)
 }
 
 // Records returns a copy of all records in sequence order.
@@ -242,11 +228,15 @@ func (l *Log) Bounds() (start, end time.Time, kinds map[Kind]int) {
 }
 
 // RecordsFor returns records for one mock/scene name.
+//
+//dbox:allow deadcode -- the digi, ctl and core tests read one digi's records with it
 func (l *Log) RecordsFor(name string) []Record {
 	return l.filter(func(r *Record) bool { return r.Name == name })
 }
 
 // Violations returns all property-violation records.
+//
+//dbox:allow deadcode -- property's tests read violation records with it
 func (l *Log) Violations() []Record {
 	return l.filter(func(r *Record) bool { return r.Kind == KindViolation })
 }
@@ -293,21 +283,6 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Summary aggregates per-name record counts, useful for "dbox check"
-// over a trace.
-func Summary(recs []Record) map[string]map[Kind]int {
-	out := map[string]map[Kind]int{}
-	for _, r := range recs {
-		m, ok := out[r.Name]
-		if !ok {
-			m = map[Kind]int{}
-			out[r.Name] = m
-		}
-		m[r.Kind]++
-	}
-	return out
 }
 
 // Names returns the distinct mock/scene names in a trace, sorted.

@@ -82,24 +82,6 @@ func TestRecordKindsAndAccessors(t *testing.T) {
 	}
 }
 
-func TestSubscribeReceivesAppends(t *testing.T) {
-	l := NewLog()
-	var mu sync.Mutex
-	var got []Record
-	l.Subscribe(func(r Record) {
-		mu.Lock()
-		got = append(got, r)
-		mu.Unlock()
-	})
-	l.Event("x", "T", nil)
-	l.Event("y", "T", nil)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 2 || got[0].Name != "x" || got[1].Name != "y" {
-		t.Errorf("subscriber got %v", got)
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	l := sampleLog()
 	var buf bytes.Buffer
@@ -257,104 +239,9 @@ func TestArchiveFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplayerAppliesActionsInOrder(t *testing.T) {
-	l := sampleLog()
-	l.Event("noise", "X", nil) // events are skipped by Apply
-	var applied []string
-	var slept []time.Duration
-	rp := &Replayer{
-		Apply: func(r Record) error {
-			applied = append(applied, r.Name)
-			return nil
-		},
-		Speed: 1,
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
-	}
-	if err := rp.Run(l.Records()); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"confcenter", "meetingroom", "kitchen", "o1", "l1"}
-	if !reflect.DeepEqual(applied, want) {
-		t.Errorf("applied = %v", applied)
-	}
-	// 5 actions + 1 event = 6 drive records -> 5 gaps.
-	if len(slept) != 5 {
-		t.Errorf("sleeps = %v", slept)
-	}
-	for _, d := range slept {
-		if d != time.Second {
-			t.Errorf("gap = %v, want 1s (fake clock ticks 1s per record)", d)
-		}
-	}
-}
-
-func TestReplayerSpeedScaling(t *testing.T) {
-	l := sampleLog()
-	var slept []time.Duration
-	rp := &Replayer{
-		Apply: func(Record) error { return nil },
-		Speed: 4,
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
-	}
-	if err := rp.Run(l.Records()); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range slept {
-		if d != 250*time.Millisecond {
-			t.Errorf("gap = %v, want 250ms at 4x", d)
-		}
-	}
-}
-
-func TestReplayerFastPathNoSleep(t *testing.T) {
-	l := sampleLog()
-	var slept int
-	rp := &Replayer{
-		Apply: func(Record) error { return nil },
-		Speed: 0, // as fast as possible
-		Sleep: func(time.Duration) { slept++ },
-	}
-	if err := rp.Run(l.Records()); err != nil {
-		t.Fatal(err)
-	}
-	if slept != 0 {
-		t.Errorf("slept %d times", slept)
-	}
-}
-
-func TestReplayerErrors(t *testing.T) {
-	rp := &Replayer{}
-	if err := rp.Run(nil); err == nil {
-		t.Error("missing Apply accepted")
-	}
-	l := sampleLog()
-	rp = &Replayer{
-		Apply: func(r Record) error {
-			if r.Name == "o1" {
-				return errTest
-			}
-			return nil
-		},
-	}
-	err := rp.Run(l.Records())
-	if err == nil || !strings.Contains(err.Error(), "test error") {
-		t.Errorf("apply error not propagated: %v", err)
-	}
-}
-
-var errTest = &testError{}
-
-type testError struct{}
-
-func (*testError) Error() string { return "test error" }
-
-func TestSummaryAndNames(t *testing.T) {
+func TestNames(t *testing.T) {
 	l := sampleLog()
 	l.Event("o1", "Occupancy", nil)
-	sum := Summary(l.Records())
-	if sum["o1"][KindAction] != 1 || sum["o1"][KindEvent] != 1 {
-		t.Errorf("summary = %v", sum)
-	}
 	names := Names(l.Records())
 	want := []string{"confcenter", "kitchen", "l1", "meetingroom", "o1"}
 	if !reflect.DeepEqual(names, want) {
@@ -400,14 +287,6 @@ func TestSpanRecords(t *testing.T) {
 	}
 	if ns, ok := recs[0].Fields["elapsed_ns"].(int64); !ok || ns != int64(1500*time.Microsecond) {
 		t.Fatalf("elapsed_ns = %v", recs[0].Fields["elapsed_ns"])
-	}
-	// Spans must not drive replay.
-	rp := &Replayer{Apply: func(Record) error {
-		t.Fatal("span record reached Apply")
-		return nil
-	}}
-	if err := rp.Run(recs); err != nil {
-		t.Fatal(err)
 	}
 }
 

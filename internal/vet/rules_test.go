@@ -14,6 +14,11 @@ import (
 	"repro/internal/vet"
 )
 
+// runSetup analyzes an already-parsed setup.
+func runSetup(s *iac.Setup, kinds vet.KindSource) []vet.Diagnostic {
+	return vet.Run(&vet.Context{Setup: s, File: s.Name, Kinds: kinds})
+}
+
 // setup builds a test setup whose header references every used type at
 // v1, so V005 stays quiet unless a test withholds a reference.
 func setup(models ...model.Doc) *iac.Setup {
@@ -43,13 +48,13 @@ func exactIDs(t *testing.T, diags []vet.Diagnostic, want ...string) {
 
 func TestDanglingAttach(t *testing.T) {
 	bad := setup(mkdoc("Room", "room", map[string]any{"meta.attach": []any{"ghost"}}))
-	exactIDs(t, vet.RunSetup(bad, nil), "V001")
+	exactIDs(t, runSetup(bad, nil), "V001")
 
 	good := setup(
 		mkdoc("Room", "room", map[string]any{"meta.attach": []any{"o1"}}),
 		mkdoc("Occupancy", "o1", nil),
 	)
-	exactIDs(t, vet.RunSetup(good, nil))
+	exactIDs(t, runSetup(good, nil))
 }
 
 func TestDuplicateAttach(t *testing.T) {
@@ -57,7 +62,7 @@ func TestDuplicateAttach(t *testing.T) {
 		mkdoc("Room", "room", map[string]any{"meta.attach": []any{"o1", "o1"}}),
 		mkdoc("Occupancy", "o1", nil),
 	)
-	exactIDs(t, vet.RunSetup(bad, nil), "V002")
+	exactIDs(t, runSetup(bad, nil), "V002")
 
 	// The same child under two DIFFERENT parents is legal (supplychain
 	// attaches cargo sensors to both a truck and the cold-chain audit
@@ -68,7 +73,7 @@ func TestDuplicateAttach(t *testing.T) {
 		mkdoc("Scene", "b", map[string]any{"meta.attach": []any{"shared"}}),
 		mkdoc("Occupancy", "shared", nil),
 	)
-	exactIDs(t, vet.RunSetup(multiParent, nil))
+	exactIDs(t, runSetup(multiParent, nil))
 }
 
 func TestAttachCycle(t *testing.T) {
@@ -78,7 +83,7 @@ func TestAttachCycle(t *testing.T) {
 		mkdoc("Scene", "a", map[string]any{"meta.attach": []any{"b"}}),
 		mkdoc("Scene", "b", map[string]any{"meta.attach": []any{"a"}}),
 	)
-	diags := vet.RunSetup(bad, nil)
+	diags := runSetup(bad, nil)
 	exactIDs(t, diags, "V003", "V004")
 	if !vet.HasErrors(diags) {
 		t.Error("cycle not error-severity")
@@ -89,7 +94,7 @@ func TestAttachCycle(t *testing.T) {
 		mkdoc("Scene", "b", map[string]any{"meta.attach": []any{"c"}}),
 		mkdoc("Occupancy", "c", nil),
 	)
-	exactIDs(t, vet.RunSetup(chain, nil))
+	exactIDs(t, runSetup(chain, nil))
 }
 
 func TestOrphanModel(t *testing.T) {
@@ -98,21 +103,21 @@ func TestOrphanModel(t *testing.T) {
 		mkdoc("Occupancy", "o1", nil),
 		mkdoc("Occupancy", "stray", nil),
 	)
-	diags := vet.RunSetup(bad, nil)
+	diags := runSetup(bad, nil)
 	exactIDs(t, diags, "V004")
 	if vet.HasErrors(diags) {
 		t.Error("orphan should be a warning, not an error")
 	}
 
 	// Single-model setups have nothing to orphan.
-	exactIDs(t, vet.RunSetup(setup(mkdoc("Occupancy", "solo", nil)), nil))
+	exactIDs(t, runSetup(setup(mkdoc("Occupancy", "solo", nil)), nil))
 }
 
 func TestMissingKindRef(t *testing.T) {
 	bad := setup(mkdoc("Room", "room", nil))
 	delete(bad.Kinds, "Room")
 	bad.Kinds["Lamp"] = "v3" // referenced but unused: advisory
-	diags := vet.RunSetup(bad, nil)
+	diags := runSetup(bad, nil)
 	exactIDs(t, diags, "V005")
 	var sevs []vet.Severity
 	for _, d := range diags {
@@ -123,7 +128,7 @@ func TestMissingKindRef(t *testing.T) {
 		t.Errorf("severities = %v (want one info for the unused ref, one error for the missing one)", sevs)
 	}
 
-	exactIDs(t, vet.RunSetup(setup(mkdoc("Room", "room", nil)), nil))
+	exactIDs(t, runSetup(setup(mkdoc("Room", "room", nil)), nil))
 }
 
 // lampSchema is a minimal committed kind document for V006/V007 tests.
@@ -148,51 +153,51 @@ func TestKindUnresolved(t *testing.T) {
 	// Pinned version absent from the repository.
 	missing := setup(doc)
 	missing.Kinds["Lamp"] = "v9"
-	exactIDs(t, vet.RunSetup(missing, mem), "V006")
+	exactIDs(t, runSetup(missing, mem), "V006")
 
 	// Committed doc does not decode as a schema.
 	garbage := setup(doc)
-	exactIDs(t, vet.RunSetup(garbage, vet.MemKinds{"Lamp/v1": []byte("42\n")}), "V006")
+	exactIDs(t, runSetup(garbage, vet.MemKinds{"Lamp/v1": []byte("42\n")}), "V006")
 
 	// Committed doc declares a different type: mis-tagged.
 	wrongType, err := model.EncodeSchema(&model.Schema{Type: "Fan", Version: "v1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactIDs(t, vet.RunSetup(setup(doc), vet.MemKinds{"Lamp/v1": wrongType}), "V006")
+	exactIDs(t, runSetup(setup(doc), vet.MemKinds{"Lamp/v1": wrongType}), "V006")
 
 	// Resolvable: clean. Without a kind source the rule stays quiet.
-	exactIDs(t, vet.RunSetup(setup(doc), mem))
-	exactIDs(t, vet.RunSetup(missing, nil))
+	exactIDs(t, runSetup(setup(doc), mem))
+	exactIDs(t, runSetup(missing, nil))
 }
 
 func TestSchemaMismatch(t *testing.T) {
 	mem := vet.MemKinds{"Lamp/v1": lampSchema(t)}
 
 	outOfRange := setup(mkdoc("Lamp", "l1", map[string]any{"brightness": 7.5}))
-	exactIDs(t, vet.RunSetup(outOfRange, mem), "V007")
+	exactIDs(t, runSetup(outOfRange, mem), "V007")
 
 	unknownField := setup(mkdoc("Lamp", "l1", map[string]any{"brightness": 0.5, "wattage": 60}))
-	exactIDs(t, vet.RunSetup(unknownField, mem), "V007")
+	exactIDs(t, runSetup(unknownField, mem), "V007")
 
-	exactIDs(t, vet.RunSetup(setup(mkdoc("Lamp", "l1", map[string]any{"brightness": 0.5})), mem))
+	exactIDs(t, runSetup(setup(mkdoc("Lamp", "l1", map[string]any{"brightness": 0.5})), mem))
 }
 
 func TestBadTopic(t *testing.T) {
 	wildInName := setup(mkdoc("Lamp", "l1", map[string]any{"meta.topic": "home/+/lamp"}))
-	exactIDs(t, vet.RunSetup(wildInName, nil), "V008")
+	exactIDs(t, runSetup(wildInName, nil), "V008")
 
 	badFilter := setup(mkdoc("Lamp", "l1", map[string]any{"meta.subscribe": []any{"a/#/b"}}))
-	exactIDs(t, vet.RunSetup(badFilter, nil), "V008")
+	exactIDs(t, runSetup(badFilter, nil), "V008")
 
 	notAString := setup(mkdoc("Lamp", "l1", map[string]any{"meta.subscribe": []any{int64(3)}}))
-	exactIDs(t, vet.RunSetup(notAString, nil), "V008")
+	exactIDs(t, runSetup(notAString, nil), "V008")
 
 	good := setup(mkdoc("Lamp", "l1", map[string]any{
 		"meta.topic":     "home/lamp",
 		"meta.subscribe": []any{"home/#"},
 	}))
-	exactIDs(t, vet.RunSetup(good, nil))
+	exactIDs(t, runSetup(good, nil))
 }
 
 func TestTopicCollision(t *testing.T) {
@@ -200,7 +205,7 @@ func TestTopicCollision(t *testing.T) {
 		mkdoc("Lamp", "l1", map[string]any{"meta.topic": "shared/status"}),
 		mkdoc("Fan", "f1", map[string]any{"meta.topic": "shared/status", "meta.attach": []any{"l1"}}),
 	)
-	diags := vet.RunSetup(bad, nil)
+	diags := runSetup(bad, nil)
 	exactIDs(t, diags, "V009")
 	if !strings.Contains(vet.Text(diags), `"l1"`) {
 		t.Errorf("collision does not name the first claimant: %s", vet.Text(diags))
@@ -211,7 +216,7 @@ func TestTopicCollision(t *testing.T) {
 		mkdoc("Lamp", "l1", nil),
 		mkdoc("Fan", "f1", map[string]any{"meta.attach": []any{"l1"}}),
 	)
-	exactIDs(t, vet.RunSetup(good, nil))
+	exactIDs(t, runSetup(good, nil))
 }
 
 func TestSubscriptionOverlap(t *testing.T) {
@@ -219,7 +224,7 @@ func TestSubscriptionOverlap(t *testing.T) {
 		mkdoc("Lamp", "l1", map[string]any{"meta.subscribe": []any{"home/+/status"}}),
 		mkdoc("Fan", "f1", map[string]any{"meta.subscribe": []any{"home/kitchen/#"}, "meta.attach": []any{"l1"}}),
 	)
-	diags := vet.RunSetup(bad, nil)
+	diags := runSetup(bad, nil)
 	exactIDs(t, diags, "V010")
 	if vet.HasErrors(diags) {
 		t.Error("overlap should be a warning, not an error")
@@ -231,7 +236,7 @@ func TestSubscriptionOverlap(t *testing.T) {
 		mkdoc("Lamp", "l1", map[string]any{"meta.subscribe": []any{"home/a", "home/a/#"}}),
 		mkdoc("Fan", "f1", map[string]any{"meta.subscribe": []any{"garden/b"}, "meta.attach": []any{"l1"}}),
 	)
-	exactIDs(t, vet.RunSetup(good, nil))
+	exactIDs(t, runSetup(good, nil))
 }
 
 func TestConfigBounds(t *testing.T) {
@@ -248,7 +253,7 @@ func TestConfigBounds(t *testing.T) {
 		for k, v := range c.config {
 			extra["meta."+k] = v
 		}
-		diags := vet.RunSetup(setup(mkdoc("Occupancy", "o1", extra)), nil)
+		diags := runSetup(setup(mkdoc("Occupancy", "o1", extra)), nil)
 		exactIDs(t, diags, "V011")
 		if len(diags) == 0 {
 			t.Errorf("%s: no diagnostics", c.name)
@@ -258,9 +263,9 @@ func TestConfigBounds(t *testing.T) {
 	// Bounds declared by a kind library.
 	vet.DeclareConfigBounds("BoundsTestKind", "gain", 0, 10)
 	over := setup(mkdoc("BoundsTestKind", "b1", map[string]any{"meta.gain": 99.0}))
-	exactIDs(t, vet.RunSetup(over, nil), "V011")
+	exactIDs(t, runSetup(over, nil), "V011")
 	within := setup(mkdoc("BoundsTestKind", "b1", map[string]any{"meta.gain": 9.0}))
-	exactIDs(t, vet.RunSetup(within, nil))
+	exactIDs(t, runSetup(within, nil))
 
 	good := setup(mkdoc("Occupancy", "o1", map[string]any{
 		"meta.interval_ms":  int64(20),
@@ -269,19 +274,19 @@ func TestConfigBounds(t *testing.T) {
 		"meta.temp_min":     18.0,
 		"meta.temp_max":     26.0,
 	}))
-	exactIDs(t, vet.RunSetup(good, nil))
+	exactIDs(t, runSetup(good, nil))
 }
 
 func TestBadMeta(t *testing.T) {
 	noName := model.Doc{"meta": map[string]any{"type": "Lamp"}}
 	bad := &iac.Setup{Name: "t", Kinds: map[string]string{"Lamp": "v1"}, Models: []model.Doc{noName}}
-	exactIDs(t, vet.RunSetup(bad, nil), "V012")
+	exactIDs(t, runSetup(bad, nil), "V012")
 
 	dup := setup(
 		mkdoc("Lamp", "same", nil),
 		mkdoc("Fan", "same", nil),
 	)
-	diags := vet.RunSetup(dup, nil)
+	diags := runSetup(dup, nil)
 	if !ruleIDs(diags)["V012"] {
 		t.Errorf("duplicate name not reported: %s", vet.Text(diags))
 	}
@@ -309,7 +314,7 @@ func TestBrokenSetupYieldsExactRuleSet(t *testing.T) {
 			mkdoc("Stray", "s1", map[string]any{"meta.smoke_prob": 2.0}),
 		},
 	}
-	diags := vet.RunSetup(s, mem)
+	diags := runSetup(s, mem)
 	// V005 also flags the unused Ghost reference; V006 flags Ghost/v1
 	// missing from the kind source; V004 flags the unattached stray.
 	exactIDs(t, diags, "V001", "V002", "V004", "V005", "V006", "V007", "V008", "V011")
@@ -327,7 +332,7 @@ func TestChaosTarget(t *testing.T) {
 		{Fault: chaos.FaultDrop, Topic: "digibox/l1/status", Rate: 0.5},
 		{Fault: chaos.FaultDrop, Topic: "ctl/fan/speed", Rate: 0.5},
 	}}
-	exactIDs(t, vet.RunSetup(good, nil))
+	exactIDs(t, runSetup(good, nil))
 
 	// Dangling digi, unmatched topic, and invalid filter syntax each
 	// get their own diagnostic.
@@ -337,7 +342,7 @@ func TestChaosTarget(t *testing.T) {
 		{Fault: chaos.FaultDrop, Topic: "nowhere/#", Rate: 0.5},
 		{Fault: chaos.FaultDrop, Topic: "bad/+wild", Rate: 1},
 	}}
-	diags := vet.RunSetup(bad, nil)
+	diags := runSetup(bad, nil)
 	exactIDs(t, diags, "V013")
 	if len(diags) != 3 {
 		t.Errorf("got %d diagnostics, want 3:\n%s", len(diags), vet.Text(diags))
@@ -351,16 +356,16 @@ func TestChaosTarget(t *testing.T) {
 	malformed.Chaos = &chaos.Plan{Name: "p", Events: []chaos.Event{
 		{Fault: chaos.FaultDisconnect}, // missing client
 	}}
-	exactIDs(t, vet.RunSetup(malformed, nil), "V013")
+	exactIDs(t, runSetup(malformed, nil), "V013")
 
 	// No plan: nothing to check.
-	exactIDs(t, vet.RunSetup(setup(mkdoc("Lamp", "l1", nil)), nil))
+	exactIDs(t, runSetup(setup(mkdoc("Lamp", "l1", nil)), nil))
 }
 
 func TestUnseededNondeterminism(t *testing.T) {
 	// A fractional probability without meta.seed is rejected.
 	unseeded := setup(mkdoc("Occupancy", "o1", map[string]any{"meta.trigger_prob": 0.3}))
-	diags := vet.RunSetup(unseeded, nil)
+	diags := runSetup(unseeded, nil)
 	exactIDs(t, diags, "V014")
 	if !strings.Contains(vet.Text(diags), "trigger_prob") {
 		t.Errorf("diagnostic does not name the config key: %s", vet.Text(diags))
@@ -372,7 +377,7 @@ func TestUnseededNondeterminism(t *testing.T) {
 		{"meta.trigger_prob": 0.0},
 		{"meta.trigger_prob": 1.0},
 	} {
-		exactIDs(t, vet.RunSetup(setup(mkdoc("Occupancy", "o1", cfg)), nil))
+		exactIDs(t, runSetup(setup(mkdoc("Occupancy", "o1", cfg)), nil))
 	}
 
 	// A chaos plan with rate- or jitter-based faults needs a plan seed.
@@ -380,16 +385,16 @@ func TestUnseededNondeterminism(t *testing.T) {
 	rnd.Chaos = &chaos.Plan{Name: "p", Events: []chaos.Event{
 		{Fault: chaos.FaultDrop, Topic: "digibox/l1/status", Rate: 0.5},
 	}}
-	exactIDs(t, vet.RunSetup(rnd, nil), "V014")
+	exactIDs(t, runSetup(rnd, nil), "V014")
 	rnd.Chaos.Seed = 11
-	exactIDs(t, vet.RunSetup(rnd, nil))
+	exactIDs(t, runSetup(rnd, nil))
 
 	jitter := setup(mkdoc("Lamp", "l1", nil))
 	jitter.Chaos = &chaos.Plan{Name: "p", Events: []chaos.Event{
 		{Fault: chaos.FaultDelay, Topic: "digibox/l1/status",
 			Delay: 5 * time.Millisecond, Jitter: 5 * time.Millisecond},
 	}}
-	exactIDs(t, vet.RunSetup(jitter, nil), "V014")
+	exactIDs(t, runSetup(jitter, nil), "V014")
 
 	// Deterministic faults need no seed: rate 1 always fires.
 	det := setup(mkdoc("Lamp", "l1", nil))
@@ -397,7 +402,7 @@ func TestUnseededNondeterminism(t *testing.T) {
 		{Fault: chaos.FaultDrop, Topic: "digibox/l1/status", Rate: 1},
 		{Fault: chaos.FaultDropout, Digi: "l1"},
 	}}
-	exactIDs(t, vet.RunSetup(det, nil))
+	exactIDs(t, runSetup(det, nil))
 }
 
 func TestSwarmShards(t *testing.T) {
@@ -409,7 +414,7 @@ func TestSwarmShards(t *testing.T) {
 
 	// 1500 devices, no swarm section: warn with the shard hint.
 	big := fleet(1500)
-	diags := vet.RunSetup(big, nil)
+	diags := runSetup(big, nil)
 	exactIDs(t, diags, "V015")
 	if vet.HasErrors(diags) {
 		t.Error("underprovisioned swarm should be a warning, not an error")
@@ -421,15 +426,15 @@ func TestSwarmShards(t *testing.T) {
 	// Declaring too few shards still warns; enough shards is clean.
 	under := fleet(2500)
 	under.Swarm = &iac.SwarmConfig{Shards: 2}
-	exactIDs(t, vet.RunSetup(under, nil), "V015")
+	exactIDs(t, runSetup(under, nil), "V015")
 
 	enough := fleet(2500)
 	enough.Swarm = &iac.SwarmConfig{Shards: 3}
-	exactIDs(t, vet.RunSetup(enough, nil))
+	exactIDs(t, runSetup(enough, nil))
 
 	// At or under the guidance no section is needed, and scenes do not
 	// count as devices.
-	exactIDs(t, vet.RunSetup(fleet(1000), nil))
+	exactIDs(t, runSetup(fleet(1000), nil))
 	scenes := setup(
 		mkdoc("Room", "room", map[string]any{
 			"meta.attach":   []any{"o1"},
@@ -437,7 +442,7 @@ func TestSwarmShards(t *testing.T) {
 		}),
 		mkdoc("Occupancy", "o1", nil),
 	)
-	exactIDs(t, vet.RunSetup(scenes, nil))
+	exactIDs(t, runSetup(scenes, nil))
 }
 
 func TestSwarmUnsurvivable(t *testing.T) {
@@ -454,7 +459,7 @@ func TestSwarmUnsurvivable(t *testing.T) {
 		{At: time.Second, Fault: chaos.FaultShardKill, Shard: 0, For: time.Second},
 		{At: 3 * time.Second, Fault: chaos.FaultShardKill, Shard: 1, For: time.Second},
 	}}
-	exactIDs(t, vet.RunSetup(ok, nil))
+	exactIDs(t, runSetup(ok, nil))
 
 	// Unbounded kills of both shards leave no shard for failover to
 	// re-anchor onto: error with the exact fix.
@@ -463,7 +468,7 @@ func TestSwarmUnsurvivable(t *testing.T) {
 		{At: time.Second, Fault: chaos.FaultShardKill, Shard: 0},
 		{At: 2 * time.Second, Fault: chaos.FaultShardKill, Shard: 1},
 	}}
-	diags := vet.RunSetup(bad, nil)
+	diags := runSetup(bad, nil)
 	exactIDs(t, diags, "V016")
 	if !vet.HasErrors(diags) {
 		t.Error("unsurvivable plan should be an error")
@@ -479,7 +484,7 @@ func TestSwarmUnsurvivable(t *testing.T) {
 		{At: time.Second, Fault: chaos.FaultShardKill, Shard: 0, For: time.Second},
 		{At: 2 * time.Second, Fault: chaos.FaultShardKill, Shard: 1},
 	}}
-	exactIDs(t, vet.RunSetup(race, nil))
+	exactIDs(t, runSetup(race, nil))
 
 	// An explicit shard-revive restores survivability the same way.
 	rev := base()
@@ -488,7 +493,7 @@ func TestSwarmUnsurvivable(t *testing.T) {
 		{At: 2 * time.Second, Fault: chaos.FaultShardRevive, Shard: 0},
 		{At: 3 * time.Second, Fault: chaos.FaultShardKill, Shard: 1},
 	}}
-	exactIDs(t, vet.RunSetup(rev, nil))
+	exactIDs(t, runSetup(rev, nil))
 
 	// A shard index the setup does not provision would silently hit
 	// nothing.
@@ -496,7 +501,7 @@ func TestSwarmUnsurvivable(t *testing.T) {
 	oob.Chaos = &chaos.Plan{Name: "p", Seed: 1, Events: []chaos.Event{
 		{At: time.Second, Fault: chaos.FaultShardKill, Shard: 5},
 	}}
-	diags = vet.RunSetup(oob, nil)
+	diags = runSetup(oob, nil)
 	exactIDs(t, diags, "V016")
 	if !strings.Contains(diags[0].Message, "valid indices 0..1") {
 		t.Errorf("out-of-range message missing the valid range: %s", diags[0].Message)
@@ -508,7 +513,7 @@ func TestSwarmUnsurvivable(t *testing.T) {
 	nosec.Chaos = &chaos.Plan{Name: "p", Seed: 1, Events: []chaos.Event{
 		{At: time.Second, Fault: chaos.FaultShardKill, Shard: 1},
 	}}
-	diags = vet.RunSetup(nosec, nil)
+	diags = runSetup(nosec, nil)
 	exactIDs(t, diags, "V016")
 	if !strings.Contains(diags[0].Message, "shards: 3") {
 		t.Errorf("hint missing the shard count: %s", diags[0].Message)
@@ -526,7 +531,7 @@ func TestDashPortCollision(t *testing.T) {
 	// names the next free address so the fix is mechanical.
 	bad := withCtl("127.0.0.1:7825",
 		mkdoc("Gateway", "gw", map[string]any{"meta.port": int64(7825)}))
-	diags := vet.RunSetup(bad, nil)
+	diags := runSetup(bad, nil)
 	exactIDs(t, diags, "V017")
 	if !strings.Contains(diags[0].Message, "127.0.0.1:7826") {
 		t.Errorf("hint missing the next free address: %s", diags[0].Message)
@@ -535,17 +540,17 @@ func TestDashPortCollision(t *testing.T) {
 	// _port-suffixed config keys count as claims too.
 	suffix := withCtl("127.0.0.1:8080",
 		mkdoc("Gateway", "gw", map[string]any{"meta.listen_port": int64(8080)}))
-	exactIDs(t, vet.RunSetup(suffix, nil), "V017")
+	exactIDs(t, runSetup(suffix, nil), "V017")
 
 	// Distinct ports coexist; a setup with no ctl section is exempt.
 	ok := withCtl("127.0.0.1:7825",
 		mkdoc("Gateway", "gw", map[string]any{"meta.port": int64(8080)}))
-	exactIDs(t, vet.RunSetup(ok, nil))
-	exactIDs(t, vet.RunSetup(setup(mkdoc("Lamp", "l1", nil)), nil))
+	exactIDs(t, runSetup(ok, nil))
+	exactIDs(t, runSetup(setup(mkdoc("Lamp", "l1", nil)), nil))
 
 	// A listen address that is not host:port never reaches deploy.
-	exactIDs(t, vet.RunSetup(withCtl("7825", mkdoc("Lamp", "l1", nil)), nil), "V017")
-	exactIDs(t, vet.RunSetup(withCtl("127.0.0.1:http", mkdoc("Lamp", "l1", nil)), nil), "V017")
+	exactIDs(t, runSetup(withCtl("7825", mkdoc("Lamp", "l1", nil)), nil), "V017")
+	exactIDs(t, runSetup(withCtl("127.0.0.1:http", mkdoc("Lamp", "l1", nil)), nil), "V017")
 }
 
 // popProfile builds a satisfiable single-population profile for kind.
@@ -565,13 +570,13 @@ func TestProfileUnsatisfiable(t *testing.T) {
 	// reference (case-insensitively) is clean.
 	good := setup(mkdoc("Thermostat", "t1", nil))
 	good.Profile = popProfile("thermostat")
-	exactIDs(t, vet.RunSetup(good, nil))
+	exactIDs(t, runSetup(good, nil))
 
 	// Zero cadence mean: the population can never fire.
 	dead := setup(mkdoc("Thermostat", "t1", nil))
 	dead.Profile = popProfile("thermostat")
 	dead.Profile.Populations[0].Cadence.Mean = 0
-	diags := vet.RunSetup(dead, nil)
+	diags := runSetup(dead, nil)
 	exactIDs(t, diags, "V018")
 	if !strings.Contains(vet.Text(diags), "fix:") {
 		t.Errorf("V018 diagnostic missing fix-it hint:\n%s", vet.Text(diags))
@@ -581,12 +586,12 @@ func TestProfileUnsatisfiable(t *testing.T) {
 	night := setup(mkdoc("Thermostat", "t1", nil))
 	night.Profile = popProfile("thermostat")
 	night.Profile.Populations[0].Cadence.Diurnal = &profile.Diurnal{Start: 9, End: 9}
-	exactIDs(t, vet.RunSetup(night, nil), "V018")
+	exactIDs(t, runSetup(night, nil), "V018")
 
 	// A population kind with no kind reference in the header.
 	ghost := setup(mkdoc("Thermostat", "t1", nil))
 	ghost.Profile = popProfile("camera")
-	diags = vet.RunSetup(ghost, nil)
+	diags = runSetup(ghost, nil)
 	exactIDs(t, diags, "V018")
 	if !strings.Contains(vet.Text(diags), "kinds entry") {
 		t.Errorf("unknown-kind diagnostic missing fix-it hint:\n%s", vet.Text(diags))
@@ -597,12 +602,12 @@ func TestProfileUnsatisfiable(t *testing.T) {
 	broken := setup(mkdoc("Thermostat", "t1", nil))
 	broken.Profile = popProfile("thermostat")
 	broken.Profile.Populations[0].Cadence.Dist = "weibull"
-	exactIDs(t, vet.RunSetup(broken, nil), "V018")
+	exactIDs(t, runSetup(broken, nil), "V018")
 
 	// A setup with no kind references skips the kind check (standalone
 	// profiles vet this way).
 	free := &iac.Setup{Name: "t", Profile: popProfile("anything")}
-	exactIDs(t, vet.RunSetup(free, nil))
+	exactIDs(t, runSetup(free, nil))
 }
 
 func TestRunProfileData(t *testing.T) {

@@ -246,11 +246,6 @@ func run(ctx *Context, want func(Rule) bool) []Diagnostic {
 	return out
 }
 
-// RunSetup analyzes an already-parsed setup.
-func RunSetup(s *iac.Setup, kinds KindSource) []Diagnostic {
-	return Run(&Context{Setup: s, File: s.Name, Kinds: kinds})
-}
-
 // RunData parses and analyzes a raw setup configuration. A config that
 // does not parse yields the single V000 parse-error diagnostic.
 func RunData(file string, data []byte, kinds KindSource) []Diagnostic {
@@ -295,6 +290,8 @@ func CheckDoc(doc model.Doc) []Diagnostic {
 }
 
 // HasErrors reports whether any diagnostic is error-severity.
+//
+//dbox:allow deadcode -- ctl's tests gate on vet results with it
 func HasErrors(diags []Diagnostic) bool {
 	for _, d := range diags {
 		if d.Severity == Error {

@@ -28,6 +28,8 @@ type Digi struct {
 // Setup builds a setup document and the kind source backing its kind
 // references from a table of digis and the kind libraries they draw
 // from. Each referenced kind is "committed" at its schema version.
+//
+//dbox:allow deadcode -- the examples' vet tests build their setups with it
 func Setup(name string, kinds []*digi.Kind, digis []Digi) (*iac.Setup, vet.MemKinds, error) {
 	byType := map[string]*model.Schema{}
 	for _, k := range kinds {
@@ -72,6 +74,8 @@ func Setup(name string, kinds []*digi.Kind, digis []Digi) (*iac.Setup, vet.MemKi
 
 // SetupWithChaos builds the same fixture as Setup with a chaos plan
 // attached to the header, for V013 (chaos-target) coverage.
+//
+//dbox:allow deadcode -- the examples' vet tests build their setups with it
 func SetupWithChaos(name string, kinds []*digi.Kind, digis []Digi, plan *chaos.Plan) (*iac.Setup, vet.MemKinds, error) {
 	setup, mem, err := Setup(name, kinds, digis)
 	if err != nil {

@@ -41,6 +41,8 @@ func (e *SyntaxError) Error() string {
 }
 
 // Unwrap makes every SyntaxError match ErrMalformed.
+//
+//dbox:allow deadcode -- errors.Is reaches it through an anonymous interface: the ErrMalformed contract
 func (e *SyntaxError) Unwrap() error { return ErrMalformed }
 
 func errf(line int, format string, args ...any) error {
