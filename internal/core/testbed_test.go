@@ -268,6 +268,36 @@ func TestPropertyCheckingThroughTestbed(t *testing.T) {
 	}
 }
 
+// A testbed with no property runs no checker: no store watcher and no
+// goroutine. The first property, added after Start, starts it.
+func TestIdleCheckerWatchesNothing(t *testing.T) {
+	tb := newTestbed(t, Options{BrokerAddr: "none", RESTAddr: "none"})
+	checkerRunning := func() bool {
+		buf := make([]byte, 1<<20)
+		return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "property.(*Checker).watch")
+	}
+	if checkerRunning() {
+		t.Fatal("a testbed with no property runs a checker watch")
+	}
+	tb.Run("Lamp", "L1", nil)
+	if err := tb.AddProperty(&property.Property{
+		Name: "lamp-never-on",
+		Kind: property.Never,
+		Cond: property.Condition{{Model: "L1", Path: "power.status", Op: property.Eq, Value: "on"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !checkerRunning() {
+		t.Fatal("a property added after Start started no checker watch")
+	}
+	tb.Edit("L1", map[string]any{"power": map[string]any{"intent": "on"}})
+	if err := tb.WaitConverged(5*time.Second, func() bool {
+		return len(tb.Violations()) > 0
+	}); err != nil {
+		t.Fatal("no violation reported")
+	}
+}
+
 func TestRESTThroughTestbed(t *testing.T) {
 	tb := newTestbed(t, Options{})
 	tb.Run("Lamp", "L1", nil)

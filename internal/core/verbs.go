@@ -70,9 +70,8 @@ func (tb *Testbed) deploy(typ, name string, doc model.Doc) error {
 		tb.Store.Delete(name)
 		return err
 	}
-	if err := tb.Cluster.WaitPodPhase(podName(name), kube.PodRunning, tb.opts.ReadyTimeout); err != nil {
-		return err
-	}
+	// The reconciler marks itself ready from inside the running pod:
+	// one wait covers scheduling, start and watch.
 	return tb.Runtime.WaitReady(name, tb.opts.ReadyTimeout)
 }
 

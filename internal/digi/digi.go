@@ -376,8 +376,9 @@ func (rt *Runtime) markReady(name string, inc uint64) {
 	}
 }
 
-// readyGrace is WaitReady's wall-clock grace (see clock.Deadline): the
-// pod is Running, the reconciler goroutine only has to be scheduled.
+// readyGrace is WaitReady's wall-clock grace (see clock.Deadline): what
+// the host may take to run the scheduler → node agent → reconciler
+// goroutine chain after the scenario timeout has expired.
 const readyGrace = 2 * time.Second
 
 // WaitReady blocks until the named digi's reconciler is watching its

@@ -2,7 +2,6 @@ package kube
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -277,8 +276,8 @@ func (c *Cluster) CrashPod(name string) error {
 	return nil
 }
 
-// CreatePod submits a pod. The scheduler binds it asynchronously; use
-// WaitPodPhase to block until it runs.
+// CreatePod submits a pod. The scheduler binds it asynchronously;
+// WatchPods follows it from there.
 func (c *Cluster) CreatePod(p *Pod) error {
 	if p.Name == "" {
 		return fmt.Errorf("kube: pod name required")
@@ -311,42 +310,19 @@ func (c *Cluster) ListPods() []*Pod {
 }
 
 // WatchPods streams the named pods' events in commit order: each one
-// that exists first, as Added, then every change, until stop is
-// called. Only the named pods are copied, however large the cluster.
+// that exists first, as Added and in name order, then every change,
+// until stop is called. Each event carries the receiver's own copy of
+// the pod; other pods' events cost the watch nothing, however large
+// the cluster.
 func (c *Cluster) WatchPods(names ...string) (events <-chan PodEvent, stop func()) {
-	w := c.api.watchPods(func(ev PodEvent) bool { return slices.Contains(names, ev.Pod.Name) })
+	w := c.api.watchNames(names...)
 	return w.C, w.Close
 }
 
-// waitGrace is the pod waits' wall-clock grace (see clock.Deadline):
-// what the host may take to run the scheduler → agent → watch
-// goroutine chain after the scenario timeout has expired.
+// waitGrace is WaitAllRunning's wall-clock grace (see clock.Deadline):
+// what the host may take to run the scheduler → agent goroutine chain
+// after the scenario timeout has expired.
 const waitGrace = 2 * time.Second
-
-// WaitPodPhase blocks until the pod reaches the phase or the timeout
-// elapses.
-func (c *Cluster) WaitPodPhase(name string, phase PodPhase, timeout time.Duration) error {
-	d := clock.NewDeadline(c.clock, timeout, waitGrace)
-	defer d.Stop()
-	events, stop := c.WatchPods(name)
-	defer stop()
-	for {
-		select {
-		case ev, ok := <-events:
-			if !ok {
-				return fmt.Errorf("kube: watch closed waiting for pod %q", name)
-			}
-			if ev.Type == Deleted {
-				return fmt.Errorf("kube: pod %q deleted while waiting for %s", name, phase)
-			}
-			if ev.Pod.Status.Phase == phase {
-				return nil
-			}
-		case <-d.Done():
-			return fmt.Errorf("kube: timeout waiting for pod %q to reach %s", name, phase)
-		}
-	}
-}
 
 // WaitAllRunning blocks until every pod currently in the store is
 // Running (or terminal-failure, which is reported as an error).

@@ -363,13 +363,14 @@ func TestWatchReplaysExistingPods(t *testing.T) {
 	}
 }
 
+// The exported watch hands each receiver its own copy of the pod.
 func TestWatchEventsAreCopies(t *testing.T) {
 	c := testCluster(t, "n1")
 	c.RegisterImage("digi/block", blockingImage(nil, nil))
-	w := c.api.watchPods(nil)
-	defer w.Close()
+	events, stop := c.WatchPods("p")
+	defer stop()
 	c.CreatePod(&Pod{Name: "p", Spec: PodSpec{Image: "digi/block", Env: map[string]any{"k": "v"}}})
-	ev := <-w.C
+	ev := <-events
 	ev.Pod.Spec.Env["k"] = "mutated"
 	p, _ := c.GetPod("p")
 	if p.Spec.Env["k"] != "v" {
@@ -460,8 +461,8 @@ func TestWaitAllRunningReportsFailure(t *testing.T) {
 // watcher's queue: once the consumer drops it, the collector frees it
 // while the watch is still open.
 func TestPodWatcherPumpReleasesDeliveredEvents(t *testing.T) {
-	a := testCluster(t, "n1").api
-	w := a.watchPods(func(ev PodEvent) bool { return ev.Type == Added })
+	a := NewCluster().api
+	w := a.watchNames("p0", "p1", "p2")
 	defer w.Close()
 	for i := 0; i < 3; i++ {
 		if err := a.createPod(&Pod{Name: fmt.Sprintf("p%d", i), Spec: PodSpec{Image: "missing"}}); err != nil {

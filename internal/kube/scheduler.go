@@ -1,14 +1,15 @@
 package kube
 
 import (
+	"slices"
 	"sync"
 )
 
 // scheduler binds pending pods to nodes. Placement is least-loaded
 // first among ready nodes with free capacity that satisfy the pod's
 // node selector; ties break by node name for determinism. Pods that
-// fit nowhere stay Pending and are retried whenever cluster state
-// changes.
+// fit nowhere stay Pending, in the scheduler's pending set, and are
+// retried in name order whenever cluster state changes.
 type scheduler struct {
 	api *apiServer
 
@@ -17,6 +18,9 @@ type scheduler struct {
 	// so a burst of pending pods doesn't overshoot capacity before the
 	// agents update node status.
 	assigned map[string]int
+	// pending names the pods that fit nowhere at their last attempt;
+	// a deleted one leaves at its next retry.
+	pending map[string]struct{}
 
 	watcher *podWatcher
 	done    chan struct{}
@@ -28,7 +32,7 @@ type scheduler struct {
 }
 
 func newScheduler(api *apiServer) *scheduler {
-	return &scheduler{api: api, assigned: map[string]int{}, done: make(chan struct{})}
+	return &scheduler{api: api, assigned: map[string]int{}, pending: map[string]struct{}{}, done: make(chan struct{})}
 }
 
 func (s *scheduler) start() {
@@ -111,11 +115,17 @@ func (s *scheduler) release(node string) {
 	s.mu.Unlock()
 }
 
+// retryPending re-attempts the pending set, in name order.
 func (s *scheduler) retryPending() {
-	for _, p := range s.api.listPods() {
-		if p.Status.NodeName == "" && p.Status.Phase == PodPending {
-			s.schedule(p.Name)
-		}
+	s.mu.Lock()
+	names := make([]string, 0, len(s.pending))
+	for name := range s.pending {
+		names = append(names, name)
+	}
+	s.mu.Unlock()
+	slices.Sort(names)
+	for _, name := range names {
+		s.schedule(name)
 	}
 }
 
@@ -183,19 +193,25 @@ func pickFor(pod *Pod, nodes []*Node, assigned map[string]int) (string, bool) {
 	return PickNode(nodes, pod.Spec.NodeSelector, assigned)
 }
 
-// schedule picks a node for the named pod and binds it.
+// schedule picks a node for the named pod and binds it, or leaves it
+// in the pending set.
 func (s *scheduler) schedule(name string) {
 	pod, err := s.api.getPod(name)
+	s.mu.Lock()
 	if err != nil || pod.Status.NodeName != "" {
+		delete(s.pending, name)
+		s.mu.Unlock()
 		return
 	}
-	nodes := s.api.listNodes()
-	s.mu.Lock()
-	target, ok := pickFor(pod, nodes, s.assigned)
+	// Nodes are read under s.mu, so a node change either shows here or
+	// its retryPending finds this pod pending.
+	target, ok := pickFor(pod, s.api.listNodes(), s.assigned)
 	if !ok {
+		s.pending[name] = struct{}{}
 		s.mu.Unlock()
-		return // stays Pending; retried on the next state change
+		return
 	}
+	delete(s.pending, name)
 	s.assigned[target]++
 	s.mu.Unlock()
 

@@ -2,6 +2,7 @@ package kube
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -23,15 +24,19 @@ type apiServer struct {
 	pods    map[string]*Pod
 	nodes   map[string]*Node
 
-	watchMu  sync.Mutex
-	watchers map[*podWatcher]struct{}
+	// Watch registry, guarded by mu. An event reaches the watchers
+	// indexed under its pod's name and the few predicate watchers
+	// (scheduler, node agents, BindBus).
+	byName map[string][]*podWatcher
+	preds  map[*podWatcher]struct{}
 }
 
 func newAPIServer() *apiServer {
 	return &apiServer{
-		pods:     map[string]*Pod{},
-		nodes:    map[string]*Node{},
-		watchers: map[*podWatcher]struct{}{},
+		pods:   map[string]*Pod{},
+		nodes:  map[string]*Node{},
+		byName: map[string][]*podWatcher{},
+		preds:  map[*podWatcher]struct{}{},
 	}
 }
 
@@ -71,26 +76,26 @@ func (a *apiServer) getPod(name string) (*Pod, error) {
 	return p.DeepCopy(), nil
 }
 
-// updatePod applies fn to the stored pod under the store lock. If fn
-// returns false the update is abandoned without a version bump.
-func (a *apiServer) updatePod(name string, fn func(*Pod) bool) (*Pod, error) {
+// updatePod applies fn to a copy of the stored pod under the store
+// lock and stores the copy in its place, so a published pod never
+// changes. If fn returns false the update is abandoned without a
+// version bump.
+func (a *apiServer) updatePod(name string, fn func(*Pod) bool) error {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	p, ok := a.pods[name]
 	if !ok {
-		a.mu.Unlock()
-		return nil, ErrNotFound{"pod", name}
+		return ErrNotFound{"pod", name}
 	}
-	if !fn(p) {
-		out := p.DeepCopy()
-		a.mu.Unlock()
-		return out, nil
+	next := p.DeepCopy()
+	if !fn(next) {
+		return nil
 	}
 	a.version++
-	p.ResourceVersion = a.version
-	out := p.DeepCopy()
-	a.broadcast(PodEvent{Type: Modified, Pod: p})
-	a.mu.Unlock()
-	return out, nil
+	next.ResourceVersion = a.version
+	a.pods[name] = next
+	a.broadcast(PodEvent{Type: Modified, Pod: next})
+	return nil
 }
 
 func (a *apiServer) deletePod(name string) error {
@@ -175,20 +180,21 @@ type podWatcher struct {
 	*queue.Queue[PodEvent]
 
 	api    *apiServer
-	filter func(PodEvent) bool
+	filter func(PodEvent) bool // predicate watchers only
+	names  []string            // name watchers only: its byName keys
 }
 
-// watchPods registers a watcher; existing pods are replayed first as
-// ADDED events (a "list+watch" in one call, like a k8s informer).
-// filter (nil for everything) sees the stored pod, read-only; only an
-// event it accepts is copied, so a one-pod watch on a large cluster
-// costs one copy, not one per pod.
+// watchPods registers a predicate watcher; the pods it accepts are
+// replayed first as Added, in name order (a "list+watch" in one call,
+// like a k8s informer). filter (nil for everything) runs on every
+// event under the store lock. Its events carry the stored pods
+// themselves, shared and read-only.
 func (a *apiServer) watchPods(filter func(PodEvent) bool) *podWatcher {
 	w := &podWatcher{Queue: queue.New[PodEvent](), api: a, filter: filter}
-
 	// Snapshot + register atomically with respect to writers so no
 	// event is missed or duplicated.
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	var initial []*Pod
 	for _, p := range a.pods {
 		if filter == nil || filter(PodEvent{Type: Added, Pod: p}) {
@@ -197,34 +203,59 @@ func (a *apiServer) watchPods(filter func(PodEvent) bool) *podWatcher {
 	}
 	sort.Slice(initial, func(i, j int) bool { return initial[i].Name < initial[j].Name })
 	for _, p := range initial {
-		w.Push(PodEvent{Type: Added, Pod: p.DeepCopy()})
+		w.Push(PodEvent{Type: Added, Pod: p})
 	}
-	a.watchMu.Lock()
-	a.watchers[w] = struct{}{}
-	a.watchMu.Unlock()
-	a.mu.Unlock()
+	a.preds[w] = struct{}{}
+	return w
+}
+
+// watchNames registers a watcher of the named pods only: each that
+// exists is replayed first as Added, in name order, and other pods'
+// events never reach it, however large the cluster. Every event it
+// delivers carries a private copy of the pod.
+func (a *apiServer) watchNames(names ...string) *podWatcher {
+	names = slices.Clone(names)
+	slices.Sort(names)
+	names = slices.Compact(names)
+	w := &podWatcher{Queue: queue.New[PodEvent](), api: a, names: names}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, n := range names {
+		if p, ok := a.pods[n]; ok {
+			w.Push(PodEvent{Type: Added, Pod: p.DeepCopy()})
+		}
+		a.byName[n] = append(a.byName[n], w)
+	}
 	return w
 }
 
 // broadcast is called with a.mu held so that watcher registration
 // (which snapshots under a.mu) can never observe an event twice or
-// miss one. ev carries the stored pod; each accepting watcher gets its
-// own copy. Pushing never blocks on consumers.
+// miss one. ev carries the stored pod. Pushing never blocks on
+// consumers.
 func (a *apiServer) broadcast(ev PodEvent) {
-	a.watchMu.Lock()
-	defer a.watchMu.Unlock()
-	for w := range a.watchers {
-		if w.filter != nil && !w.filter(ev) {
-			continue
-		}
+	for _, w := range a.byName[ev.Pod.Name] {
 		w.Push(PodEvent{Type: ev.Type, Pod: ev.Pod.DeepCopy()})
+	}
+	for w := range a.preds {
+		if w.filter == nil || w.filter(ev) {
+			w.Push(ev)
+		}
 	}
 }
 
 // Close unregisters the watcher and ends its queue.
 func (w *podWatcher) Close() {
-	w.api.watchMu.Lock()
-	delete(w.api.watchers, w)
-	w.api.watchMu.Unlock()
+	a := w.api
+	a.mu.Lock()
+	delete(a.preds, w)
+	for _, n := range w.names {
+		if ws := slices.DeleteFunc(a.byName[n], func(x *podWatcher) bool { return x == w }); len(ws) > 0 {
+			a.byName[n] = ws
+		} else {
+			delete(a.byName, n)
+		}
+	}
+	a.mu.Unlock()
 	w.Queue.Close()
 }

@@ -170,10 +170,13 @@ const (
 	Deleted  EventType = "DELETED"
 )
 
-// PodEvent is one pod watch event.
+// PodEvent is one pod watch event. Its Pod is the receiver's own copy
+// when it comes from Cluster.WatchPods; the package's own watchers
+// (scheduler, node agents, BindBus) get the stored pod itself, shared
+// and read-only — a stored pod never changes once published.
 type PodEvent struct {
 	Type EventType
-	Pod  *Pod // deep copy, receiver-owned
+	Pod  *Pod
 }
 
 // ErrNotFound is returned for lookups of missing objects.

@@ -8,6 +8,31 @@ import (
 	"repro/internal/clock"
 )
 
+// WaitPodPhase blocks until the pod reaches the phase or the timeout
+// elapses.
+func (c *Cluster) WaitPodPhase(name string, phase PodPhase, timeout time.Duration) error {
+	d := clock.NewDeadline(c.clock, timeout, waitGrace)
+	defer d.Stop()
+	events, stop := c.WatchPods(name)
+	defer stop()
+	for {
+		select {
+		case ev, ok := <-events:
+			if !ok {
+				return fmt.Errorf("kube: watch closed waiting for pod %q", name)
+			}
+			if ev.Type == Deleted {
+				return fmt.Errorf("kube: pod %q deleted while waiting for %s", name, phase)
+			}
+			if ev.Pod.Status.Phase == phase {
+				return nil
+			}
+		case <-d.Done():
+			return fmt.Errorf("kube: timeout waiting for pod %q to reach %s", name, phase)
+		}
+	}
+}
+
 // The scenario deadline bounds the schedule, not the host: a pod whose
 // first event does not match, on a clock already past the deadline,
 // still has the wall grace for the matching event to arrive.

@@ -199,7 +199,8 @@ type Violation struct {
 
 // Checker evaluates properties against a live model store, reporting
 // violations to the trace log and keeping its own list. Create with
-// NewChecker, then Start/Stop.
+// NewChecker, then Start/Stop. A started checker watches the store
+// only from its first property on: with none it costs nothing.
 type Checker struct {
 	store *model.Store
 	log   *trace.Log
@@ -212,8 +213,8 @@ type Checker struct {
 	// reported once per entry, not once per model commit.
 	active map[string]bool
 
-	watcher *model.Watcher
-	done    chan struct{}
+	started bool
+	watcher *model.Watcher // nil while not watching
 	wg      sync.WaitGroup
 	now     func() time.Time
 }
@@ -242,6 +243,9 @@ func (c *Checker) Add(p *Property) error {
 		}
 	}
 	c.props = append(c.props, p)
+	if c.started && c.watcher == nil {
+		c.watch()
+	}
 	return nil
 }
 
@@ -258,10 +262,21 @@ func (ss storeState) GetModel(name string) (model.Doc, bool) {
 // conditions against current models.
 func StoreState(s *model.Store) State { return storeState{s} }
 
-// Start begins watching the store. Idempotent Stop via Stop.
+// Start arms the checker: it watches the store once it has a property.
 func (c *Checker) Start() {
-	c.watcher = c.store.Watch(nil)
-	c.done = make(chan struct{})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.started = true
+	if len(c.props) > 0 && c.watcher == nil {
+		c.watch()
+	}
+}
+
+// watch begins the watch loop, which ends when the watcher is closed.
+// Called with c.mu held.
+func (c *Checker) watch() {
+	w := c.store.Watch(nil)
+	c.watcher = w
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -269,7 +284,7 @@ func (c *Checker) Start() {
 		defer ticker.Stop()
 		for {
 			select {
-			case _, ok := <-c.watcher.C:
+			case _, ok := <-w.C:
 				if !ok {
 					return
 				}
@@ -278,22 +293,22 @@ func (c *Checker) Start() {
 				// Deadline expiry for leads-to must fire even when the
 				// store goes quiet.
 				c.checkDeadlines()
-			case <-c.done:
-				return
 			}
 		}
 	}()
 }
 
-// Stop terminates the watch loop.
+// Stop terminates the watch loop. Safe to call more than once.
 func (c *Checker) Stop() {
-	if c.done == nil {
-		return
+	c.mu.Lock()
+	c.started = false
+	w := c.watcher
+	c.watcher = nil
+	c.mu.Unlock()
+	if w != nil {
+		w.Close()
+		c.wg.Wait()
 	}
-	close(c.done)
-	c.watcher.Close()
-	c.wg.Wait()
-	c.done = nil
 }
 
 // evaluate runs all properties against the current store state.

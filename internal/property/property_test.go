@@ -279,6 +279,27 @@ func TestCheckerAddValidation(t *testing.T) {
 	}
 }
 
+// A started checker opens its store watch with its first property, and
+// a restarted one picks up the properties it already has.
+func TestCheckerWatchesFromFirstProperty(t *testing.T) {
+	store, _, ch := newCheckedStore(t)
+	ch.Start()
+	defer ch.Stop()
+	if ch.watcher != nil {
+		t.Fatal("a checker with no property watches the store")
+	}
+	if err := ch.Add(paperProperty()); err != nil {
+		t.Fatal(err)
+	}
+	if ch.watcher == nil {
+		t.Fatal("the first property started no watch")
+	}
+	ch.Stop()
+	ch.Start()
+	store.Patch("L1", map[string]any{"power": map[string]any{"status": "on"}})
+	waitViolations(t, ch, 1, "violation after restart")
+}
+
 // buildTrace assembles action records with explicit timestamps.
 func buildTrace(steps []struct {
 	ts   time.Duration
