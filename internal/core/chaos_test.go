@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/broker"
 	"repro/internal/chaos"
 	"repro/internal/kube"
+	"repro/internal/trace"
 )
 
 // TestChaosPlanSceneSurvives is the acceptance scenario: a scene rides
@@ -230,5 +234,109 @@ func TestDeviceFaultModesThroughChaos(t *testing.T) {
 		return tb.Log.Len() > before
 	}); err != nil {
 		t.Fatal("no activity after dropout cleared")
+	}
+}
+
+// TestRuntimeRepublishesEveryTopicsLatestStatus kicks the digi
+// runtime's MQTT session after several mocks have published: the
+// broker-recover marker counts every digi's status topic, and the
+// payload each topic is republished with is that digi's latest status.
+func TestRuntimeRepublishesEveryTopicsLatestStatus(t *testing.T) {
+	tb := newTestbed(t, Options{RuntimeMQTT: true})
+	lamps := []string{"L1", "L2", "L3", "L4"}
+	for i, name := range lamps {
+		if err := tb.Run("Lamp", name, nil); err != nil {
+			t.Fatal(err)
+		}
+		// Two publishes each, the second different for every lamp.
+		if err := tb.Edit(name, map[string]any{"power": map[string]any{"intent": "on"}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Edit(name, map[string]any{"intensity": map[string]any{"intent": 0.1 * float64(i+1)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// latest is each lamp's last status, as its trace records it.
+	latest := func() map[string]string {
+		out := map[string]string{}
+		for _, r := range tb.Log.Records() {
+			if r.Kind == trace.KindMessage && r.Direction == "send" {
+				out[r.Topic] = r.Payload
+			}
+		}
+		return out
+	}
+	want := map[string]string{}
+	if err := tb.WaitConverged(5*time.Second, func() bool {
+		want = latest()
+		for i, name := range lamps {
+			var st struct{ Intensity struct{ Status float64 } }
+			if json.Unmarshal([]byte(want["digibox/"+name+"/status"]), &st) != nil || st.Intensity.Status != 0.1*float64(i+1) {
+				return false
+			}
+		}
+		return true
+	}); err != nil {
+		t.Fatalf("lamps never published their intensities: %v", want)
+	}
+
+	var mu sync.Mutex
+	got := map[string][]string{}
+	app, err := broker.Dial(tb.BrokerAddr(), &broker.ClientOptions{ClientID: "app"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { app.Close() })
+	if err := app.Subscribe("digibox/+/status", 1, func(m broker.Message) {
+		mu.Lock()
+		got[m.Topic] = append(got[m.Topic], string(m.Payload))
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// received reports whether every lamp's topic has delivered more
+	// than n[topic] messages, the last of them its latest status.
+	received := func(n map[string]int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for topic, payload := range want {
+			if ms := got[topic]; len(ms) <= n[topic] || ms[len(ms)-1] != payload {
+				return false
+			}
+		}
+		return true
+	}
+	if err := tb.WaitConverged(5*time.Second, func() bool { return received(nil) }); err != nil {
+		t.Fatal("the app never received every lamp's retained status")
+	}
+	mu.Lock()
+	before := map[string]int{}
+	for topic, ms := range got {
+		before[topic] = len(ms)
+	}
+	mu.Unlock()
+
+	if !tb.Broker.Kick("digi-runtime") {
+		t.Fatal("no digi-runtime session to kick")
+	}
+	var marker string
+	if err := tb.WaitConverged(5*time.Second, func() bool {
+		for _, r := range tb.Log.Faults() {
+			if r.Fault == "broker-recover" {
+				marker = r.Detail
+				return true
+			}
+		}
+		return false
+	}); err != nil {
+		t.Fatal("no broker-recover marker after the kick")
+	}
+	if w := fmt.Sprintf("reconnected; republishing %d retained status topics", len(lamps)); marker != w {
+		t.Errorf("broker-recover marker = %q, want %q", marker, w)
+	}
+	if err := tb.WaitConverged(5*time.Second, func() bool { return received(before) }); err != nil {
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("republished statuses %v, want each topic's latest %v", got, want)
 	}
 }

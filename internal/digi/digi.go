@@ -17,14 +17,15 @@
 //
 // Sim handlers must be convergent: a burst of foreign writes
 // re-triggers Sim at least once after the last of them, not once per
-// write, and the echoes of a scene's own child writes trigger nothing —
-// reconcilers are level-triggered, so a handler must derive everything
-// from the models it is handed, never from how often it ran. A second
-// run over the state a run just wrote must change nothing: the live
-// reconciler relies on that to skip those echoes. The fixpoint is
-// reached when a run produces no further changes (the model store
-// suppresses no-op commits, which guarantees termination for
-// idempotent handlers).
+// write, and a scene's own child writes trigger nothing — the live
+// reconciler commits them through its store watcher, so they are never
+// delivered back to it. Reconcilers are level-triggered, so a handler
+// must derive everything from the models it is handed, never from how
+// often it ran. A second run over the state a run just wrote must
+// change nothing: that is why the reconciler need not see its own child
+// writes. The fixpoint is reached when a run produces no further
+// changes (the model store suppresses no-op commits, which guarantees
+// termination for idempotent handlers).
 package digi
 
 import (
@@ -157,15 +158,16 @@ type Runtime struct {
 	ready   map[string]*readiness
 	incs    uint64 // the last incarnation Expect handed out
 
-	// Status-publish path state. client, when bound, carries status
-	// publishes over a real MQTT connection instead of the in-process
-	// Broker fast path; lastStatus remembers the latest retained
-	// payload per topic so state is re-established after an outage.
+	// Status-publish path state, with no runtime-wide lock. client,
+	// when bound, carries status publishes over a real MQTT connection
+	// instead of the in-process Broker fast path; lastStatus (topic →
+	// *statusSlot) keeps each topic's latest retained payload so state
+	// is re-established after an outage. pubMu guards only the outage.
+	client     atomic.Pointer[broker.Client]
+	lastStatus sync.Map
 	pubMu      sync.Mutex
-	client     *broker.Client
 	outage     bool
 	gapStart   time.Time
-	lastStatus map[string][]byte
 
 	// metrics is the bound instrument bundle (nil = unobserved).
 	metrics atomic.Pointer[runtimeMetrics]
@@ -176,17 +178,18 @@ type runtimeMetrics struct {
 	events    *obs.CounterVec // event-generator firings by digi
 	publishes *obs.CounterVec // status publishes by digi
 	commits   *obs.Histogram  // model-commit latency
-	coalesced *obs.Counter    // updates an earlier Simulate already covered, echoes included
+	coalesced *obs.Counter    // updates an earlier Simulate already covered
 	gaps      *obs.Counter    // broker-session outages
 	recovered *obs.Counter    // shared faults-recovered family, via=reconnect
 	gapDur    *obs.Histogram  // outage duration
 }
 
-// BindObs wires the runtime's instruments into r. The recovered
-// counter joins the registry-wide faults-recovered family (shared
-// with the chaos engine's revert counter) under via="reconnect", so a
-// forced disconnect healed by the client's auto-reconnect counts as a
-// recovered fault.
+// BindObs wires the runtime's instruments into r. Bind it before
+// starting digis: each resolves its per-digi counters once, when its
+// Stepper is built. The recovered counter joins the registry-wide
+// faults-recovered family (shared with the chaos engine's revert
+// counter) under via="reconnect", so a forced disconnect healed by the
+// client's auto-reconnect counts as a recovered fault.
 func (rt *Runtime) BindObs(r *obs.Registry) {
 	if r == nil {
 		return
@@ -199,7 +202,7 @@ func (rt *Runtime) BindObs(r *obs.Registry) {
 		commits: r.Histogram("digibox_digi_commit_seconds",
 			"model-commit latency (diff apply through the store)", nil),
 		coalesced: r.Counter("digibox_digi_updates_coalesced_total",
-			"watch updates whose Simulate was skipped: an earlier run had already read them, or they echo a child commit the digi's own run made"),
+			"watch updates whose Simulate was skipped because an earlier run had already read them"),
 		gaps: r.Counter("digibox_runtime_gaps_total",
 			"broker-session outages observed by the digi runtime"),
 		recovered: r.CounterVec(obs.FaultsRecoveredName,
@@ -216,9 +219,7 @@ func (rt *Runtime) BindObs(r *obs.Registry) {
 // single gap marker is logged per outage, and on reconnect the latest
 // retained status of every topic is republished.
 func (rt *Runtime) BindClient(c *broker.Client) {
-	rt.pubMu.Lock()
-	rt.client = c
-	rt.pubMu.Unlock()
+	rt.client.Store(c)
 	c.OnState(func(connected bool, cause error) {
 		if connected {
 			rt.recoverFromGap()
@@ -259,17 +260,13 @@ func (rt *Runtime) recoverFromGap() {
 	}
 	rt.outage = false
 	gapStart := rt.gapStart
-	client := rt.client
-	topics := make([]string, 0, len(rt.lastStatus))
-	for t := range rt.lastStatus {
-		topics = append(topics, t)
-	}
-	sort.Strings(topics)
-	last := make(map[string][]byte, len(topics))
-	for _, t := range topics {
-		last[t] = rt.lastStatus[t]
-	}
 	rt.pubMu.Unlock()
+	var topics []string
+	rt.lastStatus.Range(func(topic, _ any) bool {
+		topics = append(topics, topic.(string))
+		return true
+	})
+	sort.Strings(topics)
 	if m := rt.metrics.Load(); m != nil {
 		m.recovered.Inc()
 		if !gapStart.IsZero() {
@@ -278,9 +275,22 @@ func (rt *Runtime) recoverFromGap() {
 	}
 	rt.Log.Fault("runtime", "broker-recover",
 		fmt.Sprintf("reconnected; republishing %d retained status topics", len(topics)), nil)
+	client := rt.client.Load()
 	for _, topic := range topics {
-		client.Publish(topic, last[topic], 1, true)
+		v, _ := rt.lastStatus.Load(topic)
+		slot := v.(*statusSlot)
+		slot.mu.Lock()
+		payload := slot.payload
+		slot.mu.Unlock()
+		client.Publish(topic, payload, 1, true)
 	}
+}
+
+// statusSlot holds one topic's latest status payload; only the digis
+// publishing on the topic contend for its lock.
+type statusSlot struct {
+	mu      sync.Mutex
+	payload []byte
 }
 
 // publishStatus sends one retained status message over the bound
@@ -288,17 +298,15 @@ func (rt *Runtime) recoverFromGap() {
 // publishing digi's identity into the broker's partition/fault
 // scoping.
 func (rt *Runtime) publishStatus(from, topic string, payload []byte) error {
-	rt.pubMu.Lock()
-	if rt.lastStatus == nil {
-		rt.lastStatus = map[string][]byte{}
+	v, ok := rt.lastStatus.Load(topic)
+	if !ok {
+		v, _ = rt.lastStatus.LoadOrStore(topic, &statusSlot{})
 	}
-	rt.lastStatus[topic] = payload
-	client := rt.client
-	rt.pubMu.Unlock()
-	if m := rt.metrics.Load(); m != nil {
-		m.publishes.With(from).Inc()
-	}
-	if client != nil {
+	slot := v.(*statusSlot)
+	slot.mu.Lock()
+	slot.payload = payload
+	slot.mu.Unlock()
+	if client := rt.client.Load(); client != nil {
 		return client.Publish(topic, payload, 1, true)
 	}
 	if rt.Broker != nil {
@@ -401,7 +409,8 @@ func (rt *Runtime) WaitReady(name string, timeout time.Duration) error {
 // clk returns the runtime's clock, defaulting to the wall clock.
 func (rt *Runtime) clk() clock.Clock { return clock.Or(rt.Clock) }
 
-func (rt *Runtime) topic(name string) string {
+// statusTopic is a digi's default status topic.
+func statusTopic(name string) string {
 	return "digibox/" + name + "/status"
 }
 
@@ -416,6 +425,10 @@ type Ctx struct {
 	rt   *Runtime
 	kind *Kind
 	ctx  context.Context
+	// Resolved once: the default status topic and this digi's per-digi
+	// counters (nil = unobserved).
+	topic             string
+	events, publishes *obs.Counter
 }
 
 // Config reads a meta config value from the digi's current model. A
@@ -505,13 +518,14 @@ func (c *Ctx) Publish(fields map[string]any) error {
 	if err != nil {
 		return fmt.Errorf("digi: publish %s: %w", c.Name, err)
 	}
-	topic := c.rt.topic(c.Name)
+	topic := c.topic
 	if v, ok := c.Config("topic"); ok {
 		if s, ok := v.(string); ok && s != "" {
 			topic = s
 		}
 	}
 	c.rt.Log.Message(c.Name, topic, string(payload), "send")
+	c.publishes.Inc()
 	return c.rt.publishStatus(c.Name, topic, payload)
 }
 
@@ -532,5 +546,5 @@ func (c *Ctx) FaultMode() string {
 //
 //dbox:allow deadcode -- the device and scene tests build handler contexts with it
 func NewTestCtx(name, typ string, rt *Runtime, rnd rng.Stream, ctx context.Context) *Ctx {
-	return &Ctx{Name: name, Type: typ, Rand: rnd, rt: rt, ctx: ctx}
+	return &Ctx{Name: name, Type: typ, Rand: rnd, rt: rt, ctx: ctx, topic: statusTopic(name)}
 }

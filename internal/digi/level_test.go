@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -126,7 +127,7 @@ func (c *Ctx) Context() context.Context { return c.ctx }
 
 // One edit of a 50-child scene: 50 child commits, and the parent's
 // Sim runs for the edit and once more for its own applied=7, an
-// own-model commit; the echoes of its 50 child commits run nothing.
+// own-model commit; its 50 child commits are never delivered to it.
 func TestFanoutSimulatesOncePerBurstNotPerChild(t *testing.T) {
 	const children = 50
 	hb := &hub{}
@@ -139,18 +140,19 @@ func TestFanoutSimulatesOncePerBurstNotPerChild(t *testing.T) {
 	if _, err := h.rt.Store.Patch("H", map[string]any{"level": int64(7)}); err != nil {
 		t.Fatal(err)
 	}
-	// The edit, the Hub's own applied=7, and one commit per child.
-	const updates = 2 + children
+	// The Hub is delivered the edit and its own applied=7; the store
+	// commits one more per child.
+	const updates, commits = 2, 2 + children
 	drained(t, hb, reg, updates)
 
-	if got := h.rt.Store.Gen() - gen0; got != updates {
-		t.Errorf("%d commits followed the edit, want %d (edit + applied + %d children)", got, updates, children)
+	if got := h.rt.Store.Gen() - gen0; got != commits {
+		t.Errorf("%d commits followed the edit, want %d (edit + applied + %d children)", got, commits, children)
 	}
 	if runs := hb.runs.Load() - 1; runs != 2 {
 		t.Errorf("the edit cost %d Sim runs, want 2 (edit + applied) for %d children", runs, children)
 	}
-	if got := int64(reg.Value(coalescedMetric)); got != children {
-		t.Errorf("%s = %d, want %d (one per child echo)", coalescedMetric, got, children)
+	if got := int64(reg.Value(coalescedMetric)); got != 0 {
+		t.Errorf("%s = %d, want 0 (no child commit is delivered)", coalescedMetric, got)
 	}
 	// The fixpoint: every model agrees and one more run changes nothing.
 	hubDoc, _, _ := h.rt.Store.Get("H")
@@ -170,6 +172,50 @@ func TestFanoutSimulatesOncePerBurstNotPerChild(t *testing.T) {
 	acts := actionRecords(h.rt.Log, "H")[actions0:]
 	if len(acts) != 2 || acts[0].Sets["level"] != int64(7) || acts[1].Sets["applied"] != int64(7) {
 		t.Errorf("own-model action records after the edit = %+v, want level=7 then applied=7", acts)
+	}
+}
+
+// A scene is never sent its own child writes. After one edit of a
+// 50-child Hub its watcher delivers exactly the two own-model updates
+// (the edit and applied=7: one action record each, and LogUpdate logs
+// only own-model updates), while an independent watcher on the leaves
+// sees all 50 child commits.
+func TestSceneReceivesNoEchoOfItsChildWrites(t *testing.T) {
+	const children = 50
+	hb := &hub{}
+	h, reg, leaves := hubHarness(t, hb, children)
+	h.start(t, "H")
+	waitFor(t, func() bool { return hb.runs.Load() == 1 }, "the boot simulate")
+	others := h.rt.Store.WatchNames(leaves...)
+	defer others.Close()
+	actions0 := len(actionRecords(h.rt.Log, "H"))
+
+	if _, err := h.rt.Store.Patch("H", map[string]any{"level": int64(7)}); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for len(seen) < children {
+		var u model.Update
+		select {
+		case u = <-others.C:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the leaf watcher saw %d of %d child commits", len(seen), children)
+		}
+		if v, _ := u.Doc.GetInt("value"); v != 7 || seen[u.Name] {
+			t.Fatalf("leaf watcher got %s value=%d (seen before: %v), want each leaf once with 7", u.Name, v, seen[u.Name])
+		}
+		seen[u.Name] = true
+	}
+	drained(t, hb, reg, 2)
+	delivered := func() int64 { return hb.runs.Load() - 1 + int64(reg.Value(coalescedMetric)) }
+	holds(t, 100*time.Millisecond, func() bool { return delivered() == 2 }, "the Hub to be delivered nothing more")
+	if acts := actionRecords(h.rt.Log, "H")[actions0:]; len(acts) != 2 {
+		t.Errorf("the Hub logged %d own-model updates, want 2 (every delivered update is its own)", len(acts))
+	}
+	select {
+	case u := <-others.C:
+		t.Errorf("leaf watcher got an update beyond the 50 child commits: %s gen %d", u.Name, u.Gen)
+	default:
 	}
 }
 
@@ -423,23 +469,32 @@ func mixed(t *testing.T, mx *mixer, reg *obs.Registry, updates int64) {
 	}, fmt.Sprintf("the reconciler to drain %d updates", updates))
 }
 
+// committed waits until the store has made n commits since generation
+// gen0. A scene's child commits are not delivered to it, so they are
+// the only sign that its run has finished writing.
+func committed(t *testing.T, h *harness, gen0, n uint64) {
+	t.Helper()
+	waitFor(t, func() bool { return h.rt.Store.Gen()-gen0 == n }, fmt.Sprintf("%d commits", n))
+}
+
 // A scene that writes only its children runs Sim once per edit of its
-// own model: the echo of every child commit it made is logged as
-// coalesced, never simulated.
+// own model: the child commits it made are never delivered to it.
 func TestSceneSimulatesOncePerOwnEdit(t *testing.T) {
 	const children, edits = 20, 3
 	mx := &mixer{}
 	h, reg, dials := mixerHarness(t, mx, children)
+	gen0 := h.rt.Store.Gen()
 	for e := int64(1); e <= edits; e++ {
 		if _, err := h.rt.Store.Patch("M", map[string]any{"level": e}); err != nil {
 			t.Fatal(err)
 		}
-		mixed(t, mx, reg, e*(1+children))
+		mixed(t, mx, reg, e)
+		committed(t, h, gen0, uint64(e)*(1+children))
 		if runs := mx.runs.Load() - 1; runs != e {
 			t.Fatalf("after %d edits Sim ran %d times, want %d", e, runs, e)
 		}
-		if got := int64(reg.Value(coalescedMetric)); got != e*children {
-			t.Fatalf("after %d edits %s = %d, want %d", e, coalescedMetric, got, e*children)
+		if got := int64(reg.Value(coalescedMetric)); got != 0 {
+			t.Fatalf("after %d edits %s = %d, want 0", e, coalescedMetric, got)
 		}
 		for _, name := range dials {
 			if v := dialValue(h, name); v != e {
@@ -450,13 +505,14 @@ func TestSceneSimulatesOncePerOwnEdit(t *testing.T) {
 }
 
 // A foreign write to a child that lands after the scene's Sim took its
-// inputs and before it committed is newer than anything that run read:
-// it is not an echo, so it simulates again and the scene converges on
-// it. Without the second run D00 would keep the value computed from its
+// inputs and before it committed is newer than anything that run read
+// and is delivered to the scene, so it simulates again and the scene
+// converges on it. Without the second run D00 would keep the value computed from its
 // old bias.
 func TestForeignChildWriteDuringSimResimulates(t *testing.T) {
 	mx := &mixer{entered: make(chan struct{}), release: make(chan struct{})}
 	h, reg, dials := mixerHarness(t, mx, 2)
+	gen0 := h.rt.Store.Gen()
 	mx.gate.Store(true)
 	if _, err := h.rt.Store.Patch("M", map[string]any{"level": int64(5)}); err != nil {
 		t.Fatal(err)
@@ -466,14 +522,15 @@ func TestForeignChildWriteDuringSimResimulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	close(mx.release)
-	// The edit, the foreign bias write, the blocked run's two child
-	// commits, and the second run's commit of D00.
-	mixed(t, mx, reg, 5)
+	// The edit and the foreign bias write; the blocked run's two child
+	// commits and the second run's commit of D00 are not delivered.
+	mixed(t, mx, reg, 2)
+	committed(t, h, gen0, 5)
 	if runs := mx.runs.Load() - 1; runs != 2 {
 		t.Errorf("Sim ran %d times after the edit, want 2 (the edit and the foreign write)", runs)
 	}
-	if got := reg.Value(coalescedMetric); got != 3 {
-		t.Errorf("%s = %v, want 3 (the three child echoes)", coalescedMetric, got)
+	if got := reg.Value(coalescedMetric); got != 0 {
+		t.Errorf("%s = %v, want 0 (no child commit is delivered)", coalescedMetric, got)
 	}
 	want := map[string]int64{dials[0]: 105, dials[1]: 5}
 	for name, v := range want {

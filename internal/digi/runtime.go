@@ -3,6 +3,7 @@ package digi
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/clock"
@@ -39,19 +40,12 @@ func (rt *Runtime) ImageFactory() kube.ImageFactory {
 // so it answers every update committed before it started, however many
 // are still queued. seen is the store generation read before the last
 // update-driven Simulate took its inputs; a queued update no newer
-// than that is only logged, not simulated again. Nor is the echo of a
-// child commit the reconciler's own Simulate made: that run already
-// answered the state it wrote, and any foreign commit between its read
-// and its write is newer than seen and not an echo, so it still
-// simulates.
+// than that is only logged, not simulated again. The child commits its
+// own Simulate runs make never reach it: the Stepper commits them
+// through the reconciler's watcher, which the store skips.
 type reconciler struct {
 	s    *Stepper
 	seen uint64
-	// echoes[head:] are the generations, ascending, of the child
-	// commits this reconciler's Simulate runs made whose updates have
-	// not been taken off the watcher yet.
-	echoes []uint64
-	head   int
 }
 
 func (rt *Runtime) run(ctx context.Context, name string, inc uint64) error {
@@ -71,6 +65,7 @@ func (rt *Runtime) run(ctx context.Context, name string, inc uint64) error {
 	// on each one: dynamic re-attach (device mobility, §5).
 	w := rt.Store.WatchNames(name)
 	defer w.Close()
+	s.via = w
 	doc, _, _ := rt.Store.View(name)
 	if att := doc.Attach(); len(att) > 0 {
 		w.SetNames(append(att, name)...)
@@ -107,14 +102,15 @@ func (rt *Runtime) run(ctx context.Context, name string, inc uint64) error {
 
 	// Initial simulation pass so derived state is consistent from the
 	// start (e.g. lamp intensity.status derived from power at boot).
-	r.note(s.Simulate())
+	s.Simulate()
 
+	chain := 0 // updates handled in a row with the next one already queued
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
 		case <-ticks:
-			r.note(s.Tick())
+			s.Tick()
 		case u, ok := <-w.C:
 			if !ok {
 				return nil
@@ -128,6 +124,15 @@ func (rt *Runtime) run(ctx context.Context, name string, inc uint64) error {
 				}
 			}
 			r.handle(u)
+			// Past an update-and-confirm pair, a chain of own commits
+			// never blocks in the select: yield, or the goroutines its
+			// commits woke wait on this P until the chain ends.
+			if len(w.C) == 0 {
+				chain = 0
+			} else if chain++; chain > 1 {
+				runtime.Gosched()
+				chain = 0
+			}
 		}
 	}
 }
@@ -138,7 +143,7 @@ func (rt *Runtime) run(ctx context.Context, name string, inc uint64) error {
 // argument.
 func (r *reconciler) handle(u model.Update) {
 	rt := r.s.rt
-	if echo := r.echo(u.Gen); !u.Deleted && (echo || u.Gen <= r.seen) {
+	if !u.Deleted && u.Gen <= r.seen {
 		r.s.LogUpdate(u)
 		if m := rt.metrics.Load(); m != nil {
 			m.coalesced.Inc()
@@ -146,34 +151,5 @@ func (r *reconciler) handle(u model.Update) {
 		return
 	}
 	r.seen = rt.Store.Gen()
-	r.note(r.s.HandleUpdate(u))
-}
-
-// note records the generations of the child commits among ups, the
-// updates one of the reconciler's Simulate runs committed.
-func (r *reconciler) note(ups []model.Update) {
-	if r.head > 0 {
-		n := copy(r.echoes, r.echoes[r.head:])
-		r.echoes, r.head = r.echoes[:n], 0
-	}
-	for _, u := range ups {
-		if u.Name != r.s.name {
-			r.echoes = append(r.echoes, u.Gen)
-		}
-	}
-}
-
-// echo reports whether gen is one of the recorded child commits, and
-// drops every recorded generation up to it: the watcher delivers in
-// commit order, so an older echo that has not come by now (its child
-// was not watched yet when it was committed) never will.
-func (r *reconciler) echo(gen uint64) bool {
-	for r.head < len(r.echoes) && r.echoes[r.head] < gen {
-		r.head++
-	}
-	if r.head < len(r.echoes) && r.echoes[r.head] == gen {
-		r.head++
-		return true
-	}
-	return false
+	r.s.HandleUpdate(u)
 }

@@ -25,6 +25,9 @@ type Stepper struct {
 	name string
 	kind *Kind
 	c    *Ctx
+	// via is the live reconciler's watcher (nil in replay): child
+	// commits go through it, so they are not sent back to it.
+	via *model.Watcher
 }
 
 // NewStepper builds the reconciliation core for a digi whose model is
@@ -45,12 +48,16 @@ func (rt *Runtime) NewStepper(ctx context.Context, name string) (*Stepper, error
 	}
 	s := &Stepper{rt: rt, name: name, kind: kind}
 	s.c = &Ctx{
-		Name: name,
-		Type: doc.Type(),
-		Rand: rng.New(seed, 0),
-		rt:   rt,
-		kind: kind,
-		ctx:  ctx,
+		Name:  name,
+		Type:  doc.Type(),
+		Rand:  rng.New(seed, 0),
+		rt:    rt,
+		kind:  kind,
+		ctx:   ctx,
+		topic: statusTopic(name),
+	}
+	if m := rt.metrics.Load(); m != nil {
+		s.c.events, s.c.publishes = m.events.With(name), m.publishes.With(name)
 	}
 	return s, nil
 }
@@ -117,7 +124,7 @@ func (s *Stepper) Tick() []model.Update {
 		}
 	}
 	s.rt.Log.Event(s.name, s.c.Type, fields)
-	s.countEvent()
+	s.c.events.Inc()
 	if u, ok := s.commit(s.name, changes); ok {
 		return []model.Update{u}
 	}
@@ -233,7 +240,7 @@ func (s *Stepper) Simulate() []model.Update {
 				}
 			}
 			s.rt.Log.Event(s.name, s.c.Type, fields)
-			s.countEvent()
+			s.c.events.Inc()
 			if u, ok := s.commit(childName, changes); ok {
 				out = append(out, u)
 			}
@@ -242,23 +249,21 @@ func (s *Stepper) Simulate() []model.Update {
 	return out
 }
 
-// countEvent bumps the digi's event-generator counter.
-func (s *Stepper) countEvent() {
-	if m := s.rt.metrics.Load(); m != nil {
-		m.events.With(s.name).Inc()
-	}
-}
-
 // commit applies a change set to a model, timing it into the
-// commit-latency histogram when metrics are bound. The returned bool
-// reports whether the store actually committed a change.
+// commit-latency histogram when metrics are bound. A child commit goes
+// through via, when set; an own-model commit reaches every watcher. The
+// returned bool reports whether the store actually committed a change.
 func (s *Stepper) commit(name string, changes []model.Change) (model.Update, bool) {
 	m := s.rt.metrics.Load()
 	var t0 time.Time
 	if m != nil {
 		t0 = s.rt.clk().Now()
 	}
-	u, err := s.rt.Store.Commit(name, changes)
+	commit := s.rt.Store.Commit
+	if s.via != nil && name != s.name {
+		commit = s.via.Commit
+	}
+	u, err := commit(name, changes)
 	if m != nil {
 		m.commits.Observe(s.rt.clk().Since(t0).Seconds())
 	}

@@ -114,3 +114,50 @@ func BenchmarkStoreCommit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkViewDuringCommits measures the read path a scene's children
+// take while their scene commits: parallel View and Gen readers over
+// 50 models, one writer committing to them round-robin throughout.
+func BenchmarkViewDuringCommits(b *testing.B) {
+	const models = 50
+	s := NewStore()
+	names := make([]string, models)
+	for i := range names {
+		names[i] = fmt.Sprintf("L%02d", i)
+		d := benchDoc()
+		d.SetMeta(Meta{Type: "Lamp", Version: "v1", Name: names[i]})
+		if err := s.Create(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		changes := []Change{{Op: OpSet, Path: "power.status"}}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			changes[0].New = i%2 == 0
+			if _, err := s.Commit(names[i%models], changes); err != nil {
+				panic(err)
+			}
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, _, ok := s.View(names[i%models]); !ok || s.Gen() == 0 {
+				panic("lost a model")
+			}
+			i++
+		}
+	})
+	b.StopTimer()
+	close(stop)
+	<-done
+}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/queue"
 )
@@ -22,22 +23,34 @@ type Update struct {
 // Store holds the live models of a testbed. All methods are safe for
 // concurrent use. Readers get deep-copied snapshots (or, from View, the
 // immutable committed document itself); writers build the next version
-// under an exclusive section and swap it in, so a mutation and its diff
+// beside the current one and swap it in, so a mutation and its diff
 // are atomic and a committed document never changes. Versions share
 // whatever a commit did not touch.
+//
+// Readers take no lock. Models live in one concurrent index that only
+// Create and Delete change, and each entry points at its current
+// version, which a commit replaces with one atomic store. Writers are
+// serialised on mu, and each publishes its version (or index change)
+// before it advances the generation, so a reader that sees Gen() == g
+// sees every commit up to g through View.
 //
 // A commit reaches only the watchers indexed under its model's name
 // (and the few predicate watchers), each in commit order through its
 // own queue.Queue, so a slow consumer never blocks writers.
 type Store struct {
-	mu     sync.RWMutex
-	docs   map[string]*entry
+	mu     sync.Mutex // serialises writers and watcher registration
+	docs   sync.Map   // name → *entry
+	gen    atomic.Uint64
 	byName map[string][]*Watcher // a name has one to three watchers: a slice, not a set
 	preds  map[*Watcher]struct{} // predicate watchers, asked on every commit
-	gen    uint64
 }
 
-type entry struct {
+// entry is one model's slot in the index; a commit swaps cur.
+type entry struct{ cur atomic.Pointer[version] }
+
+// version is one committed document and the generation that committed
+// it. It is immutable.
+type version struct {
 	doc Doc
 	gen uint64
 }
@@ -45,10 +58,18 @@ type entry struct {
 // NewStore returns an empty model store.
 func NewStore() *Store {
 	return &Store{
-		docs:   map[string]*entry{},
 		byName: map[string][]*Watcher{},
 		preds:  map[*Watcher]struct{}{},
 	}
+}
+
+// lookup returns the named model's entry.
+func (s *Store) lookup(name string) (*entry, bool) {
+	e, ok := s.docs.Load(name)
+	if !ok {
+		return nil, false
+	}
+	return e.(*entry), true
 }
 
 // Create adds a model. The name comes from meta.name and must be
@@ -60,15 +81,18 @@ func (s *Store) Create(d Doc) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.docs[meta.Name]; exists {
+	if _, exists := s.lookup(meta.Name); exists {
 		return fmt.Errorf("model: %q already exists", meta.Name)
 	}
-	s.gen++
+	gen := s.gen.Load() + 1
 	snapshot := d.DeepCopy()
-	s.docs[meta.Name] = &entry{doc: snapshot, gen: s.gen}
+	e := &entry{}
+	e.cur.Store(&version{doc: snapshot, gen: gen})
+	s.docs.Store(meta.Name, e)
+	s.gen.Store(gen)
 	var changes []Change
 	addLeavesForCreate(snapshot, &changes)
-	s.broadcast(Update{Name: meta.Name, Type: meta.Type, Gen: s.gen, Doc: snapshot, Changes: changes})
+	s.broadcast(Update{Name: meta.Name, Type: meta.Type, Gen: gen, Doc: snapshot, Changes: changes}, nil)
 	return nil
 }
 
@@ -88,34 +112,30 @@ func (s *Store) Get(name string) (Doc, uint64, bool) {
 
 // View returns the committed document itself, not a copy, and its
 // generation. Committed documents are immutable (a commit replaces the
-// entry's document, never mutates it) and versions share subtrees, so
+// entry's version, never mutates it) and versions share subtrees, so
 // the result is read-only: DeepCopy it before changing anything.
 func (s *Store) View(name string) (Doc, uint64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.docs[name]
+	e, ok := s.lookup(name)
 	if !ok {
 		return nil, 0, false
 	}
-	return e.doc, e.gen, true
+	v := e.cur.Load()
+	return v.doc, v.gen, true
 }
 
 // Has reports whether a model exists.
 func (s *Store) Has(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.docs[name]
+	_, ok := s.lookup(name)
 	return ok
 }
 
 // List returns the stored model names in sorted order.
 func (s *Store) List() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.docs))
-	for n := range s.docs {
-		names = append(names, n)
-	}
+	var names []string
+	s.docs.Range(func(name, _ any) bool {
+		names = append(names, name.(string))
+		return true
+	})
 	sort.Strings(names)
 	return names
 }
@@ -127,15 +147,16 @@ func (s *Store) List() []string {
 func (s *Store) Apply(name string, fn func(Doc) error) (Update, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.docs[name]
+	e, ok := s.lookup(name)
 	if !ok {
 		return Update{}, fmt.Errorf("model: %q not found", name)
 	}
-	work := e.doc.DeepCopy()
+	cur := e.cur.Load()
+	work := cur.doc.DeepCopy()
 	if err := fn(work); err != nil {
 		return Update{}, err
 	}
-	return s.swap(name, e, work, Diff(e.doc, work)), nil
+	return s.swap(name, e, cur, work, Diff(cur.doc, work), nil), nil
 }
 
 // Commit is Apply with Doc.ApplyChanges, minus the deep copy: the new
@@ -144,27 +165,35 @@ func (s *Store) Apply(name string, fn func(Doc) error) (Update, error) {
 // against the store's current document, so changes computed from a
 // stale base report only what they really altered.
 func (s *Store) Commit(name string, changes []Change) (Update, error) {
+	return s.commit(name, changes, nil)
+}
+
+// commit is Commit with every watcher but skip sent the update.
+func (s *Store) commit(name string, changes []Change, skip *Watcher) (Update, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.docs[name]
+	e, ok := s.lookup(name)
 	if !ok {
 		return Update{}, fmt.Errorf("model: %q not found", name)
 	}
-	next, changed := e.doc.withChanges(changes)
-	return s.swap(name, e, next, changed), nil
+	cur := e.cur.Load()
+	next, changed := cur.doc.withChanges(changes)
+	return s.swap(name, e, cur, next, changed, skip), nil
 }
 
-// swap makes next the committed document of e and queues the update;
-// with no changes the entry stays as it is and nothing is published.
-// Called with s.mu held.
-func (s *Store) swap(name string, e *entry, next Doc, changes []Change) Update {
+// swap makes next the committed document of e, replacing cur, and
+// queues the update for every watcher but skip; with no changes the
+// entry stays as it is and nothing is published. The version is
+// stored before the generation advances. Called with s.mu held.
+func (s *Store) swap(name string, e *entry, cur *version, next Doc, changes []Change, skip *Watcher) Update {
 	if len(changes) == 0 {
-		return Update{Name: name, Type: e.doc.Type(), Gen: e.gen, Doc: e.doc}
+		return Update{Name: name, Type: cur.doc.Type(), Gen: cur.gen, Doc: cur.doc}
 	}
-	s.gen++
-	e.doc, e.gen = next, s.gen
-	up := Update{Name: name, Type: next.Type(), Gen: s.gen, Doc: next, Changes: changes}
-	s.broadcast(up)
+	gen := s.gen.Load() + 1
+	e.cur.Store(&version{doc: next, gen: gen})
+	s.gen.Store(gen)
+	up := Update{Name: name, Type: next.Type(), Gen: gen, Doc: next, Changes: changes}
+	s.broadcast(up, skip)
 	return up
 }
 
@@ -180,22 +209,20 @@ func (s *Store) Patch(name string, patch map[string]any) (Update, error) {
 func (s *Store) Delete(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.docs[name]
+	e, ok := s.lookup(name)
 	if !ok {
 		return false
 	}
-	delete(s.docs, name)
-	s.gen++
-	s.broadcast(Update{Name: name, Type: e.doc.Type(), Gen: s.gen, Doc: e.doc, Deleted: true})
+	s.docs.Delete(name)
+	gen := s.gen.Load() + 1
+	s.gen.Store(gen)
+	doc := e.cur.Load().doc
+	s.broadcast(Update{Name: name, Type: doc.Type(), Gen: gen, Doc: doc, Deleted: true}, nil)
 	return true
 }
 
 // Gen returns the store's current generation.
-func (s *Store) Gen() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.gen
-}
+func (s *Store) Gen() uint64 { return s.gen.Load() }
 
 // Watcher delivers updates on C until Close is called. Updates arrive
 // in commit order; the queue is unbounded so no update is dropped.
@@ -260,17 +287,28 @@ func (s *Store) unindex(w *Watcher) {
 	w.names = w.names[:0]
 }
 
-func (s *Store) broadcast(u Update) {
-	// Called with s.mu held; Push only takes the watcher's queue lock,
-	// never blocks on consumers.
+// broadcast queues u for every watcher that follows it except skip.
+// Called with s.mu held; Push only takes the watcher's queue lock,
+// never blocks on consumers.
+func (s *Store) broadcast(u Update, skip *Watcher) {
 	for _, w := range s.byName[u.Name] {
-		w.q.Push(u)
-	}
-	for w := range s.preds {
-		if w.filter == nil || w.filter(u) {
+		if w != skip {
 			w.q.Push(u)
 		}
 	}
+	for w := range s.preds {
+		if w != skip && (w.filter == nil || w.filter(u)) {
+			w.q.Push(u)
+		}
+	}
+}
+
+// Commit is Store.Commit made by w's consumer: every watcher but w is
+// sent the update, so a reconciler is not told of the writes it makes
+// to other models. The skip is decided under the store's write lock,
+// with the commit itself.
+func (w *Watcher) Commit(name string, changes []Change) (Update, error) {
+	return w.store.commit(name, changes, w)
 }
 
 // Close unregisters the watcher. The consumer may stop reading C

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -366,5 +368,144 @@ func TestViewSharesTheCommittedDocument(t *testing.T) {
 	}
 	if _, _, ok := s.View("nope"); ok {
 		t.Error("View of a missing model reports ok")
+	}
+}
+
+// TestReadersSeeEveryCommitUpToTheGenTheyRead is the store's read
+// contract, under -race: readers take no lock, yet a reader that reads
+// Gen() == g and then calls View(n) or Has(n) never sees n older than
+// its last commit at or below g, and a document View returned never
+// changes afterwards. Writers create, commit, apply (some of them
+// no-ops) and delete while the readers run; a Watch(nil) watcher
+// records the full commit history the observations are checked
+// against.
+func TestReadersSeeEveryCommitUpToTheGenTheyRead(t *testing.T) {
+	const names, readers, writes, maxReads = 12, 4, 3000, 20000
+	s := NewStore()
+	history := s.Watch(nil)
+	defer history.Close()
+	name := func(i int) string { return fmt.Sprintf("M%02d", i) }
+
+	type seen struct {
+		gen    uint64 // Gen(), read first
+		name   string
+		has    bool // the read was Has, not View
+		ok     bool
+		vgen   uint64 // the version View returned
+		shared Doc    // kept beside a copy for every 16th View
+		copied Doc
+	}
+	obs := make([][]seen, readers)
+	stop := make(chan struct{})
+	var readersDone, writers sync.WaitGroup
+	for r := range obs {
+		readersDone.Add(1)
+		go func(r int) {
+			defer readersDone.Done()
+			rnd := rand.New(rand.NewSource(int64(r)))
+			for i := 0; i < maxReads; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				o := seen{gen: s.Gen(), name: name(rnd.Intn(names)), has: i%3 == 0}
+				if o.has {
+					o.ok = s.Has(o.name)
+				} else {
+					var d Doc
+					d, o.vgen, o.ok = s.View(o.name)
+					if o.ok && i%16 == 1 {
+						o.shared, o.copied = d, d.DeepCopy()
+					}
+				}
+				obs[r] = append(obs[r], o)
+			}
+		}(r)
+	}
+	for wr := 0; wr < 2; wr++ {
+		writers.Add(1)
+		go func(wr int) {
+			defer writers.Done()
+			rnd := rand.New(rand.NewSource(int64(100 + wr)))
+			for i := 0; i < writes; i++ {
+				n := name(rnd.Intn(names))
+				if !s.Has(n) {
+					d := Doc{"n": int64(0), "deep": map[string]any{"k": int64(0)}}
+					d.SetMeta(Meta{Type: "T", Version: "v1", Name: n})
+					s.Create(d) // the other writer may have won: an error is fine
+					continue
+				}
+				// Some of these change nothing: no generation, no update.
+				switch p := rnd.Intn(20); {
+				case p < 10:
+					s.Commit(n, []Change{{Op: OpSet, Path: "deep.k", New: int64(rnd.Intn(4))}})
+				case p < 17:
+					s.Apply(n, func(d Doc) error { d.Set("n", int64(rnd.Intn(4))); return nil })
+				default:
+					s.Delete(n)
+				}
+			}
+		}(wr)
+	}
+	writers.Wait()
+	close(stop)
+	readersDone.Wait()
+
+	// byName[n] is n's commit history, in commit order.
+	byName := map[string][]Update{}
+	for last := s.Gen(); ; {
+		var u Update
+		select {
+		case u = <-history.C:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the history watcher stopped short of gen %d", last)
+		}
+		byName[u.Name] = append(byName[u.Name], u)
+		if u.Gen == last {
+			break
+		}
+	}
+	var found, missing int
+	for _, os := range obs {
+		for _, o := range os {
+			if o.ok {
+				found++
+			} else {
+				missing++
+			}
+			h := byName[o.name]
+			// h[:i] is at or below the generation the reader read.
+			i := sort.Search(len(h), func(i int) bool { return h[i].Gen > o.gen })
+			live := i > 0 && !h[i-1].Deleted
+			deletedSince := slices.ContainsFunc(h[i:], func(u Update) bool { return u.Deleted })
+			switch {
+			case !o.ok && live && !deletedSince:
+				t.Fatalf("%s missing after Gen()=%d: live since gen %d and not deleted after", o.name, o.gen, h[i-1].Gen)
+			case o.ok && !live && i == len(h):
+				t.Fatalf("%s found after Gen()=%d: absent then and not created after", o.name, o.gen)
+			case o.ok && !o.has:
+				oldest := o.gen + 1
+				if live {
+					oldest = h[i-1].Gen
+				}
+				if o.vgen < oldest {
+					t.Fatalf("View(%s) after Gen()=%d returned gen %d, older than gen %d", o.name, o.gen, o.vgen, oldest)
+				}
+				j := slices.IndexFunc(h, func(u Update) bool { return u.Gen == o.vgen && !u.Deleted })
+				if j < 0 {
+					t.Fatalf("View(%s) returned gen %d, which committed no version of it", o.name, o.vgen)
+				}
+				if o.shared != nil && !Equal(o.copied, h[j].Doc) {
+					t.Fatalf("View(%s) returned %v as gen %d, which committed %v", o.name, o.copied, o.vgen, h[j].Doc)
+				}
+			}
+			if o.shared != nil && !Equal(o.shared, o.copied) {
+				t.Fatalf("a document View(%s) returned changed afterwards:\nthen %v\nnow  %v", o.name, o.copied, o.shared)
+			}
+		}
+	}
+	if found == 0 || missing == 0 {
+		t.Errorf("readers found %d models and missed %d: the reads did not overlap creates and deletes", found, missing)
 	}
 }

@@ -75,9 +75,9 @@ type Record struct {
 	Fault string `json:"fault,omitempty"`
 }
 
-// chunkSize is the number of records per storage chunk. Every digi
-// blocks in Append while a chunk is allocated and an idle log holds
-// one, so chunks are small: 256 records are 50 KB and ≈ 0.1 ms.
+// chunkSize is the number of records per storage chunk. An idle log
+// holds two (the last one and the next), so chunks are small: 256
+// records are 50 KB.
 const chunkSize = 256
 
 // Log is an append-only, concurrency-safe trace log for one testbed
@@ -88,6 +88,7 @@ type Log struct {
 	start  time.Time
 	seq    uint64
 	chunks [][]Record // all full but the last
+	next   []Record   // the chunk after the last, allocated outside the lock
 	// now is injectable for deterministic tests.
 	now func() time.Time
 }
@@ -102,19 +103,37 @@ func NewLogAt(now func() time.Time) *Log {
 	return l
 }
 
-// Append adds a record, stamping sequence and timestamp.
+// Append adds a record, stamping sequence and timestamp. The record
+// that finds the last chunk full moves on to l.next and, once it has
+// released the lock, allocates the chunk after that, so no appender
+// waits on a chunk allocation.
 func (l *Log) Append(r Record) Record {
 	l.mu.Lock()
+	last := len(l.chunks) - 1
+	refill := last < 0 || len(l.chunks[last]) == chunkSize
+	if refill {
+		c := l.next
+		if c == nil {
+			// The first record, or a chunk filled before its successor
+			// was allocated.
+			c = make([]Record, 0, chunkSize)
+		}
+		l.chunks, l.next = append(l.chunks, c), nil
+		last++
+	}
 	l.seq++
 	r.Seq = l.seq
 	r.TS = l.now().Sub(l.start)
-	last := len(l.chunks) - 1
-	if last < 0 || len(l.chunks[last]) == chunkSize {
-		l.chunks = append(l.chunks, make([]Record, 0, chunkSize))
-		last++
-	}
 	l.chunks[last] = append(l.chunks[last], r)
 	l.mu.Unlock()
+	if refill {
+		c := make([]Record, 0, chunkSize)
+		l.mu.Lock()
+		if l.next == nil {
+			l.next = c
+		}
+		l.mu.Unlock()
+	}
 	return r
 }
 

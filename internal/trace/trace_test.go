@@ -249,29 +249,31 @@ func TestNames(t *testing.T) {
 	}
 }
 
+// Concurrent appenders cross many chunk boundaries, each allocating
+// the next chunk outside the lock: the records are stored in the order
+// their sequence numbers were stamped, none lost or repeated.
 func TestConcurrentAppend(t *testing.T) {
+	const appenders, each = 8, 4 * chunkSize
 	l := NewLog()
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := 0; i < appenders; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 100; j++ {
+			for j := 0; j < each; j++ {
 				l.Event("x", "T", nil)
 			}
 		}()
 	}
 	wg.Wait()
 	recs := l.Records()
-	if len(recs) != 800 {
-		t.Fatalf("len = %d", len(recs))
+	if len(recs) != appenders*each {
+		t.Fatalf("len = %d, want %d", len(recs), appenders*each)
 	}
-	seen := map[uint64]bool{}
-	for _, r := range recs {
-		if seen[r.Seq] {
-			t.Fatalf("duplicate seq %d", r.Seq)
+	for i, r := range recs {
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("record %d has seq %d, want %d", i, r.Seq, i+1)
 		}
-		seen[r.Seq] = true
 	}
 }
 
