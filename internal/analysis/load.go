@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"os"
@@ -93,6 +94,11 @@ func loadDir(fset *token.FileSet, root, rel, module string) (*Package, error) {
 	var files []*File
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		// Only the files the go tool builds here: a build-constrained
+		// pair of files declares the same names once per platform.
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err == nil && !ok {
 			continue
 		}
 		path := rel + "/" + e.Name()

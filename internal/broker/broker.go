@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/clock"
@@ -22,14 +24,17 @@ type Stats struct {
 	PublishesIn   int64 `json:"publishes_in"`  // PUBLISH packets received
 	MessagesOut   int64 `json:"messages_out"`  // PUBLISH packets delivered to subscribers
 	Dropped       int64 `json:"dropped"`       // messages dropped on slow/full sessions
+	Flushes       int64 `json:"flushes"`       // socket writes by session write loops
 	FaultDrops    int64 `json:"fault_drops"`   // messages dropped by injected fault rules/partitions
 }
 
 // Options configures a Broker.
 type Options struct {
 	// OutboundQueue bounds each session's outbound message queue.
-	// When full, QoS 0 messages to that session are dropped (counted
-	// in Stats.Dropped); this mirrors broker back-pressure behaviour.
+	// When it is full while the session's consumer is not reading
+	// (its socket is full too), QoS 0 messages to that session are
+	// dropped (counted in Stats.Dropped); this mirrors broker
+	// back-pressure behaviour.
 	OutboundQueue int
 	// GraceKeepAlive is the multiplier on the negotiated keepalive
 	// after which an idle session is terminated. MQTT mandates 1.5.
@@ -124,6 +129,13 @@ type Broker struct {
 	tracer *obs.Tracer
 	fanout *obs.Histogram
 
+	// flushes counts socket writes by session write loops. Every write
+	// loop bumps it, so it sits on a cache line of its own, away from
+	// the counters the routing path bumps.
+	_       [64]byte
+	flushes int64
+	_       [56]byte
+
 	// Chaos fault injection (see faults.go). faultsOn is an atomic
 	// fast-path flag so fault-free routing never takes faults.mu.
 	faultsOn   int32
@@ -158,6 +170,8 @@ func (b *Broker) bindMetrics(r *obs.Registry) {
 		"PUBLISH packets delivered to subscribers", load(&b.messagesOut))
 	r.CounterFunc("digibox_broker_dropped_total",
 		"messages dropped on slow/full sessions", load(&b.dropped))
+	r.CounterFunc("digibox_broker_flushes_total",
+		"socket writes by session write loops", load(&b.flushes))
 	r.CounterFunc("digibox_broker_fault_drops_total",
 		"messages dropped by injected fault rules/partitions", load(&b.faultDrops))
 	r.CounterFunc("digibox_broker_retransmits_total",
@@ -266,6 +280,7 @@ func (b *Broker) Stats() Stats {
 		PublishesIn:   atomic.LoadInt64(&b.publishesIn),
 		MessagesOut:   atomic.LoadInt64(&b.messagesOut),
 		Dropped:       atomic.LoadInt64(&b.dropped),
+		Flushes:       atomic.LoadInt64(&b.flushes),
 		FaultDrops:    atomic.LoadInt64(&b.faultDrops),
 	}
 }
@@ -276,8 +291,14 @@ type session struct {
 	conn     net.Conn
 	clientID string
 
-	outbound  chan *Packet
-	packetID  atomic.Uint32 // last packet id drawn for an outbound QoS 1 PUBLISH
+	outbound chan *Packet
+	packetID atomic.Uint32 // last packet id drawn for an outbound QoS 1 PUBLISH
+	// blocked is set while the consumer's socket is full and the write
+	// loop waits for it to drain: the one state in which a QoS 0
+	// delivery finding the queue full is shed. gate, made by the first
+	// sender that waits for room instead, is closed when blocked is set.
+	blocked   atomic.Bool
+	gate      atomic.Pointer[chan struct{}]
 	closeOnce sync.Once
 	closedCh  chan struct{}
 
@@ -380,6 +401,55 @@ func (s *session) terminate() {
 // sessions.
 const writeBufSize = 4096
 
+// sockWriter is the socket side of a session's buffered writer. It
+// counts every write the write loop makes (an explicit flush, or
+// bufio's own when the buffer fills), and it tells a consumer that
+// is slow from a write loop that is merely late: the session is marked
+// blocked only once the kernel refuses bytes because the consumer's
+// socket is full. A conn with no descriptor to ask (a ConnHook
+// wrapper) counts as blocked for the whole of each write.
+type sockWriter struct {
+	s   *session
+	raw syscall.RawConn // nil: no descriptor
+	p   []byte          // the unwritten rest of the write in progress
+	err error
+	try func(fd uintptr) bool // writes p; false when the socket is full
+}
+
+func (w *sockWriter) Write(p []byte) (int, error) {
+	atomic.AddInt64(&w.s.broker.flushes, 1)
+	defer w.s.unblock()
+	if w.raw == nil {
+		w.s.block()
+		return w.s.conn.Write(p)
+	}
+	w.p, w.err = p, nil
+	err := w.raw.Write(w.try)
+	n := len(p) - len(w.p)
+	w.p = nil
+	if err == nil {
+		err = w.err
+	}
+	return n, err
+}
+
+// block marks the session's consumer slow and releases every sender
+// waiting for room: from here on they shed.
+func (s *session) block() {
+	s.blocked.Store(true)
+	if gate := s.gate.Swap(nil); gate != nil {
+		close(*gate)
+	}
+}
+
+// unblock ends a block. It stores only when blocked: the flag shares a
+// cache line with what every delivery to the session reads.
+func (s *session) unblock() {
+	if s.blocked.Load() {
+		s.blocked.Store(false)
+	}
+}
+
 func (s *session) writeLoop() {
 	// Buffered flush-on-idle: drain every packet already queued,
 	// writing each into the buffer, and only flush when the queue goes
@@ -388,7 +458,15 @@ func (s *session) writeLoop() {
 	// each packet so latency is unchanged. Spans are ended after the
 	// flush that actually commits their bytes to the socket, keeping
 	// e2e latency honest.
-	bw := bufio.NewWriterSize(s.conn, writeBufSize)
+	//
+	// A batch holding an in-process delivery is corked for one
+	// scheduler round before it is flushed: the loop yields once, then
+	// drains again. Each in-process publish readies this goroutine next
+	// on its P, so without the yield the loop runs between every two
+	// publishers of a burst and flushes each status alone. Wire-born
+	// batches flush at once: the scheduler cannot see a TCP producer's
+	// next packet.
+	bw := bufio.NewWriterSize(newSockWriter(s), writeBufSize)
 	spans := make([]obs.SpanID, 0, 16)
 	write := func(pkt *Packet) bool {
 		data, err := pkt.AppendEncode(bw.AvailableBuffer())
@@ -410,15 +488,21 @@ func (s *session) writeLoop() {
 			if !write(pkt) {
 				return
 			}
+			local, corked := pkt.local, false
 		drain:
 			for {
 				select {
 				case pkt := <-s.outbound:
+					local = local || pkt.local
 					if !write(pkt) {
 						return
 					}
 				default:
-					break drain
+					if !local || corked {
+						break drain
+					}
+					corked = true
+					runtime.Gosched()
 				}
 			}
 			if err := bw.Flush(); err != nil {
@@ -435,19 +519,46 @@ func (s *session) writeLoop() {
 	}
 }
 
-// send enqueues a packet for the session; drops QoS0 publishes when
-// the queue is full, blocks (briefly) otherwise to preserve acks.
+// send enqueues a packet for the session. A QoS 0 publish that finds
+// the queue full is dropped only while the session is blocked on a
+// consumer whose socket is full — a slow consumer, which the publisher
+// must not wait on. Any other full queue is drained without the
+// consumer's help (its write loop is running, runnable or corked), so
+// the publish waits for room, or until the session blocks. Anything
+// else waits for room (or for the session to end) to preserve acks.
 func (s *session) send(pkt *Packet) {
 	select {
 	case s.outbound <- pkt:
+		return
 	default:
-		if pkt.Type == PUBLISH && pkt.QoS == 0 {
+	}
+	if pkt.Type != PUBLISH || pkt.QoS > 0 {
+		select {
+		case s.outbound <- pkt:
+		case <-s.closedCh:
+		}
+		return
+	}
+	for {
+		gate := s.gate.Load()
+		if gate == nil {
+			ch := make(chan struct{})
+			if !s.gate.CompareAndSwap(nil, &ch) {
+				continue
+			}
+			gate = &ch
+		}
+		// Checked with the gate held: a block from here on closes it.
+		if s.blocked.Load() {
 			atomic.AddInt64(&s.broker.dropped, 1)
 			return
 		}
 		select {
 		case s.outbound <- pkt:
+			return
+		case <-*gate:
 		case <-s.closedCh:
+			return
 		}
 	}
 }
@@ -456,7 +567,7 @@ func (s *session) send(pkt *Packet) {
 // next non-zero id of the session's own counter: MQTT packet ids are
 // scoped to the connection.
 func (s *session) deliver(m Message, span obs.SpanID) {
-	pkt := &Packet{Type: PUBLISH, Topic: m.Topic, Payload: m.Payload, QoS: m.QoS, Retain: m.Retained, Dup: m.Dup, span: span}
+	pkt := &Packet{Type: PUBLISH, Topic: m.Topic, Payload: m.Payload, QoS: m.QoS, Retain: m.Retained, Dup: m.Dup, span: span, local: m.local}
 	for pkt.QoS > 0 && pkt.PacketID == 0 {
 		pkt.PacketID = uint16(s.packetID.Add(1))
 	}
@@ -596,7 +707,9 @@ func (b *Broker) route(from string, m Message) {
 			dup := m
 			dup.Dup = m.QoS > 0
 			if act.delay > 0 {
+				// The timer's goroutine is an in-process publisher.
 				deliver, m := sub.deliver, m
+				m.local, dup.local = true, true
 				b.opts.Clock.AfterFunc(act.delay, func() {
 					atomic.AddInt64(&b.messagesOut, 1)
 					deliver(m, sid)
@@ -686,7 +799,7 @@ func (b *Broker) PublishQoS(from, topic string, payload []byte, qos byte, retain
 		qos = 1 // QoS 2 not supported; downgrade like SUBSCRIBE does
 	}
 	atomic.AddInt64(&b.publishesIn, 1)
-	b.route(from, Message{Topic: topic, Payload: payload, QoS: qos, Retained: retain})
+	b.route(from, Message{Topic: topic, Payload: payload, QoS: qos, Retained: retain, local: true})
 	return nil
 }
 
@@ -746,6 +859,7 @@ func (b *Broker) subscribeInProcess(clientID, filter string, qos byte, fn func(M
 		filter:   filter,
 		qos:      min(qos, 1),
 		deliver: func(m Message, span obs.SpanID) {
+			m.local = false
 			fn(m)
 			if span != 0 {
 				b.tracer.End(span)

@@ -22,6 +22,10 @@ type Message struct {
 	Retained bool
 	// Dup marks a retransmitted (or chaos-duplicated) delivery.
 	Dup bool
+	// local marks a message routed from an in-process publisher
+	// (PublishQoS, or a fault-delay timer); wire sessions cork such
+	// deliveries for one scheduler round before they flush.
+	local bool
 }
 
 // Handler consumes messages delivered to a subscription. Handlers run

@@ -121,6 +121,8 @@ type Packet struct {
 	// delivering writeLoop. In-process only: it is not encoded on the
 	// wire, and 0 means untraced.
 	span obs.SpanID
+	// local is Message.local carried to the write loop; never encoded.
+	local bool
 }
 
 // ErrMalformed is wrapped by all decoding errors.

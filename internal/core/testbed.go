@@ -484,6 +484,7 @@ func (tb *Testbed) Stats() Stats {
 			PublishesIn:   int64(v["digibox_broker_publishes_total"]),
 			MessagesOut:   int64(v["digibox_broker_deliveries_total"]),
 			Dropped:       int64(v["digibox_broker_dropped_total"]),
+			Flushes:       int64(v["digibox_broker_flushes_total"]),
 			FaultDrops:    int64(v["digibox_broker_fault_drops_total"]),
 		},
 	}

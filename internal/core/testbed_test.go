@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -559,5 +560,108 @@ func TestOneGoroutinePerMock(t *testing.T) {
 				mocks, runtime.NumGoroutine()-base, mocks+slack)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// A Room of 800 Occupancy mocks fans each PATCH out to 800 status
+// publishes, all routed to one QoS 0 wire subscriber whose session
+// corks them into batches. The session's queue (256) fills while its
+// write loop is corked; that must never shed a status. Over 10 PATCHes
+// — five with publishers and write loop on one P, five on two — every
+// mock's status arrives exactly once per PATCH, in order, and the
+// broker drops nothing.
+func TestSceneBurstReachesWireSubscriberWhole(t *testing.T) {
+	const mocks, patches = 800, 10
+	tb := newTestbed(t, Options{RESTAddr: "none"})
+	// A mock's set-up statuses all read {"triggered":false}; its PATCH
+	// statuses start at the first live {"triggered":true}, PATCH 1's.
+	var mu sync.Mutex
+	got := make(map[string][]string, mocks) // PATCH statuses per topic
+	reached := make([]int, patches+2)       // reached[n]: topics with n PATCH statuses
+	total := 0
+	cli, err := broker.Dial(tb.BrokerAddr(), &broker.ClientOptions{ClientID: "app"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := cli.Subscribe("digibox/+/status", 0, func(m broker.Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		total++
+		seq := got[m.Topic]
+		if m.Retained || len(seq) == 0 && string(m.Payload) != `{"triggered":true}` {
+			return
+		}
+		seq = append(seq, string(m.Payload))
+		got[m.Topic] = seq
+		reached[min(len(seq), patches+1)]++
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Every publish so far has arrived. (A status published while the
+	// subscription was being made may arrive twice, live and retained.)
+	settled := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return int64(total) >= tb.Broker.Stats().PublishesIn
+	}
+
+	if err := tb.Run("Room", "R", map[string]any{"managed": false}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < mocks; i++ {
+		name := fmt.Sprintf("occ%03d", i)
+		if err := tb.Run("Occupancy", name, map[string]any{"interval_ms": int64(3600000)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Attach(name, "R"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each mock publishes at boot and when Attach parks its generator.
+	if tb.WaitConverged(30*time.Second, func() bool { return tb.Broker.Stats().PublishesIn >= 2*mocks && settled() }) != nil {
+		t.Fatalf("set-up statuses did not all arrive; broker %+v", tb.Broker.Stats())
+	}
+
+	for p := 1; p <= patches; p++ {
+		procs := 1 + (p-1)*2/patches
+		prev := runtime.GOMAXPROCS(procs)
+		if err := tb.Edit("R", map[string]any{"human_presence": p%2 == 1}); err != nil {
+			t.Fatal(err)
+		}
+		err := tb.WaitConverged(10*time.Second, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return reached[p] == mocks
+		})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			mu.Lock()
+			n := reached[p]
+			mu.Unlock()
+			t.Fatalf("PATCH %d at GOMAXPROCS %d: %d of %d statuses arrived; broker %+v",
+				p, procs, n, mocks, tb.Broker.Stats())
+		}
+	}
+	if tb.WaitConverged(10*time.Second, settled) != nil {
+		t.Fatalf("statuses did not all arrive; broker %+v", tb.Broker.Stats())
+	}
+	if d := tb.Broker.Stats().Dropped; d != 0 {
+		t.Fatalf("the broker dropped %d statuses", d)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != mocks {
+		t.Fatalf("statuses from %d mocks, want %d", len(got), mocks)
+	}
+	for topic, seq := range got {
+		if len(seq) != patches {
+			t.Fatalf("%s: %d statuses, want %d: %v", topic, len(seq), patches, seq)
+		}
+		for i, payload := range seq {
+			if want := fmt.Sprintf(`{"triggered":%t}`, i%2 == 0); payload != want {
+				t.Fatalf("%s: status %d is %s, want %s (all: %v)", topic, i, payload, want, seq)
+			}
+		}
 	}
 }

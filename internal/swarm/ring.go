@@ -9,8 +9,8 @@ package swarm
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"sync"
 )
 
 // vnodesPerShard is the number of virtual nodes each shard contributes
@@ -40,21 +40,30 @@ type ringPoint struct {
 }
 
 func newRing(shards int) *ring {
-	r := &ring{
-		points: make([]ringPoint, 0, shards*vnodesPerShard),
-		down:   make([]bool, shards),
-		alive:  shards,
+	return &ring{points: ringPoints(shards), down: make([]bool, shards), alive: shards}
+}
+
+// ringCache holds one sorted point slice per shard count: the points
+// are a pure function of it, so every pool of that size shares one
+// immutable slice and a new pool sorts nothing.
+var ringCache sync.Map // int -> []ringPoint
+
+func ringPoints(shards int) []ringPoint {
+	if v, ok := ringCache.Load(shards); ok {
+		return v.([]ringPoint)
 	}
+	points := make([]ringPoint, 0, shards*vnodesPerShard)
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodesPerShard; v++ {
-			r.points = append(r.points, ringPoint{
+			points = append(points, ringPoint{
 				hash:  hashKey(fmt.Sprintf("shard-%d#%d", s, v)),
 				shard: s,
 			})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-	return r
+	sort.Slice(points, func(i, j int) bool { return points[i].hash < points[j].hash })
+	v, _ := ringCache.LoadOrStore(shards, points)
+	return v.([]ringPoint)
 }
 
 // markDown removes shard s from the alive set. Keys homed on s map to
@@ -101,8 +110,14 @@ func (r *ring) shardFor(key string) int {
 	return r.points[i].shard
 }
 
+// hashKey is 64-bit FNV-1a over the key's bytes (hash/fnv's New64a),
+// inline so a publish allocates nothing for it.
 func hashKey(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 	"sync"
@@ -36,6 +37,29 @@ func TestRingPlacement(t *testing.T) {
 		if c < 1000 || c > 5000 {
 			t.Fatalf("shard %d holds %d of 10000 keys — ring badly skewed: %v", s, c, counts)
 		}
+	}
+}
+
+// hashKey is FNV-1a exactly as hash/fnv computes it, and pools of one
+// size share one ring whose down set stays their own.
+func TestRingHashAndSharedPoints(t *testing.T) {
+	for _, key := range []string{"", "x", "swarm/dev-1/status", "shard-3#255", "app-\u00e9"} {
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		if got, want := hashKey(key), h.Sum64(); got != want {
+			t.Errorf("hashKey(%q) = %#x, want %#x", key, got, want)
+		}
+	}
+	a, b := newRing(4), newRing(4)
+	if &a.points[0] != &b.points[0] {
+		t.Error("two 4-shard rings built separate point slices")
+	}
+	a.markDown(1)
+	if b.isDown(1) || b.alive != 4 {
+		t.Error("marking a shard down on one ring leaked into another")
+	}
+	if n := testing.AllocsPerRun(100, func() { b.shardFor("swarm/dev-1/status") }); n != 0 {
+		t.Errorf("shardFor allocates %v times", n)
 	}
 }
 
