@@ -4,8 +4,9 @@ package main
 // through POST /ctl/capture. Local mode serves that request in process
 // on a listener-less, time-compressed testbed and drives a closed-loop
 // swarm source while tapping it — 60 scenario seconds settle in wall
-// milliseconds — while -remote sends it to a daemon, which either taps
-// its live broker or drives the swarm source the same way.
+// milliseconds — while -remote sends it to a daemon, which either fits
+// the statuses its scene's digis sent in the window, read from its
+// trace, or drives the swarm source the same way.
 
 import (
 	"flag"
@@ -28,20 +29,20 @@ import (
 //	             [-speed N|max] [-repo DIR] [-filter F] [-remote]
 //
 // Locally the capture always drives its own swarm source (-devices).
-// With -remote and -devices 0 the daemon's live broker is tapped for
-// -duration of scenario time instead, fitting whatever the deployed
-// scene publishes.
+// With -remote and -devices 0 the daemon waits out -duration of
+// scenario time instead and fits what the deployed scene's digis
+// published in that window, as its trace recorded it.
 func captureCmd(cli *ctl.Client, rest []string) error {
 	fs := flag.NewFlagSet("capture", flag.ContinueOnError)
 	name := fs.String("name", "captured", "name of the fitted profile")
 	seed := fs.Int64("seed", 1, "seed recorded in the fitted profile (and the local source)")
 	duration := fs.Duration("duration", 60*time.Second, "capture window in scenario time")
-	devices := fs.Int("devices", 24, "device count of the swarm source (0 with -remote = tap the daemon's broker)")
+	devices := fs.Int("devices", 24, "device count of the swarm source (0 with -remote = fit the daemon's scene from its trace)")
 	period := fs.Duration("period", 250*time.Millisecond, "closed-loop publish period of the swarm source")
 	workers := fs.Int("workers", 0, "generator workers of the swarm source")
 	shards := fs.Int("shards", 0, "broker shards of the swarm source (0 = derive)")
 	speed := fs.String("speed", "max", "local time-compression factor (N or max)")
-	filter := fs.String("filter", "", "topic filter for a broker tap (default +/+/status)")
+	filter := fs.String("filter", "", "topic filter for a scene capture (default +/+/status)")
 	out := fs.String("o", "", "write the fitted profile YAML to this file")
 	commit := fs.Bool("commit", false, "commit the fitted profile to the scene repository")
 	repoDir := fs.String("repo", "", "local scene repository directory (for -commit without -remote)")
@@ -59,7 +60,7 @@ func captureCmd(cli *ctl.Client, rest []string) error {
 	}
 	if !*remote {
 		if *devices <= 0 {
-			return fmt.Errorf("capture: local mode needs a swarm source; set -devices (or tap a daemon with -remote)")
+			return fmt.Errorf("capture: local mode needs a swarm source; set -devices (or capture a daemon's scene with -remote)")
 		}
 		factor, err := clock.ParseSpeed(*speed)
 		if err != nil {

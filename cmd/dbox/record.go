@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctl"
 	"repro/internal/replay"
+	"repro/internal/trace"
 )
 
 // recordCmd implements "dbox record [-o OUT.zip] [-remote] SCENARIO.yaml":
@@ -73,7 +74,8 @@ func recordCmd(cli *ctl.Client, rest []string) error {
 
 // replayArchiveCmd implements "dbox replay [-verify] [-remote] ARCHIVE.zip":
 // re-execute a recorded scenario; with -verify the run's digest must
-// match the archived one byte-for-byte.
+// match the archived one byte-for-byte. Loading the archive already
+// checks that its records hash to that digest.
 func replayArchiveCmd(cli *ctl.Client, rest []string) error {
 	usageErr := fmt.Errorf("usage: dbox replay [-verify] [-remote] ARCHIVE.zip")
 	verify, remote, target := false, false, ""
@@ -93,7 +95,14 @@ func replayArchiveCmd(cli *ctl.Client, rest []string) error {
 	if target == "" {
 		return usageErr
 	}
-	ar, err := replay.LoadArchive(target)
+	ar, err := trace.LoadArchive(target)
+	if err != nil {
+		return err
+	}
+	if ar.Scenario == nil {
+		return fmt.Errorf("replay: %s is a live trace, not a recorded run: it has no scenario", target)
+	}
+	sc, err := replay.ParseScenario(ar.Scenario)
 	if err != nil {
 		return err
 	}
@@ -103,7 +112,7 @@ func replayArchiveCmd(cli *ctl.Client, rest []string) error {
 		return err
 	}
 	defer done()
-	resp, err := cli.ReplayScenario(ar.Scenario, ar.Digest, verify)
+	resp, err := cli.ReplayScenario(sc, ar.Digest, verify)
 	if err != nil {
 		return err
 	}

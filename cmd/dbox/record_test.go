@@ -1,14 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/ctl"
 	"repro/internal/replay"
+	"repro/internal/trace"
 )
 
 const testScenario = `scenario: cli-test
@@ -89,17 +91,21 @@ func TestReplayVerifyDetectsTamperedArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Digest = "sha256:" + strings.Repeat("0", 64)
-	tampered := filepath.Join(t.TempDir(), "tampered.zip")
-	data, err = replay.ArchiveBytes(res)
-	if err != nil {
+	// A consistent archive of a run that is not the scenario's: the
+	// last record is gone, and the stored digest covers what is left.
+	if data, err = sc.Marshal(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(tampered, data, 0o644); err != nil {
+	var buf bytes.Buffer
+	if err := trace.WriteArchive(&buf, clock.Epoch, res.Records[:len(res.Records)-1], data); err != nil {
+		t.Fatal(err)
+	}
+	tampered := filepath.Join(t.TempDir(), "tampered.zip")
+	if err := os.WriteFile(tampered, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := dispatch(nil, []string{"replay", "-verify", tampered}); err == nil {
-		t.Fatal("replay -verify accepted a tampered digest")
+		t.Fatal("replay -verify accepted a tampered archive")
 	}
 	// Without -verify the replay succeeds: it just re-executes.
 	if err := dispatch(nil, []string{"replay", tampered}); err != nil {

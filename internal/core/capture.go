@@ -1,11 +1,11 @@
 package core
 
-// Capture: record live broker or swarm traffic into a fitted device
-// profile — the engine behind `dbox capture` and POST /ctl/capture.
-// The observed stream's per-topic-class cadences, payload field
-// ranges, firmware skew, and bursts are fitted into a profile.Profile
-// that round-trips through the scene repository and replays through
-// the profiled swarm load discipline.
+// Capture: fit a scene's traced statuses or a swarm's publishes into a
+// device profile — the engine behind `dbox capture` and POST
+// /ctl/capture. The observed stream's per-topic-class cadences,
+// payload field ranges, firmware skew, and bursts are fitted into a
+// profile.Profile that round-trips through the scene repository and
+// replays through the profiled swarm load discipline.
 
 import (
 	"context"
@@ -17,6 +17,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/repo"
 	"repro/internal/swarm"
+	"repro/internal/trace"
 )
 
 // CaptureSpec configures one Capture run.
@@ -24,15 +25,15 @@ type CaptureSpec struct {
 	// Duration is the scenario-time observation window. Unused when
 	// Swarm is set (the swarm load's own duration bounds the run).
 	Duration time.Duration
-	// Filter is the MQTT topic filter tapped when observing the live
-	// broker; empty means every device status topic ("+/+/status").
+	// Filter is the MQTT topic filter a scene capture keeps; empty
+	// means every device status topic ("+/+/status").
 	Filter string
 	// Name names the fitted profile (FitOptions.Name).
 	Name string
 	// Seed seeds the fitted profile so its replays are deterministic.
 	Seed int64
 	// Swarm, when set, drives a swarm load session and captures the
-	// traffic it publishes instead of tapping the live broker.
+	// traffic it publishes instead of the scene's.
 	Swarm *SwarmSpec
 }
 
@@ -52,15 +53,18 @@ type CaptureResult struct {
 
 // Capture records traffic into a fitted profile. With spec.Swarm set
 // it runs that swarm session with the capture attached on the publish
-// side, where every message carries its scheduled offset; otherwise
-// it subscribes to the testbed's broker for spec.Duration of scenario
-// time (compressed by TimeScale like everything else) and fits what
-// the scene's own digis publish. The testbed must be started.
+// side, where every message carries its scheduled offset. Otherwise it
+// waits out spec.Duration of scenario time (compressed by TimeScale
+// like everything else) and fits the statuses the scene's own digis
+// sent in that window, read from the trace log at the offsets they
+// were sent. Only testbed digis log their publishes, so traffic from
+// any other publisher (a raw Broker.PublishQoS, a wire client) is not
+// captured. The testbed must be started.
 func (tb *Testbed) Capture(ctx context.Context, spec CaptureSpec) (*CaptureResult, error) {
 	if spec.Name == "" {
 		spec.Name = "captured"
 	}
-	cap := profile.NewCapture(tb.clk)
+	cap := profile.NewCapture()
 	var rep *swarm.Report
 	if spec.Swarm != nil {
 		sw := *spec.Swarm
@@ -71,7 +75,7 @@ func (tb *Testbed) Capture(ctx context.Context, spec CaptureSpec) (*CaptureResul
 			return nil, err
 		}
 	} else {
-		if err := tb.captureBroker(ctx, spec, cap); err != nil {
+		if err := tb.captureTrace(ctx, spec, cap); err != nil {
 			return nil, err
 		}
 	}
@@ -87,13 +91,15 @@ func (tb *Testbed) Capture(ctx context.Context, spec CaptureSpec) (*CaptureResul
 	}, nil
 }
 
-// captureBroker taps the live broker with an in-process subscriber
-// for the spec's scenario-time window.
-func (tb *Testbed) captureBroker(ctx context.Context, spec CaptureSpec, cap *profile.Capture) error {
+// captureTrace waits out the spec's scenario-time window, then feeds
+// the capture the window's sent messages on topics matching the
+// filter, each at its offset from the window's start. It reads only
+// the records appended since the window opened.
+func (tb *Testbed) captureTrace(ctx context.Context, spec CaptureSpec, cap *profile.Capture) error {
 	tb.mu.Lock()
 	live := tb.started && !tb.stopped
 	tb.mu.Unlock()
-	if !live || tb.Broker == nil {
+	if !live {
 		return fmt.Errorf("core: capture needs a started testbed")
 	}
 	if spec.Duration <= 0 {
@@ -103,15 +109,18 @@ func (tb *Testbed) captureBroker(ctx context.Context, spec CaptureSpec, cap *pro
 	if filter == "" {
 		filter = "+/+/status"
 	}
-	const tapID = "capture-tap"
-	err := tb.Broker.SubscribeInProcess(tapID, filter, 1, func(m broker.Message) {
-		cap.Observe(m.Topic, m.Payload)
-	})
-	if err != nil {
+	from, start := tb.Log.Tail()
+	if err := clock.SleepUntil(ctx, tb.clk, tb.clk.Now().Add(spec.Duration)); err != nil {
 		return err
 	}
-	defer tb.Broker.UnsubscribeInProcess(tapID, filter)
-	return clock.SleepUntil(ctx, tb.clk, tb.clk.Now().Add(spec.Duration))
+	tb.Log.From(from, func(r *trace.Record) {
+		at := r.TS - start
+		if r.Kind == trace.KindMessage && r.Direction == "send" && at <= spec.Duration &&
+			broker.MatchTopic(filter, r.Topic) {
+			cap.ObserveAt(at, r.Topic, []byte(r.Payload))
+		}
+	})
+	return nil
 }
 
 // CommitProfile implements "dbox capture -commit": store the profile

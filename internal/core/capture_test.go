@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/digi"
+	"repro/internal/model"
 	"repro/internal/profile"
 	"repro/internal/swarm"
 )
@@ -102,12 +104,12 @@ func TestCaptureSwarmRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCaptureBrokerTap covers the no-swarm path: digis publishing on
-// the live broker are tapped for a clocked window and fitted.
+// TestCaptureBrokerTap covers the no-swarm path: what a deployed digi
+// publishes in a clocked window is read back from the trace and fitted.
 func TestCaptureBrokerTap(t *testing.T) {
-	// A finite factor (not SpeedMax): the publisher goroutine arms its
-	// next timer only after each fire, so an unpaced clock could jump
-	// the whole capture window before the first publish is armed.
+	// A finite factor (not SpeedMax): the publisher arms its next
+	// timer only after each fire, so an unpaced clock could jump the
+	// whole capture window before the first publish is armed.
 	tb, err := New(Options{
 		BrokerAddr: "127.0.0.1:0",
 		RESTAddr:   "none",
@@ -116,26 +118,25 @@ func TestCaptureBrokerTap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A fixed-cadence thermostat publishing its status every 100 ms.
+	err = tb.Registry.Register(&digi.Kind{
+		Schema: &model.Schema{Type: "Thermo", Version: "v1",
+			Fields: map[string]model.FieldSpec{"temp_c": {Kind: model.KindFloat, Default: 21.5}}},
+		DefaultInterval: 100 * time.Millisecond,
+		Loop: func(c *digi.Ctx, _ model.Doc) error {
+			return c.Publish(map[string]any{"temp_c": 21.5})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tb.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(tb.Stop)
-
-	// A fixed-cadence publisher standing in for a scene digi.
-	stop := make(chan struct{})
-	pubDone := make(chan struct{})
-	go func() {
-		defer close(pubDone)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			case <-tb.clk.After(100 * time.Millisecond):
-			}
-			tb.Broker.PublishQoS("test", "home/thermo-1/status", []byte(`{"temp_c":21.5}`), 1, false)
-		}
-	}()
-	defer func() { close(stop); <-pubDone }()
+	if err := tb.Run("Thermo", "thermo-1", nil); err != nil {
+		t.Fatal(err)
+	}
 
 	res, err := tb.Capture(context.Background(), CaptureSpec{
 		Name:     "home",

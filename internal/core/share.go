@@ -216,7 +216,8 @@ func (tb *Testbed) PushTrace(name string) (string, error) {
 	return ver, nil
 }
 
-// PullTrace fetches a shared trace archive and parses its records.
+// PullTrace fetches a shared trace archive, live or recorded, and
+// parses its records.
 func (tb *Testbed) PullTrace(name, version string) ([]trace.Record, error) {
 	if err := tb.requireRepos(true); err != nil {
 		return nil, err
@@ -228,5 +229,9 @@ func (tb *Testbed) PullTrace(name, version string) ([]trace.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	return trace.ParseArchiveBytes(data)
+	ar, err := trace.ParseArchiveBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	return ar.Records, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/model"
 	"repro/internal/trace"
 )
@@ -245,11 +246,11 @@ func TestSaveTraceArchive(t *testing.T) {
 	if err := tb.SaveTrace(path); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := trace.LoadArchive(path)
+	ar, err := trace.LoadArchive(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 {
+	if len(ar.Records) == 0 {
 		t.Error("archive empty")
 	}
 }
@@ -282,5 +283,57 @@ func TestRecreateRejectsIncompatibleSchema(t *testing.T) {
 	err := other.Recreate("MeetingRoom", "")
 	if err == nil || !strings.Contains(err.Error(), "incompatible") {
 		t.Errorf("err = %v, want incompatible-image error", err)
+	}
+}
+
+// TestLiveArchiveDigestRoundTrips packages a live testbed's trace after
+// a chaos plan over the runtime's MQTT session — fault records carry
+// numeric fields, the runtime logs gap and recovery markers — and the
+// records read back from the archive hash to the digest of the log
+// they were written from.
+func TestLiveArchiveDigestRoundTrips(t *testing.T) {
+	tb := newTestbed(t, Options{RuntimeMQTT: true})
+	if err := tb.Run("Occupancy", "O1", map[string]any{"interval_ms": int64(20), "trigger_prob": 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Run("Lamp", "L1", nil); err != nil {
+		t.Fatal(err)
+	}
+	plan := &chaos.Plan{
+		Name: "archive",
+		Seed: 3,
+		Events: []chaos.Event{
+			{At: 20 * time.Millisecond, Fault: chaos.FaultDisconnect, Client: "digi-runtime"},
+			{At: 40 * time.Millisecond, Fault: chaos.FaultDrop, Topic: "digibox/#", Rate: 0.5, For: 100 * time.Millisecond},
+			{At: 60 * time.Millisecond, Fault: chaos.FaultStuck, Digi: "L1", For: 80 * time.Millisecond},
+		},
+	}
+	if _, err := tb.RunChaosPlan(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.zip")
+	if err := tb.SaveTrace(path); err != nil {
+		t.Fatal(err)
+	}
+	ar, err := trace.LoadArchive(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The log has grown since; its first records are the archived ones.
+	want, err := trace.Digest(trace.Normalize(tb.Log.Records()[:len(ar.Records)]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ar.Digest != want {
+		t.Fatalf("archive digest %s, live log %s", ar.Digest, want)
+	}
+	var numeric int
+	for _, r := range ar.Records {
+		if _, ok := r.Fields["at_ms"].(float64); ok && r.Kind == trace.KindFault {
+			numeric++
+		}
+	}
+	if numeric == 0 {
+		t.Fatal("no fault record with a numeric field in the archive")
 	}
 }

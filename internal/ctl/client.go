@@ -280,8 +280,11 @@ func (c *Client) DownloadTrace() ([]trace.Record, []byte, error) {
 	if err := c.get("/ctl/trace", &raw); err != nil {
 		return nil, nil, err
 	}
-	recs, err := trace.ParseArchiveBytes(raw)
-	return recs, raw, err
+	ar, err := trace.ParseArchiveBytes(raw)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ar.Records, raw, nil
 }
 
 // PushTrace publishes the daemon's current trace under a name.

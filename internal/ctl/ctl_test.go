@@ -1,6 +1,9 @@
 package ctl
 
 import (
+	"archive/zip"
+	"bytes"
+	"io"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -401,5 +404,62 @@ func TestCheckTraceOverHTTP(t *testing.T) {
 	}
 	if _, _, err := cli.CheckTrace("no-such-trace", ""); err == nil {
 		t.Error("missing trace accepted")
+	}
+}
+
+// A live trace archive from GET /ctl/trace carries a digest that
+// re-computing it from the archive's own trace.jsonl reproduces.
+func TestTraceDownloadCarriesDigest(t *testing.T) {
+	_, cli := startServer(t, "")
+	if err := cli.Run("Occupancy", "O1", map[string]any{"interval_ms": int64(20), "trigger_prob": 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	var raw []byte
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		recs, data, err := cli.DownloadTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw = data; len(recs) >= 10 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d records in trace", len(recs))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	zr, err := zip.NewReader(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, f := range zr.File {
+		rc, err := f.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[f.Name], _ = io.ReadAll(rc)
+		rc.Close()
+	}
+	if _, ok := files["scenario.yaml"]; ok {
+		t.Error("a live trace archive carries a scenario")
+	}
+	var stored string
+	for _, ln := range strings.Split(string(files["meta.txt"]), "\n") {
+		if v, ok := strings.CutPrefix(ln, "digest: "); ok {
+			stored = v
+		}
+	}
+	recs, err := trace.ReadJSONL(bytes.NewReader(files["trace.jsonl"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := trace.Digest(trace.Normalize(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(stored, "sha256:") || got != stored {
+		t.Fatalf("meta.txt digest %q, trace.jsonl hashes to %q", stored, got)
 	}
 }

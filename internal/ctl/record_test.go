@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/replay"
+	"repro/internal/trace"
 )
 
 func recordScenario() *replay.Scenario {
@@ -40,7 +41,7 @@ func TestRecordOverHTTP(t *testing.T) {
 		t.Fatal("archive requested but empty")
 	}
 	// The returned archive must parse and carry the same digest.
-	ar, err := replay.ParseArchiveBytes(resp.Archive)
+	ar, err := trace.ParseArchiveBytes(resp.Archive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ctl
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/replay"
 	"repro/internal/swarm"
+	"repro/internal/trace"
 )
 
 // This file serves the verbs that run something on the testbed: run
@@ -133,8 +135,8 @@ func (r SwarmRequest) Spec() (core.SwarmSpec, error) {
 
 // CaptureRequest is the body of POST /ctl/capture: record traffic
 // into a fitted device profile. With Swarm set the capture drives
-// that swarm load and taps it; otherwise the live broker is tapped
-// for DurationSec of scenario time.
+// that swarm load and taps it; otherwise it fits what the scene's
+// digis sent in DurationSec of scenario time, read from the trace.
 type CaptureRequest struct {
 	DurationSec float64       `json:"duration_sec,omitempty"`
 	Filter      string        `json:"filter,omitempty"`
@@ -350,12 +352,18 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := RecordResponse{Scenario: sc.Name, Records: len(res.Records), Digest: res.Digest}
 	if req.Archive {
-		data, err := replay.ArchiveBytes(res)
+		// The recorded run's archive: its records plus the scenario
+		// that re-executes them, on the engine's virtual timeline.
+		var buf bytes.Buffer
+		data, err := res.Scenario.Marshal()
+		if err == nil {
+			err = trace.WriteArchive(&buf, clock.Epoch, res.Records, data)
+		}
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		resp.Archive = data
+		resp.Archive = buf.Bytes()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -349,9 +349,16 @@ func TestHandlersCannotReachCommittedDocuments(t *testing.T) {
 	keep := func(d model.Doc) { kept = append(kept, held{d, d.DeepCopy()}) }
 	w := h.rt.Store.Watch(nil)
 	done := make(chan struct{})
+	drained := make(chan struct{}) // the watcher delivered every name's last round
 	go func() {
 		defer close(done)
+		final := map[string]bool{}
 		for u := range w.C {
+			if n, _ := u.Doc.GetInt("round"); n == rounds && !final[u.Name] {
+				if final[u.Name] = true; len(final) == len(names) {
+					close(drained)
+				}
+			}
 			keep(u.Doc)
 			for _, ch := range u.Changes {
 				keep(model.Doc{"old": ch.Old, "new": ch.New})
@@ -374,6 +381,11 @@ func TestHandlersCannotReachCommittedDocuments(t *testing.T) {
 		return true
 	}, "the vandal to finish")
 	h.stop()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the watcher never delivered the last round of every document")
+	}
 	w.Close()
 	<-done
 	if len(kept) < 3*rounds {

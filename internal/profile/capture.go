@@ -1,9 +1,9 @@
 package profile
 
-// Traffic capture: observe live broker/swarm messages on an injected
-// clock and fit them back into a Profile. The fit is per topic class
-// (device topics collapse by stripping the per-device "-<idx>" suffix
-// from the middle segment), aggregating inter-arrival gap statistics,
+// Traffic capture: observe messages at their send offsets and fit
+// them back into a Profile. The fit is per topic class (device topics
+// collapse by stripping the per-device "-<idx>" suffix from the middle
+// segment), aggregating inter-arrival gap statistics,
 // payload field ranges, firmware skew, and a windowed burst detector.
 // The fitted profile is an ordinary Profile value: committable to the
 // scene repository, checkable by `dbox vet`, replayable by the swarm
@@ -16,8 +16,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/clock"
 )
 
 // burstWindow buckets arrivals for the burst detector: one scenario
@@ -61,24 +59,19 @@ type classAgg struct {
 	malformedPayloads int64
 }
 
-// Capture records traffic into per-class aggregates. Observe and
-// ObserveAt are safe for concurrent use. A feed that knows when each
-// message was scheduled (the swarm generator) hands that offset to
-// ObserveAt; Observe is for feeds that do not (a live broker tap) and
-// reads the injected clock instead, so a capture on a time-compressed
-// testbed measures scenario time, not wall time.
+// Capture records traffic into per-class aggregates. ObserveAt is
+// safe for concurrent use. Each message carries the scenario offset it
+// was sent at (a swarm generator's schedule, a trace record's
+// timestamp), so the fit never reads a clock.
 type Capture struct {
-	clk   clock.Clock
 	mu    sync.Mutex
-	start time.Time
 	total int64
 	byCls map[string]*classAgg
 }
 
-// NewCapture starts a capture at the clock's current time.
-func NewCapture(clk clock.Clock) *Capture {
-	clk = clock.Or(clk)
-	return &Capture{clk: clk, start: clk.Now(), byCls: map[string]*classAgg{}}
+// NewCapture starts an empty capture.
+func NewCapture() *Capture {
+	return &Capture{byCls: map[string]*classAgg{}}
 }
 
 // ClassOf maps a topic to its capture class: the second topic level
@@ -112,14 +105,6 @@ func isDigits(s string) bool {
 		}
 	}
 	return true
-}
-
-// Observe records one message arrival, stamped with the capture
-// clock at the moment of the call. On an unpaced clock that moment can
-// be scenario seconds after the message was due, so prefer ObserveAt
-// wherever the sender's schedule is known.
-func (c *Capture) Observe(topic string, payload []byte) {
-	c.ObserveAt(c.clk.Since(c.start), topic, payload)
 }
 
 // ObserveAt records one message published at scenario offset at. The

@@ -3,16 +3,15 @@ package profile
 import (
 	"bytes"
 	"math"
+	"sort"
 	"testing"
 	"time"
-
-	"repro/internal/clock"
 )
 
 // feed walks a profile's schedule into a capture as if it were live
-// traffic: every sampled message lands at its scheduled offset on a
-// virtual clock.
-func feed(t *testing.T, cap *Capture, clk *clock.Virtual, p *Profile, devices int, duration time.Duration) {
+// traffic: every sampled message lands in global time order at its
+// scheduled offset.
+func feed(t *testing.T, cap *Capture, p *Profile, devices int, duration time.Duration) {
 	t.Helper()
 	type ev struct {
 		at      time.Duration
@@ -34,24 +33,9 @@ func feed(t *testing.T, cap *Capture, clk *clock.Virtual, p *Profile, devices in
 			evs = append(evs, ev{at, topic, payload})
 		}
 	}
-	// Deliver in global time order, advancing the virtual clock so the
-	// capture sees true scenario-time gaps.
-	for {
-		best := -1
-		for i := range evs {
-			if evs[i].payload == nil {
-				continue
-			}
-			if best < 0 || evs[i].at < evs[best].at {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		clk.AdvanceTo(clock.Epoch.Add(evs[best].at))
-		cap.Observe(evs[best].topic, evs[best].payload)
-		evs[best].payload = nil
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
+	for _, e := range evs {
+		cap.ObserveAt(e.at, e.topic, e.payload)
 	}
 }
 
@@ -70,9 +54,8 @@ func TestCaptureRoundTrip(t *testing.T) {
 		},
 	}
 	const duration = 60 * time.Second
-	clk := clock.NewVirtual()
-	cap := NewCapture(clk)
-	feed(t, cap, clk, src, 0, duration)
+	cap := NewCapture()
+	feed(t, cap, src, 0, duration)
 
 	observed := cap.ClassCounts()
 	if len(observed) != 2 {
@@ -150,9 +133,8 @@ func TestCaptureFitsPoisson(t *testing.T) {
 			{Kind: "tick", Count: 6, Cadence: Cadence{Dist: DistFixed, Mean: 100 * time.Millisecond}},
 		},
 	}
-	clk := clock.NewVirtual()
-	cap := NewCapture(clk)
-	feed(t, cap, clk, src, 0, 30*time.Second)
+	cap := NewCapture()
+	feed(t, cap, src, 0, 30*time.Second)
 	fitted := cap.Fit(FitOptions{Name: "f"})
 	dists := map[string]string{}
 	for _, pop := range fitted.Populations {
@@ -167,11 +149,9 @@ func TestCaptureFitsPoisson(t *testing.T) {
 }
 
 // TestCaptureObserveAtNeedsNoClock feeds one schedule twice: in global
-// time order through Observe on a virtual clock stepped to each
-// arrival, and device by device through ObserveAt on a clock that
-// never moves. Both fit the same profile — an offset handed to
-// ObserveAt is all the capture needs, whatever the delivery order and
-// whatever the clock read when the message got there.
+// time order, and device by device in reverse. Both fit the same
+// profile — the offset handed to ObserveAt is all the capture needs,
+// whatever the delivery order.
 func TestCaptureObserveAtNeedsNoClock(t *testing.T) {
 	src := &Profile{
 		Name: "p",
@@ -184,11 +164,10 @@ func TestCaptureObserveAtNeedsNoClock(t *testing.T) {
 		},
 	}
 	const duration = 30 * time.Second
-	clk := clock.NewVirtual()
-	clocked := NewCapture(clk)
-	feed(t, clocked, clk, src, 0, duration)
+	ordered := NewCapture()
+	feed(t, ordered, src, 0, duration)
 
-	stamped := NewCapture(clock.NewVirtual())
+	stamped := NewCapture()
 	s, err := Compile(src, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +177,7 @@ func TestCaptureObserveAtNeedsNoClock(t *testing.T) {
 			stamped.ObserveAt(at, s.DeviceTopic("swarm", d), payload)
 		}
 	}
-	want, err := Marshal(clocked.Fit(FitOptions{Name: "f", Seed: 9}))
+	want, err := Marshal(ordered.Fit(FitOptions{Name: "f", Seed: 9}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +186,7 @@ func TestCaptureObserveAtNeedsNoClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("ObserveAt fit diverges from the clocked fit:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("device-by-device fit diverges from the time-ordered fit:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -215,21 +194,16 @@ func TestCaptureObserveAtNeedsNoClock(t *testing.T) {
 // most of the window and 10x hot for one second: the fit must carry a
 // Burst entry.
 func TestCaptureDetectsBurst(t *testing.T) {
-	clk := clock.NewVirtual()
-	cap := NewCapture(clk)
+	cap := NewCapture()
 	at := time.Duration(0)
-	step := func(d time.Duration) {
-		at += d
-		clk.AdvanceTo(clock.Epoch.Add(at))
-	}
 	payload := []byte(`{"seq":1,"v":0.5}`)
 	for at < 20*time.Second {
 		if at >= 10*time.Second && at < 11*time.Second {
-			step(20 * time.Millisecond) // 50 msg/s burst
+			at += 20 * time.Millisecond // 50 msg/s burst
 		} else {
-			step(500 * time.Millisecond) // 2 msg/s baseline
+			at += 500 * time.Millisecond // 2 msg/s baseline
 		}
-		cap.Observe("swarm/cam-0/status", payload)
+		cap.ObserveAt(at, "swarm/cam-0/status", payload)
 	}
 	fitted := cap.Fit(FitOptions{Name: "b"})
 	if len(fitted.Populations) != 1 {
@@ -256,9 +230,8 @@ func TestCaptureFirmwareSkew(t *testing.T) {
 			Cadence:  Cadence{Dist: DistFixed, Mean: 500 * time.Millisecond},
 		}},
 	}
-	clk := clock.NewVirtual()
-	cap := NewCapture(clk)
-	feed(t, cap, clk, src, 0, 20*time.Second)
+	cap := NewCapture()
+	feed(t, cap, src, 0, 20*time.Second)
 	fitted := cap.Fit(FitOptions{Name: "f"})
 	fw := fitted.Populations[0].Firmware
 	if len(fw) != 2 {

@@ -220,8 +220,8 @@ func (e *Engine) Run() (*Result, error) {
 	}
 	e.log.Mark(e.sc.Name, "run-end", map[string]any{"records": int64(e.log.Len())})
 
-	recs := Normalize(e.log.Records())
-	digest, err := Digest(recs)
+	recs := trace.Normalize(e.log.Records())
+	digest, err := trace.Digest(recs)
 	if err != nil {
 		return nil, err
 	}

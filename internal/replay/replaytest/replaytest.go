@@ -18,7 +18,6 @@ package replaytest
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -28,6 +27,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/digi"
 	"repro/internal/replay"
+	"repro/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden trace fixtures")
@@ -74,13 +74,21 @@ func Golden(t *testing.T, registry *digi.Registry, sc *replay.Scenario, path str
 	}
 
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, r := range a.Records {
-		if err := enc.Encode(r); err != nil {
-			t.Fatalf("replaytest: encode: %v", err)
-		}
+	if err := trace.WriteJSONL(&buf, a.Records); err != nil {
+		t.Fatalf("replaytest: encode: %v", err)
 	}
 	got := buf.Bytes()
+
+	// The digest survives its own JSON: records read back from the
+	// encoded trace hash to the run's digest, which is what a trace
+	// archive's reader checks.
+	back, err := trace.ReadJSONL(bytes.NewReader(got))
+	if err != nil {
+		t.Fatalf("replaytest: re-read %s: %v", sc.Name, err)
+	}
+	if d, err := trace.Digest(trace.Normalize(back)); err != nil || d != a.Digest {
+		t.Fatalf("replaytest: %s read back from JSON hashes to %s (%v), the run to %s", sc.Name, d, err, a.Digest)
+	}
 
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -20,6 +20,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/model"
@@ -177,7 +178,10 @@ func (g *Gateway) handlePatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if g.Log != nil {
-		g.Log.Message(name, r.URL.Path, string(body), "recv")
+		// Bytes that are not UTF-8 are logged as U+FFFD, so the record
+		// survives its own JSON encoding and a trace archive's digest
+		// check.
+		g.Log.Message(name, r.URL.Path, strings.ToValidUTF8(string(body), "\uFFFD"), "recv")
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"generation": up.Gen,

@@ -286,3 +286,28 @@ func TestGenerationHeader(t *testing.T) {
 		t.Errorf("generation header = %q (store gen %d)", got, gen)
 	}
 }
+
+// A PATCH body is logged as its payload, and JSON replaces bytes that
+// are not UTF-8 with U+FFFD when it decodes a string. The logged
+// payload holds the replacement already, so the records read back from
+// the trace archive hash to the digest the log was written with.
+func TestPatchWithInvalidUTF8StaysArchivable(t *testing.T) {
+	g, _ := newGateway(t)
+	c := serve(t, g)
+	req, _ := http.NewRequest(http.MethodPatch, c.Base+"/v1/models/L1", strings.NewReader("{\"note\":\"caf\xe9\"}"))
+	resp, err := c.HTTP.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	data, err := g.Log.ArchiveBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.ParseArchiveBytes(data); err != nil {
+		t.Fatalf("the log's own archive is refused: %v", err)
+	}
+}

@@ -177,25 +177,32 @@ func (l *Log) Span(name, topic string, elapsed time.Duration) {
 		Fields: map[string]any{"elapsed_ns": int64(elapsed)}})
 }
 
-// snapshot returns the chunks as they are now. Stored records are never
-// rewritten, so the result is safe to read without the lock while
-// Append fills the last chunk's spare capacity.
-func (l *Log) snapshot() [][]Record {
+// From calls fn on every record from index n on, in sequence order.
+// Stored records are never rewritten, so it reads them without the
+// lock while Append fills the last chunk's spare capacity, and copies
+// neither them nor the chunks before n.
+func (l *Log) From(n int, fn func(*Record)) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([][]Record(nil), l.chunks...)
+	first := min(n/chunkSize, len(l.chunks))
+	chunks := append([][]Record(nil), l.chunks[first:]...)
+	l.mu.Unlock()
+	skip := n - first*chunkSize
+	for _, c := range chunks {
+		for i := skip; i < len(c); i++ {
+			fn(&c[i])
+		}
+		skip = 0
+	}
 }
 
 // filter returns the records keep accepts, in sequence order.
 func (l *Log) filter(keep func(*Record) bool) []Record {
 	var out []Record
-	for _, c := range l.snapshot() {
-		for i := range c {
-			if keep(&c[i]) {
-				out = append(out, c[i])
-			}
+	l.From(0, func(r *Record) {
+		if keep(r) {
+			out = append(out, *r)
 		}
-	}
+	})
 	return out
 }
 
@@ -208,15 +215,8 @@ func (l *Log) Faults() []Record {
 
 // Records returns a copy of all records in sequence order.
 func (l *Log) Records() []Record {
-	chunks := l.snapshot()
-	n := 0
-	for _, c := range chunks {
-		n += len(c)
-	}
-	out := make([]Record, 0, n)
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
+	out := make([]Record, 0, l.Len())
+	l.From(0, func(r *Record) { out = append(out, *r) })
 	return out
 }
 
@@ -224,26 +224,23 @@ func (l *Log) Records() []Record {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.lenLocked()
+}
+
+func (l *Log) lenLocked() int {
 	if len(l.chunks) == 0 {
 		return 0
 	}
 	return (len(l.chunks)-1)*chunkSize + len(l.chunks[len(l.chunks)-1])
 }
 
-// Bounds returns the wall-clock start of the log and the timestamp of
-// the last record (equal to start when the log is empty), plus the
-// per-kind record counts — the self-describing header data for
-// shared archives.
-func (l *Log) Bounds() (start, end time.Time, kinds map[Kind]int) {
-	start, end = l.start, l.start
-	kinds = map[Kind]int{}
-	for _, c := range l.snapshot() {
-		for i := range c {
-			kinds[c[i].Kind]++
-		}
-		end = l.start.Add(c[len(c)-1].TS)
-	}
-	return start, end, kinds
+// Tail returns the number of records and the offset a record appended
+// now would be stamped with: where a window that From reads back
+// starts.
+func (l *Log) Tail() (n int, at time.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lenLocked(), l.now().Sub(l.start)
 }
 
 // RecordsFor returns records for one mock/scene name.
@@ -260,15 +257,13 @@ func (l *Log) Violations() []Record {
 	return l.filter(func(r *Record) bool { return r.Kind == KindViolation })
 }
 
-// WriteJSONL streams the log as one JSON object per line.
-func (l *Log) WriteJSONL(w io.Writer) error {
+// WriteJSONL streams records as one JSON object per line.
+func WriteJSONL(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, c := range l.snapshot() {
-		for i := range c {
-			if err := enc.Encode(&c[i]); err != nil {
-				return err
-			}
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()

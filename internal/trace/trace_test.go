@@ -85,7 +85,7 @@ func TestRecordKindsAndAccessors(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	l := sampleLog()
 	var buf bytes.Buffer
-	if err := l.WriteJSONL(&buf); err != nil {
+	if err := WriteJSONL(&buf, l.Records()); err != nil {
 		t.Fatal(err)
 	}
 	if n := strings.Count(buf.String(), "\n"); n != 5 {
@@ -133,11 +133,11 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ParseArchiveBytes(data)
+	ar, err := ParseArchiveBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 5 || recs[0].Name != "confcenter" {
+	if recs := ar.Records; len(recs) != 5 || recs[0].Name != "confcenter" {
 		t.Errorf("recs = %v", recs)
 	}
 	if _, err := ParseArchiveBytes([]byte("not a zip")); err == nil {
@@ -163,10 +163,11 @@ func TestArchiveRoundTripAllKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ParseArchiveBytes(data)
+	ar, err := ParseArchiveBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := ar.Records
 	orig := l.Records()
 	if len(recs) != len(orig) {
 		t.Fatalf("got %d records, want %d", len(recs), len(orig))
@@ -194,11 +195,11 @@ func TestArchiveRoundTripAllKinds(t *testing.T) {
 	}
 	// The archive is byte-stable for a fixed log: packaging the same
 	// records twice yields identical trace.jsonl content.
-	recs2, err := ParseArchiveBytes(data)
+	ar2, err := ParseArchiveBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(recs, recs2) {
+	if !reflect.DeepEqual(recs, ar2.Records) {
 		t.Error("re-parsing the same archive produced different records")
 	}
 	// And the meta counts see the new kinds.
@@ -227,12 +228,12 @@ func TestArchiveFileRoundTrip(t *testing.T) {
 	if err := l.SaveArchive(path); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := LoadArchive(path)
+	ar, err := LoadArchive(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 5 {
-		t.Errorf("len = %d", len(recs))
+	if len(ar.Records) != 5 {
+		t.Errorf("len = %d", len(ar.Records))
 	}
 	if _, err := LoadArchive(filepath.Join(t.TempDir(), "missing.zip")); err == nil {
 		t.Error("missing file accepted")
@@ -292,21 +293,32 @@ func TestSpanRecords(t *testing.T) {
 	}
 }
 
+// TestBounds checks the start and end an archive's header reports:
+// equal for an empty log, end at the last record's offset otherwise.
 func TestBounds(t *testing.T) {
 	l := NewLogAt(newFakeClock().now)
-	start, end, kinds := l.Bounds()
-	if !start.Equal(end) || len(kinds) != 0 {
-		t.Fatalf("empty log bounds: %v %v %v", start, end, kinds)
+	data, err := l.ArchiveBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := archiveMeta(t, data)
+	if meta["start"] != meta["end"] || meta["records"] != "0" {
+		t.Fatalf("empty log bounds: %v", meta)
 	}
 	l.Event("o1", "Occupancy", nil)
 	l.Event("o1", "Occupancy", nil)
 	l.Span("o1", "t/x/s", time.Millisecond)
-	start, end, kinds = l.Bounds()
-	if !end.After(start) {
-		t.Fatalf("end %v not after start %v", end, start)
+	if data, err = l.ArchiveBytes(); err != nil {
+		t.Fatal(err)
 	}
-	if kinds[KindEvent] != 2 || kinds[KindSpan] != 1 {
-		t.Fatalf("kind counts: %v", kinds)
+	meta = archiveMeta(t, data)
+	start, err1 := time.Parse(time.RFC3339Nano, meta["start"])
+	end, err2 := time.Parse(time.RFC3339Nano, meta["end"])
+	if err1 != nil || err2 != nil || end.Sub(start) != 3*time.Second {
+		t.Fatalf("bounds %v .. %v (%v, %v), want 3s apart", start, end, err1, err2)
+	}
+	if meta["kind event"] != "2" || meta["kind span"] != "1" {
+		t.Fatalf("kind counts: %v", meta)
 	}
 }
 
@@ -394,5 +406,163 @@ func TestAppendDoesNotCopyTheLog(t *testing.T) {
 		if recs[i].Seq != uint64(i+1) {
 			t.Errorf("Records()[%d].Seq = %d, want %d", i, recs[i].Seq, i+1)
 		}
+	}
+}
+
+// archiveMeta returns an archive's meta.txt as key/value pairs.
+func archiveMeta(t *testing.T, data []byte) map[string]string {
+	t.Helper()
+	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := map[string]string{}
+	for _, f := range zr.File {
+		if f.Name != "meta.txt" {
+			continue
+		}
+		rc, err := f.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ln := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+			if k, v, ok := strings.Cut(ln, ": "); ok {
+				meta[k] = v
+			}
+		}
+	}
+	return meta
+}
+
+// rewriteEntry returns a copy of a zip with one entry's content passed
+// through edit.
+func rewriteEntry(t *testing.T, data []byte, name string, edit func([]byte) []byte) []byte {
+	t.Helper()
+	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	for _, f := range zr.File {
+		rc, err := f.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Name == name {
+			body = edit(body)
+		}
+		w, err := zw.Create(f.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Write(body)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// An archive carries the digest of its normalized records, and the
+// reader refuses one whose trace.jsonl no longer hashes to it.
+func TestArchiveRefusesEditedRecords(t *testing.T) {
+	l := sampleLog()
+	l.Message("o1", "digibox/o1/status", `{"triggered":true}`, "send")
+	l.Span("o1", "digibox/o1/status", time.Millisecond)
+	data, err := l.ArchiveBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Digest(Normalize(l.Records()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar, err := ParseArchiveBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta := archiveMeta(t, data)["digest"]; ar.Digest != want || meta != want || ar.Scenario != nil {
+		t.Fatalf("archive digest %q (meta %q), want %q; scenario %q", ar.Digest, meta, want, ar.Scenario)
+	}
+
+	edited := rewriteEntry(t, data, "trace.jsonl", func(b []byte) []byte {
+		return bytes.Replace(b, []byte(`{\"triggered\":true}`), []byte(`{\"triggered\":false}`), 1)
+	})
+	if _, err := ParseArchiveBytes(edited); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("edited payload: err = %v, want a digest mismatch", err)
+	}
+	dropLine := func(i int) func([]byte) []byte {
+		return func(b []byte) []byte {
+			lines := bytes.SplitAfter(b, []byte("\n"))
+			return bytes.Join(append(lines[:i:i], lines[i+1:]...), nil)
+		}
+	}
+	// Dropping a record, or a span the digest does not cover, changes
+	// the record count meta.txt pins.
+	for _, i := range []int{2, 6} {
+		if _, err := ParseArchiveBytes(rewriteEntry(t, data, "trace.jsonl", dropLine(i))); err == nil {
+			t.Errorf("archive with line %d dropped accepted", i+1)
+		}
+	}
+	noDigest := rewriteEntry(t, data, "meta.txt", func(b []byte) []byte {
+		return b[:bytes.Index(b, []byte("digest: "))]
+	})
+	if _, err := ParseArchiveBytes(noDigest); err == nil {
+		t.Error("archive without a digest accepted")
+	}
+}
+
+// A recorded run's archive stores its scenario next to the records.
+func TestArchiveCarriesScenario(t *testing.T) {
+	l := sampleLog()
+	var buf bytes.Buffer
+	scenario := []byte("scenario: s\nduration_ms: 10\n")
+	if err := WriteArchive(&buf, time.Unix(0, 0), l.Records(), scenario); err != nil {
+		t.Fatal(err)
+	}
+	ar, err := ParseArchiveBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ar.Scenario, scenario) || len(ar.Records) != 5 {
+		t.Fatalf("scenario %q, %d records", ar.Scenario, len(ar.Records))
+	}
+}
+
+// Tail and From read back exactly the records appended after a point,
+// across chunk boundaries, with the offset the window started at.
+func TestTailFrom(t *testing.T) {
+	l := NewLogAt(newFakeClock().now)
+	for i := 0; i < chunkSize+10; i++ {
+		l.Event("o1", "Occupancy", nil)
+	}
+	n, at := l.Tail()
+	if n != chunkSize+10 || at != time.Duration(chunkSize+11)*time.Second {
+		t.Fatalf("Tail = %d, %v", n, at)
+	}
+	for i := 0; i < chunkSize; i++ {
+		l.Event("o2", "Occupancy", nil)
+	}
+	var got []Record
+	l.From(n, func(r *Record) { got = append(got, *r) })
+	if len(got) != chunkSize || got[0].Seq != uint64(n+1) || got[0].Name != "o2" || got[0].TS <= at {
+		t.Fatalf("From(%d) read %d records, first %+v", n, len(got), got[0])
+	}
+	var none int
+	l.From(l.Len(), func(*Record) { none++ })
+	l.From(10*l.Len(), func(*Record) { none++ })
+	if none != 0 {
+		t.Fatalf("From past the end read %d records", none)
 	}
 }
