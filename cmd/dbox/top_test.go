@@ -20,7 +20,6 @@ import (
 func TestTopRendersLatency(t *testing.T) {
 	tb, err := core.New(core.Options{
 		LocalRepoDir: filepath.Join(t.TempDir(), "local"),
-		RuntimeMQTT:  true,
 		Observer:     true,
 	})
 	if err != nil {

@@ -66,9 +66,6 @@ func main() {
 		BrokerAddr:   *mqttAddr,
 		RESTAddr:     *restAddr,
 		LocalRepoDir: *repoDir,
-		// The daemon exposes a real broker, so route the digi runtime
-		// through it: chaos plans can then sever and heal the session.
-		RuntimeMQTT: true,
 		// The wildcard observer closes publish→deliver spans so
 		// /ctl/metrics latency histograms fill even when no application
 		// client is subscribed.

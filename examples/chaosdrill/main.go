@@ -1,11 +1,11 @@
 // Chaosdrill: fault injection and self-healing in one session.
 //
-// It deploys the quickstart ensemble with the digi runtime publishing
-// through a real auto-reconnecting MQTT session, then runs a seeded
-// chaos plan against it — forced disconnect, lossy delivery, a node
-// failure, a sensor dropout — while a scene workload keeps driving the
-// ensemble. At plan end the runtime has reconnected, the pods are
-// rescheduled, and the drill prints the deterministic fault trace.
+// It deploys the quickstart ensemble, then runs a seeded chaos plan
+// against it — the digi runtime's broker link severed, lossy delivery,
+// a node failure, a sensor dropout — while a scene workload keeps
+// driving the ensemble. At plan end the runtime's link has healed, the
+// pods are rescheduled, and the drill prints the deterministic fault
+// trace.
 //
 //	go run ./examples/chaosdrill
 package main
@@ -24,7 +24,7 @@ import (
 func main() {
 	// Observer: a wildcard MQTT session closes publish→deliver spans,
 	// so the e2e latency histograms fill even with no app subscribed.
-	tb, err := digibox.New(digibox.Options{RuntimeMQTT: true, Observer: true})
+	tb, err := digibox.New(digibox.Options{Observer: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func main() {
 		l1.GetString("power.status"), st.PodsRunning, st.Broker.FaultDrops)
 
 	// Self-healing gate: every injected fault must be recovered — by
-	// the engine's scheduled revert or by the runtime reconnecting its
-	// severed session. The reconnect backs off, so give it a moment.
+	// the engine's scheduled revert or by the runtime healing its
+	// severed broker link, 50 ms after the cut.
 	injected := tb.Obs.Value(obs.FaultsInjectedName)
 	var recovered float64
 	for wait := 0; ; wait++ {
@@ -96,6 +96,15 @@ func main() {
 	}
 	if len(snap.Families) < 12 {
 		log.Fatalf("chaosdrill: only %d metric families exposed, want >= 12", len(snap.Families))
+	}
+	var healed float64
+	for _, m := range snap.Family(obs.FaultsRecoveredName).Metrics {
+		if m.LabelValues[0] == "reconnect" {
+			healed = m.Value
+		}
+	}
+	if healed < 1 {
+		log.Fatalf("chaosdrill: the severed runtime link never healed (no via=\"reconnect\" recovery)")
 	}
 }
 

@@ -19,8 +19,8 @@ var digis = []vettest.Digi{
 		Attach: []string{"O1", "L1"}},
 }
 
-// plan is the scene's chaos section: the digi runtime's MQTT session
-// is force-dropped, half the status traffic is lost for a window, the
+// plan is the scene's chaos section: the digi runtime's broker link
+// is severed, half the status traffic is lost for a window, the
 // only node dies and revives, and the sensor goes silent for a spell.
 // Every target names a digi or topic of the setup above — vet rule
 // V013 rejects the setup otherwise.

@@ -90,10 +90,9 @@ func runDay(cfg dayConfig) (*dayReport, error) {
 		nodes = append(nodes, digibox.NodeSpec{Name: n, Capacity: 64, Zone: "local"})
 	}
 	tb, err := digibox.New(digibox.Options{
-		TimeScale:   cfg.Speed,
-		RuntimeMQTT: true,
-		Observer:    true,
-		Nodes:       nodes,
+		TimeScale: cfg.Speed,
+		Observer:  true,
+		Nodes:     nodes,
 	})
 	if err != nil {
 		return nil, err
@@ -183,12 +182,12 @@ func runDay(cfg dayConfig) (*dayReport, error) {
 
 	// The day's scenario span is measured here, before the settle:
 	// WaitConverged's wall-clock grace lets an unpaced clock churn
-	// extra virtual hours while wall-domain recovery (the runtime
-	// redialling its severed broker session) completes.
+	// extra virtual hours while it polls. Every recovery is scenario
+	// time already (a severed runtime heals 50 ms after its cut).
 	dayHours := tb.Uptime().Hours()
 
 	// Settle: every injected fault must be recovered — by the engine's
-	// scheduled revert or the runtime reconnecting its severed session.
+	// scheduled revert or the runtime healing its severed broker link.
 	_ = tb.WaitConverged(30*time.Minute, func() bool {
 		return tb.Obs.Value(obs.FaultsRecoveredName) >= tb.Obs.Value(obs.FaultsInjectedName)
 	})

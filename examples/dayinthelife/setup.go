@@ -41,8 +41,8 @@ func diurnalProb(hour int) float64 {
 	}
 }
 
-// nightDrillA is the 02:00 delivery-layer drill: the runtime's MQTT
-// session is cut (self-healing must reconnect it), half the status
+// nightDrillA is the 02:00 delivery-layer drill: the runtime's broker
+// link is cut (self-healing must restore it), half the status
 // traffic is dropped for ten minutes, and the lobby sensor goes
 // silent for ten minutes.
 var nightDrillA = &chaos.Plan{

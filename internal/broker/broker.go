@@ -625,7 +625,7 @@ func (s *session) readLoop() {
 			}
 			s.send(&Packet{Type: SUBACK, PacketID: pkt.PacketID, QoSs: granted})
 			// Retained messages are delivered after the SUBACK.
-			s.broker.deliverRetained(pkt.Filters, s)
+			s.broker.deliverRetained(pkt.Filters, granted, s)
 		case UNSUBSCRIBE:
 			for _, f := range pkt.Filters {
 				if s.broker.subs.unsubscribe(s.clientID, f) {
@@ -650,7 +650,7 @@ func (s *session) readLoop() {
 
 // route fans a PUBLISH out to matching subscribers and updates the
 // retained store. from identifies the publisher (wire client ID or
-// PublishFrom name; "" for anonymous in-process publishes) and scopes
+// PublishQoS name; "" for anonymous in-process publishes) and scopes
 // injected fault rules and partition checks. m.Retained is the
 // publish's retain flag.
 func (b *Broker) route(from string, m Message) {
@@ -734,17 +734,22 @@ func (b *Broker) route(from string, m Message) {
 }
 
 // deliverRetained sends stored retained messages matching any of the
-// new filters to the subscribing session, with the retain flag set.
-func (b *Broker) deliverRetained(filters []string, s *session) {
+// new filters to the subscribing session, with the retain flag set,
+// once per topic at min(stored QoS, the highest QoS granted to a
+// matching filter) (MQTT 3.1.1 §3.3.5).
+func (b *Broker) deliverRetained(filters []string, granted []byte, s *session) {
 	b.retained.Range(func(key, value any) bool {
 		topic := key.(string)
 		stored := value.(*Packet)
-		for _, f := range filters {
+		matched, qos := false, byte(0)
+		for i, f := range filters {
 			if MatchTopic(f, topic) {
-				atomic.AddInt64(&b.messagesOut, 1)
-				s.deliver(Message{Topic: topic, Payload: stored.Payload, QoS: stored.QoS, Retained: true}, 0)
-				break
+				matched, qos = true, max(qos, granted[i])
 			}
+		}
+		if matched {
+			atomic.AddInt64(&b.messagesOut, 1)
+			s.deliver(Message{Topic: topic, Payload: stored.Payload, QoS: min(stored.QoS, qos), Retained: true}, 0)
 		}
 		return true
 	})
@@ -766,27 +771,20 @@ func (b *Broker) Kick(clientID string) bool {
 	return true
 }
 
-// PublishFrom injects a message into the broker from within the
-// process, without a client connection, under a publisher identity,
-// so in-process publishes participate in partition groups and
-// From-scoped fault rules the same way wire clients do. Mocks
-// co-located with the broker use this fast path (the digi runtime
-// passes the publishing digi's name); the wire path behaves
-// identically.
-func (b *Broker) PublishFrom(from, topic string, payload []byte, retain bool) error {
-	return b.PublishQoS(from, topic, payload, 0, retain)
-}
-
 // ErrClosed is returned by PublishQoS once the broker has been closed
 // (or killed by a chaos shard fault). The swarm pool treats it as the
 // "shard is dead" signal and journals the message for redelivery after
 // failover instead of losing it.
 var ErrClosed = errors.New("mqtt: broker closed")
 
-// PublishQoS is PublishFrom with an explicit QoS: subscribers receive
-// the message at min(qos, subscription qos), exactly as if a wire
-// client had published it. The swarm load generator and bridge use
-// QoS 1 so deliveries are never shed under back-pressure and loss
+// PublishQoS injects a message into the broker from within the
+// process, without a client connection, under a publisher identity,
+// so in-process publishes participate in partition groups and
+// From-scoped fault rules the same way wire clients do. Subscribers
+// receive it at min(qos, subscription qos), exactly as if a wire
+// client had published it. The digi runtime publishes each status
+// under the digi's name at QoS 1; the swarm load generator and bridge
+// use QoS 1 so deliveries are never shed under back-pressure and loss
 // accounting stays exact.
 func (b *Broker) PublishQoS(from, topic string, payload []byte, qos byte, retain bool) error {
 	if !b.Alive() {
@@ -808,14 +806,16 @@ func (b *Broker) PublishQoS(from, topic string, payload []byte, qos byte, retain
 // the publisher's goroutine (or the fault-delay timer's). This is the
 // fast path the swarm pool and its loss accounting ride — no socket,
 // no outbound queue, so a QoS 1 delivery cannot be shed. Matching
-// retained messages are delivered (with Retained set) before
-// SubscribeInProcess returns, mirroring wire SUBACK semantics.
-// Subsequent calls with the same clientID and filter replace fn.
+// retained messages are delivered (with Retained set, at most at
+// qos) before SubscribeInProcess returns, mirroring wire SUBACK
+// semantics. Subsequent calls with the same clientID and filter
+// replace fn.
 func (b *Broker) SubscribeInProcess(clientID, filter string, qos byte, fn func(Message)) error {
 	if err := b.subscribeInProcess(clientID, filter, qos, fn); err != nil {
 		return err
 	}
 	for _, m := range b.RetainedMatching(filter) {
+		m.QoS = min(m.QoS, qos, 1)
 		fn(m)
 	}
 	return nil

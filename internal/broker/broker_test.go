@@ -22,7 +22,7 @@ func startBroker(t *testing.T, opts *Options) *Broker {
 
 // Publish injects a message with no publisher identity.
 func (b *Broker) Publish(topic string, payload []byte, retain bool) error {
-	return b.PublishFrom("", topic, payload, retain)
+	return b.PublishQoS("", topic, payload, 0, retain)
 }
 
 // Unsubscribe removes a subscription.

@@ -63,7 +63,7 @@ type ClientOptions struct {
 	// OnConnectionState, when set, receives connection transitions:
 	// (false, cause) when the connection is lost, (true, nil) once a
 	// (re)connect — including resubscription and buffered-publish
-	// flush — completes. Further listeners can be added with OnState.
+	// flush — completes.
 	OnConnectionState func(connected bool, cause error)
 	// Dialer overrides the TCP dial (tests, chaos connection hooks).
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
@@ -154,7 +154,6 @@ type Client struct {
 	pending   map[uint16]chan *Packet
 	nextID    uint16
 	buffered  []*Packet // publishes parked while disconnected
-	stateFns  []func(connected bool, cause error)
 	closed    bool
 	closeErr  error
 	lastErr   error // most recent connection-loss cause
@@ -190,9 +189,6 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 		clk:     o.Clock,
 		jitter:  rng.New(seed, 0),
 		done:    make(chan struct{}),
-	}
-	if o.OnConnectionState != nil {
-		c.stateFns = []func(bool, error){o.OnConnectionState}
 	}
 	conn, err := c.handshake()
 	if err != nil {
@@ -378,7 +374,6 @@ func (c *Client) connLost(conn net.Conn, err error) {
 	pend := c.pending
 	c.pending = map[uint16]chan *Packet{}
 	auto := c.opts.AutoReconnect
-	fns := c.stateFns
 	c.mu.Unlock()
 	if connDone != nil {
 		close(connDone)
@@ -387,7 +382,7 @@ func (c *Client) connLost(conn net.Conn, err error) {
 	for _, ch := range pend {
 		close(ch)
 	}
-	for _, fn := range fns {
+	if fn := c.opts.OnConnectionState; fn != nil {
 		fn(false, err)
 	}
 	if !auto {
@@ -454,7 +449,6 @@ func (c *Client) reconnectLoop() {
 		sort.Slice(subs, func(i, j int) bool { return subs[i].filter < subs[j].filter })
 		buffered := c.buffered
 		c.buffered = nil
-		fns := c.stateFns
 		c.mu.Unlock()
 		c.startLoops(conn, connDone)
 		// Re-establish subscriptions. SUBACKs are consumed by the read
@@ -479,7 +473,7 @@ func (c *Client) reconnectLoop() {
 				return
 			}
 		}
-		for _, fn := range fns {
+		if fn := c.opts.OnConnectionState; fn != nil {
 			fn(true, nil)
 		}
 		return
@@ -718,21 +712,10 @@ func (c *Client) subscribeDeferred() bool {
 	return c.opts.AutoReconnect && !c.closed && !c.connected
 }
 
-// OnState adds a connection-state listener (see
-// ClientOptions.OnConnectionState). Listeners added after Dial see
-// only subsequent transitions.
-func (c *Client) OnState(fn func(connected bool, cause error)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fns := make([]func(bool, error), len(c.stateFns), len(c.stateFns)+1)
-	copy(fns, c.stateFns)
-	c.stateFns = append(fns, fn)
-}
-
 // IsConnected reports whether the client currently has a live
 // connection.
 //
-//dbox:allow deadcode -- core's chaos tests poll the runtime session with it
+//dbox:allow deadcode -- this package's reconnect tests poll it
 func (c *Client) IsConnected() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -750,7 +733,7 @@ func (c *Client) Close() error {
 
 // Done is closed when the client terminates for good. With
 // AutoReconnect, individual connection losses do not close it — only
-// Close does; use OnState to observe connectivity.
+// Close does; use OnConnectionState to observe connectivity.
 //
 //dbox:allow deadcode -- the root facade test and this package's tests wait on it
 func (c *Client) Done() <-chan struct{} { return c.done }

@@ -2,6 +2,8 @@ package broker
 
 import (
 	"bufio"
+	"bytes"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -86,7 +88,9 @@ func (c *rawConn) subscribe(id uint16, filter string, qos byte) byte {
 // features it does not implement: a will closes the connection at
 // CONNECT, a QoS-2 PUBLISH closes it, a QoS-2 SUBSCRIBE is granted QoS
 // 1 (§3.9.3 lets the server grant less than asked), and a non-clean
-// session is served as a clean one.
+// session is served as a clean one. One row pins a feature it does
+// implement: a retained message is replayed to a new subscriber at
+// min(its stored QoS, the granted QoS) (§3.3.5).
 func TestWireContract(t *testing.T) {
 	cases := []struct {
 		name string
@@ -125,6 +129,36 @@ func TestWireContract(t *testing.T) {
 			}
 			if p := c.read(); p.Type != PUBLISH || p.Topic != "t/x" || p.QoS != 1 {
 				t.Fatalf("delivery = %+v, want t/x at QoS 1", p)
+			}
+		}},
+		{"retained QoS-1 message reaches a QoS-0 subscriber at QoS 0", func(t *testing.T, b *Broker) {
+			if err := b.PublishQoS("", "r/x", []byte("v"), 1, true); err != nil {
+				t.Fatal(err)
+			}
+			c := dialRaw(t, b)
+			c.connect("qos0-sub", true)
+			// SUBSCRIBE id 1, filter "r/#" at QoS 0.
+			c.writeRaw([]byte{byte(SUBSCRIBE)<<4 | 0x02, 8, 0, 1, 0, 3, 'r', '/', '#', 0})
+			if ack := c.read(); ack.Type != SUBACK || len(ack.QoSs) != 1 || ack.QoSs[0] != 0 {
+				t.Fatalf("SUBACK = %+v, want QoS 0 granted", ack)
+			}
+			// PUBLISH, retain set, QoS 0: topic "r/x" and the payload,
+			// no packet id between them (§3.3.5: min(1, granted 0)).
+			want := []byte{byte(PUBLISH)<<4 | 0x01, 6, 0, 3, 'r', '/', 'x', 'v'}
+			got := make([]byte, len(want))
+			if _, err := io.ReadFull(c.r, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("retained delivery = % x, want % x", got, want)
+			}
+			// An in-process subscriber's replay is capped the same way.
+			var local []Message
+			if err := b.SubscribeInProcess("qos0-local", "r/#", 0, func(m Message) { local = append(local, m) }); err != nil {
+				t.Fatal(err)
+			}
+			if len(local) != 1 || !local[0].Retained || local[0].QoS != 0 {
+				t.Fatalf("in-process retained replay = %+v, want one retained message at QoS 0", local)
 			}
 		}},
 		{"CleanSession=0 is served as a clean session", func(t *testing.T, b *Broker) {

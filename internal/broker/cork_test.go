@@ -57,7 +57,7 @@ func TestInProcessBurstDeliversEveryMessage(t *testing.T) {
 				go func(topic string) {
 					defer wg.Done()
 					<-start
-					if err := b.PublishFrom(topic, topic, []byte{byte(seq)}, true); err != nil {
+					if err := b.PublishQoS(topic, topic, []byte{byte(seq)}, 0, true); err != nil {
 						t.Error(err)
 					}
 				}(fmt.Sprintf("burst/%03d", i))

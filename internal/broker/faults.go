@@ -16,7 +16,7 @@ type FaultRule struct {
 	// Client matches the receiving session's client ID.
 	Client string
 	// From matches the publishing identity (the wire client ID, or
-	// the name passed to PublishFrom for in-process publishes).
+	// the name passed to PublishQoS for in-process publishes).
 	From string
 	// Topic is an MQTT topic filter matched against the message topic.
 	Topic string

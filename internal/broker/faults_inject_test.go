@@ -138,14 +138,14 @@ func TestPartitionIsolatesGroups(t *testing.T) {
 	}
 }
 
-// PublishFrom gives in-process publishes a partitionable identity.
+// A publisher name gives in-process publishes a partitionable identity.
 func TestPublishFromParticipatesInPartitions(t *testing.T) {
 	b := startBroker(t, nil)
 	app := dialClient(t, b, "app")
 	msgs := subscribeChan(t, app, "digibox/#")
 
 	b.SetPartitions([][]string{{"S1"}, {"app"}})
-	if err := b.PublishFrom("S1", "digibox/S1/status", []byte("cut"), false); err != nil {
+	if err := b.PublishQoS("S1", "digibox/S1/status", []byte("cut"), 0, false); err != nil {
 		t.Fatal(err)
 	}
 	select {

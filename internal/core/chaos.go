@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/broker"
 	"repro/internal/chaos"
@@ -14,21 +16,51 @@ import (
 // fault plan applied to the live broker, cluster, and device layers,
 // with every injection recorded in the trace log.
 
-// brokerInjector adapts broker.Broker to chaos.BrokerInjector.
-type brokerInjector struct{ b *broker.Broker }
+// runtimeLink is the client id a chaos plan names the digi
+// runtime's link to the broker by ("disconnect client=digi-runtime").
+const runtimeLink = "digi-runtime"
 
-func (bi brokerInjector) Disconnect(clientID string) bool { return bi.b.Kick(clientID) }
+// runtimeHealDelay is how long a severed digi runtime stays off the
+// broker: the broker client's default ReconnectMin, the wait before a
+// dropped session's first redial.
+const runtimeHealDelay = 50 * time.Millisecond
+
+// brokerInjector adapts the testbed's broker to chaos.BrokerInjector.
+// A disconnect of the digi runtime severs its in-process link; any
+// other client id is kicked off the wire.
+type brokerInjector struct{ tb *Testbed }
+
+func (bi brokerInjector) Disconnect(clientID string) bool {
+	if clientID == runtimeLink {
+		return bi.tb.severRuntime()
+	}
+	return bi.tb.Broker.Kick(clientID)
+}
 
 func (bi brokerInjector) AddMessageFault(f chaos.MessageFault) (remove func()) {
-	return bi.b.AddFault(broker.FaultRule{
+	return bi.tb.Broker.AddFault(broker.FaultRule{
 		Client: f.Client, From: f.From, Topic: f.Topic,
 		DropRate: f.DropRate, DupRate: f.DupRate, Delay: f.Delay,
 	})
 }
 
-func (bi brokerInjector) SetPartitions(groups [][]string) { bi.b.SetPartitions(groups) }
-func (bi brokerInjector) ClearPartitions()                { bi.b.ClearPartitions() }
-func (bi brokerInjector) SetFaultSeed(seed int64)         { bi.b.SetFaultSeed(seed) }
+func (bi brokerInjector) SetPartitions(groups [][]string) { bi.tb.Broker.SetPartitions(groups) }
+func (bi brokerInjector) ClearPartitions()                { bi.tb.Broker.ClearPartitions() }
+func (bi brokerInjector) SetFaultSeed(seed int64)         { bi.tb.Broker.SetFaultSeed(seed) }
+
+// severRuntime cuts the digi runtime off the broker and heals it
+// runtimeHealDelay later on the testbed clock, so an outage lasts the
+// same scenario time at every TimeScale. It reports false during an
+// outage and after Stop.
+func (tb *Testbed) severRuntime() bool {
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	if tb.stopped || !tb.Runtime.Sever(errors.New("broker link severed by a disconnect fault")) {
+		return false
+	}
+	tb.heal = tb.clk.AfterFunc(runtimeHealDelay, tb.Runtime.Heal)
+	return true
+}
 
 // clusterInjector adapts kube.Cluster; pod-scoped faults address digis
 // by name and resolve to the backing pod.
@@ -80,7 +112,7 @@ func (tb *Testbed) ChaosEngine() *chaos.Engine {
 		Clock:   tb.clk,
 	}
 	if tb.Broker != nil {
-		e.Broker = brokerInjector{tb.Broker}
+		e.Broker = brokerInjector{tb}
 	}
 	tb.mu.Lock()
 	if tb.activeSwarm != nil {

@@ -10,17 +10,17 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/kube"
 	"repro/internal/trace"
 )
 
 // TestChaosPlanSceneSurvives is the acceptance scenario: a scene rides
-// out a plan mixing broker, kube, and device fault kinds — the runtime
-// session disconnected, status traffic dropped, a node killed — and at
-// plan end the digi runtime is reconnected and still publishing.
+// out a plan mixing broker, kube, and device fault kinds — the runtime's
+// broker link severed, status traffic dropped, a node killed — and at
+// plan end the digi runtime's link has healed and it is still publishing.
 func TestChaosPlanSceneSurvives(t *testing.T) {
 	tb := newTestbed(t, Options{
-		RuntimeMQTT: true,
 		Nodes: []NodeSpec{
 			{Name: "n1", Capacity: 100, Zone: "local"},
 			{Name: "n2", Capacity: 100, Zone: "local"},
@@ -61,13 +61,8 @@ func TestChaosPlanSceneSurvives(t *testing.T) {
 		t.Errorf("report = %+v, want 4 injected / 3 reverted", rep)
 	}
 
-	// The runtime session must have reconnected after the forced
-	// disconnect.
-	if err := tb.WaitConverged(5*time.Second, func() bool {
-		return tb.runtimeClient.IsConnected()
-	}); err != nil {
-		t.Fatal("digi runtime not reconnected after plan end")
-	}
+	// The runtime's link must have healed after the forced disconnect.
+	waitRuntimeHealed(t, tb)
 	// The evicted pod must be running again on the revived cluster.
 	if err := tb.WaitConverged(5*time.Second, func() bool {
 		p, err := tb.Cluster.GetPod(podName("O1"))
@@ -101,17 +96,8 @@ func TestChaosPlanSceneSurvives(t *testing.T) {
 	if len(sig) != 7 {
 		t.Errorf("chaos signature has %d lines, want 7 (4 faults + 3 reverts):\n%v", len(sig), sig)
 	}
-	var sawGap, sawRecover bool
-	for _, r := range tb.Log.Faults() {
-		switch r.Fault {
-		case "broker-gap":
-			sawGap = true
-		case "broker-recover":
-			sawRecover = true
-		}
-	}
-	if !sawGap || !sawRecover {
-		t.Errorf("runtime gap markers missing: gap=%v recover=%v", sawGap, sawRecover)
+	if gaps := runtimeMarkers(tb, "broker-gap"); len(gaps) != 1 {
+		t.Errorf("runtime gap markers = %d, want 1", len(gaps))
 	}
 }
 
@@ -169,7 +155,7 @@ func TestChaosReplayDeterminism(t *testing.T) {
 // TestRunWithChaos exercises the workload-under-fault helper: the scene
 // keeps converging while the plan degrades the broker.
 func TestRunWithChaos(t *testing.T) {
-	tb := newTestbed(t, Options{RuntimeMQTT: true})
+	tb := newTestbed(t, Options{})
 	if err := tb.Run("Lamp", "L1", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +182,29 @@ func TestRunWithChaos(t *testing.T) {
 	if rep.Injected != 2 {
 		t.Errorf("report = %+v, want 2 injected", rep)
 	}
+	waitRuntimeHealed(t, tb)
+}
+
+// waitRuntimeHealed waits for the digi runtime's broker-recover marker:
+// the link a chaos disconnect severed has healed.
+func waitRuntimeHealed(t *testing.T, tb *Testbed) {
+	t.Helper()
 	if err := tb.WaitConverged(5*time.Second, func() bool {
-		return tb.runtimeClient.IsConnected()
+		return len(runtimeMarkers(tb, "broker-recover")) > 0
 	}); err != nil {
-		t.Fatal("runtime not reconnected after RunWithChaos")
+		t.Fatal("digi runtime's broker link not healed")
 	}
+}
+
+// runtimeMarkers returns the digi runtime's fault records of one kind.
+func runtimeMarkers(tb *Testbed, fault string) []trace.Record {
+	var out []trace.Record
+	for _, r := range tb.Log.Faults() {
+		if r.Name == "runtime" && r.Fault == fault {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // TestDeviceFaultModesThroughChaos drives the device injector end to
@@ -237,12 +241,12 @@ func TestDeviceFaultModesThroughChaos(t *testing.T) {
 	}
 }
 
-// TestRuntimeRepublishesEveryTopicsLatestStatus kicks the digi
-// runtime's MQTT session after several mocks have published: the
+// TestRuntimeRepublishesEveryTopicsLatestStatus severs the digi
+// runtime's broker link after several mocks have published: the
 // broker-recover marker counts every digi's status topic, and the
 // payload each topic is republished with is that digi's latest status.
 func TestRuntimeRepublishesEveryTopicsLatestStatus(t *testing.T) {
-	tb := newTestbed(t, Options{RuntimeMQTT: true})
+	tb := newTestbed(t, Options{})
 	lamps := []string{"L1", "L2", "L3", "L4"}
 	for i, name := range lamps {
 		if err := tb.Run("Lamp", name, nil); err != nil {
@@ -316,21 +320,11 @@ func TestRuntimeRepublishesEveryTopicsLatestStatus(t *testing.T) {
 	}
 	mu.Unlock()
 
-	if !tb.Broker.Kick("digi-runtime") {
-		t.Fatal("no digi-runtime session to kick")
+	if !tb.ChaosEngine().Broker.Disconnect("digi-runtime") {
+		t.Fatal("the digi runtime's broker link was not severed")
 	}
-	var marker string
-	if err := tb.WaitConverged(5*time.Second, func() bool {
-		for _, r := range tb.Log.Faults() {
-			if r.Fault == "broker-recover" {
-				marker = r.Detail
-				return true
-			}
-		}
-		return false
-	}); err != nil {
-		t.Fatal("no broker-recover marker after the kick")
-	}
+	waitRuntimeHealed(t, tb)
+	marker := runtimeMarkers(tb, "broker-recover")[0].Detail
 	if w := fmt.Sprintf("reconnected; republishing %d retained status topics", len(lamps)); marker != w {
 		t.Errorf("broker-recover marker = %q, want %q", marker, w)
 	}
@@ -338,5 +332,83 @@ func TestRuntimeRepublishesEveryTopicsLatestStatus(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		t.Fatalf("republished statuses %v, want each topic's latest %v", got, want)
+	}
+}
+
+// TestRuntimeDisconnectHealsOnTestbedClock pins the runtime link's
+// outage on an unpaced clock. One disconnect logs one gap/recover pair
+// exactly 50 ms of scenario time apart, and a second disconnect inside
+// the outage is skipped. Both are applied inside one clock callback, so
+// the clock cannot fire the heal between them. Once healed, a drop rule
+// scoped to L1 drops L1's statuses and no other digi's: every digi
+// publishes under its own name.
+func TestRuntimeDisconnectHealsOnTestbedClock(t *testing.T) {
+	tb := newTestbed(t, Options{TimeScale: clock.SpeedMax})
+	for _, name := range []string{"L1", "L2"} {
+		if err := tb.Run("Lamp", name, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := &chaos.Plan{
+		Name: "heal",
+		Seed: 1,
+		Events: []chaos.Event{
+			{At: 0, Fault: chaos.FaultDisconnect, Client: "digi-runtime"},
+			{At: 0, Fault: chaos.FaultDisconnect, Client: "digi-runtime"},
+		},
+	}
+	steps, err := chaos.Compile(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walker := tb.ChaosEngine().NewWalker(plan)
+	applied := make(chan struct{})
+	tb.Clock().AfterFunc(0, func() {
+		for _, st := range steps {
+			walker.Apply(st)
+		}
+		close(applied)
+	})
+	<-applied
+	if rep := walker.Report(); rep.Injected != 1 || len(rep.Skipped) != 1 {
+		t.Fatalf("report = %+v, want 1 injected and the second disconnect skipped", rep)
+	}
+	waitRuntimeHealed(t, tb)
+	gaps, recovers := runtimeMarkers(tb, "broker-gap"), runtimeMarkers(tb, "broker-recover")
+	if len(gaps) != 1 || len(recovers) != 1 {
+		t.Fatalf("runtime markers: %d gaps, %d recovers; want one of each", len(gaps), len(recovers))
+	}
+	if d := recovers[0].TS - gaps[0].TS; d != 50*time.Millisecond {
+		t.Errorf("outage lasted %v of scenario time, want 50ms", d)
+	}
+
+	tb.ChaosEngine().Broker.AddMessageFault(chaos.MessageFault{From: "L1", DropRate: 1})
+	var mu sync.Mutex
+	live := map[string]int{}
+	if err := tb.Broker.SubscribeInProcess("app", "digibox/+/status", 1, func(m broker.Message) {
+		if !m.Retained {
+			mu.Lock()
+			live[m.Topic]++
+			mu.Unlock()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"L1", "L2"} {
+		if err := tb.Edit(name, map[string]any{"power": map[string]any{"intent": "on"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tb.WaitConverged(5*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return live["digibox/L2/status"] > 0 && tb.Broker.Stats().FaultDrops > 0
+	}); err != nil {
+		t.Fatal("L2's status never arrived, or no L1 status was dropped")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if n := live["digibox/L1/status"]; n != 0 {
+		t.Errorf("%d of L1's statuses passed a drop rule scoped to L1", n)
 	}
 }

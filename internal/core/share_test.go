@@ -287,12 +287,12 @@ func TestRecreateRejectsIncompatibleSchema(t *testing.T) {
 }
 
 // TestLiveArchiveDigestRoundTrips packages a live testbed's trace after
-// a chaos plan over the runtime's MQTT session — fault records carry
+// a chaos plan that severs the runtime's broker link — fault records carry
 // numeric fields, the runtime logs gap and recovery markers — and the
 // records read back from the archive hash to the digest of the log
 // they were written from.
 func TestLiveArchiveDigestRoundTrips(t *testing.T) {
-	tb := newTestbed(t, Options{RuntimeMQTT: true})
+	tb := newTestbed(t, Options{})
 	if err := tb.Run("Occupancy", "O1", map[string]any{"interval_ms": int64(20), "trigger_prob": 0.5}); err != nil {
 		t.Fatal(err)
 	}

@@ -78,11 +78,6 @@ type Options struct {
 	RemoteRepoDir string
 	// ReadyTimeout bounds digi startup waits; default 10s.
 	ReadyTimeout time.Duration
-	// RuntimeMQTT routes digi status publishes through a real MQTT
-	// client session (auto-reconnecting, QoS 1) instead of the
-	// in-process fast path — required for chaos plans that disconnect
-	// or partition the runtime, and for observing reconnect behaviour.
-	RuntimeMQTT bool
 	// Observer, when set, connects a wire MQTT client subscribed to
 	// "#" (QoS 1) so every publish has at least one wire delivery.
 	// This closes publish→deliver spans even when no application
@@ -132,10 +127,8 @@ type Testbed struct {
 	localRepo  *repo.Repo
 	remoteRepo *repo.Repo
 
-	// runtimeClient is the digi runtime's MQTT session (RuntimeMQTT);
 	// observer is the wildcard subscriber session (Options.Observer).
-	runtimeClient *broker.Client
-	observer      *broker.Client
+	observer *broker.Client
 
 	mu      sync.Mutex
 	started bool
@@ -148,6 +141,9 @@ type Testbed struct {
 	// address it. Guarded by mu (not swarmMu — readers must not block
 	// on a running session).
 	activeSwarm *swarm.Pool
+	// heal ends the digi runtime's outage that a chaos disconnect
+	// began (severRuntime). Guarded by mu.
+	heal clock.Timer
 	// podNode caches digi -> node placements for delay lookups.
 	podNode sync.Map // name -> node name
 
@@ -288,18 +284,6 @@ func (tb *Testbed) Start() error {
 			return fmt.Errorf("core: broker: %w", err)
 		}
 		tb.Runtime.Broker = tb.Broker
-		if tb.opts.RuntimeMQTT {
-			c, err := broker.Dial(tb.Broker.Addr(), &broker.ClientOptions{
-				ClientID:      "digi-runtime",
-				AutoReconnect: true,
-				Clock:         tb.clk,
-			})
-			if err != nil {
-				return fmt.Errorf("core: runtime mqtt: %w", err)
-			}
-			tb.runtimeClient = c
-			tb.Runtime.BindClient(c)
-		}
 		if tb.opts.Observer {
 			if err := tb.startObserver(); err != nil {
 				return fmt.Errorf("core: observer: %w", err)
@@ -377,6 +361,9 @@ func (tb *Testbed) Stop() {
 		return
 	}
 	tb.stopped = true
+	if tb.heal != nil {
+		tb.heal.Stop()
+	}
 	tb.mu.Unlock()
 
 	tb.Checker.Stop()
@@ -386,9 +373,6 @@ func (tb *Testbed) Stop() {
 	tb.Cluster.Stop()
 	if tb.observer != nil {
 		tb.observer.Close()
-	}
-	if tb.runtimeClient != nil {
-		tb.runtimeClient.Close()
 	}
 	if tb.Broker != nil {
 		tb.Broker.Close()

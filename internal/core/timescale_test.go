@@ -10,14 +10,13 @@ import (
 	"repro/internal/replay"
 )
 
-// TestTimeScaleCompressesLiveChaos runs a real testbed — MQTT runtime
-// session, kube cluster, chaos engine — on a 50× scaled clock. The
+// TestTimeScaleCompressesLiveChaos runs a real testbed — broker, kube
+// cluster, chaos engine — on a 50× scaled clock. The
 // 600ms chaos plan must inject and recover everything while finishing
 // far faster than real time would allow.
 func TestTimeScaleCompressesLiveChaos(t *testing.T) {
 	tb := newTestbed(t, Options{
-		TimeScale:   50,
-		RuntimeMQTT: true,
+		TimeScale: 50,
 		Nodes: []NodeSpec{
 			{Name: "n1", Capacity: 100, Zone: "local"},
 			{Name: "n2", Capacity: 100, Zone: "local"},

@@ -11,11 +11,11 @@ import (
 )
 
 // startMetricsServer is startServer with the full observability stack:
-// the runtime publishes over a real MQTT session and the wildcard
-// observer closes delivery spans, so e2e latency histograms fill.
+// the wildcard observer closes delivery spans, so e2e latency
+// histograms fill.
 func startMetricsServer(t *testing.T) (*core.Testbed, *Client) {
 	t.Helper()
-	tb, err := NewTestbed(core.Options{RuntimeMQTT: true, Observer: true})
+	tb, err := NewTestbed(core.Options{Observer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,8 @@ func TestMetricsExposition(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	// A short drill: drop the runtime session and half the traffic.
+	// A short drill: sever the runtime's broker link and drop half the
+	// traffic.
 	rep, err := cli.ChaosRun(&chaos.Plan{
 		Name: "scrape-drill",
 		Seed: 7,

@@ -3,9 +3,13 @@ package digi
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/broker"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -90,5 +94,100 @@ func TestKindAccessors(t *testing.T) {
 	r := roomKind()
 	if !r.Scene() {
 		t.Error("room should be a scene")
+	}
+}
+
+// TestSeverHoldsStatusesUntilHeal drives the runtime's broker link from
+// several goroutines at once: four digis publish while the link is
+// severed and healed over and over. Then, on a quiet runtime, a second
+// Sever during an outage reports false, statuses published during the
+// outage reach no subscriber, and Heal republishes each topic's latest
+// status under its digi's name, so a drop rule scoped to D1 holds back
+// D1's alone.
+func TestSeverHoldsStatusesUntilHeal(t *testing.T) {
+	b := broker.NewBroker(nil)
+	t.Cleanup(b.Close)
+	rt := &Runtime{Store: model.NewStore(), Log: trace.NewLog(), Registry: NewRegistry(), Broker: b}
+	var mu sync.Mutex
+	got := map[string][]string{}
+	if err := b.SubscribeInProcess("app", "digibox/+/status", 1, func(m broker.Message) {
+		mu.Lock()
+		got[m.Topic] = append(got[m.Topic], string(m.Payload))
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"D0", "D1", "D2", "D3"}
+	ctxs := make([]*Ctx, len(names))
+	for i, name := range names {
+		ctxs[i] = NewTestCtx(name, "Thing", rt, rng.New(1, 0), context.Background())
+	}
+	cause := errors.New("test cut")
+	var wg sync.WaitGroup
+	for _, c := range ctxs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := c.Publish(map[string]any{"i": i}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			rt.Sever(cause)
+			rt.Heal()
+		}
+	}()
+	wg.Wait()
+
+	if !rt.Sever(cause) {
+		t.Fatal("Sever on a connected runtime reported false")
+	}
+	if rt.Sever(cause) {
+		t.Fatal("a second Sever during the outage reported true")
+	}
+	mu.Lock()
+	before := map[string]int{}
+	for topic, ps := range got {
+		before[topic] = len(ps)
+	}
+	mu.Unlock()
+	for _, c := range ctxs {
+		if err := c.Publish(map[string]any{"last": c.Name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	for topic, ps := range got {
+		if len(ps) != before[topic] {
+			t.Errorf("%s: %d statuses delivered during the outage", topic, len(ps)-before[topic])
+		}
+	}
+	mu.Unlock()
+
+	b.AddFault(broker.FaultRule{From: "D1", DropRate: 1})
+	rt.Heal()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, name := range names {
+		topic, want := "digibox/"+name+"/status", `{"last":"`+name+`"}`
+		ps := got[topic][before[topic]:]
+		switch {
+		case name == "D1" && len(ps) != 0:
+			t.Errorf("%s: republished %v past a drop rule scoped to D1", topic, ps)
+		case name != "D1" && (len(ps) != 1 || ps[0] != want):
+			t.Errorf("%s: republished %v, want [%s]", topic, ps, want)
+		}
+	}
+	for _, m := range b.RetainedMatching("digibox/+/status") {
+		if want := `{"last":"` + strings.Split(m.Topic, "/")[1] + `"}`; string(m.Payload) != want {
+			t.Errorf("%s retains %s, want %s", m.Topic, m.Payload, want)
+		}
 	}
 }

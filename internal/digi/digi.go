@@ -158,15 +158,14 @@ type Runtime struct {
 	ready   map[string]*readiness
 	incs    uint64 // the last incarnation Expect handed out
 
-	// Status-publish path state, with no runtime-wide lock. client,
-	// when bound, carries status publishes over a real MQTT connection
-	// instead of the in-process Broker fast path; lastStatus (topic →
-	// *statusSlot) keeps each topic's latest retained payload so state
-	// is re-established after an outage. pubMu guards only the outage.
-	client     atomic.Pointer[broker.Client]
+	// Status-publish path state, with no runtime-wide lock. lastStatus
+	// (topic → *statusSlot) keeps each topic's latest retained status
+	// so state is re-established after an outage; severed is set while
+	// Sever has cut the runtime off the broker. pubMu orders Sever and
+	// Heal only.
 	lastStatus sync.Map
+	severed    atomic.Bool
 	pubMu      sync.Mutex
-	outage     bool
 	gapStart   time.Time
 
 	// metrics is the bound instrument bundle (nil = unobserved).
@@ -188,8 +187,8 @@ type runtimeMetrics struct {
 // starting digis: each resolves its per-digi counters once, when its
 // Stepper is built. The recovered counter joins the registry-wide
 // faults-recovered family (shared with the chaos engine's revert
-// counter) under via="reconnect", so a forced disconnect healed by the
-// client's auto-reconnect counts as a recovered fault.
+// counter) under via="reconnect", so a forced disconnect that Heal
+// ends counts as a recovered fault.
 func (rt *Runtime) BindObs(r *obs.Registry) {
 	if r == nil {
 		return
@@ -212,53 +211,36 @@ func (rt *Runtime) BindObs(r *obs.Registry) {
 	})
 }
 
-// BindClient routes the runtime's status publishes through a real MQTT
-// client connection (with the client's auto-reconnect resilience)
-// instead of the in-process broker fast path. The runtime degrades
-// gracefully across the client's outages: digis keep simulating, a
-// single gap marker is logged per outage, and on reconnect the latest
-// retained status of every topic is republished.
-func (rt *Runtime) BindClient(c *broker.Client) {
-	rt.client.Store(c)
-	c.OnState(func(connected bool, cause error) {
-		if connected {
-			rt.recoverFromGap()
-		} else {
-			rt.noteGap(cause)
-		}
-	})
-}
-
-// noteGap logs one fault marker per outage.
-func (rt *Runtime) noteGap(cause error) {
+// Sever cuts the runtime off the broker, as a dropped connection
+// would: digis keep simulating, their statuses reach only the
+// latest-status table, and one gap marker is logged. It reports false,
+// changing nothing, while an outage is already under way.
+func (rt *Runtime) Sever(cause error) bool {
 	rt.pubMu.Lock()
-	if rt.outage {
+	if rt.severed.Load() {
 		rt.pubMu.Unlock()
-		return
+		return false
 	}
-	rt.outage = true
+	rt.severed.Store(true)
 	rt.gapStart = rt.clk().Now()
 	rt.pubMu.Unlock()
 	if m := rt.metrics.Load(); m != nil {
 		m.gaps.Inc()
 	}
-	detail := "broker connection lost"
-	if cause != nil {
-		detail = cause.Error()
-	}
-	rt.Log.Fault("runtime", "broker-gap", detail, nil)
+	rt.Log.Fault("runtime", "broker-gap", cause.Error(), nil)
+	return true
 }
 
-// recoverFromGap marks the outage over and republishes the latest
-// retained status of every topic, so the broker's retained store is
-// correct even if it restarted and lost it.
-func (rt *Runtime) recoverFromGap() {
+// Heal ends the outage Sever began and republishes the latest retained
+// status of every topic under its publisher's name, so the broker's
+// retained store is correct even if it restarted and lost it.
+func (rt *Runtime) Heal() {
 	rt.pubMu.Lock()
-	if !rt.outage {
+	if !rt.severed.Load() {
 		rt.pubMu.Unlock()
 		return
 	}
-	rt.outage = false
+	rt.severed.Store(false)
 	gapStart := rt.gapStart
 	rt.pubMu.Unlock()
 	var topics []string
@@ -269,34 +251,32 @@ func (rt *Runtime) recoverFromGap() {
 	sort.Strings(topics)
 	if m := rt.metrics.Load(); m != nil {
 		m.recovered.Inc()
-		if !gapStart.IsZero() {
-			m.gapDur.Observe(rt.clk().Since(gapStart).Seconds())
-		}
+		m.gapDur.Observe(rt.clk().Since(gapStart).Seconds())
 	}
 	rt.Log.Fault("runtime", "broker-recover",
 		fmt.Sprintf("reconnected; republishing %d retained status topics", len(topics)), nil)
-	client := rt.client.Load()
 	for _, topic := range topics {
 		v, _ := rt.lastStatus.Load(topic)
 		slot := v.(*statusSlot)
 		slot.mu.Lock()
-		payload := slot.payload
+		from, payload := slot.from, slot.payload
 		slot.mu.Unlock()
-		client.Publish(topic, payload, 1, true)
+		rt.Broker.PublishQoS(from, topic, payload, 1, true)
 	}
 }
 
-// statusSlot holds one topic's latest status payload; only the digis
-// publishing on the topic contend for its lock.
+// statusSlot holds one topic's latest status payload and the digi that
+// published it; only the digis publishing on the topic contend for
+// its lock.
 type statusSlot struct {
 	mu      sync.Mutex
+	from    string
 	payload []byte
 }
 
-// publishStatus sends one retained status message over the bound
-// client if any, else the in-process broker. from carries the
-// publishing digi's identity into the broker's partition/fault
-// scoping.
+// publishStatus sends one retained QoS 1 status message to the broker
+// unless the runtime is severed. from carries the publishing digi's
+// identity into the broker's partition/fault scoping.
 func (rt *Runtime) publishStatus(from, topic string, payload []byte) error {
 	v, ok := rt.lastStatus.Load(topic)
 	if !ok {
@@ -304,15 +284,12 @@ func (rt *Runtime) publishStatus(from, topic string, payload []byte) error {
 	}
 	slot := v.(*statusSlot)
 	slot.mu.Lock()
-	slot.payload = payload
+	slot.from, slot.payload = from, payload
 	slot.mu.Unlock()
-	if client := rt.client.Load(); client != nil {
-		return client.Publish(topic, payload, 1, true)
+	if rt.Broker == nil || rt.severed.Load() {
+		return nil
 	}
-	if rt.Broker != nil {
-		return rt.Broker.PublishFrom(from, topic, payload, true)
-	}
-	return nil
+	return rt.Broker.PublishQoS(from, topic, payload, 1, true)
 }
 
 // readiness latches "the reconciler is watching its model" for one

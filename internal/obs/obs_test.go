@@ -382,29 +382,38 @@ func TestTracerSpans(t *testing.T) {
 	}
 }
 
-// TestSpanDigiAttribution pins how spans map to digi labels: the
-// digibox/<name>/... namespace names the digi in the topic (the
-// runtime multiplexes all digis over one session), anything else is
-// credited to the publishing client.
+// TestSpanDigiAttribution pins how spans map to digi labels: a span is
+// credited to its publisher, whatever the topic. Every digi publishes
+// under its own name, so a digi whose meta.topic overrides the
+// digibox/<name>/status convention keeps its label too.
 func TestSpanDigiAttribution(t *testing.T) {
-	cases := []struct{ from, topic, want string }{
-		{"digi-runtime", "digibox/O1/status", "O1"},
-		{"digi-runtime", "digibox/MeetingRoom/status", "MeetingRoom"},
-		{"sensor-42", "home/kitchen/temp", "sensor-42"},
-		{"c1", "digibox/bare", "c1"}, // no sub-topic: not the status convention
-	}
-	for _, c := range cases {
-		if got := spanDigi(c.from, c.topic); got != c.want {
-			t.Errorf("spanDigi(%q, %q) = %q, want %q", c.from, c.topic, got, c.want)
-		}
+	cases := []struct{ from, topic string }{
+		{"O1", "digibox/O1/status"},
+		{"MeetingRoom", "digibox/MeetingRoom/status"},
+		{"T1", "building/floor2/temp"}, // a meta.topic override
+		{"sensor-42", "home/kitchen/temp"},
 	}
 	r := NewRegistry()
 	tr := NewTracer(r)
 	tr.SetSampleInterval(1)
-	tr.End(tr.Start("digi-runtime", "digibox/O1/status"))
+	for _, c := range cases {
+		tr.End(tr.Start(c.from, c.topic))
+	}
 	fs := r.Snapshot().Family("digibox_e2e_latency_seconds")
-	if fs == nil || fs.Metrics[0].LabelValues[0] != "O1" {
-		t.Fatalf("runtime-session span not attributed to digi: %+v", fs)
+	if fs == nil {
+		t.Fatal("no e2e latency family")
+	}
+	got := map[string]uint64{}
+	for _, m := range fs.Metrics {
+		got[m.LabelValues[0]] = m.Count
+	}
+	for _, c := range cases {
+		if got[c.from] != 1 {
+			t.Errorf("span from %q on %q: digi labels %v, want one span under %q", c.from, c.topic, got, c.from)
+		}
+	}
+	if len(got) != len(cases) {
+		t.Errorf("digi labels = %v, want exactly the %d publishers", got, len(cases))
 	}
 }
 

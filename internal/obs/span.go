@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,7 +74,7 @@ func NewTracer(r *Registry) *Tracer {
 		started:   r.Counter("digibox_spans_started_total", "publish→deliver spans opened at broker routing"),
 		completed: r.Counter("digibox_spans_completed_total", "span closures observed at subscriber delivery (one per fan-out leg)"),
 		byDigi: r.HistogramVec("digibox_e2e_latency_seconds",
-			"end-to-end publish→deliver MQTT latency by digi (from the digibox/<name>/... topic, else the publishing client)", nil, "digi"),
+			"end-to-end publish→deliver MQTT latency by publisher (the digi or client that sent the message)", nil, "digi"),
 		byClass: r.HistogramVec(E2ETopicLatencyName,
 			"end-to-end publish→deliver MQTT latency by topic class", nil, "class"),
 		digiH:  map[string]*Histogram{},
@@ -159,7 +158,7 @@ func (t *Tracer) End(id SpanID) {
 	elapsed := t.clk.Since(start)
 
 	sec := elapsed.Seconds()
-	t.digiHist(spanDigi(from, topic)).Observe(sec)
+	t.digiHist(from).Observe(sec)
 	t.classHist(TopicClass(topic)).Observe(sec)
 	t.completed.Inc()
 
@@ -169,20 +168,6 @@ func (t *Tracer) End(id SpanID) {
 	if fn != nil {
 		fn(from, topic, elapsed)
 	}
-}
-
-// spanDigi attributes a span to a digi. Messages in the runtime's
-// digibox/<name>/... namespace are credited to the digi named in the
-// topic — one wire session ("digi-runtime") multiplexes every digi, so
-// the publisher id alone cannot tell them apart. Everything else is
-// credited to the publishing client.
-func spanDigi(from, topic string) string {
-	if rest, ok := strings.CutPrefix(topic, "digibox/"); ok {
-		if i := strings.IndexByte(rest, '/'); i > 0 {
-			return rest[:i]
-		}
-	}
-	return from
 }
 
 func (t *Tracer) digiHist(from string) *Histogram {
