@@ -35,10 +35,17 @@ type dayConfig struct {
 
 // dayReport is the machine-readable outcome (BENCH_timewarp.json).
 type dayReport struct {
-	Scenario      string  `json:"scenario"`
-	Speed         string  `json:"speed"`
+	Scenario string `json:"scenario"`
+	Speed    string `json:"speed"`
+	// ScenarioHours is the scenario time from the end of the deploy to
+	// the end of the day: the one-minute lead-in plus the hours walked.
 	ScenarioHours float64 `json:"scenario_hours"`
-	WallSec       float64 `json:"wall_sec"`
+	// OverrunMinutes is the scenario time by which hours whose calls
+	// outlasted the hour ran past it. The next hour absorbs it, since
+	// every hour ends at its mark from the day's start, so it is not
+	// part of ScenarioHours unless the last hour overran.
+	OverrunMinutes float64 `json:"overrun_minutes"`
+	WallSec        float64 `json:"wall_sec"`
 	// CompressionX is scenario seconds per wall second achieved.
 	CompressionX float64 `json:"compression_x"`
 	// WallSecPerScenarioHour is the headline rate: how much wall time
@@ -106,11 +113,17 @@ func runDay(cfg dayConfig) (*dayReport, error) {
 	}
 
 	clk := tb.Clock()
+	ctx := context.Background()
 	wallStart := time.Now()
+	deployed := clk.Now()
 	// Let the deploy settle one scenario minute before baselining the
 	// goroutine count: runtime loops, keepalives, and the observer
-	// session are all up by then.
-	clk.Sleep(time.Minute)
+	// session are all up by then. The day starts at the minute's end,
+	// and hour h ends h+1 hours after it, however long its calls took.
+	dayStart := deployed.Add(time.Minute)
+	if err := clock.SleepUntil(ctx, clk, dayStart); err != nil {
+		return nil, err
+	}
 	goroutinesStart := runtime.NumGoroutine()
 
 	rep := &dayReport{
@@ -121,6 +134,7 @@ func runDay(cfg dayConfig) (*dayReport, error) {
 
 	for hour := 0; hour < cfg.Hours; hour++ {
 		h := hour % 24
+		hourStart := clk.Now()
 		if err := tb.Edit("lobby", map[string]any{
 			"meta": map[string]any{"trigger_prob": diurnalProb(h)},
 		}); err != nil {
@@ -130,23 +144,23 @@ func runDay(cfg dayConfig) (*dayReport, error) {
 		switch h {
 		case 2:
 			logf("02:00 nightly drill: session cut + lossy delivery + silent sensor\n")
-			cr, err := tb.RunChaosPlan(context.Background(), nightDrillA)
+			cr, err := tb.RunChaosPlan(ctx, nightDrillA)
 			if err != nil {
 				return nil, err
 			}
-			logf("      %d injected, %d reverted, %d skipped\n",
-				cr.Injected, cr.Reverted, len(cr.Skipped))
+			logf("      %d injected, %d reverted, %d skipped, in %v of scenario time\n",
+				cr.Injected, cr.Reverted, len(cr.Skipped), clk.Since(hourStart))
 		case 3:
 			logf("03:00 nightly drill: node down + frozen actuator\n")
-			cr, err := tb.RunChaosPlan(context.Background(), nightDrillB)
+			cr, err := tb.RunChaosPlan(ctx, nightDrillB)
 			if err != nil {
 				return nil, err
 			}
-			logf("      %d injected, %d reverted, %d skipped\n",
-				cr.Injected, cr.Reverted, len(cr.Skipped))
+			logf("      %d injected, %d reverted, %d skipped, in %v of scenario time\n",
+				cr.Injected, cr.Reverted, len(cr.Skipped), clk.Since(hourStart))
 		case 13:
 			logf("13:00 swarm burst: QoS-1 load with a shard kill mid-burst\n")
-			sr, err := tb.RunSwarm(context.Background(), digibox.SwarmSpec{
+			sr, err := tb.RunSwarm(ctx, digibox.SwarmSpec{
 				Shards: 2,
 				Load: swarm.LoadSpec{
 					Profile:  swarm.ProfileOpen,
@@ -173,18 +187,27 @@ func runDay(cfg dayConfig) (*dayReport, error) {
 			rep.SwarmShed = sr.Shed
 			rep.Failovers = sr.Failovers
 			rep.RecoveryP99Ms = sr.RecoveryP99Ms
-			logf("      published %d, delivered %d/%d, lost %d, failovers %d\n",
-				sr.Published, sr.Delivered, sr.Expected, sr.Lost, sr.Failovers)
+			logf("      published %d, delivered %d/%d, lost %d, failovers %d, in %v of scenario time\n",
+				sr.Published, sr.Delivered, sr.Expected, sr.Lost, sr.Failovers, clk.Since(hourStart))
 		}
 
-		clk.Sleep(time.Hour)
+		// An unpaced clock runs ahead while a call works in wall time
+		// (a 2-s swarm burst can take over an hour of scenario time),
+		// so an hour's calls may outlast it.
+		if over := clk.Since(hourStart) - time.Hour; over > 0 {
+			rep.OverrunMinutes += over.Minutes()
+			logf("%02d:00 hour overran by %v\n", h, over)
+		}
+		if err := clock.SleepUntil(ctx, clk, dayStart.Add(time.Duration(hour+1)*time.Hour)); err != nil {
+			return nil, err
+		}
 	}
 
 	// The day's scenario span is measured here, before the settle:
 	// WaitConverged's wall-clock grace lets an unpaced clock churn
 	// extra virtual hours while it polls. Every recovery is scenario
 	// time already (a severed runtime heals 50 ms after its cut).
-	dayHours := tb.Uptime().Hours()
+	dayHours := clk.Since(deployed).Hours()
 
 	// Settle: every injected fault must be recovered — by the engine's
 	// scheduled revert or the runtime healing its severed broker link.

@@ -909,9 +909,9 @@ func (b *Broker) ImportRetained(msgs []Message) {
 }
 
 // RetainedMatching returns the retained messages whose topics match
-// filter, with Retained set. The swarm pool uses it to sweep sibling
-// shards when a wildcard subscription lands, so pool-level retained
-// semantics match a single broker's.
+// filter, with Retained set. SubscribeInProcess replays them to a new
+// in-process subscriber; the digi tests read the retained store with
+// it.
 func (b *Broker) RetainedMatching(filter string) []Message {
 	var out []Message
 	b.retained.Range(func(key, value any) bool {

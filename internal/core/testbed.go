@@ -241,6 +241,9 @@ func New(opts Options) (*Testbed, error) {
 	tb.Obs.GaugeFunc("digibox_trace_records", "records in the trace log", func() float64 {
 		return float64(tb.Log.Len())
 	})
+	tb.Obs.GaugeFunc("digibox_trace_bytes", "bytes the trace log's segments and index hold", func() float64 {
+		return float64(tb.Log.Bytes())
+	})
 	tb.Obs.GaugeFunc("digibox_violations", "property violations recorded", func() float64 {
 		return float64(len(tb.Checker.Violations()))
 	})

@@ -12,6 +12,7 @@ package trace
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -75,20 +76,32 @@ type Record struct {
 	Fault string `json:"fault,omitempty"`
 }
 
-// chunkSize is the number of records per storage chunk. An idle log
-// holds two (the last one and the next), so chunks are small: 256
-// records are 50 KB.
-const chunkSize = 256
+// segmentSize is the capacity of a storage segment: large enough that
+// one allocation holds hundreds of records, small enough that an idle
+// log holds little more than one segment and a short index.
+const segmentSize = 32 << 10
+
+// segment is a run of stored records, back to back. Its bytes are never
+// rewritten once appended, so a reader that took its header under the
+// lock reads them without it. Neither slice holds pointers, so the
+// garbage collector marks a segment but never scans it.
+type segment struct {
+	first int      // the log index of the segment's first record
+	data  []byte   // stored records (see codec.go)
+	ends  []uint32 // ends[i] is where record first+i ends in data
+}
 
 // Log is an append-only, concurrency-safe trace log for one testbed
-// run. Records live in fixed-size chunks, so Append never copies the
-// log to grow it.
+// run. It stores each record encoded in fixed-size segments and
+// decodes records only when they are read, so a record costs its
+// encoding rather than a Record and its maps, and Append never copies
+// the log to grow it.
 type Log struct {
-	mu     sync.Mutex
-	start  time.Time
-	seq    uint64
-	chunks [][]Record // all full but the last
-	next   []Record   // the chunk after the last, allocated outside the lock
+	mu    sync.Mutex
+	start time.Time
+	seq   uint64    // records appended; record i has Seq i+1
+	segs  []segment // all full but the last
+	bytes int       // capacity held by segs' data and ends
 	// now is injectable for deterministic tests.
 	now func() time.Time
 }
@@ -103,38 +116,56 @@ func NewLogAt(now func() time.Time) *Log {
 	return l
 }
 
-// Append adds a record, stamping sequence and timestamp. The record
-// that finds the last chunk full moves on to l.next and, once it has
-// released the lock, allocates the chunk after that, so no appender
-// waits on a chunk allocation.
+// bodyPool holds the buffers Append encodes records into before it
+// takes the lock.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// Append adds a record, stamping sequence and timestamp. The record is
+// encoded before the lock is taken; under it, Append stamps Seq and TS
+// and copies the encoding into the last segment.
 func (l *Log) Append(r Record) Record {
+	buf := bodyPool.Get().(*[]byte)
+	body := appendBody((*buf)[:0], &r)
 	l.mu.Lock()
-	last := len(l.chunks) - 1
-	refill := last < 0 || len(l.chunks[last]) == chunkSize
-	if refill {
-		c := l.next
-		if c == nil {
-			// The first record, or a chunk filled before its successor
-			// was allocated.
-			c = make([]Record, 0, chunkSize)
-		}
-		l.chunks, l.next = append(l.chunks, c), nil
-		last++
-	}
 	l.seq++
 	r.Seq = l.seq
 	r.TS = l.now().Sub(l.start)
-	l.chunks[last] = append(l.chunks[last], r)
+	l.store(r.TS, body)
 	l.mu.Unlock()
-	if refill {
-		c := make([]Record, 0, chunkSize)
-		l.mu.Lock()
-		if l.next == nil {
-			l.next = c
-		}
-		l.mu.Unlock()
+	if cap(body) <= segmentSize {
+		*buf = body
+		bodyPool.Put(buf)
 	}
 	return r
+}
+
+// store appends one stored record to the last segment, starting a new
+// segment when it does not fit. A record larger than a segment gets a
+// segment of its own size. Called with l.mu held.
+func (l *Log) store(ts time.Duration, body []byte) {
+	var tsb [binary.MaxVarintLen64]byte
+	k := binary.PutVarint(tsb[:], int64(ts))
+	need := k + len(body)
+	last := len(l.segs) - 1
+	if last < 0 || cap(l.segs[last].data)-len(l.segs[last].data) < need {
+		// Size the index for as many records as the last segment held.
+		ends := 64
+		if last >= 0 {
+			ends = max(ends, len(l.segs[last].ends))
+		}
+		l.segs = append(l.segs, segment{
+			first: int(l.seq) - 1,
+			data:  make([]byte, 0, max(segmentSize, need)),
+			ends:  make([]uint32, 0, ends),
+		})
+		last++
+		l.bytes += cap(l.segs[last].data) + 4*cap(l.segs[last].ends)
+	}
+	s := &l.segs[last]
+	s.data = append(append(s.data, tsb[:k]...), body...)
+	was := cap(s.ends)
+	s.ends = append(s.ends, uint32(len(s.data)))
+	l.bytes += 4 * (cap(s.ends) - was)
 }
 
 // Event logs an event-generator firing.
@@ -178,20 +209,32 @@ func (l *Log) Span(name, topic string, elapsed time.Duration) {
 }
 
 // From calls fn on every record from index n on, in sequence order.
-// Stored records are never rewritten, so it reads them without the
-// lock while Append fills the last chunk's spare capacity, and copies
-// neither them nor the chunks before n.
+// Stored records are never rewritten, so it decodes them without the
+// lock while Append fills the last segment's spare capacity, and
+// decodes none of the records before n.
 func (l *Log) From(n int, fn func(*Record)) {
 	l.mu.Lock()
-	first := min(n/chunkSize, len(l.chunks))
-	chunks := append([][]Record(nil), l.chunks[first:]...)
+	i := sort.Search(len(l.segs), func(i int) bool {
+		s := &l.segs[i]
+		return s.first+len(s.ends) > n
+	})
+	segs := append([]segment(nil), l.segs[i:]...)
 	l.mu.Unlock()
-	skip := n - first*chunkSize
-	for _, c := range chunks {
-		for i := skip; i < len(c); i++ {
-			fn(&c[i])
+	for _, s := range segs {
+		at := max(n-s.first, 0)
+		off := uint32(0)
+		if at > 0 {
+			off = s.ends[at-1]
 		}
-		skip = 0
+		for j := at; j < len(s.ends); j++ {
+			r, err := decodeStored(s.data[off:s.ends[j]])
+			if err != nil {
+				panic(fmt.Sprintf("trace: record %d: %v", s.first+j+1, err))
+			}
+			r.Seq = uint64(s.first + j + 1)
+			off = s.ends[j]
+			fn(&r)
+		}
 	}
 }
 
@@ -224,14 +267,15 @@ func (l *Log) Records() []Record {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lenLocked()
+	return int(l.seq)
 }
 
-func (l *Log) lenLocked() int {
-	if len(l.chunks) == 0 {
-		return 0
-	}
-	return (len(l.chunks)-1)*chunkSize + len(l.chunks[len(l.chunks)-1])
+// Bytes returns the capacity the log's storage holds: its segments and
+// their index.
+func (l *Log) Bytes() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.bytes
 }
 
 // Tail returns the number of records and the offset a record appended
@@ -240,7 +284,7 @@ func (l *Log) lenLocked() int {
 func (l *Log) Tail() (n int, at time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lenLocked(), l.now().Sub(l.start)
+	return int(l.seq), l.now().Sub(l.start)
 }
 
 // RecordsFor returns records for one mock/scene name.

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 )
 
 // fakeClock yields deterministic, strictly increasing timestamps.
@@ -250,11 +249,11 @@ func TestNames(t *testing.T) {
 	}
 }
 
-// Concurrent appenders cross many chunk boundaries, each allocating
-// the next chunk outside the lock: the records are stored in the order
+// Concurrent appenders cross many segment boundaries, each encoding
+// its record outside the lock: the records are stored in the order
 // their sequence numbers were stamped, none lost or repeated.
 func TestConcurrentAppend(t *testing.T) {
-	const appenders, each = 8, 4 * chunkSize
+	const appenders, each = 8, 4096
 	l := NewLog()
 	var wg sync.WaitGroup
 	for i := 0; i < appenders; i++ {
@@ -268,8 +267,8 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 	wg.Wait()
 	recs := l.Records()
-	if len(recs) != appenders*each {
-		t.Fatalf("len = %d, want %d", len(recs), appenders*each)
+	if len(recs) != appenders*each || len(l.segs) < 4 {
+		t.Fatalf("len = %d in %d segments, want %d in at least 4", len(recs), len(l.segs), appenders*each)
 	}
 	for i, r := range recs {
 		if r.Seq != uint64(i+1) {
@@ -383,8 +382,8 @@ func TestArchiveMeta(t *testing.T) {
 }
 
 // Append must never copy the log to grow it: filling a log allocates
-// little more than the records themselves, and the accessors see every
-// record across chunk boundaries.
+// little more than the records' encodings, and the accessors see every
+// record across segment boundaries.
 func TestAppendDoesNotCopyTheLog(t *testing.T) {
 	const n = 1 << 20
 	l := NewLog()
@@ -395,17 +394,20 @@ func TestAppendDoesNotCopyTheLog(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(1.5 * n * float64(unsafe.Sizeof(Record{}))); got > limit {
+	if limit := uint64(n * 32); got > limit {
 		t.Errorf("appending %d records allocated %d MB, want under %d MB", n, got>>20, limit>>20)
 	}
 	if l.Len() != n {
 		t.Fatalf("Len = %d, want %d", l.Len(), n)
 	}
-	recs := l.Records()
-	for _, i := range []int{0, chunkSize - 1, chunkSize, n - 1} {
-		if recs[i].Seq != uint64(i+1) {
-			t.Errorf("Records()[%d].Seq = %d, want %d", i, recs[i].Seq, i+1)
+	read := 0
+	l.From(0, func(r *Record) {
+		if read++; r.Seq != uint64(read) || r.Kind != KindEvent {
+			t.Fatalf("record %d read back as %+v", read, r)
 		}
+	})
+	if read != n || len(l.segs) < 2 {
+		t.Fatalf("From(0) read %d records in %d segments, want %d across several", read, len(l.segs), n)
 	}
 }
 
@@ -541,23 +543,32 @@ func TestArchiveCarriesScenario(t *testing.T) {
 }
 
 // Tail and From read back exactly the records appended after a point,
-// across chunk boundaries, with the offset the window started at.
+// across segment boundaries, with the offset the window started at.
 func TestTailFrom(t *testing.T) {
+	const each = 2000
 	l := NewLogAt(newFakeClock().now)
-	for i := 0; i < chunkSize+10; i++ {
+	for i := 0; i < each+10; i++ {
 		l.Event("o1", "Occupancy", nil)
 	}
 	n, at := l.Tail()
-	if n != chunkSize+10 || at != time.Duration(chunkSize+11)*time.Second {
+	if n != each+10 || at != time.Duration(each+11)*time.Second {
 		t.Fatalf("Tail = %d, %v", n, at)
 	}
-	for i := 0; i < chunkSize; i++ {
+	for i := 0; i < each; i++ {
 		l.Event("o2", "Occupancy", nil)
+	}
+	if len(l.segs) < 2 {
+		t.Fatalf("%d records fit one segment; the test must cross a boundary", l.Len())
 	}
 	var got []Record
 	l.From(n, func(r *Record) { got = append(got, *r) })
-	if len(got) != chunkSize || got[0].Seq != uint64(n+1) || got[0].Name != "o2" || got[0].TS <= at {
+	if len(got) != each || got[0].Seq != uint64(n+1) || got[0].Name != "o2" || got[0].TS <= at {
 		t.Fatalf("From(%d) read %d records, first %+v", n, len(got), got[0])
+	}
+	for i, r := range got {
+		if r.Seq != uint64(n+1+i) || r.Name != "o2" {
+			t.Fatalf("From(%d) record %d = %+v", n, i, r)
+		}
 	}
 	var none int
 	l.From(l.Len(), func(*Record) { none++ })
