@@ -5,22 +5,23 @@ import (
 	"go/token"
 )
 
-// wallclockPackages are the runtime packages whose behaviour must be
-// reproducible under the replay engine's virtual clock: any direct
-// wall-clock read here is a determinism hole. internal/clock itself is
-// the boundary (it owns the one legitimate time.Now), and leaf
-// tooling (cmd, examples, rest, ctl, vet, property, yamlite, model)
-// never runs under replay.
+// wallclockPackages are the packages that run inside a testbed, whose
+// behaviour must be the same on the replay engine's virtual clock and
+// under -speed: any direct wall-clock read here is a determinism hole.
+// internal/clock itself is the boundary (it owns the one legitimate
+// time.Now); cmd, examples, ctl and vet are operator tooling.
 var wallclockPackages = map[string]bool{
-	"repro/internal/broker": true,
-	"repro/internal/chaos":  true,
-	"repro/internal/core":   true,
-	"repro/internal/digi":   true,
-	"repro/internal/kube":   true,
-	"repro/internal/obs":    true,
-	"repro/internal/replay": true,
-	"repro/internal/swarm":  true,
-	"repro/internal/trace":  true,
+	"repro/internal/broker":   true,
+	"repro/internal/chaos":    true,
+	"repro/internal/core":     true,
+	"repro/internal/digi":     true,
+	"repro/internal/kube":     true,
+	"repro/internal/obs":      true,
+	"repro/internal/property": true,
+	"repro/internal/replay":   true,
+	"repro/internal/rest":     true,
+	"repro/internal/swarm":    true,
+	"repro/internal/trace":    true,
 }
 
 // wallclockFuncs are the time-package entry points that read or wait

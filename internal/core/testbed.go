@@ -234,7 +234,7 @@ func New(opts Options) (*Testbed, error) {
 	for _, zd := range opts.ZoneDelays {
 		tb.Cluster.SetZoneDelay(zd.A, zd.B, zd.Delay)
 	}
-	tb.Checker = property.NewChecker(tb.Store, tb.Log)
+	tb.Checker = property.NewChecker(tb.Log, tb.clk)
 	tb.Obs.GaugeFunc("digibox_models", "models in the store", func() float64 {
 		return float64(len(tb.Store.List()))
 	})
@@ -245,7 +245,7 @@ func New(opts Options) (*Testbed, error) {
 		return float64(tb.Log.Bytes())
 	})
 	tb.Obs.GaugeFunc("digibox_violations", "property violations recorded", func() float64 {
-		return float64(len(tb.Checker.Violations()))
+		return float64(tb.Checker.Count())
 	})
 
 	if opts.LocalRepoDir != "" {
@@ -300,6 +300,7 @@ func (tb *Testbed) Start() error {
 			Store: tb.Store,
 			Log:   tb.Log,
 			Delay: tb.gatewayDelay,
+			Clock: tb.clk,
 		}
 		if err := tb.Gateway.ListenAndServe(tb.opts.RESTAddr); err != nil {
 			return fmt.Errorf("core: gateway: %w", err)

@@ -275,7 +275,7 @@ func TestIdleCheckerWatchesNothing(t *testing.T) {
 	tb := newTestbed(t, Options{BrokerAddr: "none", RESTAddr: "none"})
 	checkerRunning := func() bool {
 		buf := make([]byte, 1<<20)
-		return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "property.(*Checker).watch")
+		return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "property.(*Checker).monitor")
 	}
 	if checkerRunning() {
 		t.Fatal("a testbed with no property runs a checker watch")

@@ -64,7 +64,7 @@ func (tb *Testbed) RunTestCase(tc TestCase) error {
 			return fmt.Errorf("core: test case %q: input %s: %w", tc.Name, name, err)
 		}
 	}
-	state := property.StoreState(tb.Store)
+	state := storeState{tb.Store}
 	d := clock.NewDeadline(tb.clk, within, tb.opts.ReadyTimeout)
 	for !tc.Expect.Eval(state) {
 		if !d.Poll() {
@@ -73,6 +73,14 @@ func (tb *Testbed) RunTestCase(tc TestCase) error {
 		}
 	}
 	return nil
+}
+
+// storeState evaluates conditions against the live models.
+type storeState struct{ *model.Store }
+
+func (s storeState) GetModel(name string) (model.Doc, bool) {
+	d, _, ok := s.Get(name)
+	return d, ok
 }
 
 // describeFailure reports the first unmet terms of a condition with

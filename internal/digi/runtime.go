@@ -92,13 +92,14 @@ func (rt *Runtime) run(ctx context.Context, name string, inc uint64) error {
 		}
 	}()
 
-	// The watcher is registered: no subsequent update can be missed.
-	rt.markReady(name, inc)
-
 	// Log the initial model snapshot so traces are self-contained
 	// (replay and offline property checking reconstruct state without
-	// the original testbed).
+	// the original testbed). It is logged before the digi reports ready,
+	// so no write made once Run has returned is logged ahead of it.
 	s.LogSnapshot()
+
+	// The watcher is registered: no subsequent update can be missed.
+	rt.markReady(name, inc)
 
 	// Initial simulation pass so derived state is consistent from the
 	// start (e.g. lamp intensity.status derived from power at boot).

@@ -208,9 +208,16 @@ func (s *Stepper) Simulate() []model.Update {
 			out = append(out, u)
 		}
 	}
-	// Commit child changes (scene coordination) in sorted order. The
-	// write is logged at the scene as a coordination event; the child's
-	// own reconciler logs the action when it observes the commit.
+	// Commit child changes (scene coordination) in sorted order. Each
+	// write is logged at the scene as a coordination event, all of them
+	// before the first commit, so no child's reaction is logged ahead of
+	// a sibling's write; the child's own reconciler logs the action when
+	// it observes the commit.
+	type write struct {
+		child   string
+		changes []model.Change
+	}
+	var writes []write
 	types := make([]string, 0, len(atts))
 	for typ := range atts {
 		types = append(types, typ)
@@ -241,9 +248,12 @@ func (s *Stepper) Simulate() []model.Update {
 			}
 			s.rt.Log.Event(s.name, s.c.Type, fields)
 			s.c.events.Inc()
-			if u, ok := s.commit(childName, changes); ok {
-				out = append(out, u)
-			}
+			writes = append(writes, write{childName, changes})
+		}
+	}
+	for _, w := range writes {
+		if u, ok := s.commit(w.child, w.changes); ok {
+			out = append(out, u)
 		}
 	}
 	return out

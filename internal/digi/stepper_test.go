@@ -39,3 +39,35 @@ func TestStepperHoldsNoLargeSource(t *testing.T) {
 	}
 	runtime.KeepAlive(steppers)
 }
+
+// A scene logs every write to its children before it commits the
+// first: a child can react only to a commit, so none of its records
+// can come ahead of a sibling's write in the trace.
+func TestSceneLogsEveryWriteBeforeItCommits(t *testing.T) {
+	reg := NewRegistry()
+	reg.Register(occupancyKind())
+	reg.Register(roomKind())
+	rt := &Runtime{Store: model.NewStore(), Log: trace.NewLog(), Registry: reg}
+	room := roomKind().Schema.New("R1")
+	room.Set("human_presence", true)
+	room.Set("meta.attach", []any{"O1", "O2"})
+	rt.Store.Create(room)
+	rt.Store.Create(occupancyKind().Schema.New("O1"))
+	rt.Store.Create(occupancyKind().Schema.New("O2"))
+	var eventsAtCommit []int
+	w := rt.Store.Watch(func(u model.Update) bool {
+		eventsAtCommit = append(eventsAtCommit, len(rt.Log.Records()))
+		return false
+	})
+	defer w.Close()
+	s, err := rt.NewStepper(context.Background(), "R1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.Simulate()); got != 2 {
+		t.Fatalf("the scene committed %d child writes, want 2", got)
+	}
+	if len(eventsAtCommit) != 2 || eventsAtCommit[0] != 2 || eventsAtCommit[1] != 2 {
+		t.Fatalf("records logged at each child commit = %v, want both events before the first", eventsAtCommit)
+	}
+}

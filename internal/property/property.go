@@ -11,14 +11,27 @@
 // temporal operator (trigger ⇒ response within d), which is the
 // fragment of LTL bounded-response that run-time monitoring can check
 // without lookahead.
+//
+// One Monitor judges properties over trace records, on the trace's
+// own timeline: CheckTrace runs it over a recorded trace, and a live
+// Checker over the testbed's growing log, so live and offline verdicts
+// agree at any speed. The monitor sees what the trace records: every
+// running digi's own-model change, coalesced updates included, stamped
+// when its digi logs it, and the writes a digi logs as events just
+// before it commits them. A model that StopDigi deletes keeps its last
+// recorded state.
 package property
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/model"
 	"repro/internal/trace"
 )
@@ -81,52 +94,31 @@ func (c Condition) Eval(s State) bool {
 }
 
 func (t Term) eval(s State) bool {
-	doc, ok := s.GetModel(t.Model)
-	if !ok {
-		return t.Op == Absent
+	doc, has := s.GetModel(t.Model)
+	var v any
+	if has {
+		v, has = doc.Get(t.Path)
 	}
-	v, has := doc.Get(t.Path)
-	switch t.Op {
-	case Exists:
-		return has
-	case Absent:
-		return !has
+	if t.Op == Exists || t.Op == Absent {
+		return has == (t.Op == Exists)
 	}
-	if !has {
+	a, aok := toFloat(v)
+	b, bok := toFloat(t.Value)
+	switch {
+	case !has:
 		return false
+	case t.Op == Eq || t.Op == Ne: // numbers compare across int and float
+		return (reflect.DeepEqual(v, t.Value) || aok && bok && a == b) == (t.Op == Eq)
+	case !aok || !bok:
+		return false
+	case t.Op == Lt:
+		return a < b
+	case t.Op == Le:
+		return a <= b
+	case t.Op == Gt:
+		return a > b
 	}
-	switch t.Op {
-	case Eq:
-		return looseEqual(v, t.Value)
-	case Ne:
-		return !looseEqual(v, t.Value)
-	case Lt, Le, Gt, Ge:
-		a, aok := toFloat(v)
-		b, bok := toFloat(t.Value)
-		if !aok || !bok {
-			return false
-		}
-		switch t.Op {
-		case Lt:
-			return a < b
-		case Le:
-			return a <= b
-		case Gt:
-			return a > b
-		default:
-			return a >= b
-		}
-	}
-	return false
-}
-
-func looseEqual(a, b any) bool {
-	if a == b {
-		return true
-	}
-	af, aok := toFloat(a)
-	bf, bok := toFloat(b)
-	return aok && bok && af == bf
+	return t.Op == Ge && a >= b
 }
 
 func toFloat(v any) (float64, bool) {
@@ -190,47 +182,43 @@ func (p *Property) Validate() error {
 	return nil
 }
 
-// Violation is one reported property failure.
+// Violation is one reported property failure. At is on the trace
+// timeline, like trace.Record.TS: the stamp of the record that entered
+// a Never/Always bad state, or the deadline a leads-to response missed.
 type Violation struct {
 	Property string
-	At       time.Time
+	At       time.Duration
 	Detail   string
 }
 
-// Checker evaluates properties against a live model store, reporting
-// violations to the trace log and keeping its own list. Create with
-// NewChecker, then Start/Stop. A started checker watches the store
-// only from its first property on: with none it costs nothing.
+// Checker runs a Monitor over a live trace log: one goroutine reads
+// the log from its first record on, woken by each append, so its
+// verdicts are CheckTrace's over the same records. Each open leads-to
+// window arms a testbed-clock timer that wakes it to expire the window.
 type Checker struct {
-	store *model.Store
-	log   *trace.Log
+	log  *trace.Log
+	clk  clock.Clock
+	kick chan struct{} // wakes the goroutine: a deadline passed or a property was added
 
 	mu         sync.Mutex
 	props      []*Property
-	pending    map[string]time.Time // armed leads-to deadlines by property name
 	violations []Violation
-	// edge state for Never/Always so a persistent bad state is
-	// reported once per entry, not once per model commit.
-	active map[string]bool
+	started    bool
+	stop, done chan struct{} // stop is nil while no goroutine runs
 
-	started bool
-	watcher *model.Watcher // nil while not watching
-	wg      sync.WaitGroup
-	now     func() time.Time
+	mon  *Monitor     // owned by the running goroutine
+	next atomic.Int64 // records consumed
 }
 
-// NewChecker builds a checker over a store; log may be nil.
-func NewChecker(store *model.Store, log *trace.Log) *Checker {
-	return &Checker{
-		store:   store,
-		log:     log,
-		pending: map[string]time.Time{},
-		active:  map[string]bool{},
-		now:     time.Now,
-	}
+// NewChecker builds a checker over a testbed's trace log, whose
+// timestamps clk drives.
+func NewChecker(log *trace.Log, clk clock.Clock) *Checker {
+	c := &Checker{log: log, clk: clk, kick: make(chan struct{}, 1)}
+	c.mon = newMonitor(nil, c.report, c.arm)
+	return c
 }
 
-// Add registers a property (before or after Start).
+// Add registers a property, before or after Start.
 func (c *Checker) Add(p *Property) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -243,146 +231,114 @@ func (c *Checker) Add(p *Property) error {
 		}
 	}
 	c.props = append(c.props, p)
-	if c.started && c.watcher == nil {
-		c.watch()
-	}
+	c.monitor()
 	return nil
 }
 
-// storeState adapts the model store to State.
-type storeState struct{ s *model.Store }
-
-func (ss storeState) GetModel(name string) (model.Doc, bool) {
-	d, _, ok := ss.s.Get(name)
-	return d, ok
-}
-
-// StoreState adapts a live model store to the State interface so
-// callers outside this package (e.g. testbed test cases) can evaluate
-// conditions against current models.
-func StoreState(s *model.Store) State { return storeState{s} }
-
-// Start arms the checker: it watches the store once it has a property.
+// Start arms the checker: it runs once it has a property.
 func (c *Checker) Start() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.started = true
-	if len(c.props) > 0 && c.watcher == nil {
-		c.watch()
+	c.monitor()
+}
+
+// Stop ends the goroutine; open windows keep their timers. Idempotent.
+func (c *Checker) Stop() {
+	c.mu.Lock()
+	c.started = false
+	stop, done := c.stop, c.done
+	c.stop = nil
+	c.mu.Unlock()
+	if stop != nil {
+		close(stop)
+		<-done
 	}
 }
 
-// watch begins the watch loop, which ends when the watcher is closed.
-// Called with c.mu held.
-func (c *Checker) watch() {
-	w := c.store.Watch(nil)
-	c.watcher = w
-	c.wg.Add(1)
+// monitor starts the goroutine of a started checker with a property,
+// or wakes it. Each pass reads the log's offset before it drains: a
+// record appended later is stamped no earlier, so none can answer a
+// window that Advance then expires. Called with c.mu held.
+func (c *Checker) monitor() {
+	if !c.started || len(c.props) == 0 {
+		return
+	} else if c.stop != nil {
+		c.wake()
+		return
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	c.stop, c.done = stop, done
 	go func() {
-		defer c.wg.Done()
-		ticker := time.NewTicker(10 * time.Millisecond)
-		defer ticker.Stop()
+		defer close(done)
 		for {
+			c.adopt()
+			_, at := c.log.Tail()
+			c.log.From(int(c.next.Load()), func(r *trace.Record) {
+				c.mon.Feed(r)
+				c.next.Store(int64(r.Seq))
+			})
+			c.mon.Advance(at)
 			select {
-			case _, ok := <-w.C:
-				if !ok {
-					return
-				}
-				c.evaluate()
-			case <-ticker.C:
-				// Deadline expiry for leads-to must fire even when the
-				// store goes quiet.
-				c.checkDeadlines()
+			case <-stop:
+				return
+			case <-c.kick:
+			case <-c.log.Wait(int(c.next.Load())):
 			}
 		}
 	}()
 }
 
-// Stop terminates the watch loop. Safe to call more than once.
-func (c *Checker) Stop() {
+// adopt brings new properties into the Monitor. A Monitor of their own
+// first judges them on the records already consumed.
+func (c *Checker) adopt() {
 	c.mu.Lock()
-	c.started = false
-	w := c.watcher
-	c.watcher = nil
+	added := c.props[len(c.mon.watches):]
 	c.mu.Unlock()
-	if w != nil {
-		w.Close()
-		c.wg.Wait()
-	}
-}
-
-// evaluate runs all properties against the current store state.
-func (c *Checker) evaluate() {
-	st := storeState{c.store}
-	now := c.now()
-	c.mu.Lock()
-	props := append([]*Property(nil), c.props...)
-	c.mu.Unlock()
-	for _, p := range props {
-		switch p.Kind {
-		case Never:
-			c.edgeReport(p, p.Cond.Eval(st), now, "disallowed state reached: "+p.Cond.String())
-		case Always:
-			c.edgeReport(p, !p.Cond.Eval(st), now, "required state violated: "+p.Cond.String())
-		case LeadsTo:
-			c.evalLeadsTo(p, st, now)
-		}
-	}
-	c.checkDeadlines()
-}
-
-// edgeReport reports a state property on its rising edge only.
-func (c *Checker) edgeReport(p *Property, bad bool, now time.Time, detail string) {
-	c.mu.Lock()
-	wasBad := c.active[p.Name]
-	c.active[p.Name] = bad
-	c.mu.Unlock()
-	if bad && !wasBad {
-		c.report(p.Name, now, detail)
-	}
-}
-
-func (c *Checker) evalLeadsTo(p *Property, st State, now time.Time) {
-	triggered := p.Trigger.Eval(st)
-	responded := p.Response.Eval(st)
-	c.mu.Lock()
-	deadline, armed := c.pending[p.Name]
-	switch {
-	case armed && responded && !now.After(deadline):
-		delete(c.pending, p.Name)
-	case armed && now.After(deadline):
-		delete(c.pending, p.Name)
-		c.mu.Unlock()
-		c.report(p.Name, now, fmt.Sprintf("response %q not reached within %v of trigger %q",
-			p.Response.String(), p.Within, p.Trigger.String()))
+	if len(added) == 0 {
 		return
-	case !armed && triggered && !responded:
-		c.pending[p.Name] = now.Add(p.Within)
 	}
-	c.mu.Unlock()
+	late := newMonitor(added, c.report, c.arm)
+	if n := c.next.Load(); n > 0 {
+		c.log.From(0, func(r *trace.Record) {
+			if int64(r.Seq) <= n {
+				late.Feed(r)
+			}
+		})
+	}
+	c.mon.watches = append(c.mon.watches, late.watches...)
 }
 
-// checkDeadlines expires armed leads-to windows.
-func (c *Checker) checkDeadlines() {
-	st := storeState{c.store}
-	now := c.now()
-	c.mu.Lock()
-	props := append([]*Property(nil), c.props...)
-	c.mu.Unlock()
-	for _, p := range props {
-		if p.Kind == LeadsTo {
-			c.evalLeadsTo(p, st, now)
-		}
+// arm starts a window's timer, due at the first clock reading past the
+// deadline. An unpaced clock would fire it ahead of a response still
+// being worked out in wall time: there the next record expires it.
+func (c *Checker) arm(deadline time.Duration) clock.Timer {
+	if s, ok := c.clk.(*clock.Scaled); ok && math.IsInf(s.Factor(), 1) {
+		return nil
+	}
+	_, at := c.log.Tail()
+	return c.clk.AfterFunc(deadline-at+time.Nanosecond, c.wake)
+}
+
+func (c *Checker) wake() {
+	select {
+	case c.kick <- struct{}{}:
+	default:
 	}
 }
 
-func (c *Checker) report(name string, at time.Time, detail string) {
+func (c *Checker) report(v Violation) {
 	c.mu.Lock()
-	c.violations = append(c.violations, Violation{Property: name, At: at, Detail: detail})
+	c.violations = append(c.violations, v)
 	c.mu.Unlock()
-	if c.log != nil {
-		c.log.Violation("checker", name, detail)
-	}
+	c.log.Violation("checker", v.Property, v.Detail)
+}
+
+// Count returns the number of reported violations.
+func (c *Checker) Count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.violations)
 }
 
 // Violations returns a copy of all reported violations.

@@ -1,10 +1,13 @@
 package property
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/model"
 	"repro/internal/trace"
 )
@@ -51,6 +54,18 @@ func TestTermEval(t *testing.T) {
 		if got := c.term.eval(st); got != c.want {
 			t.Errorf("%v = %v, want %v", c.term, got, c.want)
 		}
+	}
+}
+
+// A term may compare a whole subtree: a map or a list is compared by
+// value, where == would panic on the uncomparable type.
+func TestTermEvalComparesSubtrees(t *testing.T) {
+	st := mapState{"L1": model.Doc{"power": map[string]any{"status": "on"}, "tags": []any{"a"}}}
+	if !(Term{"L1", "power", Eq, map[string]any{"status": "on"}}).eval(st) {
+		t.Error("equal maps compare unequal")
+	}
+	if !(Term{"L1", "tags", Ne, []any{"b"}}).eval(st) {
+		t.Error("different lists compare equal")
 	}
 }
 
@@ -117,52 +132,50 @@ func paperProperty() *Property {
 	}
 }
 
-func newCheckedStore(t *testing.T) (*model.Store, *trace.Log, *Checker) {
+// newCheckedLog starts a trace log on a virtual clock, holding a lamp
+// that is off and a clear occupancy sensor, and a checker over it.
+func newCheckedLog(t *testing.T) (*clock.Virtual, *trace.Log, *Checker) {
 	t.Helper()
-	store := model.NewStore()
-	lamp := model.Doc{}
-	lamp.SetMeta(model.Meta{Type: "Lamp", Name: "L1"})
-	lamp.Set("power.status", "off")
-	occ := model.Doc{}
-	occ.SetMeta(model.Meta{Type: "Occupancy", Name: "O1"})
-	occ.Set("triggered", false)
-	if err := store.Create(lamp); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Create(occ); err != nil {
-		t.Fatal(err)
-	}
-	log := trace.NewLog()
-	ch := NewChecker(store, log)
-	return store, log, ch
+	v := clock.NewVirtual()
+	log := trace.NewLogAt(v.Now)
+	log.Action("L1", "Lamp", map[string]any{"power.status": "off"}, nil)
+	log.Action("O1", "Occupancy", map[string]any{"triggered": false}, nil)
+	return v, log, NewChecker(log, v)
 }
 
-func waitViolations(t *testing.T, c *Checker, n int, what string) {
+// waitViolations waits for the checker's nth violation. A violation is
+// logged after it is counted, so the log's next append wakes the wait.
+func waitViolations(t *testing.T, log *trace.Log, c *Checker, n int, what string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(c.Violations()) < n {
-		if time.Now().After(deadline) {
+	timeout := time.After(5 * time.Second)
+	for {
+		seen := log.Len()
+		if len(c.Violations()) >= n {
+			return
+		}
+		select {
+		case <-log.Wait(seen):
+		case <-timeout:
 			t.Fatalf("timeout waiting for %s (have %d violations)", what, len(c.Violations()))
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// holds asserts cond stays true for the whole window, failing at the
-// first observed violation instead of sleeping blind and sampling once.
-func holds(t *testing.T, window time.Duration, cond func() bool, what string) {
+// settle returns once the checker has judged every record logged so
+// far; on a virtual clock nothing else moves until the test does.
+func settle(t *testing.T, log *trace.Log, c *Checker) {
 	t.Helper()
-	deadline := time.Now().Add(window)
-	for time.Now().Before(deadline) {
-		if !cond() {
-			t.Fatalf("%s violated", what)
+	deadline := time.Now().Add(5 * time.Second)
+	for c.next.Load() < int64(log.Len()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("checker read %d of %d records", c.next.Load(), log.Len())
 		}
-		time.Sleep(2 * time.Millisecond)
+		runtime.Gosched()
 	}
 }
 
 func TestCheckerNeverViolation(t *testing.T) {
-	store, log, ch := newCheckedStore(t)
+	_, log, ch := newCheckedLog(t)
 	if err := ch.Add(paperProperty()); err != nil {
 		t.Fatal(err)
 	}
@@ -170,17 +183,18 @@ func TestCheckerNeverViolation(t *testing.T) {
 	defer ch.Stop()
 
 	// Legal transition: occupied then lamp on.
-	store.Patch("O1", map[string]any{"triggered": true})
-	store.Patch("L1", map[string]any{"power": map[string]any{"status": "on"}})
-	holds(t, 80*time.Millisecond, func() bool {
-		return len(ch.Violations()) == 0
-	}, "no violation on legal state")
+	log.Action("O1", "Occupancy", map[string]any{"triggered": true}, nil)
+	log.Action("L1", "Lamp", map[string]any{"power.status": "on"}, nil)
+	settle(t, log, ch)
+	if len(ch.Violations()) != 0 {
+		t.Fatal("no violation on legal state violated")
+	}
 
 	// Sensor clears while lamp stays on: disallowed state.
-	store.Patch("O1", map[string]any{"triggered": false})
-	waitViolations(t, ch, 1, "disallowed state")
+	bad := log.Append(trace.Record{Kind: trace.KindAction, Name: "O1", Sets: map[string]any{"triggered": false}})
+	waitViolations(t, log, ch, 1, "disallowed state")
 	v := ch.Violations()[0]
-	if v.Property != "lamp-off-when-unoccupied" {
+	if v.Property != "lamp-off-when-unoccupied" || v.At != bad.TS {
 		t.Errorf("violation = %+v", v)
 	}
 	if len(log.Violations()) != 1 {
@@ -189,32 +203,29 @@ func TestCheckerNeverViolation(t *testing.T) {
 }
 
 func TestCheckerEdgeTriggeredReporting(t *testing.T) {
-	store, _, ch := newCheckedStore(t)
+	_, log, ch := newCheckedLog(t)
 	ch.Add(paperProperty())
 	ch.Start()
 	defer ch.Stop()
 
-	store.Patch("L1", map[string]any{"power": map[string]any{"status": "on"}})
-	waitViolations(t, ch, 1, "first violation")
+	log.Action("L1", "Lamp", map[string]any{"power.status": "on"}, nil)
+	waitViolations(t, log, ch, 1, "first violation")
 	// More commits while still in the bad state must not re-report.
-	store.Patch("L1", map[string]any{"note": "still bad"})
-	store.Patch("L1", map[string]any{"note2": "still bad"})
-	holds(t, 100*time.Millisecond, func() bool {
-		return len(ch.Violations()) == 1
-	}, "no re-report while the bad state persists")
+	log.Action("L1", "Lamp", map[string]any{"note": "still bad"}, nil)
+	log.Action("L1", "Lamp", map[string]any{"note2": "still bad"}, nil)
+	settle(t, log, ch)
+	if len(ch.Violations()) != 1 {
+		t.Fatal("no re-report while the bad state persists violated")
+	}
 	// Leaving and re-entering the bad state reports again. The checker
-	// samples current store state on wake-up, so it must get a chance to
-	// observe the off state before we flip back — this sleep creates the
-	// intermediate state, it is not a synchronization wait.
-	store.Patch("L1", map[string]any{"power": map[string]any{"status": "off"}})
-	//dbox:allow sleepytest -- creates the intermediate off state; the checker exposes nothing to poll for having sampled it
-	time.Sleep(50 * time.Millisecond)
-	store.Patch("L1", map[string]any{"power": map[string]any{"status": "on"}})
-	waitViolations(t, ch, 2, "re-entry violation")
+	// judges every record, so the off state needs no time to be seen.
+	log.Action("L1", "Lamp", map[string]any{"power.status": "off"}, nil)
+	log.Action("L1", "Lamp", map[string]any{"power.status": "on"}, nil)
+	waitViolations(t, log, ch, 2, "re-entry violation")
 }
 
 func TestCheckerAlways(t *testing.T) {
-	store, _, ch := newCheckedStore(t)
+	_, log, ch := newCheckedLog(t)
 	ch.Add(&Property{
 		Name: "sensor-must-exist",
 		Kind: Always,
@@ -222,15 +233,12 @@ func TestCheckerAlways(t *testing.T) {
 	})
 	ch.Start()
 	defer ch.Stop()
-	store.Apply("O1", func(d model.Doc) error {
-		d.Delete("triggered")
-		return nil
-	})
-	waitViolations(t, ch, 1, "always violation")
+	log.Action("O1", "Occupancy", nil, []string{"triggered"})
+	waitViolations(t, log, ch, 1, "always violation")
 }
 
 func TestCheckerLeadsToSatisfied(t *testing.T) {
-	store, _, ch := newCheckedStore(t)
+	v, log, ch := newCheckedLog(t)
 	ch.Add(&Property{
 		Name:     "lamp-follows-occupancy",
 		Kind:     LeadsTo,
@@ -240,19 +248,27 @@ func TestCheckerLeadsToSatisfied(t *testing.T) {
 	})
 	ch.Start()
 	defer ch.Stop()
-	store.Patch("O1", map[string]any{"triggered": true})
-	//dbox:allow sleepytest -- simulates response latency inside the Within window; there is no condition to poll
-	time.Sleep(30 * time.Millisecond)
-	store.Patch("L1", map[string]any{"power": map[string]any{"status": "on"}})
+	log.Action("O1", "Occupancy", map[string]any{"triggered": true}, nil)
+	// The response comes 30 ms later, inside the Within window.
+	v.AdvanceTo(clock.Epoch.Add(30 * time.Millisecond))
+	log.Action("L1", "Lamp", map[string]any{"power.status": "on"}, nil)
 	// Hold past the Within deadline: a checker that missed the response
 	// would report exactly when the obligation expires.
-	holds(t, 300*time.Millisecond, func() bool {
-		return len(ch.Violations()) == 0
-	}, "satisfied leads-to stays violation-free")
+	for v.Step(clock.Epoch.Add(300 * time.Millisecond)) {
+	}
+	v.AdvanceTo(clock.Epoch.Add(300 * time.Millisecond))
+	log.Action("O1", "Occupancy", map[string]any{"note": "later"}, nil)
+	settle(t, log, ch)
+	if len(ch.Violations()) != 0 {
+		t.Fatal("satisfied leads-to stays violation-free violated")
+	}
+	if at, armed := v.NextAt(); armed {
+		t.Errorf("a closed window left a timer armed at %v", at)
+	}
 }
 
 func TestCheckerLeadsToExpires(t *testing.T) {
-	store, _, ch := newCheckedStore(t)
+	v, log, ch := newCheckedLog(t)
 	ch.Add(&Property{
 		Name:     "lamp-follows-occupancy",
 		Kind:     LeadsTo,
@@ -262,12 +278,52 @@ func TestCheckerLeadsToExpires(t *testing.T) {
 	})
 	ch.Start()
 	defer ch.Stop()
-	store.Patch("O1", map[string]any{"triggered": true})
-	waitViolations(t, ch, 1, "expired response window")
+	log.Action("O1", "Occupancy", map[string]any{"triggered": true}, nil)
+	settle(t, log, ch)
+	// The open window armed one timer, just past its deadline; with the
+	// log quiet, only that timer can expire it.
+	at, armed := v.NextAt()
+	if !armed || at != clock.Epoch.Add(60*time.Millisecond+time.Nanosecond) {
+		t.Fatalf("window timer = %v, %v", at, armed)
+	}
+	v.Step(at)
+	waitViolations(t, log, ch, 1, "expired response window")
+	if got := ch.Violations()[0].At; got != 60*time.Millisecond {
+		t.Errorf("violation at %v, want the deadline", got)
+	}
+}
+
+// An unpaced clock moves only when a timer fires, so a window's own
+// timer would carry it to the deadline: there the checker arms none,
+// and the first record stamped past the deadline expires the window.
+func TestUnpacedClockExpiresWindowsOnRecords(t *testing.T) {
+	s := clock.NewScaled(clock.SpeedMax, nil)
+	log := trace.NewLogAt(s.Now)
+	ch := NewChecker(log, s)
+	ch.Add(&Property{
+		Name:     "lamp-follows-occupancy",
+		Kind:     LeadsTo,
+		Within:   time.Second,
+		Trigger:  Condition{{Model: "O1", Path: "triggered", Op: Eq, Value: true}},
+		Response: Condition{{Model: "L1", Path: "power.status", Op: Eq, Value: "on"}},
+	})
+	ch.Start()
+	defer ch.Stop()
+	log.Action("O1", "Occupancy", map[string]any{"triggered": true}, nil)
+	settle(t, log, ch)
+	if at, armed := s.NextAt(); armed {
+		t.Fatalf("an unpaced clock got a window timer at %v", at)
+	}
+	s.AdvanceTo(clock.Epoch.Add(5 * time.Second))
+	log.Action("O1", "Occupancy", map[string]any{"note": "later"}, nil)
+	waitViolations(t, log, ch, 1, "window expired by a later record")
+	if got := ch.Violations()[0].At; got != time.Second {
+		t.Errorf("violation at %v, want the deadline", got)
+	}
 }
 
 func TestCheckerAddValidation(t *testing.T) {
-	_, _, ch := newCheckedStore(t)
+	_, _, ch := newCheckedLog(t)
 	if err := ch.Add(&Property{Name: "x", Kind: Never}); err == nil {
 		t.Error("invalid property accepted")
 	}
@@ -279,25 +335,56 @@ func TestCheckerAddValidation(t *testing.T) {
 	}
 }
 
-// A started checker opens its store watch with its first property, and
-// a restarted one picks up the properties it already has.
+// A started checker starts its goroutine with its first property, and
+// a restarted one picks up the properties it already has. No property
+// and no open window arm a timer.
 func TestCheckerWatchesFromFirstProperty(t *testing.T) {
-	store, _, ch := newCheckedStore(t)
+	v, log, ch := newCheckedLog(t)
 	ch.Start()
 	defer ch.Stop()
-	if ch.watcher != nil {
-		t.Fatal("a checker with no property watches the store")
+	if ch.stop != nil {
+		t.Fatal("a checker with no property runs a goroutine")
 	}
 	if err := ch.Add(paperProperty()); err != nil {
 		t.Fatal(err)
 	}
-	if ch.watcher == nil {
-		t.Fatal("the first property started no watch")
+	if ch.stop == nil {
+		t.Fatal("the first property started no goroutine")
 	}
 	ch.Stop()
 	ch.Start()
-	store.Patch("L1", map[string]any{"power": map[string]any{"status": "on"}})
-	waitViolations(t, ch, 1, "violation after restart")
+	log.Action("L1", "Lamp", map[string]any{"power.status": "on"}, nil)
+	waitViolations(t, log, ch, 1, "violation after restart")
+	if at, armed := v.NextAt(); armed {
+		t.Errorf("a checker with no open window armed a timer at %v", at)
+	}
+}
+
+// A property added mid-run judges the run from the log's first record,
+// as CheckTrace does over the same records.
+func TestLatePropertyJudgesTheRunFromItsStart(t *testing.T) {
+	v, log, ch := newCheckedLog(t)
+	ch.Add(&Property{
+		Name: "lamp-never-broken",
+		Kind: Never,
+		Cond: Condition{{Model: "L1", Path: "power.status", Op: Eq, Value: "broken"}},
+	})
+	ch.Start()
+	defer ch.Stop()
+	v.AdvanceTo(clock.Epoch.Add(time.Second))
+	log.Action("L1", "Lamp", map[string]any{"power.status": "on"}, nil)
+	v.AdvanceTo(clock.Epoch.Add(2 * time.Second))
+	log.Action("L1", "Lamp", map[string]any{"power.status": "off"}, nil)
+	settle(t, log, ch)
+	if err := ch.Add(paperProperty()); err != nil {
+		t.Fatal(err)
+	}
+	waitViolations(t, log, ch, 1, "violation before the property was added")
+	settle(t, log, ch)
+	want, _ := CheckTrace(log.Records(), ch.PropertyList())
+	if got := ch.Violations(); !reflect.DeepEqual(got, want) || got[0].At != time.Second {
+		t.Errorf("live %+v, offline %+v", got, want)
+	}
 }
 
 // buildTrace assembles action records with explicit timestamps.
@@ -334,7 +421,7 @@ func TestCheckTraceNever(t *testing.T) {
 	if len(vs) != 1 {
 		t.Fatalf("violations = %+v", vs)
 	}
-	if vs[0].At.Sub(time.Unix(0, 0)) != 2*time.Second {
+	if vs[0].At != 2*time.Second {
 		t.Errorf("violation at %v", vs[0].At)
 	}
 }
@@ -362,6 +449,11 @@ func TestCheckTraceLeadsTo(t *testing.T) {
 	}
 	if len(vs) != 0 {
 		t.Fatalf("violations = %+v", vs)
+	}
+	// A response stamped at the deadline itself is in time.
+	ok[1].TS = time.Second
+	if vs, _ := CheckTrace(ok, []*Property{prop}); len(vs) != 0 {
+		t.Fatalf("response at the deadline: violations = %+v", vs)
 	}
 	// Response arrives after 2s: violation.
 	late := buildTrace([]struct {
@@ -403,6 +495,33 @@ func TestCheckTraceLeadsToPendingAtEnd(t *testing.T) {
 	}
 	if len(vs) != 1 {
 		t.Fatalf("violations = %+v", vs)
+	}
+	if vs[0].At != time.Second {
+		t.Errorf("expired window stamped %v, want its deadline", vs[0].At)
+	}
+}
+
+// A scene logs each write to a child as an event naming the target
+// before it commits it; the child logs its own action a queue hop
+// later, after a sibling may already have reacted. The monitor applies
+// the event, so the scene's writes come first.
+func TestCheckTraceReadsSceneWrites(t *testing.T) {
+	recs := []trace.Record{
+		{Seq: 1, Kind: trace.KindAction, Name: "O1", Sets: map[string]any{"triggered": false}},
+		{Seq: 2, Kind: trace.KindEvent, Name: "R1", Fields: map[string]any{"target": "L1", "target_type": "Lamp", "power.intent": "on"}},
+		{Seq: 3, Kind: trace.KindEvent, Name: "R1", Fields: map[string]any{"target": "O1", "target_type": "Occupancy", "triggered": true}},
+		{Seq: 4, Kind: trace.KindAction, Name: "L1", Sets: map[string]any{"power.intent": "on"}},
+		{Seq: 5, Kind: trace.KindAction, Name: "L1", Sets: map[string]any{"power.status": "on"}},
+		{Seq: 6, Kind: trace.KindAction, Name: "O1", Sets: map[string]any{"triggered": true}},
+		// An event generator's own firing is a write to its own model.
+		{Seq: 7, TS: time.Second, Kind: trace.KindEvent, Name: "O1", Fields: map[string]any{"triggered": false}},
+	}
+	vs, err := CheckTrace(recs, []*Property{paperProperty()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 1 || vs[0].At != time.Second {
+		t.Fatalf("violations = %+v, want one, at the generator's firing", vs)
 	}
 }
 

@@ -5,10 +5,10 @@
 // measured against this gateway.
 //
 // The gateway serves models from the testbed's store. When a Delay
-// function is configured, each request sleeps the simulated network
+// function is configured, each request waits out the simulated network
 // round-trip between the gateway's node and the node running the
-// mock's pod, which is how the two-EC2-instance deployment point is
-// reproduced in-process.
+// mock's pod on the testbed clock, which is how the two-EC2-instance
+// deployment point is reproduced in-process.
 package rest
 
 import (
@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/model"
 	"repro/internal/trace"
 )
@@ -33,9 +34,10 @@ type Gateway struct {
 	// Log, when non-nil, records request/response messages.
 	Log *trace.Log
 	// Delay, when non-nil, returns the simulated one-way network delay
-	// to the named mock; the gateway sleeps twice that per request
-	// (request + response legs).
+	// to the named mock; the gateway waits twice that per request
+	// (request + response legs) on Clock, the wall clock when nil.
 	Delay func(name string) time.Duration
+	Clock clock.Clock
 
 	server   *http.Server
 	listener net.Listener
@@ -101,12 +103,14 @@ func (g *Gateway) Close() error {
 	return g.server.Close()
 }
 
-func (g *Gateway) injectDelay(name string) {
+// injectDelay waits out the simulated round-trip unless the client goes.
+func (g *Gateway) injectDelay(r *http.Request, name string) {
 	if g.Delay == nil {
 		return
 	}
 	if d := g.Delay(name); d > 0 {
-		time.Sleep(2 * d) // request leg + response leg
+		clk := clock.Or(g.Clock)
+		clock.SleepUntil(r.Context(), clk, clk.Now().Add(2*d)) // request leg + response leg
 	}
 }
 
@@ -116,7 +120,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	g.injectDelay(name)
+	g.injectDelay(r, name)
 	doc, gen, ok := g.Store.View(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "model %q not found", name)
@@ -131,7 +135,7 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
 // what a real device would report on its status endpoint.
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	g.injectDelay(name)
+	g.injectDelay(r, name)
 	doc, gen, ok := g.Store.View(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "model %q not found", name)
@@ -161,7 +165,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handlePatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	g.injectDelay(name)
+	g.injectDelay(r, name)
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
@@ -203,36 +207,27 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "model %q not found", name)
 		return
 	}
-	if gen > sinceGen {
-		g.injectDelay(name)
-		w.Header().Set("X-Digibox-Generation", strconv.FormatUint(gen, 10))
-		writeJSON(w, http.StatusOK, map[string]any(doc))
-		return
-	}
-	watcher := g.Store.WatchName(name)
-	defer watcher.Close()
-	// Re-check after registration to close the race with writers.
-	if doc, gen, ok = g.Store.View(name); ok && gen > sinceGen {
-		g.injectDelay(name)
-		w.Header().Set("X-Digibox-Generation", strconv.FormatUint(gen, 10))
-		writeJSON(w, http.StatusOK, map[string]any(doc))
-		return
-	}
-	select {
-	case u, open := <-watcher.C:
-		if !open || u.Deleted {
-			writeError(w, http.StatusGone, "model %q deleted", name)
-			return
+	if gen <= sinceGen {
+		watcher := g.Store.WatchName(name)
+		defer watcher.Close()
+		// Re-check after registration to close the race with writers.
+		if doc, gen, ok = g.Store.View(name); !ok || gen <= sinceGen {
+			select {
+			case u, open := <-watcher.C:
+				if !open || u.Deleted {
+					writeError(w, http.StatusGone, "model %q deleted", name)
+					return
+				}
+				doc, gen = u.Doc, u.Gen
+			case <-time.After(timeout): //dbox:allow wallclock -- the long-poll timeout is the application's own wait, in wall time
+			case <-r.Context().Done():
+				return
+			}
 		}
-		g.injectDelay(name)
-		w.Header().Set("X-Digibox-Generation", strconv.FormatUint(u.Gen, 10))
-		writeJSON(w, http.StatusOK, map[string]any(u.Doc))
-	case <-time.After(timeout):
-		g.injectDelay(name)
-		w.Header().Set("X-Digibox-Generation", strconv.FormatUint(gen, 10))
-		writeJSON(w, http.StatusOK, map[string]any(doc))
-	case <-r.Context().Done():
 	}
+	g.injectDelay(r, name)
+	w.Header().Set("X-Digibox-Generation", strconv.FormatUint(gen, 10))
+	writeJSON(w, http.StatusOK, map[string]any(doc))
 }
 
 // Client is a minimal typed client for the gateway, used by example

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/model"
 	"repro/internal/trace"
 )
@@ -254,6 +256,44 @@ func TestDelayInjection(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
 		t.Errorf("request took %v, want >= 50ms (2x one-way delay)", elapsed)
+	}
+}
+
+// The zone delay is simulated network time on the testbed clock: a
+// delayed GET returns only once that clock has moved 2·d.
+func TestDelayRunsOnTheTestbedClock(t *testing.T) {
+	g, _ := newGateway(t)
+	v := clock.NewVirtual()
+	g.Clock = v
+	g.Delay = func(name string) time.Duration { return 25 * time.Millisecond }
+	c := serve(t, g)
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Status("L1")
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	at, armed := v.NextAt()
+	for ; !armed; at, armed = v.NextAt() {
+		if time.Now().After(deadline) {
+			t.Fatal("the delayed GET armed no wait on the testbed clock")
+		}
+		runtime.Gosched()
+	}
+	if want := clock.Epoch.Add(50 * time.Millisecond); !at.Equal(want) {
+		t.Fatalf("the GET waits until %v, want %v", at, want)
+	}
+	if v.Step(at.Add(-time.Nanosecond)) {
+		t.Fatal("a timer fired before 2·d")
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("the GET returned before the clock moved 2·d (err %v)", err)
+	default:
+	}
+	v.Step(at)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

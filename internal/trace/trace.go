@@ -99,9 +99,10 @@ type segment struct {
 type Log struct {
 	mu    sync.Mutex
 	start time.Time
-	seq   uint64    // records appended; record i has Seq i+1
-	segs  []segment // all full but the last
-	bytes int       // capacity held by segs' data and ends
+	seq   uint64        // records appended; record i has Seq i+1
+	segs  []segment     // all full but the last
+	bytes int           // capacity held by segs' data and ends
+	wake  chan struct{} // closed by the next Append; nil while nobody waits
 	// now is injectable for deterministic tests.
 	now func() time.Time
 }
@@ -131,6 +132,10 @@ func (l *Log) Append(r Record) Record {
 	r.Seq = l.seq
 	r.TS = l.now().Sub(l.start)
 	l.store(r.TS, body)
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
+	}
 	l.mu.Unlock()
 	if cap(body) <= segmentSize {
 		*buf = body
@@ -236,6 +241,22 @@ func (l *Log) From(n int, fn func(*Record)) {
 			fn(&r)
 		}
 	}
+}
+
+// Wait returns a channel closed once the log holds more than n
+// records: by the next Append, or at once when it does already.
+func (l *Log) Wait(n int) <-chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if int(l.seq) > n {
+		behind := make(chan struct{})
+		close(behind)
+		return behind
+	}
+	if l.wake == nil {
+		l.wake = make(chan struct{})
+	}
+	return l.wake
 }
 
 // filter returns the records keep accepts, in sequence order.

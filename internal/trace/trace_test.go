@@ -577,3 +577,35 @@ func TestTailFrom(t *testing.T) {
 		t.Fatalf("From past the end read %d records", none)
 	}
 }
+
+// Wait's channel is closed by the next Append, or at once for a reader
+// that is behind; a log nobody waits on holds no channel.
+func TestWaitClosesOnTheNextAppend(t *testing.T) {
+	l := NewLogAt(newFakeClock().now)
+	closed := func(c <-chan struct{}) bool {
+		select {
+		case <-c:
+			return true
+		default:
+			return false
+		}
+	}
+	l.Event("o1", "Occupancy", nil)
+	if l.wake != nil {
+		t.Fatal("an append with no reader waiting made a channel")
+	}
+	if !closed(l.Wait(0)) {
+		t.Fatal("a reader behind the log waits")
+	}
+	w := l.Wait(1)
+	if closed(w) {
+		t.Fatal("a reader at the tail does not wait")
+	}
+	if l.Wait(1) != w {
+		t.Fatal("two readers at the tail wait on different channels")
+	}
+	l.Event("o1", "Occupancy", nil)
+	if !closed(w) || l.wake != nil {
+		t.Fatal("the append neither closed the channel nor dropped it")
+	}
+}
