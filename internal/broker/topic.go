@@ -131,7 +131,11 @@ type subTrie struct {
 
 type trieNode struct {
 	children map[string]*trieNode
-	subs     []*subscription // one per client, ascending by client id
+	// plus and hash are children["+"] and children["#"], kept in step
+	// by setChild and dropChild, so a match walk looks up only the
+	// concrete level in the map.
+	plus, hash *trieNode
+	subs       []*subscription // one per client, ascending by client id
 }
 
 type subscription struct {
@@ -150,6 +154,32 @@ func newSubTrie() *subTrie {
 
 func newTrieNode() *trieNode {
 	return &trieNode{children: map[string]*trieNode{}}
+}
+
+// setChild adds child under level lv.
+func (n *trieNode) setChild(lv string, child *trieNode) {
+	n.children[lv] = child
+	n.link(lv, child)
+}
+
+// dropChild removes the child under level lv.
+func (n *trieNode) dropChild(lv string) {
+	delete(n.children, lv)
+	n.link(lv, nil)
+}
+
+func (n *trieNode) link(lv string, child *trieNode) {
+	switch lv {
+	case "+":
+		n.plus = child
+	case "#":
+		n.hash = child
+	}
+}
+
+// empty reports whether the node holds no subscription and no child.
+func (n *trieNode) empty() bool {
+	return len(n.children) == 0 && len(n.subs) == 0
 }
 
 // find returns clientID's position in the node's sorted subscriber
@@ -171,7 +201,7 @@ func (t *subTrie) subscribe(sub *subscription) {
 		next, ok := node.children[lv]
 		if !ok {
 			next = newTrieNode()
-			node.children[lv] = next
+			node.setChild(lv, next)
 		}
 		node = next
 	}
@@ -205,8 +235,8 @@ func unsubscribeAt(node *trieNode, filter, clientID string) bool {
 		child.subs = slices.Delete(child.subs, i, i+1)
 		removed = true
 	}
-	if removed && len(child.children) == 0 && len(child.subs) == 0 {
-		delete(node.children, lv)
+	if removed && child.empty() {
+		node.dropChild(lv)
 	}
 	return removed
 }
@@ -229,8 +259,8 @@ func pruneClient(node *trieNode, clientID string, removed *[]string) {
 	}
 	for lv, child := range node.children {
 		pruneClient(child, clientID, removed)
-		if len(child.children) == 0 && len(child.subs) == 0 {
-			delete(node.children, lv)
+		if child.empty() {
+			node.dropChild(lv)
 		}
 	}
 }
@@ -290,15 +320,16 @@ func (t *subTrie) deliverySet(topic string, sc *matchScratch) []*subscription {
 }
 
 // gather appends the subscriber list of every node whose filter matches
-// the topic levels in rest. wild is false only at the first level of a
-// "$" topic, which wildcards do not match (spec §4.7.2).
+// the topic levels in rest, with one map lookup per level. wild is false
+// only at the first level of a "$" topic, which wildcards do not match
+// (spec §4.7.2).
 func gather(node *trieNode, rest string, wild bool, lists [][]*subscription) [][]*subscription {
 	lv, rest, more := strings.Cut(rest, "/")
 	kids := [2]*trieNode{node.children[lv]}
 	if wild {
-		kids[1] = node.children["+"]
-		if hash := node.children["#"]; hash != nil {
-			lists = append(lists, hash.subs)
+		kids[1] = node.plus
+		if node.hash != nil {
+			lists = append(lists, node.hash.subs)
 		}
 	}
 	for _, child := range kids {
@@ -309,8 +340,8 @@ func gather(node *trieNode, rest string, wild bool, lists [][]*subscription) [][
 		default:
 			lists = append(lists, child.subs)
 			// "a/#" matches "a": a child "#" at the exact end also fires.
-			if hash := child.children["#"]; hash != nil {
-				lists = append(lists, hash.subs)
+			if child.hash != nil {
+				lists = append(lists, child.hash.subs)
 			}
 		}
 	}

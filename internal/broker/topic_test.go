@@ -416,3 +416,124 @@ func TestQuickTrieAgreesWithMatchTopic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: through random subscribe, unsubscribe and removeClient
+// sequences that prune and re-add "+" and "#" leaves at several
+// depths, every node's plus and hash links equal its "+" and "#"
+// children, and deliverySet agrees with the matchAll oracle.
+func TestTrieWildcardLinksStayInStep(t *testing.T) {
+	levels := []string{"a", "b", "+"}
+	genFilter := func(r *rand.Rand) string {
+		parts := make([]string, r.Intn(4))
+		for i := range parts {
+			parts[i] = levels[r.Intn(len(levels))]
+		}
+		if len(parts) == 0 || r.Intn(2) == 0 {
+			parts = append(parts, "#")
+		}
+		return strings.Join(parts, "/")
+	}
+	topics := []string{"a", "b", "c", "$s"}
+	genTopic := func(r *rand.Rand) string {
+		parts := make([]string, 1+r.Intn(4))
+		for i := range parts {
+			parts[i] = topics[r.Intn(len(topics))]
+		}
+		return strings.Join(parts, "/")
+	}
+	// relinked counts, per wildcard level and depth (1 for a first
+	// level), the leaves that came back after being pruned.
+	relinked := map[string]int{}
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		trie := newSubTrie()
+		live := map[string]map[string]bool{} // client -> filters
+		pruned := map[string]bool{}
+		before := wildcardNodes(trie.root, "")
+		for step := 0; step < 60; step++ {
+			client := fmt.Sprintf("c%d", r.Intn(3))
+			switch op := r.Intn(10); {
+			case op < 5:
+				f := genFilter(r)
+				trie.subscribe(&subscription{clientID: client, filter: f, qos: byte(r.Intn(2))})
+				if live[client] == nil {
+					live[client] = map[string]bool{}
+				}
+				live[client][f] = true
+			case op < 9:
+				f := genFilter(r)
+				for held := range live[client] {
+					if r.Intn(2) == 0 {
+						f = held
+						break
+					}
+				}
+				if got := trie.unsubscribe(client, f); got != live[client][f] {
+					t.Fatalf("seed %d: unsubscribe(%s, %q) = %v", seed, client, f, got)
+				}
+				delete(live[client], f)
+			default:
+				trie.removeClient(client)
+				delete(live, client)
+			}
+			checkWildcardLinks(t, trie.root, "")
+			after := wildcardNodes(trie.root, "")
+			for path := range before {
+				if !after[path] {
+					pruned[path] = true
+				}
+			}
+			for path := range after {
+				if !before[path] && pruned[path] {
+					lv := path[len(path)-1:]
+					relinked[fmt.Sprintf("%s@%d", lv, strings.Count(path, "/"))]++
+				}
+			}
+			before = after
+			for trial := 0; trial < 3; trial++ {
+				topic := genTopic(r)
+				got := map[string]byte{}
+				for _, sub := range deliverySetOf(trie, topic) {
+					got[sub.clientID] = sub.qos
+				}
+				if want := dedupMaxQoS(trie.matchAll(topic)); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d step %d topic %q: deliverySet %v, matchAll %v", seed, step, topic, got, want)
+				}
+			}
+		}
+	}
+	for _, lv := range []string{"+", "#"} {
+		for depth := 1; depth <= 3; depth++ {
+			if key := fmt.Sprintf("%s@%d", lv, depth); relinked[key] == 0 {
+				t.Errorf("no %q leaf at depth %d was pruned and re-added (%v)", lv, depth, relinked)
+			}
+		}
+	}
+}
+
+// checkWildcardLinks fails unless every node under n links exactly its
+// "+" and "#" children.
+func checkWildcardLinks(t *testing.T, n *trieNode, path string) {
+	t.Helper()
+	if n.plus != n.children["+"] || n.hash != n.children["#"] {
+		t.Fatalf("node %q: plus %p hash %p, children + %p # %p", path, n.plus, n.hash, n.children["+"], n.children["#"])
+	}
+	for lv, child := range n.children {
+		checkWildcardLinks(t, child, path+"/"+lv)
+	}
+}
+
+// wildcardNodes returns the paths of every "+" and "#" node under n.
+func wildcardNodes(n *trieNode, path string) map[string]bool {
+	out := map[string]bool{}
+	for lv, child := range n.children {
+		p := path + "/" + lv
+		if lv == "+" || lv == "#" {
+			out[p] = true
+		}
+		for q := range wildcardNodes(child, p) {
+			out[q] = true
+		}
+	}
+	return out
+}

@@ -122,11 +122,7 @@ func (c *Cluster) ZoneDelay(zoneA, zoneB string) time.Duration {
 
 // NodeZone returns the zone of a node ("" if unknown).
 func (c *Cluster) NodeZone(nodeName string) string {
-	n, err := c.api.getNode(nodeName)
-	if err != nil {
-		return ""
-	}
-	return n.Spec.Zone
+	return c.api.nodeZone(nodeName)
 }
 
 // Start launches the scheduler and all node agents.

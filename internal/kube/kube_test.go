@@ -345,6 +345,19 @@ func TestZoneDelays(t *testing.T) {
 	}
 }
 
+// NodeZone runs on every gateway-delayed REST request: it reads the
+// zone in place and copies no node.
+func TestNodeZoneCopiesNothing(t *testing.T) {
+	c := NewCluster()
+	c.AddNode("laptop", 10, "local")
+	if z := c.NodeZone("nowhere"); z != "" {
+		t.Errorf("unknown node zone = %q", z)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.NodeZone("laptop") }); n != 0 {
+		t.Errorf("NodeZone allocates %v times per call", n)
+	}
+}
+
 func TestWatchReplaysExistingPods(t *testing.T) {
 	c := testCluster(t, "n1")
 	c.RegisterImage("digi/block", blockingImage(nil, nil))

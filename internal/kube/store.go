@@ -148,6 +148,16 @@ func (a *apiServer) getNode(name string) (*Node, error) {
 	return n.DeepCopy(), nil
 }
 
+// nodeZone reads a node's zone ("" if unknown) without copying it.
+func (a *apiServer) nodeZone(name string) string {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	if n, ok := a.nodes[name]; ok {
+		return n.Spec.Zone
+	}
+	return ""
+}
+
 func (a *apiServer) updateNode(name string, fn func(*Node)) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"math"
+	"strconv"
 	"testing"
 )
 
@@ -51,6 +53,32 @@ func FuzzParse(f *testing.F) {
 			if err1 == nil && d1 != d2 {
 				t.Fatalf("round trip changed the schedule digest")
 			}
+		}
+	})
+}
+
+// FuzzAppendFixed4 holds the payload formatter to strconv: every
+// float64 formats to the same bytes as strconv.AppendFloat(v, 'f', 4,
+// 64), so profile digests do not depend on which one wrote a payload.
+func FuzzAppendFixed4(f *testing.F) {
+	seeds := []float64{
+		// Decimal ties that are not binary ties, and exact binary ties
+		// (0.03125·10⁴ = 312.5) that must round half to even.
+		0.00005, 0.00015, 2.5e-5, 9.99995, 99999.99995, 0.03125, 0.09375, 1.00005, 0.5e-4,
+		0, math.Copysign(0, -1), -0.00001, -0.00005, -1.5, 21.3456, -40.00004999,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-1023,
+		1e14, -1e14, math.Nextafter(1e14, 0), -math.Nextafter(1e14, 0), math.Nextafter(1e14, 2e14),
+		99999999999999.99, 0x1p46 + 0.5, 0x1p-14, 0x1p-15, 0x1p-16,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64,
+	}
+	for _, v := range seeds {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, b uint64) {
+		v := math.Float64frombits(b)
+		want := strconv.AppendFloat([]byte("x"), v, 'f', 4, 64)
+		if got := appendFixed4([]byte("x"), v); string(got) != string(want) {
+			t.Fatalf("appendFixed4(%v) [bits %#x] = %q, strconv says %q", v, b, got, want)
 		}
 	})
 }

@@ -325,7 +325,7 @@ func (s *Sampler) payload(st *devState, pop *Population) []byte {
 			mid := (f.Min + f.Max) / 2
 			amp := (f.Max - f.Min) / 2
 			v := mid + amp*math.Sin(2*math.Pi*(float64(st.at)/float64(period)+fst.phase))
-			buf = strconv.AppendFloat(buf, v, 'f', 4, 64)
+			buf = appendFixed4(buf, v)
 		case GenSpike:
 			p := f.P
 			if p <= 0 {
@@ -335,7 +335,7 @@ func (s *Sampler) payload(st *devState, pop *Population) []byte {
 			if st.rng.Float64() < p {
 				v = f.Min + st.rng.Float64()*(f.Max-f.Min)
 			}
-			buf = strconv.AppendFloat(buf, v, 'f', 4, 64)
+			buf = appendFixed4(buf, v)
 		default: // randomwalk and unnamed
 			step := f.Step
 			if step <= 0 {
@@ -348,11 +348,47 @@ func (s *Sampler) payload(st *devState, pop *Population) []byte {
 			if fst.value > f.Max {
 				fst.value = f.Max
 			}
-			buf = strconv.AppendFloat(buf, fst.value, 'f', 4, 64)
+			buf = appendFixed4(buf, fst.value)
 		}
 	}
 	buf = append(buf, '}')
 	return buf
+}
+
+// appendFixed4 appends v with four decimals, byte-identical to
+// strconv.AppendFloat(buf, v, 'f', 4, 64). strconv formats a fixed
+// precision through its multi-precision decimal path; here the exact
+// value |v|·10⁴ = mant·625 · 2^(4-shift) is an integer product and a
+// right shift, and the bits shifted out round half to even, as strconv
+// rounds the exact value. NaN, ±Inf and |v| ≥ 1e14 go to strconv.
+func appendFixed4(buf []byte, v float64) []byte {
+	if !(math.Abs(v) < 1e14) {
+		return strconv.AppendFloat(buf, v, 'f', 4, 64)
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		buf = append(buf, '-')
+	}
+	mant, e := b&(1<<52-1), int(b>>52&0x7ff)
+	if e == 0 {
+		e = 1 // subnormal
+	} else {
+		mant |= 1 << 52
+	}
+	// |v| = mant · 2^-shift, and below 1e14 (< 2^47) shift ≥ 6, so
+	// s ≥ 2. x < 2^53 · 625 < 2^63 is exact.
+	x, s := mant*625, uint(1023+52-e)-4
+	var n uint64 // round(|v|·10⁴) ≤ 1e18
+	if s < 64 {
+		n = x >> s
+		rest, half := x&(1<<s-1), uint64(1)<<(s-1)
+		if rest > half || rest == half && n&1 == 1 {
+			n++
+		}
+	} // else x/2^s < 2^63/2^64 is below one half: n = 0
+	buf = strconv.AppendUint(buf, n/1e4, 10)
+	frac := n % 1e4
+	return append(buf, '.', byte('0'+frac/1000), byte('0'+frac/100%10), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
 // Walk replays the full schedule of a freshly compiled sampler up to

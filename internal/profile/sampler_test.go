@@ -2,10 +2,14 @@ package profile
 
 import (
 	"bytes"
+	"math"
 	"math/big"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // TestSamplerDeterminism compiles the same profile twice and walks
@@ -257,5 +261,28 @@ func TestBurstAmplifies(t *testing.T) {
 	if bc["cam"] < 2*fc["cam"] {
 		t.Fatalf("burst x10 for half of every second should at least double volume: flat %d bursty %d",
 			fc["cam"], bc["cam"])
+	}
+}
+
+// TestAppendFixed4MatchesStrconv sweeps the values payload fields take
+// — random magnitudes from 1e-6 to 1e13, four-decimal grid points and
+// the float64s either side of each half-way point — and checks the
+// formatter against strconv byte for byte.
+func TestAppendFixed4MatchesStrconv(t *testing.T) {
+	s := rng.New(7, 0)
+	check := func(v float64) {
+		want := strconv.AppendFloat(nil, v, 'f', 4, 64)
+		if got := appendFixed4(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("appendFixed4(%v) = %q, strconv says %q", v, got, want)
+		}
+	}
+	for i := 0; i < 100000; i++ {
+		v := math.Pow(10, -6+19*s.Float64()) * (s.Float64() - 0.5)
+		check(v)
+		grid := math.Round(v*1e4) / 1e4
+		half := grid + 0.00005
+		for _, x := range []float64{grid, half, math.Nextafter(half, 0), math.Nextafter(half, math.Inf(1))} {
+			check(x)
+		}
 	}
 }

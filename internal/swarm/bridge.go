@@ -36,21 +36,26 @@ const bridgePrefix = "swarm!"
 // whose link is severed by a shard-partition fault is not lost — it is
 // spilled into the pool's bounded journal, keyed by the shard whose
 // outage gated it, and replayed when that shard fails over or heals.
+//
+// A publish takes no lock here. It reads the route view (shards,
+// severed links, wildcard list) with one atomic load and the concrete
+// index with one sync.Map lookup; refcounts are atomic. Writers
+// serialise on mu and publish each change before they unlock, so a
+// publish that starts after a write returns sees it.
 type bridge struct {
-	shards []*broker.Broker
-
 	// spill journals a forward the bridge could not deliver:
 	// gate is the shard whose outage caused it (the journal key),
 	// target the shard the forward was headed to.
 	spill func(gate int, kind pendKind, target int, from, topic string, payload []byte, qos byte, retain bool)
 
-	mu       sync.RWMutex
-	concrete map[string][]int32 // exact filter -> per-shard refcount
-	wild     map[string][]int32 // wildcard filter -> per-shard refcount
-	// wildList is wild as a slice sharing its refcounts, rebuilt only
-	// when a wildcard filter comes or goes: the per-publish scan.
-	wildList []wildFilter
-	severed  []bool // shard-partition: links cut both ways
+	view atomic.Pointer[routeView]
+	// concrete maps an exact filter to its refs. A filter's refs live
+	// as long as some shard holds it, so a SUBSCRIBE to a held filter
+	// only bumps a counter.
+	concrete sync.Map
+
+	mu   sync.Mutex      // serialises writers
+	wild map[string]refs // wildcard filter -> refs, shared with the view
 
 	// lastFrom interns the forwarded identity bridgePrefix+from. A
 	// swarm run publishes under one identity, so one entry suffices.
@@ -59,9 +64,22 @@ type bridge struct {
 	forwards int64 // publishes forwarded shard-to-shard
 }
 
+// refs counts, per shard, the live subscriptions to one filter.
+type refs []atomic.Int32
+
+// routeView is what a publish reads. It is never modified once
+// published: a writer stores a changed copy.
+type routeView struct {
+	shards  []*broker.Broker
+	severed []bool // shard-partition: links cut both ways
+	// wild is the wildcard index as a slice, rebuilt only when a
+	// wildcard filter comes or goes: the per-publish scan.
+	wild []wildFilter
+}
+
 type wildFilter struct {
 	filter string
-	shards []int32
+	shards refs
 }
 
 type forwardedFrom struct{ from, as string }
@@ -74,53 +92,66 @@ type forward struct {
 }
 
 func newBridge(shards int) *bridge {
-	return &bridge{
-		concrete: map[string][]int32{},
-		wild:     map[string][]int32{},
-		severed:  make([]bool, shards),
-	}
+	br := &bridge{wild: map[string]refs{}}
+	br.view.Store(&routeView{
+		shards:  make([]*broker.Broker, shards),
+		severed: make([]bool, shards),
+	})
+	return br
+}
+
+// update publishes a changed copy of the route view. Caller holds mu.
+func (br *bridge) update(change func(v *routeView)) {
+	v := *br.view.Load()
+	change(&v)
+	br.view.Store(&v)
 }
 
 // subHook returns the SubscribeHook for shard i.
 func (br *bridge) subHook(i int) func(clientID, filter string, add bool) {
 	return func(_, filter string, add bool) {
-		idx := br.concrete
 		isWild := strings.ContainsAny(filter, "+#")
-		if isWild {
-			idx = br.wild
-		}
 		br.mu.Lock()
 		defer br.mu.Unlock()
-		refs := idx[filter]
-		if add {
-			if refs == nil {
-				refs = make([]int32, len(br.severed))
-				idx[filter] = refs
-				if isWild {
-					br.rebuildWild()
-				}
-			}
-			refs[i]++
-			return
+		var r refs
+		if isWild {
+			r = br.wild[filter]
+		} else if v, ok := br.concrete.Load(filter); ok {
+			r = v.(refs)
 		}
-		if refs == nil || refs[i] == 0 {
-			return
-		}
-		if refs[i]--; unused(refs) {
-			delete(idx, filter)
-			if isWild {
-				br.rebuildWild()
+		switch {
+		case add && r == nil:
+			r = make(refs, len(br.view.Load().shards))
+			r[i].Store(1)
+			if !isWild {
+				br.concrete.Store(filter, r)
+				return
 			}
+			br.wild[filter] = r
+			br.rebuildWild()
+		case add:
+			r[i].Add(1)
+		case r == nil || r[i].Load() == 0:
+			// Nothing of this shard's to remove.
+		case r[i].Add(-1) == 0 && r.unused():
+			if !isWild {
+				br.concrete.Delete(filter)
+				return
+			}
+			delete(br.wild, filter)
+			br.rebuildWild()
 		}
 	}
 }
 
-// rebuildWild regenerates wildList from wild. Caller holds mu.
+// rebuildWild publishes a view whose wildcard list is wild. Caller
+// holds mu.
 func (br *bridge) rebuildWild() {
-	br.wildList = br.wildList[:0]
-	for filter, refs := range br.wild {
-		br.wildList = append(br.wildList, wildFilter{filter, refs})
+	list := make([]wildFilter, 0, len(br.wild))
+	for filter, r := range br.wild {
+		list = append(list, wildFilter{filter, r})
 	}
+	br.update(func(v *routeView) { v.wild = list })
 }
 
 // routeHook returns the RouteHook for shard i: decide which sibling
@@ -136,44 +167,43 @@ func (br *bridge) routeHook(i int) func(from, topic string, payload []byte, qos 
 		}
 		var wantBuf [8]bool
 		var fwdBuf [8]forward
-		want, fwds := wantBuf[:0], fwdBuf[:0]
-		br.mu.RLock()
-		want = append(want, make([]bool, len(br.shards))...)
+		v := br.view.Load()
+		want := append(wantBuf[:0], make([]bool, len(v.shards))...)
 		if retain {
 			// Replicate retained state everywhere.
 			for t := range want {
 				want[t] = true
 			}
 		} else {
-			for t, n := range br.concrete[topic] {
-				want[t] = n > 0
+			if c, ok := br.concrete.Load(topic); ok {
+				r := c.(refs)
+				for t := range want {
+					want[t] = r[t].Load() > 0
+				}
 			}
-			for _, w := range br.wildList {
+			for _, w := range v.wild {
 				if !broker.MatchTopic(w.filter, topic) {
 					continue
 				}
-				for t, n := range w.shards {
-					want[t] = want[t] || n > 0
+				for t := range want {
+					want[t] = want[t] || w.shards[t].Load() > 0
 				}
 			}
 		}
-		// Capture destination brokers and the blocked decision while the
-		// lock is held: ReviveShard swaps slice elements under the write
-		// lock, so element reads outside it would race the swap.
-		for t, dest := range br.shards {
+		fwds := fwdBuf[:0]
+		for t, dest := range v.shards {
 			if t == i || !want[t] {
 				continue
 			}
 			gate := -1
 			switch {
-			case !dest.Alive() || br.severed[t]:
+			case !dest.Alive() || v.severed[t]:
 				gate = t // target-side outage gates it
-			case br.severed[i]:
+			case v.severed[i]:
 				gate = i // our own link is cut
 			}
 			fwds = append(fwds, forward{dest, t, gate})
 		}
-		br.mu.RUnlock()
 		for _, f := range fwds {
 			if f.gate >= 0 {
 				br.spill(f.gate, pendForward, f.target, from, topic, payload, qos, retain)
@@ -201,13 +231,15 @@ func (br *bridge) forwardedAs(from string) string {
 	return c.as
 }
 
-// setShard swaps the broker serving shard slot i — ReviveShard's
-// replacement of a dead broker. Runs under the bridge write lock so
-// in-flight routeHooks never observe a torn slice element.
+// setShard puts b in shard slot i: NewPool's placement and
+// ReviveShard's replacement of a dead broker.
 func (br *bridge) setShard(i int, b *broker.Broker) {
 	br.mu.Lock()
 	defer br.mu.Unlock()
-	br.shards[i] = b
+	br.update(func(v *routeView) {
+		v.shards = slices.Clone(v.shards)
+		v.shards[i] = b
+	})
 }
 
 // setSevered cuts (or restores) shard i's bridge links in both
@@ -215,7 +247,10 @@ func (br *bridge) setShard(i int, b *broker.Broker) {
 func (br *bridge) setSevered(i int, cut bool) {
 	br.mu.Lock()
 	defer br.mu.Unlock()
-	br.severed[i] = cut
+	br.update(func(v *routeView) {
+		v.severed = slices.Clone(v.severed)
+		v.severed[i] = cut
+	})
 }
 
 // dropShard removes every index entry anchored on shard d — the bridge
@@ -224,20 +259,34 @@ func (br *bridge) setSevered(i int, cut bool) {
 func (br *bridge) dropShard(d int) {
 	br.mu.Lock()
 	defer br.mu.Unlock()
-	for _, idx := range []map[string][]int32{br.concrete, br.wild} {
-		for filter, refs := range idx {
-			refs[d] = 0
-			if unused(refs) {
-				delete(idx, filter)
-			}
+	br.concrete.Range(func(filter, v any) bool {
+		if r := v.(refs); r.drop(d) {
+			br.concrete.Delete(filter)
+		}
+		return true
+	})
+	for filter, r := range br.wild {
+		if r.drop(d) {
+			delete(br.wild, filter)
 		}
 	}
 	br.rebuildWild()
 }
 
-// unused reports whether no shard holds a filter with refcounts refs.
-func unused(refs []int32) bool {
-	return !slices.ContainsFunc(refs, func(n int32) bool { return n > 0 })
+// drop zeroes shard d's count and reports whether no shard is left.
+func (r refs) drop(d int) bool {
+	r[d].Store(0)
+	return r.unused()
+}
+
+// unused reports whether no shard holds the filter.
+func (r refs) unused() bool {
+	for t := range r {
+		if r[t].Load() > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (br *bridge) forwardCount() int64 {

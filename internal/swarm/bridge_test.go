@@ -276,9 +276,7 @@ func TestBridgeIndexCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := pool.bridge
-	br.mu.RLock()
-	wild, wildList, concrete := len(br.wild), len(br.wildList), len(br.concrete)
-	br.mu.RUnlock()
+	wild, wildList, concrete := bridgeIndexSizes(br)
 	if wild != 1 || wildList != 1 || concrete != 1 {
 		t.Fatalf("index = %d wild (%d listed), %d concrete; want 1 (1), 1", wild, wildList, concrete)
 	}
@@ -289,16 +287,25 @@ func TestBridgeIndexCleanup(t *testing.T) {
 	pool.Unsubscribe("c2", "a/+/c")
 	pool.Unsubscribe("c1", "a/b/c")
 	waitCondSwarm(t, time.Second, func() bool {
-		br.mu.RLock()
-		defer br.mu.RUnlock()
-		return len(br.wild) == 0 && len(br.wildList) == 0 && len(br.concrete) == 0
+		wild, wildList, concrete := bridgeIndexSizes(br)
+		return wild == 0 && wildList == 0 && concrete == 0
 	}, "bridge index did not drain")
 }
 
+// bridgeIndexSizes counts the wildcard index, the route view's
+// wildcard list and the concrete index.
+func bridgeIndexSizes(br *bridge) (wild, wildList, concrete int) {
+	br.mu.Lock()
+	defer br.mu.Unlock()
+	br.concrete.Range(func(any, any) bool { concrete++; return true })
+	return len(br.wild), len(br.view.Load().wild), concrete
+}
+
 func bridgeHasWild(br *bridge, filter string) bool {
-	br.mu.RLock()
-	defer br.mu.RUnlock()
-	return !unused(br.wild[filter])
+	br.mu.Lock()
+	defer br.mu.Unlock()
+	r, ok := br.wild[filter]
+	return ok && !r.unused()
 }
 
 // TestBridgeWireClientEquivalence runs wildcard delivery with real
@@ -360,5 +367,103 @@ func waitCondSwarm(t *testing.T, bound time.Duration, cond func() bool, msg stri
 	}
 	if !cond() {
 		t.Fatal(msg)
+	}
+}
+
+// TestBridgeWritesReachLaterPublishes pins the bridge's ordering
+// promise with publishers running on every shard: a subscribe, sever
+// or ReviveShard that has returned is seen by a publish that starts
+// after it. The checked publishes enter a shard directly, as a wire
+// client's do, so no pool lock orders them after the write.
+func TestBridgeWritesReachLaterPublishes(t *testing.T) {
+	const shards = 4
+	pool := NewPool(PoolOptions{Shards: shards, Health: HealthOptions{Disable: true}})
+	defer pool.Close()
+	// One client anchored on each shard, so every check crosses the
+	// bridge from a publishing shard to a different owner.
+	owners := make([]string, shards)
+	for n, found := 0, 0; found < shards; n++ {
+		id := fmt.Sprintf("sub-%d", n)
+		if s := pool.ShardFor(id); owners[s] == "" {
+			owners[s] = id
+			found++
+		}
+	}
+	if err := pool.Subscribe("noise-sink", "noise/+", 0, func(broker.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < shards; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// A killed shard answers ErrClosed; that is fine here.
+				_ = pool.Shard(n%shards).PublishQoS("noise", fmt.Sprintf("noise/%d", g), []byte("n"), 0, false)
+			}
+		}()
+	}
+	defer func() { close(stop); wg.Wait() }()
+
+	var mu sync.Mutex
+	got := map[string]int{}
+	count := func(topic string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return got[topic]
+	}
+	publish := func(from int, topic string) {
+		t.Helper()
+		if err := pool.Shard(from).PublishQoS("checker", topic, []byte("x"), 1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		for s, owner := range owners {
+			from := (s + 1 + round%(shards-1)) % shards
+			topic := fmt.Sprintf("check/%d/%d", round, s)
+			if err := pool.Subscribe(owner, topic, 1, func(m broker.Message) {
+				mu.Lock()
+				got[m.Topic]++
+				mu.Unlock()
+			}); err != nil {
+				t.Fatal(err)
+			}
+			publish(from, topic)
+			if n := count(topic); n != 1 {
+				t.Fatalf("round %d: publish after subscribe on shard %d delivered %d times", round, s, n)
+			}
+
+			if err := pool.PartitionShard(s); err != nil {
+				t.Fatal(err)
+			}
+			publish(from, topic)
+			if n := count(topic); n != 1 {
+				t.Fatalf("round %d: publish after severing shard %d crossed the cut (%d deliveries)", round, s, n)
+			}
+			if err := pool.HealShard(s); err != nil {
+				t.Fatal(err)
+			}
+			if n := count(topic); n != 2 {
+				t.Fatalf("round %d: heal of shard %d flushed to %d deliveries, want 2", round, s, n)
+			}
+
+			if err := pool.KillShard(s); err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.ReviveShard(s); err != nil {
+				t.Fatal(err)
+			}
+			publish(from, topic)
+			if n := count(topic); n != 3 {
+				t.Fatalf("round %d: publish after reviving shard %d delivered %d times, want 3 in all", round, s, n)
+			}
+		}
 	}
 }

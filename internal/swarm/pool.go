@@ -121,14 +121,15 @@ func NewPool(opts PoolOptions) *Pool {
 		migrated: map[int]map[string]bool{},
 	}
 	p.pend = newPendJournal(opts.Health.PendingLimit)
+	// The bridge keeps its own copy of the shard slice in its route
+	// view: pool-side reads are serialised by topo, while a bridge
+	// forward reads whichever view it loaded, and a ReviveShard swap
+	// publishes a new view rather than writing a slice element a
+	// forward may be reading.
 	for i := 0; i < opts.Shards; i++ {
 		p.shards = append(p.shards, p.newShardBroker(i))
+		p.bridge.setShard(i, p.shards[i])
 	}
-	// The bridge gets its own copy of the shard slice: pool-side reads
-	// are serialized by topo, bridge-side by its own lock, and sharing
-	// a backing array would let a ReviveShard swap race whichever side
-	// isn't holding its lock.
-	p.bridge.shards = append([]*broker.Broker(nil), p.shards...)
 	p.bridge.spill = p.pend.spill
 	if opts.Obs != nil {
 		p.bindMetrics(opts.Obs)

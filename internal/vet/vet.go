@@ -14,6 +14,7 @@ package vet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -127,15 +128,26 @@ func RegisterRule(r Rule) {
 			panic("vet: duplicate rule ID " + r.ID)
 		}
 	}
-	rules = append(rules, r)
-	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
+	// A new backing array each time, so a slice registered returned
+	// earlier is never written again.
+	next := append(slices.Clip(rules), r)
+	sort.Slice(next, func(i, j int) bool { return next[i].ID < next[j].ID })
+	rules = next
 }
 
-// Rules returns the registered analyzers in ID order.
+// Rules returns a copy of the registered analyzers in ID order.
+//
+//dbox:allow deadcode -- the registry's accessor for callers outside the package; vet's tests list the rules through it
 func Rules() []Rule {
+	return slices.Clone(registered())
+}
+
+// registered returns the registry itself, not a copy; the caller must
+// not modify it.
+func registered() []Rule {
 	rulesMu.RLock()
 	defer rulesMu.RUnlock()
-	return append([]Rule(nil), rules...)
+	return rules
 }
 
 // KindSource resolves committed kind documents (the schema contracts
@@ -219,7 +231,7 @@ func Run(ctx *Context) []Diagnostic {
 
 func run(ctx *Context, want func(Rule) bool) []Diagnostic {
 	var out []Diagnostic
-	for _, r := range Rules() {
+	for _, r := range registered() {
 		if !want(r) {
 			continue
 		}
