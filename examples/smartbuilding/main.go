@@ -19,9 +19,11 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -29,6 +31,7 @@ import (
 	digibox "repro"
 	"repro/internal/broker"
 	"repro/internal/property"
+	"repro/internal/trace"
 	"repro/internal/vet/vettest"
 )
 
@@ -76,61 +79,134 @@ func (a *occupancyApp) occupiedRooms() []string {
 	return out
 }
 
-func main() {
-	repoDir := filepath.Join(os.TempDir(), "digibox-smartbuilding-repo")
-	defer os.RemoveAll(repoDir)
+// lampOffWithin bounds, in scenario time, how long the meeting-room
+// lamp may stay on once the room is empty. The room clears its sensors
+// and writes the lamp's power intent in one reconcile, but the lamp's
+// status follows only when the lamp reconciles that intent: one queue
+// hop plus the lamp's actuation delay (meta actuation_delay_ms, 0
+// here). A second covers that hop many times over on a loaded or
+// race-instrumented host, and a lamp nobody switches off still breaks
+// the property.
+const lampOffWithin = time.Second
+
+// noLightInEmptyRoom is the scene property (§3.3): an empty meeting
+// room with its lamp on leads to the lamp off within lampOffWithin.
+// It is a bounded leads-to, not Never(empty ∧ on): the lamp's status
+// is the lamp's own write, so it lags the room's one hop.
+var noLightInEmptyRoom = &digibox.Property{
+	Name: "no-light-in-empty-room",
+	Kind: property.LeadsTo,
+	Trigger: digibox.Condition{
+		{Model: "O1", Path: "triggered", Op: property.Eq, Value: false},
+		{Model: "L1", Path: "power.status", Op: property.Eq, Value: "on"},
+	},
+	Response: digibox.Condition{
+		{Model: "L1", Path: "power.status", Op: property.Eq, Value: "off"},
+	},
+	Within: lampOffWithin,
+}
+
+// setUp starts a testbed holding the ConfCenter hierarchy (Fig. 6, from
+// the vetted scene table) and its scene property. With manageLights
+// false the meeting room leaves its lamp alone.
+func setUp(repoDir string, manageLights bool) (*digibox.Testbed, error) {
 	tb, err := digibox.New(digibox.Options{LocalRepoDir: repoDir})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	if err := tb.Start(); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	defer tb.Stop()
+	table := digis
+	if !manageLights {
+		table = slices.Clone(digis)
+		for i, d := range table {
+			if d.Name == "MeetingRoom" {
+				table[i].Config = map[string]any{"managed": false, "manage_lights": false}
+			}
+		}
+	}
+	if err := vettest.Deploy(tb, table); err != nil {
+		tb.Stop()
+		return nil, err
+	}
+	if err := tb.AddProperty(noLightInEmptyRoom); err != nil {
+		tb.Stop()
+		return nil, err
+	}
+	return tb, nil
+}
 
-	// --- Scene side (Fig. 6 hierarchy, from the vetted scene table) ---
-	must(vettest.Deploy(tb, digis))
-
-	// Scene property (§3.3): the lamp may not burn in an empty room.
-	must(tb.AddProperty(&digibox.Property{
-		Name: "no-light-in-empty-room",
-		Kind: property.Never,
-		Cond: digibox.Condition{
-			{Model: "O1", Path: "triggered", Op: property.Eq, Value: false},
-			{Model: "L1", Path: "power.status", Op: property.Eq, Value: "on"},
-		},
-	}))
-
-	// --- Application side: subscribe to sensors over MQTT (Fig. 2) ---
+// drive runs the walkthrough on tb: the application subscribes to the
+// sensors over MQTT (Fig. 2), two humans enter, someone switches the
+// meeting-room lamp on, and the building empties. It reports what the
+// app derives to out and returns the property violations once the
+// lamp's status has gone off or a violation was reported.
+func drive(tb *digibox.Testbed, out io.Writer) ([]property.Violation, error) {
 	app := newOccupancyApp(map[string][]string{
 		"MeetingRoom": {"O1", "D1"},
 		"Kitchen":     {"O2"},
 	})
 	mqtt, err := broker.Dial(tb.BrokerAddr(), &broker.ClientOptions{ClientID: "smartbuilding-app"})
-	must(err)
+	if err != nil {
+		return nil, err
+	}
 	defer mqtt.Close()
 	for _, sensor := range []string{"O1", "D1", "O2"} {
 		sensor := sensor
-		must(mqtt.Subscribe("digibox/"+sensor+"/status", 1, func(m broker.Message) {
+		if err := mqtt.Subscribe("digibox/"+sensor+"/status", 1, func(m broker.Message) {
 			app.consume(sensor, m.Payload)
-		}))
+		}); err != nil {
+			return nil, err
+		}
 	}
 
-	// --- Drive the scene and validate the app ---
-	fmt.Println("== 2 humans enter ConfCenter")
-	must(tb.Edit("ConfCenter", map[string]any{"num_human": 2}))
-	waitFor(tb, func() bool {
-		rooms := app.occupiedRooms()
-		return len(rooms) == 2
-	}, "app sees both rooms occupied")
-	fmt.Printf("   app derives occupied rooms: %v\n", app.occupiedRooms())
+	fmt.Fprintln(out, "== 2 humans enter ConfCenter")
+	if err := tb.Edit("ConfCenter", map[string]any{"num_human": 2}); err != nil {
+		return nil, err
+	}
+	if err := waitFor(tb, func() bool { return len(app.occupiedRooms()) == 2 }, "app sees both rooms occupied"); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(out, "   app derives occupied rooms: %v\n", app.occupiedRooms())
+	fmt.Fprintln(out, "== someone switches the meeting-room lamp on")
+	if err := tb.Edit("L1", map[string]any{"power": map[string]any{"intent": "on"}}); err != nil {
+		return nil, err
+	}
 
-	fmt.Println("== building empties")
-	must(tb.Edit("ConfCenter", map[string]any{"num_human": 0}))
-	waitFor(tb, func() bool { return len(app.occupiedRooms()) == 0 }, "app sees building empty")
-	fmt.Printf("   app derives occupied rooms: %v\n", app.occupiedRooms())
+	fmt.Fprintln(out, "== building empties")
+	emptied := tb.Log.Len()
+	if err := tb.Edit("ConfCenter", map[string]any{"num_human": 0}); err != nil {
+		return nil, err
+	}
+	if err := waitFor(tb, func() bool { return len(app.occupiedRooms()) == 0 }, "app sees building empty"); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(out, "   app derives occupied rooms: %v\n", app.occupiedRooms())
+	lampOff := func() bool {
+		for _, r := range tb.Log.Records()[emptied:] {
+			if r.Kind == trace.KindAction && r.Name == "L1" && r.Sets["power.status"] == "off" {
+				return true
+			}
+		}
+		return false
+	}
+	if err := waitFor(tb, func() bool { return lampOff() || len(tb.Violations()) > 0 }, "the lamp off or a violation"); err != nil {
+		return nil, err
+	}
+	return tb.Violations(), nil
+}
 
-	if v := tb.Violations(); len(v) == 0 {
+func main() {
+	repoDir := filepath.Join(os.TempDir(), "digibox-smartbuilding-repo")
+	defer os.RemoveAll(repoDir)
+	tb, err := setUp(repoDir, true)
+	must(err)
+	defer tb.Stop()
+
+	v, err := drive(tb, os.Stdout)
+	must(err)
+	if len(v) == 0 {
 		fmt.Println("== scene property held throughout: no light in empty room")
 	} else {
 		fmt.Printf("== property violations: %d (first: %s)\n", len(v), v[0].Detail)
@@ -148,10 +224,11 @@ func main() {
 	os.Remove(tracePath)
 }
 
-func waitFor(tb *digibox.Testbed, cond func() bool, what string) {
+func waitFor(tb *digibox.Testbed, cond func() bool, what string) error {
 	if err := tb.WaitConverged(10*time.Second, cond); err != nil {
-		log.Fatalf("timed out waiting for %s", what)
+		return fmt.Errorf("timed out waiting for %s", what)
 	}
+	return nil
 }
 
 func must(err error) {

@@ -123,7 +123,7 @@ func TestCaptureBrokerTap(t *testing.T) {
 		Schema: &model.Schema{Type: "Thermo", Version: "v1",
 			Fields: map[string]model.FieldSpec{"temp_c": {Kind: model.KindFloat, Default: 21.5}}},
 		DefaultInterval: 100 * time.Millisecond,
-		Loop: func(c *digi.Ctx, _ model.Doc) error {
+		Loop: func(c *digi.Ctx, _ *model.Draft) error {
 			return c.Publish(map[string]any{"temp_c": 21.5})
 		},
 	})

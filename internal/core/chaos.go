@@ -78,7 +78,7 @@ func (di deviceInjector) SetFault(digi, mode string, value float64) error {
 	if !di.tb.Store.Has(digi) {
 		return fmt.Errorf("core: %q not found", digi)
 	}
-	_, err := di.tb.Store.Apply(digi, func(d model.Doc) error {
+	_, err := di.tb.Store.Apply(digi, func(d *model.Draft) error {
 		d.Set("meta.fault", mode)
 		if value != 0 {
 			d.Set("meta.fault_value", value)
@@ -92,7 +92,7 @@ func (di deviceInjector) ClearFault(digi string) error {
 	if !di.tb.Store.Has(digi) {
 		return fmt.Errorf("core: %q not found", digi)
 	}
-	_, err := di.tb.Store.Apply(digi, func(d model.Doc) error {
+	_, err := di.tb.Store.Apply(digi, func(d *model.Draft) error {
 		d.Delete("meta.fault")
 		d.Delete("meta.fault_value")
 		return nil

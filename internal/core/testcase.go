@@ -51,7 +51,7 @@ func (tb *Testbed) RunTestCase(tc TestCase) error {
 			if !tb.Store.Has(name) {
 				return fmt.Errorf("core: test case %q: input model %q not found", tc.Name, name)
 			}
-			if _, err := tb.Store.Apply(name, func(d model.Doc) error {
+			if _, err := tb.Store.Apply(name, func(d *model.Draft) error {
 				d.Set("meta.managed", false)
 				return nil
 			}); err != nil {

@@ -94,7 +94,7 @@ func (tb *Testbed) StopDigi(name string) error {
 			continue
 		}
 		if containsString(doc.Attach(), name) {
-			tb.Store.Apply(parent, func(d model.Doc) error {
+			tb.Store.Apply(parent, func(d *model.Draft) error {
 				removeAttach(d, name)
 				return nil
 			})
@@ -141,13 +141,13 @@ func (tb *Testbed) Attach(child, parent string) error {
 	if tb.wouldCycle(child, parent) {
 		return fmt.Errorf("core: attaching %q to %q would create a cycle", child, parent)
 	}
-	if _, err := tb.Store.Apply(parent, func(d model.Doc) error {
+	if _, err := tb.Store.Apply(parent, func(d *model.Draft) error {
 		addAttach(d, child)
 		return nil
 	}); err != nil {
 		return err
 	}
-	_, err := tb.Store.Apply(child, func(d model.Doc) error {
+	_, err := tb.Store.Apply(child, func(d *model.Draft) error {
 		d.Set("meta.managed", false)
 		return nil
 	})
@@ -164,14 +164,14 @@ func (tb *Testbed) Detach(child, parent string) error {
 	if !containsString(doc.Attach(), child) {
 		return fmt.Errorf("core: %q is not attached to %q", child, parent)
 	}
-	if _, err := tb.Store.Apply(parent, func(d model.Doc) error {
+	if _, err := tb.Store.Apply(parent, func(d *model.Draft) error {
 		removeAttach(d, child)
 		return nil
 	}); err != nil {
 		return err
 	}
 	if tb.Store.Has(child) {
-		_, err := tb.Store.Apply(child, func(d model.Doc) error {
+		_, err := tb.Store.Apply(child, func(d *model.Draft) error {
 			d.Set("meta.managed", true)
 			return nil
 		})
@@ -225,7 +225,7 @@ func (tb *Testbed) Edit(name string, patch map[string]any) error {
 		return fmt.Errorf("core: %q not found", name)
 	}
 	kind, _ := tb.Registry.Get(doc.Type())
-	_, err := tb.Store.Apply(name, func(d model.Doc) error {
+	_, err := tb.Store.Apply(name, func(d *model.Draft) error {
 		d.Merge(patch)
 		if kind != nil {
 			return kind.Schema.Validate(d)
@@ -292,7 +292,7 @@ func (tb *Testbed) Replay(ctx context.Context, recs []trace.Record, speed float6
 	for _, name := range trace.Names(recs) {
 		if tb.Store.Has(name) && !paused[name] {
 			paused[name] = true
-			tb.Store.Apply(name, func(d model.Doc) error {
+			tb.Store.Apply(name, func(d *model.Draft) error {
 				d.Set("meta.managed", false)
 				return nil
 			})
@@ -317,7 +317,7 @@ func (tb *Testbed) Replay(ctx context.Context, recs []trace.Record, speed float6
 		if r.Kind != trace.KindAction || !tb.Store.Has(r.Name) {
 			continue // trace may reference digis not deployed here
 		}
-		_, err := tb.Store.Apply(r.Name, func(d model.Doc) error {
+		_, err := tb.Store.Apply(r.Name, func(d *model.Draft) error {
 			for path, v := range r.Sets {
 				d.Set(path, v)
 			}
@@ -348,7 +348,7 @@ func containsString(list []string, s string) bool {
 	return false
 }
 
-func addAttach(d model.Doc, child string) {
+func addAttach(d *model.Draft, child string) {
 	att := d.Attach()
 	if containsString(att, child) {
 		return
@@ -357,7 +357,7 @@ func addAttach(d model.Doc, child string) {
 	setAttach(d, att)
 }
 
-func removeAttach(d model.Doc, child string) {
+func removeAttach(d *model.Draft, child string) {
 	att := d.Attach()
 	out := att[:0]
 	for _, v := range att {
@@ -368,7 +368,7 @@ func removeAttach(d model.Doc, child string) {
 	setAttach(d, out)
 }
 
-func setAttach(d model.Doc, att []string) {
+func setAttach(d *model.Draft, att []string) {
 	vals := make([]any, len(att))
 	for i, v := range att {
 		vals[i] = v

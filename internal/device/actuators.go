@@ -20,7 +20,7 @@ func NewLamp() *digi.Kind {
 					Min: model.Bound(0), Max: model.Bound(1), Default: 0.0},
 			},
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			if work.GetString("power.status") != work.GetString("power.intent") {
 				if !actuate(c) {
 					return nil
@@ -53,7 +53,7 @@ func NewFan() *digi.Kind {
 					Min: model.Bound(0), Max: model.Bound(3), Default: int64(0)},
 			},
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			if work.GetString("power.status") != work.GetString("power.intent") {
 				if !actuate(c) {
 					return nil
@@ -90,7 +90,7 @@ func NewHVAC() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			cur, _ := work.GetFloat("current_temp")
 			mode := work.GetString("mode.status")
 			target, _ := work.GetFloat("target_temp.status")
@@ -112,7 +112,7 @@ func NewHVAC() *digi.Kind {
 			work.Set("current_temp", float64(int(cur*100))/100)
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			if work.GetString("mode.status") != work.GetString("mode.intent") {
 				if !actuate(c) {
 					return nil
@@ -142,7 +142,7 @@ func NewThermostat() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			cur, _ := work.GetFloat("temperature")
 			work.Set("temperature", walk(c, cur,
 				c.ConfigFloat("temp_min", 15),
@@ -150,7 +150,7 @@ func NewThermostat() *digi.Kind {
 				c.ConfigFloat("temp_step", 0.4)))
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			sp, _ := work.GetFloat("setpoint.intent")
 			work.SetStatus("setpoint", sp)
 			cur, _ := work.GetFloat("temperature")
@@ -173,14 +173,14 @@ func NewDoorLock() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			// Forced entry is a rare adversarial event.
 			if !work.GetBool("forced") && rare(c, c.ConfigFloat("forced_prob", 0.002)) {
 				work.Set("forced", true)
 			}
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			li, _ := work.Intent("locked")
 			ls, _ := work.Status("locked")
 			if li != ls {
@@ -209,7 +209,7 @@ func NewCamera() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			if work.GetString("power.status") != "on" {
 				return nil
 			}
@@ -218,7 +218,7 @@ func NewCamera() *digi.Kind {
 			work.Set("motion", rare(c, c.ConfigFloat("motion_prob", 0.2)))
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			if work.GetString("power.status") != work.GetString("power.intent") {
 				if !actuate(c) {
 					return nil
@@ -246,7 +246,7 @@ func NewSmartPlug() *digi.Kind {
 				"watts": {Kind: model.KindFloat, Default: 0.0, Min: model.Bound(0)},
 			},
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			if work.GetString("power.status") != work.GetString("power.intent") {
 				if !actuate(c) {
 					return nil

@@ -93,7 +93,7 @@ func actuate(c *digi.Ctx) bool {
 
 // publishFields collects the named top-level fields of a model into a
 // status message payload.
-func publishFields(c *digi.Ctx, work model.Doc, fields ...string) error {
+func publishFields(c *digi.Ctx, work *model.Draft, fields ...string) error {
 	out := map[string]any{}
 	for _, f := range fields {
 		if v, ok := work.Get(f); ok {

@@ -79,7 +79,7 @@ func newSimHarness(t *testing.T, k *digi.Kind, name string) (*simHarness, model.
 func TestLampSimFollowsIntent(t *testing.T) {
 	k := NewLamp()
 	h, doc := newSimHarness(t, k, "L1")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.SetIntent("power", "on")
 	work.SetIntent("intensity", 0.6)
 	if err := k.Sim(h.ctx, work, nil); err != nil {
@@ -113,7 +113,7 @@ func TestLampSimFollowsIntent(t *testing.T) {
 func TestFanSpeedZeroWhenOff(t *testing.T) {
 	k := NewFan()
 	h, doc := newSimHarness(t, k, "F1")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.SetIntent("power", "on")
 	work.SetIntent("speed", int64(3))
 	k.Sim(h.ctx, work, nil)
@@ -130,7 +130,7 @@ func TestFanSpeedZeroWhenOff(t *testing.T) {
 func TestHVACThermalDrift(t *testing.T) {
 	k := NewHVAC()
 	h, doc := newSimHarness(t, k, "H1")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.SetIntent("mode", "heat")
 	work.SetIntent("target_temp", 25.0)
 	k.Sim(h.ctx, work, nil) // commit intent to status
@@ -160,7 +160,7 @@ func TestHVACThermalDrift(t *testing.T) {
 func TestThermostatCalling(t *testing.T) {
 	k := NewThermostat()
 	h, doc := newSimHarness(t, k, "T1")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("temperature", 15.0)
 	work.SetIntent("setpoint", 21.0)
 	k.Sim(h.ctx, work, nil)
@@ -184,7 +184,7 @@ func TestDoorLockActuationDelay(t *testing.T) {
 	rt.Store.Create(doc)
 	ctx := digi.NewTestCtx("D1", "DoorLock", rt, rng.New(1, 0), context.Background())
 
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.SetIntent("locked", false)
 	start := time.Now()
 	if err := k.Sim(ctx, work, nil); err != nil {
@@ -202,7 +202,7 @@ func TestDoorLockActuationDelay(t *testing.T) {
 func TestCameraFramesOnlyWhenOn(t *testing.T) {
 	k := NewCamera()
 	h, doc := newSimHarness(t, k, "C1")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	// Default power is on; frames accumulate.
 	k.Sim(h.ctx, work, nil)
 	k.Loop(h.ctx, work)
@@ -225,7 +225,7 @@ func TestCameraFramesOnlyWhenOn(t *testing.T) {
 func TestSmartPlugWatts(t *testing.T) {
 	k := NewSmartPlug()
 	h, doc := newSimHarness(t, k, "P1")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.SetIntent("power", "on")
 	k.Sim(h.ctx, work, nil)
 	if w, _ := work.GetFloat("watts"); w != 60 {
@@ -252,7 +252,7 @@ func TestSensorLoopsStayInBounds(t *testing.T) {
 	}
 	for _, c := range cases {
 		h, doc := newSimHarness(t, c.kind, "S1")
-		work := doc.DeepCopy()
+		work := model.NewDraft(doc)
 		for i := 0; i < 200; i++ {
 			if err := c.kind.Loop(h.ctx, work); err != nil {
 				t.Fatalf("%s: %v", c.kind.Type(), err)
@@ -268,7 +268,7 @@ func TestSensorLoopsStayInBounds(t *testing.T) {
 func TestCO2DerivedHighFlag(t *testing.T) {
 	k := NewCO2Sensor()
 	h, doc := newSimHarness(t, k, "S1")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("ppm", 1500.0)
 	k.Sim(h.ctx, work, nil)
 	if !work.GetBool("high") {
@@ -284,7 +284,7 @@ func TestCO2DerivedHighFlag(t *testing.T) {
 func TestAirQualityCategories(t *testing.T) {
 	k := NewAirQuality()
 	h, doc := newSimHarness(t, k, "A1")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	for _, c := range []struct {
 		pm   float64
 		want string
@@ -300,7 +300,7 @@ func TestAirQualityCategories(t *testing.T) {
 func TestSmokeDetectorAlarmFollowsSmoke(t *testing.T) {
 	k := NewSmokeDetector()
 	h, doc := newSimHarness(t, k, "S1")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("smoke", true)
 	k.Sim(h.ctx, work, nil)
 	if !work.GetBool("alarm") {
@@ -322,7 +322,7 @@ func TestLeakSensorLatches(t *testing.T) {
 	doc.Set("meta.leak_prob", 1.0) // force a leak on the first tick
 	rt.Store.Create(doc)
 	ctx := digi.NewTestCtx("W1", "LeakSensor", rt, rng.New(1, 0), context.Background())
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	k.Loop(ctx, work)
 	if !work.GetBool("leak") {
 		t.Fatal("leak not generated at prob 1")
@@ -339,7 +339,7 @@ func TestLeakSensorLatches(t *testing.T) {
 func TestGPSTrackerMovesOnlyWhenMoving(t *testing.T) {
 	k := NewGPSTracker()
 	h, doc := newSimHarness(t, k, "G1")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	lat0, _ := work.GetFloat("lat")
 	lon0, _ := work.GetFloat("lon")
 	for i := 0; i < 10; i++ {
@@ -367,7 +367,7 @@ func TestGPSTrackerMovesOnlyWhenMoving(t *testing.T) {
 func TestEnergyMeterAccumulates(t *testing.T) {
 	k := NewEnergyMeter()
 	h, doc := newSimHarness(t, k, "E1")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	for i := 0; i < 20; i++ {
 		k.Loop(h.ctx, work)
 	}
@@ -386,7 +386,7 @@ func TestCargoSensorShockLatches(t *testing.T) {
 	doc.Set("meta.shock_prob", 1.0)
 	rt.Store.Create(doc)
 	ctx := digi.NewTestCtx("C1", "CargoSensor", rt, rng.New(1, 0), context.Background())
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	k.Loop(ctx, work)
 	if !work.GetBool("shock") {
 		t.Fatal("shock not generated")
@@ -408,7 +408,7 @@ func TestOccupancyConfigurableProbability(t *testing.T) {
 	doc.Set("meta.trigger_prob", 0.0)
 	rt.Store.Create(doc)
 	ctx := digi.NewTestCtx("O1", "Occupancy", rt, rng.New(1, 0), context.Background())
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	for i := 0; i < 50; i++ {
 		k.Loop(ctx, work)
 		if work.GetBool("triggered") {

@@ -28,12 +28,12 @@ func occupancyLike(typ, doc string) *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			prob := c.ConfigFloat("trigger_prob", 0.5)
 			work.Set("triggered", rare(c, prob))
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			return publishFields(c, work, "triggered")
 		},
 	}
@@ -53,7 +53,7 @@ func NewTemperatureSensor() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			cur, _ := work.GetFloat("temperature")
 			work.Set("temperature", walk(c, cur,
 				c.ConfigFloat("temp_min", 18),
@@ -61,7 +61,7 @@ func NewTemperatureSensor() *digi.Kind {
 				c.ConfigFloat("temp_step", 0.3)))
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			return publishFields(c, work, "temperature")
 		},
 	}
@@ -80,7 +80,7 @@ func NewHumiditySensor() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			cur, _ := work.GetFloat("humidity")
 			work.Set("humidity", walk(c, cur,
 				c.ConfigFloat("hum_min", 30),
@@ -88,7 +88,7 @@ func NewHumiditySensor() *digi.Kind {
 				c.ConfigFloat("hum_step", 1)))
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			return publishFields(c, work, "humidity")
 		},
 	}
@@ -107,7 +107,7 @@ func NewCO2Sensor() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			cur, _ := work.GetFloat("ppm")
 			work.Set("ppm", walk(c, cur,
 				c.ConfigFloat("co2_min", 380),
@@ -115,7 +115,7 @@ func NewCO2Sensor() *digi.Kind {
 				c.ConfigFloat("co2_step", 40)))
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			ppm, _ := work.GetFloat("ppm")
 			work.Set("high", ppm >= c.ConfigFloat("co2_alert", 1000))
 			return publishFields(c, work, "ppm", "high")
@@ -137,7 +137,7 @@ func NewSmokeDetector() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			if work.GetBool("smoke") {
 				// Smoke clears with probability 0.5 per tick.
 				if rare(c, 0.5) {
@@ -148,7 +148,7 @@ func NewSmokeDetector() *digi.Kind {
 			}
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			work.Set("alarm", work.GetBool("smoke"))
 			return publishFields(c, work, "smoke", "alarm")
 		},
@@ -167,13 +167,13 @@ func NewWindowSensor() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			if rare(c, c.ConfigFloat("toggle_prob", 0.05)) {
 				work.Set("open", !work.GetBool("open"))
 			}
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			return publishFields(c, work, "open")
 		},
 	}
@@ -193,7 +193,7 @@ func NewAirQuality() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			cur, _ := work.GetFloat("pm25")
 			work.Set("pm25", walk(c, cur,
 				c.ConfigFloat("pm25_min", 2),
@@ -201,7 +201,7 @@ func NewAirQuality() *digi.Kind {
 				c.ConfigFloat("pm25_step", 4)))
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			pm, _ := work.GetFloat("pm25")
 			switch {
 			case pm <= 12:
@@ -229,7 +229,7 @@ func NewNoiseSensor() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			cur, _ := work.GetFloat("db")
 			work.Set("db", walk(c, cur,
 				c.ConfigFloat("db_min", 30),
@@ -237,7 +237,7 @@ func NewNoiseSensor() *digi.Kind {
 				c.ConfigFloat("db_step", 3)))
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			db, _ := work.GetFloat("db")
 			work.Set("loud", db >= c.ConfigFloat("noise_alert", 75))
 			return publishFields(c, work, "db", "loud")
@@ -258,13 +258,13 @@ func NewLeakSensor() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			if !work.GetBool("leak") && rare(c, c.ConfigFloat("leak_prob", 0.005)) {
 				work.Set("leak", true)
 			}
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			return publishFields(c, work, "leak")
 		},
 	}

@@ -19,7 +19,7 @@ func NewEnergyMeter() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			w, _ := work.GetFloat("watts")
 			w = walk(c, w,
 				c.ConfigFloat("watts_min", 50),
@@ -33,7 +33,7 @@ func NewEnergyMeter() *digi.Kind {
 			work.Set("kwh", float64(int((kwh+w*hours/1000)*1e6))/1e6)
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			return publishFields(c, work, "watts", "kwh")
 		},
 	}
@@ -55,7 +55,7 @@ func NewGPSTracker() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			if !work.GetBool("moving") {
 				work.Set("speed_kmh", 0.0)
 				return nil
@@ -78,7 +78,7 @@ func NewGPSTracker() *digi.Kind {
 			work.Set("lon", float64(int(lon*100000))/100000)
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			return publishFields(c, work, "lat", "lon", "speed_kmh", "moving")
 		},
 	}
@@ -99,7 +99,7 @@ func NewCargoSensor() *digi.Kind {
 			},
 		},
 		DefaultInterval: defaultTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			t, _ := work.GetFloat("temperature")
 			work.Set("temperature", walk(c, t,
 				c.ConfigFloat("temp_min", 2),
@@ -112,7 +112,7 @@ func NewCargoSensor() *digi.Kind {
 			}
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, _ digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			return publishFields(c, work, "temperature", "humidity", "shock")
 		},
 	}

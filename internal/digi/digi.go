@@ -6,9 +6,9 @@
 // Python library of Fig. 4/5:
 //
 //   - Loop is the event generator (the @dbox.loop handler). It runs
-//     periodically while the model is managed and mutates a working
-//     copy of the digi's own model; the runtime diffs, commits, and
-//     logs the result as an event.
+//     periodically while the model is managed and writes a draft of
+//     the digi's own model; the runtime commits the draft's changes
+//     and logs them as an event.
 //   - Sim is the simulation handler (the @on.model handler). It runs
 //     whenever the digi's own model — or, for scenes, an attached
 //     child's model — changes. Mocks use it to derive status from
@@ -45,14 +45,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Atts groups the attached digis' models by kind then name, the
-// argument shape of scene simulation handlers in Fig. 5
-// (atts.get("Occupancy", {})). Handlers may mutate the documents;
-// the runtime commits the mutations to the respective models.
-type Atts map[string]map[string]model.Doc
+// Atts groups drafts of the attached digis' models by kind then name,
+// the argument shape of scene simulation handlers in Fig. 5
+// (atts.get("Occupancy", {})). Handlers may write the drafts; the
+// runtime commits each draft's changes to its model.
+type Atts map[string]map[string]*model.Draft
 
 // Get returns the attached models of one kind (possibly nil).
-func (a Atts) Get(kind string) map[string]model.Doc { return a[kind] }
+func (a Atts) Get(kind string) map[string]*model.Draft { return a[kind] }
 
 // Names returns the attached instance names of one kind, sorted.
 func (a Atts) Names(kind string) []string {
@@ -65,13 +65,14 @@ func (a Atts) Names(kind string) []string {
 	return names
 }
 
-// LoopFunc is an event-generator handler. It mutates work in place;
-// the runtime commits the diff.
-type LoopFunc func(c *Ctx, work model.Doc) error
+// LoopFunc is an event-generator handler. It writes work, a draft of
+// the digi's own model; the runtime commits the draft's changes.
+type LoopFunc func(c *Ctx, work *model.Draft) error
 
-// SimFunc is a simulation handler. It mutates work and atts in place;
-// the runtime commits the diffs.
-type SimFunc func(c *Ctx, work model.Doc, atts Atts) error
+// SimFunc is a simulation handler. It writes work and the drafts in
+// atts; the runtime commits each draft's changes. The committed
+// documents the drafts read through stay as they were.
+type SimFunc func(c *Ctx, work *model.Draft, atts Atts) error
 
 // Kind defines a mock or scene type: its model schema plus behaviour.
 type Kind struct {

@@ -25,11 +25,11 @@ func occupancyKind() *Kind {
 			},
 		},
 		DefaultInterval: 20 * time.Millisecond,
-		Loop: func(c *Ctx, work model.Doc) error {
+		Loop: func(c *Ctx, work *model.Draft) error {
 			work.Set("triggered", c.Rand.Intn(2) == 0)
 			return nil
 		},
-		Sim: func(c *Ctx, work model.Doc, atts Atts) error {
+		Sim: func(c *Ctx, work *model.Draft, atts Atts) error {
 			return c.Publish(map[string]any{"triggered": work.GetBool("triggered")})
 		},
 	}
@@ -44,7 +44,7 @@ func lampKind() *Kind {
 				"intensity": {Kind: model.KindIntent, ElemKind: model.KindFloat, Default: 0.0},
 			},
 		},
-		Sim: func(c *Ctx, work model.Doc, atts Atts) error {
+		Sim: func(c *Ctx, work *model.Draft, atts Atts) error {
 			// Fig. 4 L16-26: intensity.status follows power.
 			power := work.GetString("power.intent")
 			work.SetStatus("power", power)
@@ -68,11 +68,11 @@ func roomKind() *Kind {
 			},
 		},
 		DefaultInterval: 20 * time.Millisecond,
-		Loop: func(c *Ctx, work model.Doc) error {
+		Loop: func(c *Ctx, work *model.Draft) error {
 			work.Set("human_presence", c.Rand.Intn(2) == 0)
 			return nil
 		},
-		Sim: func(c *Ctx, work model.Doc, atts Atts) error {
+		Sim: func(c *Ctx, work *model.Draft, atts Atts) error {
 			// Fig. 5 L7-17: occupancy sensors follow human presence.
 			presence := work.GetBool("human_presence")
 			for _, occ := range atts.Get("Occupancy") {
@@ -377,7 +377,7 @@ func TestReattachMovesTheWatch(t *testing.T) {
 	counter := &Kind{
 		Schema: &model.Schema{Type: "Counter", Version: "v1", Scene: true,
 			Fields: map[string]model.FieldSpec{"note": {Kind: model.KindInt, Default: int64(0)}}},
-		Sim: func(c *Ctx, work model.Doc, atts Atts) error {
+		Sim: func(c *Ctx, work *model.Draft, atts Atts) error {
 			mu.Lock()
 			runs[c.Name]++
 			mu.Unlock()
@@ -650,7 +650,7 @@ func TestDigiOnKubeCluster(t *testing.T) {
 }
 
 func TestAttsHelpers(t *testing.T) {
-	a := Atts{"Occupancy": {"O2": model.Doc{}, "O1": model.Doc{}}}
+	a := Atts{"Occupancy": {"O2": model.NewDraft(nil), "O1": model.NewDraft(nil)}}
 	if got := a.Names("Occupancy"); len(got) != 2 || got[0] != "O1" {
 		t.Errorf("Names = %v", got)
 	}

@@ -37,7 +37,7 @@ func (h *hub) kind() *Kind {
 				"applied": {Kind: model.KindInt, Default: int64(0)},
 			},
 		},
-		Sim: func(c *Ctx, work model.Doc, atts Atts) error {
+		Sim: func(c *Ctx, work *model.Draft, atts Atts) error {
 			h.runs.Add(1)
 			if h.hold != nil {
 				select {
@@ -281,21 +281,24 @@ func TestChildDeleteAlwaysSimulates(t *testing.T) {
 	}
 }
 
-// Sim handlers may do anything to the documents they are handed, and
-// to the values they put in them, for as long as they like; the store's
-// committed documents — the diff bases Simulate reads without copying,
-// the Doc every watcher shares, the versions that share their untouched
-// subtrees — and the composite values in an update's Changes must not
-// change under a concurrent reader. Run with -race.
+// Sim handlers may do anything the draft API allows to the drafts they
+// are handed, to drafts kept from earlier runs, and to the values they
+// pass in or get back, for as long as they like; the store's committed
+// documents — the bases the drafts read through, the Doc every watcher
+// shares, the versions that share their untouched subtrees — and the
+// composite values in an update's Changes must not change under a
+// concurrent reader. A draft exposes no map, so writing through one
+// directly does not compile. Run with -race.
 func TestHandlersCannotReachCommittedDocuments(t *testing.T) {
 	const rounds = 20
-	var stash []any // every composite value the handler ever wrote
+	var stash []any           // every composite value the handler passed in or got back
+	var drafts []*model.Draft // every draft the handler was ever handed
 	vandal := &Kind{
 		Schema: &model.Schema{
 			Type: "Vandal", Version: "v1", Scene: true,
 			Fields: map[string]model.FieldSpec{"round": {Kind: model.KindInt, Default: int64(0)}},
 		},
-		Sim: func(c *Ctx, work model.Doc, atts Atts) error {
+		Sim: func(c *Ctx, work *model.Draft, atts Atts) error {
 			n, _ := work.GetInt("round")
 			if n >= rounds {
 				return nil
@@ -308,22 +311,34 @@ func TestHandlersCannotReachCommittedDocuments(t *testing.T) {
 					old["late"] = n
 				}
 			}
-			scribble := func(d model.Doc) {
+			scribble := func(d *model.Draft) {
 				d.Set("round", n+1)
 				d.Set("nest.deep.n", n+1)
-				nest, _ := d["nest"].(map[string]any)
 				seq, bag := []any{n}, map[string]any{"n": n}
-				nest[fmt.Sprintf("k%d", n)] = seq
-				d.Set("bag", bag)
-				stash = append(stash, seq, bag, nest)
-				delete(nest, fmt.Sprintf("k%d", n-1))
-				d["meta"].(map[string]any)["scratch"] = n
+				d.Set(fmt.Sprintf("nest.k%d", n), seq)
+				d.Merge(map[string]any{"bag": bag, "nest": map[string]any{"merged": seq}})
+				d.Delete(fmt.Sprintf("nest.k%d", n-1))
+				d.Set("meta.scratch", bag)
+				nest, _ := d.Get("nest")
+				meta, _ := d.Get("meta")
+				seq[0], bag["now"] = "now", n
+				nest.(map[string]any)["now"] = n
+				meta.(map[string]any)["now"] = n
+				if att, _ := meta.(map[string]any)["attach"].([]any); len(att) > 0 {
+					att[0] = "now"
+				}
+				stash = append(stash, seq, bag, nest, meta)
 			}
-			scribble(work)
+			// This run's drafts join every earlier run's, and all are
+			// written; only this run's are committed.
 			for _, group := range atts {
 				for _, child := range group {
-					scribble(child)
+					drafts = append(drafts, child)
 				}
+			}
+			drafts = append(drafts, work)
+			for _, d := range drafts {
+				scribble(d)
 			}
 			return nil
 		},
@@ -416,7 +431,7 @@ func (m *mixer) kind() *Kind {
 			Type: "Mixer", Version: "v1", Scene: true,
 			Fields: map[string]model.FieldSpec{"level": {Kind: model.KindInt, Default: int64(0)}},
 		},
-		Sim: func(c *Ctx, work model.Doc, atts Atts) error {
+		Sim: func(c *Ctx, work *model.Draft, atts Atts) error {
 			m.runs.Add(1)
 			if m.gate.CompareAndSwap(true, false) {
 				m.entered <- struct{}{}

@@ -108,12 +108,12 @@ func (s *Stepper) Tick() []model.Update {
 		// the unchanged status is republished each tick.
 		return s.Simulate()
 	}
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	if err := s.kind.Loop(s.c, work); err != nil {
 		s.rt.Log.Violation(s.name, "loop-error", err.Error())
 		return nil
 	}
-	changes := model.Diff(doc, work)
+	changes := work.Changes()
 	if len(changes) == 0 {
 		return nil
 	}
@@ -162,12 +162,12 @@ func (s *Stepper) LogUpdate(u model.Update) {
 	s.rt.Log.Action(s.name, u.Type, sets, deletes)
 }
 
-// Simulate runs the Sim handler against a mutable snapshot of the own
-// model and attached children, then commits whatever the handler
-// changed. Child commits happen in sorted (type, name) order so the
-// resulting update sequence — and hence the trace — is deterministic.
-// The diff bases are the store's committed documents themselves
-// (read-only views); only the handler's working copies are copied.
+// Simulate runs the Sim handler on drafts of the own model and the
+// attached children, then commits whatever the handler changed. Child
+// commits happen in sorted (type, name) order so the resulting update
+// sequence — and hence the trace — is deterministic. Each draft reads
+// through to the store's committed document, and copies only the maps
+// the handler writes through.
 func (s *Stepper) Simulate() []model.Update {
 	if s.kind.Sim == nil {
 		return nil
@@ -179,22 +179,36 @@ func (s *Stepper) Simulate() []model.Update {
 	if doc.GetBool("meta.offline") {
 		return nil
 	}
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 
+	// The children in commit order, each with the draft handed out.
+	type child struct {
+		typ, name string
+		draft     *model.Draft
+	}
+	var kids []child
 	atts := Atts{}
-	childBase := map[string]model.Doc{}
 	for _, childName := range doc.Attach() {
-		child, _, ok := s.rt.Store.View(childName)
+		base, _, ok := s.rt.Store.View(childName)
 		if !ok {
 			continue
 		}
-		typ := child.Type()
+		typ := base.Type()
 		if atts[typ] == nil {
-			atts[typ] = map[string]model.Doc{}
+			atts[typ] = map[string]*model.Draft{}
+		} else if _, dup := atts[typ][childName]; dup {
+			continue
 		}
-		childBase[childName] = child
-		atts[typ][childName] = child.DeepCopy()
+		draft := model.NewDraft(base)
+		atts[typ][childName] = draft
+		kids = append(kids, child{typ, childName, draft})
 	}
+	sort.Slice(kids, func(i, j int) bool {
+		if kids[i].typ != kids[j].typ {
+			return kids[i].typ < kids[j].typ
+		}
+		return kids[i].name < kids[j].name
+	})
 
 	if err := s.kind.Sim(s.c, work, atts); err != nil {
 		s.rt.Log.Violation(s.name, "sim-error", err.Error())
@@ -203,7 +217,7 @@ func (s *Stepper) Simulate() []model.Update {
 
 	var out []model.Update
 	// Commit own-model changes.
-	if changes := model.Diff(doc, work); len(changes) > 0 {
+	if changes := work.Changes(); len(changes) > 0 {
 		if u, ok := s.commit(s.name, changes); ok {
 			out = append(out, u)
 		}
@@ -218,38 +232,20 @@ func (s *Stepper) Simulate() []model.Update {
 		changes []model.Change
 	}
 	var writes []write
-	types := make([]string, 0, len(atts))
-	for typ := range atts {
-		types = append(types, typ)
-	}
-	sort.Strings(types)
-	for _, typ := range types {
-		group := atts[typ]
-		names := make([]string, 0, len(group))
-		for n := range group {
-			names = append(names, n)
+	for _, k := range kids {
+		changes := k.draft.Changes()
+		if len(changes) == 0 {
+			continue
 		}
-		sort.Strings(names)
-		for _, childName := range names {
-			childWork := group[childName]
-			base, ok := childBase[childName]
-			if !ok {
-				continue
+		fields := map[string]any{"target": k.name, "target_type": k.typ}
+		for _, ch := range changes {
+			if ch.Op == model.OpSet {
+				fields[ch.Path] = ch.New
 			}
-			changes := model.Diff(base, childWork)
-			if len(changes) == 0 {
-				continue
-			}
-			fields := map[string]any{"target": childName, "target_type": typ}
-			for _, ch := range changes {
-				if ch.Op == model.OpSet {
-					fields[ch.Path] = ch.New
-				}
-			}
-			s.rt.Log.Event(s.name, s.c.Type, fields)
-			s.c.events.Inc()
-			writes = append(writes, write{childName, changes})
 		}
+		s.rt.Log.Event(s.name, s.c.Type, fields)
+		s.c.events.Inc()
+		writes = append(writes, write{k.name, changes})
 	}
 	for _, w := range writes {
 		if u, ok := s.commit(w.child, w.changes); ok {

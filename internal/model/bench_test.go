@@ -53,7 +53,7 @@ func BenchmarkStoreApply(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Apply("L1", func(d Doc) error {
+		if _, err := s.Apply("L1", func(d *Draft) error {
 			d.Set("counter", i)
 			return nil
 		}); err != nil {
@@ -77,7 +77,7 @@ func BenchmarkStoreApplyWithWatchers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Apply("L1", func(d Doc) error {
+				if _, err := s.Apply("L1", func(d *Draft) error {
 					d.Set("counter", i)
 					return nil
 				}); err != nil {

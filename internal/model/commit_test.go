@@ -109,7 +109,7 @@ func TestCommitMatchesApply(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, _ := apply.Apply("T", func(d Doc) error {
+				want, _ := apply.Apply("T", func(d *Draft) error {
 					d.ApplyChanges(changes)
 					return nil
 				})
@@ -217,7 +217,7 @@ func TestSetNamesUnderConcurrentCommits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < each; j++ {
-				if _, err := s.Apply("keep", func(d Doc) error {
+				if _, err := s.Apply("keep", func(d *Draft) error {
 					n, _ := d.GetInt("n")
 					d.Set("n", n+1)
 					return nil

@@ -2,8 +2,6 @@ package model
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -38,6 +36,8 @@ func (c Change) String() string {
 // Diff computes the leaf-level changes that transform old into new.
 // Paths are reported in sorted order for deterministic logs. Equal
 // documents (and equal subtrees of unequal ones) cost no allocation.
+//
+//dbox:allow deadcode -- the model tests and FuzzDraft hold Draft.Changes and Store.Commit to it; the scene tests report with it
 func Diff(old, new Doc) []Change {
 	var out []Change
 	diffValue("", map[string]any(old), map[string]any(new), &out)
@@ -92,72 +92,6 @@ func addLeaves(prefix string, v any, out *[]Change) {
 		return
 	}
 	*out = append(*out, Change{Op: OpSet, Path: prefix, New: copyValue(v)})
-}
-
-// withChanges returns the document ApplyChanges makes of a deep copy
-// of d, and its Diff against d, without the deep copy: the maps the
-// changes pass through are copied, each once, and every other subtree
-// is shared with d, which is not modified.
-func (d Doc) withChanges(changes []Change) (Doc, []Change) {
-	next := maps.Clone(d)
-	// The paths of the maps copied so far, and the top-level keys
-	// written. Whatever else goes into next is a new map or a copy of a
-	// Change.New, so a path still in copied after its map was replaced
-	// names a private map all the same.
-	var backing [8]string // most commits touch fewer paths: no allocation
-	copied, tops := backing[:0:4], backing[4:4]
-	for _, c := range changes {
-		if c.Op == OpDelete {
-			if _, ok := next.Get(c.Path); !ok {
-				continue
-			}
-		}
-		cur, start := map[string]any(next), 0
-		for {
-			dot := strings.IndexByte(c.Path[start:], '.')
-			if dot < 0 {
-				break
-			}
-			end := start + dot
-			key, prefix := c.Path[start:end], c.Path[:end]
-			child, ok := cur[key].(map[string]any)
-			if !ok {
-				child = map[string]any{}
-				cur[key] = child
-			} else if !slices.Contains(copied, prefix) {
-				child = maps.Clone(child)
-				cur[key] = child
-				copied = append(copied, prefix)
-			}
-			cur, start = child, end+1
-		}
-		if c.Op == OpDelete {
-			delete(cur, c.Path[start:])
-		} else {
-			cur[c.Path[start:]] = normalize(copyValue(c.New))
-		}
-		if top, _, _ := strings.Cut(c.Path, "."); !slices.Contains(tops, top) {
-			tops = append(tops, top)
-		}
-	}
-	// Diff's top level, over the written keys only: the rest is shared.
-	var out []Change
-	for _, k := range tops {
-		ov, had := d[k]
-		nv, has := next[k]
-		switch {
-		case !has && had:
-			out = append(out, Change{Op: OpDelete, Path: k, Old: copyValue(ov)})
-		case !had && has:
-			addLeaves(k, nv, &out)
-		case has:
-			diffValue(k, ov, nv, &out)
-		}
-	}
-	if len(out) > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	}
-	return next, out
 }
 
 // Flatten renders a document as leaf path -> value pairs ("power.status"

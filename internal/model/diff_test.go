@@ -22,6 +22,22 @@ func (d Doc) ApplyChanges(changes []Change) {
 	}
 }
 
+// ApplyChanges gives a draft what Doc.ApplyChanges makes of a deep
+// copy of it, written back one whole top-level value at a time, so the
+// reference does not rest on the draft's path copying.
+func (d *Draft) ApplyChanges(changes []Change) {
+	full := d.Copy()
+	full.ApplyChanges(changes)
+	for k := range d.view() {
+		if _, ok := full[k]; !ok {
+			d.Delete(k)
+		}
+	}
+	for k, v := range full {
+		d.Set(k, v)
+	}
+}
+
 // refDiff is the key-union implementation Diff replaced, kept as the
 // oracle: same changes, same order, for any pair of documents.
 func refDiff(old, new Doc) []Change {

@@ -20,8 +20,9 @@ import (
 
 // Doc is a model document. The concrete value domain is the yamlite
 // dynamic domain: map[string]any, []any, string, int64, float64, bool,
-// and nil. Doc values are not safe for concurrent mutation; the Store
-// hands out deep copies.
+// and nil. Doc values are not safe for concurrent mutation. The Store
+// hands out deep copies (Get), its committed documents read-only
+// (View, watch updates), and a Draft of one to whoever edits it.
 type Doc map[string]any
 
 // Meta is the parsed "meta" section of a model (Fig. 3).
@@ -97,6 +98,11 @@ func (d Doc) SetMeta(m Meta) {
 		raw = map[string]any{}
 		d[metaKey] = raw
 	}
+	writeMeta(raw, m)
+}
+
+// writeMeta writes m into the meta map raw; config values are copied.
+func writeMeta(raw map[string]any, m Meta) {
 	raw[metaType] = m.Type
 	if m.Version != "" {
 		raw[metaVersion] = m.Version
@@ -109,7 +115,7 @@ func (d Doc) SetMeta(m Meta) {
 	}
 	raw[metaAttach] = att
 	for k, v := range m.Config {
-		raw[k] = v
+		raw[k] = normalize(copyValue(v))
 	}
 }
 
@@ -257,18 +263,6 @@ func (d Doc) Delete(path string) bool {
 	}
 }
 
-// Intent returns the "<field>.intent" value.
-func (d Doc) Intent(field string) (any, bool) { return d.Get(field + ".intent") }
-
-// Status returns the "<field>.status" value.
-func (d Doc) Status(field string) (any, bool) { return d.Get(field + ".status") }
-
-// SetIntent writes "<field>.intent" (what a user or app asks for).
-func (d Doc) SetIntent(field string, v any) { d.Set(field+".intent", v) }
-
-// SetStatus writes "<field>.status" (what the simulated device reports).
-func (d Doc) SetStatus(field string, v any) { d.Set(field+".status", v) }
-
 // DeepCopy returns a structurally independent copy of the document.
 func (d Doc) DeepCopy() Doc {
 	return Doc(copyValue(map[string]any(d)).(map[string]any))
@@ -292,36 +286,6 @@ func copyValue(v any) any {
 		return out
 	default:
 		return t
-	}
-}
-
-// Merge deep-merges patch into the document: maps merge recursively,
-// everything else (including sequences) replaces. A nil patch value
-// deletes the key, mirroring JSON-merge-patch semantics so "dbox edit"
-// can remove fields.
-func (d Doc) Merge(patch map[string]any) {
-	mergeMap(map[string]any(d), patch)
-}
-
-func mergeMap(dst, patch map[string]any) {
-	for k, pv := range patch {
-		if pv == nil {
-			delete(dst, k)
-			continue
-		}
-		pm, pok := asMap(pv)
-		dm, dok := asMap(dst[k])
-		if pok && dok {
-			mergeMap(dm, pm)
-			continue
-		}
-		if pok {
-			fresh := map[string]any{}
-			mergeMap(fresh, pm)
-			dst[k] = fresh
-			continue
-		}
-		dst[k] = normalize(copyValue(pv))
 	}
 }
 

@@ -96,7 +96,7 @@ func TestGetSetDottedPaths(t *testing.T) {
 }
 
 func TestIntentStatusHelpers(t *testing.T) {
-	d := lampDoc()
+	d := NewDraft(lampDoc())
 	d.SetIntent("power", "off")
 	if v, _ := d.Intent("power"); v != "off" {
 		t.Errorf("intent = %v", v)
@@ -149,7 +149,7 @@ func TestDeepCopyIndependence(t *testing.T) {
 }
 
 func TestMergeSemantics(t *testing.T) {
-	d := lampDoc()
+	d := NewDraft(lampDoc())
 	d.Merge(map[string]any{
 		"power":     map[string]any{"intent": "off"},
 		"new_field": int64(1),
@@ -170,7 +170,7 @@ func TestMergeSemantics(t *testing.T) {
 }
 
 func TestMergeCopiesPatch(t *testing.T) {
-	d := Doc{}
+	d := NewDraft(Doc{})
 	inner := map[string]any{"a": int64(1)}
 	d.Merge(map[string]any{"nested": inner})
 	inner["a"] = int64(99)

@@ -63,10 +63,11 @@ func (s *Schema) New(name string) Doc {
 	return d
 }
 
-// Validate checks a document against the schema. Unknown top-level
-// fields are rejected so typos in configs surface early; meta is
-// validated structurally.
-func (s *Schema) Validate(d Doc) error {
+// Validate checks a document, or a draft as it stands, against the
+// schema. Unknown top-level fields are rejected so typos in configs
+// surface early; meta is validated structurally.
+func (s *Schema) Validate(r Readable) error {
+	d := r.view()
 	meta, err := d.Meta()
 	if err != nil {
 		return err

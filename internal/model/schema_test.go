@@ -26,10 +26,10 @@ func TestSchemaNewAppliesDefaults(t *testing.T) {
 	if d.Name() != "L1" || d.Type() != "Lamp" || !d.Managed() {
 		t.Fatalf("bad meta: %v", d)
 	}
-	if v, _ := d.Intent("power"); v != "off" {
+	if v, _ := d.Get("power.intent"); v != "off" {
 		t.Errorf("power.intent default = %v", v)
 	}
-	if v, _ := d.Status("intensity"); v != float64(0) {
+	if v, _ := d.Get("intensity.status"); v != float64(0) {
 		t.Errorf("intensity.status default = %v (%T)", v, v)
 	}
 	if v, _ := d.GetInt("watts"); v != 9 {
@@ -44,20 +44,20 @@ func TestSchemaValidateRejects(t *testing.T) {
 	s := lampSchema()
 	cases := []struct {
 		name   string
-		mutate func(Doc)
+		mutate func(*Draft)
 		want   string
 	}{
-		{"unknown field", func(d Doc) { d.Set("bogus", 1) }, "unknown field"},
-		{"enum violation", func(d Doc) { d.SetStatus("power", "dim") }, "not in"},
-		{"bounds", func(d Doc) { d.SetIntent("intensity", 1.5) }, "above maximum"},
-		{"below min", func(d Doc) { d.Set("watts", int64(-1)) }, "below minimum"},
-		{"wrong type", func(d Doc) { d.Set("dim", "yes") }, "want bool"},
-		{"intent not map", func(d Doc) { d.Set("power", "on") }, "want {intent, status}"},
-		{"intent missing half", func(d Doc) { d.Delete("power.status") }, "missing status"},
-		{"intent extra key", func(d Doc) { d.Set("power.extra", 1) }, "unexpected key"},
+		{"unknown field", func(d *Draft) { d.Set("bogus", 1) }, "unknown field"},
+		{"enum violation", func(d *Draft) { d.SetStatus("power", "dim") }, "not in"},
+		{"bounds", func(d *Draft) { d.SetIntent("intensity", 1.5) }, "above maximum"},
+		{"below min", func(d *Draft) { d.Set("watts", int64(-1)) }, "below minimum"},
+		{"wrong type", func(d *Draft) { d.Set("dim", "yes") }, "want bool"},
+		{"intent not map", func(d *Draft) { d.Set("power", "on") }, "want {intent, status}"},
+		{"intent missing half", func(d *Draft) { d.Delete("power.status") }, "missing status"},
+		{"intent extra key", func(d *Draft) { d.Set("power.extra", 1) }, "unexpected key"},
 	}
 	for _, c := range cases {
-		d := s.New("L1")
+		d := NewDraft(s.New("L1"))
 		c.mutate(d)
 		err := s.Validate(d)
 		if err == nil {
@@ -100,7 +100,7 @@ func TestSchemaValidateMissingRequired(t *testing.T) {
 
 func TestSchemaFloatAcceptsIntSpelling(t *testing.T) {
 	s := lampSchema()
-	d := s.New("L1")
+	d := NewDraft(s.New("L1"))
 	// A hand-written YAML file may spell 0.0 as 0 (decoded int64).
 	d.SetIntent("intensity", int64(1))
 	d.SetStatus("intensity", int64(0))

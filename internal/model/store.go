@@ -113,7 +113,8 @@ func (s *Store) Get(name string) (Doc, uint64, bool) {
 // View returns the committed document itself, not a copy, and its
 // generation. Committed documents are immutable (a commit replaces the
 // entry's version, never mutates it) and versions share subtrees, so
-// the result is read-only: DeepCopy it before changing anything.
+// the result is read-only: DeepCopy it, or write a Draft of it, before
+// changing anything.
 func (s *Store) View(name string) (Doc, uint64, bool) {
 	e, ok := s.lookup(name)
 	if !ok {
@@ -140,11 +141,12 @@ func (s *Store) List() []string {
 	return names
 }
 
-// Apply atomically mutates a model via fn and publishes the diff. If
-// fn returns an error the model is unchanged. If fn changes nothing,
-// no update is published and the returned Update has Gen of the
-// current entry with empty Changes.
-func (s *Store) Apply(name string, fn func(Doc) error) (Update, error) {
+// Apply atomically edits a model through fn, which is handed a Draft
+// of the committed document, and publishes the draft's Changes. If fn
+// returns an error the model is unchanged. If fn changes nothing, no
+// update is published and the returned Update has Gen of the current
+// entry with empty Changes.
+func (s *Store) Apply(name string, fn func(*Draft) error) (Update, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.lookup(name)
@@ -152,18 +154,21 @@ func (s *Store) Apply(name string, fn func(Doc) error) (Update, error) {
 		return Update{}, fmt.Errorf("model: %q not found", name)
 	}
 	cur := e.cur.Load()
-	work := cur.doc.DeepCopy()
-	if err := fn(work); err != nil {
+	d := NewDraft(cur.doc)
+	if err := fn(d); err != nil {
 		return Update{}, err
 	}
-	return s.swap(name, e, cur, work, Diff(cur.doc, work), nil), nil
+	next, changes := d.seal()
+	return s.swap(name, e, cur, next, changes, nil), nil
 }
 
-// Commit is Apply with Doc.ApplyChanges, minus the deep copy: the new
-// version copies only the maps on the changed paths and shares every
-// other subtree with the previous one. Update.Changes is the diff
-// against the store's current document, so changes computed from a
-// stale base report only what they really altered.
+// Commit writes a change list to a model: each set writes a copy of
+// its New value, each delete removes its path if present, on one
+// Draft of the current document, so the new version copies only the
+// maps on the changed paths and shares every other subtree with the
+// previous one. Update.Changes is the diff against the store's current
+// document, so changes computed from a stale base report only what
+// they really altered.
 func (s *Store) Commit(name string, changes []Change) (Update, error) {
 	return s.commit(name, changes, nil)
 }
@@ -177,7 +182,9 @@ func (s *Store) commit(name string, changes []Change, skip *Watcher) (Update, er
 		return Update{}, fmt.Errorf("model: %q not found", name)
 	}
 	cur := e.cur.Load()
-	next, changed := cur.doc.withChanges(changes)
+	d := Draft{base: cur.doc}
+	d.apply(changes)
+	next, changed := d.seal()
 	return s.swap(name, e, cur, next, changed, skip), nil
 }
 
@@ -197,9 +204,9 @@ func (s *Store) swap(name string, e *entry, cur *version, next Doc, changes []Ch
 	return up
 }
 
-// Patch deep-merges a patch document into the model (see Doc.Merge).
+// Patch deep-merges a patch document into the model (see Draft.Merge).
 func (s *Store) Patch(name string, patch map[string]any) (Update, error) {
-	return s.Apply(name, func(d Doc) error {
+	return s.Apply(name, func(d *Draft) error {
 		d.Merge(patch)
 		return nil
 	})

@@ -58,7 +58,7 @@ func TestStoreApplyPublishesDiff(t *testing.T) {
 	w := s.WatchName("L1")
 	defer w.Close()
 
-	up, err := s.Apply("L1", func(d Doc) error {
+	up, err := s.Apply("L1", func(d *Draft) error {
 		d.Set("power.status", "off")
 		return nil
 	})
@@ -85,7 +85,7 @@ func TestStoreApplyNoopDoesNotNotify(t *testing.T) {
 	s := storeWithLamp(t)
 	w := s.WatchName("L1")
 	defer w.Close()
-	up, err := s.Apply("L1", func(d Doc) error { return nil })
+	up, err := s.Apply("L1", func(d *Draft) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestStoreApplyNoopDoesNotNotify(t *testing.T) {
 
 func TestStoreApplyErrorRollsBack(t *testing.T) {
 	s := storeWithLamp(t)
-	_, err := s.Apply("L1", func(d Doc) error {
+	_, err := s.Apply("L1", func(d *Draft) error {
 		d.Set("power.status", "off")
 		return fmt.Errorf("boom")
 	})
@@ -116,7 +116,7 @@ func TestStoreApplyErrorRollsBack(t *testing.T) {
 
 func TestStoreApplyMissing(t *testing.T) {
 	s := NewStore()
-	if _, err := s.Apply("ghost", func(Doc) error { return nil }); err == nil {
+	if _, err := s.Apply("ghost", func(*Draft) error { return nil }); err == nil {
 		t.Error("apply on missing model should fail")
 	}
 }
@@ -185,7 +185,7 @@ func TestWatcherOrderingUnderConcurrency(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for j := 0; j < each; j++ {
-				_, err := s.Apply("L1", func(d Doc) error {
+				_, err := s.Apply("L1", func(d *Draft) error {
 					n, _ := d.GetInt("counter")
 					d.Set("counter", n+1)
 					return nil
@@ -249,7 +249,7 @@ func TestWatcherCloseUnblocksPump(t *testing.T) {
 	w := s.WatchName("L1")
 	// Queue several updates without reading, then close.
 	for i := 0; i < 10; i++ {
-		if _, err := s.Apply("L1", func(d Doc) error { d.Set("n", i); return nil }); err != nil {
+		if _, err := s.Apply("L1", func(d *Draft) error { d.Set("n", i); return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,10 +295,10 @@ func TestQuickWatchStreamReconstructsState(t *testing.T) {
 		for i := 0; i < n; i++ {
 			p := paths[r.Intn(len(paths))]
 			if r.Intn(5) == 0 {
-				s.Apply("T", func(d Doc) error { d.Delete(p); return nil })
+				s.Apply("T", func(d *Draft) error { d.Delete(p); return nil })
 			} else {
 				val := r.Intn(10)
-				s.Apply("T", func(d Doc) error { d.Set(p, val); return nil })
+				s.Apply("T", func(d *Draft) error { d.Set(p, val); return nil })
 			}
 		}
 		final, _, _ := s.Get("T")
@@ -441,7 +441,7 @@ func TestReadersSeeEveryCommitUpToTheGenTheyRead(t *testing.T) {
 				case p < 10:
 					s.Commit(n, []Change{{Op: OpSet, Path: "deep.k", New: int64(rnd.Intn(4))}})
 				case p < 17:
-					s.Apply(n, func(d Doc) error { d.Set("n", int64(rnd.Intn(4))); return nil })
+					s.Apply(n, func(d *Draft) error { d.Set("n", int64(rnd.Intn(4))); return nil })
 				default:
 					s.Delete(n)
 				}

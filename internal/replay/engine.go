@@ -366,7 +366,7 @@ func (e *Engine) attach(child, parent string) error {
 	if !ok || !parentKind.Scene() {
 		return fmt.Errorf("replay: %q is not a scene", parent)
 	}
-	u, err := e.store.Apply(parent, func(d model.Doc) error {
+	u, err := e.store.Apply(parent, func(d *model.Draft) error {
 		att := d.Attach()
 		for _, c := range att {
 			if c == child {
@@ -388,7 +388,7 @@ func (e *Engine) attach(child, parent string) error {
 	if len(u.Changes) > 0 {
 		updates = append(updates, u)
 	}
-	cu, err := e.store.Apply(child, func(d model.Doc) error {
+	cu, err := e.store.Apply(child, func(d *model.Draft) error {
 		d.Set("meta.managed", false)
 		return nil
 	})
@@ -412,7 +412,7 @@ func (e *Engine) applyEdit(ed Edit) {
 		return
 	}
 	kind, _ := e.registry.Get(doc.Type())
-	u, err := e.store.Apply(ed.Name, func(d model.Doc) error {
+	u, err := e.store.Apply(ed.Name, func(d *model.Draft) error {
 		d.Merge(ed.Patch)
 		if kind != nil {
 			return kind.Schema.Validate(d)

@@ -117,7 +117,7 @@ func (di deviceInjector) SetFault(digi, mode string, value float64) error {
 	if !di.e.store.Has(digi) {
 		return fmt.Errorf("replay: %q not found", digi)
 	}
-	u, err := di.e.store.Apply(digi, func(d model.Doc) error {
+	u, err := di.e.store.Apply(digi, func(d *model.Draft) error {
 		d.Set("meta.fault", mode)
 		if value != 0 {
 			d.Set("meta.fault_value", value)
@@ -134,7 +134,7 @@ func (di deviceInjector) ClearFault(digi string) error {
 	if !di.e.store.Has(digi) {
 		return fmt.Errorf("replay: %q not found", digi)
 	}
-	u, err := di.e.store.Apply(digi, func(d model.Doc) error {
+	u, err := di.e.store.Apply(digi, func(d *model.Draft) error {
 		d.Delete("meta.fault")
 		d.Delete("meta.fault_value")
 		return nil

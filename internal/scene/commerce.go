@@ -18,7 +18,7 @@ func NewRetail() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			open := c.Rand.Float64() < c.ConfigFloat("open_frac", 0.8)
 			work.Set("open", open)
 			if open {
@@ -28,7 +28,7 @@ func NewRetail() *digi.Kind {
 			}
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			open := work.GetBool("open")
 			customers, _ := work.GetInt("customers")
 			for _, occ := range atts.Get("Occupancy") {
@@ -60,11 +60,11 @@ func NewWarehouse() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			work.Set("active_shipments", int64(c.Rand.Intn(int(c.ConfigInt("max_shipments", 5))+1)))
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			n, _ := work.GetInt("active_shipments")
 			busy := n > 0
 			for _, occ := range atts.Get("Occupancy") {
@@ -97,11 +97,11 @@ func NewFactory() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			work.Set("production_rate", float64(c.Rand.Intn(101))/100)
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			rate, _ := work.GetFloat("production_rate")
 			for _, meter := range atts.Get("EnergyMeter") {
 				meter.Set("watts", 500.0+rate*float64(c.ConfigInt("full_load_watts", 10000)))
@@ -127,7 +127,7 @@ func NewGreenhouse() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			// Toggle daylight occasionally; temperature tracks it.
 			day := work.GetBool("daylight")
 			if c.Rand.Float64() < c.ConfigFloat("cycle_prob", 0.1) {
@@ -143,7 +143,7 @@ func NewGreenhouse() *digi.Kind {
 			work.Set("temp_c", t)
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			t, _ := work.GetFloat("temp_c")
 			for _, temp := range atts.Get("TemperatureSensor") {
 				temp.Set("temperature", t)
@@ -182,11 +182,11 @@ func NewParking() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			work.Set("fill_frac", float64(c.Rand.Intn(101))/100)
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			frac, _ := work.GetFloat("fill_frac")
 			names := atts.Names("Occupancy")
 			spots := atts.Get("Occupancy")
@@ -214,12 +214,12 @@ func NewHospital() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			work.Set("patients", int64(c.Rand.Intn(int(c.ConfigInt("beds", 6))+1)))
 			work.Set("nurse_call", c.Rand.Float64() < c.ConfigFloat("call_prob", 0.05))
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			patients, _ := work.GetInt("patients")
 			for _, occ := range atts.Get("Occupancy") {
 				occ.Set("triggered", patients > 0)

@@ -31,7 +31,7 @@ func TestEveryKindLoopSimPreservesSchema(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := digi.NewTestCtx("inst", k.Type(), rt, rng.New(99, 0), context.Background())
-			work := doc.DeepCopy()
+			work := model.NewDraft(doc)
 			for i := 0; i < 200; i++ {
 				if k.Loop != nil {
 					if err := k.Loop(c, work); err != nil {
@@ -72,9 +72,9 @@ func TestEverySceneSimIsIdempotent(t *testing.T) {
 	mkAtts := func() digi.Atts {
 		atts := digi.Atts{}
 		add := func(typ string, names ...string) {
-			group := map[string]model.Doc{}
+			group := map[string]*model.Draft{}
 			for _, n := range names {
-				group[n] = kinds[typ].Schema.New(n)
+				group[n] = model.NewDraft(kinds[typ].Schema.New(n))
 			}
 			atts[typ] = group
 		}
@@ -115,33 +115,33 @@ func TestEverySceneSimIsIdempotent(t *testing.T) {
 			rt.Store.Create(doc)
 			c := digi.NewTestCtx("s", k.Type(), rt, rng.New(5, 0), context.Background())
 
-			work := doc.DeepCopy()
+			work := model.NewDraft(doc)
 			atts := mkAtts()
 			if err := k.Sim(c, work, atts); err != nil {
 				t.Fatal(err)
 			}
 			// Snapshot after the first pass.
-			after1 := work.DeepCopy()
+			after1 := work.Copy()
 			attsSnap := map[string]map[string]model.Doc{}
 			for typ, group := range atts {
 				attsSnap[typ] = map[string]model.Doc{}
 				for n, d := range group {
-					attsSnap[typ][n] = d.DeepCopy()
+					attsSnap[typ][n] = d.Copy()
 				}
 			}
 			// Second pass over the converged state must be a no-op.
 			if err := k.Sim(c, work, atts); err != nil {
 				t.Fatal(err)
 			}
-			if !model.Equal(work, after1) {
+			if !model.Equal(work.Copy(), after1) {
 				t.Errorf("scene model changed on second sim pass:\n%v\nvs\n%v",
-					model.Diff(after1, work), work)
+					model.Diff(after1, work.Copy()), work.Copy())
 			}
 			for typ, group := range atts {
 				for n, d := range group {
-					if !model.Equal(d, attsSnap[typ][n]) {
+					if !model.Equal(d.Copy(), attsSnap[typ][n]) {
 						t.Errorf("child %s/%s changed on second pass: %v",
-							typ, n, model.Diff(attsSnap[typ][n], d))
+							typ, n, model.Diff(attsSnap[typ][n], d.Copy()))
 					}
 				}
 			}

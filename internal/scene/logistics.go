@@ -21,7 +21,7 @@ func NewTruck() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			// Advance the stage machine with some probability per tick.
 			if c.Rand.Float64() < c.ConfigFloat("advance_prob", 0.2) {
 				switch work.GetString("stage") {
@@ -37,7 +37,7 @@ func NewTruck() *digi.Kind {
 			}
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			inTransit := work.GetString("stage") == "transit"
 			for _, gps := range atts.Get("GPSTracker") {
 				gps.Set("moving", inTransit)
@@ -69,7 +69,7 @@ func NewColdChain() *digi.Kind {
 				"breach":   {Kind: model.KindBool, Default: false},
 			},
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			limit, _ := work.GetFloat("max_temp")
 			breach := false
 			for _, cargo := range atts.Get("CargoSensor") {
@@ -97,11 +97,11 @@ func NewSupplyChain() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			work.Set("dispatch", c.Rand.Float64() < c.ConfigFloat("dispatch_prob", 0.5))
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			delivered := int64(0)
 			for _, truck := range atts.Get("Truck") {
 				if work.GetBool("dispatch") && truck.GetString("stage") == "loading" {
@@ -131,11 +131,11 @@ func NewStreet() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			work.Set("traffic", float64(c.Rand.Intn(101))/100)
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			traffic, _ := work.GetFloat("traffic")
 			for _, noise := range atts.Get("NoiseSensor") {
 				noise.Set("db", 40.0+traffic*45)
@@ -166,7 +166,7 @@ func NewCity() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			cur := work.GetString("phase")
 			for i, p := range phases {
 				if p == cur {
@@ -178,7 +178,7 @@ func NewCity() *digi.Kind {
 			}
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			level := traffic[work.GetString("phase")]
 			for _, street := range atts.Get("Street") {
 				street.Set("traffic", level)

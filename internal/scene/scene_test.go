@@ -70,9 +70,9 @@ func ctxFor(t *testing.T, k *digi.Kind, name string) (*digi.Ctx, model.Doc) {
 func mkAtts(kinds map[string]*digi.Kind, entries map[string][]string) digi.Atts {
 	atts := digi.Atts{}
 	for typ, names := range entries {
-		atts[typ] = map[string]model.Doc{}
+		atts[typ] = map[string]*model.Draft{}
 		for _, n := range names {
-			atts[typ][n] = kinds[typ].Schema.New(n)
+			atts[typ][n] = model.NewDraft(kinds[typ].Schema.New(n))
 		}
 	}
 	return atts
@@ -98,7 +98,7 @@ func TestRoomCoordinationFig5(t *testing.T) {
 	// the ceiling sensor (Fig. 5 consistency rule).
 	atts["Underdesk"]["D1"].Set("triggered", true)
 	atts["Occupancy"]["O1"].Set("triggered", true)
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("human_presence", false)
 	if err := k.Sim(c, work, atts); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestMeetingRoomFillsDesks(t *testing.T) {
 	k := NewMeetingRoom()
 	c, doc := ctxFor(t, k, "MR")
 	atts := mkAtts(deviceKinds(), map[string][]string{"Underdesk": {"D1", "D2"}})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("human_presence", true)
 	work.Set("meeting", true)
 	k.Sim(c, work, atts)
@@ -145,7 +145,7 @@ func TestBuildingDistributesHumans(t *testing.T) {
 	c, doc := ctxFor(t, k, "ConfCenter")
 	rooms := mkAtts(map[string]*digi.Kind{"Room": NewRoom()},
 		map[string][]string{"Room": {"Kitchen", "MeetingRoom"}})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 
 	work.Set("num_human", 0)
 	k.Sim(c, work, rooms)
@@ -179,7 +179,7 @@ func TestCampusScalesBuildings(t *testing.T) {
 	c, doc := ctxFor(t, k, "Cal")
 	atts := mkAtts(map[string]*digi.Kind{"Building": NewBuilding()},
 		map[string][]string{"Building": {"B1", "B2"}})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("occupancy_frac", 0.5)
 	k.Sim(c, work, atts)
 	for n, b := range atts["Building"] {
@@ -195,7 +195,7 @@ func TestHomeEveningLighting(t *testing.T) {
 	atts := mkAtts(deviceKinds(), map[string][]string{
 		"Lamp": {"L1"}, "DoorLock": {"D1"}, "Occupancy": {"O1"},
 	})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("occupants", 2)
 	work.Set("evening", true)
 	k.Sim(c, work, atts)
@@ -221,7 +221,7 @@ func TestKitchenCooking(t *testing.T) {
 	atts := mkAtts(deviceKinds(), map[string][]string{
 		"Fan": {"F1"}, "TemperatureSensor": {"T1"},
 	})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("human_presence", true)
 	work.Set("cooking", true)
 	k.Sim(c, work, atts)
@@ -237,7 +237,7 @@ func TestOfficeCO2FollowsOccupants(t *testing.T) {
 	k := NewOffice()
 	c, doc := ctxFor(t, k, "O")
 	atts := mkAtts(deviceKinds(), map[string][]string{"CO2Sensor": {"C1"}})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("occupants", 5)
 	k.Sim(c, work, atts)
 	if v, _ := atts["CO2Sensor"]["C1"].GetFloat("ppm"); v != 820 {
@@ -251,7 +251,7 @@ func TestRetailLocksWhenClosed(t *testing.T) {
 	atts := mkAtts(deviceKinds(), map[string][]string{
 		"DoorLock": {"D1"}, "NoiseSensor": {"N1"},
 	})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("open", false)
 	work.Set("customers", 0)
 	k.Sim(c, work, atts)
@@ -273,7 +273,7 @@ func TestWarehouseDockDoors(t *testing.T) {
 	k := NewWarehouse()
 	c, doc := ctxFor(t, k, "W")
 	atts := mkAtts(deviceKinds(), map[string][]string{"WindowSensor": {"Dock1"}})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("active_shipments", 3)
 	k.Sim(c, work, atts)
 	if !atts["WindowSensor"]["Dock1"].GetBool("open") {
@@ -290,7 +290,7 @@ func TestFactoryScalesPower(t *testing.T) {
 	k := NewFactory()
 	c, doc := ctxFor(t, k, "F")
 	atts := mkAtts(deviceKinds(), map[string][]string{"EnergyMeter": {"E1"}})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("production_rate", 1.0)
 	k.Sim(c, work, atts)
 	if v, _ := atts["EnergyMeter"]["E1"].GetFloat("watts"); v != 10500 {
@@ -302,7 +302,7 @@ func TestGreenhouseVentsWhenHot(t *testing.T) {
 	k := NewGreenhouse()
 	c, doc := ctxFor(t, k, "G")
 	atts := mkAtts(deviceKinds(), map[string][]string{"Fan": {"F1"}})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("temp_c", 31.0)
 	k.Sim(c, work, atts)
 	if got, _ := atts["Fan"]["F1"].Intent("power"); got != "on" {
@@ -321,7 +321,7 @@ func TestParkingFillsSpots(t *testing.T) {
 	atts := mkAtts(deviceKinds(), map[string][]string{
 		"Occupancy": {"S1", "S2", "S3", "S4"},
 	})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("fill_frac", 0.5)
 	k.Sim(c, work, atts)
 	filled := 0
@@ -339,7 +339,7 @@ func TestHospitalSecureDoors(t *testing.T) {
 	k := NewHospital()
 	c, doc := ctxFor(t, k, "Ward")
 	atts := mkAtts(deviceKinds(), map[string][]string{"DoorLock": {"D1"}})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("secure", true)
 	k.Sim(c, work, atts)
 	if got, _ := atts["DoorLock"]["D1"].Intent("locked"); got != true {
@@ -353,7 +353,7 @@ func TestTruckStagesAndCargo(t *testing.T) {
 	atts := mkAtts(deviceKinds(), map[string][]string{
 		"GPSTracker": {"G1"}, "CargoSensor": {"C1"},
 	})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("stage", "transit")
 	k.Sim(c, work, atts)
 	if !atts["GPSTracker"]["G1"].GetBool("moving") {
@@ -373,7 +373,7 @@ func TestColdChainBreachDetection(t *testing.T) {
 	k := NewColdChain()
 	c, doc := ctxFor(t, k, "CC")
 	atts := mkAtts(deviceKinds(), map[string][]string{"CargoSensor": {"C1", "C2"}})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	k.Sim(c, work, atts)
 	if work.GetBool("breach") {
 		t.Error("breach with cold cargo")
@@ -390,11 +390,11 @@ func TestSupplyChainDispatchAndCount(t *testing.T) {
 	c, doc := ctxFor(t, k, "SC")
 	truckKind := NewTruck()
 	atts := digi.Atts{"Truck": {
-		"T1": truckKind.Schema.New("T1"),
-		"T2": truckKind.Schema.New("T2"),
+		"T1": model.NewDraft(truckKind.Schema.New("T1")),
+		"T2": model.NewDraft(truckKind.Schema.New("T2")),
 	}}
 	atts["Truck"]["T2"].Set("stage", "delivered")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("dispatch", true)
 	k.Sim(c, work, atts)
 	if got := atts["Truck"]["T1"].GetString("stage"); got != "transit" {
@@ -411,7 +411,7 @@ func TestStreetTrafficEffects(t *testing.T) {
 	atts := mkAtts(deviceKinds(), map[string][]string{
 		"NoiseSensor": {"N1"}, "AirQuality": {"A1"}, "GPSTracker": {"G1"},
 	})
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	work.Set("traffic", 1.0)
 	k.Sim(c, work, atts)
 	if v, _ := atts["NoiseSensor"]["N1"].GetFloat("db"); v != 85 {
@@ -433,8 +433,8 @@ func TestStreetTrafficEffects(t *testing.T) {
 func TestCitySetsStreetTraffic(t *testing.T) {
 	k := NewCity()
 	c, doc := ctxFor(t, k, "SF")
-	atts := digi.Atts{"Street": {"Main": NewStreet().Schema.New("Main")}}
-	work := doc.DeepCopy()
+	atts := digi.Atts{"Street": {"Main": model.NewDraft(NewStreet().Schema.New("Main"))}}
+	work := model.NewDraft(doc)
 	work.Set("phase", "rush")
 	k.Sim(c, work, atts)
 	if v, _ := atts["Street"]["Main"].GetFloat("traffic"); v != 0.9 {
@@ -450,7 +450,7 @@ func TestCitySetsStreetTraffic(t *testing.T) {
 func TestCityPhaseAdvances(t *testing.T) {
 	k := NewCity()
 	c, doc := ctxFor(t, k, "SF")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	seen := map[string]bool{}
 	for i := 0; i < 200; i++ {
 		k.Loop(c, work)
@@ -464,7 +464,7 @@ func TestCityPhaseAdvances(t *testing.T) {
 func TestTruckLoopAdvancesStages(t *testing.T) {
 	k := NewTruck()
 	c, doc := ctxFor(t, k, "T1")
-	work := doc.DeepCopy()
+	work := model.NewDraft(doc)
 	for i := 0; i < 200 && work.GetString("stage") != "delivered"; i++ {
 		k.Loop(c, work)
 	}

@@ -20,7 +20,7 @@ func NewRoom() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			work.Set("human_presence", c.Rand.Intn(2) == 0)
 			return nil
 		},
@@ -30,7 +30,7 @@ func NewRoom() *digi.Kind {
 
 // roomSim is the Fig. 5 room coordination, shared by Room and
 // MeetingRoom.
-func roomSim(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+func roomSim(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 	presence := work.GetBool("human_presence")
 	for _, occ := range atts.Get("Occupancy") {
 		occ.Set("triggered", presence)
@@ -68,13 +68,13 @@ func NewMeetingRoom() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			meeting := c.Rand.Float64() < c.ConfigFloat("meeting_prob", 0.3)
 			work.Set("meeting", meeting)
 			work.Set("human_presence", meeting || c.Rand.Intn(2) == 0)
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			if err := roomSim(c, work, atts); err != nil {
 				return err
 			}
@@ -102,12 +102,12 @@ func NewBuilding() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			max := c.ConfigInt("max_human", 2)
 			work.Set("num_human", int64(c.Rand.Intn(int(max)+1)))
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			n, _ := work.GetInt("num_human")
 			// Deterministically spread humans over rooms, mirroring the
 			// random.choices pick of Fig. 5 but reproducible per seed.
@@ -141,11 +141,11 @@ func NewCampus() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			work.Set("occupancy_frac", float64(c.Rand.Intn(101))/100)
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			frac, _ := work.GetFloat("occupancy_frac")
 			perBuilding := c.ConfigInt("humans_per_building", 10)
 			for _, b := range atts.Get("Building") {
@@ -170,12 +170,12 @@ func NewHome() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			work.Set("occupants", int64(c.Rand.Intn(4)))
 			work.Set("evening", c.Rand.Intn(2) == 0)
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			occupants, _ := work.GetInt("occupants")
 			evening := work.GetBool("evening")
 			for _, lamp := range atts.Get("Lamp") {
@@ -209,13 +209,13 @@ func NewKitchen() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			presence := c.Rand.Intn(2) == 0
 			work.Set("human_presence", presence)
 			work.Set("cooking", presence && c.Rand.Float64() < c.ConfigFloat("cooking_prob", 0.4))
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			presence := work.GetBool("human_presence")
 			cooking := work.GetBool("cooking")
 			for _, occ := range atts.Get("Occupancy") {
@@ -256,7 +256,7 @@ func NewOffice() *digi.Kind {
 			},
 		},
 		DefaultInterval: sceneTick,
-		Loop: func(c *digi.Ctx, work model.Doc) error {
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
 			wh := c.Rand.Float64() < c.ConfigFloat("work_hours_frac", 0.7)
 			work.Set("work_hours", wh)
 			if wh {
@@ -267,7 +267,7 @@ func NewOffice() *digi.Kind {
 			work.Set("human_presence", wh)
 			return nil
 		},
-		Sim: func(c *digi.Ctx, work model.Doc, atts digi.Atts) error {
+		Sim: func(c *digi.Ctx, work *model.Draft, atts digi.Atts) error {
 			occupants, _ := work.GetInt("occupants")
 			for _, occ := range atts.Get("Occupancy") {
 				occ.Set("triggered", occupants > 0)
