@@ -106,16 +106,25 @@ type Broker struct {
 	subs     *subTrie
 	retained sync.Map // topic -> *Packet (with Retain set)
 
+	// Observability (nil when Options.Obs is unset; all uses are
+	// nil-safe no-ops).
+	tracer *obs.Tracer
+	fanout *obs.Histogram
+
+	// closedFlag mirrors closed as an atomic so the publish hot path
+	// can reject publishes into a dead broker without taking mu — the
+	// signal the swarm pool's failover journaling rides. The bridge
+	// reads it twice per forwarded message, so it sits above the pad,
+	// away from the counters every publish writes.
+	closedFlag int32
+
 	mu       sync.Mutex
 	sessions map[string]*session
 	listener net.Listener
 	closed   bool
-	// closedFlag mirrors closed as an atomic so the publish hot path
-	// can reject publishes into a dead broker without taking mu — the
-	// signal the swarm pool's failover journaling rides.
-	closedFlag int32
-	wg         sync.WaitGroup
+	wg       sync.WaitGroup
 
+	_           [64]byte
 	publishesIn int64
 	messagesOut int64
 	dropped     int64
@@ -123,11 +132,6 @@ type Broker struct {
 	retransIn   int64 // DUP PUBLISH packets received (client retransmits)
 	connects    int64 // sessions accepted (CONNACK sent)
 	disconnects int64 // sessions ended (any cause)
-
-	// Observability (nil when Options.Obs is unset; all uses are
-	// nil-safe no-ops).
-	tracer *obs.Tracer
-	fanout *obs.Histogram
 
 	// flushes counts socket writes by session write loops. Every write
 	// loop bumps it, so it sits on a cache line of its own, away from
@@ -597,11 +601,11 @@ func (s *session) readLoop() {
 		}
 		switch pkt.Type {
 		case PUBLISH:
-			atomic.AddInt64(&s.broker.publishesIn, 1)
+			seq := atomic.AddInt64(&s.broker.publishesIn, 1)
 			if pkt.Dup {
 				atomic.AddInt64(&s.broker.retransIn, 1)
 			}
-			s.broker.route(s.clientID, Message{Topic: pkt.Topic, Payload: pkt.Payload, QoS: pkt.QoS, Retained: pkt.Retain})
+			s.broker.route(seq, s.clientID, Message{Topic: pkt.Topic, Payload: pkt.Payload, QoS: pkt.QoS, Retained: pkt.Retain})
 			if pkt.QoS == 1 {
 				s.send(&Packet{Type: PUBACK, PacketID: pkt.PacketID})
 			}
@@ -623,9 +627,15 @@ func (s *session) readLoop() {
 					hook(s.clientID, f, true)
 				}
 			}
+			// Retained messages are delivered after the SUBACK, but read
+			// before it is queued: a publish made once the client saw
+			// the SUBACK reaches it live, once, not also as a replay.
+			replay := s.broker.retainedFor(pkt.Filters, granted)
 			s.send(&Packet{Type: SUBACK, PacketID: pkt.PacketID, QoSs: granted})
-			// Retained messages are delivered after the SUBACK.
-			s.broker.deliverRetained(pkt.Filters, granted, s)
+			for _, m := range replay {
+				atomic.AddInt64(&s.broker.messagesOut, 1)
+				s.deliver(m, 0)
+			}
 		case UNSUBSCRIBE:
 			for _, f := range pkt.Filters {
 				if s.broker.subs.unsubscribe(s.clientID, f) {
@@ -649,11 +659,12 @@ func (s *session) readLoop() {
 }
 
 // route fans a PUBLISH out to matching subscribers and updates the
-// retained store. from identifies the publisher (wire client ID or
+// retained store. seq is the publish's place in this broker's
+// publishesIn count. from identifies the publisher (wire client ID or
 // PublishQoS name; "" for anonymous in-process publishes) and scopes
 // injected fault rules and partition checks. m.Retained is the
 // publish's retain flag.
-func (b *Broker) route(from string, m Message) {
+func (b *Broker) route(seq int64, from string, m Message) {
 	if hook := b.opts.RouteHook; hook != nil {
 		// Before the retained-store update and match short-circuit, so
 		// the bridge sees every publish — including ones this shard has
@@ -684,8 +695,10 @@ func (b *Broker) route(from string, m Message) {
 	// so unrouted messages cost nothing — and closed by each
 	// subscriber's writeLoop after the socket write: true end-to-end
 	// delivery latency. A nil tracer returns 0 and the stamps below
-	// are no-ops.
-	sid := b.tracer.Start(from, m.Topic)
+	// are no-ops. Sampling reads this broker's own sequence, so an
+	// unsampled message writes nothing the tracer's other brokers
+	// write.
+	sid := b.tracer.StartSeq(uint64(seq), from, m.Topic)
 	// Fan-out timing rides the tracer's sampling interval (every
 	// message when no tracer is bound) so unsampled messages skip both
 	// clock reads.
@@ -733,11 +746,12 @@ func (b *Broker) route(from string, m Message) {
 	}
 }
 
-// deliverRetained sends stored retained messages matching any of the
-// new filters to the subscribing session, with the retain flag set,
-// once per topic at min(stored QoS, the highest QoS granted to a
-// matching filter) (MQTT 3.1.1 §3.3.5).
-func (b *Broker) deliverRetained(filters []string, granted []byte, s *session) {
+// retainedFor returns the stored retained messages matching any of the
+// new filters, with the retain flag set, once per topic at min(stored
+// QoS, the highest QoS granted to a matching filter) (MQTT 3.1.1
+// §3.3.5).
+func (b *Broker) retainedFor(filters []string, granted []byte) []Message {
+	var out []Message
 	b.retained.Range(func(key, value any) bool {
 		topic := key.(string)
 		stored := value.(*Packet)
@@ -748,11 +762,11 @@ func (b *Broker) deliverRetained(filters []string, granted []byte, s *session) {
 			}
 		}
 		if matched {
-			atomic.AddInt64(&b.messagesOut, 1)
-			s.deliver(Message{Topic: topic, Payload: stored.Payload, QoS: min(stored.QoS, qos), Retained: true}, 0)
+			out = append(out, Message{Topic: topic, Payload: stored.Payload, QoS: min(stored.QoS, qos), Retained: true})
 		}
 		return true
 	})
+	return out
 }
 
 // Kick forcibly disconnects a client session, emulating a network
@@ -796,8 +810,8 @@ func (b *Broker) PublishQoS(from, topic string, payload []byte, qos byte, retain
 	if qos > 1 {
 		qos = 1 // QoS 2 not supported; downgrade like SUBSCRIBE does
 	}
-	atomic.AddInt64(&b.publishesIn, 1)
-	b.route(from, Message{Topic: topic, Payload: payload, QoS: qos, Retained: retain, local: true})
+	seq := atomic.AddInt64(&b.publishesIn, 1)
+	b.route(seq, from, Message{Topic: topic, Payload: payload, QoS: qos, Retained: retain, local: true})
 	return nil
 }
 

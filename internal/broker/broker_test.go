@@ -2,11 +2,14 @@ package broker
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // startBroker launches a broker on a random loopback port.
@@ -482,5 +485,45 @@ func TestKickDisconnectsClient(t *testing.T) {
 	}
 	if b.Kick("never-existed") {
 		t.Error("kick of unknown client reported success")
+	}
+}
+
+// TestSharedTracerSamplesPerBroker: brokers sharing one tracer sample
+// on their own publish sequence. At interval 4 each broker opens a span
+// on exactly its 4th, 8th, ... routed publish, however the two
+// interleave, and span ids are unique across both.
+func TestSharedTracerSamplesPerBroker(t *testing.T) {
+	tr := obs.NewTracer(obs.NewRegistry())
+	tr.SetSampleInterval(4)
+	brokers := [2]*Broker{NewBroker(&Options{Tracer: tr}), NewBroker(&Options{Tracer: tr})}
+	var last [2]obs.SpanID
+	for k, b := range brokers {
+		defer b.Close()
+		b.subs.subscribe(&subscription{clientID: "probe", filter: "t/#", deliver: func(_ Message, span obs.SpanID) {
+			last[k] = span
+		}})
+	}
+	seen := map[obs.SpanID]bool{}
+	var routed [2]int
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 400; i++ {
+		k := r.Intn(2)
+		last[k] = 0
+		if err := brokers[k].PublishQoS("pub", "t/x", []byte("p"), 0, false); err != nil {
+			t.Fatal(err)
+		}
+		routed[k]++
+		if sampled := last[k] != 0; sampled != (routed[k]%4 == 0) {
+			t.Fatalf("broker %d publish %d: sampled %v, want every 4th", k, routed[k], sampled)
+		}
+		if last[k] != 0 {
+			if seen[last[k]] {
+				t.Fatalf("span id %d opened twice", last[k])
+			}
+			seen[last[k]] = true
+		}
+	}
+	if want := routed[0]/4 + routed[1]/4; len(seen) != want {
+		t.Fatalf("%d spans over %v publishes, want %d", len(seen), routed, want)
 	}
 }

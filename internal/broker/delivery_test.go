@@ -134,6 +134,130 @@ func sortedKeys(m map[string]byte) []string {
 	return keys
 }
 
+// Property: a publish reads the trie without a lock while writers
+// change it, and sees every write whole. Two writers subscribe,
+// unsubscribe and remove clients while two readers take delivery sets;
+// each set a reader sees must be the matchAll oracle's for a trie state
+// between the last write finished before its read and the first one
+// finished after, never a mix of two. The states are rebuilt afterwards
+// by replaying the writes in order on a second trie, so the writers
+// run back to back. Under -race a writer that changes a node or list a
+// reader may hold fails as a data race.
+func TestDeliverySetSeesWholeWrites(t *testing.T) {
+	topics := []string{"a/b/c", "a/b", "a", "a/x/c", "$s/b"}
+	filters := []string{"a/b/c", "a/+/c", "a/#", "+/b", "#", "a/b", "+/+/+", "$s/#", "a/b/c/#"}
+	type write struct {
+		kind   int // 0 subscribe, 1 unsubscribe, 2 removeClient
+		client string
+		filter string
+		qos    byte
+	}
+	apply := func(trie *subTrie, w write) {
+		switch w.kind {
+		case 0:
+			trie.subscribe(&subscription{clientID: w.client, filter: w.filter, qos: w.qos})
+		case 1:
+			trie.unsubscribe(w.client, w.filter)
+		default:
+			trie.removeClient(w.client)
+		}
+	}
+	// key renders one delivery set as "client:qos" pairs in client order.
+	key := func(perClient map[string]byte) string {
+		var b strings.Builder
+		for _, c := range sortedKeys(perClient) {
+			fmt.Fprintf(&b, "%s:%d,", c, perClient[c])
+		}
+		return b.String()
+	}
+	trie := newSubTrie()
+	var (
+		mu      sync.Mutex // orders the writes as they are logged
+		log     []write
+		applied atomic.Int64 // writes finished
+	)
+	type read struct {
+		from, to int64 // states the read may have seen
+		topic    string
+		got      string
+	}
+	var writers, readers sync.WaitGroup
+	var done atomic.Bool
+	for w := int64(0); w < 2; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			r := rand.New(rand.NewSource(w))
+			for i := 0; i < 3000; i++ {
+				kind := [10]int{0, 0, 0, 1, 1, 1, 2, 2, 2, 2}[r.Intn(10)]
+				wr := write{kind: kind, client: fmt.Sprintf("c%d", r.Intn(6)), filter: filters[r.Intn(len(filters))], qos: byte(r.Intn(2))}
+				mu.Lock()
+				apply(trie, wr)
+				log = append(log, wr)
+				applied.Store(int64(len(log)))
+				mu.Unlock()
+			}
+		}()
+	}
+	reads := make([][]read, 2)
+	for k := range reads {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; !done.Load() && i < 100000; i++ {
+				topic := topics[i%len(topics)]
+				from := applied.Load()
+				got := deliverySetOf(trie, topic)
+				// The write after the last one logged may already be in
+				// the trie: its writer logs it after it returns.
+				to := applied.Load() + 1
+				perClient := map[string]byte{}
+				for j, sub := range got {
+					if j > 0 && got[j-1].clientID >= sub.clientID {
+						t.Errorf("topic %q: not strictly ascending: %v", topic, collectClients(got))
+						return
+					}
+					perClient[sub.clientID] = sub.qos
+				}
+				reads[k] = append(reads[k], read{from, to, topic, key(perClient)})
+			}
+		}()
+	}
+	writers.Wait()
+	done.Store(true)
+	readers.Wait()
+
+	replay := newSubTrie()
+	states := make([]map[string]string, 0, len(log)+1)
+	for i := 0; ; i++ {
+		st := map[string]string{}
+		for _, topic := range topics {
+			st[topic] = key(dedupMaxQoS(replay.matchAll(topic)))
+		}
+		states = append(states, st)
+		if i == len(log) {
+			break
+		}
+		apply(replay, log[i])
+	}
+	checked := 0
+	for _, rs := range reads {
+		for _, rd := range rs {
+			ok := false
+			for v := rd.from; v <= rd.to && v < int64(len(states)); v++ {
+				ok = ok || states[v][rd.topic] == rd.got
+			}
+			if !ok {
+				t.Fatalf("topic %q: delivery set {%s} is no trie state in %d..%d", rd.topic, rd.got, rd.from, rd.to)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no read was checked")
+	}
+}
+
 // The delivery path allocates nothing per subscriber: matching works in
 // pooled scratch and an in-process subscriber gets its Message by value.
 // (The race detector makes sync.Pool drop entries at random, so the

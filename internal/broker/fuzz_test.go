@@ -3,8 +3,10 @@ package broker
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -60,6 +62,43 @@ func FuzzReadPacket(f *testing.F) {
 		}
 		if !reflect.DeepEqual(p, q) {
 			t.Fatalf("decode(encode(p)) != p:\n  p = %+v\n  q = %+v", p, q)
+		}
+	})
+}
+
+// validateTopicNameScans is ValidateTopicName as three scans of the
+// topic (length, wildcards, NUL), kept as the one-pass version's oracle.
+func validateTopicNameScans(topic string) error {
+	if topic == "" {
+		return fmt.Errorf("mqtt: empty topic")
+	}
+	if len(topic) > maxTopicLength {
+		return fmt.Errorf("mqtt: topic too long (%d bytes)", len(topic))
+	}
+	if strings.ContainsAny(topic, "+#") {
+		return fmt.Errorf("mqtt: wildcards not allowed in topic name %q", topic)
+	}
+	if strings.ContainsRune(topic, 0) {
+		return fmt.Errorf("mqtt: NUL in topic name")
+	}
+	return nil
+}
+
+// FuzzValidateTopicName: the one-pass ValidateTopicName accepts exactly
+// what the three-scan version does and refuses the rest with the same
+// error text.
+func FuzzValidateTopicName(f *testing.F) {
+	for _, seed := range []string{
+		"", "a", "digibox/O1/status", "a/+/b", "a/#", "+", "#", "a\x00b",
+		"a\x00+", "\x00#", "\xff+\x80", "$SYS/x", "//", strings.Repeat("a", maxTopicLength),
+		strings.Repeat("a", maxTopicLength+1),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, topic string) {
+		got, want := ValidateTopicName(topic), validateTopicNameScans(topic)
+		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+			t.Fatalf("ValidateTopicName(%q) = %v, three scans give %v", topic, got, want)
 		}
 	})
 }

@@ -2,15 +2,20 @@ package broker
 
 import (
 	"fmt"
+	"maps"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
 // ValidateTopicName checks a concrete topic used in PUBLISH: non-empty,
-// no wildcards, no NUL, within the length limit (spec §4.7).
+// no wildcards, no NUL, within the length limit (spec §4.7). It makes
+// one pass over the bytes; a wildcard anywhere is reported before a
+// NUL. Every bridge forward runs it again on the receiving shard.
 func ValidateTopicName(topic string) error {
 	if topic == "" {
 		return fmt.Errorf("mqtt: empty topic")
@@ -18,10 +23,16 @@ func ValidateTopicName(topic string) error {
 	if len(topic) > maxTopicLength {
 		return fmt.Errorf("mqtt: topic too long (%d bytes)", len(topic))
 	}
-	if strings.ContainsAny(topic, "+#") {
-		return fmt.Errorf("mqtt: wildcards not allowed in topic name %q", topic)
+	nul := false
+	for i := 0; i < len(topic); i++ {
+		switch topic[i] {
+		case '+', '#':
+			return fmt.Errorf("mqtt: wildcards not allowed in topic name %q", topic)
+		case 0:
+			nul = true
+		}
 	}
-	if strings.ContainsRune(topic, 0) {
+	if nul {
 		return fmt.Errorf("mqtt: NUL in topic name")
 	}
 	return nil
@@ -124,18 +135,29 @@ func overlapLevels(a, b []string) bool {
 // subTrie indexes subscriptions by topic filter for O(levels) matching
 // instead of scanning every subscription per publish. Each node maps a
 // topic level to children, with the special child keys "+" and "#".
+//
+// A publish takes no lock and writes nothing, so publishers on two
+// cores share no written line here. A published node's children never
+// change: a write that adds or prunes a node path-copies, copying only
+// the nodes on its path and sharing every other subtree, and stores a
+// new root. A subscribe to a filter whose node exists, or an
+// unsubscribe that leaves its node in use, only swaps that node's
+// subscriber list, which is never changed in place either. Writers
+// serialise on mu and keep seq odd while they write; a publish that
+// sees seq move retries, so it sees every write whole or not at all.
 type subTrie struct {
-	mu   sync.RWMutex
-	root *trieNode
+	mu   sync.Mutex    // serialises writers
+	seq  atomic.Uint64 // odd while a write is under way
+	root atomic.Pointer[trieNode]
 }
 
 type trieNode struct {
-	children map[string]*trieNode
+	children map[string]*trieNode // nil when the node has none
 	// plus and hash are children["+"] and children["#"], kept in step
 	// by setChild and dropChild, so a match walk looks up only the
 	// concrete level in the map.
 	plus, hash *trieNode
-	subs       []*subscription // one per client, ascending by client id
+	subs       atomic.Pointer[[]*subscription] // one per client, ascending by client id
 }
 
 type subscription struct {
@@ -149,20 +171,68 @@ type subscription struct {
 }
 
 func newSubTrie() *subTrie {
-	return &subTrie{root: newTrieNode()}
+	t := &subTrie{}
+	t.root.Store(&trieNode{})
+	return t
 }
 
-func newTrieNode() *trieNode {
-	return &trieNode{children: map[string]*trieNode{}}
+// write runs one write to the trie: serialised, and with seq odd, so
+// no publish keeps a delivery set read while it ran.
+func (t *subTrie) write(change func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.seq.Add(1)
+	defer t.seq.Add(1)
+	change()
 }
 
-// setChild adds child under level lv.
+// settled waits out a write under way and returns seq. A read that
+// finds seq unchanged after it saw no write.
+func (t *subTrie) settled() uint64 {
+	for {
+		if seq := t.seq.Load(); seq&1 == 0 {
+			return seq
+		}
+		runtime.Gosched()
+	}
+}
+
+// list returns the node's subscribers.
+func (n *trieNode) list() []*subscription {
+	if p := n.subs.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// setList replaces the node's subscribers with subs, a fresh slice.
+func (n *trieNode) setList(subs []*subscription) {
+	n.subs.Store(&subs)
+}
+
+// clone returns a copy of n that a writer may change before it
+// publishes it: its own children map, every child and the subscriber
+// list still shared. A nil n clones to an empty node.
+func (n *trieNode) clone() *trieNode {
+	c := &trieNode{}
+	if n != nil {
+		c.children, c.plus, c.hash = maps.Clone(n.children), n.plus, n.hash
+		c.subs.Store(n.subs.Load())
+	}
+	return c
+}
+
+// setChild adds child under level lv. n must be an unpublished clone.
 func (n *trieNode) setChild(lv string, child *trieNode) {
+	if n.children == nil {
+		n.children = map[string]*trieNode{}
+	}
 	n.children[lv] = child
 	n.link(lv, child)
 }
 
-// dropChild removes the child under level lv.
+// dropChild removes the child under level lv. n must be an
+// unpublished clone.
 func (n *trieNode) dropChild(lv string) {
 	delete(n.children, lv)
 	n.link(lv, nil)
@@ -179,90 +249,166 @@ func (n *trieNode) link(lv string, child *trieNode) {
 
 // empty reports whether the node holds no subscription and no child.
 func (n *trieNode) empty() bool {
-	return len(n.children) == 0 && len(n.subs) == 0
+	return len(n.children) == 0 && len(n.list()) == 0
 }
 
 // find returns clientID's position in the node's sorted subscriber
 // list and whether it is there.
 func (n *trieNode) find(clientID string) (int, bool) {
-	return slices.BinarySearchFunc(n.subs, clientID, func(s *subscription, id string) int {
+	return slices.BinarySearchFunc(n.list(), clientID, func(s *subscription, id string) int {
 		return strings.Compare(s.clientID, id)
 	})
 }
 
-// subscribe inserts or replaces a client's subscription to filter.
-func (t *subTrie) subscribe(sub *subscription) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	node := t.root
-	for rest, more := sub.filter, true; more; {
+// withoutSub returns an unpublished copy of n lacking subscriber i, and
+// whether the copy is empty.
+func (n *trieNode) withoutSub(i int) (*trieNode, bool) {
+	c := n.clone()
+	subs := n.list()
+	c.setList(slices.Concat(subs[:i], subs[i+1:]))
+	return c, c.empty()
+}
+
+// lookup returns the node filter leads to, or nil.
+func (n *trieNode) lookup(filter string) *trieNode {
+	for rest, more := filter, true; more && n != nil; {
 		var lv string
 		lv, rest, more = strings.Cut(rest, "/")
-		next, ok := node.children[lv]
-		if !ok {
-			next = newTrieNode()
-			node.setChild(lv, next)
+		n = n.children[lv]
+	}
+	return n
+}
+
+// subscribe inserts or replaces a client's subscription to filter.
+func (t *subTrie) subscribe(sub *subscription) {
+	t.write(func() {
+		root := t.root.Load()
+		leaf := root.lookup(sub.filter)
+		if leaf == nil {
+			t.root.Store(subscribeAt(root, sub.filter, sub))
+			return
 		}
-		node = next
-	}
-	if i, ok := node.find(sub.clientID); ok {
-		node.subs[i] = sub
+		subs := leaf.list()
+		if i, ok := leaf.find(sub.clientID); ok {
+			subs = slices.Clone(subs)
+			subs[i] = sub
+		} else {
+			// Clip makes Insert copy: the old list stays as readers saw it.
+			subs = slices.Insert(slices.Clip(subs), i, sub)
+		}
+		leaf.setList(subs)
+	})
+}
+
+// subscribeAt returns an unpublished copy of node (nil: a new node) in
+// which the path filter, relative to node, leads to a new node holding
+// only sub.
+func subscribeAt(node *trieNode, filter string, sub *subscription) *trieNode {
+	n := node.clone()
+	lv, rest, more := strings.Cut(filter, "/")
+	var child *trieNode
+	if more {
+		child = subscribeAt(n.children[lv], rest, sub)
 	} else {
-		node.subs = slices.Insert(node.subs, i, sub)
+		child = &trieNode{}
+		child.setList([]*subscription{sub})
 	}
+	n.setChild(lv, child)
+	return n
 }
 
 // unsubscribe removes a client's subscription to filter, pruning empty
 // branches. It reports whether the subscription existed.
 func (t *subTrie) unsubscribe(clientID, filter string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return unsubscribeAt(t.root, filter, clientID)
+	var removed bool
+	t.write(func() {
+		root := t.root.Load()
+		leaf := root.lookup(filter)
+		if leaf == nil {
+			return
+		}
+		i, ok := leaf.find(clientID)
+		if !ok {
+			return
+		}
+		removed = true
+		if subs := leaf.list(); len(subs) > 1 || len(leaf.children) > 0 {
+			leaf.setList(slices.Concat(subs[:i], subs[i+1:]))
+			return
+		}
+		// The leaf empties: prune it, and every node left empty above it.
+		root, _ = unsubscribeAt(root, filter, clientID)
+		t.root.Store(root)
+	})
+	return removed
 }
 
-// unsubscribeAt removes clientID from the node that filter, a path
-// relative to node, leads to.
-func unsubscribeAt(node *trieNode, filter, clientID string) bool {
+// unsubscribeAt returns an unpublished copy of node without clientID's
+// subscription at filter, a path relative to node, and whether the
+// copy is empty. It returns nil when the subscription is not there.
+func unsubscribeAt(node *trieNode, filter, clientID string) (*trieNode, bool) {
 	lv, rest, more := strings.Cut(filter, "/")
 	child, ok := node.children[lv]
 	if !ok {
-		return false
+		return nil, false
 	}
-	var removed bool
+	var next *trieNode
+	var empty bool
 	if more {
-		removed = unsubscribeAt(child, rest, clientID)
+		next, empty = unsubscribeAt(child, rest, clientID)
 	} else if i, ok := child.find(clientID); ok {
-		child.subs = slices.Delete(child.subs, i, i+1)
-		removed = true
+		next, empty = child.withoutSub(i)
 	}
-	if removed && child.empty() {
-		node.dropChild(lv)
+	if next == nil {
+		return nil, false
 	}
-	return removed
+	n := node.clone()
+	if empty {
+		n.dropChild(lv)
+	} else {
+		n.setChild(lv, next)
+	}
+	return n, n.empty()
 }
 
 // removeClient drops every subscription held by a client (on clean
 // disconnect) and returns the removed filters so callers can fire
 // unsubscribe hooks for each.
 func (t *subTrie) removeClient(clientID string) []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var removed []string
-	pruneClient(t.root, clientID, &removed)
+	t.write(func() {
+		if root := pruneClient(t.root.Load(), clientID, &removed); root != nil {
+			t.root.Store(root)
+		}
+	})
 	return removed
 }
 
-func pruneClient(node *trieNode, clientID string, removed *[]string) {
+// pruneClient returns an unpublished copy of node without any of
+// clientID's subscriptions beneath it, copying only the nodes that lose
+// one or lead to one that does. It returns nil when nothing beneath
+// node is clientID's.
+func pruneClient(node *trieNode, clientID string, removed *[]string) *trieNode {
+	var n *trieNode
 	if i, ok := node.find(clientID); ok {
-		*removed = append(*removed, node.subs[i].filter)
-		node.subs = slices.Delete(node.subs, i, i+1)
+		*removed = append(*removed, node.list()[i].filter)
+		n, _ = node.withoutSub(i)
 	}
 	for lv, child := range node.children {
-		pruneClient(child, clientID, removed)
-		if child.empty() {
-			node.dropChild(lv)
+		next := pruneClient(child, clientID, removed)
+		if next == nil {
+			continue
+		}
+		if n == nil {
+			n = node.clone()
+		}
+		if next.empty() {
+			n.dropChild(lv)
+		} else {
+			n.setChild(lv, next)
 		}
 	}
+	return n
 }
 
 // matchScratch is one publish's working memory, pooled so matching
@@ -288,9 +434,14 @@ func (sc *matchScratch) release() {
 // MQTT overlapping-subscription rule — ascending by client id. The
 // result lives in sc and is valid until sc.release.
 func (t *subTrie) deliverySet(topic string, sc *matchScratch) []*subscription {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	lists := gather(t.root, topic, !strings.HasPrefix(topic, "$"), sc.lists[:0])
+	var lists [][]*subscription
+	for {
+		seq := t.settled()
+		lists = gather(t.root.Load(), topic, !strings.HasPrefix(topic, "$"), sc.lists[:0])
+		if t.seq.Load() == seq {
+			break
+		}
+	}
 	out := sc.out[:0]
 	// k-way merge of the sorted lists; k is the handful of matched nodes.
 	for {
@@ -329,7 +480,7 @@ func gather(node *trieNode, rest string, wild bool, lists [][]*subscription) [][
 	if wild {
 		kids[1] = node.plus
 		if node.hash != nil {
-			lists = append(lists, node.hash.subs)
+			lists = append(lists, node.hash.list())
 		}
 	}
 	for _, child := range kids {
@@ -338,10 +489,10 @@ func gather(node *trieNode, rest string, wild bool, lists [][]*subscription) [][
 		case more:
 			lists = gather(child, rest, true, lists)
 		default:
-			lists = append(lists, child.subs)
+			lists = append(lists, child.list())
 			// "a/#" matches "a": a child "#" at the exact end also fires.
 			if child.hash != nil {
-				lists = append(lists, child.hash.subs)
+				lists = append(lists, child.hash.list())
 			}
 		}
 	}
@@ -351,13 +502,17 @@ func gather(node *trieNode, rest string, wild bool, lists [][]*subscription) [][
 // countSubscriptions returns the total number of stored subscriptions
 // (used by tests and broker stats).
 func (t *subTrie) countSubscriptions() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return countAt(t.root)
+	for {
+		seq := t.settled()
+		n := countAt(t.root.Load())
+		if t.seq.Load() == seq {
+			return n
+		}
+	}
 }
 
 func countAt(node *trieNode) int {
-	n := len(node.subs)
+	n := len(node.list())
 	for _, c := range node.children {
 		n += countAt(c)
 	}

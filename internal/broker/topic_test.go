@@ -273,20 +273,18 @@ func collectClients(subs []*subscription) []string {
 // overlapping filters appearing once per filter, in no particular order.
 func (t *subTrie) matchAll(topic string) []*subscription {
 	levels := strings.Split(topic, "/")
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	var out []*subscription
 	skipWild := strings.HasPrefix(topic, "$")
-	matchAt(t.root, levels, skipWild, &out)
+	matchAt(t.root.Load(), levels, skipWild, &out)
 	return out
 }
 
 func matchAt(node *trieNode, levels []string, firstLevelNoWild bool, out *[]*subscription) {
 	if len(levels) == 0 {
-		*out = append(*out, node.subs...)
+		*out = append(*out, node.list()...)
 		// "a/#" matches "a": a child "#" at the exact end also fires.
 		if hash, ok := node.children["#"]; ok {
-			*out = append(*out, hash.subs...)
+			*out = append(*out, hash.list()...)
 		}
 		return
 	}
@@ -299,7 +297,7 @@ func matchAt(node *trieNode, levels []string, firstLevelNoWild bool, out *[]*sub
 			matchAt(child, levels[1:], false, out)
 		}
 		if child, ok := node.children["#"]; ok {
-			*out = append(*out, child.subs...)
+			*out = append(*out, child.list()...)
 		}
 	}
 }
@@ -449,7 +447,7 @@ func TestTrieWildcardLinksStayInStep(t *testing.T) {
 		trie := newSubTrie()
 		live := map[string]map[string]bool{} // client -> filters
 		pruned := map[string]bool{}
-		before := wildcardNodes(trie.root, "")
+		before := wildcardNodes(trie.root.Load(), "")
 		for step := 0; step < 60; step++ {
 			client := fmt.Sprintf("c%d", r.Intn(3))
 			switch op := r.Intn(10); {
@@ -476,8 +474,8 @@ func TestTrieWildcardLinksStayInStep(t *testing.T) {
 				trie.removeClient(client)
 				delete(live, client)
 			}
-			checkWildcardLinks(t, trie.root, "")
-			after := wildcardNodes(trie.root, "")
+			checkWildcardLinks(t, trie.root.Load(), "")
+			after := wildcardNodes(trie.root.Load(), "")
 			for path := range before {
 				if !after[path] {
 					pruned[path] = true

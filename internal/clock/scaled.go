@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -59,8 +60,7 @@ type Scaled struct {
 	anchorWall time.Time
 	anchorVirt time.Time
 
-	mu      sync.Mutex
-	driving bool // Drive is running: SleepUntil may grant in place
+	driving atomic.Bool // Drive is running: SleepUntil may grant in place
 
 	wake     chan struct{}
 	stop     chan struct{}
@@ -154,8 +154,8 @@ func (s *Scaled) Run(deadline time.Time, cont func() bool) {
 // when no timers are armed instead of racing ahead.
 func (s *Scaled) Drive() {
 	const idleQuantum = 5 * time.Millisecond
-	s.setDriving(true)
-	defer s.setDriving(false)
+	s.driving.Store(true)
+	defer s.driving.Store(false)
 	for {
 		if s.Stopped() {
 			return
@@ -190,20 +190,19 @@ func (s *Scaled) Drive() {
 	}
 }
 
-func (s *Scaled) setDriving(on bool) {
-	s.mu.Lock()
-	s.driving = on
-	s.mu.Unlock()
-}
-
 // grant is SleepUntil's fast path: while Drive runs unpaced, a wait
 // for at that nothing armed precedes is the timer the driver would
 // fire next, so the clock moves to at in place instead of arming it.
 // It reports whether the wait is over.
+//
+// It takes only the Virtual lock, in grantIdle. A grant that reads
+// driving just before Drive exits may move the clock after the exit;
+// it is still ordered before it. Drive exits only once Stop is
+// called, does nothing after its last step but clear driving, and
+// nothing waits on its return. So the grant, atomic under the Virtual
+// lock, is one that Drive could have allowed before it saw Stop.
 func (s *Scaled) grant(at time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.driving || !math.IsInf(s.factor, 1) || s.Stopped() {
+	if !s.driving.Load() || !math.IsInf(s.factor, 1) || s.Stopped() {
 		return false
 	}
 	return s.Virtual.grantIdle(at)

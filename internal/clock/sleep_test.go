@@ -22,13 +22,7 @@ func drive(t *testing.T, s *Scaled) {
 		s.Stop()
 		<-done
 	})
-	for {
-		s.mu.Lock()
-		on := s.driving
-		s.mu.Unlock()
-		if on {
-			return
-		}
+	for !s.driving.Load() {
 		runtime.Gosched()
 	}
 }
@@ -110,11 +104,11 @@ func TestSleepUntilYieldsToEarlierTimer(t *testing.T) {
 	s.AfterFunc(early.Sub(Epoch), func() { sawAt <- s.Now() })
 	// Whatever the driver has reached, the grant refuses a wait past an
 	// armed timer.
-	s.setDriving(true)
+	s.driving.Store(true)
 	if s.grant(at) || s.grant(early) {
 		t.Fatal("a wait at or past an armed timer was granted in place")
 	}
-	s.setDriving(false)
+	s.driving.Store(false)
 	drive(t, s)
 	if err := SleepUntil(context.Background(), s, at); err != nil {
 		t.Fatal(err)

@@ -33,27 +33,32 @@ const defaultSpanSampling = 8
 //
 // Slots are a fixed ring indexed by span id; End is non-destructive
 // so a fan-out of N subscribers yields N latency samples from one
-// span.
+// span. Every broker of a testbed or swarm pool shares one tracer, so
+// the fields each routed message reads sit apart from ids, which
+// StartSeq writes only for a sampled message.
 type Tracer struct {
 	clk   clock.Clock
-	ids   atomic.Uint64
 	every atomic.Uint64 // sample 1-in-every messages; >= 1
-	slots [spanSlots]spanSlot
 
 	started   *Counter
 	completed *Counter
 	byDigi    *HistogramVec
 	byClass   *HistogramVec
 
-	mu     sync.Mutex
-	onSpan func(from, topic string, elapsed time.Duration)
+	onSpan atomic.Pointer[spanFunc]
 
 	// cached With lookups for repeat label tuples, so End costs one
-	// RLock-free map read instead of a family-lock map access.
-	cacheMu sync.RWMutex
-	digiH   map[string]*Histogram
-	classH  map[string]*Histogram
+	// lock-free map read instead of a family-lock map access.
+	digiH  sync.Map // publisher -> *Histogram
+	classH sync.Map // topic class -> *Histogram
+
+	_     [64]byte
+	ids   atomic.Uint64
+	_     [56]byte
+	slots [spanSlots]spanSlot
 }
+
+type spanFunc func(from, topic string, elapsed time.Duration)
 
 type spanSlot struct {
 	mu    sync.Mutex
@@ -77,8 +82,6 @@ func NewTracer(r *Registry) *Tracer {
 			"end-to-end publish→deliver MQTT latency by publisher (the digi or client that sent the message)", nil, "digi"),
 		byClass: r.HistogramVec(E2ETopicLatencyName,
 			"end-to-end publish→deliver MQTT latency by topic class", nil, "class"),
-		digiH:  map[string]*Histogram{},
-		classH: map[string]*Histogram{},
 	}
 	t.every.Store(defaultSpanSampling)
 	return t
@@ -113,23 +116,44 @@ func (t *Tracer) OnSpan(fn func(from, topic string, elapsed time.Duration)) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.onSpan = fn
-	t.mu.Unlock()
+	if fn == nil {
+		t.onSpan.Store(nil)
+		return
+	}
+	f := spanFunc(fn)
+	t.onSpan.Store(&f)
 }
 
 // Start opens a span for a message published by from (a digi name or
-// wire client id; "" for anonymous in-process publishes) on topic.
-// Returns the id to stamp on the outbound message copies, or 0 when
-// this message falls outside the sampling interval.
+// wire client id; "" for anonymous in-process publishes) on topic,
+// sampling on the tracer's own count of Start calls. Returns the id to
+// stamp on the outbound message copies, or 0 when this message falls
+// outside the sampling interval.
 func (t *Tracer) Start(from, topic string) SpanID {
 	if t == nil {
 		return 0
 	}
 	id := t.ids.Add(1)
-	if e := t.every.Load(); e > 1 && id%e != 0 {
+	if id%t.every.Load() != 0 {
 		return 0
 	}
+	return t.open(id, from, topic)
+}
+
+// StartSeq is Start for the seq-th message a broker routed (seq counts
+// from 1): it samples on the broker's own sequence, so a message
+// outside the interval writes nothing the tracer's other brokers
+// write. Only a sampled message draws a span id from the shared
+// counter, which keeps ids unique across brokers.
+func (t *Tracer) StartSeq(seq uint64, from, topic string) SpanID {
+	if t == nil || seq%t.every.Load() != 0 {
+		return 0
+	}
+	return t.open(t.ids.Add(1), from, topic)
+}
+
+// open stamps span id's slot.
+func (t *Tracer) open(id uint64, from, topic string) SpanID {
 	s := &t.slots[id%spanSlots]
 	now := t.clk.Now()
 	s.mu.Lock()
@@ -162,11 +186,8 @@ func (t *Tracer) End(id SpanID) {
 	t.classHist(TopicClass(topic)).Observe(sec)
 	t.completed.Inc()
 
-	t.mu.Lock()
-	fn := t.onSpan
-	t.mu.Unlock()
-	if fn != nil {
-		fn(from, topic, elapsed)
+	if fn := t.onSpan.Load(); fn != nil {
+		(*fn)(from, topic, elapsed)
 	}
 }
 
@@ -174,29 +195,18 @@ func (t *Tracer) digiHist(from string) *Histogram {
 	if from == "" {
 		from = "(app)" // anonymous in-process publisher
 	}
-	t.cacheMu.RLock()
-	h, ok := t.digiH[from]
-	t.cacheMu.RUnlock()
-	if ok {
-		return h
-	}
-	h = t.byDigi.With(from)
-	t.cacheMu.Lock()
-	t.digiH[from] = h
-	t.cacheMu.Unlock()
-	return h
+	return cachedWith(&t.digiH, t.byDigi, from)
 }
 
 func (t *Tracer) classHist(class string) *Histogram {
-	t.cacheMu.RLock()
-	h, ok := t.classH[class]
-	t.cacheMu.RUnlock()
-	if ok {
-		return h
+	return cachedWith(&t.classH, t.byClass, class)
+}
+
+// cachedWith returns vec's child for label through cache.
+func cachedWith(cache *sync.Map, vec *HistogramVec, label string) *Histogram {
+	if h, ok := cache.Load(label); ok {
+		return h.(*Histogram)
 	}
-	h = t.byClass.With(class)
-	t.cacheMu.Lock()
-	t.classH[class] = h
-	t.cacheMu.Unlock()
-	return h
+	h, _ := cache.LoadOrStore(label, vec.With(label))
+	return h.(*Histogram)
 }

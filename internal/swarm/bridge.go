@@ -61,7 +61,7 @@ type bridge struct {
 	// swarm run publishes under one identity, so one entry suffices.
 	lastFrom atomic.Pointer[forwardedFrom]
 
-	forwards int64 // publishes forwarded shard-to-shard
+	forwards []paddedCount // publishes forwarded shard-to-shard, per source shard
 }
 
 // refs counts, per shard, the live subscriptions to one filter.
@@ -92,7 +92,7 @@ type forward struct {
 }
 
 func newBridge(shards int) *bridge {
-	br := &bridge{wild: map[string]refs{}}
+	br := &bridge{wild: map[string]refs{}, forwards: make([]paddedCount, shards)}
 	br.view.Store(&routeView{
 		shards:  make([]*broker.Broker, shards),
 		severed: make([]bool, shards),
@@ -209,7 +209,7 @@ func (br *bridge) routeHook(i int) func(from, topic string, payload []byte, qos 
 				br.spill(f.gate, pendForward, f.target, from, topic, payload, qos, retain)
 				continue
 			}
-			atomic.AddInt64(&br.forwards, 1)
+			br.forwards[i].Add(1)
 			// Validation already passed on the receiving shard; the only
 			// surviving error is ErrClosed from a shard dying between the
 			// liveness check and the forward — journal it like any other
@@ -290,5 +290,5 @@ func (r refs) unused() bool {
 }
 
 func (br *bridge) forwardCount() int64 {
-	return atomic.LoadInt64(&br.forwards)
+	return sumCounts(br.forwards)
 }

@@ -21,16 +21,14 @@ type delivery struct {
 
 // Shard returns shard i.
 func (p *Pool) Shard(i int) *broker.Broker {
-	p.topo.RLock()
-	defer p.topo.RUnlock()
+	defer p.topo.rlock(0).RUnlock()
 	return p.shards[i]
 }
 
 // ShardFor returns the shard index a key (topic or client id) is
 // placed on — among the currently alive shards.
 func (p *Pool) ShardFor(key string) int {
-	p.topo.RLock()
-	defer p.topo.RUnlock()
+	defer p.topo.rlock(0).RUnlock()
 	return p.ring.shardFor(key)
 }
 

@@ -132,11 +132,11 @@ func (j *pendJournal) shedCount() int64 {
 // The "down" shard event counts re-anchors and journal replays that
 // failed under "errors".
 func (p *Pool) failover(dead int, killed *broker.Broker, died time.Time) {
-	p.topo.Lock()
+	p.topo.lock()
 	if p.closed || p.shards[dead] != killed || p.ring.isDown(dead) || p.ring.alive <= 1 {
 		// Pool closed, shard revived or already handled, or no survivor
 		// exists to take over.
-		p.topo.Unlock()
+		p.topo.unlock()
 		return
 	}
 	p.failing.Add(1)
@@ -192,7 +192,7 @@ func (p *Pool) failover(dead int, killed *broker.Broker, died time.Time) {
 		}
 	}
 	redelivered, unflushed := p.flushGateLocked(dead, -1)
-	p.topo.Unlock()
+	p.topo.unlock()
 
 	elapsed := p.clk.Since(died).Seconds()
 	p.statMu.Lock()
@@ -223,7 +223,7 @@ func (p *Pool) flushGateLocked(gate, skipRetainedTo int) (redelivered, failed in
 		case pendPublish:
 			// Nobody saw this message: replay through the current ring
 			// for the full fan-out.
-			if p.publishLocked(m.from, m.topic, m.payload, m.qos, m.retain) != nil {
+			if p.publishLocked(hashKey(m.topic), m.from, m.topic, m.payload, m.qos, m.retain) != nil {
 				failed++
 			}
 		case pendForward:
@@ -289,8 +289,8 @@ func (p *Pool) redeliverLocked(moved map[string]bool, m pendingMsg) int {
 // failover DetectAfter later, ahead of any revive the caller arms next.
 // Killing a dead shard is a no-op.
 func (p *Pool) KillShard(i int) error {
-	p.topo.Lock()
-	defer p.topo.Unlock()
+	p.topo.lock()
+	defer p.topo.unlock()
 	if i < 0 || i >= len(p.shards) {
 		return fmt.Errorf("swarm: kill-shard %d: pool has %d shards", i, len(p.shards))
 	}
@@ -314,9 +314,9 @@ func (p *Pool) KillShard(i int) error {
 // is sticky, and the bridge makes placement a performance detail, not
 // a correctness one.
 func (p *Pool) ReviveShard(i int) error {
-	p.topo.Lock()
+	p.topo.lock()
 	if i < 0 || i >= len(p.shards) {
-		p.topo.Unlock()
+		p.topo.unlock()
 		return fmt.Errorf("swarm: revive-shard %d: pool has %d shards", i, len(p.shards))
 	}
 	if t := p.detect[i]; t != nil {
@@ -356,7 +356,7 @@ func (p *Pool) ReviveShard(i int) error {
 		skipRetained = i // retained already seeded from the donor replica
 	}
 	p.flushGateLocked(i, skipRetained)
-	p.topo.Unlock()
+	p.topo.unlock()
 	p.shardUp.With(strconv.Itoa(i)).Set(1)
 	p.opts.Bus.Publish("shard", map[string]any{"shard": i, "state": "up"})
 	return nil
@@ -367,8 +367,8 @@ func (p *Pool) ReviveShard(i int) error {
 // its own clients; cross-shard traffic parks in the journal until
 // HealShard.
 func (p *Pool) PartitionShard(i int) error {
-	p.topo.Lock()
-	defer p.topo.Unlock()
+	p.topo.lock()
+	defer p.topo.unlock()
 	if i < 0 || i >= len(p.shards) {
 		return fmt.Errorf("swarm: partition-shard %d: pool has %d shards", i, len(p.shards))
 	}
@@ -380,8 +380,8 @@ func (p *Pool) PartitionShard(i int) error {
 // the partition parked, in publish order. Concurrent retained writes
 // during the partition resolve last-flush-wins.
 func (p *Pool) HealShard(i int) error {
-	p.topo.Lock()
-	defer p.topo.Unlock()
+	p.topo.lock()
+	defer p.topo.unlock()
 	if i < 0 || i >= len(p.shards) {
 		return fmt.Errorf("swarm: heal-shard %d: pool has %d shards", i, len(p.shards))
 	}

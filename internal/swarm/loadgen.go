@@ -191,7 +191,8 @@ type Generator struct {
 	clk     clock.Clock
 	origin  time.Time // scenario offset 0 on clk, shared by every worker
 	sampler *profile.Sampler
-	count   int64
+	// counts holds each worker's fire calls on a line of its own.
+	counts []paddedCount
 	// tap, when set, sees every message just before fire, with the
 	// scenario offset the sampler scheduled it at (Session.SetTap).
 	tap func(at time.Duration, device int, payload []byte)
@@ -213,7 +214,7 @@ func NewGenerator(spec LoadSpec, fire Fire) (*Generator, error) {
 	}
 	// Explicit population counts can exceed the Devices budget.
 	spec.Devices = s.Devices()
-	g := &Generator{spec: spec, fire: fire, sampler: s}
+	g := &Generator{spec: spec, fire: fire, sampler: s, counts: make([]paddedCount, spec.Workers)}
 	g.SetClock(nil)
 	return g, nil
 }
@@ -239,7 +240,25 @@ func (g *Generator) Spec() LoadSpec { return g.spec }
 func (g *Generator) Workers() int { return g.spec.Workers }
 
 // Published returns the number of fire calls made so far.
-func (g *Generator) Published() int64 { return atomic.LoadInt64(&g.count) }
+func (g *Generator) Published() int64 { return sumCounts(g.counts) }
+
+// paddedCount is a counter with one writer among several (a generator
+// worker, a bridge source shard), padded so that no two share a cache
+// line. A slice of them is allocated in a 64-byte multiple, which Go's
+// size classes align to 64 bytes.
+type paddedCount struct {
+	atomic.Int64
+	_ [56]byte
+}
+
+// sumCounts reads a set of per-writer counters.
+func sumCounts(cs []paddedCount) int64 {
+	var n int64
+	for i := range cs {
+		n += cs[i].Load()
+	}
+	return n
+}
 
 // pendArrival is one scheduled message waiting to fire.
 type pendArrival struct {
@@ -334,7 +353,7 @@ func (g *Generator) RunWorker(ctx context.Context, w int) error {
 		}
 		g.fire(next.device, seq, next.payload)
 		seq++
-		atomic.AddInt64(&g.count, 1)
+		g.counts[w].Add(1)
 		if at, payload := g.sampler.NextFire(next.device); at < g.spec.Duration {
 			h.push(pendArrival{at, next.device, payload})
 		}

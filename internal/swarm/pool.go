@@ -69,16 +69,16 @@ type Pool struct {
 	opts PoolOptions
 	clk  clock.Clock
 
-	// topo is the placement epoch lock: Publish/Subscribe/Unsubscribe
-	// hold it shared for their whole operation (placement decision
-	// through delivery), failover/recovery/partition hold it exclusive.
-	// That exclusion is what makes a failover atomic with respect to
-	// in-flight pool publishes — the property the exactly-once
-	// redelivery accounting rests on. Wire-client publishes enter a
-	// shard directly and do not hold topo; their cross-shard deliveries
-	// during the failover instant are at-least-once (journal stragglers
-	// flush on revive/heal).
-	topo     sync.RWMutex
+	// topo is the placement epoch lock: Publish holds one stripe shared
+	// for its whole operation (placement decision through delivery);
+	// Subscribe, Unsubscribe, Close and failover/recovery/partition hold
+	// every stripe. That exclusion is what makes a failover atomic with
+	// respect to in-flight pool publishes — the property the
+	// exactly-once redelivery accounting rests on. Wire-client
+	// publishes enter a shard directly and do not hold topo; their
+	// cross-shard deliveries during the failover instant are
+	// at-least-once (journal stragglers flush on revive/heal).
+	topo     stripedRWMutex
 	shards   []*broker.Broker
 	ring     *ring
 	bridge   *bridge
@@ -193,16 +193,14 @@ func (p *Pool) bindMetrics(r *obs.Registry) {
 
 // NumShards returns the shard count.
 func (p *Pool) NumShards() int {
-	p.topo.RLock()
-	defer p.topo.RUnlock()
+	defer p.topo.rlock(0).RUnlock()
 	return len(p.shards)
 }
 
 // snapshotShards copies the shard slice under the placement lock so
 // gather-time metric funcs never race a ReviveShard swap.
 func (p *Pool) snapshotShards() []*broker.Broker {
-	p.topo.RLock()
-	defer p.topo.RUnlock()
+	defer p.topo.rlock(0).RUnlock()
 	out := make([]*broker.Broker, len(p.shards))
 	copy(out, p.shards)
 	return out
@@ -210,8 +208,7 @@ func (p *Pool) snapshotShards() []*broker.Broker {
 
 // DownShards lists the shards currently marked down, ascending.
 func (p *Pool) DownShards() []int {
-	p.topo.RLock()
-	defer p.topo.RUnlock()
+	defer p.topo.rlock(0).RUnlock()
 	var out []int
 	for i := range p.shards {
 		if p.ring.isDown(i) {
@@ -228,16 +225,16 @@ func (p *Pool) DownShards() []int {
 // redelivered after failover instead of failing — callers see nil,
 // and the exact-accounting gates see the delivery arrive late.
 func (p *Pool) Publish(from, topic string, payload []byte, qos byte, retain bool) error {
-	p.topo.RLock()
-	defer p.topo.RUnlock()
-	return p.publishLocked(from, topic, payload, qos, retain)
+	h := hashKey(topic)
+	defer p.topo.rlock(h).RUnlock()
+	return p.publishLocked(h, from, topic, payload, qos, retain)
 }
 
-// publishLocked is Publish under a held topo lock (shared or
-// exclusive) — the failover flush re-publishes journaled messages
-// through it while holding topo exclusively.
-func (p *Pool) publishLocked(from, topic string, payload []byte, qos byte, retain bool) error {
-	home := p.ring.shardFor(topic)
+// publishLocked is Publish under a held topo lock (a stripe shared, or
+// every stripe) — the failover flush re-publishes journaled messages
+// through it while holding topo exclusively. h is hashKey(topic).
+func (p *Pool) publishLocked(h uint64, from, topic string, payload []byte, qos byte, retain bool) error {
+	home := p.ring.shardAt(h)
 	err := p.shards[home].PublishQoS(from, topic, payload, qos, retain)
 	if err == broker.ErrClosed {
 		// The home shard died and its failover has not run yet:
@@ -260,8 +257,8 @@ func (p *Pool) publishLocked(from, topic string, payload []byte, qos byte, retai
 func (p *Pool) Subscribe(clientID, filter string, qos byte, fn func(broker.Message)) error {
 	// Exclusive, not shared: Subscribe mutates the client registry, and
 	// it is a setup-path call — publish throughput never goes through it.
-	p.topo.Lock()
-	defer p.topo.Unlock()
+	p.topo.lock()
+	defer p.topo.unlock()
 	owner := p.ring.shardFor(clientID)
 	if pc := p.reg[clientID]; pc != nil {
 		// Sticky anchoring: a client failover moved to a survivor stays
@@ -284,8 +281,8 @@ func (p *Pool) Subscribe(clientID, filter string, qos byte, fn func(broker.Messa
 
 // Unsubscribe removes a subscription registered with Subscribe.
 func (p *Pool) Unsubscribe(clientID, filter string) bool {
-	p.topo.Lock()
-	defer p.topo.Unlock()
+	p.topo.lock()
+	defer p.topo.unlock()
 	owner := p.ring.shardFor(clientID)
 	if pc := p.reg[clientID]; pc != nil {
 		owner = pc.owner
@@ -338,14 +335,14 @@ func (p *Pool) Stats() Stats {
 // Close disarms pending failure detections, waits for a failover
 // already under way, and shuts every shard down.
 func (p *Pool) Close() {
-	p.topo.Lock()
+	p.topo.lock()
 	p.closed = true
 	for _, t := range p.detect {
 		if t != nil {
 			t.Stop()
 		}
 	}
-	p.topo.Unlock()
+	p.topo.unlock()
 	p.failing.Wait()
 	for _, sh := range p.snapshotShards() {
 		sh.Close()
@@ -366,4 +363,37 @@ func RequiredShards(devices int) int {
 func (s Stats) String() string {
 	return fmt.Sprintf("shards=%d in=%d out=%d dropped=%d forwards=%d failovers=%d shed=%d",
 		len(s.Shards), s.PublishesIn, s.MessagesOut, s.Dropped, s.BridgeForwards, s.Failovers, s.Shed)
+}
+
+// topoStripes is the stripe count of the pool's placement lock.
+const topoStripes = 8
+
+// stripedRWMutex is a reader-writer lock split into stripes, each on
+// cache lines of its own. A reader locks the one stripe its key's hash
+// picks, so publishes on two cores write no common line; a writer
+// locks every stripe, in index order, and so excludes every reader.
+type stripedRWMutex struct {
+	stripes [topoStripes]struct {
+		sync.RWMutex
+		_ [64]byte
+	}
+}
+
+// rlock read-locks the stripe for hash h and returns it to unlock.
+func (m *stripedRWMutex) rlock(h uint64) *sync.RWMutex {
+	s := &m.stripes[h%topoStripes].RWMutex
+	s.RLock()
+	return s
+}
+
+func (m *stripedRWMutex) lock() {
+	for i := range m.stripes {
+		m.stripes[i].Lock()
+	}
+}
+
+func (m *stripedRWMutex) unlock() {
+	for i := range m.stripes {
+		m.stripes[i].Unlock()
+	}
 }

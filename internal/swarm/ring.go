@@ -94,7 +94,11 @@ func (r *ring) isDown(s int) bool {
 // shard down it degrades to the raw successor so callers always get a
 // valid index.
 func (r *ring) shardFor(key string) int {
-	h := hashKey(key)
+	return r.shardAt(hashKey(key))
+}
+
+// shardAt is shardFor for a key whose hashKey is h.
+func (r *ring) shardAt(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
