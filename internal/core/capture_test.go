@@ -123,8 +123,8 @@ func TestCaptureBrokerTap(t *testing.T) {
 		Schema: &model.Schema{Type: "Thermo", Version: "v1",
 			Fields: map[string]model.FieldSpec{"temp_c": {Kind: model.KindFloat, Default: 21.5}}},
 		DefaultInterval: 100 * time.Millisecond,
-		Loop: func(c *digi.Ctx, _ *model.Draft) error {
-			return c.Publish(map[string]any{"temp_c": 21.5})
+		Loop: func(c *digi.Ctx, work *model.Draft) error {
+			return c.PublishFields(work, "temp_c")
 		},
 	})
 	if err != nil {

@@ -34,7 +34,7 @@ func NewLamp() *digi.Kind {
 				v, _ := work.GetFloat("intensity.intent")
 				work.SetStatus("intensity", v)
 			}
-			return publishFields(c, work, "power", "intensity")
+			return c.PublishFields(work, "power", "intensity")
 		},
 	}
 }
@@ -67,7 +67,7 @@ func NewFan() *digi.Kind {
 				v, _ := work.GetInt("speed.intent")
 				work.SetStatus("speed", v)
 			}
-			return publishFields(c, work, "power", "speed")
+			return c.PublishFields(work, "power", "speed")
 		},
 	}
 }
@@ -121,7 +121,7 @@ func NewHVAC() *digi.Kind {
 			work.SetStatus("mode", work.GetString("mode.intent"))
 			t, _ := work.GetFloat("target_temp.intent")
 			work.SetStatus("target_temp", t)
-			return publishFields(c, work, "mode", "target_temp", "current_temp")
+			return c.PublishFields(work, "mode", "target_temp", "current_temp")
 		},
 	}
 }
@@ -155,7 +155,7 @@ func NewThermostat() *digi.Kind {
 			work.SetStatus("setpoint", sp)
 			cur, _ := work.GetFloat("temperature")
 			work.Set("calling", cur < sp-0.5)
-			return publishFields(c, work, "setpoint", "temperature", "calling")
+			return c.PublishFields(work, "setpoint", "temperature", "calling")
 		},
 	}
 }
@@ -189,7 +189,7 @@ func NewDoorLock() *digi.Kind {
 				}
 				work.SetStatus("locked", li)
 			}
-			return publishFields(c, work, "locked", "forced")
+			return c.PublishFields(work, "locked", "forced")
 		},
 	}
 }
@@ -228,7 +228,7 @@ func NewCamera() *digi.Kind {
 			if work.GetString("power.status") == "off" {
 				work.Set("motion", false)
 			}
-			return publishFields(c, work, "power", "motion", "frames")
+			return c.PublishFields(work, "power", "motion", "frames")
 		},
 	}
 }
@@ -259,7 +259,7 @@ func NewSmartPlug() *digi.Kind {
 			} else {
 				work.Set("watts", 0.0)
 			}
-			return publishFields(c, work, "power", "watts")
+			return c.PublishFields(work, "power", "watts")
 		},
 	}
 }

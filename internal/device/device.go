@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/digi"
-	"repro/internal/model"
 )
 
 // All returns every device kind in the library.
@@ -89,18 +88,6 @@ func rare(c *digi.Ctx, prob float64) bool {
 // false if the digi stopped while waiting.
 func actuate(c *digi.Ctx) bool {
 	return c.Sleep(c.ActuationDelay())
-}
-
-// publishFields collects the named top-level fields of a model into a
-// status message payload.
-func publishFields(c *digi.Ctx, work *model.Draft, fields ...string) error {
-	out := map[string]any{}
-	for _, f := range fields {
-		if v, ok := work.Get(f); ok {
-			out[f] = v
-		}
-	}
-	return c.Publish(out)
 }
 
 // defaultTick is the library-wide default loop interval; instances

@@ -2,6 +2,7 @@ package device
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -414,5 +415,98 @@ func TestOccupancyConfigurableProbability(t *testing.T) {
 		if work.GetBool("triggered") {
 			t.Fatal("triggered at probability 0")
 		}
+	}
+}
+
+// statusFields are the fields each kind's Sim publishes.
+var statusFields = map[string][]string{
+	"Occupancy":         {"triggered"},
+	"Underdesk":         {"triggered"},
+	"TemperatureSensor": {"temperature"},
+	"HumiditySensor":    {"humidity"},
+	"CO2Sensor":         {"ppm", "high"},
+	"SmokeDetector":     {"smoke", "alarm"},
+	"WindowSensor":      {"open"},
+	"AirQuality":        {"pm25", "aqi"},
+	"NoiseSensor":       {"db", "loud"},
+	"LeakSensor":        {"leak"},
+	"Lamp":              {"power", "intensity"},
+	"Fan":               {"power", "speed"},
+	"HVAC":              {"mode", "target_temp", "current_temp"},
+	"Thermostat":        {"setpoint", "temperature", "calling"},
+	"DoorLock":          {"locked", "forced"},
+	"Camera":            {"power", "motion", "frames"},
+	"SmartPlug":         {"power", "watts"},
+	"EnergyMeter":       {"watts", "kwh"},
+	"GPSTracker":        {"lat", "lon", "speed_kmh", "moving"},
+	"CargoSensor":       {"temperature", "humidity", "shock"},
+}
+
+// Every kind's status payload is json.Marshal of the map of its status
+// fields, as they stand in the draft Sim ran on: over rounds of intents
+// set, event generators fired and changes committed.
+func TestStatusPayloadsMatchJSONMarshal(t *testing.T) {
+	for _, k := range All() {
+		fields, ok := statusFields[k.Type()]
+		if !ok {
+			t.Errorf("%s: no status fields listed", k.Type())
+			continue
+		}
+		h, _ := newSimHarness(t, k, "inst")
+		for round := 0; round < 6; round++ {
+			doc, _, _ := h.rt.Store.View("inst")
+			work := model.NewDraft(doc)
+			if round%2 == 1 {
+				setIntents(k.Schema, work, round)
+			}
+			if k.Loop != nil {
+				if err := k.Loop(h.ctx, work); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := k.Sim(h.ctx, work, nil); err != nil {
+				t.Fatalf("%s round %d: %v", k.Type(), round, err)
+			}
+			m := map[string]any{}
+			for _, f := range fields {
+				if v, ok := work.Get(f); ok {
+					m[f] = v
+				}
+			}
+			want, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := h.rt.Log.Records()
+			if got := recs[len(recs)-1]; got.Kind != trace.KindMessage || got.Payload != string(want) {
+				t.Errorf("%s round %d: published %s (%s), json.Marshal writes %s", k.Type(), round, got.Payload, got.Kind, want)
+			}
+			if _, err := h.rt.Store.Commit("inst", work.Changes()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// setIntents writes every intent of the schema a value picked by round.
+func setIntents(s *model.Schema, work *model.Draft, round int) {
+	for name, f := range s.Fields {
+		if f.Kind != model.KindIntent {
+			continue
+		}
+		var v any
+		switch {
+		case len(f.Enum) > 0:
+			v = f.Enum[round%len(f.Enum)]
+		case f.ElemKind == model.KindFloat:
+			v = 0.125 * float64(round)
+		case f.ElemKind == model.KindInt:
+			v = int64(round)
+		case f.ElemKind == model.KindBool:
+			v = round%4 == 1
+		default:
+			v = "x"
+		}
+		work.SetIntent(name, v)
 	}
 }

@@ -34,7 +34,7 @@ func occupancyLike(typ, doc string) *digi.Kind {
 			return nil
 		},
 		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
-			return publishFields(c, work, "triggered")
+			return c.PublishFields(work, "triggered")
 		},
 	}
 }
@@ -62,7 +62,7 @@ func NewTemperatureSensor() *digi.Kind {
 			return nil
 		},
 		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
-			return publishFields(c, work, "temperature")
+			return c.PublishFields(work, "temperature")
 		},
 	}
 }
@@ -89,7 +89,7 @@ func NewHumiditySensor() *digi.Kind {
 			return nil
 		},
 		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
-			return publishFields(c, work, "humidity")
+			return c.PublishFields(work, "humidity")
 		},
 	}
 }
@@ -118,7 +118,7 @@ func NewCO2Sensor() *digi.Kind {
 		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			ppm, _ := work.GetFloat("ppm")
 			work.Set("high", ppm >= c.ConfigFloat("co2_alert", 1000))
-			return publishFields(c, work, "ppm", "high")
+			return c.PublishFields(work, "ppm", "high")
 		},
 	}
 }
@@ -150,7 +150,7 @@ func NewSmokeDetector() *digi.Kind {
 		},
 		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			work.Set("alarm", work.GetBool("smoke"))
-			return publishFields(c, work, "smoke", "alarm")
+			return c.PublishFields(work, "smoke", "alarm")
 		},
 	}
 }
@@ -174,7 +174,7 @@ func NewWindowSensor() *digi.Kind {
 			return nil
 		},
 		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
-			return publishFields(c, work, "open")
+			return c.PublishFields(work, "open")
 		},
 	}
 }
@@ -211,7 +211,7 @@ func NewAirQuality() *digi.Kind {
 			default:
 				work.Set("aqi", "unhealthy")
 			}
-			return publishFields(c, work, "pm25", "aqi")
+			return c.PublishFields(work, "pm25", "aqi")
 		},
 	}
 }
@@ -240,7 +240,7 @@ func NewNoiseSensor() *digi.Kind {
 		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
 			db, _ := work.GetFloat("db")
 			work.Set("loud", db >= c.ConfigFloat("noise_alert", 75))
-			return publishFields(c, work, "db", "loud")
+			return c.PublishFields(work, "db", "loud")
 		},
 	}
 }
@@ -265,7 +265,7 @@ func NewLeakSensor() *digi.Kind {
 			return nil
 		},
 		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
-			return publishFields(c, work, "leak")
+			return c.PublishFields(work, "leak")
 		},
 	}
 }

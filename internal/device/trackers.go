@@ -34,7 +34,7 @@ func NewEnergyMeter() *digi.Kind {
 			return nil
 		},
 		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
-			return publishFields(c, work, "watts", "kwh")
+			return c.PublishFields(work, "watts", "kwh")
 		},
 	}
 }
@@ -79,7 +79,7 @@ func NewGPSTracker() *digi.Kind {
 			return nil
 		},
 		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
-			return publishFields(c, work, "lat", "lon", "speed_kmh", "moving")
+			return c.PublishFields(work, "lat", "lon", "speed_kmh", "moving")
 		},
 	}
 }
@@ -113,7 +113,7 @@ func NewCargoSensor() *digi.Kind {
 			return nil
 		},
 		Sim: func(c *digi.Ctx, work *model.Draft, _ digi.Atts) error {
-			return publishFields(c, work, "temperature", "humidity", "shock")
+			return c.PublishFields(work, "temperature", "humidity", "shock")
 		},
 	}
 }

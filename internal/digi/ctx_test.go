@@ -19,7 +19,7 @@ func TestPublishWithoutBrokerStillLogs(t *testing.T) {
 	reg := NewRegistry()
 	rt := &Runtime{Store: model.NewStore(), Log: trace.NewLog(), Registry: reg}
 	c := NewTestCtx("X1", "Thing", rt, rng.New(1, 0), context.Background())
-	if err := c.Publish(map[string]any{"a": 1}); err != nil {
+	if err := c.PublishFields(model.NewDraft(model.Doc{"a": int64(1)}), "a"); err != nil {
 		t.Fatal(err)
 	}
 	recs := rt.Log.Records()
@@ -38,7 +38,7 @@ func TestPublishWithoutBrokerStillLogs(t *testing.T) {
 func TestPublishRejectsUnmarshalable(t *testing.T) {
 	rt := &Runtime{Store: model.NewStore(), Log: trace.NewLog(), Registry: NewRegistry()}
 	c := NewTestCtx("X1", "Thing", rt, rng.New(1, 0), context.Background())
-	if err := c.Publish(map[string]any{"bad": make(chan int)}); err == nil {
+	if err := c.PublishFields(model.NewDraft(model.Doc{"bad": make(chan int)}), "bad"); err == nil {
 		t.Error("unmarshalable payload accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestSeverHoldsStatusesUntilHeal(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if err := c.Publish(map[string]any{"i": i}); err != nil {
+				if err := c.PublishFields(model.NewDraft(model.Doc{"i": int64(i)}), "i"); err != nil {
 					t.Error(err)
 					return
 				}
@@ -159,7 +159,7 @@ func TestSeverHoldsStatusesUntilHeal(t *testing.T) {
 	}
 	mu.Unlock()
 	for _, c := range ctxs {
-		if err := c.Publish(map[string]any{"last": c.Name}); err != nil {
+		if err := c.PublishFields(model.NewDraft(model.Doc{"last": c.Name}), "last"); err != nil {
 			t.Fatal(err)
 		}
 	}

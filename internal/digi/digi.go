@@ -29,13 +29,15 @@
 package digi
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/broker"
 	"repro/internal/clock"
@@ -487,12 +489,29 @@ func (c *Ctx) Sleep(d time.Duration) bool {
 	return clock.SleepUntil(c.ctx, clk, clk.Now().Add(d)) == nil
 }
 
-// Publish sends a status message to the broker on the digi's topic and
-// logs it. The topic is the meta config "topic" override if set, else
-// digibox/<name>/status. Fields are JSON-encoded with deterministic
-// key order.
-func (c *Ctx) Publish(fields map[string]any) error {
-	payload, err := json.Marshal(fields)
+// PublishFields sends a status message to the broker on the digi's
+// topic and logs it. The topic is the meta config "topic" override if
+// set, else digibox/<name>/status. The payload is what json.Marshal
+// makes of a map of the named top-level fields work holds (appendObject).
+func (c *Ctx) PublishFields(work *model.Draft, names ...string) error {
+	var fb [8]field
+	fs := fb[:0]
+	for _, name := range names {
+		if slices.ContainsFunc(fs, func(f field) bool { return f.key == name }) {
+			continue
+		}
+		if v, ok := work.Get(name); ok {
+			fs = append(fs, field{name, v})
+		}
+	}
+	var buf [256]byte
+	enc, err := appendObject(buf[:0], fs)
+	return c.publish(bytes.Clone(enc), err)
+}
+
+// publish logs payload and sends it, or reports err, an encoding
+// failure. payload is not written after.
+func (c *Ctx) publish(payload []byte, err error) error {
 	if err != nil {
 		return fmt.Errorf("digi: publish %s: %w", c.Name, err)
 	}
@@ -502,7 +521,9 @@ func (c *Ctx) Publish(fields map[string]any) error {
 			topic = s
 		}
 	}
-	c.rt.Log.Message(c.Name, topic, string(payload), "send")
+	// Message keeps no reference to its payload, so it reads the bytes
+	// in place rather than a copy.
+	c.rt.Log.Message(c.Name, topic, unsafe.String(unsafe.SliceData(payload), len(payload)), "send")
 	c.publishes.Inc()
 	return c.rt.publishStatus(c.Name, topic, payload)
 }

@@ -30,7 +30,7 @@ func occupancyKind() *Kind {
 			return nil
 		},
 		Sim: func(c *Ctx, work *model.Draft, atts Atts) error {
-			return c.Publish(map[string]any{"triggered": work.GetBool("triggered")})
+			return c.PublishFields(work, "triggered")
 		},
 	}
 }

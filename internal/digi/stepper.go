@@ -1,9 +1,11 @@
 package digi
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/model"
@@ -125,7 +127,7 @@ func (s *Stepper) Tick() []model.Update {
 	}
 	s.rt.Log.Event(s.name, s.c.Type, fields)
 	s.c.events.Inc()
-	if u, ok := s.commit(s.name, changes); ok {
+	if u, ok := s.commit(s.name, nil, changes); ok {
 		return []model.Update{u}
 	}
 	return nil
@@ -181,34 +183,40 @@ func (s *Stepper) Simulate() []model.Update {
 	}
 	work := model.NewDraft(doc)
 
-	// The children in commit order, each with the draft handed out.
+	// The children in commit order, each name once (the first it was
+	// attached as), with the draft handed out. The drafts are allocated
+	// together, and each kind's map is sized to that kind's count.
 	type child struct {
 		typ, name string
+		base      model.Doc
 		draft     *model.Draft
 	}
-	var kids []child
-	atts := Atts{}
-	for _, childName := range doc.Attach() {
-		base, _, ok := s.rt.Store.View(childName)
-		if !ok {
-			continue
+	attached := doc.Attach()
+	kids := make([]child, 0, len(attached))
+	for _, childName := range attached {
+		if base, _, ok := s.rt.Store.View(childName); ok {
+			kids = append(kids, child{typ: base.Type(), name: childName, base: base})
 		}
-		typ := base.Type()
-		if atts[typ] == nil {
-			atts[typ] = map[string]*model.Draft{}
-		} else if _, dup := atts[typ][childName]; dup {
-			continue
-		}
-		draft := model.NewDraft(base)
-		atts[typ][childName] = draft
-		kids = append(kids, child{typ, childName, draft})
 	}
-	sort.Slice(kids, func(i, j int) bool {
-		if kids[i].typ != kids[j].typ {
-			return kids[i].typ < kids[j].typ
-		}
-		return kids[i].name < kids[j].name
+	slices.SortStableFunc(kids, func(a, b child) int {
+		return cmp.Or(strings.Compare(a.typ, b.typ), strings.Compare(a.name, b.name))
 	})
+	kids = slices.CompactFunc(kids, func(a, b child) bool { return a.typ == b.typ && a.name == b.name })
+	drafts := make([]model.Draft, len(kids))
+	atts := Atts{}
+	for i := range kids {
+		k := &kids[i]
+		drafts[i] = *model.NewDraft(k.base)
+		k.draft = &drafts[i]
+		if atts[k.typ] == nil {
+			n := 1
+			for i+n < len(kids) && kids[i+n].typ == k.typ {
+				n++
+			}
+			atts[k.typ] = make(map[string]*model.Draft, n)
+		}
+		atts[k.typ][k.name] = k.draft
+	}
 
 	if err := s.kind.Sim(s.c, work, atts); err != nil {
 		s.rt.Log.Violation(s.name, "sim-error", err.Error())
@@ -218,7 +226,7 @@ func (s *Stepper) Simulate() []model.Update {
 	var out []model.Update
 	// Commit own-model changes.
 	if changes := work.Changes(); len(changes) > 0 {
-		if u, ok := s.commit(s.name, changes); ok {
+		if u, ok := s.commit(s.name, nil, changes); ok {
 			out = append(out, u)
 		}
 	}
@@ -229,9 +237,10 @@ func (s *Stepper) Simulate() []model.Update {
 	// it observes the commit.
 	type write struct {
 		child   string
+		draft   *model.Draft
 		changes []model.Change
 	}
-	var writes []write
+	writes := make([]write, 0, len(kids))
 	for _, k := range kids {
 		changes := k.draft.Changes()
 		if len(changes) == 0 {
@@ -245,10 +254,13 @@ func (s *Stepper) Simulate() []model.Update {
 		}
 		s.rt.Log.Event(s.name, s.c.Type, fields)
 		s.c.events.Inc()
-		writes = append(writes, write{k.name, changes})
+		writes = append(writes, write{k.name, k.draft, changes})
+	}
+	if len(writes) > 0 {
+		out = slices.Grow(out, len(writes))
 	}
 	for _, w := range writes {
-		if u, ok := s.commit(w.child, w.changes); ok {
+		if u, ok := s.commit(w.child, w.draft, w.changes); ok {
 			out = append(out, u)
 		}
 	}
@@ -257,19 +269,23 @@ func (s *Stepper) Simulate() []model.Update {
 
 // commit applies a change set to a model, timing it into the
 // commit-latency histogram when metrics are bound. A child commit goes
-// through via, when set; an own-model commit reaches every watcher. The
-// returned bool reports whether the store actually committed a change.
-func (s *Stepper) commit(name string, changes []model.Change) (model.Update, bool) {
+// through via, when set, and commits d, the draft changes came from; an
+// own-model commit, and every commit in replay, reaches every watcher
+// through Store.Commit. The returned bool reports whether the store
+// actually committed a change.
+func (s *Stepper) commit(name string, d *model.Draft, changes []model.Change) (model.Update, bool) {
 	m := s.rt.metrics.Load()
 	var t0 time.Time
 	if m != nil {
 		t0 = s.rt.clk().Now()
 	}
-	commit := s.rt.Store.Commit
+	var u model.Update
+	var err error
 	if s.via != nil && name != s.name {
-		commit = s.via.Commit
+		u, err = s.via.CommitDraft(name, d, changes)
+	} else {
+		u, err = s.rt.Store.Commit(name, changes)
 	}
-	u, err := commit(name, changes)
 	if m != nil {
 		m.commits.Observe(s.rt.clk().Since(t0).Seconds())
 	}

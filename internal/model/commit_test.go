@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -145,6 +146,195 @@ func TestCommitMatchesApply(t *testing.T) {
 					t.Fatalf("%s\na commit that changed nothing replaced the document", ctx)
 				}
 			}
+		}
+	}
+}
+
+// randEdit writes a few random sets, deletes and merges to d, some of
+// them ones a change list does not rebuild: a number replaced by an
+// Equal one of another type or sign, and a key holding a dot.
+func randEdit(r *rand.Rand, d *Draft) {
+	for i := 1 + r.Intn(4); i > 0; i-- {
+		switch r.Intn(5) {
+		case 0:
+			d.Set(randPath(r), randValue(r, 2))
+		case 1:
+			d.Delete(randPath(r))
+		case 2:
+			d.Merge(map[string]any{fmt.Sprintf("k%d", r.Intn(6)): randValue(r, 2)})
+		case 3:
+			path := randPath(r)
+			if r.Intn(2) == 0 {
+				path = "n"
+			}
+			if v, ok := d.GetFloat(path); ok && r.Intn(2) == 0 {
+				d.Set(path, v) // an int64 becomes a float64
+			} else {
+				d.Set(path, math.Copysign(0, -1))
+			}
+		default:
+			dotted := map[string]any{"d.x": randValue(r, 1)}
+			if r.Intn(2) == 0 {
+				dotted = map[string]any{fmt.Sprintf("k%d", r.Intn(6)): dotted}
+			}
+			d.Merge(dotted)
+		}
+	}
+}
+
+// same reports whether a and b are the same document, number types and
+// the sign of zero included.
+func same(a, b Doc) bool {
+	return reflect.DeepEqual(a, b) && fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
+}
+
+// A draft committed through a watcher is what Commit of its Changes
+// makes — the same document, number types and all, generation and
+// Update.Changes — both while the draft's base is the committed
+// version and once another commit has replaced it. The draft's own
+// document is committed exactly when its base is current and Commit
+// rebuilds it; the watcher is not sent its own commit.
+func TestCommitDraftMatchesCommit(t *testing.T) {
+	const docs = 1200
+	for _, seed := range []int64{48, time.Now().UnixNano()} {
+		r := rand.New(rand.NewSource(seed))
+		var current, took int
+		for i := 0; i < docs; i++ {
+			viaDraft, viaCommit := NewStore(), NewStore()
+			doc := randDoc(r, 2)
+			doc["n"] = []any{int64(0), int64(1), 0.0}[r.Intn(3)]
+			if r.Intn(4) == 0 {
+				// Dotted keys a draft may change, replace or delete;
+				// no path randPath draws splits to one, so no two
+				// changes share a path.
+				doc["d.x"] = randValue(r, 1)
+				if m, ok := doc["k0"].(map[string]any); ok {
+					m["d.x"] = randValue(r, 1)
+				}
+			}
+			doc.SetMeta(Meta{Type: "Thing", Name: "T", Attach: []string{"x"}})
+			if err := viaDraft.Create(doc); err != nil {
+				t.Fatal(err)
+			}
+			if err := viaCommit.Create(doc); err != nil {
+				t.Fatal(err)
+			}
+			w := viaDraft.WatchName("T")
+			base, _, _ := viaDraft.View("T")
+			d := NewDraft(base)
+			randEdit(r, d)
+			drafted, changes := d.view(), d.Changes()
+			// Every other draft is committed after another writer's
+			// commit: stale, if that commit changed anything.
+			stale := false
+			if i%2 == 1 {
+				between := randChanges(r, base)
+				u, err := viaDraft.Commit("T", between)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := viaCommit.Commit("T", between); err != nil {
+					t.Fatal(err)
+				}
+				stale = len(u.Changes) > 0
+			}
+
+			got, err := w.CommitDraft("T", d, changes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := viaCommit.Commit("T", changes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := fmt.Sprintf("seed %d doc %d (stale %v):\nbase    %#v\ndrafted %#v\nchanges %v", seed, i, stale, base, drafted, changes)
+			if !reflect.DeepEqual(got.Changes, want.Changes) {
+				t.Fatalf("%s\nCommitDraft reported %v\nCommit reported      %v", ctx, got.Changes, want.Changes)
+			}
+			if got.Gen != want.Gen || viaDraft.Gen() != viaCommit.Gen() {
+				t.Fatalf("%s\ngenerations: CommitDraft %d (store %d), Commit %d (store %d)", ctx, got.Gen, viaDraft.Gen(), want.Gen, viaCommit.Gen())
+			}
+			next, _, _ := viaDraft.View("T")
+			ref, _, _ := viaCommit.View("T")
+			if !same(next, ref) || !sameMap(next, got.Doc) {
+				t.Fatalf("%s\nCommitDraft made %#v\nCommit made      %#v", ctx, next, ref)
+			}
+			if len(changes) > 0 {
+				wantTook := !stale && same(drafted, ref)
+				if sameMap(next, drafted) != wantTook {
+					t.Fatalf("%s\nthe draft's own document committed: %v, want %v", ctx, !wantTook, wantTook)
+				}
+				if !stale {
+					current++
+				}
+				if wantTook {
+					took++
+				}
+			}
+			if !sameMap(d.base, next) || d.doc != nil {
+				t.Fatalf("%s\nthe draft was not rebased on the new version", ctx)
+			}
+			w.q.Push(Update{Name: "sentinel"})
+			for u := range w.C {
+				if u.Name == "sentinel" {
+					break
+				}
+				if len(got.Changes) > 0 && u.Gen == got.Gen {
+					t.Fatalf("%s\nthe committing watcher was sent its own commit", ctx)
+				}
+			}
+			w.Close()
+		}
+		t.Logf("seed %d: %d of %d drafts with a current base committed as they stood", seed, took, current)
+		if took == 0 || took == current {
+			t.Fatalf("seed %d: %d of %d current drafts committed as they stood: the inputs miss a case", seed, took, current)
+		}
+	}
+}
+
+// A draft kept past CommitDraft writes only to copies of its own: a
+// reader of the committed version, concurrent with those writes, sees
+// it unchanged (and -race sees no shared map).
+func TestDraftKeptPastCommitDraftCannotReachTheCommit(t *testing.T) {
+	s := storeWithLamp(t)
+	w := s.WatchName("L1")
+	defer w.Close()
+	for _, stale := range []bool{false, true} {
+		base, _, _ := s.View("L1")
+		d := NewDraft(base)
+		d.Set("power.status", fmt.Sprint("dim ", stale))
+		d.Set("extra.stale", stale)
+		changes := d.Changes()
+		if stale {
+			if _, err := s.Commit("L1", []Change{{Op: OpSet, Path: "other.x", New: true}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		u, err := w.CommitDraft("L1", d, changes)
+		if err != nil || len(u.Changes) != len(changes) {
+			t.Fatalf("CommitDraft: %v, changes %v", err, u.Changes)
+		}
+		frozen := u.Doc.DeepCopy()
+		done := make(chan bool)
+		go func() {
+			same := true
+			for i := 0; i < 200; i++ {
+				v, _, _ := s.View("L1")
+				same = same && reflect.DeepEqual(v, frozen)
+			}
+			done <- same
+		}()
+		for i := 0; i < 50; i++ {
+			d.Set("power.status", fmt.Sprintf("scribble%d", i))
+			d.Set("extra.n", int64(i))
+			d.Merge(map[string]any{"extra": map[string]any{"m": true}, "other": nil})
+			d.Delete("meta.name")
+		}
+		if !<-done {
+			t.Fatalf("stale %v: a reader saw the kept draft's writes in the committed version", stale)
+		}
+		if !reflect.DeepEqual(u.Doc, frozen) {
+			t.Fatalf("stale %v: the kept draft reached the committed version:\nnow %v\nwas %v", stale, u.Doc, frozen)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"maps"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -190,6 +191,104 @@ func (d *Draft) apply(changes []Change) {
 			d.Set(c.Path, c.New)
 		}
 	}
+}
+
+// replays reports whether apply(Changes()) on the base rebuilds the
+// draft's document exactly, so the store may commit that document in
+// place of the replay. Two writes are not rebuilt by their changes: a
+// value replaced by one Equal to it of another type or sign (int64 2
+// by float64 2, 0 by -0), which Diff omits, and a changed or added key
+// that holds a dot, which the change's path splits.
+func (d *Draft) replays() bool {
+	for _, k := range d.tops {
+		ov, had := d.base[k]
+		nv, has := d.doc[k]
+		if !replaysKey(k, ov, nv, had, has) {
+			return false
+		}
+	}
+	return true
+}
+
+// replaysKey is replays for one key, with its old and new values and
+// whether the key is there before and after.
+func replaysKey(k string, ov, nv any, had, has bool) bool {
+	dotted := strings.Contains(k, ".")
+	switch {
+	case !has:
+		return !had || !dotted // a delete at k's path
+	case !had:
+		return !dotted && plainKeys(nv) // an addition, leaf by leaf
+	case identical(ov, nv):
+		return true
+	}
+	if equalValue(ov, nv) || dotted {
+		return false
+	}
+	om, ook := asMap(ov)
+	nm, nok := asMap(nv)
+	if !ook || !nok {
+		return true // one set of nv
+	}
+	for k, ov := range om {
+		nv, has := nm[k]
+		if !replaysKey(k, ov, nv, true, has) {
+			return false
+		}
+	}
+	for k, nv := range nm {
+		if _, had := om[k]; !had && !replaysKey(k, nil, nv, false, true) {
+			return false
+		}
+	}
+	return true
+}
+
+// plainKeys reports whether no map within v has a key holding a dot.
+func plainKeys(v any) bool {
+	m, _ := asMap(v)
+	for k, x := range m {
+		if strings.Contains(k, ".") || !plainKeys(x) {
+			return false
+		}
+	}
+	return true
+}
+
+// identical is deep equality that, unlike Equal, tells number types
+// and the sign of zero apart.
+func identical(a, b any) bool {
+	switch x := a.(type) {
+	case float64:
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	case map[string]any:
+		y, ok := b.(map[string]any)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		if mapID(x) == mapID(y) {
+			return true
+		}
+		for k, v := range x {
+			if w, has := y[k]; !has || !identical(v, w) {
+				return false
+			}
+		}
+		return true
+	case []any:
+		y, ok := b.([]any)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if !identical(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return reflect.DeepEqual(a, b)
 }
 
 // seal returns the document the draft stands for and its Changes, for

@@ -170,11 +170,18 @@ func (s *Store) Apply(name string, fn func(*Draft) error) (Update, error) {
 // document, so changes computed from a stale base report only what
 // they really altered.
 func (s *Store) Commit(name string, changes []Change) (Update, error) {
-	return s.commit(name, changes, nil)
+	return s.commit(name, nil, changes, nil)
 }
 
-// commit is Commit with every watcher but skip sent the update.
-func (s *Store) commit(name string, changes []Change, skip *Watcher) (Update, error) {
+// commit is Commit with every watcher but skip sent the update. If d
+// is non-nil, still a draft of the committed version, and its changes
+// rebuild it exactly (Draft.replays), its document is committed as it
+// stands and changes, its Changes, are the diff; otherwise changes are
+// replayed on the current document, so the version committed is the
+// one replay rebuilds. Either way d is rebased on the committed
+// version, as Apply rebases its draft.
+func (s *Store) commit(name string, d *Draft, changes []Change, skip *Watcher) (Update, error) {
+	exact := d != nil && d.replays()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.lookup(name)
@@ -182,10 +189,19 @@ func (s *Store) commit(name string, changes []Change, skip *Watcher) (Update, er
 		return Update{}, fmt.Errorf("model: %q not found", name)
 	}
 	cur := e.cur.Load()
-	d := Draft{base: cur.doc}
-	d.apply(changes)
-	next, changed := d.seal()
-	return s.swap(name, e, cur, next, changed, skip), nil
+	var next Doc
+	if exact && mapID(d.base) == mapID(cur.doc) {
+		next = d.view()
+	} else {
+		r := Draft{base: cur.doc}
+		r.apply(changes)
+		next, changes = r.seal()
+	}
+	up := s.swap(name, e, cur, next, changes, skip)
+	if d != nil {
+		*d = Draft{base: up.Doc}
+	}
+	return up, nil
 }
 
 // swap makes next the committed document of e, replacing cur, and
@@ -310,12 +326,20 @@ func (s *Store) broadcast(u Update, skip *Watcher) {
 	}
 }
 
-// Commit is Store.Commit made by w's consumer: every watcher but w is
-// sent the update, so a reconciler is not told of the writes it makes
-// to other models. The skip is decided under the store's write lock,
-// with the commit itself.
-func (w *Watcher) Commit(name string, changes []Change) (Update, error) {
-	return w.store.commit(name, changes, w)
+// CommitDraft is Store.Commit made by w's consumer: every watcher but
+// w is sent the update, so a reconciler is not told of the writes it
+// makes to other models. changes must be d.Changes(), with no write to
+// d since. While d is still a draft of the committed version, and
+// changes rebuild its document exactly (no number that changed only
+// its type, no dotted key on a written path: Draft.replays), the
+// commit takes d's document as it stands and changes as its diff, so
+// nothing is copied or diffed twice; otherwise changes are replayed as
+// Commit replays them, so the store holds what replay rebuilds. Either
+// way d is rebased, as Apply rebases its draft: a later write to it
+// copies again and cannot reach what was committed. The skip is
+// decided under the store's write lock, with the commit itself.
+func (w *Watcher) CommitDraft(name string, d *Draft, changes []Change) (Update, error) {
+	return w.store.commit(name, d, changes, w)
 }
 
 // Close unregisters the watcher. The consumer may stop reading C

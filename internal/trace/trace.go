@@ -183,7 +183,10 @@ func (l *Log) Action(name, typ string, sets map[string]any, deletes []string) {
 	l.Append(Record{Kind: KindAction, Name: name, Type: typ, Sets: sets, Deletes: deletes})
 }
 
-// Message logs a protocol message.
+// Message logs a protocol message. It keeps no reference to payload:
+// the log encodes a copy of it before Message returns, so payload may
+// view bytes the caller changes or hands on once Message returns (a
+// digi's status publish does).
 func (l *Log) Message(name, topic, payload, direction string) {
 	l.Append(Record{Kind: KindMessage, Name: name, Topic: topic, Payload: payload, Direction: direction})
 }
