@@ -62,10 +62,13 @@ type Options struct {
 	SubscribeHook func(clientID, filter string, add bool)
 	// RouteHook, when set, observes every PUBLISH entering route(),
 	// before subscription matching (so it fires even when this broker
-	// has no local subscriber). The swarm bridge uses it to forward
-	// publishes to sibling shards. Must not block; re-entrant publishes
+	// has no local subscriber). Must not block; re-entrant publishes
 	// into other brokers are allowed, into this broker are not.
 	RouteHook func(from, topic string, payload []byte, qos byte, retain bool)
+	// LaneRouteHook is RouteHook with the publish's lane (see
+	// PublishLane), called after it. The swarm bridge uses it to
+	// forward publishes to sibling shards on their own lane.
+	LaneRouteHook func(lane int, from, topic string, payload []byte, qos byte, retain bool)
 	// Clock is the time source for fan-out timing and fault-injected
 	// delivery delays. Nil means the wall clock; the deterministic
 	// replay engine injects its virtual clock so chaos delay faults
@@ -91,6 +94,7 @@ func (o *Options) withDefaults() Options {
 		out.Tracer = o.Tracer
 		out.SubscribeHook = o.SubscribeHook
 		out.RouteHook = o.RouteHook
+		out.LaneRouteHook = o.LaneRouteHook
 		out.Clock = o.Clock
 		out.Bus = o.Bus
 	}
@@ -115,8 +119,11 @@ type Broker struct {
 	// can reject publishes into a dead broker without taking mu — the
 	// signal the swarm pool's failover journaling rides. The bridge
 	// reads it twice per forwarded message, so it sits above the pad,
-	// away from the counters every publish writes.
+	// away from the counters a publish writes.
 	closedFlag int32
+
+	// lanes holds each publish lane's publish and delivery counts.
+	lanes []laneCounts
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -125,8 +132,6 @@ type Broker struct {
 	wg       sync.WaitGroup
 
 	_           [64]byte
-	publishesIn int64
-	messagesOut int64
 	dropped     int64
 	retainCount int64
 	retransIn   int64 // DUP PUBLISH packets received (client retransmits)
@@ -153,6 +158,7 @@ func NewBroker(opts *Options) *Broker {
 		opts:     opts.withDefaults(),
 		subs:     newSubTrie(),
 		sessions: map[string]*session{},
+		lanes:    make([]laneCounts, obs.Lanes),
 	}
 	b.tracer = b.opts.Tracer
 	if r := b.opts.Obs; r != nil {
@@ -169,9 +175,9 @@ func (b *Broker) bindMetrics(r *obs.Registry) {
 		return func() float64 { return float64(atomic.LoadInt64(p)) }
 	}
 	r.CounterFunc("digibox_broker_publishes_total",
-		"PUBLISH packets received (wire and in-process)", load(&b.publishesIn))
+		"PUBLISH packets received (wire and in-process)", func() float64 { return float64(b.publishes()) })
 	r.CounterFunc("digibox_broker_deliveries_total",
-		"PUBLISH packets delivered to subscribers", load(&b.messagesOut))
+		"PUBLISH packets delivered to subscribers", func() float64 { return float64(b.deliveries()) })
 	r.CounterFunc("digibox_broker_dropped_total",
 		"messages dropped on slow/full sessions", load(&b.dropped))
 	r.CounterFunc("digibox_broker_flushes_total",
@@ -281,12 +287,38 @@ func (b *Broker) Stats() Stats {
 		Connections:   conns,
 		Subscriptions: b.subs.countSubscriptions(),
 		Retained:      int(atomic.LoadInt64(&b.retainCount)),
-		PublishesIn:   atomic.LoadInt64(&b.publishesIn),
-		MessagesOut:   atomic.LoadInt64(&b.messagesOut),
+		PublishesIn:   b.publishes(),
+		MessagesOut:   b.deliveries(),
 		Dropped:       atomic.LoadInt64(&b.dropped),
 		Flushes:       atomic.LoadInt64(&b.flushes),
 		FaultDrops:    atomic.LoadInt64(&b.faultDrops),
 	}
+}
+
+// laneCounts is what one publish lane writes per message: the publishes
+// it made into this broker, whose count is also the lane's span-sampling
+// sequence, and the deliveries they fanned out to. A slice of them is
+// allocated in a 64-byte multiple, which Go's size classes align to 64
+// bytes, so each lane's counts fill a cache line of their own.
+type laneCounts struct {
+	publishesIn atomic.Int64
+	messagesOut atomic.Int64
+	_           [48]byte
+}
+
+// publishes and deliveries sum the lanes' counts.
+func (b *Broker) publishes() (n int64) {
+	for i := range b.lanes {
+		n += b.lanes[i].publishesIn.Load()
+	}
+	return n
+}
+
+func (b *Broker) deliveries() (n int64) {
+	for i := range b.lanes {
+		n += b.lanes[i].messagesOut.Load()
+	}
+	return n
 }
 
 // session is one connected client.
@@ -601,7 +633,7 @@ func (s *session) readLoop() {
 		}
 		switch pkt.Type {
 		case PUBLISH:
-			seq := atomic.AddInt64(&s.broker.publishesIn, 1)
+			seq := s.broker.lanes[0].publishesIn.Add(1)
 			if pkt.Dup {
 				atomic.AddInt64(&s.broker.retransIn, 1)
 			}
@@ -633,7 +665,7 @@ func (s *session) readLoop() {
 			replay := s.broker.retainedFor(pkt.Filters, granted)
 			s.send(&Packet{Type: SUBACK, PacketID: pkt.PacketID, QoSs: granted})
 			for _, m := range replay {
-				atomic.AddInt64(&s.broker.messagesOut, 1)
+				s.broker.lanes[0].messagesOut.Add(1)
 				s.deliver(m, 0)
 			}
 		case UNSUBSCRIBE:
@@ -659,17 +691,20 @@ func (s *session) readLoop() {
 }
 
 // route fans a PUBLISH out to matching subscribers and updates the
-// retained store. seq is the publish's place in this broker's
-// publishesIn count. from identifies the publisher (wire client ID or
+// retained store. seq is the publish's place in its lane's publishesIn
+// count. from identifies the publisher (wire client ID or
 // PublishQoS name; "" for anonymous in-process publishes) and scopes
 // injected fault rules and partition checks. m.Retained is the
 // publish's retain flag.
 func (b *Broker) route(seq int64, from string, m Message) {
+	// The hooks run before the retained-store update and match
+	// short-circuit, so the bridge sees every publish — including ones
+	// this shard has no local subscriber for.
 	if hook := b.opts.RouteHook; hook != nil {
-		// Before the retained-store update and match short-circuit, so
-		// the bridge sees every publish — including ones this shard has
-		// no local subscriber for.
 		hook(from, m.Topic, m.Payload, m.QoS, m.Retained)
+	}
+	if hook := b.opts.LaneRouteHook; hook != nil {
+		hook(int(m.lane), from, m.Topic, m.Payload, m.QoS, m.Retained)
 	}
 	if m.Retained {
 		if len(m.Payload) == 0 {
@@ -695,10 +730,11 @@ func (b *Broker) route(seq int64, from string, m Message) {
 	// so unrouted messages cost nothing — and closed by each
 	// subscriber's writeLoop after the socket write: true end-to-end
 	// delivery latency. A nil tracer returns 0 and the stamps below
-	// are no-ops. Sampling reads this broker's own sequence, so an
-	// unsampled message writes nothing the tracer's other brokers
-	// write.
-	sid := b.tracer.StartSeq(uint64(seq), from, m.Topic)
+	// are no-ops. Sampling reads this broker's own sequence for the
+	// lane, so an unsampled message writes nothing the tracer's other
+	// brokers or lanes write.
+	sid := b.tracer.StartSeq(int(m.lane), uint64(seq), from, m.Topic)
+	out := &b.lanes[m.lane].messagesOut
 	// Fan-out timing rides the tracer's sampling interval (every
 	// message when no tracer is bound) so unsampled messages skip both
 	// clock reads.
@@ -724,21 +760,21 @@ func (b *Broker) route(seq int64, from string, m Message) {
 				deliver, m := sub.deliver, m
 				m.local, dup.local = true, true
 				b.opts.Clock.AfterFunc(act.delay, func() {
-					atomic.AddInt64(&b.messagesOut, 1)
+					out.Add(1)
 					deliver(m, sid)
 					if act.dup {
-						atomic.AddInt64(&b.messagesOut, 1)
+						out.Add(1)
 						deliver(dup, sid)
 					}
 				})
 				continue
 			}
 			if act.dup {
-				atomic.AddInt64(&b.messagesOut, 1)
+				out.Add(1)
 				sub.deliver(dup, sid)
 			}
 		}
-		atomic.AddInt64(&b.messagesOut, 1)
+		out.Add(1)
 		sub.deliver(m, sid)
 	}
 	if measureFan {
@@ -799,8 +835,18 @@ var ErrClosed = errors.New("mqtt: broker closed")
 // client had published it. The digi runtime publishes each status
 // under the digi's name at QoS 1; the swarm load generator and bridge
 // use QoS 1 so deliveries are never shed under back-pressure and loss
-// accounting stays exact.
+// accounting stays exact. It publishes on lane 0.
 func (b *Broker) PublishQoS(from, topic string, payload []byte, qos byte, retain bool) error {
+	return b.PublishLane(0, from, topic, payload, qos, retain)
+}
+
+// PublishLane is PublishQoS on a publish lane, 0 <= lane < obs.Lanes: a
+// publisher that runs beside others on its own goroutine (a swarm
+// generator worker) passes its own lane, and every count, span and
+// bridge forward the message causes is written in that lane's stripe.
+// The lane rides on the message to in-process subscribers
+// (Message.Lane) and to the LaneRouteHook.
+func (b *Broker) PublishLane(lane int, from, topic string, payload []byte, qos byte, retain bool) error {
 	if !b.Alive() {
 		return ErrClosed
 	}
@@ -810,8 +856,8 @@ func (b *Broker) PublishQoS(from, topic string, payload []byte, qos byte, retain
 	if qos > 1 {
 		qos = 1 // QoS 2 not supported; downgrade like SUBSCRIBE does
 	}
-	seq := atomic.AddInt64(&b.publishesIn, 1)
-	b.route(seq, from, Message{Topic: topic, Payload: payload, QoS: qos, Retained: retain, local: true})
+	seq := b.lanes[lane].publishesIn.Add(1)
+	b.route(seq, from, Message{Topic: topic, Payload: payload, QoS: qos, Retained: retain, local: true, lane: uint8(lane)})
 	return nil
 }
 

@@ -26,7 +26,15 @@ type Message struct {
 	// (PublishQoS, or a fault-delay timer); wire sessions cork such
 	// deliveries for one scheduler round before they flush.
 	local bool
+	// lane is the publish lane of an in-process publish (PublishLane).
+	lane uint8
 }
+
+// Lane returns the publish lane the message was published on: the
+// lane passed to PublishLane for an in-process delivery, 0 otherwise.
+// An in-process subscriber runs on its publisher's goroutine, so a
+// count it keeps per lane has one writer.
+func (m Message) Lane() int { return int(m.lane) }
 
 // Handler consumes messages delivered to a subscription. Handlers run
 // on the client's single dispatch goroutine: a slow handler delays

@@ -211,10 +211,7 @@ func New(opts Options) (*Testbed, error) {
 	tb.Bus = obs.NewBus(tb.Obs, tb.clk)
 	// Correlate completed spans into the trace log so shared and
 	// replayed traces carry delivery-timing evidence (§3.5).
-	log := tb.Log
-	tb.Tracer.OnSpan(func(from, topic string, elapsed time.Duration) {
-		log.Span(from, topic, elapsed)
-	})
+	tb.Tracer.OnSpan(tb.Log.Span)
 	tb.Runtime = &digi.Runtime{
 		Store:    tb.Store,
 		Log:      tb.Log,

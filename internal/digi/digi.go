@@ -73,7 +73,10 @@ type LoopFunc func(c *Ctx, work *model.Draft) error
 
 // SimFunc is a simulation handler. It writes work and the drafts in
 // atts; the runtime commits each draft's changes. The committed
-// documents the drafts read through stay as they were.
+// documents the drafts read through stay as they were. A draft is
+// valid only during the call: the runtime reuses work for the next one,
+// so a handler keeps no draft past its return. atts is nil when the
+// digi has no attached children, and a handler only reads it.
 type SimFunc func(c *Ctx, work *model.Draft, atts Atts) error
 
 // Kind defines a mock or scene type: its model schema plus behaviour.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/model"
@@ -31,6 +32,11 @@ type Stepper struct {
 	// commits go through it, so they are not sent back to it.
 	via *model.Watcher
 }
+
+// simDrafts recycles the draft of its own model that Simulate hands a
+// handler: a reconcile allocates none, and a digi between reconciles
+// holds none, which matters with a thousand mocks on one testbed.
+var simDrafts = sync.Pool{New: func() any { return new(model.Draft) }}
 
 // NewStepper builds the reconciliation core for a digi whose model is
 // already in the runtime's store. ctx bounds Ctx.Sleep and is exposed
@@ -181,7 +187,12 @@ func (s *Stepper) Simulate() []model.Update {
 	if doc.GetBool("meta.offline") {
 		return nil
 	}
-	work := model.NewDraft(doc)
+	work := simDrafts.Get().(*model.Draft)
+	*work = *model.NewDraft(doc)
+	defer func() {
+		*work = model.Draft{}
+		simDrafts.Put(work)
+	}()
 
 	// The children in commit order, each name once (the first it was
 	// attached as), with the draft handed out. The drafts are allocated
@@ -203,7 +214,10 @@ func (s *Stepper) Simulate() []model.Update {
 	})
 	kids = slices.CompactFunc(kids, func(a, b child) bool { return a.typ == b.typ && a.name == b.name })
 	drafts := make([]model.Draft, len(kids))
-	atts := Atts{}
+	var atts Atts // nil for a mock: no handler writes into atts
+	if len(kids) > 0 {
+		atts = Atts{}
+	}
 	for i := range kids {
 		k := &kids[i]
 		drafts[i] = *model.NewDraft(k.base)

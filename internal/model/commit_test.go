@@ -464,3 +464,47 @@ func TestSetNamesUnderConcurrentCommits(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyMatchesReplay pins Apply to what replay rebuilds: the
+// document Apply commits equals, by reflect.DeepEqual, the one a Commit
+// of its Update.Changes builds from the same version. A merge patch
+// that writes a dotted key and a rewrite that changes only a number's
+// type are the two writes whose changes do not rebuild the draft.
+func TestApplyMatchesReplay(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*Draft)
+	}{
+		{"dotted key", func(d *Draft) { d.Merge(map[string]any{"a": map[string]any{"b.c": 1}}) }},
+		{"number type", func(d *Draft) { d.Set("n", float64(2)) }},
+		{"number type and a change", func(d *Draft) { d.Set("n", float64(2)); d.Set("a.x", "y") }},
+		{"plain", func(d *Draft) { d.Set("a.x", "y") }},
+	}
+	for _, c := range cases {
+		newStore := func() *Store {
+			doc := Doc{"a": map[string]any{"x": "x"}, "n": int64(2)}
+			doc.SetMeta(Meta{Type: "Thing", Name: "T"})
+			s := NewStore()
+			if err := s.Create(doc); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		live, replayed := newStore(), newStore()
+		up, err := live.Apply("T", func(d *Draft) error { c.edit(d); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := replayed.Commit("T", up.Changes); err != nil {
+			t.Fatal(err)
+		}
+		got, _, _ := live.View("T")
+		want, _, _ := replayed.View("T")
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Apply committed %v, replaying its changes %v builds %v", c.name, got, up.Changes, want)
+		}
+		if !reflect.DeepEqual(up.Doc, got) {
+			t.Errorf("%s: Update.Doc %v, committed %v", c.name, up.Doc, got)
+		}
+	}
+}

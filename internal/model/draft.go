@@ -88,13 +88,30 @@ func (d *Draft) Copy() Doc { return d.view().DeepCopy() }
 // Set writes a copy of v at a dotted path, creating intermediate maps
 // as needed (see Doc.Set).
 func (d *Draft) Set(path string, v any) {
+	d.set(path, v, false)
+}
+
+// set is Set; with keepEqual, it writes v as Diff against the committed
+// version takes it (see settled). The maps on the path are copied as
+// for any write.
+func (d *Draft) set(path string, v any, keepEqual bool) {
 	v = normalize(copyValue(v))
 	cur := d.write(path)
+	var was map[string]any // the committed version's map at this level
+	if keepEqual {
+		was = d.base
+	}
 	for {
 		part, rest, more := strings.Cut(path, ".")
 		if !more {
+			if old, ok := was[part]; ok {
+				v = settled(old, v)
+			}
 			cur[part] = v
 			return
+		}
+		if was != nil {
+			was, _ = was[part].(map[string]any)
 		}
 		cur, path = d.child(cur, part), rest
 	}
@@ -181,14 +198,37 @@ func (d *Draft) Changes() []Change {
 	return out
 }
 
+// settled returns v, a draft's own value written where the committed
+// version holds old, with each part of it that is Equal to old's part
+// at the same place (a number of another type, say) replaced by old's:
+// Diff reports no change there, so a replay of the draft's Changes
+// keeps old's.
+func settled(old, v any) any {
+	if equalValue(old, v) {
+		return old
+	}
+	om, ook := asMap(old)
+	vm, vok := asMap(v)
+	if ook && vok {
+		for k, x := range vm {
+			if o, ok := om[k]; ok {
+				vm[k] = settled(o, x)
+			}
+		}
+	}
+	return v
+}
+
 // apply writes a change list: a set writes a copy of Change.New, a
-// delete of an absent path does nothing.
+// delete of an absent path does nothing. A set writes its value settled
+// on the committed version's there, so the draft holds what a replay of
+// its Changes rebuilds.
 func (d *Draft) apply(changes []Change) {
 	for _, c := range changes {
 		if c.Op == OpDelete {
 			d.Delete(c.Path)
 		} else {
-			d.Set(c.Path, c.New)
+			d.set(c.Path, c.New, true)
 		}
 	}
 }
@@ -219,16 +259,18 @@ func replaysKey(k string, ov, nv any, had, has bool) bool {
 		return !had || !dotted // a delete at k's path
 	case !had:
 		return !dotted && plainKeys(nv) // an addition, leaf by leaf
-	case identical(ov, nv):
-		return true
-	}
-	if equalValue(ov, nv) || dotted {
-		return false
+	case dotted:
+		return identical(ov, nv)
 	}
 	om, ook := asMap(ov)
 	nm, nok := asMap(nv)
 	if !ook || !nok {
-		return true // one set of nv
+		return identical(ov, nv) || !equalValue(ov, nv) // one set of nv
+	}
+	// Two maps replay key by key; a subtree the draft did not copy is
+	// the committed one.
+	if mapID(om) == mapID(nm) {
+		return true
 	}
 	for k, ov := range om {
 		nv, has := nm[k]

@@ -145,7 +145,11 @@ func (s *Store) List() []string {
 // of the committed document, and publishes the draft's Changes. If fn
 // returns an error the model is unchanged. If fn changes nothing, no
 // update is published and the returned Update has Gen of the current
-// entry with empty Changes.
+// entry with empty Changes. As commit does with a draft, Apply commits
+// the draft's document only when its changes rebuild it exactly
+// (Draft.replays), and otherwise writes its changes on the committed
+// version, so the store holds what replay rebuilds from
+// Update.Changes.
 func (s *Store) Apply(name string, fn func(*Draft) error) (Update, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -158,8 +162,22 @@ func (s *Store) Apply(name string, fn func(*Draft) error) (Update, error) {
 	if err := fn(d); err != nil {
 		return Update{}, err
 	}
-	next, changes := d.seal()
+	var next Doc
+	var changes []Change
+	if d.replays() {
+		next, changes = d.seal()
+	} else {
+		next, changes = replay(cur.doc, d.Changes())
+	}
 	return s.swap(name, e, cur, next, changes, nil), nil
+}
+
+// replay writes changes on a draft of base, as replay does, and
+// returns the document it builds and its diff against base.
+func replay(base Doc, changes []Change) (Doc, []Change) {
+	r := Draft{base: base}
+	r.apply(changes)
+	return r.seal()
 }
 
 // Commit writes a change list to a model: each set writes a copy of
@@ -168,7 +186,9 @@ func (s *Store) Apply(name string, fn func(*Draft) error) (Update, error) {
 // maps on the changed paths and shares every other subtree with the
 // previous one. Update.Changes is the diff against the store's current
 // document, so changes computed from a stale base report only what
-// they really altered.
+// they really altered. A set of a value Equal to the one at its path,
+// such as a number of another type, keeps the value there, as replay
+// of Update.Changes does.
 func (s *Store) Commit(name string, changes []Change) (Update, error) {
 	return s.commit(name, nil, changes, nil)
 }
@@ -193,9 +213,7 @@ func (s *Store) commit(name string, d *Draft, changes []Change, skip *Watcher) (
 	if exact && mapID(d.base) == mapID(cur.doc) {
 		next = d.view()
 	} else {
-		r := Draft{base: cur.doc}
-		r.apply(changes)
-		next, changes = r.seal()
+		next, changes = replay(cur.doc, changes)
 	}
 	up := s.swap(name, e, cur, next, changes, skip)
 	if d != nil {

@@ -190,8 +190,8 @@ func (r *Registry) LatencyClasses() ([]LatencyClass, uint64) {
 	var out []LatencyClass
 	var total uint64
 	for _, c := range kids {
-		counts := snapshotHist(c, f.bounds)
-		n := c.count.Load()
+		counts := c.histCounts()
+		n := c.histCount()
 		total += n
 		class := ""
 		if len(c.labelVals) > 0 {

@@ -175,9 +175,9 @@ func (r *Registry) Snapshot() Snapshot {
 		for _, c := range kids {
 			m := MetricSnapshot{LabelValues: append([]string(nil), c.labelVals...)}
 			if f.kind == KindHistogram {
-				m.Buckets = snapshotHist(c, f.bounds)
-				m.Count = c.count.Load()
-				m.Sum = math.Float64frombits(c.sumBits.Load())
+				m.Buckets = c.histCounts()
+				m.Count = c.histCount()
+				m.Sum = c.histSum()
 				m.P50 = quantile(m.Buckets, f.bounds, 0.50)
 				m.P99 = quantile(m.Buckets, f.bounds, 0.99)
 			} else if c.fn != nil {

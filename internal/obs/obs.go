@@ -48,6 +48,15 @@ const (
 	E2ETopicLatencyName = "digibox_e2e_topic_latency_seconds"
 )
 
+// Lanes bounds the publish lanes. A publisher that runs beside others
+// (a swarm generator worker) carries its lane through the publish path,
+// and each per-message write it makes lands in its own lane's stripe:
+// a broker's publish counts, a histogram's buckets, a span id. So two
+// such publishers on two cores never write one cache line. Lane 0 is
+// every other publisher's, and its stripe is the one that existed
+// before lanes, so their path is unchanged. Readers sum the stripes.
+const Lanes = 8
+
 // DefBuckets are the default latency buckets in seconds, spanning the
 // in-process publish path (~1µs) through wire round-trips and chaos
 // recovery windows (~seconds).
@@ -98,10 +107,73 @@ type child struct {
 	// fn, when set, supersedes bits at gather time (Func metrics).
 	fn func() float64
 
-	// histogram state.
-	counts  []atomic.Uint64 // one per bound, plus +Inf at the end
-	sumBits atomic.Uint64
-	count   atomic.Uint64
+	// histogram state: hist is lane 0's stripe (see laneStripes), and
+	// stripes every other lane's, allocated the first time a lane
+	// other than 0 observes.
+	hist    []atomic.Uint64
+	stripes atomic.Pointer[laneStripes]
+}
+
+// laneStripes holds a histogram's stripes for lanes 1 to Lanes-1. A
+// stripe is a count per bound plus +Inf, then the observation count,
+// then the sum's float bits; lane l's is words[(l-1)*stride:][:stride].
+// stride is a multiple of 8 words, and the whole array a multiple of 64
+// bytes, which Go's size classes align to 64 bytes: each stripe fills
+// cache lines of its own.
+type laneStripes struct {
+	words  []atomic.Uint64
+	stride int
+}
+
+// stripeStride is the stride of a stripe of n words.
+func stripeStride(n int) int { return (n + 7) &^ 7 }
+
+// stripe returns lane's stripe, allocating the stripes of lanes 1 and
+// up on first use.
+func (c *child) stripe(lane int) []atomic.Uint64 {
+	if lane == 0 {
+		return c.hist
+	}
+	ls := c.stripes.Load()
+	if ls == nil {
+		stride := stripeStride(len(c.hist))
+		c.stripes.CompareAndSwap(nil, &laneStripes{make([]atomic.Uint64, (Lanes-1)*stride), stride})
+		ls = c.stripes.Load()
+	}
+	return ls.words[(lane-1)*ls.stride:][:ls.stride]
+}
+
+// histCounts, histCount and histSum read a histogram's state summed
+// over its lanes.
+func (c *child) histCounts() []uint64 {
+	out := make([]uint64, len(c.hist)-2)
+	c.eachStripe(func(s []atomic.Uint64) {
+		for i := range out {
+			out[i] += s[i].Load()
+		}
+	})
+	return out
+}
+
+func (c *child) histCount() (n uint64) {
+	c.eachStripe(func(s []atomic.Uint64) { n += s[len(c.hist)-2].Load() })
+	return n
+}
+
+func (c *child) histSum() (sum float64) {
+	c.eachStripe(func(s []atomic.Uint64) { sum += math.Float64frombits(s[len(c.hist)-1].Load()) })
+	return sum
+}
+
+// eachStripe calls fn on lane 0's stripe and on every other lane's, if
+// they are allocated.
+func (c *child) eachStripe(fn func([]atomic.Uint64)) {
+	fn(c.hist)
+	if ls := c.stripes.Load(); ls != nil {
+		for l := 1; l < Lanes; l++ {
+			fn(ls.words[(l-1)*ls.stride:][:ls.stride])
+		}
+	}
 }
 
 func (f *family) get(vals []string) *child {
@@ -112,7 +184,7 @@ func (f *family) get(vals []string) *child {
 	if !ok {
 		c = &child{labelVals: append([]string(nil), vals...)}
 		if f.kind == KindHistogram {
-			c.counts = make([]atomic.Uint64, len(f.bounds)+1)
+			c.hist = make([]atomic.Uint64, len(f.bounds)+3)
 		}
 		f.kids[key] = c
 	}
@@ -265,20 +337,22 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	observe(h.c, h.bounds, v)
+	h.observeLane(0, v)
 }
 
-func observe(c *child, bounds []float64, v float64) {
+// observeLane records one observation into lane's stripe.
+func (h *Histogram) observeLane(lane int, v float64) {
 	// Bucket search is linear: bucket counts are small (~20) and the
 	// common observations land in the first third, beating a binary
 	// search's branch misses at this size.
 	i := 0
-	for i < len(bounds) && v > bounds[i] {
+	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	c.counts[i].Add(1)
-	c.count.Add(1)
-	addFloat(&c.sumBits, v)
+	s := h.c.stripe(lane)
+	s[i].Add(1)
+	s[len(h.bounds)+1].Add(1)
+	addFloat(&s[len(h.bounds)+2], v)
 }
 
 // Count returns the number of observations.
@@ -286,7 +360,7 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.c.count.Load()
+	return h.c.histCount()
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) by linear
@@ -298,7 +372,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	return quantile(snapshotHist(h.c, h.bounds), h.bounds, q)
+	return quantile(h.c.histCounts(), h.bounds, q)
 }
 
 // quantile works on a consistent copy of cumulative-free bucket counts.
@@ -331,14 +405,6 @@ func quantile(counts []uint64, bounds []float64, q float64) float64 {
 		}
 	}
 	return bounds[len(bounds)-1]
-}
-
-func snapshotHist(c *child, bounds []float64) []uint64 {
-	out := make([]uint64, len(bounds)+1)
-	for i := range c.counts {
-		out[i] = c.counts[i].Load()
-	}
-	return out
 }
 
 // ---- Labelled vectors ----
@@ -449,7 +515,7 @@ func (f *family) sum() float64 {
 	for _, c := range f.kids {
 		switch {
 		case f.kind == KindHistogram:
-			total += float64(c.count.Load())
+			total += float64(c.histCount())
 		case c.fn != nil:
 			total += c.fn()
 		default:

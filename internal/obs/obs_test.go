@@ -341,7 +341,7 @@ func TestTracerSpans(t *testing.T) {
 	tr.SetSampleInterval(1)
 	var gotFrom, gotTopic string
 	var gotElapsed time.Duration
-	tr.OnSpan(func(from, topic string, elapsed time.Duration) {
+	tr.OnSpan(func(_ int, from, topic string, elapsed time.Duration) {
 		gotFrom, gotTopic, gotElapsed = from, topic, elapsed
 	})
 

@@ -14,10 +14,14 @@ type SpanID uint64
 
 // spanSlots sizes the tracer's ring. A span lives from broker routing
 // to the subscriber's socket write — microseconds to a few
-// milliseconds — so 4096 in-flight spans covers far beyond the
-// broker's per-session queue depth; an overwritten slot just loses
-// that one sample (End finds a mismatched id and drops it).
+// milliseconds — so the 512 in-flight spans each lane's share holds
+// covers twice a session's outbound queue; an overwritten slot just
+// loses that one sample (End finds a mismatched id and drops it).
 const spanSlots = 4096
+
+// laneSlots is each lane's share of the ring, one contiguous run, so
+// two lanes' spans never share a slot's cache line.
+const laneSlots = spanSlots / Lanes
 
 // defaultSpanSampling traces one in N routed messages. Counters stay
 // exact regardless (they are the broker's own atomics exposed at
@@ -34,16 +38,16 @@ const defaultSpanSampling = 8
 // Slots are a fixed ring indexed by span id; End is non-destructive
 // so a fan-out of N subscribers yields N latency samples from one
 // span. Every broker of a testbed or swarm pool shares one tracer, so
-// the fields each routed message reads sit apart from ids, which
-// StartSeq writes only for a sampled message.
+// what a span writes is its publish lane's (see Lanes): a span id
+// encodes its lane, and the lane picks the id counter, the completed
+// count, the slot run and the histogram stripe the span writes. An
+// in-process delivery ends the span on the goroutine that opened it.
 type Tracer struct {
 	clk   clock.Clock
 	every atomic.Uint64 // sample 1-in-every messages; >= 1
 
-	started   *Counter
-	completed *Counter
-	byDigi    *HistogramVec
-	byClass   *HistogramVec
+	byDigi  *HistogramVec
+	byClass *HistogramVec
 
 	onSpan atomic.Pointer[spanFunc]
 
@@ -52,13 +56,22 @@ type Tracer struct {
 	digiH  sync.Map // publisher -> *Histogram
 	classH sync.Map // topic class -> *Histogram
 
-	_     [64]byte
-	ids   atomic.Uint64
-	_     [56]byte
-	slots [spanSlots]spanSlot
+	// starts is Start's own count of calls, its sampling sequence.
+	starts atomic.Uint64
+	lanes  []tracerLane
+	slots  [spanSlots]spanSlot
 }
 
-type spanFunc func(from, topic string, elapsed time.Duration)
+// tracerLane is one lane's span counts. A slice of them is allocated
+// in a 64-byte multiple, which Go's size classes align to 64 bytes, so
+// each lane's counts fill a cache line of their own.
+type tracerLane struct {
+	opened    atomic.Uint64 // spans opened; also the lane's id sequence
+	completed atomic.Uint64 // delivery legs ended
+	_         [48]byte
+}
+
+type spanFunc func(lane int, from, topic string, elapsed time.Duration)
 
 type spanSlot struct {
 	mu    sync.Mutex
@@ -75,14 +88,26 @@ func NewTracer(r *Registry) *Tracer {
 		return nil
 	}
 	t := &Tracer{
-		clk:       clock.System,
-		started:   r.Counter("digibox_spans_started_total", "publish→deliver spans opened at broker routing"),
-		completed: r.Counter("digibox_spans_completed_total", "span closures observed at subscriber delivery (one per fan-out leg)"),
+		clk: clock.System,
 		byDigi: r.HistogramVec("digibox_e2e_latency_seconds",
 			"end-to-end publish→deliver MQTT latency by publisher (the digi or client that sent the message)", nil, "digi"),
 		byClass: r.HistogramVec(E2ETopicLatencyName,
 			"end-to-end publish→deliver MQTT latency by topic class", nil, "class"),
+		lanes: make([]tracerLane, Lanes),
 	}
+	sum := func(pick func(*tracerLane) *atomic.Uint64) func() float64 {
+		return func() float64 {
+			var n uint64
+			for i := range t.lanes {
+				n += pick(&t.lanes[i]).Load()
+			}
+			return float64(n)
+		}
+	}
+	r.CounterFunc("digibox_spans_started_total", "publish→deliver spans opened at broker routing",
+		sum(func(l *tracerLane) *atomic.Uint64 { return &l.opened }))
+	r.CounterFunc("digibox_spans_completed_total", "span closures observed at subscriber delivery (one per fan-out leg)",
+		sum(func(l *tracerLane) *atomic.Uint64 { return &l.completed }))
 	t.every.Store(defaultSpanSampling)
 	return t
 }
@@ -110,9 +135,10 @@ func (t *Tracer) SetSampleInterval(n uint64) {
 	t.every.Store(n)
 }
 
-// OnSpan registers a callback invoked on every span closure — the
-// hook core uses to correlate spans into trace.Log.
-func (t *Tracer) OnSpan(fn func(from, topic string, elapsed time.Duration)) {
+// OnSpan registers a callback invoked on every span closure, with the
+// lane of the publish that opened the span — the hook core uses to
+// correlate spans into trace.Log.
+func (t *Tracer) OnSpan(fn func(lane int, from, topic string, elapsed time.Duration)) {
 	if t == nil {
 		return
 	}
@@ -126,52 +152,50 @@ func (t *Tracer) OnSpan(fn func(from, topic string, elapsed time.Duration)) {
 
 // Start opens a span for a message published by from (a digi name or
 // wire client id; "" for anonymous in-process publishes) on topic,
-// sampling on the tracer's own count of Start calls. Returns the id to
-// stamp on the outbound message copies, or 0 when this message falls
-// outside the sampling interval.
+// sampling on the tracer's own count of Start calls, on lane 0.
+// Returns the id to stamp on the outbound message copies, or 0 when
+// this message falls outside the sampling interval.
 func (t *Tracer) Start(from, topic string) SpanID {
 	if t == nil {
 		return 0
 	}
-	id := t.ids.Add(1)
-	if id%t.every.Load() != 0 {
-		return 0
-	}
-	return t.open(id, from, topic)
+	return t.StartSeq(0, t.starts.Add(1), from, topic)
 }
 
-// StartSeq is Start for the seq-th message a broker routed (seq counts
-// from 1): it samples on the broker's own sequence, so a message
-// outside the interval writes nothing the tracer's other brokers
-// write. Only a sampled message draws a span id from the shared
-// counter, which keeps ids unique across brokers.
-func (t *Tracer) StartSeq(seq uint64, from, topic string) SpanID {
+// StartSeq is Start for the seq-th message a broker routed on lane
+// (seq counts from 1): it samples on the broker's own per-lane
+// sequence, so a message outside the interval writes nothing, and a
+// sampled one writes only lane's counts and slots. The lane's n-th span
+// has id n*Lanes+lane, which keeps ids unique across lanes and brokers.
+func (t *Tracer) StartSeq(lane int, seq uint64, from, topic string) SpanID {
 	if t == nil || seq%t.every.Load() != 0 {
 		return 0
 	}
-	return t.open(t.ids.Add(1), from, topic)
-}
-
-// open stamps span id's slot.
-func (t *Tracer) open(id uint64, from, topic string) SpanID {
-	s := &t.slots[id%spanSlots]
+	n := t.lanes[lane].opened.Add(1)
+	id := n*Lanes + uint64(lane)
+	s := t.slot(id)
 	now := t.clk.Now()
 	s.mu.Lock()
 	s.id, s.from, s.topic, s.start = id, from, topic, now
 	s.mu.Unlock()
-	t.started.Inc()
 	return SpanID(id)
 }
 
+// slot returns span id's slot: its lane's run, indexed by its number
+// within the lane.
+func (t *Tracer) slot(id uint64) *spanSlot {
+	return &t.slots[id%Lanes*laneSlots+id/Lanes%laneSlots]
+}
+
 // End closes one delivery leg of a span, observing the elapsed time
-// into the latency histograms. Safe to call multiple times for the
-// same id (once per subscriber); a stale or overwritten id is
-// silently dropped.
+// into the latency histograms' stripe of the span's lane. Safe to call
+// multiple times for the same id (once per subscriber); a stale or
+// overwritten id is silently dropped.
 func (t *Tracer) End(id SpanID) {
 	if t == nil || id == 0 {
 		return
 	}
-	s := &t.slots[uint64(id)%spanSlots]
+	s := t.slot(uint64(id))
 	s.mu.Lock()
 	if s.id != uint64(id) {
 		s.mu.Unlock()
@@ -181,13 +205,14 @@ func (t *Tracer) End(id SpanID) {
 	s.mu.Unlock()
 	elapsed := t.clk.Since(start)
 
+	lane := int(uint64(id) % Lanes)
 	sec := elapsed.Seconds()
-	t.digiHist(from).Observe(sec)
-	t.classHist(TopicClass(topic)).Observe(sec)
-	t.completed.Inc()
+	t.digiHist(from).observeLane(lane, sec)
+	t.classHist(TopicClass(topic)).observeLane(lane, sec)
+	t.lanes[lane].completed.Add(1)
 
 	if fn := t.onSpan.Load(); fn != nil {
-		(*fn)(from, topic, elapsed)
+		(*fn)(lane, from, topic, elapsed)
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 	"sync/atomic"
 
 	"repro/internal/broker"
+	"repro/internal/obs"
 )
 
 // bridgePrefix marks a publish as already bridge-forwarded. A shard's
-// RouteHook sees the prefixed publisher identity and stops — forwarding
-// is single-hop by construction, so no loop detection is needed.
+// LaneRouteHook sees the prefixed publisher identity and stops —
+// forwarding is single-hop by construction, so no loop detection is
+// needed.
 const bridgePrefix = "swarm!"
 
 // bridge keeps cross-shard delivery semantics identical to a single
@@ -61,7 +63,7 @@ type bridge struct {
 	// swarm run publishes under one identity, so one entry suffices.
 	lastFrom atomic.Pointer[forwardedFrom]
 
-	forwards []paddedCount // publishes forwarded shard-to-shard, per source shard
+	forwards []paddedCount // publishes forwarded shard-to-shard, per publish lane
 }
 
 // refs counts, per shard, the live subscriptions to one filter.
@@ -92,7 +94,7 @@ type forward struct {
 }
 
 func newBridge(shards int) *bridge {
-	br := &bridge{wild: map[string]refs{}, forwards: make([]paddedCount, shards)}
+	br := &bridge{wild: map[string]refs{}, forwards: make([]paddedCount, obs.Lanes)}
 	br.view.Store(&routeView{
 		shards:  make([]*broker.Broker, shards),
 		severed: make([]bool, shards),
@@ -154,14 +156,14 @@ func (br *bridge) rebuildWild() {
 	br.update(func(v *routeView) { v.wild = list })
 }
 
-// routeHook returns the RouteHook for shard i: decide which sibling
-// shards need this publish and forward it with the bridge-prefixed
-// publisher identity, in ascending shard order. Targets that are dead
-// or behind a severed link are spilled to the journal instead of
-// silently dropped. In pools of up to 8 shards the whole decision
-// lives on the stack, so a forward allocates nothing.
-func (br *bridge) routeHook(i int) func(from, topic string, payload []byte, qos byte, retain bool) {
-	return func(from, topic string, payload []byte, qos byte, retain bool) {
+// routeHook returns the LaneRouteHook for shard i: decide which
+// sibling shards need this publish and forward it on its own lane with
+// the bridge-prefixed publisher identity, in ascending shard order.
+// Targets that are dead or behind a severed link are spilled to the
+// journal instead of silently dropped. In pools of up to 8 shards the
+// whole decision lives on the stack, so a forward allocates nothing.
+func (br *bridge) routeHook(i int) func(lane int, from, topic string, payload []byte, qos byte, retain bool) {
+	return func(lane int, from, topic string, payload []byte, qos byte, retain bool) {
 		if strings.HasPrefix(from, bridgePrefix) {
 			return // already forwarded once; single hop only
 		}
@@ -209,12 +211,12 @@ func (br *bridge) routeHook(i int) func(from, topic string, payload []byte, qos 
 				br.spill(f.gate, pendForward, f.target, from, topic, payload, qos, retain)
 				continue
 			}
-			br.forwards[i].Add(1)
+			br.forwards[lane].Add(1)
 			// Validation already passed on the receiving shard; the only
 			// surviving error is ErrClosed from a shard dying between the
 			// liveness check and the forward — journal it like any other
 			// dead-target forward.
-			if f.dest.PublishQoS(br.forwardedAs(from), topic, payload, qos, retain) != nil {
+			if f.dest.PublishLane(lane, br.forwardedAs(from), topic, payload, qos, retain) != nil {
 				br.spill(f.target, pendForward, f.target, from, topic, payload, qos, retain)
 			}
 		}

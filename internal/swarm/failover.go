@@ -223,7 +223,7 @@ func (p *Pool) flushGateLocked(gate, skipRetainedTo int) (redelivered, failed in
 		case pendPublish:
 			// Nobody saw this message: replay through the current ring
 			// for the full fan-out.
-			if p.publishLocked(hashKey(m.topic), m.from, m.topic, m.payload, m.qos, m.retain) != nil {
+			if p.publishLocked(0, hashKey(m.topic), m.from, m.topic, m.payload, m.qos, m.retain) != nil {
 				failed++
 			}
 		case pendForward:

@@ -239,13 +239,17 @@ func (g *Generator) Spec() LoadSpec { return g.spec }
 // Workers returns how many workers RunWorker expects (0..Workers-1).
 func (g *Generator) Workers() int { return g.spec.Workers }
 
+// owner returns the worker that fires device d: device d belongs to
+// worker d mod Workers.
+func (g *Generator) owner(d int) int { return d % g.spec.Workers }
+
 // Published returns the number of fire calls made so far.
 func (g *Generator) Published() int64 { return sumCounts(g.counts) }
 
 // paddedCount is a counter with one writer among several (a generator
-// worker, a bridge source shard), padded so that no two share a cache
-// line. A slice of them is allocated in a 64-byte multiple, which Go's
-// size classes align to 64 bytes.
+// worker, a publish lane), padded so that no two share a cache line.
+// A slice of them is allocated in a 64-byte multiple, which Go's size
+// classes align to 64 bytes.
 type paddedCount struct {
 	atomic.Int64
 	_ [56]byte
@@ -335,7 +339,7 @@ func (g *Generator) RunWorker(ctx context.Context, w int) error {
 		return fmt.Errorf("swarm: worker %d out of range [0,%d)", w, g.spec.Workers)
 	}
 	var h pendHeap
-	for d := w; d < g.spec.Devices; d += g.spec.Workers {
+	for d := w; d < g.spec.Devices; d += g.spec.Workers { // g.owner(d) == w
 		at, payload := g.sampler.NextFire(d)
 		if at < g.spec.Duration {
 			h.push(pendArrival{at, d, payload})

@@ -3,6 +3,7 @@ package swarm
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/broker"
 	"repro/internal/clock"
@@ -69,8 +70,9 @@ type Pool struct {
 	opts PoolOptions
 	clk  clock.Clock
 
-	// topo is the placement epoch lock: Publish holds one stripe shared
-	// for its whole operation (placement decision through delivery);
+	// topo is the placement epoch lock: a publish holds its lane's
+	// stripe shared for its whole operation (placement decision through
+	// delivery);
 	// Subscribe, Unsubscribe, Close and failover/recovery/partition hold
 	// every stripe. That exclusion is what makes a failover atomic with
 	// respect to in-flight pool publishes — the property the
@@ -114,6 +116,7 @@ func NewPool(opts PoolOptions) *Pool {
 	p := &Pool{
 		opts:     opts,
 		clk:      clock.Or(opts.Clock),
+		topo:     newStripedRWMutex(),
 		ring:     newRing(opts.Shards),
 		bridge:   newBridge(opts.Shards),
 		detect:   make([]clock.Timer, opts.Shards),
@@ -145,7 +148,7 @@ func (p *Pool) newShardBroker(i int) *broker.Broker {
 		Tracer:        p.opts.Tracer,
 		Clock:         p.opts.Clock,
 		SubscribeHook: p.bridge.subHook(i),
-		RouteHook:     p.bridge.routeHook(i),
+		LaneRouteHook: p.bridge.routeHook(i),
 	})
 }
 
@@ -224,18 +227,26 @@ func (p *Pool) DownShards() []int {
 // A publish that hits a dead-but-undetected shard is journaled and
 // redelivered after failover instead of failing — callers see nil,
 // and the exact-accounting gates see the delivery arrive late.
+// It publishes on lane 0.
 func (p *Pool) Publish(from, topic string, payload []byte, qos byte, retain bool) error {
-	h := hashKey(topic)
-	defer p.topo.rlock(h).RUnlock()
-	return p.publishLocked(h, from, topic, payload, qos, retain)
+	return p.publishLane(0, from, topic, payload, qos, retain)
 }
 
-// publishLocked is Publish under a held topo lock (a stripe shared, or
-// every stripe) — the failover flush re-publishes journaled messages
-// through it while holding topo exclusively. h is hashKey(topic).
-func (p *Pool) publishLocked(h uint64, from, topic string, payload []byte, qos byte, retain bool) error {
+// publishLane is Publish on a publish lane (broker.PublishLane): a
+// session's generator worker passes its own, so the placement stripe,
+// the shards' counts and the bridge forward it writes are its lane's.
+func (p *Pool) publishLane(lane int, from, topic string, payload []byte, qos byte, retain bool) error {
+	defer p.topo.rlock(lane).RUnlock()
+	return p.publishLocked(lane, hashKey(topic), from, topic, payload, qos, retain)
+}
+
+// publishLocked is publishLane under a held topo lock (a stripe
+// shared, or every stripe) — the failover flush re-publishes journaled
+// messages through it on lane 0 while holding topo exclusively. h is
+// hashKey(topic).
+func (p *Pool) publishLocked(lane int, h uint64, from, topic string, payload []byte, qos byte, retain bool) error {
 	home := p.ring.shardAt(h)
-	err := p.shards[home].PublishQoS(from, topic, payload, qos, retain)
+	err := p.shards[home].PublishLane(lane, from, topic, payload, qos, retain)
 	if err == broker.ErrClosed {
 		// The home shard died and its failover has not run yet:
 		// park the message in the journal; the failover flush replays
@@ -365,23 +376,29 @@ func (s Stats) String() string {
 		len(s.Shards), s.PublishesIn, s.MessagesOut, s.Dropped, s.BridgeForwards, s.Failovers, s.Shed)
 }
 
-// topoStripes is the stripe count of the pool's placement lock.
-const topoStripes = 8
-
-// stripedRWMutex is a reader-writer lock split into stripes, each on
-// cache lines of its own. A reader locks the one stripe its key's hash
-// picks, so publishes on two cores write no common line; a writer
-// locks every stripe, in index order, and so excludes every reader.
+// stripedRWMutex is a reader-writer lock split into one stripe per
+// publish lane. A reader locks its lane's stripe, so publishes on two
+// lanes write no common line; a writer locks every stripe, in index
+// order, and so excludes every reader.
 type stripedRWMutex struct {
-	stripes [topoStripes]struct {
-		sync.RWMutex
-		_ [64]byte
-	}
+	stripes []rwStripe
 }
 
-// rlock read-locks the stripe for hash h and returns it to unlock.
-func (m *stripedRWMutex) rlock(h uint64) *sync.RWMutex {
-	s := &m.stripes[h%topoStripes].RWMutex
+// rwStripe is one stripe of a stripedRWMutex. A slice of them is
+// allocated in a 64-byte multiple, which Go's size classes align to 64
+// bytes, so each stripe fills a cache line of its own.
+type rwStripe struct {
+	sync.RWMutex
+	_ [64 - unsafe.Sizeof(sync.RWMutex{})]byte
+}
+
+func newStripedRWMutex() stripedRWMutex {
+	return stripedRWMutex{make([]rwStripe, obs.Lanes)}
+}
+
+// rlock read-locks lane's stripe and returns it to unlock.
+func (m *stripedRWMutex) rlock(lane int) *sync.RWMutex {
+	s := &m.stripes[lane].RWMutex
 	s.RLock()
 	return s
 }

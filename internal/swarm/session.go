@@ -3,7 +3,6 @@ package swarm
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/broker"
@@ -27,18 +26,28 @@ type Session struct {
 	gen  *Generator
 	reg  *obs.Registry
 	clk  clock.Clock
-	// topics is each device's status topic, built once, so a publish
-	// indexes it instead of formatting one.
-	topics []string
+	// devices is each device's status topic and publish lane, built
+	// once, so a publish indexes it instead of formatting a topic.
+	devices []sessionDevice
 
-	delivered int64
+	// delivered counts deliveries to the consumers per publish lane: an
+	// in-process consumer runs on its publisher's goroutine.
+	delivered []paddedCount
+}
+
+// sessionDevice is what a publish of one device needs: its topic, and
+// its lane, which is the lane of the generator worker that owns it, so
+// every line a worker's publishes write is its own (obs.Lanes).
+type sessionDevice struct {
+	topic string
+	lane  int
 }
 
 // NewSession defaults and validates spec, subscribes the consumers,
 // and prepares the generator, whose messages publish through the pool
 // at the spec's QoS.
 func NewSession(pool *Pool, spec LoadSpec, reg *obs.Registry) (*Session, error) {
-	s := &Session{pool: pool, reg: reg, clk: clock.System}
+	s := &Session{pool: pool, reg: reg, clk: clock.System, delivered: make([]paddedCount, obs.Lanes)}
 	gen, err := NewGenerator(spec, s.firePool)
 	if err != nil {
 		return nil, err
@@ -46,9 +55,9 @@ func NewSession(pool *Pool, spec LoadSpec, reg *obs.Registry) (*Session, error) 
 	// The generator's spec is defaulted, and its device count is what
 	// the sampler actually compiled.
 	s.gen, s.spec = gen, gen.Spec()
-	s.topics = make([]string, s.spec.Devices)
-	for d := range s.topics {
-		s.topics[d] = gen.Sampler().DeviceTopic(s.spec.Prefix, d)
+	s.devices = make([]sessionDevice, s.spec.Devices)
+	for d := range s.devices {
+		s.devices[d] = sessionDevice{gen.Sampler().DeviceTopic(s.spec.Prefix, d), gen.owner(d) % obs.Lanes}
 	}
 	// Consumers: each holds one wildcard filter matching every device
 	// topic, anchored on the shard its client id hashes to — so with
@@ -57,8 +66,8 @@ func NewSession(pool *Pool, spec LoadSpec, reg *obs.Registry) (*Session, error) 
 	filter := s.spec.Prefix + "/+/status"
 	for k := 0; k < s.spec.Subs; k++ {
 		id := fmt.Sprintf("swarm-sub-%d", k)
-		if err := pool.Subscribe(id, filter, s.spec.QoS, func(broker.Message) {
-			atomic.AddInt64(&s.delivered, 1)
+		if err := pool.Subscribe(id, filter, s.spec.QoS, func(m broker.Message) {
+			s.delivered[m.Lane()].Add(1)
 		}); err != nil {
 			return nil, err
 		}
@@ -81,16 +90,17 @@ func (s *Session) SetClock(c clock.Clock) {
 // use. Call before RunWorker.
 func (s *Session) SetTap(tap func(at time.Duration, topic string, payload []byte)) {
 	s.gen.tap = func(at time.Duration, device int, payload []byte) {
-		tap(at, s.topics[device], payload)
+		tap(at, s.devices[device].topic, payload)
 	}
 }
 
 // firePool publishes a sampled payload on the sampler's per-kind
-// device topic.
+// device topic, on the lane of the worker that fires the device.
 func (s *Session) firePool(device int, _ uint64, payload []byte) {
 	// Non-retained: load traffic must not trigger the bridge's
 	// retained full-replication path.
-	s.pool.Publish(loadFrom, s.topics[device], payload, s.spec.QoS, false)
+	d := &s.devices[device]
+	s.pool.publishLane(d.lane, loadFrom, d.topic, payload, s.spec.QoS, false)
 }
 
 // Workers returns the worker count; RunWorker accepts 0..Workers-1.
@@ -113,7 +123,7 @@ func (s *Session) Finish(quiesce time.Duration) *Report {
 	// running out of quiesce is no error — the shortfall is reported as
 	// Lost — and a wall grace would only delay every lossy run's report.
 	deadline := s.clk.Now().Add(quiesce)
-	for s.clk.Now().Before(deadline) && atomic.LoadInt64(&s.delivered) < expected {
+	for s.clk.Now().Before(deadline) && sumCounts(s.delivered) < expected {
 		s.clk.Sleep(5 * time.Millisecond)
 	}
 	elapsed := s.clk.Since(s.gen.origin).Seconds()
@@ -122,7 +132,7 @@ func (s *Session) Finish(quiesce time.Duration) *Report {
 		s.pool.Unsubscribe(fmt.Sprintf("swarm-sub-%d", k), filter)
 	}
 
-	delivered := atomic.LoadInt64(&s.delivered)
+	delivered := sumCounts(s.delivered)
 	stats := s.pool.Stats()
 	rep := &Report{
 		Profile:        string(s.spec.Profile),
@@ -163,7 +173,7 @@ func (s *Session) Finish(quiesce time.Duration) *Report {
 	// Failed-over runs settle late deliveries through journal flushes,
 	// so re-check the accounting once more after reading pool stats in
 	// case a flush landed between the poll loop and the snapshot.
-	if late := atomic.LoadInt64(&s.delivered); late > delivered {
+	if late := sumCounts(s.delivered); late > delivered {
 		delivered = late
 		rep.Delivered = delivered
 		rep.Lost = expected - delivered

@@ -35,7 +35,7 @@ type Archive struct {
 
 // WriteArchive packages records as a shareable zip. meta.txt makes the
 // archive self-describing: total record count (kept first for
-// compatibility), start and end (start plus the last record's
+// compatibility), start and end (start plus the latest record's
 // offset), per-kind counts, and the digest the reader checks. A
 // non-nil scenario is stored next to the trace.
 func WriteArchive(w io.Writer, start time.Time, recs []Record, scenario []byte) error {
@@ -43,10 +43,12 @@ func WriteArchive(w io.Writer, start time.Time, recs []Record, scenario []byte) 
 	if err != nil {
 		return err
 	}
-	end := start
-	if len(recs) > 0 {
-		end = start.Add(recs[len(recs)-1].TS)
+	// A buffered span can be stamped before the record ahead of it.
+	var last time.Duration
+	for i := range recs {
+		last = max(last, recs[i].TS)
 	}
+	end := start.Add(last)
 	kinds := map[Kind]int{}
 	for i := range recs {
 		kinds[recs[i].Kind]++

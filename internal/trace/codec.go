@@ -111,6 +111,32 @@ func appendBody(b []byte, r *Record) []byte {
 	return b
 }
 
+// appendSpanBody appends the body of a span record, which appendBody
+// writes for Record{Kind: KindSpan, Name: name, Topic: topic, Fields:
+// {"elapsed_ns": int64(elapsed)}}, with no Record or map.
+func appendSpanBody(b []byte, name, topic string, elapsed time.Duration) []byte {
+	var bits uint64 = hasFields
+	if name != "" {
+		bits |= 1 << 0 // text()[0], Name
+	}
+	if topic != "" {
+		bits |= 1 << 2 // text()[2], Topic
+	}
+	b = binary.AppendUvarint(append(b, spanKind), bits)
+	if name != "" {
+		b = appendString(b, name)
+	}
+	if topic != "" {
+		b = appendString(b, topic)
+	}
+	b = binary.AppendUvarint(b, 1+1) // one field
+	b = appendString(b, "elapsed_ns")
+	return binary.AppendVarint(append(b, tagInt64), int64(elapsed))
+}
+
+// spanKind is KindSpan's kind byte.
+const spanKind = 6
+
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)

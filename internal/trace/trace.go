@@ -18,9 +18,11 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/obs"
 )
 
 // Kind classifies a trace record.
@@ -105,6 +107,31 @@ type Log struct {
 	wake  chan struct{} // closed by the next Append; nil while nobody waits
 	// now is injectable for deterministic tests.
 	now func() time.Time
+
+	// spans buffers the span records of publish lanes 1 and up (see
+	// Span); buffered counts the lanes whose buffer holds any.
+	spans    []spanLane
+	buffered atomic.Int32
+}
+
+// spanBatch is how many span records a lane buffers before it appends
+// them in one batch.
+const spanBatch = 64
+
+// spanLane is one publish lane's buffered span records. A slice of them
+// is allocated in a 64-byte multiple, which Go's size classes align to
+// 64 bytes, so each lane's buffer header fills a cache line of its own.
+type spanLane struct {
+	mu   sync.Mutex
+	recs []laneSpan
+	_    [32]byte
+}
+
+// laneSpan is a buffered span record with the stamp it was logged at.
+type laneSpan struct {
+	ts          time.Duration
+	name, topic string
+	elapsed     time.Duration
 }
 
 // NewLog starts an empty log whose timestamps are relative to now.
@@ -112,7 +139,7 @@ func NewLog() *Log { return NewLogAt(clock.System.Now) }
 
 // NewLogAt starts a log with an injected clock (tests, replay).
 func NewLogAt(now func() time.Time) *Log {
-	l := &Log{now: now}
+	l := &Log{now: now, spans: make([]spanLane, obs.Lanes)}
 	l.start = l.now()
 	return l
 }
@@ -132,16 +159,26 @@ func (l *Log) Append(r Record) Record {
 	r.Seq = l.seq
 	r.TS = l.now().Sub(l.start)
 	l.store(r.TS, body)
-	if l.wake != nil {
-		close(l.wake)
-		l.wake = nil
-	}
+	l.wakeReaders()
 	l.mu.Unlock()
+	putBody(buf, body)
+	return r
+}
+
+// putBody returns an encoding buffer to bodyPool.
+func putBody(buf *[]byte, body []byte) {
 	if cap(body) <= segmentSize {
 		*buf = body
 		bodyPool.Put(buf)
 	}
-	return r
+}
+
+// wakeReaders wakes a Wait. Called with l.mu held.
+func (l *Log) wakeReaders() {
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
+	}
 }
 
 // store appends one stored record to the last segment, starting a new
@@ -208,12 +245,80 @@ func (l *Log) Mark(name, detail string, fields map[string]any) {
 	l.Append(Record{Kind: KindMark, Name: name, Detail: detail, Fields: fields})
 }
 
-// Span logs a completed publish→deliver span. name is the publishing
-// digi (or client id), topic the delivered topic, elapsed the
-// end-to-end latency.
-func (l *Log) Span(name, topic string, elapsed time.Duration) {
-	l.Append(Record{Kind: KindSpan, Name: name, Topic: topic,
-		Fields: map[string]any{"elapsed_ns": int64(elapsed)}})
+// Span logs a completed publish→deliver span. lane is the publish
+// lane of the delivery (obs.Lanes), name the publishing digi (or
+// client id), topic the delivered topic, elapsed the end-to-end
+// latency. Lane 0 appends the record at once. Another lane stamps it
+// and buffers it in the lane's own buffer, so a swarm worker takes no
+// lock another worker takes, and appends its buffer in one batch once
+// it holds spanBatch records or a reader reads the log. A buffered
+// record keeps its stamp, so its TS can be earlier than that of a
+// record before it; spans are observational, and Normalize drops them.
+func (l *Log) Span(lane int, name, topic string, elapsed time.Duration) {
+	if lane == 0 {
+		buf := bodyPool.Get().(*[]byte)
+		body := appendSpanBody((*buf)[:0], name, topic, elapsed)
+		l.mu.Lock()
+		l.seq++
+		l.store(l.now().Sub(l.start), body)
+		l.wakeReaders()
+		l.mu.Unlock()
+		putBody(buf, body)
+		return
+	}
+	ts := l.now().Sub(l.start)
+	sl := &l.spans[lane]
+	sl.mu.Lock()
+	if len(sl.recs) == 0 {
+		l.buffered.Add(1)
+	}
+	sl.recs = append(sl.recs, laneSpan{ts, name, topic, elapsed})
+	if len(sl.recs) == spanBatch {
+		l.flushLane(lane)
+	}
+	sl.mu.Unlock()
+}
+
+// flushLane appends lane's buffered span records, in the order they
+// were logged, under one hold of l.mu. Called with the lane's mu held.
+func (l *Log) flushLane(lane int) {
+	sl := &l.spans[lane]
+	buf := bodyPool.Get().(*[]byte)
+	body := (*buf)[:0]
+	var ends [spanBatch]int
+	for i, r := range sl.recs {
+		body = appendSpanBody(body, r.name, r.topic, r.elapsed)
+		ends[i] = len(body)
+	}
+	l.mu.Lock()
+	from := 0
+	for i, r := range sl.recs {
+		l.seq++
+		l.store(r.ts, body[from:ends[i]])
+		from = ends[i]
+	}
+	l.wakeReaders()
+	l.mu.Unlock()
+	putBody(buf, body)
+	clear(sl.recs)
+	sl.recs = sl.recs[:0]
+	l.buffered.Add(-1)
+}
+
+// flushSpans appends every lane's buffered span records, so a reader
+// sees every span logged before it read.
+func (l *Log) flushSpans() {
+	if l.buffered.Load() == 0 {
+		return
+	}
+	for lane := 1; lane < len(l.spans); lane++ {
+		sl := &l.spans[lane]
+		sl.mu.Lock()
+		if len(sl.recs) > 0 {
+			l.flushLane(lane)
+		}
+		sl.mu.Unlock()
+	}
 }
 
 // From calls fn on every record from index n on, in sequence order.
@@ -221,6 +326,7 @@ func (l *Log) Span(name, topic string, elapsed time.Duration) {
 // lock while Append fills the last segment's spare capacity, and
 // decodes none of the records before n.
 func (l *Log) From(n int, fn func(*Record)) {
+	l.flushSpans()
 	l.mu.Lock()
 	i := sort.Search(len(l.segs), func(i int) bool {
 		s := &l.segs[i]
@@ -249,6 +355,7 @@ func (l *Log) From(n int, fn func(*Record)) {
 // Wait returns a channel closed once the log holds more than n
 // records: by the next Append, or at once when it does already.
 func (l *Log) Wait(n int) <-chan struct{} {
+	l.flushSpans()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if int(l.seq) > n {
@@ -289,6 +396,7 @@ func (l *Log) Records() []Record {
 
 // Len returns the number of records.
 func (l *Log) Len() int {
+	l.flushSpans()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return int(l.seq)
@@ -297,6 +405,7 @@ func (l *Log) Len() int {
 // Bytes returns the capacity the log's storage holds: its segments and
 // their index.
 func (l *Log) Bytes() int {
+	l.flushSpans()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.bytes
@@ -306,6 +415,7 @@ func (l *Log) Bytes() int {
 // now would be stamped with: where a window that From reads back
 // starts.
 func (l *Log) Tail() (n int, at time.Duration) {
+	l.flushSpans()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return int(l.seq), l.now().Sub(l.start)

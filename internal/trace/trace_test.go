@@ -3,6 +3,7 @@ package trace
 import (
 	"archive/zip"
 	"bytes"
+	"fmt"
 	"io"
 	"path/filepath"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fakeClock yields deterministic, strictly increasing timestamps.
@@ -155,7 +157,7 @@ func TestArchiveRoundTripAllKinds(t *testing.T) {
 	l.Message("l1", "digibox/l1/status", `{"power":"on"}`, "send")
 	l.Violation("room", "lamp-off-when-empty", "lamp on while unoccupied")
 	l.Fault("chaos", "drop", "digibox/# at 0.5", map[string]any{"rate": 0.5})
-	l.Span("o1", "digibox/o1/status", 3*time.Millisecond)
+	l.Span(0, "o1", "digibox/o1/status", 3*time.Millisecond)
 	l.Mark("replay", "scripted edit", map[string]any{"at_ms": int64(200)})
 
 	data, err := l.ArchiveBytes()
@@ -279,7 +281,7 @@ func TestConcurrentAppend(t *testing.T) {
 
 func TestSpanRecords(t *testing.T) {
 	l := NewLogAt(newFakeClock().now)
-	l.Span("L1", "digibox/L1/status", 1500*time.Microsecond)
+	l.Span(0, "L1", "digibox/L1/status", 1500*time.Microsecond)
 	recs := l.Records()
 	if len(recs) != 1 || recs[0].Kind != KindSpan {
 		t.Fatalf("recs = %+v", recs)
@@ -306,7 +308,7 @@ func TestBounds(t *testing.T) {
 	}
 	l.Event("o1", "Occupancy", nil)
 	l.Event("o1", "Occupancy", nil)
-	l.Span("o1", "t/x/s", time.Millisecond)
+	l.Span(0, "o1", "t/x/s", time.Millisecond)
 	if data, err = l.ArchiveBytes(); err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +483,7 @@ func rewriteEntry(t *testing.T, data []byte, name string, edit func([]byte) []by
 func TestArchiveRefusesEditedRecords(t *testing.T) {
 	l := sampleLog()
 	l.Message("o1", "digibox/o1/status", `{"triggered":true}`, "send")
-	l.Span("o1", "digibox/o1/status", time.Millisecond)
+	l.Span(0, "o1", "digibox/o1/status", time.Millisecond)
 	data, err := l.ArchiveBytes()
 	if err != nil {
 		t.Fatal(err)
@@ -607,5 +609,83 @@ func TestWaitClosesOnTheNextAppend(t *testing.T) {
 	l.Event("o1", "Occupancy", nil)
 	if !closed(w) || l.wake != nil {
 		t.Fatal("the append neither closed the channel nor dropped it")
+	}
+}
+
+// TestSpanBodyMatchesAppendBody pins appendSpanBody to the encoding
+// appendBody writes for the same span record.
+func TestSpanBodyMatchesAppendBody(t *testing.T) {
+	if kinds[spanKind-1] != KindSpan {
+		t.Fatalf("spanKind %d is %q", spanKind, kinds[spanKind-1])
+	}
+	for _, c := range []struct {
+		name, topic string
+		elapsed     time.Duration
+	}{{"o1", "digibox/o1/status", 3 * time.Millisecond}, {"", "t", 0}, {"n", "", -1}, {"", "", time.Hour}} {
+		want := appendBody(nil, &Record{Kind: KindSpan, Name: c.name, Topic: c.topic,
+			Fields: map[string]any{"elapsed_ns": int64(c.elapsed)}})
+		if got := appendSpanBody(nil, c.name, c.topic, c.elapsed); !bytes.Equal(got, want) {
+			t.Errorf("%+v: appendSpanBody %x, appendBody %x", c, got, want)
+		}
+	}
+}
+
+// TestLaneSpansKeepStampsAndOrder logs spans on lanes 1 and up from
+// concurrent writers, one per lane, beside lane-0 records: a reader
+// sees every span logged before it read, each lane's spans in the
+// order they were logged, each with the stamp it was logged at.
+func TestLaneSpansKeepStampsAndOrder(t *testing.T) {
+	l := NewLogAt(newFakeClock().now)
+	const each = 3*spanBatch + 5
+	var wg sync.WaitGroup
+	for lane := 1; lane < 4; lane++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				l.Span(lane, fmt.Sprint(lane), fmt.Sprint(i), time.Duration(i))
+			}
+		}()
+	}
+	for i := 0; i < each; i++ {
+		l.Event("e", "", nil)
+		l.Len() // a reader flushes whatever a lane holds
+	}
+	wg.Wait()
+	if n := l.Len(); n != 4*each {
+		t.Fatalf("len %d, want %d", n, 4*each)
+	}
+	next := map[string]int{}
+	lastTS := map[string]time.Duration{}
+	for _, r := range l.Records() {
+		if r.Kind != KindSpan {
+			continue
+		}
+		if r.Topic != fmt.Sprint(next[r.Name]) || r.Fields["elapsed_ns"] != int64(next[r.Name]) {
+			t.Fatalf("lane %s: span %s (elapsed %v), want %d", r.Name, r.Topic, r.Fields["elapsed_ns"], next[r.Name])
+		}
+		if r.TS <= lastTS[r.Name] {
+			t.Fatalf("lane %s: span %s stamped %v after %v", r.Name, r.Topic, r.TS, lastTS[r.Name])
+		}
+		next[r.Name]++
+		lastTS[r.Name] = r.TS
+	}
+	for lane := 1; lane < 4; lane++ {
+		if next[fmt.Sprint(lane)] != each {
+			t.Fatalf("lane %d: %d spans, want %d", lane, next[fmt.Sprint(lane)], each)
+		}
+	}
+}
+
+// TestSpanLanesOwnCacheLines pins the layout of the log's per-lane span
+// buffers: each lane's lock and buffer header fill whole 64-byte cache
+// lines, starting on a line boundary.
+func TestSpanLanesOwnCacheLines(t *testing.T) {
+	l := NewLog()
+	if stride := unsafe.Sizeof(spanLane{}); stride < 64 || stride%64 != 0 {
+		t.Errorf("spanLane stride %d bytes, want a multiple of 64", stride)
+	}
+	if addr := uintptr(unsafe.Pointer(&l.spans[0])); addr%64 != 0 {
+		t.Errorf("lane 0's span buffer at %#x, not on a 64-byte line", addr)
 	}
 }
